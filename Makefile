@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-smoke profile reproduce clean
+.PHONY: all build test race vet lint bench bench-smoke benchmark-smoke profile reproduce clean
 
 all: build vet lint test
 
@@ -60,6 +60,14 @@ bench-smoke:
 	$(GO) run ./cmd/benchgate -baseline bench_baseline.json -input bench_gate.out
 	$(GO) run ./cmd/reproduce -skip-ablations -fork-ab 8 -bench-json BENCH.json -bench-input bench_gate.out > /dev/null
 	rm -f bench_gate.out
+
+# The repository benchmark (BENCHMARK.json, benchmark/README.md) as a
+# smoke: its harness tests, then every workload both untraced and traced
+# for one second each — every metric name printed, every simulated result
+# checked.
+benchmark-smoke:
+	$(GO) test ./benchmark
+	$(GO) run ./benchmark --seconds 1
 
 # Profile a full reproduce run; inspect with `go tool pprof cpu.pprof`
 # (or mem.pprof for the allocation profile).

@@ -15,12 +15,13 @@
 //
 //	{
 //	  "BenchmarkWorldPut1M": 2,
-//	  "BenchmarkSimEventThroughput": {"max_allocs_per_op": 11, "min_events_per_s": 100000}
+//	  "BenchmarkSimEventThroughput": {"max_allocs_per_op": 19, "min_events_per_s": 15000000}
 //	}
 //
 // allocs/op ceilings are exact and machine-independent, so they never
-// flake; events/s floors are wall-clock and must be set far below the
-// measured rate (an order of magnitude) to absorb loaded CI runners.
+// flake; events/s floors are wall-clock and are set at half the rate
+// measured on the reference container: a loaded CI runner passes, a
+// kernel that lost its 2x does not.
 package main
 
 import (

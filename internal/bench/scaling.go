@@ -44,7 +44,14 @@ func ScaleWorkload(par *model.Params, n, putBytes int) {
 func ScaleWorkloadTime(par *model.Params, n, putBytes int) sim.Time {
 	var end sim.Time
 	label := "scale/n=" + strconv.Itoa(n)
-	runRingWorld(label, par, n, core.Options{Mode: driver.ModeCPU}, func(p *sim.Proc, pe *core.PE) {
+	runRingWorld(label, par, n, core.Options{Mode: driver.ModeCPU}, scaleBody(putBytes, &end))
+	return end
+}
+
+// scaleBody is the scaling workload's per-PE program; PE 0 records its
+// final virtual time in *end.
+func scaleBody(putBytes int, end *sim.Time) func(p *sim.Proc, pe *core.PE) {
+	return func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, putBytes)
 		buf := make([]byte, putBytes)
 		pe.BarrierAll(p)
@@ -53,8 +60,7 @@ func ScaleWorkloadTime(par *model.Params, n, putBytes int) sim.Time {
 		}
 		pe.BarrierAll(p)
 		if pe.ID() == 0 {
-			end = p.Now()
+			*end = p.Now()
 		}
-	})
-	return end
+	}
 }

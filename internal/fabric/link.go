@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/model"
+	"repro/internal/ntb"
 	"repro/internal/sim"
 )
 
@@ -221,6 +222,17 @@ type LinkStats struct {
 // sender's buffer on a load/store fabric); the handler must copy what it
 // keeps before calling ack, which releases that space to the sender.
 type Handler func(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.Proc))
+
+// inboundPayload aliases the bytes a stop-and-wait message left in port's
+// window. A control message (barrier token, get request) left none, and
+// must not make the port materialise a whole window to read nothing — on
+// a link that only ever carries tokens that is WindowSize of host memory.
+func inboundPayload(port *ntb.Port, info driver.Info) []byte {
+	if info.Size == 0 {
+		return nil
+	}
+	return port.Inbound(info.Region)[:info.Size]
+}
 
 // Link is one host's attachment to the fabric: the transport the
 // OpenSHMEM runtime sends through and is delivered from. Implementations

@@ -114,7 +114,7 @@ func (l *pairLink) serve(p *sim.Proc) {
 		l.setSvcActive(true)
 		p.Sleep(l.c.Par.ISRCost)
 		info := driver.ReadInfo(p, port)
-		payload := port.Inbound(info.Region)[:info.Size]
+		payload := inboundPayload(port, info)
 		if int(info.Dst) != l.host.ID {
 			panic(fmt.Sprintf("fabric: pair host %d received a chunk addressed to host %d", l.host.ID, info.Dst))
 		}

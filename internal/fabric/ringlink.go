@@ -182,7 +182,7 @@ func (l *ringLink) serve(p *sim.Proc) {
 			continue
 		}
 		info := driver.ReadInfo(p, port)
-		payload := port.Inbound(info.Region)[:info.Size]
+		payload := inboundPayload(port, info)
 		ack := l.ackRight
 		if port == l.host.Left {
 			ack = l.ackLeft

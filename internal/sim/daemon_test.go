@@ -211,12 +211,18 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 		s.Shutdown()
 		s.Shutdown() // idempotent
 	}
-	// Give exiting goroutines a moment to be accounted.
+	assertGoroutinesReleased(t, before)
+}
+
+// assertGoroutinesReleased fails t if the goroutine count has not come
+// back to about before, after giving exiting goroutines a moment to be
+// accounted.
+func assertGoroutinesReleased(t *testing.T, before int) {
+	t.Helper()
 	for i := 0; i < 100 && runtime.NumGoroutine() > before+10; i++ {
 		runtime.Gosched()
 	}
-	after := runtime.NumGoroutine()
-	if after > before+10 {
+	if after := runtime.NumGoroutine(); after > before+10 {
 		t.Fatalf("goroutines leaked across shutdowns: %d -> %d", before, after)
 	}
 }

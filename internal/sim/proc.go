@@ -5,20 +5,24 @@ import (
 )
 
 // Proc is a simulation process: a coroutine scheduled on virtual time.
-// A Proc's body runs in its own goroutine, but the kernel guarantees that
-// only one process executes at a time, so process code needs no locking
-// when touching simulation state.
+// A Proc's body runs as an iter.Pull coroutine that the run loop switches
+// into (next) and that switches back when it blocks (yield), so only one
+// process executes at a time and process code needs no locking when
+// touching simulation state.
 //
 // All blocking methods must be called from the process's own body.
 type Proc struct {
-	sim    *Simulator
-	name   string
-	resume chan struct{}
-	dead   chan struct{} // closed when the goroutine exits
+	sim  *Simulator
+	name string
 
-	exited    bool
+	// The coroutine: next runs the body until it parks or returns, yield
+	// parks it, stop makes a parked yield report false (see Shutdown).
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+
 	daemon    bool   // daemons may remain parked at end of simulation
-	blockedOn string // human-readable label for deadlock reports
+	blockedOn string // label of the latest switching park, read by deadlock reports (when every process is parked)
 }
 
 // Name returns the process name given at spawn time.
@@ -30,30 +34,34 @@ func (p *Proc) Sim() *Simulator { return p.sim }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
 
-// park hands control back to the scheduler until some event wakes this
-// process. Every park must be paired with exactly one wake.
+// park suspends the process until some event wakes it. Every park must
+// be paired with exactly one wake. If that wake is the very event the
+// run loop would dispatch next, park consumes it here and returns
+// without leaving the coroutine; otherwise it switches to the run loop.
 //
 //ntblint:allocfree
 func (p *Proc) park(label string) {
-	if p.sim.killed {
+	s := p.sim
+	if s.killed {
 		// A deferred call running during teardown tried to block (for
 		// example a deferred symmetric Free sleeping for its software
-		// cost). The scheduler is gone; abort the call. The spawn
+		// cost). The run loop is gone; abort the call. The spawn
 		// wrapper swallows this, and per Go's recover-during-Goexit
-		// semantics the goroutine still terminates even if user code
+		// semantics the coroutine still terminates even if user code
 		// recovers it.
 		panic(errKilled)
 	}
+	if next, queued := s.peekNext(); next != nil && next.proc == p {
+		s.consume(next, queued)
+		return
+	}
 	p.blockedOn = label
-	p.sim.yielded <- struct{}{}
-	<-p.resume
-	if p.sim.killed {
+	if !p.yield(struct{}{}) {
 		// Shutdown is tearing the simulation down: terminate this
-		// goroutine, running user defers on the way out. Goexit (not a
+		// coroutine, running user defers on the way out. Goexit (not a
 		// panic) so a recover in user code cannot intercept it.
 		runtime.Goexit()
 	}
-	p.blockedOn = ""
 }
 
 // wake schedules p to resume at the current virtual time. It must only be

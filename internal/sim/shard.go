@@ -257,12 +257,16 @@ func (g *ShardGroup) runParallel(end Time) {
 	g.wg.Wait()
 }
 
-// worker is one member's persistent window executor.
+// worker is one member's persistent window executor. Done is deferred
+// per window so that a body's runtime.Goexit, which ends this goroutine
+// from inside runWindow, still releases the coordinator to read fatal.
 func (g *ShardGroup) worker(i int) {
 	s := g.members[i]
 	for end := range g.work[i] {
-		s.runWindow(end) //nolint:errcheck — fatal is read by the coordinator
-		g.wg.Done()
+		func() {
+			defer g.wg.Done()
+			s.runWindow(end) //nolint:errcheck — fatal is read by the coordinator
+		}()
 	}
 }
 

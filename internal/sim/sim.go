@@ -2,16 +2,18 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 )
 
 // Simulator is a deterministic discrete-event scheduler.
 //
-// The zero value is not ready for use; call New. The scheduler itself runs
-// in the goroutine that calls Run; process goroutines run one at a time,
-// handing control back to the scheduler whenever they block on a kernel
-// primitive (Sleep, Queue.Pop, Resource.Acquire, Cond.Wait, ...).
+// The zero value is not ready for use; call New. The run loop executes in
+// the goroutine that calls Run and switches into one process coroutine at
+// a time; a process switches back when it blocks on a kernel primitive
+// (Sleep, Queue.Pop, Resource.Acquire, Cond.Wait, ...) whose wake is not
+// the very next event.
 type Simulator struct {
 	now    Time
 	seq    uint64
@@ -34,11 +36,6 @@ type Simulator struct {
 	ready     []event
 	readyHead int
 
-	// yielded carries control back from a running process to the
-	// scheduler. Exactly one process may be between resume and yield at
-	// any moment, so an unbuffered channel suffices.
-	yielded chan struct{} // reset: keep; snap: keep — the handshake channel outlives runs
-
 	procs map[*Proc]struct{} // reset: keep — parked daemons survive a reset by design
 
 	fatal   error // first panic captured from a process; Reset refuses a failed sim
@@ -47,10 +44,16 @@ type Simulator struct {
 
 	// Sharded execution (see shard.go). group and shard are construction
 	// identity: a member simulator belongs to its ShardGroup for life.
-	// windowEnd is only meaningful inside runWindow; Reset rezeroes it.
-	group     *ShardGroup // reset: keep; snap: keep — construction identity
-	shard     int         // reset: keep; snap: keep — construction identity
-	windowEnd Time // snap: keep — only live inside runWindow; zero at any snapshot point
+	group *ShardGroup // reset: keep; snap: keep — construction identity
+	shard int         // reset: keep; snap: keep — construction identity
+
+	// windowEnd is the exclusive time bound of the run in progress: one
+	// past RunUntil's deadline, a shard window's end as shrunk by Post,
+	// or timeInf. runWindow sets it before anything reads it.
+	windowEnd Time // snap: keep — only live inside runWindow, which sets it first
+
+	// trace, when set, observes every dispatched event (TraceDispatch).
+	trace func(t Time, seq uint64, kind byte, proc string) // reset: keep; snap: keep — an observer, not state
 
 	executed uint64 // events dispatched since New or Reset; snap: keep — Restore rezeroes it, the world snapshot records its own event count
 }
@@ -70,10 +73,9 @@ func New() *Simulator {
 // only affects host-side speed.
 func NewWith(kind SchedulerKind) *Simulator {
 	s := &Simulator{
-		sched:   kind,
-		ready:   make([]event, 0, 64),
-		yielded: make(chan struct{}),
-		procs:   make(map[*Proc]struct{}),
+		sched: kind,
+		ready: make([]event, 0, 64),
+		procs: make(map[*Proc]struct{}),
 	}
 	if kind == SchedulerHeap {
 		s.heapQ.items = make([]event, 0, 128)
@@ -96,6 +98,26 @@ func (s *Simulator) Now() Time { return s.now }
 // measure benchmark harnesses can use to order work largest-first without
 // consulting the wall clock.
 func (s *Simulator) EventsExecuted() uint64 { return s.executed }
+
+// TraceDispatch makes s report every event it dispatches, in dispatch
+// order, to fn: the event's time and sequence number, its kind ('p' a
+// process wake, 't' a Ticker, 'f' a callback) and the woken process's
+// name. The stream is the kernel-level witness of dispatch order that
+// the golden-digest tests pin; a nil fn stops the reports.
+func (s *Simulator) TraceDispatch(fn func(t Time, seq uint64, kind byte, proc string)) {
+	s.trace = fn
+}
+
+func (s *Simulator) traceEvent(ev *event) {
+	switch {
+	case ev.proc != nil:
+		s.trace(ev.t, ev.seq, 'p', ev.proc.name)
+	case ev.ticker != nil:
+		s.trace(ev.t, ev.seq, 't', "")
+	default:
+		s.trace(ev.t, ev.seq, 'f', "")
+	}
+}
 
 // schedule enqueues fn to run at time t. Panics if t is in the past.
 func (s *Simulator) schedule(t Time, fn func()) {
@@ -177,44 +199,42 @@ func (s *Simulator) GoDaemon(name string, body func(p *Proc)) *Proc {
 }
 
 // GoAfter spawns a new process that starts d from now.
+//
+// A body that panics fails the simulation: Run returns the panic wrapped
+// in an error (errors.As finds a typed panic value). A body that calls
+// runtime.Goexit — t.FailNow and t.Fatal do — fails it the same way and
+// then, as iter.Pull specifies, ends the goroutine that was running the
+// loop once its defers have run: Run's caller, or a shard group's window
+// worker, in which case ShardGroup.Run returns the failure.
 func (s *Simulator) GoAfter(name string, d Duration, body func(p *Proc)) *Proc {
-	p := &Proc{
-		sim:    s,
-		name:   name,
-		resume: make(chan struct{}),
-		dead:   make(chan struct{}),
-	}
+	p := &Proc{sim: s, name: name}
 	s.procs[p] = struct{}{}
-	go func() {
-		defer close(p.dead)
-		<-p.resume // wait for first dispatch
-		if s.killed {
-			return // released by Shutdown before ever starting
-		}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		returned := false
 		defer func() {
 			r := recover()
 			if s.killed {
-				// Shutdown is releasing this goroutine; the scheduler
-				// is not listening, so exit without the handshake.
+				// Shutdown is unwinding this coroutine; whatever its
+				// defers raised (errKilled) ends here.
 				return
 			}
-			if r != nil {
-				if s.fatal == nil {
-					if err, ok := r.(error); ok {
-						// Preserve typed panics (e.g. a runtime's
-						// global-exit) for errors.As at the caller.
-						s.fatal = fmt.Errorf("sim: process %q panicked: %w", p.name, err)
-					} else {
-						s.fatal = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-					}
+			if s.fatal == nil {
+				if err, ok := r.(error); ok {
+					// Preserve typed panics (e.g. a runtime's
+					// global-exit) for errors.As at the caller.
+					s.fatal = fmt.Errorf("sim: process %q panicked: %w", p.name, err)
+				} else if r != nil {
+					s.fatal = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+				} else if !returned {
+					s.fatal = fmt.Errorf("sim: process %q called runtime.Goexit", p.name)
 				}
 			}
-			p.exited = true
 			delete(s.procs, p)
-			s.yielded <- struct{}{}
 		}()
 		body(p)
-	}()
+		returned = true
+	})
 	if d < 0 {
 		d = 0
 	}
@@ -222,14 +242,47 @@ func (s *Simulator) GoAfter(name string, d Duration, body func(p *Proc)) *Proc {
 	return p
 }
 
-// dispatch transfers control to p until it parks or exits. It must only be
-// called from scheduler context (inside an event callback).
-func (s *Simulator) dispatch(p *Proc) {
-	if p.exited {
+// peekNext reports the event the run loop dispatches next, or nil: a
+// queued event at now (scheduled before time advanced here, so it
+// precedes everything in ready), else the head of the ready FIFO, else
+// the queue head if it lies before windowEnd. queued tells which of the
+// two holds it. The run loop and park's own-wake test both select
+// through here, so the rule exists once.
+//
+//ntblint:allocfree
+func (s *Simulator) peekNext() (ev *event, queued bool) {
+	ev = s.events.peek()
+	switch {
+	case ev != nil && ev.t == s.now:
+		return ev, true
+	case s.readyHead < len(s.ready):
+		return &s.ready[s.readyHead], false
+	case ev != nil && ev.t < s.windowEnd:
+		return ev, true
+	}
+	return nil, false
+}
+
+// consume removes the event peekNext just reported, advances the clock
+// to it and counts it. ev is dead afterwards.
+//
+//ntblint:allocfree
+func (s *Simulator) consume(ev *event, queued bool) {
+	s.executed++
+	if s.trace != nil {
+		s.traceEvent(ev)
+	}
+	if queued {
+		s.now = ev.t
+		s.events.pop()
 		return
 	}
-	p.resume <- struct{}{}
-	<-s.yielded
+	*ev = event{} // release fn/proc for GC
+	s.readyHead++
+	if s.readyHead == len(s.ready) {
+		s.ready = s.ready[:0]
+		s.readyHead = 0
+	}
 }
 
 // Run executes events until the queue drains or a process panics.
@@ -250,71 +303,31 @@ func (s *Simulator) run(deadline Time) error {
 	if s.group != nil {
 		return fmt.Errorf("sim: Run on shard %d of a %d-shard group; drive the world through ShardGroup.Run", s.shard, len(s.group.members))
 	}
-	return s.runFree(deadline)
-}
-
-func (s *Simulator) runFree(deadline Time) error {
-	if s.running {
-		return fmt.Errorf("sim: Run called reentrantly")
+	end := timeInf
+	if deadline >= 0 && deadline < timeInf {
+		end = deadline + 1
 	}
-	s.running = true
-	defer func() { s.running = false }()
-
-loop:
-	for s.fatal == nil {
-		var ev event
-		next := s.events.peek()
-		switch {
-		case next != nil && next.t == s.now:
-			// Heap events at the current instant were scheduled before
-			// time advanced here, so they precede everything in ready.
-			ev = s.events.pop()
-		case s.readyHead < len(s.ready):
-			// Same-timestamp fast path: FIFO dispatch, no re-heapify.
-			ev = s.ready[s.readyHead]
-			s.ready[s.readyHead] = event{} // release fn/proc for GC
-			s.readyHead++
-			if s.readyHead == len(s.ready) {
-				s.ready = s.ready[:0]
-				s.readyHead = 0
-			}
-		case next != nil:
-			if deadline >= 0 && next.t > deadline {
-				s.now = deadline
-				return nil
-			}
-			ev = s.events.pop()
-			s.now = ev.t
-		default:
-			break loop
+	if err := s.runWindow(end); err != nil {
+		return err
+	}
+	if deadline < 0 {
+		if s.nondaemonProcs() > 0 {
+			return s.deadlockError()
 		}
-		s.executed++
-		switch {
-		case ev.proc != nil:
-			s.dispatch(ev.proc)
-		case ev.ticker != nil:
-			ev.ticker.Tick(ev.targ)
-		default:
-			ev.fn()
-		}
-	}
-	if s.fatal != nil {
-		return s.fatal
-	}
-	if deadline < 0 && s.nondaemonProcs() > 0 {
-		return s.deadlockError()
+	} else if _, pending := s.nextTime(); pending {
+		s.now = deadline
 	}
 	return nil
 }
 
 // runWindow executes events with time strictly below end (as possibly
-// shrunk by Post, see windowEnd). Unlike RunUntil it never advances the
-// clock to the boundary: now stays at the last dispatched event, so a
-// later, larger window continues seamlessly. Parked processes are not a
-// deadlock here — cross-shard mail merged between windows may wake them.
-// The caller (ShardGroup.Run, possibly via a worker goroutine) inspects
-// member state only between windows, so process code still observes the
-// one-process-at-a-time kernel guarantee.
+// shrunk by Post, see windowEnd). It never advances the clock to the
+// boundary: now stays at the last dispatched event, so a later, larger
+// window continues seamlessly. Parked processes are not a deadlock here —
+// cross-shard mail merged between windows may wake them. The caller
+// (run, or ShardGroup.Run possibly via a worker goroutine) inspects
+// simulator state only between windows, so process code still observes
+// the one-process-at-a-time kernel guarantee.
 func (s *Simulator) runWindow(end Time) error {
 	if s.running {
 		return fmt.Errorf("sim: Run called reentrantly")
@@ -324,32 +337,15 @@ func (s *Simulator) runWindow(end Time) error {
 	defer func() { s.running = false }()
 
 	for s.fatal == nil {
-		var ev event
-		next := s.events.peek()
-		switch {
-		case next != nil && next.t == s.now:
-			ev = s.events.pop()
-		case s.readyHead < len(s.ready):
-			ev = s.ready[s.readyHead]
-			s.ready[s.readyHead] = event{} // release fn/proc for GC
-			s.readyHead++
-			if s.readyHead == len(s.ready) {
-				s.ready = s.ready[:0]
-				s.readyHead = 0
-			}
-		case next != nil:
-			if next.t >= s.windowEnd {
-				return nil
-			}
-			ev = s.events.pop()
-			s.now = ev.t
-		default:
+		next, queued := s.peekNext()
+		if next == nil {
 			return nil
 		}
-		s.executed++
+		ev := *next
+		s.consume(next, queued)
 		switch {
 		case ev.proc != nil:
-			s.dispatch(ev.proc)
+			ev.proc.next() // runs the process until it parks or returns
 		case ev.ticker != nil:
 			ev.ticker.Tick(ev.targ)
 		default:
@@ -441,11 +437,11 @@ func (s *Simulator) assertQuiescent(op string) {
 	}
 }
 
-// Shutdown releases every parked process goroutine (daemons included) and
+// Shutdown releases every parked process coroutine (daemons included) and
 // drops pending events, so a finished simulation's entire object graph —
 // window buffers, heaps, queues — becomes collectable. Harnesses that
 // build many simulators in one process (benchmarks, fuzzers) must call it
-// between instances or the parked goroutines pin their worlds' memory.
+// between instances or the parked coroutines pin their worlds' memory.
 // The simulator must not be running; after Shutdown it must not be used
 // except to read the clock.
 func (s *Simulator) Shutdown() {
@@ -458,13 +454,17 @@ func (s *Simulator) Shutdown() {
 	s.killed = true
 	//ntblint:ordered — teardown runs after the last observable event; release order is invisible
 	for p := range s.procs {
-		if !p.exited {
-			// Sequential teardown: each goroutine fully unwinds (its
-			// user defers may touch state shared with sibling
-			// processes) before the next is released.
-			p.resume <- struct{}{}
-			<-p.dead
-		}
+		// Sequential teardown: each coroutine fully unwinds (its user
+		// defers may touch state shared with sibling processes) before
+		// the next is released. A parked body leaves through Goexit,
+		// which iter.Pull re-raises in the caller of stop — hence the
+		// throw-away goroutine.
+		unwound := make(chan struct{})
+		go func() {
+			defer close(unwound)
+			p.stop()
+		}()
+		<-unwound
 	}
 	s.procs = make(map[*Proc]struct{})
 	s.ladderQ = ladderQueue{}

@@ -3,7 +3,7 @@ package sim
 // Snapshot is a frozen image of a quiescent simulator: the virtual clock
 // and the event sequence counter. Nothing else needs capture — at
 // quiescence the event queue is empty by definition and parked daemon
-// goroutines carry their own state, so "restoring" a simulator means
+// coroutines carry their own state, so "restoring" a simulator means
 // positioning another quiescent kernel (whose daemons are parked in the
 // same places) at the same (now, seq) point and letting the next run's
 // events wake everything exactly as a continuation of the original

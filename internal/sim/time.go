@@ -1,9 +1,9 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel provides a virtual clock, a time-ordered event queue, and
-// coroutine-style processes. Processes are backed by goroutines but are
-// strictly sequentialised: exactly one process (or the scheduler) runs at
-// any instant, and control transfers through channel handshakes, so
+// coroutine processes. Each process is an iter.Pull coroutine and they
+// are strictly sequentialised: exactly one process (or the run loop) runs
+// at any instant, and control transfers by direct coroutine switches, so
 // simulations are deterministic and race-free by construction.
 //
 // All latencies and throughputs reported by this repository are measured
