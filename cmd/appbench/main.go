@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/bench"
 	"repro/internal/fabric"
@@ -22,23 +21,21 @@ import (
 
 func main() {
 	hosts := flag.Int("hosts", 4, "ring size")
-	fabricName := flag.String("fabric", "ntb-ring", "fabric backend to run the kernels over: ntb-ring, ntb-pair, pcie-switch, or cxl")
 	profile := flag.String("profile", "gen3x8", "platform profile (see model.Names)")
 	kernel := flag.String("kernel", "all", "kernel: heat1d, matmul, intsort or all")
 	cells := flag.Int("cells", 2048, "heat1d: total cells")
 	steps := flag.Int("steps", 50, "heat1d: time steps")
 	dim := flag.Int("dim", 64, "matmul: matrix dimension")
 	keys := flag.Int("keys", 40000, "intsort: keys per PE")
-	j := flag.Int("j", runtime.GOMAXPROCS(0), "worker count: independent simulation worlds run in parallel")
-	shards := flag.Int("shards", 1, "conservative-DES shards per world (1 = single simulator; large worlds on point-to-point fabrics split across shards)")
+	common := bench.RegisterFlags(flag.CommandLine, bench.FlagSpec{
+		Cmd:         "appbench",
+		Fabric:      "ntb-ring",
+		FabricUsage: "fabric backend to run the kernels over: ntb-ring, ntb-pair, pcie-switch, or cxl",
+		Select:      true,
+	})
 	flag.Parse()
-	bench.SetParallelism(*j)
-
-	kind, err := fabric.ParseKind(*fabricName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "appbench: -fabric:", err)
-		os.Exit(2)
-	}
+	common.Apply()
+	kind := common.Kind()
 	if max := fabric.MaxHostsFor(kind); *hosts < 2 || *hosts > max {
 		fmt.Fprintf(os.Stderr, "appbench: -hosts=%d out of range [2, %d] for the %s fabric\n", *hosts, max, kind)
 		os.Exit(2)
@@ -47,12 +44,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "appbench: -hosts=%d: the ntb-pair fabric joins exactly 2 hosts\n", *hosts)
 		os.Exit(2)
 	}
-	if err := bench.ValidateShards(*shards, kind); err != nil {
-		fmt.Fprintln(os.Stderr, "appbench:", err)
-		os.Exit(2)
-	}
-	bench.SetShards(*shards)
-	bench.SetFabric(kind)
 
 	par, err := model.Profile(*profile)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/bench"
 	"repro/internal/fabric"
@@ -20,32 +19,20 @@ import (
 
 func main() {
 	ablation := flag.Bool("ablation", false, "run the barrier-algorithm ablation instead of Fig 10")
-	fabricName := flag.String("fabric", "ntb-ring", "fabric backend to measure over: ntb-ring, pcie-switch, or cxl")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	j := flag.Int("j", runtime.GOMAXPROCS(0), "worker count: independent simulation worlds run in parallel")
-	shards := flag.Int("shards", 1, "conservative-DES shards per world (1 = single simulator; large worlds on point-to-point fabrics split across shards)")
+	common := bench.RegisterFlags(flag.CommandLine, bench.FlagSpec{
+		Cmd:         "barrierperf",
+		Fabric:      "ntb-ring",
+		FabricUsage: "fabric backend to measure over: ntb-ring, pcie-switch, or cxl",
+		PairNeeds:   "Fig 10 runs a 3-host world",
+		Select:      true,
+	})
 	flag.Parse()
-	bench.SetParallelism(*j)
-
-	kind, err := fabric.ParseKind(*fabricName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "barrierperf: -fabric:", err)
-		os.Exit(2)
-	}
-	if kind == fabric.KindNTBPair {
-		fmt.Fprintln(os.Stderr, "barrierperf: -fabric=ntb-pair: Fig 10 runs a 3-host world; the pair fabric joins exactly 2")
-		os.Exit(2)
-	}
-	if *ablation && kind != fabric.KindNTBRing {
+	common.Apply()
+	if *ablation && common.Kind() != fabric.KindNTBRing {
 		fmt.Fprintln(os.Stderr, "barrierperf: -ablation compares the ring's token barrier against dissemination and requires -fabric=ntb-ring")
 		os.Exit(2)
 	}
-	if err := bench.ValidateShards(*shards, kind); err != nil {
-		fmt.Fprintln(os.Stderr, "barrierperf:", err)
-		os.Exit(2)
-	}
-	bench.SetShards(*shards)
-	bench.SetFabric(kind)
 
 	par := model.Default()
 	var f *bench.Figure

@@ -7,10 +7,10 @@
 //	simdet         — no wall clock, no global math/rand, no core-count
 //	                 reads, no order-sensitive map iteration in the
 //	                 simulation packages
-//	resetcheck     — every field of a Reset()-able type is reset,
-//	                 recursively reset, or annotated `// reset: keep`
 //	snapcheck      — every field of a Snapshot()-able type is captured
-//	                 or annotated `// snap: keep`
+//	                 or annotated `// snap: keep`, and every field of the
+//	                 snapshot is applied by Restore or annotated
+//	                 `// restore: keep`
 //	allocfree      — //ntblint:allocfree functions contain no allocating
 //	                 constructs
 //	parkcheck      — park labels are precomputed; AfterTick tickers are

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/bench"
 	"repro/internal/fabric"
@@ -24,23 +23,15 @@ func main() {
 	hosts := flag.Int("hosts", 3, "ring size for the simultaneous-transfer measurement")
 	gen := flag.Int("gen", 3, "PCIe generation (1-3)")
 	lanes := flag.Int("lanes", 8, "PCIe lane count")
-	fabricName := flag.String("fabric", "ntb-ring", "fabric backend: ntb-ring, ntb-pair, pcie-switch, or cxl (non-ring backends run the cross-fabric workload)")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	j := flag.Int("j", runtime.GOMAXPROCS(0), "worker count: independent simulation worlds run in parallel")
-	shards := flag.Int("shards", 1, "conservative-DES shards per world (1 = single simulator; large worlds on point-to-point fabrics split across shards)")
+	common := bench.RegisterFlags(flag.CommandLine, bench.FlagSpec{
+		Cmd:         "ntbperf",
+		Fabric:      "ntb-ring",
+		FabricUsage: "fabric backend: ntb-ring, ntb-pair, pcie-switch, or cxl (non-ring backends run the cross-fabric workload)",
+	})
 	flag.Parse()
-	bench.SetParallelism(*j)
-
-	kind, err := fabric.ParseKind(*fabricName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ntbperf: -fabric:", err)
-		os.Exit(2)
-	}
-	if err := bench.ValidateShards(*shards, kind); err != nil {
-		fmt.Fprintln(os.Stderr, "ntbperf:", err)
-		os.Exit(2)
-	}
-	bench.SetShards(*shards)
+	common.Apply()
+	kind := common.Kind()
 	par := model.Default()
 	par.Gen, par.Lanes = *gen, *lanes
 	if err := par.Validate(); err != nil {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	reproduce [-skip-ablations] [-csv] [-j N] [-world-pool=false] [-bench-json FILE]
-//	          [-scaling=false] [-scale-pes 3,64,256,1024] [-scheduler ladder|heap]
+//	          [-scaling=false] [-scale-pes 3,64,256,1024]
 //	          [-fabric ntb-ring,pcie-switch,cxl]
 package main
 
@@ -19,8 +19,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -43,7 +41,6 @@ type figureMetric struct {
 // cost of doing it. Wall-clock fields vary run to run by design.
 type scalePoint struct {
 	PEs           int     `json:"pes"`
-	Scheduler     string  `json:"scheduler"`
 	Worlds        uint64  `json:"worlds"`
 	VirtualEvents uint64  `json:"virtual_events"`
 	WallSeconds   float64 `json:"wall_s"`
@@ -88,15 +85,13 @@ type forkABResult struct {
 type benchReport struct {
 	Parallelism int            `json:"parallelism"`
 	GoMaxProcs  int            `json:"gomaxprocs"`
-	Scheduler   string         `json:"scheduler"`
 	WorldPool   bool           `json:"world_pool"`
 	WorldFork   bool           `json:"world_fork"`
 	Figures     []figureMetric `json:"figures"`
 	// Sharding is the conservative-DES shard A/B (-shard-ab).
 	Sharding *shardingResult `json:"sharding,omitempty"`
 	// Scaling is the ring-size sweep (-scaling): engine throughput vs PE
-	// count under the selected scheduler, plus a heap-scheduler baseline
-	// at the smallest ring for per-event comparison.
+	// count.
 	Scaling []scalePoint `json:"scaling,omitempty"`
 	// ForkAB is the -fork-ab measurement (nil when skipped).
 	ForkAB *forkABResult `json:"fork_ab,omitempty"`
@@ -125,7 +120,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
 	outdir := flag.String("outdir", "", "also write one CSV file per figure into this directory")
 	paramsFile := flag.String("params", "", "JSON platform profile overlaying the default (see model.SaveParams)")
-	par := flag.Int("j", runtime.GOMAXPROCS(0), "worker count: independent simulation worlds run in parallel")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (after the run) to this file")
 	worldPool := flag.Bool("world-pool", true, "recycle simulation worlds between sweep points (A/B switch for the pool)")
@@ -136,35 +130,22 @@ func main() {
 	scaling := flag.Bool("scaling", true, "run the ring-size scaling sweep (events/s and worlds/s vs PE count)")
 	scalePEs := flag.String("scale-pes", "3,16,64,256,1024", "comma-separated ring sizes for the scaling sweep")
 	scaleReps := flag.Int("scale-reps", 2, "measured worlds per scaling point (an unmeasured warm-up world per point precedes them)")
-	shards := flag.Int("shards", 1, "conservative-DES shards per world for the whole run (1 = single simulator; only worlds of ≥16 hosts on point-to-point fabrics shard)")
 	shardAB := flag.Int("shard-ab", 4, "measure the 256-PE scaling workload at 1 vs N shards and record it in the bench report (0 skips)")
-	schedName := flag.String("scheduler", "ladder", "event scheduler for all simulation worlds: ladder or heap")
-	fabricList := flag.String("fabric", "ntb-ring,pcie-switch,cxl", "comma-separated fabric backends for the cross-fabric figure (E6): ntb-ring, ntb-pair, pcie-switch, cxl")
+	common := bench.RegisterFlags(flag.CommandLine, bench.FlagSpec{
+		Cmd:         "reproduce",
+		Fabric:      "ntb-ring,pcie-switch,cxl",
+		FabricUsage: "comma-separated fabric backends for the cross-fabric figure (E6): ntb-ring, ntb-pair, pcie-switch, cxl",
+		FabricList:  true,
+	})
 	flag.Parse()
-	bench.SetParallelism(*par)
+	common.Apply()
 	bench.SetWorldPool(*worldPool)
 	bench.SetWorldFork(*fork)
-	if err := bench.ValidateShards(*shards, fabric.KindNTBRing); err != nil {
-		fmt.Fprintln(os.Stderr, "reproduce:", err)
-		os.Exit(2)
-	}
 	if *shardAB == 1 || *shardAB < 0 {
 		fmt.Fprintf(os.Stderr, "reproduce: -shard-ab=%d: need at least 2 shards for an A/B (or 0 to skip)\n", *shardAB)
 		os.Exit(2)
 	}
-	bench.SetShards(*shards)
-	sched, err := sim.ParseScheduler(*schedName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "reproduce:", err)
-		os.Exit(2)
-	}
-	sim.SetDefaultScheduler(sched)
-	pes, err := parsePEs(*scalePEs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "reproduce:", err)
-		os.Exit(2)
-	}
-	fabKinds, err := parseFabrics(*fabricList)
+	pes, err := bench.ParseHostCounts("scale-pes", *scalePEs, fabric.KindNTBRing)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
 		os.Exit(2)
@@ -233,13 +214,12 @@ func main() {
 	fmt.Printf("platform profile: PCIe Gen%d x%d, wire %.2f GB/s, DMA engine %.2f GB/s\n",
 		mp.Gen, mp.Lanes, mp.EffectiveWireBW()/1e9, mp.DMAEngineBW/1e9)
 	onOff := map[bool]string{true: "on", false: "off"}
-	fmt.Printf("parallel runner: %d workers (independent worlds only; virtual time is unaffected), world pool %s, snapshot fork %s, scheduler %s\n\n",
-		bench.Parallelism(), onOff[bench.WorldPoolEnabled()], onOff[bench.WorldForkEnabled()], sched)
+	fmt.Printf("parallel runner: %d workers (independent worlds only; virtual time is unaffected), world pool %s, snapshot fork %s\n\n",
+		bench.Parallelism(), onOff[bench.WorldPoolEnabled()], onOff[bench.WorldForkEnabled()])
 
 	report := benchReport{
 		Parallelism: bench.Parallelism(),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Scheduler:   sched.String(),
 		WorldPool:   bench.WorldPoolEnabled(),
 		WorldFork:   bench.WorldForkEnabled(),
 	}
@@ -275,7 +255,7 @@ func main() {
 	// The cross-fabric comparison runs even under -skip-ablations: it is
 	// the one figure exercising every Link backend, so the CI smoke run
 	// keeps the switch and CXL fabrics covered.
-	timed("E6", one(func() *bench.Figure { return bench.RunCrossFabric(mp, fabKinds) }))
+	timed("E6", one(func() *bench.Figure { return bench.RunCrossFabric(mp, common.Kinds) }))
 
 	if !*skipAblations {
 		timed("A1", one(func() *bench.Figure { return bench.RunAblationBarrierAlgo(mp) }))
@@ -293,12 +273,12 @@ func main() {
 	}
 
 	if *scaling {
-		report.Scaling = runScaling(mp, pes, *scaleReps, sched)
+		report.Scaling = runScaling(mp, pes, *scaleReps)
 	}
 
 	if *shardAB > 0 {
 		report.Sharding = runSharding(mp, *shardAB, *scaleReps)
-		bench.SetShards(*shards) // the A/B toggles the knob; restore the run's setting
+		bench.SetShards(common.Shards) // the A/B toggles the knob; restore the run's setting
 	}
 
 	if *forkAB > 0 {
@@ -406,25 +386,21 @@ func runForkAB(mp *model.Params, points int) *forkABResult {
 	return res
 }
 
-// runScaling sweeps the scaling workload over the requested ring sizes
-// under the selected scheduler, then repeats the smallest ring under the
-// heap scheduler as the per-event baseline the ladder is judged against.
+// runScaling sweeps the scaling workload over the requested ring sizes.
 // Results are printed as a table and returned for the bench report.
-func runScaling(mp *model.Params, pes []int, reps int, sched sim.SchedulerKind) []scalePoint {
+func runScaling(mp *model.Params, pes []int, reps int) []scalePoint {
 	// Every line carries the [scale] prefix: the sweep's wall-clock
 	// columns are host-side and nondeterministic, and the prefix lets
 	// output-determinism diffs filter them like the "s wall]" lines.
 	fmt.Printf("[scale] ring scaling sweep (%d world(s) per point; simulated work deterministic, wall clock host-side)\n", reps)
-	fmt.Printf("[scale] %6s %6s %8s %16s %9s %14s %10s %10s\n",
-		"pes", "sched", "worlds", "virtual events", "wall s", "events/s", "worlds/s", "ns/event")
-	measure := func(n int, kind sim.SchedulerKind) scalePoint {
-		sim.SetDefaultScheduler(kind)
+	fmt.Printf("[scale] %6s %8s %16s %9s %14s %10s %10s\n",
+		"pes", "worlds", "virtual events", "wall s", "events/s", "worlds/s", "ns/event")
+	var points []scalePoint
+	for _, n := range pes {
 		// One unmeasured warm-up world per point: it builds this shape's
 		// prefix snapshot and warms the world pool before the counters
-		// are sampled, so every point records exactly reps worlds. (The
-		// ladder points used to record reps or reps+1 depending on
-		// whether an earlier figure happened to have built the same
-		// shape — an inconsistency archived into BENCH.json.)
+		// are sampled, so every point records exactly reps worlds
+		// whether or not an earlier figure happened to build the shape.
 		bench.ScaleWorkload(mp, n, 4096)
 		w0, e0 := bench.WorldsSimulated(), bench.VirtualEvents()
 		t0 := time.Now()
@@ -435,7 +411,6 @@ func runScaling(mp *model.Params, pes []int, reps int, sched sim.SchedulerKind) 
 		worlds, events := bench.WorldsSimulated()-w0, bench.VirtualEvents()-e0
 		pt := scalePoint{
 			PEs:           n,
-			Scheduler:     kind.String(),
 			Worlds:        worlds,
 			VirtualEvents: events,
 			WallSeconds:   wall,
@@ -443,19 +418,11 @@ func runScaling(mp *model.Params, pes []int, reps int, sched sim.SchedulerKind) 
 			WorldsPerSec:  float64(worlds) / wall,
 			NsPerEvent:    wall * 1e9 / float64(events),
 		}
-		fmt.Printf("[scale] %6d %6s %8d %16d %9.3f %14.0f %10.2f %10.1f\n",
-			pt.PEs, pt.Scheduler, pt.Worlds, pt.VirtualEvents, pt.WallSeconds,
+		fmt.Printf("[scale] %6d %8d %16d %9.3f %14.0f %10.2f %10.1f\n",
+			pt.PEs, pt.Worlds, pt.VirtualEvents, pt.WallSeconds,
 			pt.EventsPerSec, pt.WorldsPerSec, pt.NsPerEvent)
-		return pt
+		points = append(points, pt)
 	}
-	var points []scalePoint
-	for _, n := range pes {
-		points = append(points, measure(n, sched))
-	}
-	if sched != sim.SchedulerHeap {
-		points = append(points, measure(pes[0], sim.SchedulerHeap))
-	}
-	sim.SetDefaultScheduler(sched)
 	fmt.Println()
 	return points
 }
@@ -500,50 +467,4 @@ func runSharding(mp *model.Params, shards, reps int) *shardingResult {
 		fmt.Printf("[shard] virtual end identical across modes: %v\n\n", endOne)
 	}
 	return res
-}
-
-// parseFabrics validates the -fabric list at the command layer so a
-// typoed backend name is a flag error naming the valid kinds, not a
-// mid-run panic.
-func parseFabrics(list string) ([]fabric.Kind, error) {
-	var kinds []fabric.Kind
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		k, err := fabric.ParseKind(tok)
-		if err != nil {
-			return nil, fmt.Errorf("-fabric: %w", err)
-		}
-		kinds = append(kinds, k)
-	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("-fabric: empty backend list")
-	}
-	return kinds, nil
-}
-
-// parsePEs validates the scaling axis at the command layer so a bad
-// ring size is a flag error, not a mid-run panic.
-func parsePEs(list string) ([]int, error) {
-	var pes []int
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		n, err := strconv.Atoi(tok)
-		if err != nil {
-			return nil, fmt.Errorf("-scale-pes: %q is not a ring size", tok)
-		}
-		if n < 2 || n > fabric.MaxHosts {
-			return nil, fmt.Errorf("-scale-pes: ring size %d out of range [2, %d]", n, fabric.MaxHosts)
-		}
-		pes = append(pes, n)
-	}
-	if len(pes) == 0 {
-		return nil, fmt.Errorf("-scale-pes: empty sweep")
-	}
-	return pes, nil
 }

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	scaleperf [-pes 3,16,64,256,1024] [-reps N] [-scheduler ladder|heap] [-put-bytes N]
+//	scaleperf [-pes 3,16,64,256,1024] [-reps N] [-put-bytes N]
 //	          [-fabric ntb-ring|pcie-switch|cxl] [-shards N]
 //
 // -shards N splits each world of at least 16 hosts across N
@@ -21,12 +21,9 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/fabric"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -34,23 +31,19 @@ import (
 func main() {
 	pesFlag := flag.String("pes", "3,16,64,256,1024", "comma-separated ring sizes to sweep")
 	reps := flag.Int("reps", 3, "worlds to run per point (first warms the pool)")
-	schedName := flag.String("scheduler", "ladder", "event scheduler: ladder or heap")
 	putBytes := flag.Int("put-bytes", 4096, "payload each PE puts to its right neighbour")
-	fabricName := flag.String("fabric", "ntb-ring", "fabric backend to scale over: ntb-ring, pcie-switch, or cxl")
-	shards := flag.Int("shards", 1, "conservative-DES shards per world (1 = single simulator; worlds of ≥16 hosts on point-to-point fabrics split across shards)")
+	common := bench.RegisterFlags(flag.CommandLine, bench.FlagSpec{
+		Cmd:         "scaleperf",
+		NoWorkers:   true,
+		Fabric:      "ntb-ring",
+		FabricUsage: "fabric backend to scale over: ntb-ring, pcie-switch, or cxl",
+		Select:      true,
+	})
 	flag.Parse()
+	common.Apply()
+	kind := common.Kind()
 
-	kind, err := fabric.ParseKind(*fabricName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scaleperf: -fabric:", err)
-		os.Exit(2)
-	}
-	pes, err := parsePEs(*pesFlag, kind)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scaleperf:", err)
-		os.Exit(2)
-	}
-	sched, err := sim.ParseScheduler(*schedName)
+	pes, err := bench.ParseHostCounts("pes", *pesFlag, kind)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "scaleperf:", err)
 		os.Exit(2)
@@ -63,17 +56,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scaleperf: -put-bytes=%d: need a positive payload\n", *putBytes)
 		os.Exit(2)
 	}
-	if err := bench.ValidateShards(*shards, kind); err != nil {
-		fmt.Fprintln(os.Stderr, "scaleperf:", err)
-		os.Exit(2)
-	}
-	sim.SetDefaultScheduler(sched)
-	bench.SetShards(*shards)
-	bench.SetFabric(kind)
 
 	par := model.Default()
-	fmt.Printf("%s scaling sweep: scheduler=%s reps=%d put-bytes=%d shards=%d gomaxprocs=%d\n\n",
-		kind, sched, *reps, *putBytes, *shards, runtime.GOMAXPROCS(0))
+	fmt.Printf("%s scaling sweep: reps=%d put-bytes=%d shards=%d gomaxprocs=%d\n\n",
+		kind, *reps, *putBytes, common.Shards, runtime.GOMAXPROCS(0))
 	fmt.Printf("%6s %8s %16s %15s %9s %14s %10s %10s\n",
 		"pes", "worlds", "virtual events", "virtual end", "wall s", "events/s", "worlds/s", "ns/event")
 	for _, n := range pes {
@@ -90,31 +76,4 @@ func main() {
 			float64(events)/wall, float64(worlds)/wall, wall*1e9/float64(events))
 	}
 	bench.DrainWorldPool()
-}
-
-// parsePEs validates the sweep axis at the command layer: every cluster
-// size must be something the selected fabric backend will build,
-// reported here with flag context instead of surfacing as a mid-sweep
-// panic.
-func parsePEs(list string, kind fabric.Kind) ([]int, error) {
-	max := fabric.MaxHostsFor(kind)
-	var pes []int
-	for _, tok := range strings.Split(list, ",") {
-		tok = strings.TrimSpace(tok)
-		if tok == "" {
-			continue
-		}
-		n, err := strconv.Atoi(tok)
-		if err != nil {
-			return nil, fmt.Errorf("-pes: %q is not a cluster size", tok)
-		}
-		if n < 2 || n > max {
-			return nil, fmt.Errorf("-pes: cluster size %d out of range [2, %d] for the %s fabric", n, max, kind)
-		}
-		pes = append(pes, n)
-	}
-	if len(pes) == 0 {
-		return nil, fmt.Errorf("-pes: empty sweep")
-	}
-	return pes, nil
 }

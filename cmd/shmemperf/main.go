@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"repro/internal/bench"
@@ -23,28 +22,17 @@ func main() {
 	op := flag.String("op", "both", "operation to measure: put, get or both")
 	metric := flag.String("metric", "both", "metric to report: latency, throughput or both")
 	profile := flag.String("profile", "gen3x8", "platform profile (see model.Names)")
-	fabricName := flag.String("fabric", "ntb-ring", "fabric backend to measure over: ntb-ring, ntb-pair, pcie-switch, or cxl")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
-	j := flag.Int("j", runtime.GOMAXPROCS(0), "worker count: independent simulation worlds run in parallel")
-	shards := flag.Int("shards", 1, "conservative-DES shards per world (1 = single simulator; large worlds on point-to-point fabrics split across shards)")
+	common := bench.RegisterFlags(flag.CommandLine, bench.FlagSpec{
+		Cmd:         "shmemperf",
+		Fabric:      "ntb-ring",
+		FabricUsage: "fabric backend to measure over: ntb-ring, pcie-switch, or cxl",
+		PairNeeds:   "Fig 9 sweeps a 3-host world",
+		Select:      true,
+	})
 	flag.Parse()
-	bench.SetParallelism(*j)
-
-	kind, err := fabric.ParseKind(*fabricName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "shmemperf: -fabric:", err)
-		os.Exit(2)
-	}
-	if kind == fabric.KindNTBPair {
-		fmt.Fprintln(os.Stderr, "shmemperf: -fabric=ntb-pair: Fig 9 sweeps a 3-host world; the pair fabric joins exactly 2")
-		os.Exit(2)
-	}
-	if err := bench.ValidateShards(*shards, kind); err != nil {
-		fmt.Fprintln(os.Stderr, "shmemperf:", err)
-		os.Exit(2)
-	}
-	bench.SetShards(*shards)
-	bench.SetFabric(kind)
+	common.Apply()
+	kind := common.Kind()
 
 	par, err := model.Profile(*profile)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package analysis is the repository's static-analysis toolkit: a small,
 // dependency-free core modelled on golang.org/x/tools/go/analysis plus
-// the four ntblint analyzers that machine-check the simulator's
-// determinism, reset, and hot-path invariants (see LINT.md).
+// the ntblint analyzers that machine-check the simulator's determinism,
+// lifecycle, and hot-path invariants (see LINT.md).
 //
 // The x/tools module is deliberately not imported — the reproduction
 // builds with the standard library alone — so this package re-creates

@@ -18,15 +18,14 @@ import (
 //	//ntblint:allocfree  — in a function's doc comment: the body must
 //	                       not allocate (checked by the allocfree
 //	                       analyzer).
-//	// reset: keep       — trailing a struct field: Reset intentionally
-//	                       leaves the field alone (identity, warm
-//	                       buffers, installed daemons).
 //	// snap: keep        — trailing a struct field: Snapshot intentionally
-//	                       omits the field (infrastructure that is
-//	                       identical in every quiescent world, or scratch
-//	                       that holds no simulation state). Combines with
-//	                       the reset annotation: `// reset: keep; snap:
-//	                       keep — reason`.
+//	                       omits the field (identity, installed daemons,
+//	                       warm buffers — infrastructure that is identical
+//	                       in every quiescent world, or scratch that holds
+//	                       no simulation state).
+//	// restore: keep     — trailing a field of a snapshot struct: Restore
+//	                       intentionally does not apply it (a record
+//	                       about the capture, not captured state).
 //	//ntblint:shardlocal — on (or above) a peer-state access inside a
 //	                       remote-guarded region: the access is provably
 //	                       same-shard (checked by shardsafe).
@@ -117,12 +116,6 @@ func HasDirective(doc *ast.CommentGroup, directive string) bool {
 		}
 	}
 	return false
-}
-
-// fieldKept reports whether a struct field carries the `// reset: keep`
-// annotation, in either its doc comment or its trailing comment.
-func fieldKept(field *ast.Field) bool {
-	return fieldAnnotated(field, "reset: keep")
 }
 
 // fieldSnapKept reports whether a struct field carries the

@@ -12,8 +12,8 @@ import (
 // not the easy half. A type implementing more than half of the contract
 // but missing methods is reported (a fifth backend that compiles only
 // because it never got assigned to a Link variable would otherwise slip
-// through until the differential suite runs); Restore/Snapshot/Reset/
-// AssertQuiescent are called out as the fork/replay lifecycle pairing.
+// through until the differential suite runs); Snapshot/Restore/
+// AssertQuiescent are called out as the one lifecycle unit.
 // Full implementers are checked for Stats coverage (a Stats that
 // returns a constant reports nothing about the link), and every Unplug
 // in a package declaring the contract must return the uniform error
@@ -80,11 +80,11 @@ func findContract(pass *Pass) (*types.Named, bool) {
 	return nil, false
 }
 
-// lifecycleMethods are the fork/replay lifecycle quartet; missing any
-// one of them while shipping the others breaks snapshot/restore
-// round-trips in a way only the differential suite would catch.
+// lifecycleMethods are the world lifecycle's three; missing any one of
+// them while shipping the others breaks snapshot/restore round-trips in
+// a way only the differential suite would catch.
 var lifecycleMethods = map[string]bool{
-	"Reset": true, "Snapshot": true, "Restore": true, "AssertQuiescent": true,
+	"Snapshot": true, "Restore": true, "AssertQuiescent": true,
 }
 
 // checkContractType classifies one named type against the contract and
@@ -131,7 +131,7 @@ func checkContractType(pass *Pass, named *types.Named, iface *types.Interface) {
 		if len(lifecycle) > 0 {
 			sort.Strings(lifecycle)
 			msg = "%s implements %d of %d fabric.Link methods but is missing %s; " +
-				"the Reset/Snapshot/Restore/AssertQuiescent lifecycle must ship as a unit " +
+				"the Snapshot/Restore/AssertQuiescent lifecycle must ship as a unit " +
 				"(or waive a deliberate partial adapter with //ntblint:notlink)"
 		}
 		pass.Reportf(named.Obj().Pos(), msg, named.Obj().Name(), matched, total, strings.Join(missing, ", "))

@@ -15,7 +15,7 @@ type LinkStats struct {
 type Link interface {
 	Start()
 	Send(b []byte) error
-	Reset()
+	Drain()
 	Snapshot() any
 	Restore(s any)
 	AssertQuiescent()
@@ -31,7 +31,7 @@ type goodLink struct {
 
 func (l *goodLink) Start()               { l.started = true }
 func (l *goodLink) Send(b []byte) error  { l.stats.ChunksForwarded++; return nil }
-func (l *goodLink) Reset()               { l.stats = LinkStats{} }
+func (l *goodLink) Drain()               {}
 func (l *goodLink) Snapshot() any        { return l.stats }
 func (l *goodLink) Restore(s any)        { l.stats = s.(LinkStats) }
 func (l *goodLink) AssertQuiescent()     {}
@@ -46,7 +46,7 @@ type halfLink struct { // want "missing Restore"
 
 func (l *halfLink) Start()           {}
 func (l *halfLink) Send(b []byte) error { l.stats.ChunksForwarded++; return nil }
-func (l *halfLink) Reset()           { l.stats = LinkStats{} }
+func (l *halfLink) Drain()           {}
 func (l *halfLink) Snapshot() any    { return l.stats }
 func (l *halfLink) AssertQuiescent() {}
 func (l *halfLink) Stats() LinkStats { return l.stats }
@@ -61,7 +61,7 @@ type stubLink struct {
 
 func (l *stubLink) Start()           { l.up = true }
 func (l *stubLink) Send(b []byte) error { return nil }
-func (l *stubLink) Reset()           { l.stats = LinkStats{} }
+func (l *stubLink) Drain()           {}
 func (l *stubLink) Snapshot() any    { return l.stats }
 func (l *stubLink) Restore(s any)    { l.stats = s.(LinkStats) }
 func (l *stubLink) AssertQuiescent() {}
@@ -79,13 +79,13 @@ type traceAdapter struct {
 
 func (t *traceAdapter) Start()           { t.n++; t.inner.Start() }
 func (t *traceAdapter) Send(b []byte) error { t.n++; return t.inner.Send(b) }
-func (t *traceAdapter) Reset()           { t.n = 0; t.inner.Reset() }
+func (t *traceAdapter) Drain()           { t.n++; t.inner.Drain() }
 func (t *traceAdapter) AssertQuiescent() { t.inner.AssertQuiescent() }
 func (t *traceAdapter) Stats() LinkStats { return t.inner.Stats() }
 
-// resetOnly shares two method names with the contract; far below the
+// drainOnly shares two method names with the contract; far below the
 // half-way mark, it makes no claim to be a backend and is ignored.
-type resetOnly struct{ n int }
+type drainOnly struct{ n int }
 
-func (r *resetOnly) Reset() { r.n = 0 }
-func (r *resetOnly) Start() {}
+func (r *drainOnly) Drain() { r.n = 0 }
+func (r *drainOnly) Start() {}

@@ -92,21 +92,6 @@ func (p *lport) loopback() {
 //ntblint:notlink — deliberate partial adapter
 type adapter struct{ n int }
 
-// withReset keeps a field across Reset; the annotation anchors to the
-// method below.
-type withReset struct {
-	id int // reset: keep — construction identity
-	n  int
-}
-
-func (w *withReset) Reset() { w.n = 0 }
-
-// noReset lost its Reset method in a refactor; the annotation is
-// stranded.
-type noReset struct {
-	warm []byte // reset: keep — drifted // want "orphaned `// reset: keep`"
-}
-
 // withSnap keeps scratch out of snapshots; anchored by Snapshot below.
 type withSnap struct {
 	scratch []byte // snap: keep — rebuilt on demand
@@ -118,4 +103,19 @@ func (w *withSnap) Snapshot() int { return w.n }
 // noSnap has no Snapshot method for its annotation to talk to.
 type noSnap struct {
 	scratch []byte // snap: keep — drifted // want "orphaned `// snap: keep`"
+}
+
+// image is what imaged.Snapshot returns, so its restore annotation is
+// anchored; stray is returned by no Snapshot at all.
+type image struct {
+	n    int
+	cost int // restore: keep — a record about the capture
+}
+
+type imaged struct{ n int }
+
+func (i *imaged) Snapshot() image { return image{n: i.n} }
+
+type stray struct {
+	cost int // restore: keep — drifted // want "orphaned `// restore: keep`"
 }

@@ -16,9 +16,9 @@ import (
 // body, a waived shardsafe access under //ntblint:shardlocal (shared
 // with shardsafe's sweep through the engine memo), a core-count read
 // under //ntblint:cpupolicy, a type declaration under
-// //ntblint:notlink, and a Reset/Snapshot method behind `// reset:
-// keep` / `// snap: keep` field annotations. Unanchored directives and
-// unknown directive names are reported.
+// //ntblint:notlink, a Snapshot method behind `// snap: keep` field
+// annotations, and a snapshot struct behind `// restore: keep`.
+// Unanchored directives and unknown directive names are reported.
 var Waiverdrift = &Analyzer{
 	Name: "waiverdrift",
 	Doc: "report ntblint directives and keep-annotations that no " +
@@ -189,13 +189,20 @@ func anchorDescription(name string) string {
 	return "recognised construct"
 }
 
-// checkKeepAnnotations validates `// reset: keep` and `// snap: keep`
+// checkKeepAnnotations validates `// snap: keep` and `// restore: keep`
 // field annotations: the annotated field's struct must still have the
-// niladic Reset (resp. single-result Snapshot) method the annotation
-// talks to. Only field-attached comments are considered — prose
-// mentions of the markers elsewhere are not annotations.
+// Snapshot method (its own or a promoted one) the first talks to, or
+// still be the value some Snapshot returns for the second. Only
+// field-attached comments are considered — prose mentions of the
+// markers elsewhere are not annotations.
 func checkKeepAnnotations(pass *Pass) {
-	resetTypes, snapTypes := methodOwners(pass)
+	snapTypes, valueTypes := map[string]bool{}, map[string]bool{}
+	for _, t := range snapTargets(pass) {
+		snapTypes[t.name] = true
+		if t.value != nil {
+			valueTypes[t.value.Obj().Name()] = true
+		}
+	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -207,51 +214,18 @@ func checkKeepAnnotations(pass *Pass) {
 				return true
 			}
 			for _, field := range st.Fields.List {
-				if fieldKept(field) && !resetTypes[ts.Name.Name] {
-					pass.Reportf(field.Pos(),
-						"orphaned `// reset: keep`: %s has no Reset method for the annotation to excuse this field from",
-						ts.Name.Name)
-				}
 				if fieldSnapKept(field) && !snapTypes[ts.Name.Name] {
 					pass.Reportf(field.Pos(),
 						"orphaned `// snap: keep`: %s has no Snapshot method for the annotation to excuse this field from",
+						ts.Name.Name)
+				}
+				if fieldAnnotated(field, "restore: keep") && !valueTypes[ts.Name.Name] {
+					pass.Reportf(field.Pos(),
+						"orphaned `// restore: keep`: no Snapshot method returns a %s for a Restore to skip this field of",
 						ts.Name.Name)
 				}
 			}
 			return true
 		})
 	}
-}
-
-// methodOwners returns the type names in the package that declare the
-// methods resetcheck and snapcheck anchor on: a Reset/reset with no
-// parameters or results, and a Snapshot/snapshot with no parameters and
-// one result.
-func methodOwners(pass *Pass) (resetTypes, snapTypes map[string]bool) {
-	resetTypes, snapTypes = map[string]bool{}, map[string]bool{}
-	for _, file := range pass.Files {
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil {
-				continue
-			}
-			recv := receiverTypeName(fd)
-			if recv == "" {
-				continue
-			}
-			params := fd.Type.Params.NumFields()
-			results := fd.Type.Results.NumFields()
-			switch fd.Name.Name {
-			case "Reset", "reset":
-				if params == 0 && results == 0 {
-					resetTypes[recv] = true
-				}
-			case "Snapshot", "snapshot":
-				if params == 0 && results == 1 {
-					snapTypes[recv] = true
-				}
-			}
-		}
-	}
-	return resetTypes, snapTypes
 }

@@ -1,0 +1,137 @@
+package bench
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"strconv"
+	"strings"
+
+	"repro/internal/fabric"
+)
+
+// FlagSpec describes how one experiment driver uses the flags the
+// drivers share — -j, -fabric, -shards — so their registration, parsing,
+// validation and error text live here once. What legitimately differs
+// per command is data.
+type FlagSpec struct {
+	Cmd       string // prefixes every error message, like the command's own
+	NoWorkers bool   // omit -j (a command that runs its worlds one at a time)
+	// Fabric and FabricUsage are the -fabric default and help text.
+	Fabric, FabricUsage string
+	// FabricList makes -fabric a comma-separated list of backends to
+	// compare rather than the one backend every world is built over; the
+	// command's own worlds then stay on the ring, and -shards is
+	// validated against it.
+	FabricList bool
+	// PairNeeds, when non-empty, rejects the two-host ntb-pair fabric and
+	// says why ("Fig 9 sweeps a 3-host world").
+	PairNeeds string
+	// Select makes Apply install the parsed backend for subsequent
+	// sweeps (SetFabric). Commands that branch on the kind themselves
+	// leave it off.
+	Select bool
+}
+
+// Flags holds the shared flags' values; Kinds (the parsed -fabric value:
+// one backend, or the list under FlagSpec.FabricList) and Shards are
+// valid after Apply.
+type Flags struct {
+	spec    FlagSpec
+	workers int
+	fabrics string
+	Kinds   []fabric.Kind
+	Shards  int
+}
+
+// RegisterFlags registers the shared flags on fs as spec describes. Call
+// Apply after fs has been parsed.
+func RegisterFlags(fs *flag.FlagSet, spec FlagSpec) *Flags {
+	f := &Flags{spec: spec}
+	if !spec.NoWorkers {
+		fs.IntVar(&f.workers, "j", Parallelism(), "worker count: independent simulation worlds run in parallel")
+	}
+	fs.StringVar(&f.fabrics, "fabric", spec.Fabric, spec.FabricUsage)
+	fs.IntVar(&f.Shards, "shards", 1, "conservative-DES shards per world (1 = single simulator; only worlds of ≥16 hosts on point-to-point fabrics shard)")
+	return f
+}
+
+// Apply validates the parsed values and installs them as the bench
+// policy (SetParallelism, SetShards and, under FlagSpec.Select,
+// SetFabric). A bad value is a usage error: it is reported on stderr
+// with the command's name and the process exits with status 2, as
+// flag.Parse itself does.
+func (f *Flags) Apply() {
+	if err := f.apply(); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", f.spec.Cmd, err)
+		os.Exit(2)
+	}
+}
+
+// Kind returns the single parsed backend.
+func (f *Flags) Kind() fabric.Kind { return f.Kinds[0] }
+
+func (f *Flags) apply() error {
+	toks := []string{f.fabrics}
+	if f.spec.FabricList {
+		toks = splitList(f.fabrics)
+		if len(toks) == 0 {
+			return fmt.Errorf("-fabric: empty backend list")
+		}
+	}
+	f.Kinds = f.Kinds[:0]
+	for _, tok := range toks {
+		k, err := fabric.ParseKind(tok)
+		if err != nil {
+			return fmt.Errorf("-fabric: %w", err)
+		}
+		if k == fabric.KindNTBPair && f.spec.PairNeeds != "" {
+			return fmt.Errorf("-fabric=%s: %s; the pair fabric joins exactly 2", k, f.spec.PairNeeds)
+		}
+		f.Kinds = append(f.Kinds, k)
+	}
+	built := f.Kinds[0]
+	if f.spec.FabricList {
+		built = fabric.KindNTBRing
+	}
+	if err := ValidateShards(f.Shards, built); err != nil {
+		return err
+	}
+	if !f.spec.NoWorkers {
+		SetParallelism(f.workers)
+	}
+	SetShards(f.Shards)
+	if f.spec.Select {
+		SetFabric(built)
+	}
+	return nil
+}
+
+// ParseHostCounts parses a comma-separated sweep axis of cluster sizes
+// (the value of the named flag), requiring each to be something the
+// fabric backend will build — a flag error here instead of a mid-sweep
+// panic.
+func ParseHostCounts(flagName, list string, kind fabric.Kind) ([]int, error) {
+	max := fabric.MaxHostsFor(kind)
+	var sizes []int
+	for _, tok := range splitList(list) {
+		n, err := strconv.Atoi(tok)
+		if err != nil {
+			return nil, fmt.Errorf("-%s: %q is not a cluster size", flagName, tok)
+		}
+		if n < 2 || n > max {
+			return nil, fmt.Errorf("-%s: cluster size %d out of range [2, %d] for the %s fabric", flagName, n, max, kind)
+		}
+		sizes = append(sizes, n)
+	}
+	if len(sizes) == 0 {
+		return nil, fmt.Errorf("-%s: empty sweep", flagName)
+	}
+	return sizes, nil
+}
+
+// splitList splits a comma-separated flag value, tolerating spaces and
+// empty items.
+func splitList(s string) []string {
+	return strings.FieldsFunc(s, func(r rune) bool { return r == ',' || r == ' ' })
+}

@@ -18,11 +18,11 @@ import (
 // world pool still replayed that prefix per point. Here the pool grows a
 // snapshot cache: the first point of a (shape, prefix, seed) key runs
 // the prefix once and captures a core.WorldSnapshot; every later point
-// checks out a pooled world, Forks it onto the snapshot (copy-on-write
-// heap pages, copied device registers), and runs only its divergent
-// body. Fork equivalence (internal/core/fork_test.go) guarantees the
-// simulated futures — and therefore the results/ CSVs — are
-// byte-identical to the replay path.
+// checks out a pooled world — in whatever state its last run left it —
+// Forks it onto the snapshot (copy-on-write heap pages, copied device
+// registers), and runs only its divergent body. Fork equivalence
+// (internal/core/fork_test.go) guarantees the simulated futures — and
+// therefore the results/ CSVs — are byte-identical to the replay path.
 
 // forkOn gates the fork path; see SetWorldFork. Defaults to enabled.
 var forkOn atomic.Bool
@@ -83,11 +83,11 @@ var snapCache struct {
 // workload-prefix key and seed. Params enter by value, so a sweep that
 // mutates its params object between points can never be served a
 // stale-prefix snapshot — the mutated value is a different key (the
-// same guarantee checkoutWorld enforces for pooled worlds).
-func snapshotFingerprint(par *model.Params, n int, opts core.Options, sched sim.SchedulerKind, fab fabric.Kind, prefixKey string, seed int64) string {
+// same guarantee acquireWorld enforces for pooled worlds).
+func snapshotFingerprint(par *model.Params, n int, opts core.Options, fab fabric.Kind, prefixKey string, seed int64) string {
 	// The cache only ever serves single-simulator worlds (sharded sweep
 	// points replay; see runRingWorldPrefixed), hence the fixed shards=1.
-	return worldFingerprint(par, n, opts, sched, fab, 1) + fmt.Sprintf("|prefix=%s|seed=%d", prefixKey, seed)
+	return worldFingerprint(par, n, opts, fab, 1) + fmt.Sprintf("|prefix=%s|seed=%d", prefixKey, seed)
 }
 
 // DrainSnapshots discards every cached prefix snapshot.
@@ -120,7 +120,7 @@ func storeSnapshot(key string, snap *core.WorldSnapshot) {
 // prefix, capturing it on first use by running the prefix on a pooled
 // (or fresh) world. A nil prefix is the bare shmem_init warm-up.
 func prefixSnapshot(label string, par *model.Params, n int, opts core.Options, prefixKey string, seed int64, prefix func(p *sim.Proc, pe *core.PE)) *core.WorldSnapshot {
-	key := snapshotFingerprint(par, n, opts, sim.DefaultScheduler(), Fabric(), prefixKey, seed)
+	key := snapshotFingerprint(par, n, opts, Fabric(), prefixKey, seed)
 	if snap := cachedSnapshot(key); snap != nil {
 		return snap
 	}
@@ -132,37 +132,22 @@ func prefixSnapshot(label string, par *model.Params, n int, opts core.Options, p
 
 	worldCount.Add(1)
 	forkPrefixBuilds.Add(1)
-	w, poolable := checkoutWorld(par, n, opts)
-	if w == nil {
-		w = buildRingWorld(label, par, n, opts)
-		// Park the fresh world's daemon-spawn events and reset, so the
-		// snapshot's event count — the replay cost every fork of it
-		// reports saving — matches what a recycled pooled world would
-		// record. Whether a prefix build hits the pool depends on worker
-		// timing; the counts must not.
-		if err := w.Cluster.RunSim(); err != nil {
-			w.Cluster.ShutdownSim()
-			panic(fmt.Sprintf("bench: %s: prefix %q daemon boot: %v", label, prefixKey, err))
-		}
-		w.Reset()
-	}
+	w, _, poolable := acquireWorld(label, par, n, opts)
+	// Reset a fresh world too: it parks the daemon-spawn events, so the
+	// snapshot's event count — the replay cost every fork of it reports
+	// saving — matches what a recycled world records. Whether a prefix
+	// build hits the pool depends on worker timing; the counts must not.
+	w.Reset()
 	run := prefix
 	if run == nil {
 		run = func(p *sim.Proc, pe *core.PE) {}
 	}
 	err := w.RunKeep(run)
-	worldEvents.Add(w.Cluster.EventsExecuted())
-	if err != nil {
-		w.Cluster.ShutdownSim()
-		panic(fmt.Sprintf("bench: %s: prefix %q: %v", label, prefixKey, err))
+	var snap *core.WorldSnapshot
+	if err == nil {
+		snap = w.Snapshot()
 	}
-	snap := w.Snapshot()
-	w.Reset()
-	if poolable {
-		checkinWorld(w, n, opts)
-	} else {
-		w.Cluster.ShutdownSim()
-	}
+	releaseWorld(w, fmt.Sprintf("%s: prefix %q", label, prefixKey), n, opts, poolable, err)
 	storeSnapshot(key, snap)
 	return snap
 }
@@ -211,27 +196,11 @@ func ForkProbePoint(par *model.Params, n, rounds, fill, point int) {
 func runForked(label string, par *model.Params, n int, opts core.Options, prefixKey string, seed int64, prefix, body func(p *sim.Proc, pe *core.PE)) {
 	snap := prefixSnapshot(label, par, n, opts, prefixKey, seed, prefix)
 	worldCount.Add(1)
-	w, poolable := checkoutWorld(par, n, opts)
-	if w == nil {
-		w = buildRingWorld(label, par, n, opts)
-	}
+	w, _, poolable := acquireWorld(label, par, n, opts)
 	w.Fork(snap)
 	err := w.RunKeepForked(body)
 	forkForks.Add(1)
 	forkEventsSaved.Add(snap.Events())
-	worldEvents.Add(w.Cluster.EventsExecuted())
 	recordPointCost(label, w.Cluster.EventsExecuted())
-	if err != nil {
-		w.Cluster.ShutdownSim()
-		if label != "" {
-			panic(fmt.Sprintf("bench: %s: %v", label, err))
-		}
-		panic(err)
-	}
-	if !poolable {
-		w.Cluster.ShutdownSim()
-		return
-	}
-	w.Reset()
-	checkinWorld(w, n, opts)
+	releaseWorld(w, label, n, opts, poolable, err)
 }

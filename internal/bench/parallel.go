@@ -291,11 +291,11 @@ func runPointsCost[T, R any](points []T, cost func(i int, pt T) float64, fn func
 
 // runRingWorld drives body on every PE of an n-host ring world to
 // completion. With the world pool enabled (the default) it checks out a
-// warm world for the (params, n, options) shape — or builds one on a
-// miss — and after a clean run resets and returns it; reset worlds are
-// indistinguishable from fresh ones (see core.World.Reset), so results
-// do not depend on pool state. With the pool disabled every run builds
-// and tears down its own world, as the pre-pool engine did.
+// warm world for the (params, n, options) shape and restores it — or
+// builds one on a miss — and after a clean run returns it; restored
+// worlds are indistinguishable from fresh ones (see core.World.Reset),
+// so results do not depend on pool state. With the pool disabled every
+// run builds and tears down its own world, as the pre-pool engine did.
 //
 // label names the figure/point for panic attribution and the per-point
 // virtual-event record. runRingWorld panics on simulation error
@@ -355,26 +355,11 @@ func buildRingWorld(label string, par *model.Params, n int, opts core.Options) *
 // runRingWorldReplay is the no-fork path: simulate everything from t=0.
 func runRingWorldReplay(label string, par *model.Params, n int, opts core.Options, body func(p *sim.Proc, pe *core.PE)) {
 	worldCount.Add(1)
-	w, poolable := checkoutWorld(par, n, opts)
-	if w == nil {
-		w = buildRingWorld(label, par, n, opts)
+	w, recycled, poolable := acquireWorld(label, par, n, opts)
+	if recycled {
+		w.Reset()
 	}
 	err := w.RunKeep(body)
-	worldEvents.Add(w.Cluster.EventsExecuted())
 	recordPointCost(label, w.Cluster.EventsExecuted())
-	if err != nil {
-		// A failed world is not resettable; release its goroutines
-		// before surfacing the failure with its point label.
-		w.Cluster.ShutdownSim()
-		if label != "" {
-			panic(fmt.Sprintf("bench: %s: %v", label, err))
-		}
-		panic(err)
-	}
-	if !poolable {
-		w.Cluster.ShutdownSim()
-		return
-	}
-	w.Reset()
-	checkinWorld(w, n, opts)
+	releaseWorld(w, label, n, opts, poolable, err)
 }

@@ -14,11 +14,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Black-box scheduler differential: the same seeded multi-process
-// workload must produce the identical dispatch trace — which process
-// ran, at what virtual time, in what order — under the ladder queue and
-// the reference heap. This is the whole-simulator complement to the
-// queue-level property test in internal/sim.
+// Black-box kernel checks from outside internal/sim: a seeded
+// multi-process workload replays identically on a rewound simulator, and
+// its dispatch order — which process ran, at what virtual time, in what
+// order — matches the recorded digests. The ladder-vs-reference-heap
+// differentials live in internal/sim (ladder_test.go, heap_test.go),
+// next to the only code that can put a simulator on the heap.
 
 type dispatchEntry struct {
 	proc int
@@ -85,20 +86,10 @@ func diffTraces(t *testing.T, label string, want, got []dispatchEntry) {
 	}
 }
 
-func TestSchedulersDispatchIdentically(t *testing.T) {
-	for _, seed := range []int64{1, 7, 99} {
-		ladder := schedTrace(sim.NewWith(sim.SchedulerLadder), seed, 12, 400, false)
-		heap := schedTrace(sim.NewWith(sim.SchedulerHeap), seed, 12, 400, false)
-		diffTraces(t, fmt.Sprintf("seed %d ladder-vs-heap", seed), heap, ladder)
-	}
-}
-
 func TestSchedulerResetRerunEquivalence(t *testing.T) {
-	for _, kind := range []sim.SchedulerKind{sim.SchedulerLadder, sim.SchedulerHeap} {
-		fresh := schedTrace(sim.NewWith(kind), 42, 8, 300, false)
-		rerun := schedTrace(sim.NewWith(kind), 42, 8, 300, true)
-		diffTraces(t, fmt.Sprintf("%v reset-rerun", kind), fresh, rerun)
-	}
+	fresh := schedTrace(sim.New(), 42, 8, 300, false)
+	rerun := schedTrace(sim.New(), 42, 8, 300, true)
+	diffTraces(t, "reset-rerun", fresh, rerun)
 }
 
 // Kernel-level dispatch golden. The channel-handoff kernel these digests
@@ -115,10 +106,10 @@ var dispatchGolden = map[string]string{
 	"scale/n=16":    "0d366fa753984ba87029845160c73d1d20dce1a6b499f02a40b98907508ec5f3",
 }
 
-// digestSim returns a simulator of the given kind and a function that
-// reports the digest of everything it has dispatched so far.
-func digestSim(kind sim.SchedulerKind) (*sim.Simulator, func() string) {
-	s := sim.NewWith(kind)
+// digestSim returns a simulator and a function that reports the digest
+// of everything it has dispatched so far.
+func digestSim() (*sim.Simulator, func() string) {
+	s := sim.New()
 	h := sha256.New()
 	var rec [17]byte
 	s.TraceDispatch(func(t sim.Time, seq uint64, kind byte, proc string) {
@@ -133,31 +124,29 @@ func digestSim(kind sim.SchedulerKind) (*sim.Simulator, func() string) {
 }
 
 func TestDispatchTraceGolden(t *testing.T) {
-	for _, kind := range []sim.SchedulerKind{sim.SchedulerLadder, sim.SchedulerHeap} {
-		got := map[string]string{}
-		for _, seed := range []int64{1, 7, 99} {
-			s, digest := digestSim(kind)
-			schedTrace(s, seed, 12, 400, false)
-			got[fmt.Sprintf("sched/seed=%d", seed)] = digest()
-		}
+	got := map[string]string{}
+	for _, seed := range []int64{1, 7, 99} {
+		s, digest := digestSim()
+		schedTrace(s, seed, 12, 400, false)
+		got[fmt.Sprintf("sched/seed=%d", seed)] = digest()
+	}
 
-		// One 16-PE scaling world, construction and shmem_init included.
-		s, digest := digestSim(kind)
-		c, err := fabric.New(fabric.Config{Sim: s, Par: model.Default(), Hosts: 16, Kind: fabric.KindNTBRing})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var end sim.Time
-		w := core.NewWorld(c, core.Options{Mode: driver.ModeCPU})
-		if err := w.Run(scaleBody(4096, &end)); err != nil {
-			t.Fatal(err)
-		}
-		got["scale/n=16"] = digest()
+	// One 16-PE scaling world, construction and shmem_init included.
+	s, digest := digestSim()
+	c, err := fabric.New(fabric.Config{Sim: s, Par: model.Default(), Hosts: 16, Kind: fabric.KindNTBRing})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var end sim.Time
+	w := core.NewWorld(c, core.Options{Mode: driver.ModeCPU})
+	if err := w.Run(scaleBody(4096, &end)); err != nil {
+		t.Fatal(err)
+	}
+	got["scale/n=16"] = digest()
 
-		for name, want := range dispatchGolden {
-			if got[name] != want {
-				t.Errorf("%v %s: dispatch digest %s, recorded %s", kind, name, got[name], want)
-			}
+	for name, want := range dispatchGolden {
+		if got[name] != want {
+			t.Errorf("%s: dispatch digest %s, recorded %s", name, got[name], want)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/model"
-	"repro/internal/sim"
 )
 
 // The world pool. PR 2's profiling showed world construction dominated by
@@ -17,11 +16,16 @@ import (
 // finished worlds warm, keyed by that shape, so runRingWorld pays
 // construction once per shape per worker instead of once per point.
 //
+// A world is checked in as its run left it — asserted quiescent, nothing
+// rewound — and restored exactly once, by whoever checks it out: to its
+// genesis image (World.Reset) for a from-t0 run, or straight onto a
+// prefix snapshot (World.Fork).
+//
 // A pooled world's daemons stay parked on live goroutines, so a world
 // must never be silently dropped: every world that leaves the pool is
-// either recycled through Reset or released with Shutdown. That is why
-// this is an explicit bounded structure rather than a sync.Pool — a
-// GC-evicted entry would leak its goroutines permanently.
+// either recycled or released with Shutdown. That is why this is an
+// explicit bounded structure rather than a sync.Pool — a GC-evicted
+// entry would leak its goroutines permanently.
 
 // maxPooledWorlds bounds how many warm worlds the pool retains across all
 // shapes. Overflow check-ins are shut down instead of pooled; the cap
@@ -52,15 +56,20 @@ var worldPool struct {
 
 // worldFingerprint keys the pool by everything that shapes a world: the
 // full params value (params are mutated per point by some sweeps, so
-// pointer identity is useless), host count, runtime options, the
-// event-scheduler kind the world's simulator was built with — an A/B
-// sweep over schedulers must not hand a heap-scheduled world to a
-// ladder-scheduled measurement — and the fabric backend, so a
-// cross-fabric sweep never recycles a switch-topology world into a ring
-// measurement — and the shard count, so a conservative-DES sweep never
-// hands a 4-shard world to a single-simulator measurement or vice versa.
-func worldFingerprint(par *model.Params, n int, opts core.Options, sched sim.SchedulerKind, fab fabric.Kind, shards int) string {
-	return fmt.Sprintf("%+v|n=%d|%+v|sched=%s|fab=%s|shards=%d", *par, n, opts, sched, fab, shards)
+// pointer identity is useless), host count, runtime options, the fabric
+// backend — so a cross-fabric sweep never recycles a switch-topology
+// world into a ring measurement — and the shard count, so a
+// conservative-DES sweep never hands a 4-shard world to a
+// single-simulator measurement or vice versa.
+func worldFingerprint(par *model.Params, n int, opts core.Options, fab fabric.Kind, shards int) string {
+	return fmt.Sprintf("%+v|n=%d|%+v|fab=%s|shards=%d", *par, n, opts, fab, shards)
+}
+
+// fingerprintOf is the fingerprint a built world has now; it differs
+// from the key the world was pooled under if its params object was
+// mutated since.
+func fingerprintOf(w *core.World, n int, opts core.Options) string {
+	return worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Kind(), w.Cluster.Shards())
 }
 
 // SetWorldPool enables or disables world pooling for subsequent
@@ -103,46 +112,56 @@ func DrainWorldPool() {
 	}
 }
 
-// checkoutWorld fetches a warm world matching the requested shape.
-// It returns (nil, false) when pooling is disabled, and (nil, true) on a
-// pool miss — the caller builds a fresh world and checks it in after a
-// clean run. A checked-out world was keyed by its params value at
-// check-in time; if the params object it references was mutated since
-// (a sweep reusing one clone across points), the stale world is shut
-// down and the checkout degrades to a miss.
-func checkoutWorld(par *model.Params, n int, opts core.Options) (*core.World, bool) {
+// acquireWorld checks a warm world of the requested shape out of the
+// pool — in whatever state its last run left it: the caller restores it
+// (Reset or Fork) — or, on a miss or with pooling disabled, builds a
+// fresh one. recycled tells the two apart; poolable is whether the world
+// may be checked in after a clean run. A pooled world was keyed by its
+// params value at check-in time; if the params object it references was
+// mutated since (a sweep reusing one clone across points), the stale
+// world is shut down and the checkout is a miss like any other.
+func acquireWorld(label string, par *model.Params, n int, opts core.Options) (w *core.World, recycled, poolable bool) {
 	if !worldPoolOn.Load() {
-		return nil, false
+		return buildRingWorld(label, par, n, opts), false, false
 	}
-	key := worldFingerprint(par, n, opts, sim.DefaultScheduler(), Fabric(), effectiveShards(n, opts))
+	key := worldFingerprint(par, n, opts, Fabric(), effectiveShards(n, opts))
 	worldPool.mu.Lock()
-	var w *core.World
 	if ws := worldPool.worlds[key]; len(ws) > 0 {
 		w = ws[len(ws)-1]
 		ws[len(ws)-1] = nil
 		worldPool.worlds[key] = ws[:len(ws)-1]
 		worldPool.total--
 		worldPool.pes -= n
+	}
+	stale := w != nil && fingerprintOf(w, n, opts) != key
+	if w != nil && !stale {
 		worldPool.hits++
 	} else {
 		worldPool.misses++
 	}
 	worldPool.mu.Unlock()
-	if w != nil && worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Sim.Scheduler(), w.Cluster.Kind(), w.Cluster.Shards()) != key {
+	if stale {
 		w.Cluster.ShutdownSim()
-		return nil, true
+		w = nil
 	}
-	return w, true
+	if w == nil {
+		return buildRingWorld(label, par, n, opts), false, true
+	}
+	return w, true, true
 }
 
-// checkinWorld returns a freshly Reset world to the pool. If pooling was
-// disabled mid-run or the pool is full, the world is shut down instead.
+// checkinWorld returns a cleanly finished world to the pool, asserting
+// its runtime drained (a world that did not is a bug in the point that
+// just ran, and must surface there, not at some later checkout). If
+// pooling was disabled mid-run or the pool is full, the world is shut
+// down instead.
 func checkinWorld(w *core.World, n int, opts core.Options) {
 	if !worldPoolOn.Load() {
 		w.Cluster.ShutdownSim()
 		return
 	}
-	key := worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Sim.Scheduler(), w.Cluster.Kind(), w.Cluster.Shards())
+	w.AssertQuiescent("pool check-in")
+	key := fingerprintOf(w, n, opts)
 	worldPool.mu.Lock()
 	// Admit if both budgets hold; a world bigger than the whole PE
 	// budget is still admitted when the pool is empty, so thousand-PE
@@ -160,4 +179,23 @@ func checkinWorld(w *core.World, n int, opts core.Options) {
 	worldPool.total++
 	worldPool.pes += n
 	worldPool.mu.Unlock()
+}
+
+// releaseWorld ends one acquired world's run: account its events, and
+// either surface the failure with its point label (a failed world cannot
+// be recycled; its goroutines are released first) or hand the world back.
+func releaseWorld(w *core.World, label string, n int, opts core.Options, poolable bool, err error) {
+	worldEvents.Add(w.Cluster.EventsExecuted())
+	if err != nil {
+		w.Cluster.ShutdownSim()
+		if label != "" {
+			panic(fmt.Sprintf("bench: %s: %v", label, err))
+		}
+		panic(err)
+	}
+	if !poolable {
+		w.Cluster.ShutdownSim()
+		return
+	}
+	checkinWorld(w, n, opts)
 }

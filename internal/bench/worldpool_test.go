@@ -87,6 +87,26 @@ func TestWorldPoolDetectsMutatedParams(t *testing.T) {
 	if m1 != m0+1 {
 		t.Fatalf("stale-params checkout not counted as a miss (%d->%d)", m0, m1)
 	}
+
+	// The other way round: a world pooled under the default value whose
+	// own params object is then mutated is found by a checkout for the
+	// default value, discovered stale, and shut down. The caller builds a
+	// fresh world, so that checkout is a miss too — never a hit.
+	DrainWorldPool()
+	mutable, pristine := model.Default().Clone(), model.Default().Clone()
+	runTinyWorld(mutable, core.Options{}) // pooled under the default value
+	mutable.PutChunk *= 2                 // ...which its world no longer has
+	h2, m2 := WorldPoolStats()
+	runTinyWorld(pristine, core.Options{})
+	h3, m3 := WorldPoolStats()
+	if h3 != h2 || m3 != m2+1 {
+		t.Fatalf("discarded stale world tallied as hits %d->%d misses %d->%d, want +0/+1", h2, h3, m2, m3)
+	}
+	// The fresh world that replaced it is pooled and serves the next run.
+	runTinyWorld(pristine, core.Options{})
+	if h4, m4 := WorldPoolStats(); h4 != h3+1 || m4 != m3 {
+		t.Fatalf("run after the discard: hits %d->%d misses %d->%d, want +1/+0", h3, h4, m3, m4)
+	}
 }
 
 func TestRunPointsOrderedCostOrderIsInvisible(t *testing.T) {

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/sim"
 )
 
@@ -39,53 +43,207 @@ func compareTraces(t *testing.T, label string, got, want []OpEvent) {
 	}
 }
 
+// lockedTraceRun is traceRun (forked: without the shmem_init prefix) for
+// worlds that may be sharded: the hook fires concurrently from shard
+// workers there, so it is serialised and the trace returned in the
+// canonical sorted order, which loses nothing — every event carries its
+// own virtual timestamps.
+func lockedTraceRun(t *testing.T, w *World, forked bool, body func(p *sim.Proc, pe *PE)) ([]OpEvent, sim.Time, Stats) {
+	t.Helper()
+	var mu sync.Mutex
+	var trace []OpEvent
+	w.SetOpTrace(func(ev OpEvent) {
+		mu.Lock()
+		trace = append(trace, ev)
+		mu.Unlock()
+	})
+	run := w.RunKeep
+	if forked {
+		run = w.RunKeepForked
+	}
+	if err := run(body); err != nil {
+		t.Fatal(err)
+	}
+	w.SetOpTrace(nil)
+	sortOps(trace)
+	return trace, w.Cluster.Sim.Now(), w.PEs()[0].Stats()
+}
+
 func TestForkEquivalentToFreshRun(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name   string
+		kind   fabric.Kind
+		n      int
+		shards int
+		opts   Options
 	}{
-		{"default", Options{}},
-		{"pipelined-shortest", Options{Pipeline: 4, Routing: RouteShortest}},
+		{"default", fabric.KindNTBRing, 4, 1, Options{}},
+		{"pipelined-shortest", fabric.KindNTBRing, 4, 1, Options{Pipeline: 4, Routing: RouteShortest}},
+		{"ring-4-shards", fabric.KindNTBRing, 8, 4, Options{}},
+		{"pair", fabric.KindNTBPair, 2, 1, Options{}},
+		{"switch", fabric.KindPCIeSwitch, 4, 1, Options{}},
+		{"cxl", fabric.KindCXL, 4, 1, Options{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prefix := resetScript(23, 3, 6)
 			body := resetScript(61, 2, 5)
+			events := func(w *World) uint64 { return w.Cluster.EventsExecuted() }
 
 			// Reference: a fresh world runs prefix from t=0, then continues
 			// with body on the same timeline — the ground truth a forked
 			// child claims to reproduce.
-			ref := newWorld(4, tc.opts)
-			traceRun(t, ref, prefix)
+			ref := newShardedWorld(t, tc.kind, tc.n, tc.shards, tc.opts)
+			lockedTraceRun(t, ref, false, prefix)
 			snap := ref.Snapshot()
-			refEvents := ref.Cluster.Sim.EventsExecuted()
-			wantTrace, wantEnd, wantStats := traceRunForked(t, ref, body)
-			bodyEvents := ref.Cluster.Sim.EventsExecuted() - refEvents
-			ref.Cluster.Sim.Shutdown()
+			refEvents := events(ref)
+			wantTrace, wantEnd, wantStats := lockedTraceRun(t, ref, true, body)
+			bodyEvents := events(ref) - refEvents
+			ref.Cluster.ShutdownSim()
 
 			if snap.Events() != refEvents {
 				t.Errorf("snapshot records %d prefix events, prefix executed %d", snap.Events(), refEvents)
 			}
 
-			// Forked child: fresh world, no prefix replay.
-			child := newWorld(4, tc.opts)
-			child.Fork(snap)
-			if now := child.Cluster.Sim.Now(); now != snap.Time() {
-				t.Fatalf("forked world starts at t=%v, snapshot taken at %v", now, snap.Time())
-			}
-			gotTrace, gotEnd, gotStats := traceRunForked(t, child, body)
-			if got := child.Cluster.Sim.EventsExecuted(); got != bodyEvents {
-				t.Errorf("forked body executed %d virtual events, continuation executed %d", got, bodyEvents)
-			}
-			child.Cluster.Sim.Shutdown()
+			// Forked children, no prefix replay: a fresh world, and a world
+			// still dirty from a longer, different life — larger window
+			// extents, more heap, further cursors — forked with no Reset in
+			// between. Restore is total, so the two must be indistinguishable.
+			fresh := newShardedWorld(t, tc.kind, tc.n, tc.shards, tc.opts)
+			dirty := newShardedWorld(t, tc.kind, tc.n, tc.shards, tc.opts)
+			lockedTraceRun(t, dirty, false, resetScript(43, 5, 9))
+			for label, child := range map[string]*World{"fresh": fresh, "dirty": dirty} {
+				child.Fork(snap)
+				if tc.shards == 1 {
+					if now := child.Cluster.Sim.Now(); now != snap.Time() {
+						t.Fatalf("%s: forked world starts at t=%v, snapshot taken at %v", label, now, snap.Time())
+					}
+				}
+				gotTrace, gotEnd, gotStats := lockedTraceRun(t, child, true, body)
+				if got := events(child); got != bodyEvents {
+					t.Errorf("%s: forked body executed %d virtual events, continuation executed %d", label, got, bodyEvents)
+				}
+				child.Cluster.ShutdownSim()
 
-			if gotEnd != wantEnd {
-				t.Errorf("completion time: fork %v, continuation %v", gotEnd, wantEnd)
+				if gotEnd != wantEnd {
+					t.Errorf("%s: completion time: fork %v, continuation %v", label, gotEnd, wantEnd)
+				}
+				if gotStats != wantStats {
+					t.Errorf("%s: pe 0 stats: fork %+v, continuation %+v", label, gotStats, wantStats)
+				}
+				compareOps(t, label+" fork vs continuation", gotTrace, wantTrace)
 			}
-			if gotStats != wantStats {
-				t.Errorf("pe 0 stats: fork %+v, continuation %+v", gotStats, wantStats)
-			}
-			compareTraces(t, "fork vs continuation", gotTrace, wantTrace)
 		})
+	}
+}
+
+// peState is everything of a PE that restore is answerable for, in
+// comparable form.
+type peState struct {
+	finalized               bool
+	barrierEpoch, syncEpoch uint32
+	ctl                     map[uint32]int
+	pSyncCounts             map[SymAddr]int64
+	nextTag                 uint32
+	matchTable              SymAddr
+	matchTableReady         bool
+	contexts, nextCtxID     int
+	heapLive                int
+	heapLiveBytes           int64
+	stats                   Stats
+}
+
+func stateOf(pe *PE) peState {
+	st := peState{
+		finalized: pe.finalized, barrierEpoch: pe.barrierEpoch, syncEpoch: pe.syncEpoch,
+		ctl: map[uint32]int{}, pSyncCounts: map[SymAddr]int64{},
+		nextTag: pe.nextTag, matchTable: pe.matchTable, matchTableReady: pe.matchTableReady,
+		contexts: len(pe.contexts), nextCtxID: pe.nextCtxID,
+		heapLive: pe.heap.Live(), heapLiveBytes: pe.heap.LiveBytes(), stats: pe.Stats(),
+	}
+	for k, v := range pe.ctl {
+		st.ctl[k] = v
+	}
+	for k, v := range pe.pSyncCounts {
+		st.pSyncCounts[k] = v
+	}
+	return st
+}
+
+func TestPERestoreOverDirtyPEEqualsRestoreOfFresh(t *testing.T) {
+	// The captured point: an ordinary prefix.
+	src := newWorld(3, Options{})
+	traceRun(t, src, resetScript(29, 2, 5))
+	snap := src.Snapshot()
+	body := resetScript(30, 2, 4)
+	wantTrace, wantEnd, _ := traceRunForked(t, src, body)
+	src.Cluster.Sim.Shutdown()
+
+	// A world whose PEs ended their previous life in every state the
+	// image does not mention: an active-set barrier left pSync sequence
+	// numbers behind, a context was never destroyed, the PE finalized.
+	dirty := newWorld(3, Options{})
+	if err := dirty.RunKeep(func(p *sim.Proc, pe *PE) {
+		pSync := pe.MustMalloc(p, 8*BarrierSyncWords)
+		pe.BarrierAll(p)
+		pe.BarrierSet(p, ActiveSet{Start: 0, LogStride: 0, Size: pe.NumPEs()}, pSync)
+		pe.CtxCreate()
+		pe.Finalize(p)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, pe := range dirty.PEs() {
+		if !pe.finalized || len(pe.pSyncCounts) == 0 || len(pe.contexts) == 0 {
+			t.Fatalf("test setup: pe %d not dirty (finalized=%v pSync=%d contexts=%d)",
+				pe.ID(), pe.finalized, len(pe.pSyncCounts), len(pe.contexts))
+		}
+		// A control token no clean run leaves behind: restore must still
+		// drop keys the image lacks rather than merge over them.
+		pe.ctl = map[uint32]int{0xBEEF: 2}
+	}
+	fresh := newWorld(3, Options{})
+	dirty.Fork(snap)
+	fresh.Fork(snap)
+	for i := range fresh.PEs() {
+		got, want := stateOf(dirty.PEs()[i]), stateOf(fresh.PEs()[i])
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pe %d after restore:\n dirty: %+v\n fresh: %+v", i, got, want)
+		}
+	}
+	for label, w := range map[string]*World{"dirty": dirty, "fresh": fresh} {
+		gotTrace, gotEnd, _ := traceRunForked(t, w, body)
+		w.Cluster.Sim.Shutdown()
+		if gotEnd != wantEnd {
+			t.Errorf("%s: continuation ends at %v, want %v", label, gotEnd, wantEnd)
+		}
+		compareTraces(t, label+" continuation", gotTrace, wantTrace)
+	}
+}
+
+func TestGenesisCaptureMaterialisesNothing(t *testing.T) {
+	// The genesis image is captured once per world, at construction: it
+	// must not touch a lazy NTB window (1 MiB each, two per port) or a
+	// symmetric heap chunk (4 MiB per PE), or a 256-PE world would pay
+	// gigabytes for an image of power-on zeroes.
+	w := newWorld(256, Options{})
+	defer w.Cluster.ShutdownSim()
+	recapture := func() {
+		s := w.snapshotPEs()
+		s.cluster = w.Cluster.Genesis()
+	}
+	recapture() // first call, outside the measurement, like NewWorld's own
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	recapture()
+	w.Reset() // restoring it materialises nothing either
+	runtime.ReadMemStats(&after)
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > uint64(w.par.WindowSize) {
+		t.Errorf("capturing and restoring the genesis image of a fresh 256-PE world allocated %d bytes, more than one NTB window (%d)",
+			delta, w.par.WindowSize)
+	}
+	for _, pe := range w.PEs() {
+		if pe.heap.Chunks() != 0 {
+			t.Fatalf("pe %d: genesis capture left %d symmetric heap chunk(s) materialised", pe.ID(), pe.heap.Chunks())
+		}
 	}
 }
 

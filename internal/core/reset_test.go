@@ -61,6 +61,21 @@ func traceRun(t *testing.T, w *World, body func(p *sim.Proc, pe *PE)) ([]OpEvent
 }
 
 func TestResetEquivalentToFreshWorld(t *testing.T) {
+	// Reset is Fork onto the image recorded when construction ended, and
+	// same-shaped worlds record interchangeable images; all three ways
+	// back to t0 must be indistinguishable from a fresh world.
+	rewinds := []struct {
+		name   string
+		rewind func(w *World, opts Options)
+	}{
+		{"reset", func(w *World, _ Options) { w.Reset() }},
+		{"fork-genesis", func(w *World, _ Options) { w.Fork(w.genesis) }},
+		{"fork-foreign-genesis", func(w *World, opts Options) {
+			other := newWorld(4, opts)
+			defer other.Cluster.Sim.Shutdown()
+			w.Fork(other.genesis)
+		}},
+	}
 	for _, tc := range []struct {
 		name string
 		opts Options
@@ -72,33 +87,35 @@ func TestResetEquivalentToFreshWorld(t *testing.T) {
 			first := resetScript(17, 3, 6)
 			second := resetScript(42, 4, 5)
 
-			// Recycled world: run one workload, reset, run another.
-			recycled := newWorld(4, tc.opts)
-			traceRun(t, recycled, first)
-			recycled.Reset()
-			if now := recycled.Cluster.Sim.Now(); now != 0 {
-				t.Fatalf("reset world starts at t=%v, want 0", now)
-			}
-			gotTrace, gotEnd, gotStats := traceRun(t, recycled, second)
-			recycled.Cluster.Sim.Shutdown()
-
-			// Reference: the same second workload on a fresh world.
+			// Reference: the second workload on a fresh world.
 			fresh := newWorld(4, tc.opts)
 			wantTrace, wantEnd, wantStats := traceRun(t, fresh, second)
 			fresh.Cluster.Sim.Shutdown()
 
-			if gotEnd != wantEnd {
-				t.Errorf("completion time: reset world %v, fresh world %v", gotEnd, wantEnd)
-			}
-			if gotStats != wantStats {
-				t.Errorf("pe 0 stats: reset world %+v, fresh world %+v", gotStats, wantStats)
-			}
-			if len(gotTrace) != len(wantTrace) {
-				t.Fatalf("trace length: reset world %d events, fresh world %d", len(gotTrace), len(wantTrace))
-			}
-			for i := range gotTrace {
-				if gotTrace[i] != wantTrace[i] {
-					t.Fatalf("trace diverges at event %d:\n  reset: %+v\n  fresh: %+v", i, gotTrace[i], wantTrace[i])
+			for _, rw := range rewinds {
+				// Recycled world: run one workload, rewind, run another.
+				recycled := newWorld(4, tc.opts)
+				traceRun(t, recycled, first)
+				rw.rewind(recycled, tc.opts)
+				if now := recycled.Cluster.Sim.Now(); now != 0 {
+					t.Fatalf("%s: rewound world starts at t=%v, want 0", rw.name, now)
+				}
+				gotTrace, gotEnd, gotStats := traceRun(t, recycled, second)
+				recycled.Cluster.Sim.Shutdown()
+
+				if gotEnd != wantEnd {
+					t.Errorf("%s: completion time: rewound world %v, fresh world %v", rw.name, gotEnd, wantEnd)
+				}
+				if gotStats != wantStats {
+					t.Errorf("%s: pe 0 stats: rewound world %+v, fresh world %+v", rw.name, gotStats, wantStats)
+				}
+				if len(gotTrace) != len(wantTrace) {
+					t.Fatalf("%s: trace length: rewound world %d events, fresh world %d", rw.name, len(gotTrace), len(wantTrace))
+				}
+				for i := range gotTrace {
+					if gotTrace[i] != wantTrace[i] {
+						t.Fatalf("%s: trace diverges at event %d:\n  rewound: %+v\n  fresh:   %+v", rw.name, i, gotTrace[i], wantTrace[i])
+					}
 				}
 			}
 		})

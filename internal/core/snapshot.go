@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/fabric"
 	"repro/internal/mem"
@@ -19,7 +20,7 @@ type WorldSnapshot struct {
 	n       int
 	pes     []peSnapshot
 	cluster *fabric.ClusterSnapshot
-	events  uint64 // virtual events the capturing run executed — the replay cost a fork saves
+	events  uint64 // restore: keep — virtual events the capturing run executed: the replay cost a fork saves, not state
 }
 
 // Events reports how many virtual events the run that produced the
@@ -47,20 +48,23 @@ type peSnapshot struct {
 }
 
 // Snapshot captures a cleanly finished world (a nil-error RunKeep) so
-// later sweeps can fork its future instead of replaying its past. The
-// same quiescence the Reset lifecycle demands is asserted at every
-// layer; a world with in-flight work cannot be captured.
+// later sweeps can fork its future instead of replaying its past.
+// Quiescence is asserted at every layer; a world with in-flight work
+// cannot be captured.
 func (w *World) Snapshot() *WorldSnapshot {
-	s := &WorldSnapshot{
-		opts:   w.opts,
-		n:      len(w.pes),
-		pes:    make([]peSnapshot, len(w.pes)),
-		events: w.Cluster.EventsExecuted(),
-	}
+	s := w.snapshotPEs()
+	s.events = w.Cluster.EventsExecuted()
+	s.cluster = w.Cluster.Snapshot()
+	return s
+}
+
+// snapshotPEs captures the runtime half of a world image; the caller
+// adds the cluster's.
+func (w *World) snapshotPEs() *WorldSnapshot {
+	s := &WorldSnapshot{opts: w.opts, n: len(w.pes), pes: make([]peSnapshot, len(w.pes))}
 	for i, pe := range w.pes {
 		s.pes[i] = pe.snapshot()
 	}
-	s.cluster = w.Cluster.Snapshot()
 	return s
 }
 
@@ -84,25 +88,28 @@ func (pe *PE) snapshot() peSnapshot {
 		stats:           pe.stats,
 		link:            pe.link.Snapshot(),
 	}
+	// Most PEs never create either table; keep their images nil.
 	if len(pe.ctl) > 0 {
-		s.ctl = make(map[uint32]int, len(pe.ctl))
-		//ntblint:ordered — copying into a map; insertion order is invisible
-		for k, v := range pe.ctl {
-			s.ctl[k] = v
-		}
+		s.ctl = maps.Clone(pe.ctl)
 	}
 	if len(pe.pSyncCounts) > 0 {
-		s.pSyncCounts = make(map[SymAddr]int64, len(pe.pSyncCounts))
-		//ntblint:ordered — copying into a map; insertion order is invisible
-		for k, v := range pe.pSyncCounts {
-			s.pSyncCounts[k] = v
-		}
+		s.pSyncCounts = maps.Clone(pe.pSyncCounts)
 	}
 	return s
 }
 
+// AssertQuiescent panics (naming op) unless every PE's runtime and link
+// have fully drained. Snapshot, Reset and Fork assert this and the
+// device layers' quiescence besides; a harness parking a world for later
+// reuse calls it so that an unclean run surfaces where it happened.
+func (w *World) AssertQuiescent(op string) {
+	for _, pe := range w.pes {
+		pe.assertQuiescent(op)
+	}
+}
+
 // assertQuiescent panics unless the PE's runtime has fully drained —
-// the shared precondition of reset and snapshot. Pending requests,
+// the shared precondition of snapshot and restore. Pending requests,
 // staged forwards, or un-drained service work mean the previous run did
 // not complete cleanly and the world must be discarded.
 func (pe *PE) assertQuiescent(op string) {
@@ -115,14 +122,12 @@ func (pe *PE) assertQuiescent(op string) {
 	}
 }
 
-// Fork rewinds this world and repositions it at the snapshot's state, so
-// its next RunKeepForked body continues the captured world's future.
-// The world must have the snapshot's shape (options and PE count) and
-// satisfy every Reset precondition; a freshly built world works too —
-// construction leaves the same power-on state Reset restores. Heap pages
-// are aliased copy-on-write, so a fork's cost is the device-register
-// copies plus one page copy per chunk the divergent future actually
-// writes.
+// Fork brings this world to the snapshot's state, so its next
+// RunKeepForked body continues the captured world's future. The world
+// must have the snapshot's shape (options and PE count) and be quiescent
+// — cleanly finished, whatever it ran, or freshly built. Heap pages are
+// aliased copy-on-write, so a fork's cost is the device-register copies
+// plus one page copy per chunk the divergent future actually writes.
 func (w *World) Fork(s *WorldSnapshot) {
 	if w.opts != s.opts {
 		panic(fmt.Sprintf("core: fork of a %+v world from a %+v snapshot", w.opts, s.opts))
@@ -130,47 +135,45 @@ func (w *World) Fork(s *WorldSnapshot) {
 	if len(w.pes) != s.n {
 		panic(fmt.Sprintf("core: fork of a %d-PE world from a %d-PE snapshot", len(w.pes), s.n))
 	}
+	w.restore(s)
+}
+
+// restore is the one way a world changes state outside a run; Reset and
+// Fork differ only in the image they pass. It panics if any layer is not
+// quiescent — pending requests, staged forwards, un-drained service
+// work, a failed simulation — because then the previous run did not
+// complete cleanly and the world must be discarded instead of recycled.
+// Service and forwarder daemons stay parked on their queues, doorbell
+// handlers stay installed, and warm buffers (heap chunks, staging pool,
+// event-queue backing) are retained.
+func (w *World) restore(s *WorldSnapshot) {
 	// A freshly built world still has its daemon-spawn events queued for
 	// t=0; drive them so the daemons reach the parked state a completed
 	// run leaves them in (a no-op on a recycled world, whose queue is
 	// empty).
 	if err := w.Cluster.RunSim(); err != nil {
-		panic(fmt.Sprintf("core: fork daemon boot failed: %v", err))
+		panic(fmt.Sprintf("core: restore of a world whose simulation failed: %v", err))
 	}
-	w.Reset()
 	for i, pe := range w.pes {
 		pe.restore(&s.pes[i])
 	}
 	w.Cluster.Restore(s.cluster)
 }
 
-// restore applies one PE's captured state over the power-on state Reset
-// just produced.
+// restore brings one quiescent PE to a captured state, first dropping
+// whatever its previous run left that the image does not mention.
 func (pe *PE) restore(s *peSnapshot) {
+	pe.assertQuiescent("restore")
 	pe.heap.Fork(s.heap)
+	pe.finalized = false
 	pe.barrierEpoch = s.barrierEpoch
 	pe.syncEpoch = s.syncEpoch
-	if len(s.ctl) > 0 {
-		if pe.ctl == nil {
-			pe.ctl = make(map[uint32]int, len(s.ctl))
-		}
-		//ntblint:ordered — copying into a map; insertion order is invisible
-		for k, v := range s.ctl {
-			pe.ctl[k] = v
-		}
-	}
-	if len(s.pSyncCounts) > 0 {
-		if pe.pSyncCounts == nil {
-			pe.pSyncCounts = make(map[SymAddr]int64, len(s.pSyncCounts))
-		}
-		//ntblint:ordered — copying into a map; insertion order is invisible
-		for k, v := range s.pSyncCounts {
-			pe.pSyncCounts[k] = v
-		}
-	}
+	pe.ctl = maps.Clone(s.ctl) // nil stays nil: the tables are created lazily
+	pe.pSyncCounts = maps.Clone(s.pSyncCounts)
 	pe.nextTag = s.nextTag
 	pe.matchTable = s.matchTable
 	pe.matchTableReady = s.matchTableReady
+	pe.contexts = pe.contexts[:0]
 	pe.nextCtxID = s.nextCtxID
 	pe.stats = s.stats
 	pe.link.Restore(s.link)

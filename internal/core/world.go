@@ -119,10 +119,13 @@ type OpEvent struct {
 // World is one OpenSHMEM job running on a ring cluster.
 type World struct {
 	Cluster *fabric.Cluster
-	par     *model.Params // reset: keep; snap: keep — construction identity
-	opts    Options       // reset: keep — construction identity
+	par     *model.Params // snap: keep — construction identity
+	opts    Options
 	pes     []*PE
-	opTrace func(OpEvent) // reset: keep; snap: keep — installed hooks survive recycling and forking
+	opTrace func(OpEvent) // snap: keep — installed hooks survive recycling and forking
+
+	// genesis is the image Reset restores: the world as NewWorld left it.
+	genesis *WorldSnapshot // snap: keep — captured once, when construction ends
 }
 
 // SetOpTrace installs a hook receiving one event per completed
@@ -150,11 +153,11 @@ func (pe *PE) emitOp(p *sim.Proc, op string, target, bytes int, start sim.Time) 
 // state.
 type PE struct {
 	id    int
-	world *World         // reset: keep; snap: keep — construction identity
-	link  fabric.Link    // construction identity; reset via its own Reset
-	hsim  *sim.Simulator // reset: keep; snap: keep — construction identity: the host's (shard) simulator
-	par   *model.Params  // reset: keep; snap: keep — construction identity
-	mode  driver.Mode    // reset: keep; snap: keep — construction identity
+	world *World         // snap: keep — construction identity
+	link  fabric.Link    // construction identity; its state is captured via its own Snapshot
+	hsim  *sim.Simulator // snap: keep — construction identity: the host's (shard) simulator
+	par   *model.Params  // snap: keep — construction identity
+	mode  driver.Mode    // snap: keep — construction identity
 
 	heap      *mem.Heap
 	finalized bool
@@ -166,7 +169,7 @@ type PE struct {
 	// created on first token; most PEs of a ring-barrier world never
 	// see one, and a 1k-PE world must not pay 1k empty maps).
 	ctl     map[uint32]int
-	ctlCond *sim.Cond // reset: keep; snap: keep — no waiters survive a clean run
+	ctlCond *sim.Cond // snap: keep — no waiters survive a clean run
 
 	// Pending get/AMO requests by tag (lazily created on first request).
 	pending map[uint32]*pendingReq
@@ -187,10 +190,10 @@ type PE struct {
 
 	// Non-blocking operation tracking for Quiet.
 	outstanding int
-	quietCond   *sim.Cond // reset: keep; snap: keep — no waiters survive a clean run
+	quietCond   *sim.Cond // snap: keep — no waiters survive a clean run
 
 	// Signalled whenever remote traffic writes this PE's heap.
-	heapWrite *sim.Cond // reset: keep; snap: keep — no waiters survive a clean run
+	heapWrite *sim.Cond // snap: keep — no waiters survive a clean run
 
 	stats Stats
 }
@@ -256,6 +259,8 @@ func NewWorld(c *fabric.Cluster, opts Options) *World {
 		w.pes = append(w.pes, pe)
 		pe.link.Start(pe.handle)
 	}
+	w.genesis = w.snapshotPEs()
+	w.genesis.cluster = c.Genesis()
 	return w
 }
 
@@ -285,52 +290,21 @@ func (w *World) Run(body func(p *sim.Proc, pe *PE)) error {
 }
 
 // RunKeep is Run without the teardown: the world's daemons stay parked
-// and its object graph stays live, so a subsequent Reset can recycle the
-// world for another body. A world run this way must eventually be either
-// Reset and rerun or shut down via Cluster.ShutdownSim — dropping it
-// while daemons are parked leaks their goroutines.
+// and its object graph stays live, so a subsequent Reset or Fork can
+// recycle the world for another body. A world run this way must
+// eventually be shut down via Cluster.ShutdownSim — dropping it while
+// daemons are parked leaks their goroutines.
 func (w *World) RunKeep(body func(p *sim.Proc, pe *PE)) error {
 	w.Launch(body)
 	return w.Cluster.RunSim()
 }
 
 // Reset rewinds a cleanly finished world (a nil-error RunKeep) to its
-// just-constructed state: every PE's symmetric heap, barrier and request
-// state return to power-on values, the fabric's device registers and
-// dirty window extents are cleared, and the simulator returns to time
-// zero. Service and forwarder daemons stay parked on their queues,
-// doorbell handlers stay installed, and warm buffers (heap chunks,
-// staging pool, event-heap backing) are retained. Because every layer's
-// reset restores exactly the state a fresh construction would produce,
-// a reset world replays any body with an event trace identical to a
-// fresh world's — the invariant the bench world pool is built on.
-func (w *World) Reset() {
-	for _, pe := range w.pes {
-		pe.reset()
-	}
-	w.Cluster.Reset()
-}
-
-// reset returns one PE to its just-constructed state. It panics if the
-// runtime is not quiescent — pending requests, staged forwards, or
-// un-drained service work mean the previous run did not complete cleanly
-// and the world must be discarded instead of pooled.
-func (pe *PE) reset() {
-	pe.assertQuiescent("reset")
-	pe.heap.Reset()
-	pe.finalized = false
-	pe.barrierEpoch = 0
-	pe.syncEpoch = 0
-	clear(pe.ctl)
-	clear(pe.pSyncCounts)
-	pe.nextTag = 0
-	pe.matchTable = 0
-	pe.matchTableReady = false
-	pe.contexts = pe.contexts[:0]
-	pe.nextCtxID = 0
-	pe.stats = Stats{}
-	pe.link.Reset()
-}
+// just-constructed state: Fork onto the genesis image NewWorld recorded.
+// Because that image is what a fresh construction produces, a reset
+// world replays any body with an event trace identical to a fresh
+// world's — the invariant the bench world pool is built on.
+func (w *World) Reset() { w.restore(w.genesis) }
 
 // PEs returns the world's processing elements in Id order.
 func (w *World) PEs() []*PE { return w.pes }

@@ -256,10 +256,10 @@ type Payload struct {
 // service thread) must take strict turns; the channel provides that.
 type TxChannel struct {
 	ep      *Endpoint
-	par     *model.Params        // reset: keep; snap: keep — construction identity
-	mu      *sim.Mutex           // reset: keep; snap: keep — released after every send
-	acks    *sim.Queue[struct{}] // Reset asserts it drained
-	scratch []byte               // reset: keep; snap: keep — warm staging buffer, overwritten per send
+	par     *model.Params        // snap: keep — construction identity
+	mu      *sim.Mutex           // snap: keep — released after every send
+	acks    *sim.Queue[struct{}] // Snapshot and Restore assert it drained
+	scratch []byte               // snap: keep — warm staging buffer, overwritten per send
 	sends   uint64
 }
 
@@ -280,17 +280,6 @@ func NewTxChannel(ep *Endpoint, par *model.Params) *TxChannel {
 // Sends reports how many chunks the channel has pushed (for tests and
 // the trace).
 func (tx *TxChannel) Sends() uint64 { return tx.sends }
-
-// Reset prepares the channel for another run on a recycled world. The
-// stop-and-wait cycle leaves nothing in flight between sends, so a clean
-// run can only leave the channel idle; Reset asserts that and rewinds the
-// send counter. The mutex, ACK queue, and scratch buffer stay warm.
-func (tx *TxChannel) Reset() {
-	if n := tx.acks.Len(); n != 0 {
-		panic(fmt.Sprintf("driver: reset of tx %s with %d unconsumed ACK(s)", tx.ep.Port.Name(), n))
-	}
-	tx.sends = 0
-}
 
 // SendChunk moves one chunk (payload may be empty for pure-register
 // messages) into the peer window named by info.Region, publishes info,

@@ -106,14 +106,14 @@ func decodeSlotHeader(src []byte) (seq uint32, info Info, ok bool) {
 // protocol.
 type PipeTx struct {
 	ep        *Endpoint
-	par       *model.Params // reset: keep; snap: keep — construction identity
-	slots     int           // reset: keep; snap: keep — pipeline geometry
-	slotBytes int           // reset: keep; snap: keep — pipeline geometry
-	credits   *sim.Resource // Reset asserts all returned
-	mu        *sim.Mutex    // reset: keep; snap: keep — serialises slot assignment; released per send
+	par       *model.Params // snap: keep — construction identity
+	slots     int           // snap: keep — pipeline geometry
+	slotBytes int           // snap: keep — pipeline geometry
+	credits   *sim.Resource // Snapshot and Restore assert all returned
+	mu        *sim.Mutex    // snap: keep — serialises slot assignment; released per send
 	nextSlot  int
 	seq       uint32
-	scratch   []byte // reset: keep; snap: keep — warm staging frame, overwritten per send
+	scratch   []byte // snap: keep — warm staging frame, overwritten per send
 	sends     uint64
 }
 
@@ -148,20 +148,6 @@ func (tx *PipeTx) MaxPayload() int { return tx.slotBytes - SlotHeaderBytes }
 
 // Sends reports chunks pushed.
 func (tx *PipeTx) Sends() uint64 { return tx.sends }
-
-// Reset rewinds the sender for a recycled world: slot cursor and
-// sequence return to their power-on values so the next run's slot
-// assignment replays identically. All credits must have been returned —
-// a clean run drains the pipeline before its final barrier.
-func (tx *PipeTx) Reset() {
-	if free := tx.credits.Free(); free != tx.credits.Capacity() {
-		panic(fmt.Sprintf("driver: reset of pipe-tx %s with %d credit(s) outstanding",
-			tx.ep.Port.Name(), tx.credits.Capacity()-free))
-	}
-	tx.nextSlot = 0
-	tx.seq = 0
-	tx.sends = 0
-}
 
 // SendChunk implements Sender: take a credit, fill the next slot
 // (header and payload in one wire transfer), ring the kind's vector, and
@@ -206,9 +192,9 @@ func (tx *PipeTx) SendChunk(p *sim.Proc, info Info, payload Payload, mode Mode) 
 
 // PipeRx is the receiver half: it drains valid slots in sequence order.
 type PipeRx struct {
-	port      *ntb.Port // reset: keep; snap: keep — construction identity
-	slots     int       // reset: keep; snap: keep — pipeline geometry
-	slotBytes int       // reset: keep; snap: keep — pipeline geometry
+	port      *ntb.Port // snap: keep — construction identity
+	slots     int       // snap: keep — pipeline geometry
+	slotBytes int       // snap: keep — pipeline geometry
 	expect    uint32
 }
 
@@ -217,10 +203,6 @@ type PipeRx struct {
 func NewPipeRx(port *ntb.Port, par *model.Params, slots int) *PipeRx {
 	return &PipeRx{port: port, slots: slots, slotBytes: par.WindowSize / slots}
 }
-
-// Reset rewinds the receiver's sequence cursor. The slots themselves are
-// device-window state; the port's dirty-extent reset re-zeroes them.
-func (rx *PipeRx) Reset() { rx.expect = 0 }
 
 // Next returns the next in-order message, if one is ready: its Info, the
 // payload window slice (valid until Release), and true. The caller must

@@ -17,19 +17,15 @@ const MaxCXLHosts = 256
 // server modelling the fabric's data path, the interned per-ordered-pair
 // routes through it, a per-target home-agent mutex serialising
 // operations on each host's memory, and the delivery handlers the links
-// register at Start.
+// register at Start. All of it is construction identity or provably idle
+// after a clean run (the home-agent mutexes are held only inside a
+// Send), so no snapshot covers it; per-link counters live on the links.
 type cxlState struct {
-	server *pcie.Server  // reset: keep — interned flow-network server
-	routes [][]*pcie.Route // reset: keep — interned [src][dst] paths
-	mu     []*sim.Mutex  // reset: keep — free after any clean run
-	links  []*cxlLink    // reset: keep — construction identity; links reset individually
+	server *pcie.Server    // interned flow-network server
+	routes [][]*pcie.Route // interned [src][dst] paths
+	mu     []*sim.Mutex    // free after any clean run
+	links  []*cxlLink      // construction identity
 }
-
-// Reset returns the shared fabric to power-on state. All of it is
-// construction identity or provably idle after a clean run (the
-// home-agent mutexes are held only inside a Send), so there is nothing
-// to rewind; per-link counters are reset by each link's Reset.
-func (st *cxlState) Reset() {}
 
 // NewCXL builds a CXL.mem-style fabric of n hosts: every host maps a
 // coherent window onto every other host's memory, so a transfer
@@ -74,12 +70,12 @@ func NewCXL(s *sim.Simulator, par *model.Params, n int) (*Cluster, error) {
 // bookkeeping — which is also what makes the inline recursion
 // deadlock-free: a delivery can trigger a Reply but never another Send.
 type cxlLink struct {
-	c       *Cluster    // reset: keep; snap: keep — construction identity
-	host    *Host       // reset: keep; snap: keep — construction identity
-	opts    LinkOptions // reset: keep; snap: keep — construction identity
-	deliver Handler     // reset: keep; snap: keep — installed handler survives recycling and forking
-	st      *cxlState   // reset: keep; snap: keep — shared fabric state
-	pool    bufPool     // reset: keep; snap: keep — warm staging buffers hold no simulation state
+	c       *Cluster    // snap: keep — construction identity
+	host    *Host       // snap: keep — construction identity
+	opts    LinkOptions // snap: keep — construction identity
+	deliver Handler     // snap: keep — installed handler survives recycling and forking
+	st      *cxlState   // snap: keep — shared fabric state
+	pool    bufPool     // snap: keep — warm staging buffers hold no simulation state
 
 	stats LinkStats
 }
@@ -175,21 +171,10 @@ func (l *cxlLink) Lookahead() sim.Duration { return LookaheadFor(KindCXL, l.c.Pa
 // AssertQuiescent is trivially satisfied: the link holds no queues.
 func (l *cxlLink) AssertQuiescent(op string) {}
 
-// Reset returns the link to its just-constructed state.
-func (l *cxlLink) Reset() {
-	l.stats = LinkStats{}
-}
-
-// cxlLinkSnap captures a CXL link's mutable state.
-type cxlLinkSnap struct {
-	stats LinkStats
-}
-
-func (l *cxlLink) Snapshot() any { return &cxlLinkSnap{stats: l.stats} }
-
-func (l *cxlLink) Restore(snap any) {
-	l.stats = snap.(*cxlLinkSnap).stats
-}
+// Snapshot and Restore cover the link's only mutable state, its
+// counters.
+func (l *cxlLink) Snapshot() any    { return l.stats }
+func (l *cxlLink) Restore(snap any) { l.stats = snap.(LinkStats) }
 
 // GetBuf borrows a staging buffer of at least n bytes from the host's
 // pool; PutBuf returns it.

@@ -56,19 +56,19 @@ type Host struct {
 // RunSim/ShutdownSim/EventsExecuted so both shapes behave alike.
 type Cluster struct {
 	Sim   *sim.Simulator // snap: keep — shard-0 alias; snapshotted per shard via sims
-	Par   *model.Params  // reset: keep; snap: keep — construction identity
-	Net   *pcie.Network  // reset: keep; snap: keep — shard-0 alias; handled per shard via nets
+	Par   *model.Params  // snap: keep — construction identity
+	Net   *pcie.Network  // snap: keep — shard-0 alias; handled per shard via nets
 	Hosts []*Host
 
 	// Group ties the shard simulators together; nil when unsharded.
 	// sims and nets hold one entry per shard (a single entry — Sim and
 	// Net — when unsharded). All construction identity.
-	Group *sim.ShardGroup // snap: keep — construction identity; member clocks captured via sims
-	sims  []*sim.Simulator // reset: keep; snap: keep — construction identity
-	nets  []*pcie.Network  // reset: keep; snap: keep — construction identity
+	Group *sim.ShardGroup  // snap: keep — construction identity; member clocks captured via sims
+	sims  []*sim.Simulator // snap: keep — construction identity
+	nets  []*pcie.Network  // snap: keep — construction identity
 
-	kind Kind      // reset: keep — topology identity
-	cxl  *cxlState // reset: keep; snap: keep — shared CXL fabric state holds no mutable registers
+	kind Kind
+	cxl  *cxlState // snap: keep — shared CXL fabric state holds no mutable registers
 }
 
 // MaxHosts is the largest ring NewRing accepts, bounded by the driver's
@@ -204,52 +204,6 @@ func (h *Host) finishSides(par *model.Params) {
 		h.Right.SetRequesterID(uint16(h.ID+1) << 1)
 		h.RightEP = driver.NewEndpoint(h.Right)
 		h.TxRight = driver.NewTxChannel(h.RightEP, par)
-	}
-}
-
-// Reset returns every device in the cluster to power-on state — NTB
-// ports (scratchpads, doorbells, dirty window extents), transmit
-// channels, the flow network — and rewinds the shared simulator to time
-// zero. The object graph itself (ports, routes, endpoints, device
-// daemons) survives, which is the entire point: a reset cluster replays
-// the boot exchange with fresh registers but none of the construction
-// cost. Worlds with failure injection (an unplugged cable) are not
-// resettable: the wedged DMA daemon makes the simulator refuse anyway.
-func (c *Cluster) Reset() {
-	for _, h := range c.Hosts {
-		if h.Left != nil {
-			h.Left.Reset()
-		}
-		if h.Right != nil {
-			h.Right.Reset()
-		}
-		if h.TxLeft != nil {
-			h.TxLeft.Reset()
-		}
-		if h.TxRight != nil {
-			h.TxRight.Reset()
-		}
-		for _, port := range h.Mesh {
-			if port != nil {
-				port.Reset()
-			}
-		}
-		for _, tx := range h.MeshTx {
-			if tx != nil {
-				tx.Reset()
-			}
-		}
-	}
-	if c.cxl != nil {
-		c.cxl.Reset()
-	}
-	for _, net := range c.nets {
-		net.Reset()
-	}
-	if c.Group != nil {
-		c.Group.Reset()
-	} else {
-		c.Sim.Reset()
 	}
 }
 

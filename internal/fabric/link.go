@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/driver"
 	"repro/internal/model"
-	"repro/internal/ntb"
 	"repro/internal/sim"
 )
 
@@ -223,17 +222,6 @@ type LinkStats struct {
 // keeps before calling ack, which releases that space to the sender.
 type Handler func(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.Proc))
 
-// inboundPayload aliases the bytes a stop-and-wait message left in port's
-// window. A control message (barrier token, get request) left none, and
-// must not make the port materialise a whole window to read nothing — on
-// a link that only ever carries tokens that is WindowSize of host memory.
-func inboundPayload(port *ntb.Port, info driver.Info) []byte {
-	if info.Size == 0 {
-		return nil
-	}
-	return port.Inbound(info.Region)[:info.Size]
-}
-
 // Link is one host's attachment to the fabric: the transport the
 // OpenSHMEM runtime sends through and is delivered from. Implementations
 // own all interconnect-specific machinery — routing direction and window
@@ -275,9 +263,6 @@ type Link interface {
 	Sync(p *sim.Proc) bool
 	// Stats reports fabric-level activity counters.
 	Stats() LinkStats
-	// Reset returns the link to its just-constructed state; the world
-	// must be quiescent (see AssertQuiescent).
-	Reset()
 	// AssertQuiescent panics (naming op) unless the link has fully
 	// drained: no queued or mid-service inbound work, no staged relays,
 	// no buffered tokens.
@@ -288,19 +273,15 @@ type Link interface {
 	// cluster's links; meaningful even on fabrics Shardable rejects.
 	Lookahead() sim.Duration
 	// Snapshot captures the link's mutable state (stats, protocol
-	// cursors); Restore applies a snapshot from a same-shaped link.
+	// cursors); Restore brings a quiescent same-shaped link, whatever it
+	// ran before, to a captured state. A link's just-constructed state
+	// is simply the first snapshot the world takes of it.
 	Snapshot() any
 	Restore(s any)
 	// GetBuf borrows a staging buffer of at least n bytes from the
 	// host's pool; PutBuf returns it.
 	GetBuf(n int) []byte
 	PutBuf(b []byte)
-}
-
-// fwdMsg is a staged chunk awaiting relay by a forwarder daemon.
-type fwdMsg struct {
-	info driver.Info
-	data []byte
 }
 
 // Links builds one Link per host for this cluster's fabric kind. It

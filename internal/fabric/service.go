@@ -1,0 +1,308 @@
+package fabric
+
+import (
+	"fmt"
+
+	"repro/internal/driver"
+	"repro/internal/ntb"
+	"repro/internal/sim"
+)
+
+// ntbService is the service core the three NTB backends — ring, pair,
+// switch — embed: the Fig 5 service thread that consumes doorbell-
+// announced arrivals, the forwarder thread that pushes staged chunks
+// (relays and service-thread replies) out a transmit channel, the
+// bookkeeping Drain and AssertQuiescent read, the staging-buffer pool
+// and the activity counters. A backend supplies only what differs: which
+// ports it listens on, what happens to a chunk addressed elsewhere
+// (transit), and which channel a staged chunk leaves by (hop). The
+// service-thread/forwarder split exists on every backend, relaying or
+// not: a reply generated inside the service thread must not block on a
+// transmit channel, or two hosts answering each other's gets deadlock.
+type ntbService struct {
+	c       *Cluster    // snap: keep — construction identity
+	host    *Host       // snap: keep — construction identity
+	opts    LinkOptions // snap: keep — construction identity
+	deliver Handler     // snap: keep — installed handler survives recycling and forking
+
+	ports     []*svcPort           // snap: keep — construction identity, no simulation state
+	svcQ      *sim.Queue[*svcPort] // snap: keep — AssertQuiescent guarantees it drained
+	svcActive bool                 // snap: keep — AssertQuiescent guarantees false (service drained)
+	svcIdle   *sim.Cond            // snap: keep — no waiters survive a clean run
+	fwdQ      *sim.Queue[*fwdMsg]  // snap: keep — AssertQuiescent guarantees it drained
+	fwdBusy   int                  // snap: keep — AssertQuiescent guarantees zero
+	fwdIdle   *sim.Cond            // snap: keep — no waiters survive a clean run
+	pool      bufPool              // snap: keep — warm staging buffers hold no simulation state
+
+	// transit consumes an arrival addressed to another host. Only the
+	// ring relays — and so counts what its forwarder pushes as
+	// LinkStats.ChunksForwarded; left nil, a misrouted chunk panics.
+	transit func(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.Proc)) // snap: keep — construction identity
+	// hop picks the transmit channel a staged chunk leaves by and fills
+	// in what the next hop needs of its Info.
+	hop func(info driver.Info) (driver.Sender, driver.Info) // snap: keep — construction identity
+
+	stats LinkStats
+}
+
+// svcPort is one inbound port the service thread listens on. Its
+// doorbell vectors queue the record itself, so the service loop finds
+// the port's ack thunk — and, under the pipelined protocol, its slot
+// receiver — without a lookup. The thunks are built once in start:
+// arrive passes its ack through the indirect deliver handler, so a
+// closure literal built in serve's loop would escape, one heap
+// allocation per message on the BenchmarkWorldPut1M hot path.
+type svcPort struct {
+	port *ntb.Port
+	ack  func(*sim.Proc)
+	// rx and rel are set when the port runs the pipelined
+	// header-in-window protocol: the slot receiver and its Release.
+	rx  *driver.PipeRx
+	rel func(*sim.Proc)
+}
+
+// fwdMsg is a staged chunk awaiting the forwarder daemon.
+type fwdMsg struct {
+	info driver.Info
+	data []byte
+}
+
+func newNTBService(c *Cluster, h *Host, opts LinkOptions) ntbService {
+	return ntbService{
+		c:       c,
+		host:    h,
+		opts:    opts,
+		svcQ:    sim.NewQueue[*svcPort](hostName("svc:", h.ID)),
+		svcIdle: sim.NewCond(hostName("svc-idle:", h.ID)),
+		fwdQ:    sim.NewQueue[*fwdMsg](hostName("fwd:", h.ID)),
+		fwdIdle: sim.NewCond(hostName("fwd-idle:", h.ID)),
+		pool:    bufPool{par: c.Par},
+	}
+}
+
+// start installs the delivery handler, wires the data doorbells of every
+// listed endpoint (nil entries are uncabled sides) and spawns the
+// service and forwarder threads (the paper's shmem_init steps 2 and 4).
+func (s *ntbService) start(deliver Handler, eps ...*driver.Endpoint) {
+	s.deliver = deliver
+	for _, ep := range eps {
+		if ep == nil {
+			continue
+		}
+		port := ep.Port
+		sp := &svcPort{port: port, ack: func(pp *sim.Proc) { driver.Ack(pp, port) }}
+		s.ports = append(s.ports, sp)
+		dataVec := func() {
+			s.stats.Interrupts++
+			s.svcQ.Push(sp)
+		}
+		ep.Handle(driver.VecPut, dataVec)
+		ep.Handle(driver.VecGet, dataVec)
+	}
+	s.host.Sim.GoDaemon(fmt.Sprintf("shmem-svc:%d", s.host.ID), s.serve)
+	s.host.Sim.GoDaemon(fmt.Sprintf("shmem-fwd:%d", s.host.ID), s.forward)
+}
+
+// serve is the per-host service thread of Fig 5. It sleeps until a
+// DMAPUT/DMAGET doorbell queues work, pays the thread wake-up cost, and
+// consumes the arrival: under the paper's protocol it reads the transfer
+// information from the scratchpads and handles one message; under the
+// pipelined protocol it drains every in-order slot the doorbell (or a
+// coalesced batch of doorbells) announced.
+func (s *ntbService) serve(p *sim.Proc) {
+	for {
+		sp, ok := s.svcQ.TryPop()
+		if !ok {
+			s.setSvcActive(false)
+			sp = s.svcQ.Pop(p)
+			p.Sleep(s.c.Par.ServiceWake)
+		}
+		s.setSvcActive(true)
+		p.Sleep(s.c.Par.ISRCost)
+		if sp.rx != nil {
+			for {
+				info, payload, ready := sp.rx.Next(p)
+				if !ready {
+					break
+				}
+				s.arrive(p, info, payload, sp.rel)
+			}
+			continue
+		}
+		info := driver.ReadInfo(p, sp.port)
+		s.arrive(p, info, inboundPayload(sp.port, info), sp.ack)
+	}
+}
+
+// inboundPayload aliases the bytes a stop-and-wait message left in port's
+// window. A control message (barrier token, get request) left none, and
+// must not make the port materialise a whole window to read nothing — on
+// a link that only ever carries tokens that is WindowSize of host memory.
+func inboundPayload(port *ntb.Port, info driver.Info) []byte {
+	if info.Size == 0 {
+		return nil
+	}
+	return port.Inbound(info.Region)[:info.Size]
+}
+
+// arrive routes one message the service thread took off a port: chunks
+// addressed here go up to the runtime's handler, anything else to the
+// backend's transit path.
+func (s *ntbService) arrive(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.Proc)) {
+	if int(info.Dst) == s.host.ID {
+		s.deliver(p, info, payload, ack)
+		return
+	}
+	if s.transit == nil {
+		panic(fmt.Sprintf("fabric: %s host %d received a chunk addressed to host %d", s.c.kind, s.host.ID, info.Dst))
+	}
+	s.transit(p, info, payload, ack)
+}
+
+// setSvcActive tracks whether the service thread is mid-message, for
+// the barrier's inbound-drain wait.
+func (s *ntbService) setSvcActive(active bool) {
+	s.svcActive = active
+	if !active {
+		s.svcIdle.Broadcast()
+	}
+}
+
+// enqueueForward hands a chunk to the forwarder thread. Callable from
+// process or scheduler context.
+func (s *ntbService) enqueueForward(info driver.Info, data []byte) {
+	s.fwdBusy++
+	s.fwdQ.Push(&fwdMsg{info: info, data: data})
+}
+
+// forward is the second half of the service path: it pushes staged
+// chunks out the channel hop picks. The pushes are stop-and-wait like
+// first-hop sends, but the unbounded staging queue decouples them from
+// upstream ACKs, so rings cannot deadlock on store-and-forward cycles
+// and no backend deadlocks on crossed replies.
+func (s *ntbService) forward(p *sim.Proc) {
+	for {
+		m, ok := s.fwdQ.TryPop()
+		if !ok {
+			m = s.fwdQ.Pop(p)
+			p.Sleep(s.c.Par.ServiceWake)
+		}
+		tx, info := s.hop(m.info)
+		tx.SendChunk(p, info, driver.Payload{Buf: m.data, N: len(m.data)}, s.opts.Mode)
+		if m.data != nil {
+			s.pool.put(m.data)
+		}
+		if s.transit != nil {
+			s.stats.ChunksForwarded++
+		}
+		s.fwdBusy--
+		if s.fwdBusy == 0 {
+			s.fwdIdle.Broadcast()
+		}
+	}
+}
+
+// Drain flushes this host's inbound service work and then its staged
+// chunks — the full "everything that reached me has moved on" step the
+// barrier protocols interpose before propagating tokens (the paper's
+// "check previous DMA transfer completed"). Under the pipelined
+// protocol a sender's chunks may still sit unprocessed in this host's
+// window when a barrier token arrives, so the token must not pass them.
+// Service handling can stage chunks but never the reverse, so this
+// order suffices.
+func (s *ntbService) Drain(p *sim.Proc) {
+	for s.svcQ.Len() > 0 || s.svcActive {
+		s.svcIdle.Wait(p)
+	}
+	for s.fwdBusy > 0 {
+		s.fwdIdle.Wait(p)
+	}
+}
+
+// AssertQuiescent panics unless the service path has fully drained — the
+// shared precondition of Snapshot and Restore. Backends with barrier
+// token queues extend it.
+func (s *ntbService) AssertQuiescent(op string) {
+	if s.svcActive || s.svcQ.Len() != 0 || s.fwdBusy != 0 || s.fwdQ.Len() != 0 {
+		panic(fmt.Sprintf("fabric: %s of host %d with service work outstanding", op, s.host.ID))
+	}
+}
+
+// Stats reports the link's doorbell and relay counters.
+func (s *ntbService) Stats() LinkStats { return s.stats }
+
+// Snapshot and Restore cover the only mutable state a quiescent service
+// core holds, its counters; the ring adds its pipe cursors.
+func (s *ntbService) Snapshot() any    { return s.stats }
+func (s *ntbService) Restore(snap any) { s.stats = snap.(LinkStats) }
+
+// GetBuf borrows a staging buffer of at least n bytes from the host's
+// pool; PutBuf returns it.
+func (s *ntbService) GetBuf(n int) []byte { return s.pool.get(n) }
+func (s *ntbService) PutBuf(b []byte)     { s.pool.put(b) }
+
+// tokenPath is one travel direction of the Fig 6 doorbell barrier on
+// one host: tokens leave by out's doorbells and arrive, as interrupts on
+// the facing adapter, in the two queues.
+type tokenPath struct {
+	out          *driver.Endpoint
+	startQ, endQ *sim.Queue[struct{}]
+}
+
+// newTokenPath wires the barrier vectors of in (where this direction's
+// tokens arrive) to a fresh queue pair named after suffix.
+func (s *ntbService) newTokenPath(in, out *driver.Endpoint, suffix string) *tokenPath {
+	t := &tokenPath{
+		out:    out,
+		startQ: sim.NewQueue[struct{}](hostName("barrier-start"+suffix+":", s.host.ID)),
+		endQ:   sim.NewQueue[struct{}](hostName("barrier-end"+suffix+":", s.host.ID)),
+	}
+	token := func(q *sim.Queue[struct{}]) func() {
+		return func() {
+			s.stats.Interrupts++
+			q.Push(struct{}{})
+		}
+	}
+	in.Handle(driver.VecBarrierStart, token(t.startQ))
+	in.Handle(driver.VecBarrierEnd, token(t.endQ))
+	return t
+}
+
+// queued reports tokens received but not consumed.
+func (t *tokenPath) queued() int { return t.startQ.Len() + t.endQ.Len() }
+
+// tokenRound is the paper's two-round protocol (Fig 6) along one path:
+// host 0 sends BARRIER_START; each host forwards it — after Drain, when
+// flush is set — and when the start round returns to host 0 it launches
+// the BARRIER_END round the same way; hosts release as the end passes.
+// Every token receipt charges the application thread's wake-up cost.
+//
+// The per-hop flush is what upgrades the barrier from synchronisation to
+// delivery: a host only propagates the token once every chunk staged on
+// it has been pushed one hop (and acknowledged — for a final hop that
+// means copied into the destination heap). Induction along the token's
+// path flushes every chain that runs in the token's direction.
+func (s *ntbService) tokenRound(p *sim.Proc, t *tokenPath, flush bool) {
+	if s.host.ID == 0 {
+		t.out.Ring(p, driver.VecBarrierStart)
+	}
+	s.waitToken(p, t.startQ)
+	if flush {
+		s.Drain(p)
+	}
+	if s.host.ID == 0 {
+		t.out.Ring(p, driver.VecBarrierEnd)
+		s.waitToken(p, t.endQ)
+	} else {
+		t.out.Ring(p, driver.VecBarrierStart)
+		s.waitToken(p, t.endQ)
+		t.out.Ring(p, driver.VecBarrierEnd)
+	}
+}
+
+// waitToken blocks on a doorbell-token queue and charges the application
+// thread wake-up cost.
+func (s *ntbService) waitToken(p *sim.Proc, q *sim.Queue[struct{}]) {
+	q.Pop(p)
+	p.Sleep(s.c.Par.AppWake)
+}

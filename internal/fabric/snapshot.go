@@ -46,22 +46,35 @@ func (s *ClusterSnapshot) Time() sim.Time {
 	return t
 }
 
-// Snapshot captures a quiescent cluster: the simulator must satisfy the
-// Reset preconditions (no pending events, only parked daemons), the flow
-// network must be idle, every DMA engine drained, every stop-and-wait
-// ACK consumed.
+// Snapshot captures a quiescent cluster: every simulator between runs
+// with no pending events and only parked daemons, the flow network idle,
+// every DMA engine drained, every stop-and-wait ACK consumed.
 func (c *Cluster) Snapshot() *ClusterSnapshot {
+	s := c.Genesis() // the device image; the clocks follow
+	for i := range c.sims {
+		s.sims[i] = c.sims[i].Snapshot()
+	}
+	return s
+}
+
+// Genesis captures the device image of a cluster whose construction has
+// just ended, with every kernel clock at the zero sim.Snapshot: a fresh
+// simulator still has its daemon-spawn events queued and cannot be
+// captured, and time zero is where it is positioned anyway. The device
+// layers are at power-on, so the image materialises no window and copies
+// no bytes. Restoring it is how a world returns to t0.
+func (c *Cluster) Genesis() *ClusterSnapshot {
 	s := &ClusterSnapshot{
 		n:     c.N(),
 		kind:  c.kind,
+		sims:  make([]sim.Snapshot, len(c.sims)),
 		left:  make([]*ntb.PortSnapshot, c.N()),
 		right: make([]*ntb.PortSnapshot, c.N()),
 		txL:   make([]driver.TxSnapshot, c.N()),
 		txR:   make([]driver.TxSnapshot, c.N()),
 	}
-	for i := range c.sims {
-		s.sims = append(s.sims, c.sims[i].Snapshot())
-		s.nets = append(s.nets, c.nets[i].Snapshot())
+	for _, net := range c.nets {
+		s.nets = append(s.nets, net.Snapshot())
 	}
 	for i, h := range c.Hosts {
 		if h.Left != nil {
@@ -90,9 +103,15 @@ func (c *Cluster) Snapshot() *ClusterSnapshot {
 	return s
 }
 
-// Restore applies a snapshot to a freshly Reset cluster of identical
-// topology, leaving it positioned at the captured virtual time with
-// every device register and window extent as captured.
+// Restore brings a quiescent cluster of identical topology, whatever it
+// ran before, to the snapshot: every NTB port (scratchpads, doorbells,
+// dirty window extents), transmit channel and flow network is restored
+// and every simulator positioned at its captured clock. The object graph
+// itself (ports, routes, endpoints, device daemons) survives, which is
+// the entire point: a restored cluster continues — or, from its genesis
+// image, replays the boot exchange — with none of the construction cost.
+// Worlds with failure injection (an unplugged cable) cannot be restored:
+// the wedged DMA daemon makes the simulator refuse.
 func (c *Cluster) Restore(s *ClusterSnapshot) {
 	if c.N() != s.n || c.kind != s.kind {
 		panic(fmt.Sprintf("fabric: restore of a %d-host %s cluster from a %d-host %s snapshot",

@@ -66,67 +66,26 @@ func NewSwitch(s *sim.Simulator, par *model.Params, n int) (*Cluster, error) {
 // single-hop through the switch — no relay staging, no routing decision,
 // no bypass window — but the NTB protocol machinery is unchanged: each
 // per-peer port has its stop-and-wait channel, doorbell announcement,
-// and one shared service thread consuming arrivals in doorbell order.
+// and one shared service thread (the embedded service core) consuming
+// arrivals from every peer port in doorbell order.
 // The switch has no ring to circulate barrier tokens around, so Barrier
 // and Sync report false and the runtime's dissemination fallback runs
 // over Send — sound here because sends are delivery-synchronous.
 type switchLink struct {
-	c       *Cluster    // reset: keep; snap: keep — construction identity
-	host    *Host       // reset: keep; snap: keep — construction identity
-	opts    LinkOptions // reset: keep; snap: keep — construction identity
-	deliver Handler     // reset: keep; snap: keep — installed handler survives recycling and forking
-
-	svcQ      *sim.Queue[*ntb.Port] // reset: keep; snap: keep — AssertQuiescent guarantees it drained
-	svcActive bool                  // reset: keep; snap: keep — AssertQuiescent guarantees false (service drained)
-	svcIdle   *sim.Cond             // reset: keep; snap: keep — no waiters survive a clean run
-	fwdQ      *sim.Queue[*fwdMsg]   // reset: keep; snap: keep — AssertQuiescent guarantees it drained
-	fwdBusy   int                   // reset: keep; snap: keep — AssertQuiescent guarantees zero
-	fwdIdle   *sim.Cond             // reset: keep; snap: keep — no waiters survive a clean run
-	pool      bufPool               // reset: keep; snap: keep — warm staging buffers hold no simulation state
-
-	// Per-port ack thunks, built once in Start: a closure literal in
-	// serve's loop escapes through the indirect deliver handler and
-	// allocates per message (see ringLink for the same pattern).
-	acks map[*ntb.Port]func(*sim.Proc) // reset: keep; snap: keep — construction identity, no simulation state
-
-	stats LinkStats
+	ntbService
 }
 
 func newSwitchLink(c *Cluster, h *Host, opts LinkOptions) *switchLink {
-	return &switchLink{
-		c:       c,
-		host:    h,
-		opts:    opts,
-		svcQ:    sim.NewQueue[*ntb.Port](hostName("svc:", h.ID)),
-		svcIdle: sim.NewCond(hostName("svc-idle:", h.ID)),
-		fwdQ:    sim.NewQueue[*fwdMsg](hostName("fwd:", h.ID)),
-		fwdIdle: sim.NewCond(hostName("fwd-idle:", h.ID)),
-		pool:    bufPool{par: c.Par},
-	}
+	l := &switchLink{ntbService: newNTBService(c, h, opts)}
+	// Staged replies leave by the requester's port.
+	l.hop = func(info driver.Info) (driver.Sender, driver.Info) { return h.MeshTx[int(info.Dst)], info }
+	return l
 }
 
 // Start wires the data doorbells of every per-peer port and spawns the
 // service and forwarder threads.
 func (l *switchLink) Start(deliver Handler) {
-	l.deliver = deliver
-	dataVec := func(port *ntb.Port) func() {
-		return func() {
-			l.stats.Interrupts++
-			l.svcQ.Push(port)
-		}
-	}
-	l.acks = make(map[*ntb.Port]func(*sim.Proc), len(l.host.MeshEP))
-	for _, ep := range l.host.MeshEP {
-		if ep == nil {
-			continue
-		}
-		ep.Handle(driver.VecPut, dataVec(ep.Port))
-		ep.Handle(driver.VecGet, dataVec(ep.Port))
-		port := ep.Port
-		l.acks[port] = func(pp *sim.Proc) { driver.Ack(pp, port) }
-	}
-	l.host.Sim.GoDaemon(fmt.Sprintf("shmem-svc:%d", l.host.ID), l.serve)
-	l.host.Sim.GoDaemon(fmt.Sprintf("shmem-fwd:%d", l.host.ID), l.forward)
+	l.start(deliver, l.host.MeshEP...)
 }
 
 // Boot programs every mesh port's LUT with its peer, publishes this
@@ -161,56 +120,6 @@ func (l *switchLink) Boot(p *sim.Proc) {
 	}
 }
 
-// serve is the shared service thread: one per host, consuming arrivals
-// from every peer port in doorbell order.
-func (l *switchLink) serve(p *sim.Proc) {
-	for {
-		port, ok := l.svcQ.TryPop()
-		if !ok {
-			l.setSvcActive(false)
-			port = l.svcQ.Pop(p)
-			p.Sleep(l.c.Par.ServiceWake)
-		}
-		l.setSvcActive(true)
-		p.Sleep(l.c.Par.ISRCost)
-		info := driver.ReadInfo(p, port)
-		payload := inboundPayload(port, info)
-		if int(info.Dst) != l.host.ID {
-			panic(fmt.Sprintf("fabric: switch host %d received a chunk addressed to host %d", l.host.ID, info.Dst))
-		}
-		l.deliver(p, info, payload, l.acks[port])
-	}
-}
-
-func (l *switchLink) setSvcActive(active bool) {
-	l.svcActive = active
-	if !active {
-		l.svcIdle.Broadcast()
-	}
-}
-
-// forward pushes service-thread replies out the requester's port,
-// decoupling the service loop from the stop-and-wait ACK (two hosts
-// answering each other's gets would otherwise deadlock).
-func (l *switchLink) forward(p *sim.Proc) {
-	for {
-		m, ok := l.fwdQ.TryPop()
-		if !ok {
-			m = l.fwdQ.Pop(p)
-			p.Sleep(l.c.Par.ServiceWake)
-		}
-		tx := l.host.MeshTx[int(m.info.Dst)]
-		tx.SendChunk(p, m.info, driver.Payload{Buf: m.data, N: len(m.data)}, l.opts.Mode)
-		if m.data != nil {
-			l.pool.put(m.data)
-		}
-		l.fwdBusy--
-		if l.fwdBusy == 0 {
-			l.fwdIdle.Broadcast()
-		}
-	}
-}
-
 // Send pushes one chunk through the switch to its destination's port,
 // stop-and-wait. The chunk is delivered (copied into the peer's heap
 // and acknowledged) before Send returns.
@@ -224,18 +133,7 @@ func (l *switchLink) Send(p *sim.Proc, info driver.Info, payload driver.Payload)
 func (l *switchLink) Reply(p *sim.Proc, orig driver.Info, reply driver.Info, data []byte) {
 	reply.Dir = driver.DirRight
 	reply.Region = ntb.RegionData
-	l.fwdBusy++
-	l.fwdQ.Push(&fwdMsg{info: reply, data: data})
-}
-
-// Drain flushes queued inbound service work and staged replies.
-func (l *switchLink) Drain(p *sim.Proc) {
-	for l.svcQ.Len() > 0 || l.svcActive {
-		l.svcIdle.Wait(p)
-	}
-	for l.fwdBusy > 0 {
-		l.fwdIdle.Wait(p)
-	}
+	l.enqueueForward(reply, data)
 }
 
 // Barrier reports false: the switch has no token ring, so the runtime's
@@ -245,36 +143,4 @@ func (l *switchLink) Barrier(p *sim.Proc) bool { return false }
 // Sync reports false for the same reason.
 func (l *switchLink) Sync(p *sim.Proc) bool { return false }
 
-// Stats reports the link's doorbell counter (nothing is ever relayed).
-func (l *switchLink) Stats() LinkStats { return l.stats }
-
 func (l *switchLink) Lookahead() sim.Duration { return LookaheadFor(KindPCIeSwitch, l.c.Par) }
-
-// AssertQuiescent panics unless the link has fully drained.
-func (l *switchLink) AssertQuiescent(op string) {
-	if l.svcActive || l.svcQ.Len() != 0 || l.fwdBusy != 0 || l.fwdQ.Len() != 0 {
-		panic(fmt.Sprintf("fabric: %s of host %d with service work outstanding", op, l.host.ID))
-	}
-}
-
-// Reset returns the link to its just-constructed state (ports and
-// channels are reset by Cluster.Reset).
-func (l *switchLink) Reset() {
-	l.stats = LinkStats{}
-}
-
-// switchLinkSnap captures a switch link's mutable state.
-type switchLinkSnap struct {
-	stats LinkStats
-}
-
-func (l *switchLink) Snapshot() any { return &switchLinkSnap{stats: l.stats} }
-
-func (l *switchLink) Restore(snap any) {
-	l.stats = snap.(*switchLinkSnap).stats
-}
-
-// GetBuf borrows a staging buffer of at least n bytes from the host's
-// pool; PutBuf returns it.
-func (l *switchLink) GetBuf(n int) []byte { return l.pool.get(n) }
-func (l *switchLink) PutBuf(b []byte)     { l.pool.put(b) }

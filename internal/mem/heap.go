@@ -40,28 +40,28 @@ type block struct {
 // Heap is not safe for concurrent use; in this repository all access is
 // serialised by the simulation kernel.
 type Heap struct {
-	chunkSize int64 // reset: keep — construction geometry
-	maxSize   int64 // reset: keep; snap: keep — construction geometry
+	chunkSize int64 // construction geometry
+	maxSize   int64 // snap: keep — construction geometry
 	chunks    [][]byte
 	blocks    []block // sorted by offset, covering [0, len(chunks)*chunkSize)
 	live      int     // number of live allocations
 	liveBytes int64
 
 	// written is the high-water mark of bytes that may have been modified
-	// since construction or the last Reset. Every mutating access path
-	// (Write, and the writable aliases handed out by Segments) raises it,
-	// so Reset can restore the fresh-heap all-zero guarantee by clearing
-	// only [0, written) instead of the whole grown extent.
+	// since construction or the last Fork/Reset. Every mutating access
+	// path (Write, and the writable aliases handed out by Segments)
+	// raises it, so Fork can drop the previous run by clearing only
+	// [0, written) instead of the whole grown extent.
 	written int64
 
 	// shared flags chunks that alias a HeapSnapshot's frozen pages (one
 	// flag per chunk; nil until the heap first meets a snapshot). Shared
 	// chunks are immutable: writers privatize them first (see
-	// snapshot.go), and Reset detaches them instead of clearing.
+	// snapshot.go), and Fork detaches them instead of clearing.
 	shared []bool
 	// spare pools all-zero chunks displaced by Fork, recycled by
-	// privatize and Reset's detach path. snap: keep — scratch pool.
-	spare [][]byte // reset: keep — refilled/drained by fork cycles
+	// privatize and Fork's detach path. snap: keep — scratch pool.
+	spare [][]byte
 }
 
 // NewHeap returns an empty heap that grows in chunkSize steps up to
@@ -334,38 +334,12 @@ func (h *Heap) Read(off int64, buf []byte) {
 
 // Reset drops every allocation and rezeroes the written extent, returning
 // the heap to a state indistinguishable from freshly constructed while
-// keeping the physical chunks. Because grow costs nothing in virtual time
-// and first-fit over a single leading free block assigns the same offsets
-// a demand-grown fresh heap would, an allocation sequence replayed after
-// Reset yields byte-identical placement — the property pooled simulation
-// worlds rely on.
-func (h *Heap) Reset() {
-	remaining := h.written
-	for ci := 0; remaining > 0; ci++ {
-		chunk := h.chunks[ci]
-		n := int64(len(chunk))
-		if remaining < n {
-			n = remaining
-		}
-		if h.shared != nil && h.shared[ci] {
-			// The chunk belongs to a snapshot: detach it (swap in a zero
-			// page) rather than clearing the frozen contents out from
-			// under the snapshot's other forks.
-			h.chunks[ci] = h.takeSpare()
-			h.shared[ci] = false
-		} else {
-			clear(chunk[:n])
-		}
-		remaining -= n
-	}
-	h.written = 0
-	h.live = 0
-	h.liveBytes = 0
-	h.blocks = h.blocks[:0]
-	if size := h.Size(); size > 0 {
-		h.blocks = append(h.blocks, block{off: 0, size: size, free: true})
-	}
-}
+// keeping the physical chunks: Fork onto the empty snapshot. Because
+// grow costs nothing in virtual time and first-fit over a single leading
+// free block assigns the same offsets a demand-grown fresh heap would,
+// an allocation sequence replayed after Reset yields byte-identical
+// placement — the property recycled simulation worlds rely on.
+func (h *Heap) Reset() { h.Fork(&HeapSnapshot{chunkSize: h.chunkSize}) }
 
 // BlockOf returns the base offset and size of the live allocation
 // containing off, for bounds validation by the runtime.

@@ -15,10 +15,10 @@ import (
 // for the pages its divergent future actually touches.
 //
 // Invariant: a frozen page is immutable forever. Writers privatize
-// before touching it, and Reset detaches shared chunks (swapping in a
-// zero page from the spare pool) instead of clearing them, so a
-// snapshot's contents survive any number of fork/reset cycles of the
-// heaps referencing it.
+// before touching it, and Fork (Reset included) detaches shared chunks
+// — swapping in the next snapshot's page or a zero page from the spare
+// pool — instead of clearing them, so a snapshot's contents survive any
+// number of fork cycles of the heaps referencing it.
 
 // cowCopies counts chunk privatizations (copy-on-write page copies)
 // across every heap in the process, for the fork-stats report.
@@ -74,12 +74,14 @@ func (h *Heap) Snapshot() *HeapSnapshot {
 	return s
 }
 
-// Fork points a freshly Reset heap at the snapshot's state: allocator
-// metadata is restored and the snapshot's frozen pages are aliased
-// rather than copied. The heap's displaced (all-zero) chunks park in the
-// spare pool, ready to back later privatizations without allocating.
-// The heap must have the snapshot's geometry and be in its power-on
-// state — forking over live allocations would leak them.
+// Fork brings the heap, whatever it holds, to the snapshot's state: the
+// previous run's allocations are dropped and its written extent rezeroed
+// (private chunks cleared, chunks shared with an older snapshot
+// detached), allocator metadata is restored, and the snapshot's frozen
+// pages are aliased rather than copied. Private chunks the frozen pages
+// displace park, all-zero, in the spare pool, ready to back later
+// privatizations without allocating. The heap must have the snapshot's
+// geometry.
 func (h *Heap) Fork(s *HeapSnapshot) {
 	if h.chunkSize != s.chunkSize {
 		panic(fmt.Sprintf("mem: fork of a chunk-size-%d heap from a chunk-size-%d snapshot", h.chunkSize, s.chunkSize))
@@ -87,28 +89,40 @@ func (h *Heap) Fork(s *HeapSnapshot) {
 	if s.size > h.maxSize {
 		panic(fmt.Sprintf("mem: fork of a max-%d heap from a %d-byte snapshot", h.maxSize, s.size))
 	}
-	if h.written != 0 || h.live != 0 {
-		panic("mem: fork of a heap that is not freshly Reset")
-	}
-	// Grow the heap to at least the snapshot's extent, then alias the
-	// frozen pages, displacing the heap's own zero chunks into the spare
-	// pool for later privatizations.
 	for h.Size() < s.size {
 		h.chunks = append(h.chunks, h.takeSpare())
 		if h.shared != nil {
 			h.shared = append(h.shared, false)
 		}
 	}
-	if h.shared == nil {
+	if h.shared == nil && len(s.frozen) > 0 {
 		h.shared = make([]bool, len(h.chunks))
 	}
-	for ci := range s.frozen {
-		if h.shared[ci] {
-			panic("mem: fork found a shared chunk on a reset heap")
+	// One pass over every chunk the previous run may have written (all
+	// shared chunks lie inside that extent) or the snapshot freezes.
+	dirty := int((h.written + h.chunkSize - 1) / h.chunkSize)
+	for ci := 0; ci < dirty || ci < len(s.frozen); ci++ {
+		wasShared := h.shared != nil && h.shared[ci]
+		if !wasShared && ci < dirty {
+			n := h.written - int64(ci)*h.chunkSize
+			if n > h.chunkSize {
+				n = h.chunkSize
+			}
+			clear(h.chunks[ci][:n])
 		}
-		h.spare = append(h.spare, h.chunks[ci])
-		h.chunks[ci] = s.frozen[ci]
-		h.shared[ci] = true
+		switch {
+		case ci < len(s.frozen):
+			if !wasShared {
+				h.spare = append(h.spare, h.chunks[ci])
+			}
+			h.chunks[ci] = s.frozen[ci]
+			h.shared[ci] = true
+		case wasShared:
+			// Detach rather than clear: the page belongs to a snapshot
+			// other heaps may still fork from.
+			h.chunks[ci] = h.takeSpare()
+			h.shared[ci] = false
+		}
 	}
 	h.blocks = append(h.blocks[:0], s.blocks...)
 	// A pre-grown heap larger than the snapshot keeps its tail as free
@@ -160,10 +174,10 @@ func (h *Heap) privatize(ci int) {
 }
 
 // takeSpare pops a zero chunk from the spare pool or allocates one.
-// Every chunk entering the pool is all-zero (displaced from a freshly
-// Reset heap at fork time), so callers needing zero pages (Reset's
-// detach) and callers overwriting the whole chunk (privatize) both use
-// it directly.
+// Every chunk entering the pool is all-zero (Fork rezeroes a private
+// chunk's written slice before displacing it), so callers needing zero
+// pages (Fork's detach) and callers overwriting the whole chunk
+// (privatize) both use it directly.
 func (h *Heap) takeSpare() []byte {
 	if last := len(h.spare) - 1; last >= 0 {
 		c := h.spare[last]

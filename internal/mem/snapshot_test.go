@@ -158,13 +158,113 @@ func TestForkAsserts(t *testing.T) {
 		h := NewHeap(testChunk/2, testMax)
 		h.Fork(snap)
 	})
-	mustPanic("fork over live allocations", func() {
-		h := NewHeap(testChunk, testMax)
-		if _, err := h.Alloc(8); err != nil {
+	mustPanic("snapshot beyond the heap's maximum", func() {
+		h := NewHeap(testChunk, testChunk)
+		big := NewHeap(testChunk, testMax)
+		if _, err := big.Alloc(2 * testChunk); err != nil {
 			t.Fatal(err)
 		}
-		h.Fork(snap)
+		h.Fork(big.Snapshot())
 	})
+}
+
+// heapImage is everything observable about a heap: allocator state plus
+// the bytes of its whole grown extent.
+type heapImage struct {
+	blocks    []block
+	live      int
+	liveBytes int64
+	written   int64
+	data      string
+}
+
+func imageOf(h *Heap) heapImage {
+	buf := make([]byte, h.Size())
+	h.Read(0, buf)
+	return heapImage{
+		blocks: append([]block(nil), h.blocks...), live: h.live,
+		liveBytes: h.liveBytes, written: h.written, data: string(buf),
+	}
+}
+
+func TestForkOverDirtyHeapEqualsForkOfFresh(t *testing.T) {
+	// Fork is total: a heap holding live allocations, private pages it
+	// wrote, and pages shared with some other snapshot must come out
+	// exactly like a fresh heap forked from the same snapshot — and must
+	// leave that other snapshot's pages untouched.
+	parent := NewHeap(testChunk, testMax)
+	off, err := parent.Alloc(2 * testChunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPattern(parent, off, 2*testChunk, 0x31)
+	snap := parent.Snapshot()
+
+	other := NewHeap(testChunk, testMax)
+	offO, err := other.Alloc(5 * testChunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPattern(other, offO, 5*testChunk, 0x62)
+	otherSnap := other.Snapshot()
+
+	dirty := NewHeap(testChunk, testMax)
+	dirty.Fork(otherSnap)                      // five shared chunks
+	fillPattern(dirty, offO, testChunk/2, 0x7) // chunk 0 privatized
+	extra, err := dirty.Alloc(3 * testChunk)   // live allocation past the snapshot extent
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPattern(dirty, extra, 3*testChunk, 0x8) // private written chunks beyond snap's
+	dirty.Fork(snap)
+
+	// The dirty heap grew further than the snapshot; a fresh heap grown
+	// to the same extent first is the like-for-like reference.
+	fresh := NewHeap(testChunk, testMax)
+	for fresh.Size() < dirty.Size() {
+		if err := fresh.grow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh.Fork(snap)
+	got, want := imageOf(dirty), imageOf(fresh)
+	if got.live != want.live || got.liveBytes != want.liveBytes || got.written != want.written {
+		t.Fatalf("allocator counters: dirty %+v, fresh %+v", got, want)
+	}
+	if len(got.blocks) != len(want.blocks) {
+		t.Fatalf("block lists: dirty %v, fresh %v", got.blocks, want.blocks)
+	}
+	for i := range got.blocks {
+		if got.blocks[i] != want.blocks[i] {
+			t.Fatalf("block %d: dirty %+v, fresh %+v", i, got.blocks[i], want.blocks[i])
+		}
+	}
+	if got.data != want.data {
+		t.Fatal("heap bytes differ between dirty-forked and fresh-forked heaps")
+	}
+	checkPattern(t, dirty, off, 2*testChunk, 0x31)
+	// The next allocation lands where a fresh fork would put it.
+	a, errA := dirty.Alloc(testChunk)
+	b, errB := fresh.Alloc(testChunk)
+	if errA != nil || errB != nil || a != b {
+		t.Fatalf("next allocation at %d (%v) vs %d (%v)", a, errA, b, errB)
+	}
+	// Neither snapshot was disturbed.
+	again := NewHeap(testChunk, testMax)
+	again.Fork(otherSnap)
+	checkPattern(t, again, offO, 5*testChunk, 0x62)
+	again.Fork(snap)
+	checkPattern(t, again, off, 2*testChunk, 0x31)
+	// Reset is the same operation onto the empty snapshot.
+	dirty.Reset()
+	if dirty.Live() != 0 || dirty.written != 0 {
+		t.Fatalf("Reset left live=%d written=%d", dirty.Live(), dirty.written)
+	}
+	for i, b := range imageOf(dirty).data {
+		if b != 0 {
+			t.Fatalf("byte %d nonzero after Reset", i)
+		}
+	}
 }
 
 func TestForkIntoPreGrownHeap(t *testing.T) {

@@ -68,40 +68,40 @@ func (r Region) String() string {
 // (left and right adapters). All methods taking a *sim.Proc block that
 // process for the modelled duration of the operation.
 type Port struct {
-	name string         // reset: keep; snap: keep — identity
-	par  *model.Params  // reset: keep; snap: keep — construction identity
-	sim  *sim.Simulator // reset: keep; snap: keep — construction identity
-	net  *pcie.Network  // reset: keep; snap: keep — construction identity
+	name string         // snap: keep — identity
+	par  *model.Params  // snap: keep — construction identity
+	sim  *sim.Simulator // snap: keep — construction identity
+	net  *pcie.Network  // snap: keep — construction identity
 
-	peer     *Port        // reset: keep; snap: keep — cabling survives recycling
-	wire     *pcie.Server // reset: keep; snap: keep — interned flow-network server
-	localRC  *pcie.Server // reset: keep; snap: keep — interned flow-network server
-	route    *pcie.Route  // reset: keep; snap: keep — interned path to the peer, built at Connect
-	linkDown *bool        // reset: keep; snap: keep — shared cable state; snapshots require healthy links
+	peer     *Port        // snap: keep — cabling survives recycling
+	wire     *pcie.Server // snap: keep — interned flow-network server
+	localRC  *pcie.Server // snap: keep — interned flow-network server
+	route    *pcie.Route  // snap: keep — interned path to the peer, built at Connect
+	linkDown *bool        // snap: keep — shared cable state; snapshots require healthy links
 
-	engineBW float64 // reset: keep; snap: keep — this adapter's DMA engine rate (chipset-dependent)
+	engineBW float64 // snap: keep — this adapter's DMA engine rate (chipset-dependent)
 
 	spads  []uint32
 	db     uint16
 	dbMask uint16
-	isr    func(bits uint16) // reset: keep; snap: keep — registered handler survives, like a driver's ISR
+	isr    func(bits uint16) // snap: keep — registered handler survives, like a driver's ISR
 
 	inbound [numRegions][]byte
 	// winDirty brackets the bytes of each inbound window that writes may
-	// have touched since construction or the last Reset. Every mutation
+	// have touched since construction or the last Restore. Every mutation
 	// path (CPUWrite stores, the DMA engine's copy-in) records its extent;
 	// in-place protocol edits such as a pipelined receiver clearing a
 	// slot's valid byte land inside an extent some transfer already
-	// dirtied. Reset rezeroes only these brackets, so a world that never
+	// dirtied. Restore rezeroes only these brackets, so a world that never
 	// touched a window pays nothing to recycle it.
 	winDirty [numRegions]extent
 
 	// Requester-ID lookup table (the paper's "LUT entry mapping for NTB
 	// device identification"): when enforced, inbound window
 	// transactions are accepted only from registered requester IDs.
-	reqID       uint16          // reset: keep; snap: keep — assigned identity, reused at re-boot
-	lut         map[uint16]bool // reset: keep; snap: keep — boot reprograms the same entries (see Reset doc)
-	lutEnforced bool            // reset: keep; snap: keep — see Reset doc: an enforced LUT admits what boot admits
+	reqID       uint16          // snap: keep — assigned identity, reused at re-boot
+	lut         map[uint16]bool // snap: keep — boot reprograms the same entries (see Restore doc)
+	lutEnforced bool            // snap: keep — see Restore doc: an enforced LUT admits what boot admits
 
 	// Cross-shard cabling (PROTOCOL.md §14): when the peer lives on a
 	// different shard's simulator, peer state is never touched directly —
@@ -109,13 +109,13 @@ type Port struct {
 	// sender-side mirror of the peer's LUT lets admission checks stay
 	// local; it is maintained by posts from the peer's LUTAdd and, like
 	// lut itself, is reprogrammed identically by every boot.
-	remote          bool            // reset: keep; snap: keep — cabling identity
-	lag             sim.Duration    // reset: keep; snap: keep — group lookahead, cached at ConnectRemote
-	peerLUT         map[uint16]bool // reset: keep; snap: keep — same rationale as lut
-	peerLUTEnforced bool            // reset: keep; snap: keep — same rationale as lutEnforced
+	remote          bool            // snap: keep — cabling identity
+	lag             sim.Duration    // snap: keep — group lookahead, cached at ConnectRemote
+	peerLUT         map[uint16]bool // snap: keep — same rationale as lut
+	peerLUTEnforced bool            // snap: keep — same rationale as lutEnforced
 
 	dma   *Engine
-	trace TraceFunc // reset: keep; snap: keep — installed trace hook survives recycling
+	trace TraceFunc // snap: keep — installed trace hook survives recycling
 }
 
 // NewPort creates an unconnected port. localRC is the owning host's root
@@ -403,26 +403,6 @@ func (p *Port) markDirty(r Region, off, n int) {
 	if end := off + n; end > d.hi {
 		d.hi = end
 	}
-}
-
-// Reset returns the port's register surface and windows to power-on
-// state — scratchpads, doorbell status, and doorbell mask cleared, dirty
-// window extents rezeroed — without releasing any storage. The LUT is
-// retained: boot reprograms it with the same entries, and no window
-// transaction precedes boot, so an already-enforced LUT admits exactly
-// what a not-yet-enforced one would. The ISR registration and DMA engine
-// (with its parked daemon) survive as well.
-func (p *Port) Reset() {
-	clear(p.spads)
-	p.db, p.dbMask = 0, 0
-	for r := range p.inbound {
-		d := &p.winDirty[r]
-		if d.hi > d.lo {
-			clear(p.inbound[r][d.lo:d.hi])
-		}
-		*d = extent{}
-	}
-	p.dma.reset()
 }
 
 func (p *Port) mustPeer() *Port {
@@ -723,7 +703,7 @@ type Engine struct {
 	// jpool recycles job records whose lifetime is confined to one
 	// SubmitWait call, keeping the per-chunk descriptor path
 	// allocation-free.
-	jpool []*engineJob // reset: keep — warm record pool
+	jpool []*engineJob
 }
 
 type engineJob struct {
@@ -791,14 +771,9 @@ func (e *Engine) SubmitWait(pr *sim.Proc, d Desc) {
 // Pending reports descriptors submitted but not yet completed.
 func (e *Engine) Pending() int { return e.busy }
 
-// reset asserts the engine is idle — a wedged or mid-descriptor engine
-// cannot be pooled — and keeps the warm job pool for the next run.
-func (e *Engine) reset() {
-	e.assertIdle("reset")
-}
-
 // assertIdle panics unless the engine has no descriptors queued or in
-// flight; shared by reset and the port snapshot/restore paths.
+// flight — a wedged or mid-descriptor engine can be neither captured
+// nor recycled. The warm job pool survives a restore.
 func (e *Engine) assertIdle(op string) {
 	if e.busy != 0 || e.queue.Len() != 0 {
 		panic(fmt.Sprintf("ntb: %s of %s with %d descriptor(s) outstanding", op, e.port.name, e.busy))

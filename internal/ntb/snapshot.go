@@ -31,18 +31,24 @@ func (p *Port) Snapshot() *PortSnapshot {
 	return s
 }
 
-// Restore writes a snapshot's state back onto a freshly Reset port: the
-// register surface is replaced and each window's captured dirty extent
-// is copied in (the rest of the window is already zero, as it was when
-// the snapshot was taken). The LUT is intentionally not part of the
-// snapshot for the same reason Reset retains it: boot reprograms the
-// same entries, so enforced-vs-fresh is indistinguishable to window
-// transactions.
+// Restore brings the port, whatever its previous run left, to the
+// snapshot's state: the register surface is replaced, each window's old
+// dirty extent is rezeroed and the captured one copied in (the rest of
+// the window is zero, as it was when the snapshot was taken). No storage
+// is released; a window the snapshot never touched is not materialised.
+// The LUT is intentionally not part of the snapshot: boot reprograms it
+// with the same entries and no window transaction precedes boot, so an
+// already-enforced LUT admits exactly what a not-yet-enforced one
+// would. The ISR registration and the DMA engine (with its parked
+// daemon, which must be idle) survive as well.
 func (p *Port) Restore(s *PortSnapshot) {
 	p.dma.assertIdle("restore")
 	copy(p.spads, s.spads)
 	p.db, p.dbMask = s.db, s.dbMask
 	for r := range p.inbound {
+		if old := p.winDirty[r]; old.hi > old.lo {
+			clear(p.inbound[r][old.lo:old.hi])
+		}
 		d := s.dirty[r]
 		p.winDirty[r] = d
 		if d.hi > d.lo {

@@ -1,0 +1,103 @@
+package ntb
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// portImage is everything Restore is answerable for: the register
+// surface, the dirty brackets, and the full contents of every window
+// that exists (a window never materialised reads as nil).
+type portImage struct {
+	spads  []uint32
+	db     uint16
+	dbMask uint16
+	dirty  [numRegions]extent
+	win    [numRegions][]byte
+}
+
+func imageOf(p *Port) portImage {
+	img := portImage{spads: append([]uint32(nil), p.spads...), db: p.db, dbMask: p.dbMask, dirty: p.winDirty}
+	for r := range p.inbound {
+		img.win[r] = append([]byte(nil), p.inbound[r]...)
+	}
+	return img
+}
+
+// scribble drives writes from a into b's windows and registers: n bytes
+// of fill at off in the data window (and, when bypass is set, the bypass
+// window too), two scratchpads and a masked doorbell.
+func scribble(t *testing.T, s *sim.Simulator, a, b *Port, off, n int, fill byte, bypass bool) {
+	t.Helper()
+	s.Go("scribble", func(p *sim.Proc) {
+		a.CPUWrite(p, RegionData, off, bytes.Repeat([]byte{fill}, n))
+		if bypass {
+			a.CPUWrite(p, RegionBypass, off/2, bytes.Repeat([]byte{fill + 1}, n))
+		}
+		a.PeerSpadWrite(p, 1, uint32(fill)<<8|1)
+		a.PeerSpadWrite(p, 5, uint32(fill)<<8|5)
+		b.DBSetMask(p, 1<<3)
+		a.PeerDBSet(p, 1<<3)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRestoreOverDirtyPortEqualsRestoreOfFresh(t *testing.T) {
+	// Capture a port with a small residue in its data window.
+	s0, a0, b0, _ := pair(t)
+	scribble(t, s0, a0, b0, 4096, 256, 0x11, false)
+	snap := b0.Snapshot()
+
+	// A port whose previous run dirtied a larger, overlapping extent of
+	// the data window and a second window the snapshot never touched.
+	s1, a1, dirty, _ := pair(t)
+	scribble(t, s1, a1, dirty, 1024, 16384, 0xEE, true)
+	if d := dirty.winDirty[RegionData]; d.lo >= snap.dirty[RegionData].lo || d.hi <= snap.dirty[RegionData].hi {
+		t.Fatalf("test setup: dirty extent %+v does not enclose the snapshot's %+v", d, snap.dirty[RegionData])
+	}
+	dirty.Restore(snap)
+
+	_, _, fresh, _ := pair(t)
+	fresh.Restore(snap)
+
+	got, want := imageOf(dirty), imageOf(fresh)
+	if got.db != want.db || got.dbMask != want.dbMask || got.dirty != want.dirty {
+		t.Fatalf("registers: dirty-restored db=%#x mask=%#x dirty=%+v, fresh-restored db=%#x mask=%#x dirty=%+v",
+			got.db, got.dbMask, got.dirty, want.db, want.dbMask, want.dirty)
+	}
+	for i := range want.spads {
+		if got.spads[i] != want.spads[i] {
+			t.Fatalf("spad %d: %#x vs %#x", i, got.spads[i], want.spads[i])
+		}
+	}
+	if !bytes.Equal(got.win[RegionData], want.win[RegionData]) {
+		t.Fatal("data window differs: stale bytes of the previous run survived Restore")
+	}
+	// The snapshot never touched the bypass window: the fresh port has
+	// not materialised it, and the recycled one must read all-zero.
+	if want.win[RegionBypass] != nil {
+		t.Fatal("Restore materialised a window the snapshot never touched")
+	}
+	if !bytes.Equal(got.win[RegionBypass], make([]byte, len(got.win[RegionBypass]))) {
+		t.Fatal("bypass window holds stale bytes after Restore")
+	}
+	// And the source of the snapshot is equal to both.
+	if src := imageOf(b0); !bytes.Equal(src.win[RegionData], got.win[RegionData]) || src.dirty != got.dirty {
+		t.Fatal("restored port differs from the port the snapshot was taken of")
+	}
+}
+
+func TestSnapshotOfFreshPortMaterialisesNothing(t *testing.T) {
+	_, _, b, _ := pair(t)
+	snap := b.Snapshot()
+	b.Restore(snap)
+	for r := range b.inbound {
+		if b.inbound[r] != nil || snap.win[r] != nil {
+			t.Fatalf("region %v materialised by a power-on Snapshot/Restore", Region(r))
+		}
+	}
+}

@@ -130,29 +130,29 @@ func (t *Transfer) Done() bool { return t.done.Done() }
 
 // Network is the fluid-flow solver bound to one simulator.
 type Network struct {
-	sim   *sim.Simulator // reset: keep; snap: keep — construction identity
-	flows []*Transfer    // Reset asserts none in flight
-	gen   uint64         // invalidates stale completion events; bumped by Reset and Restore; snap: keep — monotone, never captured
+	sim   *sim.Simulator // snap: keep — construction identity
+	flows []*Transfer    // Snapshot and Restore assert none in flight
+	gen   uint64         // invalidates stale completion events; bumped by Restore; snap: keep — monotone, never captured
 
 	// Interned servers and the solver's per-network scratch, indexed by
 	// Server.idx. srvEpoch stamps which solve last initialised a slot, so
 	// a solve touches only the servers its flows cross and nothing is
 	// cleared between solves.
-	servers  []*Server // reset: keep; snap: keep — interned; rebuilding them is the cold-start cost pooling avoids
-	epoch    uint64    // reset: keep; snap: keep — monotone solve stamp; only equality with srvEpoch matters
-	srvEpoch []uint64  // reset: keep; snap: keep — per-slot stamps stay valid under a monotone epoch
-	residual []float64 // reset: keep; snap: keep — scratch, fully re-initialised by each solve's epoch check
-	count    []int     // reset: keep; snap: keep — scratch, fully re-initialised by each solve's epoch check
-	touched  []int32   // reset: keep; snap: keep — scratch; emptied when each solve retires
+	servers  []*Server // snap: keep — interned; rebuilding them is the cold-start cost pooling avoids
+	epoch    uint64    // snap: keep — monotone solve stamp; only equality with srvEpoch matters
+	srvEpoch []uint64  // snap: keep — per-slot stamps stay valid under a monotone epoch
+	residual []float64 // snap: keep — scratch, fully re-initialised by each solve's epoch check
+	count    []int     // snap: keep — scratch, fully re-initialised by each solve's epoch check
+	touched  []int32   // snap: keep — scratch; emptied when each solve retires
 
 	// solvePending coalesces same-instant re-solves: the first start or
 	// finish at an instant schedules one solve event at that instant and
 	// later churn piggybacks on it.
-	solvePending bool // reset: keep — Reset panics unless false
+	solvePending bool
 
 	// pool recycles Transfer records whose lifetime is confined to one
 	// blocking Transfer/TransferRoute call.
-	pool []*Transfer // reset: keep; snap: keep — warm record pool
+	pool []*Transfer // snap: keep — warm record pool
 }
 
 // NewNetwork returns an empty flow network on s.
@@ -162,22 +162,6 @@ func NewNetwork(s *sim.Simulator) *Network {
 
 // ActiveFlows reports the number of in-flight transfers.
 func (n *Network) ActiveFlows() int { return len(n.flows) }
-
-// Reset prepares the network for reuse after its simulator is rewound to
-// time zero. Interned servers, routes, and the transfer pool all survive —
-// rebuilding them is exactly the cold-start cost a pooled world avoids —
-// and a generation bump quarantines any completion event state left from
-// the previous run. The network must be quiescent: Reset panics if flows
-// are still in flight or a solve is pending.
-func (n *Network) Reset() {
-	if len(n.flows) != 0 {
-		panic(fmt.Sprintf("pcie: Reset with %d active flow(s)", len(n.flows)))
-	}
-	if n.solvePending {
-		panic("pcie: Reset with a solve pending")
-	}
-	n.gen++
-}
 
 // Start begins a transfer through an ad-hoc route over the listed
 // servers. It is the convenience form of StartRoute for callers without

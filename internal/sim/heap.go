@@ -18,9 +18,10 @@ type event struct {
 	targ   uint64
 }
 
-// eventHeap is a binary min-heap of events ordered by (t, seq). It is
-// hand-rolled rather than built on container/heap to avoid the interface
-// boxing on what is the hottest structure in the kernel.
+// eventHeap is a binary min-heap of events ordered by (t, seq): the
+// ladder queue's sorted front. It is hand-rolled rather than built on
+// container/heap to avoid the interface boxing on what is the hottest
+// structure in the kernel.
 type eventHeap struct {
 	items []event
 }
@@ -67,8 +68,8 @@ func (h *eventHeap) peek() *event {
 	return &h.items[0]
 }
 
-// reset empties the heap for pooled reuse, releasing event references
-// while keeping the backing array warm.
+// reset empties the heap for reuse, releasing event references while
+// keeping the backing array warm.
 func (h *eventHeap) reset() {
 	for i := range h.items {
 		h.items[i] = event{}

@@ -1,16 +1,11 @@
 package sim
 
-import (
-	"fmt"
-	"sync/atomic"
-)
-
-// This file implements the kernel's default event queue: a ladder queue
-// (Tang, Goh & Thng, "Ladder queue: An O(1) priority queue structure for
+// This file implements the kernel's event queue: a ladder queue (Tang,
+// Goh & Thng, "Ladder queue: An O(1) priority queue structure for
 // large-scale discrete event simulation", ACM TOMACS 2005), adapted to
-// this kernel's guarantees. The binary heap in heap.go remains as the
-// reference implementation, selectable via NewWith(SchedulerHeap) for
-// differential testing.
+// this kernel's guarantees. The binary heap in heap.go is its sorted
+// front and, on its own, the reference the tests compare it against
+// (heap_test.go).
 //
 // Structure. Pending events live in one of three tiers:
 //
@@ -42,16 +37,19 @@ import (
 // bottom heap in the same transfer, and are ordered there by seq —
 // dispatch order is therefore bit-identical to the reference heap's
 // (t, seq) order. The differential tests in ladder_test.go and
-// internal/bench assert exactly this.
+// heap_test.go assert exactly this.
 //
 // Small queues — and every queue starts small — take a fast path: while
 // the rungs and top are empty and the bottom holds fewer than
 // ladderBottomMax events, enqueues go straight into the bottom heap, so
 // a 3-PE world pays nothing for the machinery a 1024-PE world needs.
 
-// eventQueue is the scheduler's pending-event store. Implementations
-// must dispatch in exact (t, seq) order and support pooled reuse via
-// reset (retaining backing storage, releasing event references).
+// eventQueue is the scheduler's pending-event store: dispatch in exact
+// (t, seq) order, and reset for reuse (retaining backing storage,
+// releasing event references). Production simulators only ever hold a
+// ladderQueue behind it; the interface is the seam through which the
+// in-package differential tests run whole simulators on the reference
+// heap.
 type eventQueue interface {
 	Len() int
 	push(e event)
@@ -59,50 +57,6 @@ type eventQueue interface {
 	peek() *event
 	reset()
 }
-
-// SchedulerKind selects the event-queue implementation behind a
-// Simulator.
-type SchedulerKind int32
-
-const (
-	// SchedulerLadder is the default: the ladder queue above, O(1)
-	// amortised under the heavy pending-event load of many-PE worlds.
-	SchedulerLadder SchedulerKind = iota
-	// SchedulerHeap is the reference binary min-heap, kept for
-	// differential testing and as a fallback.
-	SchedulerHeap
-)
-
-func (k SchedulerKind) String() string {
-	if k == SchedulerHeap {
-		return "heap"
-	}
-	return "ladder"
-}
-
-// ParseScheduler converts a flag value ("ladder" or "heap") into a
-// SchedulerKind.
-func ParseScheduler(name string) (SchedulerKind, error) {
-	switch name {
-	case "ladder":
-		return SchedulerLadder, nil
-	case "heap":
-		return SchedulerHeap, nil
-	default:
-		return SchedulerLadder, fmt.Errorf("sim: unknown scheduler %q (want \"ladder\" or \"heap\")", name)
-	}
-}
-
-// defaultScheduler backs New()'s queue choice; harness flags flip it
-// process-wide before any worlds are built.
-var defaultScheduler atomic.Int32
-
-// SetDefaultScheduler selects the event queue New() gives subsequent
-// simulators. Existing simulators are unaffected.
-func SetDefaultScheduler(k SchedulerKind) { defaultScheduler.Store(int32(k)) }
-
-// DefaultScheduler reports the event queue New() currently selects.
-func DefaultScheduler() SchedulerKind { return SchedulerKind(defaultScheduler.Load()) }
 
 // Ladder geometry. bottomMax bounds the sorted front (and gates the
 // small-queue fast path); spawnMax is the bucket size above which a
@@ -324,7 +278,7 @@ func (q *ladderQueue) spawnRung(start Time, span Duration, events []event) {
 	}
 }
 
-// reset empties the queue for pooled reuse, releasing event references
+// reset empties the queue for reuse, releasing event references
 // while retaining every backing array (bottom items, top list, rung
 // buckets) so a recycled world's first run allocates nothing here.
 func (q *ladderQueue) reset() {

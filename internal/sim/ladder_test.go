@@ -136,27 +136,3 @@ func TestLadderResetThenRerun(t *testing.T) {
 		}
 	}
 }
-
-func TestSchedulerKindParse(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		want SchedulerKind
-		ok   bool
-	}{
-		{"ladder", SchedulerLadder, true},
-		{"heap", SchedulerHeap, true},
-		{"fibonacci", 0, false},
-		{"", 0, false},
-	} {
-		got, err := ParseScheduler(c.name)
-		if c.ok && (err != nil || got != c.want) {
-			t.Errorf("ParseScheduler(%q) = %v, %v", c.name, got, err)
-		}
-		if !c.ok && err == nil {
-			t.Errorf("ParseScheduler(%q) accepted", c.name)
-		}
-	}
-	if SchedulerLadder.String() != "ladder" || SchedulerHeap.String() != "heap" {
-		t.Error("SchedulerKind.String broken")
-	}
-}

@@ -24,7 +24,7 @@ import (
 // member may execute its sub-m+L events without hearing from the others.
 type ShardGroup struct {
 	members   []*Simulator
-	lookahead Duration // reset: keep — construction identity
+	lookahead Duration
 
 	// mail is the cross-shard mailbox matrix, indexed [src*n + dst].
 	// During a window only src's worker appends to row src; the
@@ -32,16 +32,16 @@ type ShardGroup struct {
 	// (WaitGroup + channel handshake) orders those accesses, so the
 	// boxes need no locks.
 	mail    [][]post
-	postSeq []uint64 // per-source issue counter; orders same-instant posts
-	merged  []post   // reset: keep — merge scratch, empty between runs
-	times   []Time   // reset: keep — per-member next-event scratch, rewritten every window
+	postSeq []uint64 // per-source issue counter; monotone for life — only the order within a source matters
+	merged  []post   // merge scratch, empty between runs
+	times   []Time   // per-member next-event scratch, rewritten every window
 
 	// Persistent window workers, spawned on the first parallel window.
 	// work[i] carries the window end; wg counts outstanding windows.
-	work      []chan Time    // reset: keep — workers persist across runs
-	wg        sync.WaitGroup // reset: keep — zero between windows by construction
-	workersUp bool           // reset: keep — worker lifetime spans runs
-	killed    bool           // reset: keep — Shutdown is terminal, like Simulator.killed
+	work      []chan Time    // workers persist across runs
+	wg        sync.WaitGroup // zero between windows by construction
+	workersUp bool           // worker lifetime spans runs
+	killed    bool           // Shutdown is terminal, like Simulator.killed
 }
 
 // post is one cross-shard effect awaiting merge: run fn on the
@@ -294,23 +294,6 @@ func (g *ShardGroup) EventsExecuted() uint64 {
 		n += s.EventsExecuted()
 	}
 	return n
-}
-
-// Reset rewinds every member to virtual time zero (members must be
-// individually quiescent) and rezeroes the post counters so a rerun
-// issues the identical merge sequence.
-func (g *ShardGroup) Reset() {
-	for _, s := range g.members {
-		s.Reset()
-	}
-	for i := range g.postSeq {
-		g.postSeq[i] = 0
-	}
-	for i := range g.mail {
-		if len(g.mail[i]) != 0 {
-			panic("sim: ShardGroup.Reset with undelivered cross-shard mail")
-		}
-	}
 }
 
 // Shutdown stops the window workers and shuts every member down, in

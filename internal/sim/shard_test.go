@@ -54,8 +54,8 @@ func runPingWorld(t *testing.T, n, hops int) ([][]pingTrace, *ShardGroup) {
 }
 
 // TestShardGroupDeterministic reruns the identical sharded world from
-// fresh members and from Reset, at several shard counts, and requires
-// the delivery logs to match exactly.
+// fresh members, at several shard counts, and requires the delivery
+// logs to match exactly and every member to rewind.
 func TestShardGroupDeterministic(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		ref, _ := runPingWorld(t, n, 200)
@@ -63,7 +63,9 @@ func TestShardGroupDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(ref, again) {
 			t.Fatalf("n=%d: two fresh runs diverged", n)
 		}
-		g.Reset()
+		for _, m := range g.Members() {
+			m.Reset()
+		}
 		if got := g.EventsExecuted(); got != 0 {
 			t.Fatalf("n=%d: %d events survived Reset", n, got)
 		}

@@ -17,15 +17,11 @@ import (
 type Simulator struct {
 	now    Time
 	seq    uint64
-	sched  SchedulerKind // reset: keep; snap: keep — construction identity
-	events eventQueue    // points at ladderQ or heapQ below
+	events eventQueue // always &ladderQ outside tests; heap_test.go swaps in the reference heap
 
-	// The queue backings live inside the Simulator so selecting one via
-	// the interface field costs no extra allocation. Only the one events
-	// points at is ever non-empty; Reset rewinds it through the
-	// interface.
-	ladderQ ladderQueue // reset: keep; snap: keep — reset via events; empty at quiescence
-	heapQ   eventHeap   // reset: keep; snap: keep — reset via events; empty at quiescence
+	// The queue backing lives inside the Simulator so reaching it
+	// through the interface field costs no extra allocation.
+	ladderQ ladderQueue // snap: keep — emptied via events; empty at quiescence
 
 	// ready is the same-timestamp fast path: events scheduled for the
 	// current instant never touch the heap. Because seq grows
@@ -36,16 +32,16 @@ type Simulator struct {
 	ready     []event
 	readyHead int
 
-	procs map[*Proc]struct{} // reset: keep — parked daemons survive a reset by design
+	procs map[*Proc]struct{} // parked daemons survive a restore by design
 
-	fatal   error // first panic captured from a process; Reset refuses a failed sim
-	running bool  // reset: keep — Reset panics unless false
-	killed  bool  // reset: keep — Shutdown is terminal; Reset panics if set
+	fatal   error // first panic captured from a process; Restore refuses a failed sim
+	running bool
+	killed  bool // Shutdown is terminal
 
 	// Sharded execution (see shard.go). group and shard are construction
 	// identity: a member simulator belongs to its ShardGroup for life.
-	group *ShardGroup // reset: keep; snap: keep — construction identity
-	shard int         // reset: keep; snap: keep — construction identity
+	group *ShardGroup // snap: keep — construction identity
+	shard int         // snap: keep — construction identity
 
 	// windowEnd is the exclusive time bound of the run in progress: one
 	// past RunUntil's deadline, a shard window's end as shrunk by Post,
@@ -53,48 +49,31 @@ type Simulator struct {
 	windowEnd Time // snap: keep — only live inside runWindow, which sets it first
 
 	// trace, when set, observes every dispatched event (TraceDispatch).
-	trace func(t Time, seq uint64, kind byte, proc string) // reset: keep; snap: keep — an observer, not state
+	trace func(t Time, seq uint64, kind byte, proc string) // snap: keep — an observer, not state
 
-	executed uint64 // events dispatched since New or Reset; snap: keep — Restore rezeroes it, the world snapshot records its own event count
+	executed uint64 // events dispatched since New or the last Restore; snap: keep — Restore rezeroes it, the world snapshot records its own event count
 }
 
 // errKilled aborts a blocking call issued from a defer while Shutdown is
 // unwinding the goroutine.
 var errKilled = fmt.Errorf("sim: blocking call during Shutdown teardown")
 
-// New returns an empty simulator positioned at virtual time zero, using
-// the process-default scheduler (see SetDefaultScheduler).
+// New returns an empty simulator positioned at virtual time zero.
 func New() *Simulator {
-	return NewWith(DefaultScheduler())
-}
-
-// NewWith returns an empty simulator backed by the given event-queue
-// implementation. Dispatch order is identical for every kind; the choice
-// only affects host-side speed.
-func NewWith(kind SchedulerKind) *Simulator {
 	s := &Simulator{
-		sched: kind,
 		ready: make([]event, 0, 64),
 		procs: make(map[*Proc]struct{}),
 	}
-	if kind == SchedulerHeap {
-		s.heapQ.items = make([]event, 0, 128)
-		s.events = &s.heapQ
-	} else {
-		s.ladderQ.bottom.items = make([]event, 0, 128)
-		s.events = &s.ladderQ
-	}
+	s.ladderQ.bottom.items = make([]event, 0, 128)
+	s.events = &s.ladderQ
 	return s
 }
-
-// Scheduler reports which event-queue implementation backs s.
-func (s *Simulator) Scheduler() SchedulerKind { return s.sched }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
 // EventsExecuted returns the number of events dispatched since New or the
-// last Reset. It is the kernel-level cost of a run — a stable, virtual
+// last Restore. It is the kernel-level cost of a run — a stable, virtual
 // measure benchmark harnesses can use to order work largest-first without
 // consulting the wall clock.
 func (s *Simulator) EventsExecuted() uint64 { return s.executed }
@@ -397,28 +376,14 @@ func (s *Simulator) deadlockError() error {
 func (s *Simulator) LiveProcs() int { return len(s.procs) }
 
 // Reset rewinds a finished simulator to virtual time zero so its world
-// can run again without rebuilding the object graph. Parked daemon
-// processes stay parked — they resume service when the next run's events
-// wake them — which is exactly what a pooled world wants: device engines
-// and dispatchers remain installed. Everything else must have drained;
-// Reset panics if the simulator is running, was Shut down, captured a
-// panic, or still holds non-daemon processes or pending events. The event
-// heap's and ready queue's backing arrays are retained, so a reset
-// allocates nothing.
-func (s *Simulator) Reset() {
-	s.assertQuiescent("Reset")
-	s.now = 0
-	s.seq = 0
-	s.executed = 0
-	s.windowEnd = 0
-	s.events.reset()
-	s.ready = s.ready[:0]
-	s.readyHead = 0
-}
+// can run again without rebuilding the object graph: Restore of the
+// zero Snapshot, which is what a just-built kernel is positioned at.
+func (s *Simulator) Reset() { s.Restore(Snapshot{}) }
 
 // assertQuiescent panics unless the simulator is between runs with every
-// non-daemon process exited and no events pending — the precondition
-// shared by Reset, Snapshot, and Restore.
+// non-daemon process exited and no events pending (and, for a shard
+// group member, no cross-shard mail it posted still undelivered) — the
+// precondition shared by Snapshot and Restore.
 func (s *Simulator) assertQuiescent(op string) {
 	if s.running {
 		panic("sim: " + op + " during Run")
@@ -434,6 +399,14 @@ func (s *Simulator) assertQuiescent(op string) {
 	}
 	if s.events.Len() > 0 || s.readyHead < len(s.ready) {
 		panic("sim: " + op + " with pending events")
+	}
+	if g := s.group; g != nil {
+		n := len(g.members)
+		for _, box := range g.mail[s.shard*n : (s.shard+1)*n] {
+			if len(box) != 0 {
+				panic("sim: " + op + " with undelivered cross-shard mail")
+			}
+		}
 	}
 }
 
@@ -468,7 +441,6 @@ func (s *Simulator) Shutdown() {
 	}
 	s.procs = make(map[*Proc]struct{})
 	s.ladderQ = ladderQueue{}
-	s.heapQ = eventHeap{}
-	s.events = &s.heapQ
+	s.events = &s.ladderQ
 	s.ready, s.readyHead = nil, 0
 }

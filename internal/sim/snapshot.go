@@ -16,19 +16,23 @@ type Snapshot struct {
 // Now returns the virtual time at which the snapshot was captured.
 func (sn Snapshot) Now() Time { return sn.now }
 
-// Snapshot captures the kernel clock of a quiescent simulator. The same
-// preconditions as Reset apply: not running, not shut down, no captured
-// panic, no live non-daemon processes, no pending events.
+// Snapshot captures the kernel clock of a quiescent simulator: not
+// running, not shut down, no captured panic, no live non-daemon
+// processes, no pending events.
 func (s *Simulator) Snapshot() Snapshot {
 	s.assertQuiescent("Snapshot")
 	return Snapshot{now: s.now, seq: s.seq}
 }
 
-// Restore positions a quiescent simulator at the snapshot's clock so the
-// next run continues the captured world's future. The event queue is
-// rewound empty (the ladder queue accepts pushes at any absolute time
-// after reset, so no event cloning is needed) and the per-run executed
-// counter restarts, mirroring Reset. Restoring seq as well keeps
+// Restore positions a quiescent simulator — whatever it ran before — at
+// the snapshot's clock so the next run continues the captured world's
+// future; the zero Snapshot is time zero, a just-built kernel. Parked
+// daemon processes stay parked: they resume service when the next run's
+// events wake them, so device engines and dispatchers remain installed.
+// Everything else must have drained (see assertQuiescent). The event
+// queue is rewound empty, keeping its backing arrays (it accepts pushes
+// at any absolute time afterwards, so no event cloning is needed), and
+// the per-run executed counter restarts. Restoring seq as well keeps
 // same-timestamp tie-breaking — and therefore the dispatch trace —
 // bit-identical to the world the snapshot was taken from continuing in
 // place.

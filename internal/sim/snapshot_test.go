@@ -16,8 +16,8 @@ func phaseLoad(s *Simulator, procs, hops int, step Duration) {
 }
 
 func TestSnapshotRestoreContinuesBitIdentically(t *testing.T) {
-	for _, kind := range []SchedulerKind{SchedulerLadder, SchedulerHeap} {
-		orig := NewWith(kind)
+	for kind, newSim := range map[string]func() *Simulator{"ladder": New, "heap": newHeapSim} {
+		orig := newSim()
 		phaseLoad(orig, 4, 16, 100)
 		if err := orig.Run(); err != nil {
 			t.Fatal(err)
@@ -30,7 +30,7 @@ func TestSnapshotRestoreContinuesBitIdentically(t *testing.T) {
 		// The forked kernel restored from the snapshot and the original
 		// continuing in place must execute the same future identically.
 		prefixEvents := orig.EventsExecuted()
-		fork := NewWith(kind)
+		fork := newSim()
 		fork.Restore(snap)
 		phaseLoad(orig, 3, 9, 77)
 		phaseLoad(fork, 3, 9, 77)

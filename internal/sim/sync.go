@@ -64,7 +64,7 @@ func (c *Cond) Waiters() int { return len(c.waiters) }
 // The zero value is an incomplete latch, usable once given a name via
 // NewCompletion (the name only affects diagnostics).
 type Completion struct {
-	name string // reset: keep — diagnostic identity
+	name string // diagnostic identity
 	done bool
 	cond Cond
 }
