@@ -52,7 +52,8 @@ bench:
 #     panic or regress to compile errors without paying for timing runs;
 #  2. the gated benchmarks at a pinned -benchtime (so one-time world
 #     construction amortises identically run to run), checked against
-#     the committed allocs/op ceilings in bench_baseline.json;
+#     the committed allocs/op and B/op ceilings and events/s floors in
+#     bench_baseline.json;
 #  3. a fast reproduce run that writes BENCH.json: per-figure wall
 #     clock, worlds/s, pool hit rate, the interleaved snapshot-fork A/B
 #     (-fork-ab), and the step-2 allocs/op numbers.
@@ -66,6 +67,8 @@ bench-smoke:
 		./internal/bench | tee -a bench_gate.out
 	$(GO) test -run xxx -bench 'BenchmarkSwitchWorld$$' -benchmem -benchtime 100x \
 		./internal/bench | tee -a bench_gate.out
+	$(GO) test -run xxx -bench 'BenchmarkWorldBuild256$$' -benchmem -benchtime 5x \
+		./internal/core | tee -a bench_gate.out
 	$(GO) test -run xxx -bench 'BenchmarkWorldFork$$' -benchmem -benchtime 200x \
 		./internal/bench | tee -a bench_gate.out
 	$(GO) run ./cmd/benchgate -baseline bench_baseline.json -input bench_gate.out

@@ -10,16 +10,19 @@
 //
 // The baseline file maps benchmark names (without the -N GOMAXPROCS
 // suffix) to either a bare allocs/op ceiling, or an object carrying any
-// of an allocs/op ceiling and an events/s floor (the custom metric
-// benchmarks emit with b.ReportMetric):
+// of an allocs/op ceiling, a B/op ceiling and an events/s or forks/s
+// floor (the custom metrics benchmarks emit with b.ReportMetric):
 //
 //	{
 //	  "BenchmarkWorldPut1M": 2,
-//	  "BenchmarkSimEventThroughput": {"max_allocs_per_op": 19, "min_events_per_s": 15000000}
+//	  "BenchmarkSimEventThroughput": {"max_allocs_per_op": 19, "min_events_per_s": 15000000},
+//	  "BenchmarkWorldBuild256": {"max_bytes_per_op": 33554432}
 //	}
 //
 // allocs/op ceilings are exact and machine-independent, so they never
-// flake; events/s floors are wall-clock and are set at half the rate
+// flake; B/op ceilings are nearly so and are set with headroom, to
+// catch an order-of-magnitude return of eager megabyte buffers rather
+// than a stray kilobyte; events/s floors are wall-clock and are set at half the rate
 // measured on the reference container: a loaded CI runner passes, a
 // kernel that lost its 2x does not.
 package main
@@ -31,6 +34,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/benchparse"
 )
@@ -85,43 +89,17 @@ func main() {
 			failed = true
 			continue
 		}
-		if g.MaxAllocsPerOp != nil {
-			switch {
-			case res.AllocsPerOp < 0:
-				fmt.Printf("FAIL %-28s has no allocs/op (run with -benchmem)\n", name)
-				failed = true
-			case res.AllocsPerOp > *g.MaxAllocsPerOp:
-				fmt.Printf("FAIL %-28s %d allocs/op, limit %d\n", name, res.AllocsPerOp, *g.MaxAllocsPerOp)
-				failed = true
-			default:
-				fmt.Printf("ok   %-28s %d allocs/op (limit %d)\n", name, res.AllocsPerOp, *g.MaxAllocsPerOp)
-			}
+		if g.MaxAllocsPerOp != nil && !ceiling(name, "allocs/op", res.AllocsPerOp, *g.MaxAllocsPerOp) {
+			failed = true
 		}
-		if g.MinEventsPerS != nil {
-			got, has := res.Extra["events/s"]
-			switch {
-			case !has:
-				fmt.Printf("FAIL %-28s reports no events/s metric (floor %.0f)\n", name, *g.MinEventsPerS)
-				failed = true
-			case got < *g.MinEventsPerS:
-				fmt.Printf("FAIL %-28s %.0f events/s, floor %.0f\n", name, got, *g.MinEventsPerS)
-				failed = true
-			default:
-				fmt.Printf("ok   %-28s %.0f events/s (floor %.0f)\n", name, got, *g.MinEventsPerS)
-			}
+		if g.MaxBytesPerOp != nil && !ceiling(name, "B/op", res.BytesPerOp, *g.MaxBytesPerOp) {
+			failed = true
 		}
-		if g.MinForksPerS != nil {
-			got, has := res.Extra["forks/s"]
-			switch {
-			case !has:
-				fmt.Printf("FAIL %-28s reports no forks/s metric (floor %.0f)\n", name, *g.MinForksPerS)
-				failed = true
-			case got < *g.MinForksPerS:
-				fmt.Printf("FAIL %-28s %.0f forks/s, floor %.0f\n", name, got, *g.MinForksPerS)
-				failed = true
-			default:
-				fmt.Printf("ok   %-28s %.0f forks/s (floor %.0f)\n", name, got, *g.MinForksPerS)
-			}
+		if g.MinEventsPerS != nil && !floor(name, "events/s", res.Extra, *g.MinEventsPerS) {
+			failed = true
+		}
+		if g.MinForksPerS != nil && !floor(name, "forks/s", res.Extra, *g.MinForksPerS) {
+			failed = true
 		}
 	}
 	if failed {
@@ -130,35 +108,65 @@ func main() {
 	}
 }
 
-// gate is one benchmark's bounds: an allocs/op ceiling and/or floors on
-// the custom throughput metrics benchmarks emit with b.ReportMetric.
+// ceiling checks one of the -benchmem counters (negative when the run
+// lacked -benchmem) against its limit and prints the verdict.
+func ceiling(name, unit string, got, limit int64) bool {
+	switch {
+	case got < 0:
+		fmt.Printf("FAIL %-28s has no %s (run with -benchmem)\n", name, unit)
+	case got > limit:
+		fmt.Printf("FAIL %-28s %d %s, limit %d\n", name, got, unit, limit)
+	default:
+		fmt.Printf("ok   %-28s %d %s (limit %d)\n", name, got, unit, limit)
+		return true
+	}
+	return false
+}
+
+// floor checks a custom b.ReportMetric rate against its floor and prints
+// the verdict.
+func floor(name, unit string, extra map[string]float64, min float64) bool {
+	got, has := extra[unit]
+	switch {
+	case !has:
+		fmt.Printf("FAIL %-28s reports no %s metric (floor %.0f)\n", name, unit, min)
+	case got < min:
+		fmt.Printf("FAIL %-28s %.0f %s, floor %.0f\n", name, got, unit, min)
+	default:
+		fmt.Printf("ok   %-28s %.0f %s (floor %.0f)\n", name, got, unit, min)
+		return true
+	}
+	return false
+}
+
+// gate is one benchmark's bounds: ceilings on the -benchmem counters
+// and/or floors on the custom throughput metrics benchmarks emit with
+// b.ReportMetric.
 type gate struct {
 	MaxAllocsPerOp *int64   `json:"max_allocs_per_op"`
+	MaxBytesPerOp  *int64   `json:"max_bytes_per_op"`
 	MinEventsPerS  *float64 `json:"min_events_per_s"`
 	MinForksPerS   *float64 `json:"min_forks_per_s"`
 }
 
 func (g gate) String() string {
-	parts := ""
+	var parts []string
 	if g.MaxAllocsPerOp != nil {
-		parts = fmt.Sprintf("limit %d allocs/op", *g.MaxAllocsPerOp)
+		parts = append(parts, fmt.Sprintf("limit %d allocs/op", *g.MaxAllocsPerOp))
+	}
+	if g.MaxBytesPerOp != nil {
+		parts = append(parts, fmt.Sprintf("limit %d B/op", *g.MaxBytesPerOp))
 	}
 	if g.MinEventsPerS != nil {
-		if parts != "" {
-			parts += ", "
-		}
-		parts += fmt.Sprintf("floor %.0f events/s", *g.MinEventsPerS)
+		parts = append(parts, fmt.Sprintf("floor %.0f events/s", *g.MinEventsPerS))
 	}
 	if g.MinForksPerS != nil {
-		if parts != "" {
-			parts += ", "
-		}
-		parts += fmt.Sprintf("floor %.0f forks/s", *g.MinForksPerS)
+		parts = append(parts, fmt.Sprintf("floor %.0f forks/s", *g.MinForksPerS))
 	}
-	if parts == "" {
+	if len(parts) == 0 {
 		return "no bounds"
 	}
-	return parts
+	return strings.Join(parts, ", ")
 }
 
 // parseBaseline accepts both baseline forms per entry: a bare number is
@@ -180,7 +188,7 @@ func parseBaseline(raw []byte) (map[string]gate, error) {
 		if err := json.Unmarshal(msg, &g); err != nil {
 			return nil, fmt.Errorf("entry %q: want an allocs/op number or a bounds object: %w", name, err)
 		}
-		if g.MaxAllocsPerOp == nil && g.MinEventsPerS == nil && g.MinForksPerS == nil {
+		if g == (gate{}) {
 			return nil, fmt.Errorf("entry %q gates nothing", name)
 		}
 		out[name] = g

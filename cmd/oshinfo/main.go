@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/pcie"
 )
@@ -52,6 +53,8 @@ func main() {
 		par.ServiceWake, par.AppWake, par.DMASetup)
 	fmt.Printf("Protocol         window %dKB, put chunk %dKB, get chunk %dKB, bypass %dKB\n",
 		par.WindowSize>>10, par.PutChunk>>10, par.GetChunk>>10, par.BypassChunk>>10)
+	fmt.Printf("Symmetric heap   %dMB chunks up to %dMB per PE, backed in %dKB pages on first write\n",
+		par.SymHeapChunk>>20, par.SymHeapMax>>20, mem.PageSize>>10)
 	fmt.Printf("Registers        %d scratchpads, %d doorbell bits per link\n\n",
 		par.SpadCount, par.DoorbellBits)
 

@@ -35,9 +35,9 @@ const crossFabricReps = 5
 func MeasureCrossFabricPut(par *model.Params, n, size, reps int) float64 {
 	var mbps float64
 	label := fmt.Sprintf("crossfabric %s/n=%d/size=%d", Fabric(), n, size)
+	buf := make([]byte, size) // read-only source shared by every PE
 	runRingWorld(label, par, n, core.Options{}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
-		buf := make([]byte, size)
 		pe.BarrierAll(p)
 		start := p.Now()
 		for r := 0; r < reps; r++ {

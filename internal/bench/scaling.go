@@ -49,11 +49,12 @@ func ScaleWorkloadTime(par *model.Params, n, putBytes int) sim.Time {
 }
 
 // scaleBody is the scaling workload's per-PE program; PE 0 records its
-// final virtual time in *end.
+// final virtual time in *end. Every PE puts from the one read-only
+// source buffer, allocated once per call rather than once per PE.
 func scaleBody(putBytes int, end *sim.Time) func(p *sim.Proc, pe *core.PE) {
+	buf := make([]byte, putBytes)
 	return func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, putBytes)
-		buf := make([]byte, putBytes)
 		pe.BarrierAll(p)
 		for r := 0; r < scaleRounds; r++ {
 			pe.PutBytes(p, (pe.ID()+1)%pe.NumPEs(), sym, buf)

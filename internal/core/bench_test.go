@@ -25,6 +25,21 @@ func BenchmarkWorldSpawnTeardown(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "worlds/s")
 }
 
+// BenchmarkWorldBuild256 is BenchmarkWorldSpawnTeardown at the scaling
+// target: build a 256-PE ring world, run shmem_init, shut it down. Its
+// B/op is what one cold 256-PE world costs the allocator, and the
+// benchgate ceiling on it fails CI if construction or init goes back to
+// backing what it reserves (eager 4 MiB heap chunks put it at 1.3 GiB).
+func BenchmarkWorldBuild256(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w := newWorld(256, Options{})
+		if err := w.Run(func(p *sim.Proc, pe *PE) {}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWorldPut1M measures b.N barrier-fenced 1 MiB puts — ~32
 // protocol chunks each at the default PutChunk — inside one standing
 // 3-host world. It is the transfer-path macro benchmark: with world

@@ -241,9 +241,9 @@ func TestReduceLeavesHeapClean(t *testing.T) {
 		dst := pe.MustMalloc(p, 64)
 		LocalPut(p, pe, src, []float64{1, 2, 3, 4, 5, 6, 7, 8})
 		pe.BarrierAll(p)
-		before, _, _ := pe.HeapStats()
+		before := pe.HeapStats().Live
 		Reduce[float64](p, pe, OpSum, dst, src, 8)
-		after, _, _ := pe.HeapStats()
+		after := pe.HeapStats().Live
 		if before != after {
 			t.Errorf("pe %d leaked %d allocations in Reduce", pe.ID(), after-before)
 		}
@@ -290,9 +290,9 @@ func TestBroadcastPipelinedHeapClean(t *testing.T) {
 	err := w.Run(func(p *sim.Proc, pe *PE) {
 		sym := pe.MustMalloc(p, 4096)
 		pe.BarrierAll(p)
-		before, _, _ := pe.HeapStats()
+		before := pe.HeapStats().Live
 		pe.BroadcastBytesPipelined(p, 0, sym, 4096)
-		after, _, _ := pe.HeapStats()
+		after := pe.HeapStats().Live
 		if before != after {
 			t.Errorf("pe %d leaked %d allocations", pe.ID(), after-before)
 		}

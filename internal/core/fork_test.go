@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/ntb"
 	"repro/internal/sim"
 )
 
@@ -221,9 +222,10 @@ func TestPERestoreOverDirtyPEEqualsRestoreOfFresh(t *testing.T) {
 
 func TestGenesisCaptureMaterialisesNothing(t *testing.T) {
 	// The genesis image is captured once per world, at construction: it
-	// must not touch a lazy NTB window (1 MiB each, two per port) or a
-	// symmetric heap chunk (4 MiB per PE), or a 256-PE world would pay
-	// gigabytes for an image of power-on zeroes.
+	// must not touch an NTB window or a symmetric heap page, or a 256-PE
+	// world would pay for an image of power-on zeroes. Neither may
+	// shmem_init: the image every sweep forks from right after it freezes
+	// no heap page and copies no window byte.
 	w := newWorld(256, Options{})
 	defer w.Cluster.ShutdownSim()
 	recapture := func() {
@@ -236,15 +238,39 @@ func TestGenesisCaptureMaterialisesNothing(t *testing.T) {
 	recapture()
 	w.Reset() // restoring it materialises nothing either
 	runtime.ReadMemStats(&after)
-	if delta := after.TotalAlloc - before.TotalAlloc; delta > uint64(w.par.WindowSize) {
-		t.Errorf("capturing and restoring the genesis image of a fresh 256-PE world allocated %d bytes, more than one NTB window (%d)",
-			delta, w.par.WindowSize)
+	// Register files, block lists and per-PE bookkeeping: about 1 KiB a PE.
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > 256*2048 {
+		t.Errorf("capturing and restoring the genesis image of a fresh 256-PE world allocated %d bytes, more than 2 KiB per PE",
+			delta)
 	}
-	for _, pe := range w.PEs() {
-		if pe.heap.Chunks() != 0 {
-			t.Fatalf("pe %d: genesis capture left %d symmetric heap chunk(s) materialised", pe.ID(), pe.heap.Chunks())
+	materialised := func(when string) {
+		t.Helper()
+		for _, pe := range w.PEs() {
+			if hs := pe.HeapStats(); hs.ResidentPages != 0 {
+				t.Fatalf("pe %d: %s left %d symmetric heap page(s) materialised", pe.ID(), when, hs.ResidentPages)
+			}
+		}
+		for _, h := range w.Cluster.Hosts {
+			for _, port := range []*ntb.Port{h.Left, h.Right} {
+				for _, r := range []ntb.Region{ntb.RegionData, ntb.RegionBypass} {
+					if n := port.WindowResident(r); n != 0 {
+						t.Fatalf("host %d: %s left %d byte(s) of the %v window of %s materialised", h.ID, when, n, r, port.Name())
+					}
+				}
+			}
 		}
 	}
+	materialised("genesis capture")
+	for _, pe := range w.PEs() {
+		if pe.heap.Chunks() != 0 {
+			t.Fatalf("pe %d: genesis capture grew the symmetric heap to %d chunk(s)", pe.ID(), pe.heap.Chunks())
+		}
+	}
+	if err := w.RunKeep(func(p *sim.Proc, pe *PE) {}); err != nil {
+		t.Fatal(err)
+	}
+	w.Snapshot()
+	materialised("shmem_init")
 }
 
 func TestForkManyChildrenDiverge(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -42,16 +43,15 @@ func (pe *PE) MustMalloc(p *sim.Proc, size int) SymAddr {
 	return a
 }
 
-// Calloc allocates and zeroes (the heap's fresh chunks are already
-// zeroed, but reused regions are not).
+// Calloc allocates and zeroes (never-written heap pages already read as
+// zeros, but reused regions do not).
 func (pe *PE) Calloc(p *sim.Proc, size int) (SymAddr, error) {
 	a, err := pe.Malloc(p, size)
 	if err != nil {
 		return 0, err
 	}
-	zero := make([]byte, size)
 	p.Sleep(sim.BytesAt(size, pe.par.MemcpyBW))
-	pe.heap.Write(int64(a), zero)
+	pe.heap.Zero(int64(a), size)
 	return a, nil
 }
 
@@ -84,10 +84,24 @@ func (pe *PE) Free(p *sim.Proc, addr SymAddr) error {
 	return pe.heap.Free(int64(addr))
 }
 
-// HeapStats reports (live allocations, live bytes, physical chunks) for
-// inspection and tests.
-func (pe *PE) HeapStats() (live int, liveBytes int64, chunks int) {
-	return pe.heap.Live(), pe.heap.LiveBytes(), pe.heap.Chunks()
+// HeapStats describes a PE's symmetric heap for inspection and tests:
+// what is allocated, how far the virtual space has grown, and how much
+// of it holds storage on the host.
+type HeapStats struct {
+	Live          int   // live allocations
+	LiveBytes     int64 // bytes in live allocations
+	Chunks        int   // SymHeapChunk-sized growth steps taken
+	ResidentPages int   // pages backed by storage (written at least once)
+	ResidentBytes int64 // ResidentPages * mem.PageSize
+}
+
+// HeapStats reports the symmetric heap's current shape.
+func (pe *PE) HeapStats() HeapStats {
+	pages := pe.heap.ResidentPages()
+	return HeapStats{
+		Live: pe.heap.Live(), LiveBytes: pe.heap.LiveBytes(), Chunks: pe.heap.Chunks(),
+		ResidentPages: pages, ResidentBytes: int64(pages) * mem.PageSize,
+	}
 }
 
 // checkHeapRange panics unless [addr, addr+n) lies inside one live

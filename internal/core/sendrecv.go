@@ -81,8 +81,7 @@ func (pe *PE) initMatchTable(p *sim.Proc) {
 	if err != nil {
 		panic(fmt.Sprintf("core: pe %d cannot allocate match table: %v", pe.id, err))
 	}
-	zero := make([]byte, RecvSlots*slotBytes)
-	pe.heap.Write(addr, zero)
+	pe.heap.Zero(addr, RecvSlots*slotBytes)
 	pe.matchTable = SymAddr(addr)
 	pe.matchTableReady = true
 }

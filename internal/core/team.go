@@ -73,8 +73,7 @@ func (pe *PE) newTeam(p *sim.Proc, set ActiveSet) *Team {
 		pWrkN: set.Size * teamWrkBytes,
 	}
 	t.pWrk = pe.MustMalloc(p, t.pWrkN)
-	zero := make([]byte, BarrierSyncWords*8)
-	pe.heap.Write(int64(t.pSync), zero)
+	pe.heap.Zero(int64(t.pSync), BarrierSyncWords*8)
 	// Team creation is collective over the world; the barrier keeps a
 	// fast member from signalling into a work area a slower PE has not
 	// allocated yet.

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/driver"
 	"repro/internal/fabric"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -587,12 +589,22 @@ func TestHeapStatsAndMode(t *testing.T) {
 		if pe.Mode() != driver.ModeCPU {
 			t.Errorf("mode = %v", pe.Mode())
 		}
-		before, beforeBytes, _ := pe.HeapStats()
-		pe.MustMalloc(p, 5000)
-		after, afterBytes, chunks := pe.HeapStats()
-		if after != before+1 || afterBytes < beforeBytes+5000 || chunks < 1 {
-			t.Errorf("heap stats: %d->%d allocs, %d->%d bytes, %d chunks",
-				before, after, beforeBytes, afterBytes, chunks)
+		before := pe.HeapStats()
+		if before.ResidentPages != 0 {
+			t.Errorf("shmem_init left %d heap page(s) resident", before.ResidentPages)
+		}
+		a := pe.MustMalloc(p, 5000)
+		after := pe.HeapStats()
+		if after.Live != before.Live+1 || after.LiveBytes < before.LiveBytes+5000 || after.Chunks < 1 {
+			t.Errorf("heap stats: %+v -> %+v", before, after)
+		}
+		// Allocating reserves; only writing makes a page resident.
+		if after.ResidentPages != 0 {
+			t.Errorf("Malloc made %d page(s) resident", after.ResidentPages)
+		}
+		pe.LocalWrite(p, a, make([]byte, 5000))
+		if got := pe.HeapStats(); got.ResidentPages < 1 || got.ResidentBytes != int64(got.ResidentPages)*mem.PageSize {
+			t.Errorf("after a 5000-byte write: %+v", got)
 		}
 		pe.BarrierAll(p)
 	})
@@ -651,4 +663,35 @@ func TestWorldRunsAreDeterministic(t *testing.T) {
 	if s1 != s2 {
 		t.Fatalf("stats diverge: %+v vs %+v", s1, s2)
 	}
+}
+
+func TestWorld256FootprintTracksBytesTouched(t *testing.T) {
+	// A 256-PE world that moved 3 x 4 KiB per PE must hold memory in
+	// proportion to that, not to what it reserved: 256 symmetric heap
+	// chunks (4 MiB each) and 1024 NTB windows (1 MiB each) come to
+	// 2 GiB when backed eagerly.
+	heapAlloc := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heapAlloc()
+	w := newWorld(256, Options{Mode: driver.ModeCPU})
+	defer w.Cluster.ShutdownSim()
+	if err := w.RunKeep(scaleBody(3, 4096)); err != nil {
+		t.Fatal(err)
+	}
+	held := int64(heapAlloc()) - int64(before)
+	if held > 128<<20 {
+		t.Errorf("a 256-PE world holds %d MiB of Go heap after one scaling workload, want under 128", held>>20)
+	}
+	var resident int64
+	for _, pe := range w.PEs() {
+		resident += pe.HeapStats().ResidentBytes
+	}
+	if want := int64(256 * mem.PageSize); resident != want {
+		t.Errorf("symmetric heaps hold %d resident bytes, want one page per PE (%d)", resident, want)
+	}
+	runtime.KeepAlive(w)
 }

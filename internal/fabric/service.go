@@ -130,19 +130,11 @@ func (s *ntbService) serve(p *sim.Proc) {
 			continue
 		}
 		info := driver.ReadInfo(p, sp.port)
-		s.arrive(p, info, inboundPayload(sp.port, info), sp.ack)
+		// The payload alias is exactly the bytes the message carried, so a
+		// control message (barrier token, get request) materialises nothing
+		// and a small chunk does not materialise a whole window.
+		s.arrive(p, info, sp.port.InboundPrefix(info.Region, int(info.Size)), sp.ack)
 	}
-}
-
-// inboundPayload aliases the bytes a stop-and-wait message left in port's
-// window. A control message (barrier token, get request) left none, and
-// must not make the port materialise a whole window to read nothing — on
-// a link that only ever carries tokens that is WindowSize of host memory.
-func inboundPayload(port *ntb.Port, info driver.Info) []byte {
-	if info.Size == 0 {
-		return nil
-	}
-	return port.Inbound(info.Region)[:info.Size]
 }
 
 // arrive routes one message the service thread took off a port: chunks

@@ -33,35 +33,60 @@ type block struct {
 	free bool
 }
 
+// The chunk is the heap's virtual growth unit; storage is demand-paged
+// underneath it. The virtual space is backed by a table of pageSize pages
+// indexed by offset>>pageShift, independent of chunk boundaries (a chunk
+// need not be a multiple of the page size). A page that was never written
+// has no storage and reads as zeros, so the host memory a heap holds
+// tracks the bytes its PE touched, not the bytes it reserved — as the
+// paper's mmap'd chunks do under the OS. 16, 64 and 256 KiB pages
+// measured the same on every benchmark workload (EXPERIMENTS.md), so the
+// size is a constant, not a parameter.
+const (
+	pageShift = 16
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+
+	// PageSize is the granularity of the heap's backing storage in bytes.
+	PageSize = pageSize
+)
+
+type page [pageSize]byte
+
+// pageRef is one page-table entry. A nil data pointer is a page nobody
+// has written: it reads as zeros. shared marks data as aliasing a
+// HeapSnapshot's frozen page, which is immutable: writers privatize it
+// first and Fork swaps the pointer out instead of clearing (snapshot.go).
+type pageRef struct {
+	data   *page
+	shared bool
+}
+
 // Heap is a symmetric heap: offsets handed out by Alloc are virtual
-// addresses within a contiguous space whose backing storage is a list of
-// scattered chunkSize slabs, grown on demand up to maxSize.
+// addresses within a contiguous space that grows on demand, one
+// chunkSize step at a time, up to maxSize.
 //
 // Heap is not safe for concurrent use; in this repository all access is
 // serialised by the simulation kernel.
 type Heap struct {
 	chunkSize int64 // construction geometry
 	maxSize   int64 // snap: keep — construction geometry
-	chunks    [][]byte
-	blocks    []block // sorted by offset, covering [0, len(chunks)*chunkSize)
+	nchunks   int   // virtual extent, in chunks
+	pages     []pageRef
+	blocks    []block // sorted by offset, covering [0, nchunks*chunkSize)
 	live      int     // number of live allocations
 	liveBytes int64
 
 	// written is the high-water mark of bytes that may have been modified
-	// since construction or the last Fork/Reset. Every mutating access
-	// path (Write, and the writable aliases handed out by Segments)
-	// raises it, so Fork can drop the previous run by clearing only
-	// [0, written) instead of the whole grown extent.
+	// since construction or the last Fork/Reset. Write raises it, and
+	// every materialised page is zero at and beyond it, so Fork re-zeroes
+	// a page it displaces only below the mark and privatize copies only
+	// that much.
 	written int64
 
-	// shared flags chunks that alias a HeapSnapshot's frozen pages (one
-	// flag per chunk; nil until the heap first meets a snapshot). Shared
-	// chunks are immutable: writers privatize them first (see
-	// snapshot.go), and Fork detaches them instead of clearing.
-	shared []bool
-	// spare pools all-zero chunks displaced by Fork, recycled by
-	// privatize and Fork's detach path. snap: keep — scratch pool.
-	spare [][]byte
+	// spare pools all-zero pages displaced by Fork, handed back out when a
+	// write materialises or privatizes a page. snap: keep — scratch pool.
+	spare []*page
 }
 
 // NewHeap returns an empty heap that grows in chunkSize steps up to
@@ -74,7 +99,7 @@ func NewHeap(chunkSize, maxSize int) *Heap {
 }
 
 // Size returns the current virtual extent of the heap in bytes.
-func (h *Heap) Size() int64 { return int64(len(h.chunks)) * h.chunkSize }
+func (h *Heap) Size() int64 { return int64(h.nchunks) * h.chunkSize }
 
 // Live returns the number of live allocations.
 func (h *Heap) Live() int { return h.live }
@@ -82,21 +107,40 @@ func (h *Heap) Live() int { return h.live }
 // LiveBytes returns the total bytes currently allocated.
 func (h *Heap) LiveBytes() int64 { return h.liveBytes }
 
-// Chunks returns how many physical chunks back the heap — the paper's
+// Chunks returns how many chunks the heap has grown by — the paper's
 // "scattered but virtually continuative" regions.
-func (h *Heap) Chunks() int { return len(h.chunks) }
+func (h *Heap) Chunks() int { return h.nchunks }
 
-// grow appends one physical chunk and extends (or creates) the trailing
-// free block. It fails if the heap is at its maximum.
+// ResidentPages returns how many pages hold storage (private or shared
+// with a snapshot); ResidentPages()*PageSize bytes is what the heap costs
+// the host.
+func (h *Heap) ResidentPages() int {
+	n := 0
+	for i := range h.pages {
+		if h.pages[i].data != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// setChunks sets the virtual extent and sizes the page table to cover
+// it. New entries are nil: growing allocates no bytes.
+func (h *Heap) setChunks(n int) {
+	h.nchunks = n
+	if np := int((h.Size() + pageMask) >> pageShift); np > len(h.pages) {
+		h.pages = append(h.pages, make([]pageRef, np-len(h.pages))...)
+	}
+}
+
+// grow extends the virtual space by one chunk and extends (or creates)
+// the trailing free block. It fails if the heap is at its maximum.
 func (h *Heap) grow() error {
 	if h.Size()+h.chunkSize > h.maxSize {
 		return ErrOutOfMemory
 	}
 	start := h.Size()
-	h.chunks = append(h.chunks, make([]byte, h.chunkSize))
-	if h.shared != nil {
-		h.shared = append(h.shared, false)
-	}
+	h.setChunks(h.nchunks + 1)
 	if n := len(h.blocks); n > 0 && h.blocks[n-1].free {
 		h.blocks[n-1].size += h.chunkSize
 		return nil
@@ -275,66 +319,79 @@ func (h *Heap) Free(off int64) error {
 }
 
 // checkRange panics when [off, off+n) lies outside the grown heap; callers
-// of Read/Write/Segments must stay within allocations they own, and an
+// of Read/Write/Zero must stay within allocations they own, and an
 // out-of-range access is a library bug, not user input.
+//
+//ntblint:allocfree
 func (h *Heap) checkRange(off int64, n int) {
 	if off < 0 || n < 0 || off+int64(n) > h.Size() {
 		panic(fmt.Sprintf("mem: access [%d, %d) outside heap of size %d", off, off+int64(n), h.Size()))
 	}
 }
 
-// Segments invokes fn over the physical byte runs backing the virtual
-// range [off, off+n), in address order. It is the zero-copy access path:
-// the slices alias heap storage, so the range is conservatively recorded
-// as written (use Read for a non-marking copy).
-func (h *Heap) Segments(off int64, n int, fn func(seg []byte)) {
-	h.ensurePrivate(off, n)
-	h.markWritten(off, n)
-	h.segments(off, n, fn)
-}
-
-func (h *Heap) markWritten(off int64, n int) {
-	if end := off + int64(n); end > h.written {
-		h.written = end
-	}
-}
-
-func (h *Heap) segments(off int64, n int, fn func(seg []byte)) {
-	h.checkRange(off, n)
-	for n > 0 {
-		ci := off / h.chunkSize
-		co := off % h.chunkSize
-		run := h.chunkSize - co
-		if int64(n) < run {
-			run = int64(n)
-		}
-		fn(h.chunks[ci][co : co+run])
-		off += run
-		n -= int(run)
-	}
-}
-
-// Write copies data into the heap at virtual offset off.
+// Write copies data into the heap at virtual offset off, giving storage
+// to the pages it overlaps that have none and privatizing the ones a
+// snapshot shares.
+//
+//ntblint:allocfree
 func (h *Heap) Write(off int64, data []byte) {
-	h.ensurePrivate(off, len(data))
-	h.markWritten(off, len(data))
-	h.segments(off, len(data), func(seg []byte) {
-		copy(seg, data[:len(seg)])
-		data = data[len(seg):]
-	})
+	h.checkRange(off, len(data))
+	for len(data) > 0 {
+		pi, po := int(off>>pageShift), int(off&pageMask)
+		pg := h.pages[pi]
+		if pg.data == nil || pg.shared {
+			pg.data = h.privatize(pi)
+		}
+		n := copy(pg.data[po:], data)
+		data = data[n:]
+		off += int64(n)
+	}
+	// Raised last: privatize copies a shared page only below the mark it
+	// was frozen under.
+	if off > h.written {
+		h.written = off
+	}
 }
 
 // Read copies len(buf) bytes from virtual offset off into buf.
+//
+//ntblint:allocfree
 func (h *Heap) Read(off int64, buf []byte) {
-	h.segments(off, len(buf), func(seg []byte) {
-		copy(buf[:len(seg)], seg)
-		buf = buf[len(seg):]
-	})
+	h.checkRange(off, len(buf))
+	for len(buf) > 0 {
+		pi, po := int(off>>pageShift), int(off&pageMask)
+		n := min(len(buf), pageSize-po)
+		if pg := h.pages[pi].data; pg != nil {
+			copy(buf[:n], pg[po:])
+		} else {
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		off += int64(n)
+	}
+}
+
+// Zero clears [off, off+n). A page without storage already reads as zeros
+// and stays that way; a shared one is privatized, then cleared.
+func (h *Heap) Zero(off int64, n int) {
+	h.checkRange(off, n)
+	for n > 0 {
+		pi, po := int(off>>pageShift), int(off&pageMask)
+		run := min(n, pageSize-po)
+		if pg := h.pages[pi]; pg.data != nil {
+			if pg.shared {
+				pg.data = h.privatize(pi)
+			}
+			clear(pg.data[po : po+run])
+		}
+		n -= run
+		off += int64(run)
+	}
 }
 
 // Reset drops every allocation and rezeroes the written extent, returning
 // the heap to a state indistinguishable from freshly constructed while
-// keeping the physical chunks: Fork onto the empty snapshot. Because
+// keeping its pages in the spare pool: Fork onto the empty snapshot. Because
 // grow costs nothing in virtual time and first-fit over a single leading
 // free block assigns the same offsets a demand-grown fresh heap would,
 // an allocation sequence replayed after Reset yields byte-identical

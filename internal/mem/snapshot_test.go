@@ -50,12 +50,12 @@ func TestSnapshotForkSharesPagesAndPrivatizesOnWrite(t *testing.T) {
 		t.Fatalf("fork allocator state live=%d/%d bytes=%d/%d", childA.Live(), parent.Live(), childA.LiveBytes(), parent.LiveBytes())
 	}
 
-	// Child A diverges: its write privatizes only the touched chunk and
+	// Child A diverges: its write privatizes only the touched page and
 	// must not be visible to the parent or child B.
 	before := CowCopies()
 	fillPattern(childA, off, testChunk/2, 0x77)
 	if got := CowCopies() - before; got != 1 {
-		t.Fatalf("half-chunk write privatized %d chunks, want 1", got)
+		t.Fatalf("half-chunk write privatized %d pages, want 1", got)
 	}
 	checkPattern(t, childA, off, testChunk/2, 0x77)
 	checkPattern(t, parent, off, 3*testChunk, 0x11)
@@ -105,8 +105,8 @@ func TestForkResetForkRecyclesSpares(t *testing.T) {
 			}
 		}
 	}
-	// The spare pool cycles chunks; the child never grows past the
-	// snapshot extent plus its own original chunks.
+	// The spare pool cycles pages; the child never grows past the
+	// snapshot's extent.
 	if child.Chunks() != 2 {
 		t.Fatalf("child holds %d chunks after 3 fork cycles, want 2", child.Chunks())
 	}
@@ -209,13 +209,13 @@ func TestForkOverDirtyHeapEqualsForkOfFresh(t *testing.T) {
 	otherSnap := other.Snapshot()
 
 	dirty := NewHeap(testChunk, testMax)
-	dirty.Fork(otherSnap)                      // five shared chunks
-	fillPattern(dirty, offO, testChunk/2, 0x7) // chunk 0 privatized
+	dirty.Fork(otherSnap)                      // shared pages
+	fillPattern(dirty, offO, testChunk/2, 0x7) // page 0 privatized
 	extra, err := dirty.Alloc(3 * testChunk)   // live allocation past the snapshot extent
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillPattern(dirty, extra, 3*testChunk, 0x8) // private written chunks beyond snap's
+	fillPattern(dirty, extra, 3*testChunk, 0x8) // private written bytes beyond snap's
 	dirty.Fork(snap)
 
 	// The dirty heap grew further than the snapshot; a fresh heap grown

@@ -130,7 +130,9 @@ type Params struct {
 	GetChunk int
 	// SymHeapChunk is the unit of on-demand symmetric-heap growth (the
 	// paper concatenates fixed-size anonymous mmap regions into one
-	// virtually contiguous heap).
+	// virtually contiguous heap). It sizes the virtual space only: like
+	// an mmap'd region, a chunk takes host memory page by page as it is
+	// written (internal/mem).
 	SymHeapChunk int
 	// SymHeapMax is the largest total symmetric heap a PE may grow to.
 	SymHeapMax int

@@ -18,6 +18,7 @@ package ntb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mem"
 	"repro/internal/model"
@@ -86,6 +87,9 @@ type Port struct {
 	dbMask uint16
 	isr    func(bits uint16) // snap: keep — registered handler survives, like a driver's ISR
 
+	// inbound holds each window's backing store, materialised only up to
+	// the highest byte a write, a DMA descriptor, a restore or a reader
+	// has reached (see window); beyond that a window reads as zeros.
 	inbound [numRegions][]byte
 	// winDirty brackets the bytes of each inbound window that writes may
 	// have touched since construction or the last Restore. Every mutation
@@ -130,10 +134,10 @@ func NewPort(name string, s *sim.Simulator, net *pcie.Network, par *model.Params
 		engineBW: par.DMAEngineBW,
 		spads:    make([]uint32, par.SpadCount),
 	}
-	// Inbound windows are allocated on first touch (see window): a fresh
-	// slice is zeroed either way, and most worlds never address most
-	// regions, so eager allocation would spend the bulk of world
-	// construction zeroing megabytes nobody reads.
+	// Inbound windows are materialised on demand (see window): most worlds
+	// never address most regions, and the ones they do address mostly carry
+	// chunks far smaller than WindowSize, so eager allocation would spend
+	// the bulk of world construction zeroing megabytes nobody reads.
 	p.dma = newEngine(p)
 	return p
 }
@@ -367,18 +371,46 @@ func (p *Port) SetEngineBW(bw float64) {
 // EngineBW returns the adapter's DMA engine rate.
 func (p *Port) EngineBW() float64 { return p.engineBW }
 
-// Inbound returns the backing store of an inbound window. The slice
+// Inbound returns the whole backing store of an inbound window, for
+// receivers that address all of it (the pipelined slot ring). The slice
 // aliases device memory; the service thread copies out of it.
-func (p *Port) Inbound(r Region) []byte { return p.window(r) }
+func (p *Port) Inbound(r Region) []byte { return p.window(r, p.par.WindowSize) }
 
-// window returns region r's backing store, materialising it on first
-// touch. Lazily allocated windows read as zeros exactly like eagerly
-// allocated ones, so virtual-time behaviour is unchanged.
-func (p *Port) window(r Region) []byte {
-	if p.inbound[r] == nil {
-		p.inbound[r] = make([]byte, p.par.WindowSize)
+// InboundPrefix returns the first n bytes of an inbound window — where a
+// stop-and-wait chunk lands — without materialising the rest.
+func (p *Port) InboundPrefix(r Region, n int) []byte { return p.window(r, n)[:n] }
+
+// WindowResident reports how many bytes of an inbound window hold
+// storage on the host.
+func (p *Port) WindowResident(r Region) int { return len(p.inbound[r]) }
+
+// minWindow is the smallest materialised window; Params.Validate keeps
+// WindowSize at or above it.
+const minWindow = 4096
+
+// window returns region r's backing store, materialised at least up to
+// end. Storage grows in power-of-two steps capped at WindowSize, by
+// moving to a larger slice: unmaterialised bytes read as zeros exactly
+// like an eagerly allocated window's, so virtual-time behaviour is
+// unchanged. An alias handed out before a growth step keeps the bytes it
+// was taken for — the store it points into is never written again — and
+// every receiver re-fetches the window per message, so none goes on
+// reading an outgrown one.
+func (p *Port) window(r Region, end int) []byte {
+	w := p.inbound[r]
+	if end > len(w) {
+		grown := make([]byte, min(p.par.WindowSize, max(minWindow, 1<<bits.Len(uint(end-1)))))
+		copy(grown, w)
+		p.inbound[r], w = grown, grown
 	}
-	return p.inbound[r]
+	return w
+}
+
+// landing marks [off, off+n) of region r dirty and returns it, for a
+// transfer's bytes to land in.
+func (p *Port) landing(r Region, off, n int) []byte {
+	p.markDirty(r, off, n)
+	return p.window(r, off+n)[off : off+n]
 }
 
 // extent is a half-open dirty range [lo, hi) within a window; lo == hi
@@ -627,8 +659,7 @@ func (p *Port) CPUWrite(pr *sim.Proc, r Region, off int, data []byte) {
 	if *p.linkDown {
 		return // posted stores to a dead link vanish
 	}
-	peer.markDirty(r, off, len(data))
-	copy(peer.window(r)[off:], data)
+	copy(peer.landing(r, off, len(data)), data)
 }
 
 // postWindowCopy lands a completed transfer's bytes in the remote peer's
@@ -647,8 +678,7 @@ func (p *Port) postWindowCopy(peer *Port, r Region, off, n int, src []byte, heap
 		copy(buf, src[:n])
 	}
 	p.sim.Post(peer.sim, p.lag, func() {
-		peer.markDirty(r, off, n)
-		copy(peer.window(r)[off:], buf)
+		copy(peer.landing(r, off, n), buf)
 	})
 }
 
@@ -676,7 +706,7 @@ func (p *Port) CPURead(pr *sim.Proc, r Region, off int, buf []byte) {
 	start := pr.Now()
 	p.net.TransferRoute(pr, int64(len(buf)), p.par.WindowReadBW, p.route)
 	p.emit("pio", "window-read", pr.Now().Sub(start), len(buf))
-	copy(buf, peer.window(r)[off:off+len(buf)])
+	copy(buf, peer.window(r, off+len(buf))[off:])
 }
 
 // ---- DMA engine ----
@@ -803,8 +833,7 @@ func (e *Engine) run(pr *sim.Proc) {
 		} else {
 			peer.admit(e.port)
 			e.port.net.TransferRoute(pr, int64(d.Bytes), e.port.engineBW, e.port.route)
-			peer.markDirty(d.Region, d.Off, d.Bytes)
-			dst := peer.window(d.Region)[d.Off : d.Off+d.Bytes]
+			dst := peer.landing(d.Region, d.Off, d.Bytes)
 			if d.SrcHeap != nil {
 				d.SrcHeap.Read(d.SrcOff, dst)
 			} else {

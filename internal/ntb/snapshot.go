@@ -3,10 +3,11 @@ package ntb
 // PortSnapshot is a frozen image of a port's guest-visible device state:
 // the scratchpad file, doorbell status and mask registers, and the dirty
 // extent of each inbound memory window. Window bytes are copied at
-// capture time — after a quiescent prefix the dirty residue is small
-// protocol state (pipelined slot headers, boot spad mirrors), not bulk
-// payload, and Inbound() hands out long-lived aliases that rule out the
-// heap's page-granular copy-on-write here. The DMA engine must be idle
+// capture time rather than shared copy-on-write like the heap's pages:
+// after a quiescent prefix the dirty residue is small protocol state
+// (pipelined slot headers, the last chunk a stop-and-wait link carried),
+// not bulk payload, and a window is demand-sized to the largest transfer
+// it has seen, so there is little to share. The DMA engine must be idle
 // at capture, so its queue needs no image.
 type PortSnapshot struct {
 	spads  []uint32
@@ -35,7 +36,8 @@ func (p *Port) Snapshot() *PortSnapshot {
 // snapshot's state: the register surface is replaced, each window's old
 // dirty extent is rezeroed and the captured one copied in (the rest of
 // the window is zero, as it was when the snapshot was taken). No storage
-// is released; a window the snapshot never touched is not materialised.
+// is released; a window is materialised only as far as the captured
+// extent reaches, so one the snapshot never touched is not at all.
 // The LUT is intentionally not part of the snapshot: boot reprograms it
 // with the same entries and no window transaction precedes boot, so an
 // already-enforced LUT admits exactly what a not-yet-enforced one
@@ -52,7 +54,7 @@ func (p *Port) Restore(s *PortSnapshot) {
 		d := s.dirty[r]
 		p.winDirty[r] = d
 		if d.hi > d.lo {
-			copy(p.window(Region(r))[d.lo:d.hi], s.win[r])
+			copy(p.window(Region(r), d.hi)[d.lo:], s.win[r])
 		}
 	}
 }

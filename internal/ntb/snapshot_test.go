@@ -8,20 +8,24 @@ import (
 )
 
 // portImage is everything Restore is answerable for: the register
-// surface, the dirty brackets, and the full contents of every window
-// that exists (a window never materialised reads as nil).
+// surface, the dirty brackets, and the full logical contents of every
+// window (bytes past the materialised prefix read as zeros), plus how
+// far each window is materialised.
 type portImage struct {
-	spads  []uint32
-	db     uint16
-	dbMask uint16
-	dirty  [numRegions]extent
-	win    [numRegions][]byte
+	spads        []uint32
+	db           uint16
+	dbMask       uint16
+	dirty        [numRegions]extent
+	win          [numRegions][]byte
+	materialised [numRegions]int
 }
 
 func imageOf(p *Port) portImage {
 	img := portImage{spads: append([]uint32(nil), p.spads...), db: p.db, dbMask: p.dbMask, dirty: p.winDirty}
 	for r := range p.inbound {
-		img.win[r] = append([]byte(nil), p.inbound[r]...)
+		img.win[r] = make([]byte, p.par.WindowSize)
+		copy(img.win[r], p.inbound[r])
+		img.materialised[r] = len(p.inbound[r])
 	}
 	return img
 }
@@ -79,10 +83,10 @@ func TestRestoreOverDirtyPortEqualsRestoreOfFresh(t *testing.T) {
 	}
 	// The snapshot never touched the bypass window: the fresh port has
 	// not materialised it, and the recycled one must read all-zero.
-	if want.win[RegionBypass] != nil {
+	if want.materialised[RegionBypass] != 0 {
 		t.Fatal("Restore materialised a window the snapshot never touched")
 	}
-	if !bytes.Equal(got.win[RegionBypass], make([]byte, len(got.win[RegionBypass]))) {
+	if !bytes.Equal(got.win[RegionBypass], want.win[RegionBypass]) {
 		t.Fatal("bypass window holds stale bytes after Restore")
 	}
 	// And the source of the snapshot is equal to both.
