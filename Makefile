@@ -36,10 +36,10 @@ vet:
 
 # Project-specific static analysis (see LINT.md): determinism, Snapshot/
 # Restore completeness, annotated zero-alloc hot paths, park/timer
-# discipline, cross-shard ownership (shardsafe), the fabric.Link
-# lifecycle contract (fabriccontract), and waiver-drift detection.
-# Packages are analyzed on a worker pool; -time reports per-analyzer
-# wall-clock so suite growth stays visible.
+# discipline, the fabric.Link lifecycle contract (fabriccontract), and
+# waiver-drift detection. Packages are analyzed on a worker pool; -time
+# reports per-analyzer wall-clock, which is milliseconds: the seconds
+# `make lint` takes are the compile of ntblint and the type-check load.
 lint:
 	$(GO) run ./cmd/ntblint -time ./...
 
@@ -63,7 +63,7 @@ bench-smoke:
 		./internal/core ./internal/pcie | tee bench_gate.out
 	$(GO) test -run xxx -bench 'BenchmarkSimEventThroughput$$|BenchmarkLadderQueueChurn$$' -benchmem -benchtime 2000x \
 		./internal/sim | tee -a bench_gate.out
-	$(GO) test -run xxx -bench 'BenchmarkScaleWorld256$$|BenchmarkShardedWorld256$$' -benchmem -benchtime 10x \
+	$(GO) test -run xxx -bench 'BenchmarkScaleWorld256$$' -benchmem -benchtime 10x \
 		./internal/bench | tee -a bench_gate.out
 	$(GO) test -run xxx -bench 'BenchmarkSwitchWorld$$' -benchmem -benchtime 100x \
 		./internal/bench | tee -a bench_gate.out

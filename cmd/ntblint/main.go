@@ -15,8 +15,6 @@
 //	                 constructs
 //	parkcheck      — park labels are precomputed; AfterTick tickers are
 //	                 pre-allocated
-//	shardsafe      — remote-guarded code reaches peer state only through
-//	                 sim.Post closures (PROTOCOL.md §14)
 //	fabriccontract — fabric.Link implementers ship the full lifecycle
 //	                 contract (PROTOCOL.md §13)
 //	waiverdrift    — every waiver directive still attaches to a

@@ -25,7 +25,6 @@ import (
 	"repro/internal/benchparse"
 	"repro/internal/fabric"
 	"repro/internal/model"
-	"repro/internal/sim"
 )
 
 // figureMetric is the host-side cost of producing one figure group.
@@ -49,25 +48,6 @@ type scalePoint struct {
 	NsPerEvent    float64 `json:"ns_per_event"`
 }
 
-// shardingResult records the conservative-DES sharding measurement: the
-// 256-PE scaling workload at one shard and at Shards shards
-// (PROTOCOL.md §14). The workload is inside the sharding's exactness
-// domain, so VirtualEndNs is required to be identical between the two
-// modes; only the wall-clock throughputs differ. On a multi-core host
-// the sharded mode's events/s should exceed the single-shard mode's;
-// with GOMAXPROCS=1 the modes tie (minus coordination overhead) and the
-// speedup column documents that the run had no cores to spend.
-type shardingResult struct {
-	PEs              int     `json:"pes"`
-	Shards           int     `json:"shards"`
-	GoMaxProcs       int     `json:"gomaxprocs"`
-	WorldsPerMode    int     `json:"worlds_per_mode"`
-	VirtualEndNs     int64   `json:"virtual_end_ns"`
-	EventsPerSecOne  float64 `json:"events_per_s_1shard"`
-	EventsPerSecMany float64 `json:"events_per_s_sharded"`
-	Speedup          float64 `json:"speedup"`
-}
-
 // forkABResult is the interleaved fork on/off A/B over the prefix-heavy
 // probe workload: the snapshot-fork analogue of PR 3's pool A/B.
 type forkABResult struct {
@@ -88,8 +68,6 @@ type benchReport struct {
 	WorldPool   bool           `json:"world_pool"`
 	WorldFork   bool           `json:"world_fork"`
 	Figures     []figureMetric `json:"figures"`
-	// Sharding is the conservative-DES shard A/B (-shard-ab).
-	Sharding *shardingResult `json:"sharding,omitempty"`
 	// Scaling is the ring-size sweep (-scaling): engine throughput vs PE
 	// count.
 	Scaling []scalePoint `json:"scaling,omitempty"`
@@ -130,7 +108,6 @@ func main() {
 	scaling := flag.Bool("scaling", true, "run the ring-size scaling sweep (events/s and worlds/s vs PE count)")
 	scalePEs := flag.String("scale-pes", "3,16,64,256,1024", "comma-separated ring sizes for the scaling sweep")
 	scaleReps := flag.Int("scale-reps", 2, "measured worlds per scaling point (an unmeasured warm-up world per point precedes them)")
-	shardAB := flag.Int("shard-ab", 4, "measure the 256-PE scaling workload at 1 vs N shards and record it in the bench report (0 skips)")
 	common := bench.RegisterFlags(flag.CommandLine, bench.FlagSpec{
 		Cmd:         "reproduce",
 		Fabric:      "ntb-ring,pcie-switch,cxl",
@@ -141,10 +118,6 @@ func main() {
 	common.Apply()
 	bench.SetWorldPool(*worldPool)
 	bench.SetWorldFork(*fork)
-	if *shardAB == 1 || *shardAB < 0 {
-		fmt.Fprintf(os.Stderr, "reproduce: -shard-ab=%d: need at least 2 shards for an A/B (or 0 to skip)\n", *shardAB)
-		os.Exit(2)
-	}
 	pes, err := bench.ParseHostCounts("scale-pes", *scalePEs, fabric.KindNTBRing)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reproduce:", err)
@@ -274,11 +247,6 @@ func main() {
 
 	if *scaling {
 		report.Scaling = runScaling(mp, pes, *scaleReps)
-	}
-
-	if *shardAB > 0 {
-		report.Sharding = runSharding(mp, *shardAB, *scaleReps)
-		bench.SetShards(common.Shards) // the A/B toggles the knob; restore the run's setting
 	}
 
 	if *forkAB > 0 {
@@ -425,46 +393,4 @@ func runScaling(mp *model.Params, pes []int, reps int) []scalePoint {
 	}
 	fmt.Println()
 	return points
-}
-
-// runSharding measures the conservative-DES shard A/B: the 256-PE
-// scaling workload at one shard and at shards shards, reps measured
-// worlds each (plus one unmeasured warm-up per mode). The virtual end
-// time is the determinism witness — the workload is inside the
-// sharding's exactness domain (PROTOCOL.md §14), so a divergence is a
-// correctness failure, reported loudly rather than archived quietly.
-func runSharding(mp *model.Params, shards, reps int) *shardingResult {
-	const n, putBytes = 256, 4096
-	res := &shardingResult{
-		PEs: n, Shards: shards,
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		WorldsPerMode: reps,
-	}
-	measure := func(s int) (float64, sim.Time) {
-		bench.SetShards(s)
-		bench.ScaleWorkload(mp, n, putBytes) // unmeasured warm-up for this shard count
-		e0 := bench.VirtualEvents()
-		t0 := time.Now()
-		var end sim.Time
-		for r := 0; r < reps; r++ {
-			end = bench.ScaleWorkloadTime(mp, n, putBytes)
-		}
-		wall := time.Since(t0).Seconds()
-		return float64(bench.VirtualEvents()-e0) / wall, end
-	}
-	one, endOne := measure(1)
-	many, endMany := measure(shards)
-	res.EventsPerSecOne, res.EventsPerSecMany = one, many
-	res.VirtualEndNs = int64(endOne)
-	res.Speedup = many / one
-	fmt.Printf("[shard] %d-PE scaling workload, %d world(s) per mode, gomaxprocs=%d\n", n, reps, res.GoMaxProcs)
-	fmt.Printf("[shard] 1 shard: %.0f events/s; %d shards: %.0f events/s — speedup %.2fx\n",
-		one, shards, many, res.Speedup)
-	if endOne != endMany {
-		fmt.Printf("[shard] DETERMINISM FAILURE: virtual end %v at 1 shard, %v at %d shards\n",
-			endOne, endMany, shards)
-	} else {
-		fmt.Printf("[shard] virtual end identical across modes: %v\n\n", endOne)
-	}
-	return res
 }

@@ -7,13 +7,10 @@
 // Usage:
 //
 //	scaleperf [-pes 3,16,64,256,1024] [-reps N] [-put-bytes N]
-//	          [-fabric ntb-ring|pcie-switch|cxl] [-shards N]
+//	          [-fabric ntb-ring|pcie-switch|cxl]
 //
-// -shards N splits each world of at least 16 hosts across N
-// conservative-DES shards (PROTOCOL.md §14). The printed "virtual end"
-// column is each world's final virtual time: the workload is inside the
-// sharding's exactness domain, so the column is identical at every
-// -shards setting — only the wall-clock columns may change.
+// The printed "virtual end" column is each world's final virtual time,
+// identical on every run and machine; only the wall-clock columns change.
 package main
 
 import (
@@ -58,8 +55,8 @@ func main() {
 	}
 
 	par := model.Default()
-	fmt.Printf("%s scaling sweep: reps=%d put-bytes=%d shards=%d gomaxprocs=%d\n\n",
-		kind, *reps, *putBytes, common.Shards, runtime.GOMAXPROCS(0))
+	fmt.Printf("%s scaling sweep: reps=%d put-bytes=%d gomaxprocs=%d\n\n",
+		kind, *reps, *putBytes, runtime.GOMAXPROCS(0))
 	fmt.Printf("%6s %8s %16s %15s %9s %14s %10s %10s\n",
 		"pes", "worlds", "virtual events", "virtual end", "wall s", "events/s", "worlds/s", "ns/event")
 	for _, n := range pes {

@@ -49,8 +49,8 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	// Engine is the cross-package fact layer built over the whole load
-	// (call graph, declaration index, implementer lookup, memo space).
-	// It is shared by every pass in one Run and safe for concurrent use.
+	// (declaration index, named-type and interface lookup). It is shared
+	// by every pass in one Run and read-only, so safe for concurrent use.
 	Engine *Engine
 
 	directives directiveIndex

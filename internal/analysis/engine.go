@@ -3,45 +3,21 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"sync"
 )
 
 // Engine is the cross-package fact layer shared by every analyzer in one
-// Run: a lightweight static call graph over all loaded packages, a
-// declaration index that resolves a types.Func to its syntax anywhere in
-// the package set, interface-implementer lookup, and a memo space where
-// analyzers cache whole-program results so per-package passes stay cheap
-// and deterministic. It is built once per Run (single-package fixture
-// loads included) and is read-only afterwards, so parallel per-package
-// passes may share it freely; Memo serialises the one mutable surface.
+// Run: a declaration index that resolves a method to its syntax anywhere
+// in the package set, the named types and interfaces declared across it,
+// and each package's waiver-directive index. It is built once per Run
+// (single-package fixture loads included) and is read-only afterwards,
+// so parallel per-package passes share it freely.
 type Engine struct {
-	pkgs []*Package
-
-	decl    map[*types.Func]*ast.FuncDecl
-	declPkg map[*types.Func]*Package
-
-	// callees holds the static call graph: for each declared function,
-	// the declared functions and methods it calls directly, in source
-	// order. Interface-method callees are recorded as the interface's
-	// *types.Func; Reachable expands them to every implementation found
-	// in the package set.
-	callees map[*types.Func][]*types.Func
-	callers map[*types.Func][]CallSite
+	decl  map[*types.Func]*ast.FuncDecl
+	named []*types.Named // every declared named type, by package path then name
 
 	// dirs holds each package's waiver-directive index, shared with the
 	// per-package passes so directives are scanned once per load.
 	dirs map[string]directiveIndex
-
-	mu   sync.Mutex
-	memo map[string]any
-}
-
-// CallSite is one static call of a declared function: the calling
-// declaration and the call expression inside it.
-type CallSite struct {
-	Caller *types.Func
-	Call   *ast.CallExpr
-	Pkg    *Package
 }
 
 // NewEngine builds the fact layer over the given packages. Packages are
@@ -49,13 +25,8 @@ type CallSite struct {
 // declarations in source order, so every derived list is deterministic.
 func NewEngine(pkgs []*Package) *Engine {
 	e := &Engine{
-		pkgs:    pkgs,
-		decl:    map[*types.Func]*ast.FuncDecl{},
-		declPkg: map[*types.Func]*Package{},
-		callees: map[*types.Func][]*types.Func{},
-		callers: map[*types.Func][]CallSite{},
-		dirs:    map[string]directiveIndex{},
-		memo:    map[string]any{},
+		decl: map[*types.Func]*ast.FuncDecl{},
+		dirs: map[string]directiveIndex{},
 	}
 	for _, pkg := range pkgs {
 		e.dirs[pkg.Path] = indexDirectives(pkg.Fset, pkg.Files)
@@ -65,95 +36,21 @@ func NewEngine(pkgs []*Package) *Engine {
 				if !ok {
 					continue
 				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
+				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					e.decl[fn] = fd
 				}
-				e.decl[fn] = fd
-				e.declPkg[fn] = pkg
 			}
 		}
-	}
-	// Second pass: edges. Done after the declaration index is complete
-	// so intra-load cross-package edges resolve in either direction.
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, decl := range file.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() { // already sorted
+			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if named, ok := tn.Type().(*types.Named); ok {
+					e.named = append(e.named, named)
 				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				e.collectEdges(pkg, fn, fd.Body)
 			}
 		}
 	}
 	return e
-}
-
-// collectEdges records one declaration's outgoing static calls,
-// including calls made inside its function literals (a closure's calls
-// belong to the declaration that created it).
-func (e *Engine) collectEdges(pkg *Package, caller *types.Func, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var callee *types.Func
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			callee, _ = pkg.Info.Uses[fun].(*types.Func)
-		case *ast.SelectorExpr:
-			callee, _ = pkg.Info.Uses[fun.Sel].(*types.Func)
-		}
-		if callee == nil {
-			return true
-		}
-		e.callees[caller] = append(e.callees[caller], callee)
-		e.callers[callee] = append(e.callers[callee], CallSite{Caller: caller, Call: call, Pkg: pkg})
-		return true
-	})
-}
-
-// Packages returns the engine's package set in index order.
-func (e *Engine) Packages() []*Package { return e.pkgs }
-
-// Decl resolves a function or method to its declaration and declaring
-// package anywhere in the loaded set; (nil, nil) for functions outside
-// it (standard library, interface methods).
-func (e *Engine) Decl(fn *types.Func) (*ast.FuncDecl, *Package) {
-	return e.decl[fn], e.declPkg[fn]
-}
-
-// Callees returns the functions fn statically calls, in source order.
-func (e *Engine) Callees(fn *types.Func) []*types.Func { return e.callees[fn] }
-
-// Callers returns every static call site of fn across the package set,
-// in package/file/source order.
-func (e *Engine) Callers(fn *types.Func) []CallSite { return e.callers[fn] }
-
-// NamedTypes returns every named type declared in the package set,
-// sorted by package path then type name.
-func (e *Engine) NamedTypes() []*types.Named {
-	return e.Memo("engine.named", func() any {
-		var out []*types.Named
-		for _, pkg := range e.pkgs {
-			scope := pkg.Types.Scope()
-			names := scope.Names() // already sorted
-			for _, name := range names {
-				if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
-					if named, ok := tn.Type().(*types.Named); ok {
-						out = append(out, named)
-					}
-				}
-			}
-		}
-		return out
-	}).([]*types.Named)
 }
 
 // Interfaces returns the named interface types with the given name, in
@@ -162,7 +59,7 @@ func (e *Engine) NamedTypes() []*types.Named {
 // tree, the fixture package under test).
 func (e *Engine) Interfaces(name string) []*types.Named {
 	var out []*types.Named
-	for _, named := range e.NamedTypes() {
+	for _, named := range e.named {
 		if named.Obj().Name() != name {
 			continue
 		}
@@ -174,10 +71,10 @@ func (e *Engine) Interfaces(name string) []*types.Named {
 }
 
 // Implementers returns every named type in the package set whose
-// pointer method set satisfies iface, in NamedTypes order.
+// pointer method set satisfies iface, by package path then type name.
 func (e *Engine) Implementers(iface *types.Interface) []*types.Named {
 	var out []*types.Named
-	for _, named := range e.NamedTypes() {
+	for _, named := range e.named {
 		if _, ok := named.Underlying().(*types.Interface); ok {
 			continue
 		}
@@ -194,72 +91,10 @@ func (e *Engine) Implementers(iface *types.Interface) []*types.Named {
 func (e *Engine) MethodDecl(named *types.Named, name string) *ast.FuncDecl {
 	for i := 0; i < named.NumMethods(); i++ {
 		if m := named.Method(i); m.Name() == name {
-			d, _ := e.Decl(m)
-			return d
+			return e.decl[m]
 		}
 	}
 	return nil
-}
-
-// Reachable returns the set of declared functions reachable from roots
-// over the static call graph. Calls through interface methods fan out
-// to every implementation of that method found in the package set — the
-// conservative choice for invariant checking.
-func (e *Engine) Reachable(roots []*types.Func) map[*types.Func]bool {
-	seen := map[*types.Func]bool{}
-	queue := append([]*types.Func(nil), roots...)
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		if fn == nil || seen[fn] {
-			continue
-		}
-		seen[fn] = true
-		for _, callee := range e.callees[fn] {
-			targets := []*types.Func{callee}
-			if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-				if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
-					targets = append(targets, e.implementations(iface, callee.Name())...)
-				}
-			}
-			for _, t := range targets {
-				if !seen[t] {
-					queue = append(queue, t)
-				}
-			}
-		}
-	}
-	return seen
-}
-
-// implementations returns the concrete methods implementing an
-// interface method, across the package set.
-func (e *Engine) implementations(iface *types.Interface, method string) []*types.Func {
-	var out []*types.Func
-	for _, named := range e.Implementers(iface) {
-		ms := types.NewMethodSet(types.NewPointer(named))
-		for i := 0; i < ms.Len(); i++ {
-			if fn, ok := ms.At(i).Obj().(*types.Func); ok && fn.Name() == method {
-				out = append(out, fn)
-			}
-		}
-	}
-	return out
-}
-
-// Memo returns the cached value under key, building it under the
-// engine lock on first demand. Analyzers use it to compute
-// whole-program facts exactly once regardless of package count or
-// worker interleaving; build must therefore be deterministic.
-func (e *Engine) Memo(key string, build func() any) any {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if v, ok := e.memo[key]; ok {
-		return v
-	}
-	v := build()
-	e.memo[key] = v
-	return v
 }
 
 // directivesFor returns the package's directive index (empty index for

@@ -6,102 +6,15 @@ import (
 	"testing"
 )
 
-// loadFixtureEngine builds an engine over one fixture package.
-func loadFixtureEngine(t *testing.T, name string) (*Engine, *Package) {
-	t.Helper()
-	pkg, err := LoadDir(filepath.Join("testdata", "src", name), "fixture/"+name)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", name, err)
-	}
-	return NewEngine([]*Package{pkg}), pkg
-}
-
-// lookupFunc resolves a package-scope function by name.
-func lookupFunc(t *testing.T, pkg *Package, name string) *types.Func {
-	t.Helper()
-	fn, ok := pkg.Types.Scope().Lookup(name).(*types.Func)
-	if !ok {
-		t.Fatalf("fixture has no function %s", name)
-	}
-	return fn
-}
-
-// lookupMethod resolves a named type's method.
-func lookupMethod(t *testing.T, pkg *Package, typeName, method string) *types.Func {
-	t.Helper()
-	tn, ok := pkg.Types.Scope().Lookup(typeName).(*types.TypeName)
-	if !ok {
-		t.Fatalf("fixture has no type %s", typeName)
-	}
-	named := tn.Type().(*types.Named)
-	for i := 0; i < named.NumMethods(); i++ {
-		if m := named.Method(i); m.Name() == method {
-			return m
-		}
-	}
-	t.Fatalf("type %s has no method %s", typeName, method)
-	return nil
-}
-
-// TestEngineCallGraph checks the decl index and the callee/caller edges
-// over the shardsafe fixture: badIndirect calls stamp; stamp's only
-// caller is badIndirect.
-func TestEngineCallGraph(t *testing.T) {
-	e, pkg := loadFixtureEngine(t, "shardsafe")
-
-	stamp := lookupFunc(t, pkg, "stamp")
-	badIndirect := lookupMethod(t, pkg, "Port", "badIndirect")
-
-	if fd, p := e.Decl(stamp); fd == nil || p != pkg {
-		t.Fatalf("Decl(stamp) = (%v, %v), want fixture declaration", fd, p)
-	}
-
-	foundEdge := false
-	for _, callee := range e.Callees(badIndirect) {
-		if callee == stamp {
-			foundEdge = true
-		}
-	}
-	if !foundEdge {
-		t.Errorf("Callees(badIndirect) is missing stamp")
-	}
-
-	callers := e.Callers(stamp)
-	if len(callers) != 1 || callers[0].Caller != badIndirect {
-		t.Errorf("Callers(stamp) = %v, want exactly badIndirect", callers)
-	}
-}
-
-// TestEngineReachable checks transitive closure: badRecvIndirect →
-// admit, and closures' calls attributed to their declaring function
-// (goodWrite reaches Post through the literal it passes to it).
-func TestEngineReachable(t *testing.T) {
-	e, pkg := loadFixtureEngine(t, "shardsafe")
-
-	badRecvIndirect := lookupMethod(t, pkg, "Port", "badRecvIndirect")
-	admit := lookupMethod(t, pkg, "Port", "admit")
-	stamp := lookupFunc(t, pkg, "stamp")
-
-	reach := e.Reachable([]*types.Func{badRecvIndirect})
-	if !reach[admit] {
-		t.Errorf("admit not reachable from badRecvIndirect")
-	}
-	if reach[stamp] {
-		t.Errorf("stamp should not be reachable from badRecvIndirect")
-	}
-
-	goodWrite := lookupMethod(t, pkg, "Port", "goodWrite")
-	post := lookupMethod(t, pkg, "Sim", "Post")
-	if !e.Reachable([]*types.Func{goodWrite})[post] {
-		t.Errorf("Post not reachable from goodWrite (closure edges lost?)")
-	}
-}
-
 // TestEngineImplementers checks interface lookup over the
 // fabriccontract fixture: the full implementers satisfy Link, the
 // partial ones do not.
 func TestEngineImplementers(t *testing.T) {
-	e, _ := loadFixtureEngine(t, "fabriccontract")
+	pkg, err := LoadDir(filepath.Join("testdata", "src", "fabriccontract"), "fixture/fabriccontract")
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	e := NewEngine([]*Package{pkg})
 
 	links := e.Interfaces("Link")
 	if len(links) != 1 {
@@ -125,35 +38,19 @@ func TestEngineImplementers(t *testing.T) {
 	}
 }
 
-// TestEngineMemo checks the memo builds once and is shared.
-func TestEngineMemo(t *testing.T) {
-	e, _ := loadFixtureEngine(t, "shardsafe")
-	builds := 0
-	build := func() any { builds++; return builds }
-	if v := e.Memo("test", build); v.(int) != 1 {
-		t.Fatalf("first Memo = %v, want 1", v)
-	}
-	if v := e.Memo("test", build); v.(int) != 1 {
-		t.Fatalf("second Memo = %v, want cached 1", v)
-	}
-	if builds != 1 {
-		t.Fatalf("memo built %d times, want 1", builds)
-	}
-}
-
 // TestRunParallelDeterministic checks the parallel runner returns the
 // identical diagnostic stream at every worker count — the property the
 // lint gate's byte-identical output rests on.
 func TestRunParallelDeterministic(t *testing.T) {
 	var pkgs []*Package
-	for _, name := range []string{"shardsafe", "fabriccontract", "waiverdrift", "simdet"} {
+	for _, name := range []string{"fabriccontract", "waiverdrift", "simdet"} {
 		pkg, err := LoadDir(filepath.Join("testdata", "src", name), "fixture/"+name)
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", name, err)
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	analyzers := []*Analyzer{Simdet, Shardsafe, Fabriccontract, Waiverdrift}
+	analyzers := []*Analyzer{Simdet, Fabriccontract, Waiverdrift}
 
 	base, timings := RunParallel(pkgs, analyzers, 1)
 	if len(base) == 0 {

@@ -16,14 +16,14 @@ var SimScope = regexp.MustCompile(`(^|/)internal/(sim|pcie|ntb|driver|fabric|cor
 var FabricScope = regexp.MustCompile(`(^|/)internal/fabric$`)
 
 // ApplyRepoScopes installs the production Match functions on the suite:
-// simdet and shardsafe run on the simulation packages, fabriccontract
-// on the fabric package, and the rest everywhere. Fixture tests run
+// simdet runs on the simulation packages, fabriccontract on the fabric
+// package, and the rest everywhere. Fixture tests run
 // analyzers with Match unset instead, so they see their single-package
 // loads unscoped.
 func ApplyRepoScopes(analyzers []*Analyzer) {
 	for _, a := range analyzers {
 		switch a.Name {
-		case Simdet.Name, Shardsafe.Name:
+		case Simdet.Name:
 			a.Match = SimScope.MatchString
 		case Fabriccontract.Name:
 			a.Match = FabricScope.MatchString

@@ -102,8 +102,8 @@ func checkForbiddenCall(pass *Pass, call *ast.CallExpr) {
 		}
 	case "runtime":
 		// Core-count reads make results depend on the machine running
-		// them; shard-count and worker policy belong in the bench/cmd
-		// layers, behind the one waived site.
+		// them; worker policy belongs in the bench/cmd layers, behind
+		// the one waived site.
 		if (fn.Name() == "NumCPU" || fn.Name() == "GOMAXPROCS") && !pass.Waived(call.Pos(), DirectiveCPUPolicy) {
 			pass.Reportf(call.Pos(),
 				"runtime.%s makes behaviour depend on the host's core count; take parallelism as a parameter (waive the policy site with //ntblint:cpupolicy)", fn.Name())

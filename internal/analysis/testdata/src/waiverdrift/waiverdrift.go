@@ -65,28 +65,6 @@ func typoed() {
 	_ = 3
 }
 
-// plainFunc has no remote guard anywhere, so the shardlocal waiver
-// excuses nothing.
-func plainFunc() {
-	//ntblint:shardlocal — drifted // want "orphaned //ntblint:shardlocal"
-	_ = 4
-}
-
-// lport reproduces a loopback port; the shardlocal below suppresses a
-// real shardsafe finding, so it is anchored.
-type lport struct {
-	peer   *lport
-	remote bool
-	v      int
-}
-
-func (p *lport) loopback() {
-	if p.remote {
-		//ntblint:shardlocal — loopback: both ports share one simulator
-		p.peer.v = 1
-	}
-}
-
 // adapter carries an honored //ntblint:notlink on its declaration.
 //
 //ntblint:notlink — deliberate partial adapter

@@ -13,11 +13,9 @@ import (
 // For each directive occurrence the analyzer re-derives the anchor its
 // consumer would look for: a map range under //ntblint:ordered, an
 // allocfree doc comment on a function, an allocok inside an allocfree
-// body, a waived shardsafe access under //ntblint:shardlocal (shared
-// with shardsafe's sweep through the engine memo), a core-count read
-// under //ntblint:cpupolicy, a type declaration under
-// //ntblint:notlink, a Snapshot method behind `// snap: keep` field
-// annotations, and a snapshot struct behind `// restore: keep`.
+// body, a core-count read under //ntblint:cpupolicy, a type declaration
+// under //ntblint:notlink, a Snapshot method behind `// snap: keep`
+// field annotations, and a snapshot struct behind `// restore: keep`.
 // Unanchored directives and unknown directive names are reported.
 var Waiverdrift = &Analyzer{
 	Name: "waiverdrift",
@@ -28,12 +26,11 @@ var Waiverdrift = &Analyzer{
 
 // knownDirectives enumerates the ntblint directive vocabulary.
 var knownDirectives = map[string]bool{
-	DirectiveOrdered:    true,
-	DirectiveAllocOK:    true,
-	DirectiveAllocFree:  true,
-	DirectiveShardLocal: true,
-	DirectiveCPUPolicy:  true,
-	DirectiveNotLink:    true,
+	DirectiveOrdered:   true,
+	DirectiveAllocOK:   true,
+	DirectiveAllocFree: true,
+	DirectiveCPUPolicy: true,
+	DirectiveNotLink:   true,
 }
 
 func runWaiverdrift(pass *Pass) {
@@ -158,9 +155,6 @@ func checkDirectiveComment(pass *Pass, anchors *driftAnchors, c *ast.Comment) {
 		anchored = anchors.cpuCalls[at.Filename][at.Line] || anchors.cpuCalls[at.Filename][at.Line+1]
 	case DirectiveNotLink:
 		anchored = anchors.typeDecls[at.Filename][at.Line] || anchors.typeDecls[at.Filename][at.Line+1]
-	case DirectiveShardLocal:
-		waived := shardsafeFacts(pass.Engine).waivedLines[at.Filename]
-		anchored = waived[at.Line] || waived[at.Line+1]
 	}
 	if !anchored {
 		pass.Reportf(c.Pos(),
@@ -183,8 +177,6 @@ func anchorDescription(name string) string {
 		return "runtime.NumCPU/GOMAXPROCS call"
 	case DirectiveNotLink:
 		return "type declaration"
-	case DirectiveShardLocal:
-		return "peer access shardsafe recognises"
 	}
 	return "recognised construct"
 }

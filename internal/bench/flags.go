@@ -11,7 +11,7 @@ import (
 )
 
 // FlagSpec describes how one experiment driver uses the flags the
-// drivers share — -j, -fabric, -shards — so their registration, parsing,
+// drivers share — -j, -fabric — so their registration, parsing,
 // validation and error text live here once. What legitimately differs
 // per command is data.
 type FlagSpec struct {
@@ -21,8 +21,7 @@ type FlagSpec struct {
 	Fabric, FabricUsage string
 	// FabricList makes -fabric a comma-separated list of backends to
 	// compare rather than the one backend every world is built over; the
-	// command's own worlds then stay on the ring, and -shards is
-	// validated against it.
+	// command's own worlds then stay on the ring.
 	FabricList bool
 	// PairNeeds, when non-empty, rejects the two-host ntb-pair fabric and
 	// says why ("Fig 9 sweeps a 3-host world").
@@ -34,14 +33,13 @@ type FlagSpec struct {
 }
 
 // Flags holds the shared flags' values; Kinds (the parsed -fabric value:
-// one backend, or the list under FlagSpec.FabricList) and Shards are
-// valid after Apply.
+// one backend, or the list under FlagSpec.FabricList) is valid after
+// Apply.
 type Flags struct {
 	spec    FlagSpec
 	workers int
 	fabrics string
 	Kinds   []fabric.Kind
-	Shards  int
 }
 
 // RegisterFlags registers the shared flags on fs as spec describes. Call
@@ -52,15 +50,13 @@ func RegisterFlags(fs *flag.FlagSet, spec FlagSpec) *Flags {
 		fs.IntVar(&f.workers, "j", Parallelism(), "worker count: independent simulation worlds run in parallel")
 	}
 	fs.StringVar(&f.fabrics, "fabric", spec.Fabric, spec.FabricUsage)
-	fs.IntVar(&f.Shards, "shards", 1, "conservative-DES shards per world (1 = single simulator; only worlds of ≥16 hosts on point-to-point fabrics shard)")
 	return f
 }
 
 // Apply validates the parsed values and installs them as the bench
-// policy (SetParallelism, SetShards and, under FlagSpec.Select,
-// SetFabric). A bad value is a usage error: it is reported on stderr
-// with the command's name and the process exits with status 2, as
-// flag.Parse itself does.
+// policy (SetParallelism and, under FlagSpec.Select, SetFabric). A bad
+// value is a usage error: it is reported on stderr with the command's
+// name and the process exits with status 2, as flag.Parse itself does.
 func (f *Flags) Apply() {
 	if err := f.apply(); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", f.spec.Cmd, err)
@@ -90,19 +86,11 @@ func (f *Flags) apply() error {
 		}
 		f.Kinds = append(f.Kinds, k)
 	}
-	built := f.Kinds[0]
-	if f.spec.FabricList {
-		built = fabric.KindNTBRing
-	}
-	if err := ValidateShards(f.Shards, built); err != nil {
-		return err
-	}
 	if !f.spec.NoWorkers {
 		SetParallelism(f.workers)
 	}
-	SetShards(f.Shards)
 	if f.spec.Select {
-		SetFabric(built)
+		SetFabric(f.Kinds[0])
 	}
 	return nil
 }

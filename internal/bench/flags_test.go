@@ -10,7 +10,6 @@ import (
 
 func TestSharedFlags(t *testing.T) {
 	defer SetFabric(fabric.KindNTBRing)
-	defer SetShards(1)
 	defer SetParallelism(0)
 	for _, tc := range []struct {
 		name    string
@@ -25,9 +24,7 @@ func TestSharedFlags(t *testing.T) {
 		{"one backend only", FlagSpec{Fabric: "ntb-ring"}, []string{"-fabric", "ntb-ring,cxl"}, "-fabric:", nil},
 		{"pair rejected", FlagSpec{Fabric: "ntb-ring", PairNeeds: "Fig 9 sweeps a 3-host world"}, []string{"-fabric", "pair"},
 			"-fabric=ntb-pair: Fig 9 sweeps a 3-host world; the pair fabric joins exactly 2", nil},
-		{"shards on a shared core", FlagSpec{Fabric: "ntb-ring"}, []string{"-fabric", "cxl", "-shards", "4"}, "cannot shard", nil},
-		{"shards below one", FlagSpec{Fabric: "ntb-ring"}, []string{"-shards", "0"}, "need at least 1 shard", nil},
-		{"list", FlagSpec{Fabric: "ntb-ring,cxl", FabricList: true}, []string{"-fabric", "ntb-ring, pcie-switch,cxl", "-shards", "4"}, "",
+		{"list", FlagSpec{Fabric: "ntb-ring,cxl", FabricList: true}, []string{"-fabric", "ntb-ring, pcie-switch,cxl"}, "",
 			[]fabric.Kind{fabric.KindNTBRing, fabric.KindPCIeSwitch, fabric.KindCXL}},
 		{"empty list", FlagSpec{Fabric: "ntb-ring", FabricList: true}, []string{"-fabric", ","}, "empty backend list", nil},
 	} {
@@ -59,9 +56,6 @@ func TestSharedFlags(t *testing.T) {
 		}
 		if want := map[bool]fabric.Kind{true: f.Kind(), false: fabric.KindNTBRing}[tc.spec.Select]; Fabric() != want {
 			t.Errorf("%s: selected fabric %v, want %v", tc.name, Fabric(), want)
-		}
-		if Shards() != f.Shards {
-			t.Errorf("%s: Shards() = %d, flag %d", tc.name, Shards(), f.Shards)
 		}
 	}
 	fs := flag.NewFlagSet("no-workers", flag.ContinueOnError)

@@ -85,9 +85,7 @@ var snapCache struct {
 // stale-prefix snapshot — the mutated value is a different key (the
 // same guarantee acquireWorld enforces for pooled worlds).
 func snapshotFingerprint(par *model.Params, n int, opts core.Options, fab fabric.Kind, prefixKey string, seed int64) string {
-	// The cache only ever serves single-simulator worlds (sharded sweep
-	// points replay; see runRingWorldPrefixed), hence the fixed shards=1.
-	return worldFingerprint(par, n, opts, fab, 1) + fmt.Sprintf("|prefix=%s|seed=%d", prefixKey, seed)
+	return worldFingerprint(par, n, opts, fab) + fmt.Sprintf("|prefix=%s|seed=%d", prefixKey, seed)
 }
 
 // DrainSnapshots discards every cached prefix snapshot.

@@ -46,72 +46,16 @@ func Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// benchShards holds the requested conservative-DES shard count for
-// subsequent world builds; values below 2 mean "one shard" (the
-// ordinary single-simulator world). The request is a ceiling, not a
-// mandate: effectiveShards decides per world whether sharding applies.
-var benchShards atomic.Int64
-
-// SetShards requests that subsequent world builds split each world
-// across n conservative-DES shards (see fabric.Config.Shards and
-// sim.ShardGroup). n < 2 restores the default single-simulator world.
-// Small worlds, non-shardable fabrics, and pipelined-protocol worlds
-// silently stay unsharded — see effectiveShards for the policy.
+// SetShards is what is left of conservative-PDES sharding, which was
+// measured five times, never won and is deleted (EXPERIMENTS.md): a world
+// is one simulator, so 1 is the only value accepted. It exists because
+// benchmark/surface.go binds it and benchmark/main.go calls it with 1;
+// the benchmark-only PR that rebinds surface.go (ROADMAP item 1) removes
+// it.
 func SetShards(n int) {
-	if n < 2 {
-		n = 1
+	if n != 1 {
+		panic(fmt.Sprintf("bench: SetShards(%d): sharding is deleted; a world is one simulator", n))
 	}
-	benchShards.Store(int64(n))
-}
-
-// Shards reports the requested shard count (1 when unset).
-func Shards() int {
-	if n := int(benchShards.Load()); n > 1 {
-		return n
-	}
-	return 1
-}
-
-// ValidateShards checks a -shards flag value at the command layer, so a
-// bad combination is reported with flag context instead of surfacing as
-// a mid-sweep panic or being silently ignored. shards == 1 is always
-// valid; higher counts need a point-to-point fabric.
-func ValidateShards(shards int, kind fabric.Kind) error {
-	if shards < 1 {
-		return fmt.Errorf("-shards=%d: need at least 1 shard", shards)
-	}
-	if shards == 1 {
-		return nil
-	}
-	if !fabric.Shardable(kind) {
-		return fmt.Errorf("-shards=%d: the %s fabric cannot shard (shared fabric core); run with -shards 1", shards, kind)
-	}
-	return nil
-}
-
-// minShardHosts is the smallest world the bench layer will shard. Below
-// it the per-window coordination overhead outweighs any parallelism, and
-// keeping the paper-scale figure worlds (≤ 8 hosts) on one simulator
-// means their golden CSVs are produced by literally the same code path
-// at any -shards setting.
-const minShardHosts = 16
-
-// effectiveShards resolves the requested shard count for one world
-// shape: 1 unless sharding was requested, the world is at least
-// minShardHosts, the selected fabric has point-to-point cables to cut
-// (fabric.Shardable), and the link protocol is the stop-and-wait
-// scratchpad exchange (the pipelined header-in-window protocol's
-// timing is only exact on a shared simulator). The result is clamped
-// to the host count.
-func effectiveShards(n int, opts core.Options) int {
-	s := Shards()
-	if s < 2 || n < minShardHosts || opts.Pipeline >= 2 || !fabric.Shardable(Fabric()) {
-		return 1
-	}
-	if s > n {
-		s = n
-	}
-	return s
 }
 
 // benchFabric selects which fabric backend subsequent world builds use;
@@ -315,12 +259,7 @@ func runRingWorld(label string, par *model.Params, n int, opts core.Options, bod
 // prefix simulates; two different prefix closures must never share a
 // key for the same shape.
 func runRingWorldPrefixed(label string, par *model.Params, n int, opts core.Options, prefixKey string, seed int64, prefix, body func(p *sim.Proc, pe *core.PE)) {
-	// The fork-prefix cache serves single-simulator worlds only: forking
-	// is a per-shape warm-up amortisation, and a sharded world's whole
-	// point is to spend its cores inside one big run, so sharded points
-	// replay from t=0 (core.Fork itself works sharded — see
-	// internal/core/sharddiff_test.go — but the cache stays simple).
-	if forkOn.Load() && effectiveShards(n, opts) == 1 {
+	if forkOn.Load() {
 		runForked(label, par, n, opts, prefixKey, seed, prefix, body)
 		return
 	}
@@ -339,13 +278,7 @@ func runRingWorldPrefixed(label string, par *model.Params, n int, opts core.Opti
 // ring was the only topology), panicking with the point label on
 // topology errors.
 func buildRingWorld(label string, par *model.Params, n int, opts core.Options) *core.World {
-	cfg := fabric.Config{Par: par, Hosts: n, Kind: Fabric(), Shards: effectiveShards(n, opts)}
-	if cfg.Shards == 1 {
-		// A sharded cluster builds its member simulators itself; only the
-		// single-simulator world takes one from the caller.
-		cfg.Sim = sim.New()
-	}
-	c, err := fabric.New(cfg)
+	c, err := fabric.New(fabric.Config{Sim: sim.New(), Par: par, Hosts: n, Kind: Fabric()})
 	if err != nil {
 		panic(fmt.Sprintf("bench: %s: %v", label, err))
 	}

@@ -56,20 +56,18 @@ var worldPool struct {
 
 // worldFingerprint keys the pool by everything that shapes a world: the
 // full params value (params are mutated per point by some sweeps, so
-// pointer identity is useless), host count, runtime options, the fabric
-// backend — so a cross-fabric sweep never recycles a switch-topology
-// world into a ring measurement — and the shard count, so a
-// conservative-DES sweep never hands a 4-shard world to a
-// single-simulator measurement or vice versa.
-func worldFingerprint(par *model.Params, n int, opts core.Options, fab fabric.Kind, shards int) string {
-	return fmt.Sprintf("%+v|n=%d|%+v|fab=%s|shards=%d", *par, n, opts, fab, shards)
+// pointer identity is useless), host count, runtime options, and the
+// fabric backend — so a cross-fabric sweep never recycles a
+// switch-topology world into a ring measurement.
+func worldFingerprint(par *model.Params, n int, opts core.Options, fab fabric.Kind) string {
+	return fmt.Sprintf("%+v|n=%d|%+v|fab=%s", *par, n, opts, fab)
 }
 
 // fingerprintOf is the fingerprint a built world has now; it differs
 // from the key the world was pooled under if its params object was
 // mutated since.
 func fingerprintOf(w *core.World, n int, opts core.Options) string {
-	return worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Kind(), w.Cluster.Shards())
+	return worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Kind())
 }
 
 // SetWorldPool enables or disables world pooling for subsequent
@@ -124,7 +122,7 @@ func acquireWorld(label string, par *model.Params, n int, opts core.Options) (w 
 	if !worldPoolOn.Load() {
 		return buildRingWorld(label, par, n, opts), false, false
 	}
-	key := worldFingerprint(par, n, opts, Fabric(), effectiveShards(n, opts))
+	key := worldFingerprint(par, n, opts, Fabric())
 	worldPool.mu.Lock()
 	if ws := worldPool.worlds[key]; len(ws) > 0 {
 		w = ws[len(ws)-1]

@@ -83,7 +83,7 @@ func (c *Ctx) GetBytesNBI(p *sim.Proc, target int, src SymAddr, dst []byte) {
 
 func (c *Ctx) spawn(name string, op func(np *sim.Proc)) {
 	c.outstanding++
-	c.pe.hsim.Go(name, func(np *sim.Proc) {
+	c.pe.world.Cluster.Sim.Go(name, func(np *sim.Proc) {
 		op(np)
 		c.outstanding--
 		if c.outstanding == 0 {

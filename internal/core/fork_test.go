@@ -3,7 +3,6 @@ package core
 import (
 	"reflect"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/fabric"
@@ -44,46 +43,18 @@ func compareTraces(t *testing.T, label string, got, want []OpEvent) {
 	}
 }
 
-// lockedTraceRun is traceRun (forked: without the shmem_init prefix) for
-// worlds that may be sharded: the hook fires concurrently from shard
-// workers there, so it is serialised and the trace returned in the
-// canonical sorted order, which loses nothing — every event carries its
-// own virtual timestamps.
-func lockedTraceRun(t *testing.T, w *World, forked bool, body func(p *sim.Proc, pe *PE)) ([]OpEvent, sim.Time, Stats) {
-	t.Helper()
-	var mu sync.Mutex
-	var trace []OpEvent
-	w.SetOpTrace(func(ev OpEvent) {
-		mu.Lock()
-		trace = append(trace, ev)
-		mu.Unlock()
-	})
-	run := w.RunKeep
-	if forked {
-		run = w.RunKeepForked
-	}
-	if err := run(body); err != nil {
-		t.Fatal(err)
-	}
-	w.SetOpTrace(nil)
-	sortOps(trace)
-	return trace, w.Cluster.Sim.Now(), w.PEs()[0].Stats()
-}
-
 func TestForkEquivalentToFreshRun(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		kind   fabric.Kind
-		n      int
-		shards int
-		opts   Options
+		name string
+		kind fabric.Kind
+		n    int
+		opts Options
 	}{
-		{"default", fabric.KindNTBRing, 4, 1, Options{}},
-		{"pipelined-shortest", fabric.KindNTBRing, 4, 1, Options{Pipeline: 4, Routing: RouteShortest}},
-		{"ring-4-shards", fabric.KindNTBRing, 8, 4, Options{}},
-		{"pair", fabric.KindNTBPair, 2, 1, Options{}},
-		{"switch", fabric.KindPCIeSwitch, 4, 1, Options{}},
-		{"cxl", fabric.KindCXL, 4, 1, Options{}},
+		{"default", fabric.KindNTBRing, 4, Options{}},
+		{"pipelined-shortest", fabric.KindNTBRing, 4, Options{Pipeline: 4, Routing: RouteShortest}},
+		{"pair", fabric.KindNTBPair, 2, Options{}},
+		{"switch", fabric.KindPCIeSwitch, 4, Options{}},
+		{"cxl", fabric.KindCXL, 4, Options{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prefix := resetScript(23, 3, 6)
@@ -93,11 +64,11 @@ func TestForkEquivalentToFreshRun(t *testing.T) {
 			// Reference: a fresh world runs prefix from t=0, then continues
 			// with body on the same timeline — the ground truth a forked
 			// child claims to reproduce.
-			ref := newShardedWorld(t, tc.kind, tc.n, tc.shards, tc.opts)
-			lockedTraceRun(t, ref, false, prefix)
+			ref := newFabricWorld(tc.kind, tc.n, tc.opts)
+			traceRun(t, ref, prefix)
 			snap := ref.Snapshot()
 			refEvents := events(ref)
-			wantTrace, wantEnd, wantStats := lockedTraceRun(t, ref, true, body)
+			wantTrace, wantEnd, wantStats := traceRunForked(t, ref, body)
 			bodyEvents := events(ref) - refEvents
 			ref.Cluster.ShutdownSim()
 
@@ -109,17 +80,15 @@ func TestForkEquivalentToFreshRun(t *testing.T) {
 			// still dirty from a longer, different life — larger window
 			// extents, more heap, further cursors — forked with no Reset in
 			// between. Restore is total, so the two must be indistinguishable.
-			fresh := newShardedWorld(t, tc.kind, tc.n, tc.shards, tc.opts)
-			dirty := newShardedWorld(t, tc.kind, tc.n, tc.shards, tc.opts)
-			lockedTraceRun(t, dirty, false, resetScript(43, 5, 9))
+			fresh := newFabricWorld(tc.kind, tc.n, tc.opts)
+			dirty := newFabricWorld(tc.kind, tc.n, tc.opts)
+			traceRun(t, dirty, resetScript(43, 5, 9))
 			for label, child := range map[string]*World{"fresh": fresh, "dirty": dirty} {
 				child.Fork(snap)
-				if tc.shards == 1 {
-					if now := child.Cluster.Sim.Now(); now != snap.Time() {
-						t.Fatalf("%s: forked world starts at t=%v, snapshot taken at %v", label, now, snap.Time())
-					}
+				if now := child.Cluster.Sim.Now(); now != snap.Time() {
+					t.Fatalf("%s: forked world starts at t=%v, snapshot taken at %v", label, now, snap.Time())
 				}
-				gotTrace, gotEnd, gotStats := lockedTraceRun(t, child, true, body)
+				gotTrace, gotEnd, gotStats := traceRunForked(t, child, body)
 				if got := events(child); got != bodyEvents {
 					t.Errorf("%s: forked body executed %d virtual events, continuation executed %d", label, got, bodyEvents)
 				}
@@ -131,7 +100,7 @@ func TestForkEquivalentToFreshRun(t *testing.T) {
 				if gotStats != wantStats {
 					t.Errorf("%s: pe 0 stats: fork %+v, continuation %+v", label, gotStats, wantStats)
 				}
-				compareOps(t, label+" fork vs continuation", gotTrace, wantTrace)
+				compareTraces(t, label+" fork vs continuation", gotTrace, wantTrace)
 			}
 		})
 	}

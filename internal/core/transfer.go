@@ -170,7 +170,7 @@ func (pe *PE) GetBytesNBI(p *sim.Proc, target int, src SymAddr, dst []byte) {
 // spawnNBI runs op on a helper process and tracks it for Quiet.
 func (pe *PE) spawnNBI(name string, op func(p *sim.Proc)) {
 	pe.outstanding++
-	pe.hsim.Go(name, func(np *sim.Proc) {
+	pe.world.Cluster.Sim.Go(name, func(np *sim.Proc) {
 		op(np)
 		pe.outstanding--
 		if pe.outstanding == 0 {

@@ -130,10 +130,8 @@ type World struct {
 
 // SetOpTrace installs a hook receiving one event per completed
 // application-level operation (puts, gets, atomics, barriers). The hook
-// runs inline on the virtual timeline and must not block. On a sharded
-// world (fabric.Config.Shards ≥ 2) shard workers invoke it concurrently,
-// so it must be safe for concurrent use there. Install before Run; nil
-// detaches.
+// runs inline on the virtual timeline and must not block. Install before
+// Run; nil detaches.
 func (w *World) SetOpTrace(fn func(OpEvent)) { w.opTrace = fn }
 
 // emitOp reports a completed operation to the trace hook.
@@ -153,11 +151,10 @@ func (pe *PE) emitOp(p *sim.Proc, op string, target, bytes int, start sim.Time) 
 // state.
 type PE struct {
 	id    int
-	world *World         // snap: keep — construction identity
-	link  fabric.Link    // construction identity; its state is captured via its own Snapshot
-	hsim  *sim.Simulator // snap: keep — construction identity: the host's (shard) simulator
-	par   *model.Params  // snap: keep — construction identity
-	mode  driver.Mode    // snap: keep — construction identity
+	world *World        // snap: keep — construction identity
+	link  fabric.Link   // construction identity; its state is captured via its own Snapshot
+	par   *model.Params // snap: keep — construction identity
+	mode  driver.Mode   // snap: keep — construction identity
 
 	heap      *mem.Heap
 	finalized bool
@@ -248,7 +245,6 @@ func NewWorld(c *fabric.Cluster, opts Options) *World {
 			id:        h.ID,
 			world:     w,
 			link:      links[i],
-			hsim:      h.Sim,
 			par:       c.Par,
 			mode:      opts.Mode,
 			heap:      mem.NewHeap(c.Par.SymHeapChunk, c.Par.SymHeapMax),
@@ -264,13 +260,12 @@ func NewWorld(c *fabric.Cluster, opts Options) *World {
 	return w
 }
 
-// Launch spawns one application process per PE running body, each on its
-// host's shard simulator. Call Cluster.RunSim (or World.Run) afterwards
-// to execute.
+// Launch spawns one application process per PE running body. Call
+// Cluster.RunSim (or World.Run) afterwards to execute.
 func (w *World) Launch(body func(p *sim.Proc, pe *PE)) {
 	for _, pe := range w.pes {
 		pe := pe
-		pe.hsim.Go(peName("pe:", pe.id), func(p *sim.Proc) {
+		w.Cluster.Sim.Go(peName("pe:", pe.id), func(p *sim.Proc) {
 			pe.initPE(p)
 			body(p, pe)
 		})

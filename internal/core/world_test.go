@@ -665,6 +665,23 @@ func TestWorldRunsAreDeterministic(t *testing.T) {
 	}
 }
 
+// scaleBody is the shape bench.ScaleWorkload runs: neighbour puts
+// between two barriers. Pair it with Options{Mode: driver.ModeCPU}.
+func scaleBody(rounds, putBytes int) func(p *sim.Proc, pe *PE) {
+	return func(p *sim.Proc, pe *PE) {
+		sym := pe.MustMalloc(p, putBytes)
+		buf := make([]byte, putBytes)
+		for i := range buf {
+			buf[i] = byte(pe.ID() + i)
+		}
+		pe.BarrierAll(p)
+		for r := 0; r < rounds; r++ {
+			pe.PutBytes(p, (pe.ID()+1)%pe.NumPEs(), sym, buf)
+		}
+		pe.BarrierAll(p)
+	}
+}
+
 func TestWorld256FootprintTracksBytesTouched(t *testing.T) {
 	// A 256-PE world that moved 3 x 4 KiB per PE must hold memory in
 	// proportion to that, not to what it reserved: 256 symmetric heap

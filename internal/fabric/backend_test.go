@@ -73,6 +73,76 @@ func TestNewValidatesHostCounts(t *testing.T) {
 	}
 }
 
+// TestConstructionErrorsAtTheFunnel: everything a caller can get wrong
+// in a Config — no simulator, no profile, a profile Validate rejects, a
+// host count the backend cannot build — comes back as an error from New
+// and from the kind's own constructor, never as a panic.
+func TestConstructionErrorsAtTheFunnel(t *testing.T) {
+	badLanes := model.Default()
+	badLanes.Lanes = 3
+	constructors := map[Kind]func(*sim.Simulator, *model.Params, int) (*Cluster, error){
+		KindNTBRing:    NewRing,
+		KindNTBPair:    func(s *sim.Simulator, par *model.Params, _ int) (*Cluster, error) { return NewPair(s, par) },
+		KindPCIeSwitch: NewSwitch,
+		KindCXL:        NewCXL,
+	}
+	for _, kind := range Kinds() {
+		for _, tc := range []struct {
+			name  string
+			sim   *sim.Simulator
+			par   *model.Params
+			hosts int
+			want  string
+		}{
+			{"nil Sim", nil, model.Default(), 2, "needs a simulator"},
+			{"nil Par", sim.New(), nil, 2, "needs a platform profile"},
+			{"Lanes: 3", sim.New(), badLanes, 2, "Lanes"},
+			{"hosts above the limit", sim.New(), model.Default(), MaxHostsFor(kind) + 1, "host"},
+			{"one host", sim.New(), model.Default(), 1, "host"},
+		} {
+			check := func(via string, c *Cluster, err error) {
+				if err == nil || c != nil {
+					t.Errorf("%s, %s via %s: got (%v, %v), want an error", kind, tc.name, via, c, err)
+				} else if !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s, %s via %s: error %q does not mention %q", kind, tc.name, via, err, tc.want)
+				}
+			}
+			c, err := New(Config{Sim: tc.sim, Par: tc.par, Hosts: tc.hosts, Kind: kind})
+			check("New", c, err)
+			if kind == KindNTBPair && tc.hosts != 2 {
+				continue // NewPair takes no host count; only New can be asked for another
+			}
+			c, err = constructors[kind](tc.sim, tc.par, tc.hosts)
+			check("its constructor", c, err)
+		}
+	}
+}
+
+// TestClusterUnplugSurface: the uniform failure-injection surface.
+// Point-to-point fabrics support Unplug; shared-core fabrics report why
+// they cannot.
+func TestClusterUnplugSurface(t *testing.T) {
+	build := func(kind Kind, n int) *Cluster {
+		c, err := New(Config{Sim: sim.New(), Par: model.Default(), Hosts: n, Kind: kind})
+		if err != nil {
+			t.Fatalf("building %s: %v", kind, err)
+		}
+		return c
+	}
+	if err := build(KindNTBRing, 3).Unplug(0); err != nil {
+		t.Errorf("ring Unplug: %v", err)
+	}
+	if err := build(KindNTBPair, 2).Unplug(0); err != nil {
+		t.Errorf("pair Unplug: %v", err)
+	}
+	for _, kind := range []Kind{KindPCIeSwitch, KindCXL} {
+		err := build(kind, 3).Unplug(0)
+		if err == nil || !strings.Contains(err.Error(), "unplug not supported on") {
+			t.Errorf("%s Unplug: err %v, want not-supported", kind, err)
+		}
+	}
+}
+
 func TestMaxHostsFor(t *testing.T) {
 	want := map[Kind]int{
 		KindNTBRing:    MaxHosts,

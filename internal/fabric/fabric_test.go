@@ -142,12 +142,9 @@ func TestBootOnPairReportsMissingSides(t *testing.T) {
 func TestBadProfileRejected(t *testing.T) {
 	p := model.Default()
 	p.Gen = 9
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid profile accepted")
-		}
-	}()
-	NewRing(sim.New(), p, 3) //nolint:errcheck — panics before returning
+	if c, err := NewRing(sim.New(), p, 3); err == nil || c != nil {
+		t.Fatalf("NewRing with a Gen9 profile = (%v, %v), want an error", c, err)
+	}
 }
 
 func TestBootProgramsLUTs(t *testing.T) {

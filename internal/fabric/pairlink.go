@@ -88,8 +88,6 @@ func (l *pairLink) Sync(p *sim.Proc) bool {
 	return true
 }
 
-func (l *pairLink) Lookahead() sim.Duration { return LookaheadFor(KindNTBPair, l.c.Par) }
-
 // AssertQuiescent panics unless the link has fully drained.
 func (l *pairLink) AssertQuiescent(op string) {
 	l.ntbService.AssertQuiescent(op)

@@ -171,8 +171,6 @@ func oppositeDir(d driver.Dir) driver.Dir {
 	return driver.DirLeft
 }
 
-func (l *ringLink) Lookahead() sim.Duration { return LookaheadFor(KindNTBRing, l.c.Par) }
-
 // AssertQuiescent panics unless the link has fully drained — the shared
 // precondition of Snapshot and Restore.
 func (l *ringLink) AssertQuiescent(op string) {

@@ -19,6 +19,8 @@ import (
 // service-thread/forwarder split exists on every backend, relaying or
 // not: a reply generated inside the service thread must not block on a
 // transmit channel, or two hosts answering each other's gets deadlock.
+//
+//ntblint:notlink — the shared half of three backends, not a backend: each embedder adds Start, Boot, Send, Reply, Barrier and Sync
 type ntbService struct {
 	c       *Cluster    // snap: keep — construction identity
 	host    *Host       // snap: keep — construction identity
@@ -99,8 +101,8 @@ func (s *ntbService) start(deliver Handler, eps ...*driver.Endpoint) {
 		ep.Handle(driver.VecPut, dataVec)
 		ep.Handle(driver.VecGet, dataVec)
 	}
-	s.host.Sim.GoDaemon(fmt.Sprintf("shmem-svc:%d", s.host.ID), s.serve)
-	s.host.Sim.GoDaemon(fmt.Sprintf("shmem-fwd:%d", s.host.ID), s.forward)
+	s.c.Sim.GoDaemon(fmt.Sprintf("shmem-svc:%d", s.host.ID), s.serve)
+	s.c.Sim.GoDaemon(fmt.Sprintf("shmem-fwd:%d", s.host.ID), s.forward)
 }
 
 // serve is the per-host service thread of Fig 5. It sleeps until a

@@ -18,12 +18,8 @@ import (
 type ClusterSnapshot struct {
 	n    int
 	kind Kind
-	// One kernel clock and flow-network image per shard simulator (a
-	// single entry for the ordinary one-simulator world). Member clocks
-	// of a quiescent sharded world legitimately differ: each shard
-	// stops at its own last event.
-	sims []sim.Snapshot
-	nets []pcie.NetSnapshot
+	sim  sim.Snapshot
+	net  pcie.NetSnapshot
 	// Per-host device images; entries are nil/zero when the side is not
 	// cabled, mirroring Host.
 	left, right []*ntb.PortSnapshot
@@ -33,32 +29,20 @@ type ClusterSnapshot struct {
 	meshTx [][]driver.TxSnapshot
 }
 
-// Time returns the virtual time the snapshot was captured at: the
-// latest member clock, i.e. the time of the last event executed
-// anywhere in the world.
-func (s *ClusterSnapshot) Time() sim.Time {
-	t := s.sims[0].Now()
-	for _, m := range s.sims[1:] {
-		if m.Now() > t {
-			t = m.Now()
-		}
-	}
-	return t
-}
+// Time returns the virtual time the snapshot was captured at.
+func (s *ClusterSnapshot) Time() sim.Time { return s.sim.Now() }
 
-// Snapshot captures a quiescent cluster: every simulator between runs
+// Snapshot captures a quiescent cluster: the simulator between runs
 // with no pending events and only parked daemons, the flow network idle,
 // every DMA engine drained, every stop-and-wait ACK consumed.
 func (c *Cluster) Snapshot() *ClusterSnapshot {
-	s := c.Genesis() // the device image; the clocks follow
-	for i := range c.sims {
-		s.sims[i] = c.sims[i].Snapshot()
-	}
+	s := c.Genesis() // the device image; the clock follows
+	s.sim = c.Sim.Snapshot()
 	return s
 }
 
 // Genesis captures the device image of a cluster whose construction has
-// just ended, with every kernel clock at the zero sim.Snapshot: a fresh
+// just ended, with the kernel clock at the zero sim.Snapshot: a fresh
 // simulator still has its daemon-spawn events queued and cannot be
 // captured, and time zero is where it is positioned anyway. The device
 // layers are at power-on, so the image materialises no window and copies
@@ -67,14 +51,11 @@ func (c *Cluster) Genesis() *ClusterSnapshot {
 	s := &ClusterSnapshot{
 		n:     c.N(),
 		kind:  c.kind,
-		sims:  make([]sim.Snapshot, len(c.sims)),
+		net:   c.Net.Snapshot(),
 		left:  make([]*ntb.PortSnapshot, c.N()),
 		right: make([]*ntb.PortSnapshot, c.N()),
 		txL:   make([]driver.TxSnapshot, c.N()),
 		txR:   make([]driver.TxSnapshot, c.N()),
-	}
-	for _, net := range c.nets {
-		s.nets = append(s.nets, net.Snapshot())
 	}
 	for i, h := range c.Hosts {
 		if h.Left != nil {
@@ -105,8 +86,8 @@ func (c *Cluster) Genesis() *ClusterSnapshot {
 
 // Restore brings a quiescent cluster of identical topology, whatever it
 // ran before, to the snapshot: every NTB port (scratchpads, doorbells,
-// dirty window extents), transmit channel and flow network is restored
-// and every simulator positioned at its captured clock. The object graph
+// dirty window extents), transmit channel and the flow network is restored
+// and the simulator positioned at the captured clock. The object graph
 // itself (ports, routes, endpoints, device daemons) survives, which is
 // the entire point: a restored cluster continues — or, from its genesis
 // image, replays the boot exchange — with none of the construction cost.
@@ -140,11 +121,6 @@ func (c *Cluster) Restore(s *ClusterSnapshot) {
 			}
 		}
 	}
-	if len(c.sims) != len(s.sims) {
-		panic(fmt.Sprintf("fabric: restore of a %d-shard cluster from a %d-shard snapshot", len(c.sims), len(s.sims)))
-	}
-	for i := range c.sims {
-		c.nets[i].Restore(s.nets[i])
-		c.sims[i].Restore(s.sims[i])
-	}
+	c.Net.Restore(s.net)
+	c.Sim.Restore(s.sim)
 }

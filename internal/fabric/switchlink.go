@@ -28,7 +28,10 @@ func NewSwitch(s *sim.Simulator, par *model.Params, n int) (*Cluster, error) {
 	if n > MaxSwitchHosts {
 		return nil, fmt.Errorf("fabric: %d hosts exceed the modelled switch's %d downstream ports", n, MaxSwitchHosts)
 	}
-	c := newCluster(s, par, n, KindPCIeSwitch, 1)
+	c, err := newCluster(s, par, n, KindPCIeSwitch)
+	if err != nil {
+		return nil, err
+	}
 	core := pcie.NewServer("switch-core", par.SwitchCoreBW)
 	uplinks := make([]*pcie.Server, n)
 	for i, h := range c.Hosts {
@@ -142,5 +145,3 @@ func (l *switchLink) Barrier(p *sim.Proc) bool { return false }
 
 // Sync reports false for the same reason.
 func (l *switchLink) Sync(p *sim.Proc) bool { return false }
-
-func (l *switchLink) Lookahead() sim.Duration { return LookaheadFor(KindPCIeSwitch, l.c.Par) }

@@ -107,17 +107,6 @@ type Port struct {
 	lut         map[uint16]bool // snap: keep — boot reprograms the same entries (see Restore doc)
 	lutEnforced bool            // snap: keep — see Restore doc: an enforced LUT admits what boot admits
 
-	// Cross-shard cabling (PROTOCOL.md §14): when the peer lives on a
-	// different shard's simulator, peer state is never touched directly —
-	// every effect crosses via sim.Post at >= the group lookahead. The
-	// sender-side mirror of the peer's LUT lets admission checks stay
-	// local; it is maintained by posts from the peer's LUTAdd and, like
-	// lut itself, is reprogrammed identically by every boot.
-	remote          bool            // snap: keep — cabling identity
-	lag             sim.Duration    // snap: keep — group lookahead, cached at ConnectRemote
-	peerLUT         map[uint16]bool // snap: keep — same rationale as lut
-	peerLUTEnforced bool            // snap: keep — same rationale as lutEnforced
-
 	dma   *Engine
 	trace TraceFunc // snap: keep — installed trace hook survives recycling
 }
@@ -165,60 +154,6 @@ func ConnectVia(a, b *Port, via ...*pcie.Server) {
 	cable(a, b, via...)
 }
 
-// ConnectRemote joins two ports whose hosts live on different shards of
-// a sharded world (sim.ShardGroup): the ports run on different
-// simulators and price traffic on different shard-local flow networks.
-// All peer effects cross via sim.Post, so the group lookahead must not
-// exceed the cheapest cross-cable operation: MMIOWrite for posted
-// writes, and half of MMIORead so a non-posted read fits a there-and-back
-// pair of posts. Each direction is priced entirely inside the sender's
-// network: the sender's real root complex, a dedicated wire at the
-// cable rate, and a shadow of the receiver's root complex at its full
-// rate. That shadow cannot see the receiver's unrelated flows, so
-// pricing is exact whenever the remote root complex is not the
-// bottleneck — true for all register traffic and for CPU-mode window
-// writes — and conservative-optimistic for concurrent cross-boundary
-// DMA (documented in PROTOCOL.md §14).
-func ConnectRemote(a, b *Port) {
-	if a.peer != nil || b.peer != nil {
-		panic("ntb: port already connected")
-	}
-	if a.par != b.par {
-		panic("ntb: ports built from different profiles")
-	}
-	if a.sim == b.sim || a.net == b.net {
-		panic("ntb: ConnectRemote joins ports on different shards; use Connect inside one shard")
-	}
-	g := a.sim.Group()
-	if g == nil || b.sim.Group() != g {
-		panic("ntb: remote ports must belong to one sim.ShardGroup")
-	}
-	lag := g.Lookahead()
-	if lag > a.par.MMIOWrite || 2*lag > a.par.MMIORead {
-		panic(fmt.Sprintf("ntb: shard lookahead %v exceeds the cross-cable bound min(MMIOWrite=%v, MMIORead/2=%v)",
-			lag, a.par.MMIOWrite, a.par.MMIORead/2))
-	}
-	a.remote, b.remote = true, true
-	a.lag, b.lag = lag, lag
-	a.peer, b.peer = b, a
-	a.route = remoteRoute(a, b)
-	b.route = remoteRoute(b, a)
-	// Per-side flags: a cross-shard cable cannot be unplugged (failure
-	// injection requires an unsharded world), so these stay false.
-	a.linkDown, b.linkDown = new(bool), new(bool)
-}
-
-// remoteRoute interns the sender-side route for one direction of a
-// cross-shard cable, entirely within src's flow network.
-func remoteRoute(src, dst *Port) *pcie.Route {
-	wire := pcie.NewServer("wire:"+src.name+"->"+dst.name, src.par.EffectiveWireBW())
-	shadow := pcie.NewServer("shadow-rc:"+dst.name, src.par.RootComplexBW)
-	return src.net.NewRoute(src.localRC, wire, shadow)
-}
-
-// Remote reports whether the port's peer lives on another shard.
-func (p *Port) Remote() bool { return p.remote }
-
 // checkCable validates that two ports can be joined.
 func checkCable(a, b *Port) {
 	if a.peer != nil || b.peer != nil {
@@ -261,9 +196,6 @@ func cable(a, b *Port, via ...*pcie.Server) {
 func (p *Port) Unplug() {
 	if p.linkDown == nil {
 		panic("ntb: unplug of an unconnected port")
-	}
-	if p.remote {
-		panic("ntb: failure injection on a cross-shard cable requires an unsharded world (-shards 1)")
 	}
 	*p.linkDown = true
 }
@@ -308,21 +240,6 @@ func (p *Port) LUTAdd(pr *sim.Proc, reqID uint16) {
 	}
 	p.lut[reqID] = true
 	p.lutEnforced = true
-	if p.remote {
-		// Refresh the sender-side mirror on the far end of the cable.
-		// The mirror lands one lookahead out — before any admission
-		// check can race it: the peer only transmits after this host
-		// publishes its Id (a PeerSpadWrite issued after LUTAdd, in
-		// flight for MMIOWrite >= the lookahead).
-		peer := p.peer
-		p.sim.Post(peer.sim, p.lag, func() {
-			if peer.peerLUT == nil {
-				peer.peerLUT = make(map[uint16]bool)
-			}
-			peer.peerLUT[reqID] = true
-			peer.peerLUTEnforced = true
-		})
-	}
 }
 
 // LUTContains reports whether a requester ID is registered.
@@ -336,15 +253,6 @@ func (p *Port) admit(from *Port) {
 	if p.lutEnforced && !p.lut[from.reqID] {
 		panic(fmt.Sprintf("ntb: %s rejected transaction from requester %#x (%s): not in LUT",
 			p.name, from.reqID, from.name))
-	}
-}
-
-// admitRemote is the cross-shard admit: the sender checks its local
-// mirror of the peer's LUT instead of reaching into the peer.
-func (p *Port) admitRemote() {
-	if p.peerLUTEnforced && !p.peerLUT[p.reqID] {
-		panic(fmt.Sprintf("ntb: %s rejected transaction from requester %#x (%s): not in LUT mirror",
-			p.peer.name, p.reqID, p.name))
 	}
 }
 
@@ -461,15 +369,6 @@ func (p *Port) SpadRead(pr *sim.Proc, idx int) uint32 {
 // PeerSpadWrite writes the peer's scratchpad register idx across the link
 // (a posted write; silently dropped if the cable is down).
 func (p *Port) PeerSpadWrite(pr *sim.Proc, idx int, val uint32) {
-	if p.remote {
-		// Launch the posted write now so it lands at exactly
-		// t+MMIOWrite — the same instant the monolithic path stores it.
-		peer := p.mustPeer()
-		p.sim.Post(peer.sim, p.par.MMIOWrite, func() { peer.spads[idx] = val })
-		pr.Sleep(p.par.MMIOWrite)
-		p.emit("spad", "peer-write", 0, 4)
-		return
-	}
 	pr.Sleep(p.par.MMIOWrite)
 	p.emit("spad", "peer-write", 0, 4)
 	if *p.mustPeerLink() {
@@ -482,9 +381,6 @@ func (p *Port) PeerSpadWrite(pr *sim.Proc, idx int, val uint32) {
 // (a non-posted read that waits for the completion TLP). On a dead link
 // it stalls for the abort timeout and returns all ones.
 func (p *Port) PeerSpadRead(pr *sim.Proc, idx int) uint32 {
-	if p.remote {
-		return p.peerSpadReadRemote(pr, idx)
-	}
 	if *p.mustPeerLink() {
 		pr.Sleep(abortTimeout)
 		return ^uint32(0)
@@ -492,29 +388,6 @@ func (p *Port) PeerSpadRead(pr *sim.Proc, idx int) uint32 {
 	pr.Sleep(p.par.MMIORead)
 	p.emit("spad", "peer-read", 0, 4)
 	return p.peer.spads[idx]
-}
-
-// peerSpadReadRemote models the non-posted read as a request post that
-// samples the peer register at t+MMIORead-L and a completion post that
-// wakes the caller at exactly t+MMIORead. The caller's blocking time is
-// exact; the sampled value may be up to one lookahead staler than the
-// monolithic read would see, a window far below the polling periods the
-// boot and heartbeat protocols read spads at.
-func (p *Port) peerSpadReadRemote(pr *sim.Proc, idx int) uint32 {
-	peer := p.mustPeer()
-	var val uint32
-	done := sim.NewCompletion("spad-read:" + p.name)
-	lag := p.lag
-	p.sim.Post(peer.sim, p.par.MMIORead-lag, func() {
-		v := peer.spads[idx]
-		peer.sim.Post(p.sim, lag, func() {
-			val = v
-			done.Complete()
-		})
-	})
-	done.Wait(pr)
-	p.emit("spad", "peer-read", 0, 4)
-	return val
 }
 
 // mustPeerLink returns the shared link-down flag, panicking when the
@@ -537,10 +410,6 @@ func (p *Port) SetISR(fn func(bits uint16)) { p.isr = fn }
 //
 //ntblint:allocfree
 func (p *Port) PeerDBSet(pr *sim.Proc, bits uint16) {
-	if p.remote {
-		p.peerDBSetRemote(pr, bits)
-		return
-	}
 	pr.Sleep(p.par.MMIOWrite)
 	if *p.mustPeerLink() {
 		return
@@ -550,22 +419,6 @@ func (p *Port) PeerDBSet(pr *sim.Proc, bits uint16) {
 	// ring once per protocol chunk, and carrying the bits in the event
 	// argument keeps that path closure- and allocation-free.
 	p.sim.AfterTick(p.par.InterruptLatency, p.peer, uint64(bits))
-}
-
-// peerDBSetRemote posts the ring across the shard boundary: it reaches
-// the peer at t+MMIOWrite (exactly when the monolithic path arms the
-// delivery timer there) and the interrupt fires InterruptLatency later,
-// on the peer's own timeline. The cross-shard ring allocates its post
-// closure — doorbells off the local shard are inherently not the
-// allocation-free hot path.
-func (p *Port) peerDBSetRemote(pr *sim.Proc, bits uint16) {
-	peer := p.mustPeer()
-	arg := uint64(bits)
-	p.sim.Post(peer.sim, p.par.MMIOWrite, func() {
-		peer.sim.AfterTick(p.par.InterruptLatency, peer, arg)
-	})
-	pr.Sleep(p.par.MMIOWrite)
-	p.emit("doorbell", "ring", 0, 0)
 }
 
 // Tick implements sim.Ticker: scheduled interrupt delivery, arg carrying
@@ -644,14 +497,6 @@ func (p *Port) checkWindow(r Region, off, n int) {
 func (p *Port) CPUWrite(pr *sim.Proc, r Region, off int, data []byte) {
 	p.checkWindow(r, off, len(data))
 	peer := p.mustPeer()
-	if p.remote {
-		p.admitRemote()
-		start := pr.Now()
-		p.net.TransferRoute(pr, int64(len(data)), p.par.WindowWriteBW, p.route)
-		p.emit("pio", "window-write", pr.Now().Sub(start), len(data))
-		p.postWindowCopy(peer, r, off, len(data), data, nil, 0)
-		return
-	}
 	peer.admit(p)
 	start := pr.Now()
 	p.net.TransferRoute(pr, int64(len(data)), p.par.WindowWriteBW, p.route)
@@ -662,26 +507,6 @@ func (p *Port) CPUWrite(pr *sim.Proc, r Region, off int, data []byte) {
 	copy(peer.landing(r, off, len(data)), data)
 }
 
-// postWindowCopy lands a completed transfer's bytes in the remote peer's
-// inbound window one lookahead after local completion. The payload is
-// staged into a private copy first: the sender reuses its buffer the
-// moment the transfer completes, while the posted closure runs later on
-// the peer's timeline. Delivery at t+L instead of t is observationally
-// exact — a receiver never reads window bytes before the doorbell
-// interrupt that announces them, which trails local completion by
-// MMIOWrite+InterruptLatency > L.
-func (p *Port) postWindowCopy(peer *Port, r Region, off, n int, src []byte, heap *mem.Heap, heapOff int64) {
-	buf := make([]byte, n)
-	if heap != nil {
-		heap.Read(heapOff, buf)
-	} else {
-		copy(buf, src[:n])
-	}
-	p.sim.Post(peer.sim, p.lag, func() {
-		copy(peer.landing(r, off, n), buf)
-	})
-}
-
 // CPURead pulls data from the peer's inbound window with uncached loads
 // across the link. The paper's library never bulk-reads through the
 // window — this method exists to let tests demonstrate why (WindowReadBW
@@ -689,12 +514,6 @@ func (p *Port) postWindowCopy(peer *Port, r Region, off, n int, src []byte, heap
 func (p *Port) CPURead(pr *sim.Proc, r Region, off int, buf []byte) {
 	p.checkWindow(r, off, len(buf))
 	peer := p.mustPeer()
-	if p.remote {
-		// The runtime never bulk-reads through the window (see above);
-		// nothing needs this across shards, so fail loudly rather than
-		// model a flow whose completion depends on remote state.
-		panic("ntb: CPURead across a shard boundary is not supported; run with -shards 1")
-	}
 	peer.admit(p)
 	if *p.linkDown {
 		pr.Sleep(abortTimeout)
@@ -826,19 +645,13 @@ func (e *Engine) run(pr *sim.Proc) {
 			wedge.Wait(pr) // parks forever
 		}
 		peer := e.port.mustPeer()
-		if e.port.remote {
-			e.port.admitRemote()
-			e.port.net.TransferRoute(pr, int64(d.Bytes), e.port.engineBW, e.port.route)
-			e.port.postWindowCopy(peer, d.Region, d.Off, d.Bytes, d.Src, d.SrcHeap, d.SrcOff)
+		peer.admit(e.port)
+		e.port.net.TransferRoute(pr, int64(d.Bytes), e.port.engineBW, e.port.route)
+		dst := peer.landing(d.Region, d.Off, d.Bytes)
+		if d.SrcHeap != nil {
+			d.SrcHeap.Read(d.SrcOff, dst)
 		} else {
-			peer.admit(e.port)
-			e.port.net.TransferRoute(pr, int64(d.Bytes), e.port.engineBW, e.port.route)
-			dst := peer.landing(d.Region, d.Off, d.Bytes)
-			if d.SrcHeap != nil {
-				d.SrcHeap.Read(d.SrcOff, dst)
-			} else {
-				copy(dst, d.Src[:d.Bytes])
-			}
+			copy(dst, d.Src[:d.Bytes])
 		}
 		e.port.emit("dma", "xfer", pr.Now().Sub(start), d.Bytes)
 		e.busy--

@@ -10,9 +10,9 @@ import (
 )
 
 // Edge cases of the coroutine kernel: the own-wake fast path in park must
-// obey exactly the run loop's selection rule (deadline, shard window, tie
-// order), and spawn/teardown/failure must behave as they did when every
-// process was a goroutine behind a channel pair. Shutdown of a parked
+// obey exactly the run loop's selection rule (deadline, tie order), and
+// spawn/teardown/failure must behave as they did when every process was
+// a goroutine behind a channel pair. Shutdown of a parked
 // daemon and of a body whose defer blocks are TestShutdownRunsUserDefers
 // and TestShutdownSurvivesBlockingDefers in daemon_test.go.
 
@@ -50,95 +50,6 @@ func TestRunUntilLeavesOwnWakePastDeadline(t *testing.T) {
 	}
 	if s.LiveProcs() != 0 {
 		t.Fatalf("%d processes live after the sleeper returned", s.LiveProcs())
-	}
-}
-
-// nodeLog is what one node of runNodeWorld observed.
-type nodeLog struct {
-	Ticks []Time    // the ticker's wake times
-	Recv  [][2]Time // (arrival time, value) at the sink
-	Acks  []Time    // ack arrival times
-}
-
-// runNodeWorld runs four logical nodes on the given number of simulators
-// (1 = one plain Simulator, else a ShardGroup with nodes spread evenly).
-// Each node has a ticker process sleeping a period that is often longer
-// than the lookahead — so its own wake regularly lies at or beyond the
-// window end — and posting to the next node's sink every third tick; the
-// sink acks one lookahead later. Node 0 ticks ten times longer than the
-// rest, so for most of the run its shard is alone with an unbounded
-// window that only its own Posts shrink. A ticker that consumed a wake
-// beyond the live window end would move its clock past a pending ack,
-// which then panics in scheduleEvent; short of that, any reordering
-// shows in the logs.
-//
-// Ticker wakes fall on even nanoseconds and deliveries to sinks on odd
-// ones, so the feedback from sink to ticker (the period stretches with
-// the count received) never depends on how a same-instant tie between a
-// merged and a local event is broken.
-func runNodeWorld(t *testing.T, shards int) []nodeLog {
-	t.Helper()
-	const nodes = 4
-	const L = 101 * Nanosecond
-	sims := make([]*Simulator, shards)
-	for i := range sims {
-		sims[i] = New()
-	}
-	run, shutdown := sims[0].Run, sims[0].Shutdown
-	if shards > 1 {
-		g := NewShardGroup(L, sims...) // members must join before anything is scheduled
-		run, shutdown = g.Run, g.Shutdown
-	}
-	defer shutdown()
-	simOf := func(node int) *Simulator { return sims[node*shards/nodes] }
-	logs := make([]nodeLog, nodes)
-	inbox := make([]*Queue[Time], nodes)
-	for n := range inbox {
-		inbox[n] = NewQueue[Time](fmt.Sprintf("inbox%d", n))
-	}
-	for n := 0; n < nodes; n++ {
-		s, next, log := simOf(n), (n+1)%nodes, &logs[n]
-		received := 0
-		s.GoDaemon(fmt.Sprintf("sink%d", n), func(p *Proc) {
-			for {
-				v := inbox[n].Pop(p)
-				received++
-				log.Recv = append(log.Recv, [2]Time{p.Now(), v})
-			}
-		})
-		rounds := 30
-		if n == 0 {
-			rounds = 300
-		}
-		s.Go(fmt.Sprintf("ticker%d", n), func(p *Proc) {
-			for i := 0; i < rounds; i++ {
-				p.Sleep(Duration(40 + 60*((i+n)%6) + 2*(received%3)))
-				log.Ticks = append(log.Ticks, p.Now())
-				if i%3 == 0 {
-					sent := p.Now()
-					s.Post(simOf(next), L, func() {
-						inbox[next].Push(sent)
-						simOf(next).Post(s, L, func() { log.Acks = append(log.Acks, s.Now()) })
-					})
-				}
-			}
-		})
-	}
-	if err := run(); err != nil {
-		t.Fatalf("%d shards: %v", shards, err)
-	}
-	return logs
-}
-
-func TestShardWindowBoundsOwnWake(t *testing.T) {
-	mono := runNodeWorld(t, 1)
-	if n := len(mono[0].Ticks); n != 300 || len(mono[1].Recv) != 100 || len(mono[0].Acks) != 100 {
-		t.Fatalf("monolithic world incomplete: %d ticks, %d deliveries, %d acks", n, len(mono[1].Recv), len(mono[0].Acks))
-	}
-	for _, shards := range []int{2, 4} {
-		if got := runNodeWorld(t, shards); !reflect.DeepEqual(got, mono) {
-			t.Fatalf("%d shards diverged from the monolithic run:\n got %v\nwant %v", shards, got, mono)
-		}
 	}
 }
 
@@ -265,22 +176,6 @@ func TestGoexitInBodyEndsRunCaller(t *testing.T) {
 	s.Shutdown()
 	if !cleaned || s.LiveProcs() != 0 {
 		t.Fatalf("Shutdown after Goexit: parked daemon cleaned=%v, %d processes live", cleaned, s.LiveProcs())
-	}
-}
-
-// TestGoexitInShardedBodyFailsGroupRun: when the window ran on a worker
-// goroutine, the Goexit ends that worker and the coordinator reports it.
-func TestGoexitInShardedBodyFailsGroupRun(t *testing.T) {
-	a, b := New(), New()
-	g := NewShardGroup(100*Nanosecond, a, b)
-	defer g.Shutdown()
-	a.Go("steady", func(p *Proc) { p.Sleep(Microsecond) })
-	b.Go("quitter", func(p *Proc) {
-		p.Sleep(10 * Nanosecond) // both members are active in the first window
-		runtime.Goexit()
-	})
-	if err := g.Run(); err == nil || !strings.Contains(err.Error(), `"quitter" called runtime.Goexit`) {
-		t.Fatalf("ShardGroup.Run returned %v; want the Goexit failure", err)
 	}
 }
 

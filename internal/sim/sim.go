@@ -38,21 +38,19 @@ type Simulator struct {
 	running bool
 	killed  bool // Shutdown is terminal
 
-	// Sharded execution (see shard.go). group and shard are construction
-	// identity: a member simulator belongs to its ShardGroup for life.
-	group *ShardGroup // snap: keep — construction identity
-	shard int         // snap: keep — construction identity
-
-	// windowEnd is the exclusive time bound of the run in progress: one
-	// past RunUntil's deadline, a shard window's end as shrunk by Post,
-	// or timeInf. runWindow sets it before anything reads it.
-	windowEnd Time // snap: keep — only live inside runWindow, which sets it first
+	// runEnd is the exclusive time bound of the run in progress: one past
+	// RunUntil's deadline, or timeInf under Run. run sets it before
+	// anything reads it.
+	runEnd Time // snap: keep — only live inside run, which sets it first
 
 	// trace, when set, observes every dispatched event (TraceDispatch).
 	trace func(t Time, seq uint64, kind byte, proc string) // snap: keep — an observer, not state
 
 	executed uint64 // events dispatched since New or the last Restore; snap: keep — Restore rezeroes it, the world snapshot records its own event count
 }
+
+// timeInf is the bound of a run with no deadline.
+const timeInf = Time(1<<63 - 1)
 
 // errKilled aborts a blocking call issued from a defer while Shutdown is
 // unwinding the goroutine.
@@ -183,8 +181,7 @@ func (s *Simulator) GoDaemon(name string, body func(p *Proc)) *Proc {
 // in an error (errors.As finds a typed panic value). A body that calls
 // runtime.Goexit — t.FailNow and t.Fatal do — fails it the same way and
 // then, as iter.Pull specifies, ends the goroutine that was running the
-// loop once its defers have run: Run's caller, or a shard group's window
-// worker, in which case ShardGroup.Run returns the failure.
+// loop once its defers have run: Run's caller.
 func (s *Simulator) GoAfter(name string, d Duration, body func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name}
 	s.procs[p] = struct{}{}
@@ -224,7 +221,7 @@ func (s *Simulator) GoAfter(name string, d Duration, body func(p *Proc)) *Proc {
 // peekNext reports the event the run loop dispatches next, or nil: a
 // queued event at now (scheduled before time advanced here, so it
 // precedes everything in ready), else the head of the ready FIFO, else
-// the queue head if it lies before windowEnd. queued tells which of the
+// the queue head if it lies before runEnd. queued tells which of the
 // two holds it. The run loop and park's own-wake test both select
 // through here, so the rule exists once.
 //
@@ -236,7 +233,7 @@ func (s *Simulator) peekNext() (ev *event, queued bool) {
 		return ev, true
 	case s.readyHead < len(s.ready):
 		return &s.ready[s.readyHead], false
-	case ev != nil && ev.t < s.windowEnd:
+	case ev != nil && ev.t < s.runEnd:
 		return ev, true
 	}
 	return nil, false
@@ -278,47 +275,23 @@ func (s *Simulator) RunUntil(deadline Time) error {
 	return s.run(deadline)
 }
 
+// run is the one event loop: it dispatches events with time ≤ deadline,
+// or every event when deadline is negative.
 func (s *Simulator) run(deadline Time) error {
-	if s.group != nil {
-		return fmt.Errorf("sim: Run on shard %d of a %d-shard group; drive the world through ShardGroup.Run", s.shard, len(s.group.members))
-	}
-	end := timeInf
-	if deadline >= 0 && deadline < timeInf {
-		end = deadline + 1
-	}
-	if err := s.runWindow(end); err != nil {
-		return err
-	}
-	if deadline < 0 {
-		if s.nondaemonProcs() > 0 {
-			return s.deadlockError()
-		}
-	} else if _, pending := s.nextTime(); pending {
-		s.now = deadline
-	}
-	return nil
-}
-
-// runWindow executes events with time strictly below end (as possibly
-// shrunk by Post, see windowEnd). It never advances the clock to the
-// boundary: now stays at the last dispatched event, so a later, larger
-// window continues seamlessly. Parked processes are not a deadlock here —
-// cross-shard mail merged between windows may wake them. The caller
-// (run, or ShardGroup.Run possibly via a worker goroutine) inspects
-// simulator state only between windows, so process code still observes
-// the one-process-at-a-time kernel guarantee.
-func (s *Simulator) runWindow(end Time) error {
 	if s.running {
 		return fmt.Errorf("sim: Run called reentrantly")
 	}
 	s.running = true
-	s.windowEnd = end
+	s.runEnd = timeInf
+	if deadline >= 0 && deadline < timeInf {
+		s.runEnd = deadline + 1
+	}
 	defer func() { s.running = false }()
 
 	for s.fatal == nil {
 		next, queued := s.peekNext()
 		if next == nil {
-			return nil
+			break
 		}
 		ev := *next
 		s.consume(next, queued)
@@ -331,7 +304,17 @@ func (s *Simulator) runWindow(end Time) error {
 			ev.fn()
 		}
 	}
-	return s.fatal
+	if s.fatal != nil {
+		return s.fatal
+	}
+	if deadline < 0 {
+		if s.nondaemonProcs() > 0 {
+			return s.deadlockError()
+		}
+	} else if _, pending := s.nextTime(); pending {
+		s.now = deadline
+	}
+	return nil
 }
 
 // nextTime reports the timestamp of the earliest pending event, or false
@@ -381,9 +364,8 @@ func (s *Simulator) LiveProcs() int { return len(s.procs) }
 func (s *Simulator) Reset() { s.Restore(Snapshot{}) }
 
 // assertQuiescent panics unless the simulator is between runs with every
-// non-daemon process exited and no events pending (and, for a shard
-// group member, no cross-shard mail it posted still undelivered) — the
-// precondition shared by Snapshot and Restore.
+// non-daemon process exited and no events pending — the precondition
+// shared by Snapshot and Restore.
 func (s *Simulator) assertQuiescent(op string) {
 	if s.running {
 		panic("sim: " + op + " during Run")
@@ -399,14 +381,6 @@ func (s *Simulator) assertQuiescent(op string) {
 	}
 	if s.events.Len() > 0 || s.readyHead < len(s.ready) {
 		panic("sim: " + op + " with pending events")
-	}
-	if g := s.group; g != nil {
-		n := len(g.members)
-		for _, box := range g.mail[s.shard*n : (s.shard+1)*n] {
-			if len(box) != 0 {
-				panic("sim: " + op + " with undelivered cross-shard mail")
-			}
-		}
 	}
 }
 
