@@ -55,7 +55,7 @@ func RunAblationBarrierAlgo(par *model.Params) *Figure {
 			keys = append(keys, cellKey{algo, n})
 		}
 	}
-	vals := runPoints(keys, func(k cellKey) float64 {
+	vals := RunPoints(keys, func(k cellKey) float64 {
 		return MeasureBarrierLatency(par, k.algo, k.n, 10)
 	})
 	for ai, algo := range algos {
@@ -83,7 +83,7 @@ func RunAblationGetChunk(par *model.Params) *Figure {
 	for chunk := 2 << 10; chunk <= 256<<10; chunk <<= 1 {
 		chunks = append(chunks, chunk)
 	}
-	vals := runPoints(chunks, func(chunk int) float64 {
+	vals := RunPoints(chunks, func(chunk int) float64 {
 		p2 := par.Clone()
 		p2.GetChunk = chunk
 		return MeasureShmemOp(p2, OpGet, driver.ModeDMA, 1, size, 5)
@@ -110,7 +110,7 @@ func RunAblationRingSize(par *model.Params) *Figure {
 	const size = 64 << 10
 	ns := []int{2, 3, 4, 5, 6, 7, 8}
 	type pg struct{ put, get float64 }
-	vals := runPoints(ns, func(n int) pg {
+	vals := RunPoints(ns, func(n int) pg {
 		pl, gl := MeasureFarthest(par, n, size)
 		return pg{pl, gl}
 	})
@@ -139,7 +139,7 @@ func RunGenerationComparison() *Figure {
 	const size = 512 << 10
 	names := model.Names()
 	type cell struct{ raw, putMBps, getMBps float64 }
-	cells := runPoints(names, func(name string) cell {
+	cells := RunPoints(names, func(name string) cell {
 		par, err := model.Profile(name)
 		if err != nil {
 			panic(err)
@@ -240,7 +240,7 @@ func RunCollectiveLatency(par *model.Params) *Figure {
 		series[i].Label = k
 	}
 	ns := []int{2, 3, 4, 5, 6, 7, 8}
-	lats := runPoints(ns, func(n int) map[string]float64 {
+	lats := RunPoints(ns, func(n int) map[string]float64 {
 		return MeasureCollectives(par, n, 8<<10)
 	})
 	for ni, n := range ns {
@@ -303,7 +303,7 @@ func RunAblationWakeCost(par *model.Params) *Figure {
 	const size = 512 << 10
 	wakes := []int{10, 35, 70, 140, 280}
 	type cell struct{ put, get, barrier float64 }
-	cells := runPoints(wakes, func(wakeUS int) cell {
+	cells := RunPoints(wakes, func(wakeUS int) cell {
 		p2 := par.Clone()
 		p2.ServiceWake = sim.Microseconds(float64(wakeUS))
 		return cell{
@@ -338,7 +338,7 @@ func RunAblationPipeline(par *model.Params) *Figure {
 	const size = 512 << 10
 	depths := []int{1, 2, 4, 8}
 	type pg struct{ put, get float64 }
-	vals := runPoints(depths, func(depth int) pg {
+	vals := RunPoints(depths, func(depth int) pg {
 		pl, gl := MeasurePipelined(par, depth, size, 5)
 		return pg{pl, gl}
 	})
@@ -473,7 +473,7 @@ func RunAblationRouting(par *model.Params) *Figure {
 			keys = append(keys, cellKey{routing, dst})
 		}
 	}
-	vals := runPoints(keys, func(k cellKey) float64 {
+	vals := RunPoints(keys, func(k cellKey) float64 {
 		return MeasureGetRouted(par, k.routing, n, k.dst, size)
 	})
 	for ri, routing := range routings {

@@ -277,7 +277,7 @@ func RunAppKernels(par *model.Params) *Figure {
 			keys = append(keys, cellKey{ci, ki})
 		}
 	}
-	vals := runPoints(keys, func(k cellKey) float64 {
+	vals := RunPoints(keys, func(k cellKey) float64 {
 		return kernels[k.ki](cfgs[k.ci])
 	})
 	for ci, cfg := range cfgs {

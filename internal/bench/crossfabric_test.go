@@ -24,7 +24,7 @@ func TestGoldenCrossFabric(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-fabric golden sweep in -short mode")
 	}
-	wasOn := WorldForkEnabled()
+	wasOn := forkOn.Load()
 	defer SetWorldFork(wasOn)
 	for _, forkOn := range []bool{false, true} {
 		t.Run(map[bool]string{false: "replay", true: "fork"}[forkOn], func(t *testing.T) {
@@ -84,10 +84,10 @@ func TestCrossFabricShapes(t *testing.T) {
 }
 
 // BenchmarkSwitchWorld runs the E6 workload on a pooled 4-host
-// PCIe-switch world per op and reports engine throughput as events/s —
-// the benchgate floor keeping the switch fabric's flow-network routing
-// (per-host uplinks through a shared core) from regressing into
-// per-event re-solves.
+// PCIe-switch world per op and reports engine throughput as events/s:
+// the switch fabric's flow-network routing (per-host uplinks through a
+// shared core) must not regress into per-event re-solves, which the
+// repository benchmark's fabric.put4k_ns.switch watches.
 func BenchmarkSwitchWorld(b *testing.B) {
 	DrainWorldPool()
 	prev := Fabric()

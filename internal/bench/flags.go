@@ -3,20 +3,18 @@ package bench
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
 	"repro/internal/fabric"
 )
 
-// FlagSpec describes how one experiment driver uses the flags the
-// drivers share — -j, -fabric — so their registration, parsing,
-// validation and error text live here once. What legitimately differs
-// per command is data.
+// FlagSpec describes how one `reproduce` subcommand uses the flags they
+// all share — -j, -fabric — so their registration, parsing, validation
+// and error text live here once. What legitimately differs per
+// subcommand is data.
 type FlagSpec struct {
-	Cmd       string // prefixes every error message, like the command's own
-	NoWorkers bool   // omit -j (a command that runs its worlds one at a time)
+	NoWorkers bool // omit -j (a command that runs its worlds one at a time)
 	// Fabric and FabricUsage are the -fabric default and help text.
 	Fabric, FabricUsage string
 	// FabricList makes -fabric a comma-separated list of backends to
@@ -53,21 +51,13 @@ func RegisterFlags(fs *flag.FlagSet, spec FlagSpec) *Flags {
 	return f
 }
 
-// Apply validates the parsed values and installs them as the bench
-// policy (SetParallelism and, under FlagSpec.Select, SetFabric). A bad
-// value is a usage error: it is reported on stderr with the command's
-// name and the process exits with status 2, as flag.Parse itself does.
-func (f *Flags) Apply() {
-	if err := f.apply(); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", f.spec.Cmd, err)
-		os.Exit(2)
-	}
-}
-
 // Kind returns the single parsed backend.
 func (f *Flags) Kind() fabric.Kind { return f.Kinds[0] }
 
-func (f *Flags) apply() error {
+// Apply validates the parsed values and installs them as the bench
+// policy (SetParallelism and, under FlagSpec.Select, SetFabric). A bad
+// value is a usage error for the command to report.
+func (f *Flags) Apply() error {
 	toks := []string{f.fabrics}
 	if f.spec.FabricList {
 		toks = splitList(f.fabrics)
@@ -95,20 +85,28 @@ func (f *Flags) apply() error {
 	return nil
 }
 
-// ParseHostCounts parses a comma-separated sweep axis of cluster sizes
-// (the value of the named flag), requiring each to be something the
-// fabric backend will build — a flag error here instead of a mid-sweep
+// CheckHostCount is the one range check every cluster-size flag goes
+// through: n must be something the fabric backend will build (the pair
+// fabric joins exactly 2) — a flag error here instead of a mid-sweep
 // panic.
+func CheckHostCount(flagName string, n int, kind fabric.Kind) error {
+	if max := fabric.MaxHostsFor(kind); n < 2 || n > max {
+		return fmt.Errorf("-%s: cluster size %d out of range [2, %d] for the %s fabric", flagName, n, max, kind)
+	}
+	return nil
+}
+
+// ParseHostCounts parses a comma-separated sweep axis of cluster sizes
+// (the value of the named flag), each checked by CheckHostCount.
 func ParseHostCounts(flagName, list string, kind fabric.Kind) ([]int, error) {
-	max := fabric.MaxHostsFor(kind)
 	var sizes []int
 	for _, tok := range splitList(list) {
 		n, err := strconv.Atoi(tok)
 		if err != nil {
 			return nil, fmt.Errorf("-%s: %q is not a cluster size", flagName, tok)
 		}
-		if n < 2 || n > max {
-			return nil, fmt.Errorf("-%s: cluster size %d out of range [2, %d] for the %s fabric", flagName, n, max, kind)
+		if err := CheckHostCount(flagName, n, kind); err != nil {
+			return nil, err
 		}
 		sizes = append(sizes, n)
 	}

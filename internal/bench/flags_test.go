@@ -34,7 +34,7 @@ func TestSharedFlags(t *testing.T) {
 			t.Fatalf("%s: parse: %v", tc.name, err)
 		}
 		SetFabric(fabric.KindNTBRing)
-		err := f.apply()
+		err := f.Apply()
 		if tc.wantErr != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)

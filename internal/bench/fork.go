@@ -30,17 +30,15 @@ var forkOn atomic.Bool
 func init() { forkOn.Store(true) }
 
 // SetWorldFork enables or disables prefix forking for subsequent sweep
-// points — the A/B switch for measuring what forking buys. Disabling
-// drops the snapshot cache.
+// points. Replay (false) is the reference the golden, cross-fabric,
+// parallel and fork suites hold fork equivalence against; no command
+// exposes it. Disabling drops the snapshot cache.
 func SetWorldFork(on bool) {
 	forkOn.Store(on)
 	if !on {
 		DrainSnapshots()
 	}
 }
-
-// WorldForkEnabled reports whether sweep points fork cached prefixes.
-func WorldForkEnabled() bool { return forkOn.Load() }
 
 // Fork statistics, cumulative since process start.
 var (
@@ -130,7 +128,7 @@ func prefixSnapshot(label string, par *model.Params, n int, opts core.Options, p
 
 	worldCount.Add(1)
 	forkPrefixBuilds.Add(1)
-	w, _, poolable := acquireWorld(label, par, n, opts)
+	w, _ := acquireWorld(label, par, n, opts)
 	// Reset a fresh world too: it parks the daemon-spawn events, so the
 	// snapshot's event count — the replay cost every fork of it reports
 	// saving — matches what a recycled world records. Whether a prefix
@@ -145,7 +143,7 @@ func prefixSnapshot(label string, par *model.Params, n int, opts core.Options, p
 	if err == nil {
 		snap = w.Snapshot()
 	}
-	releaseWorld(w, fmt.Sprintf("%s: prefix %q", label, prefixKey), n, opts, poolable, err)
+	releaseWorld(w, fmt.Sprintf("%s: prefix %q", label, prefixKey), n, opts, err)
 	storeSnapshot(key, snap)
 	return snap
 }
@@ -154,8 +152,9 @@ func prefixSnapshot(label string, par *model.Params, n int, opts core.Options, p
 // other workload seed so A/B runs compare identical simulations.
 const forkProbeSeed int64 = 7
 
-// ForkProbePoint runs one point of the prefix-heavy probe workload the
-// fork A/B measures: a steady-state fill prefix — rounds of fill-byte
+// ForkProbePoint runs one point of the prefix-heavy probe workload that
+// BenchmarkWorldFork and the repository benchmark's bench.forks_per_s
+// measure: a steady-state fill prefix — rounds of fill-byte
 // ring puts with barriers, shared by every point of the sweep — then a
 // small divergent body whose put size varies per point. With forking
 // enabled the fill simulates once per sweep; without it, every point
@@ -194,11 +193,10 @@ func ForkProbePoint(par *model.Params, n, rounds, fill, point int) {
 func runForked(label string, par *model.Params, n int, opts core.Options, prefixKey string, seed int64, prefix, body func(p *sim.Proc, pe *core.PE)) {
 	snap := prefixSnapshot(label, par, n, opts, prefixKey, seed, prefix)
 	worldCount.Add(1)
-	w, _, poolable := acquireWorld(label, par, n, opts)
+	w, _ := acquireWorld(label, par, n, opts)
 	w.Fork(snap)
 	err := w.RunKeepForked(body)
 	forkForks.Add(1)
 	forkEventsSaved.Add(snap.Events())
-	recordPointCost(label, w.Cluster.EventsExecuted())
-	releaseWorld(w, label, n, opts, poolable, err)
+	releaseWorld(w, label, n, opts, err)
 }

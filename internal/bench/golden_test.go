@@ -71,7 +71,7 @@ func TestGoldenCSVs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CSV sweep in -short mode")
 	}
-	wasOn := WorldForkEnabled()
+	wasOn := forkOn.Load()
 	defer SetWorldFork(wasOn)
 	for _, forkOn := range []bool{false, true} {
 		t.Run(map[bool]string{false: "replay", true: "fork"}[forkOn], func(t *testing.T) {

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -46,15 +45,22 @@ func Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// SetShards is what is left of conservative-PDES sharding, which was
-// measured five times, never won and is deleted (EXPERIMENTS.md): a world
-// is one simulator, so 1 is the only value accepted. It exists because
-// benchmark/surface.go binds it and benchmark/main.go calls it with 1;
-// the benchmark-only PR that rebinds surface.go (ROADMAP item 1) removes
-// it.
+// SetShards and SetWorldPool are what is left of two deleted mechanisms:
+// conservative-PDES sharding (measured five times, never a win;
+// EXPERIMENTS.md) and the world pool's off switch. A world is one
+// simulator and every world is pooled, so each accepts only the value
+// that says so. They exist because benchmark/surface.go binds them and
+// benchmark/main.go calls them; the benchmark-only PR that rebinds
+// surface.go (ROADMAP item 2c) removes both.
 func SetShards(n int) {
 	if n != 1 {
 		panic(fmt.Sprintf("bench: SetShards(%d): sharding is deleted; a world is one simulator", n))
+	}
+}
+
+func SetWorldPool(on bool) {
+	if !on {
+		panic("bench: SetWorldPool(false): the pool-off path is deleted; every world is pooled")
 	}
 }
 
@@ -77,16 +83,8 @@ func Fabric() fabric.Kind { return fabric.Kind(benchFabric.Load()) }
 var worldCount atomic.Uint64
 
 // WorldsSimulated reports how many simulation worlds have been built and
-// run by this package since process start (or the last reset).
+// run by this package since process start.
 func WorldsSimulated() uint64 { return worldCount.Load() }
-
-// ResetWorldCount zeroes the world tally (test/tool hook).
-func ResetWorldCount() { worldCount.Store(0) }
-
-// CountWorld records one externally simulated world in the tally. The
-// bench package's own helpers count automatically; commands that build
-// worlds outside this package can keep the summary honest with this.
-func CountWorld() { worldCount.Add(1) }
 
 // worldEvents tallies virtual events dispatched across all bench worlds —
 // the kernel-level cost of everything simulated so far.
@@ -96,64 +94,29 @@ var worldEvents atomic.Uint64
 // through this package since process start.
 func VirtualEvents() uint64 { return worldEvents.Load() }
 
-// pointCosts records the measured virtual-event count of each labelled
-// world run, keyed by the runRingWorld label. Sweeps consult these to
-// sanity-check the static cost estimates they hand RunPointsOrdered.
-var pointCosts struct {
-	sync.Mutex
-	m map[string]uint64
+// RunPoints fans fn over points across the configured workers
+// (Parallelism) and returns the results in point order — the form every
+// figure sweep uses. fn must be safe to call concurrently for distinct
+// points (the Run* sweeps satisfy this: every point builds its own
+// simulator). A panic in fn is re-raised on the calling goroutine after
+// all workers have stopped.
+func RunPoints[T, R any](points []T, fn func(T) R) []R {
+	return RunPointsOrdered(Parallelism(), points, nil, fn)
 }
 
-func recordPointCost(label string, events uint64) {
-	if label == "" {
-		return
-	}
-	pointCosts.Lock()
-	if pointCosts.m == nil {
-		pointCosts.m = make(map[string]uint64)
-	}
-	pointCosts.m[label] += events
-	pointCosts.Unlock()
-}
-
-// PointCosts returns a copy of the per-label virtual-event tallies
-// accumulated by labelled world runs.
-func PointCosts() map[string]uint64 {
-	pointCosts.Lock()
-	defer pointCosts.Unlock()
-	out := make(map[string]uint64, len(pointCosts.m))
-	for k, v := range pointCosts.m {
-		out[k] = v
-	}
-	return out
-}
-
-// RunPoints fans fn over points across par workers and returns the
-// results in point order. fn must be safe to call concurrently for
-// distinct points (the Run* sweeps satisfy this: every point builds its
-// own simulator). A cancelled ctx stops new points from being claimed;
-// results for unclaimed points are left as zero values. A panic in fn is
-// re-raised on the calling goroutine after all workers have stopped.
-func RunPoints[T, R any](ctx context.Context, par int, points []T, fn func(T) R) []R {
-	return RunPointsOrdered(ctx, par, points, nil, fn)
-}
-
-// RunPointsOrdered is RunPoints with cost-aware claiming: costs[i]
-// estimates point i's simulation cost (any monotone proxy — bytes moved,
-// virtual events from a previous run), and workers claim points
-// largest-estimate-first so no worker is left grinding through the
-// heaviest point after its siblings have drained the cheap ones. Results
-// are still slotted by original point index, so the returned slice — and
-// any figure built from it — is byte-identical to RunPoints at any
-// worker count and any cost vector. A nil or mis-sized costs falls back
-// to claim-in-index-order.
-func RunPointsOrdered[T, R any](ctx context.Context, par int, points []T, costs []float64, fn func(T) R) []R {
+// RunPointsOrdered is RunPoints over par workers with cost-aware
+// claiming: costs[i] estimates point i's simulation cost (any monotone
+// proxy — bytes moved, virtual events from a previous run), and workers
+// claim points largest-estimate-first so no worker is left grinding
+// through the heaviest point after its siblings have drained the cheap
+// ones. Results are still slotted by original point index, so the
+// returned slice — and any figure built from it — is byte-identical to
+// RunPoints at any worker count and any cost vector. A nil or mis-sized
+// costs falls back to claim-in-index-order.
+func RunPointsOrdered[T, R any](par int, points []T, costs []float64, fn func(T) R) []R {
 	results := make([]R, len(points))
 	if len(points) == 0 {
 		return results
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	if par < 1 {
 		par = 1
@@ -173,9 +136,6 @@ func RunPointsOrdered[T, R any](ctx context.Context, par int, points []T, costs 
 	if par == 1 {
 		// Serial fast path: no goroutines, same claim order.
 		for _, i := range order {
-			if ctx.Err() != nil {
-				break
-			}
 			results[i] = fn(points[i])
 		}
 		return results
@@ -191,7 +151,7 @@ func RunPointsOrdered[T, R any](ctx context.Context, par int, points []T, costs 
 			defer wg.Done()
 			for {
 				c := int(next.Add(1)) - 1
-				if c >= len(order) || ctx.Err() != nil {
+				if c >= len(order) {
 					return
 				}
 				i := order[c]
@@ -216,13 +176,7 @@ func RunPointsOrdered[T, R any](ctx context.Context, par int, points []T, costs 
 	return results
 }
 
-// runPoints is RunPoints with the package's configured worker count and
-// no cancellation — the form every figure sweep uses.
-func runPoints[T, R any](points []T, fn func(T) R) []R {
-	return RunPoints(context.Background(), Parallelism(), points, fn)
-}
-
-// runPointsCost is runPoints with a per-point cost estimate, for sweeps
+// runPointsCost is RunPoints with a per-point cost estimate, for sweeps
 // whose points have predictably uneven weight (latency sweeps over block
 // sizes, mostly). cost receives the point's index and value.
 func runPointsCost[T, R any](points []T, cost func(i int, pt T) float64, fn func(T) R) []R {
@@ -230,21 +184,18 @@ func runPointsCost[T, R any](points []T, cost func(i int, pt T) float64, fn func
 	for i, pt := range points {
 		costs[i] = cost(i, pt)
 	}
-	return RunPointsOrdered(context.Background(), Parallelism(), points, costs, fn)
+	return RunPointsOrdered(Parallelism(), points, costs, fn)
 }
 
 // runRingWorld drives body on every PE of an n-host ring world to
-// completion. With the world pool enabled (the default) it checks out a
-// warm world for the (params, n, options) shape and restores it — or
-// builds one on a miss — and after a clean run returns it; restored
-// worlds are indistinguishable from fresh ones (see core.World.Reset),
-// so results do not depend on pool state. With the pool disabled every
-// run builds and tears down its own world, as the pre-pool engine did.
+// completion. It checks out a warm world for the (params, n, options)
+// shape and restores it — or builds one on a miss — and after a clean
+// run returns it; restored worlds are indistinguishable from fresh ones
+// (see core.World.Reset), so results do not depend on pool state.
 //
-// label names the figure/point for panic attribution and the per-point
-// virtual-event record. runRingWorld panics on simulation error
-// (measurement harnesses have no recovery story) and counts the world
-// for the throughput summary.
+// label names the figure/point for panic attribution. runRingWorld
+// panics on simulation error (measurement harnesses have no recovery
+// story) and counts the world for the throughput summary.
 func runRingWorld(label string, par *model.Params, n int, opts core.Options, body func(p *sim.Proc, pe *core.PE)) {
 	runRingWorldPrefixed(label, par, n, opts, initPrefixKey, 0, nil, body)
 }
@@ -254,10 +205,10 @@ func runRingWorld(label string, par *model.Params, n int, opts core.Options, bod
 // shmem_init — is simulated once per (shape, prefixKey, seed) and every
 // further point forks the captured snapshot, running only body; with it
 // disabled the whole prefix replays from t=0 per point, which is the
-// PR 3 behaviour and the A/B baseline. A nil prefix means the bare
-// shmem_init warm-up. prefixKey with seed must uniquely name what
-// prefix simulates; two different prefix closures must never share a
-// key for the same shape.
+// reference the fork-equivalence tests compare against. A nil prefix
+// means the bare shmem_init warm-up. prefixKey with seed must uniquely
+// name what prefix simulates; two different prefix closures must never
+// share a key for the same shape.
 func runRingWorldPrefixed(label string, par *model.Params, n int, opts core.Options, prefixKey string, seed int64, prefix, body func(p *sim.Proc, pe *core.PE)) {
 	if forkOn.Load() {
 		runForked(label, par, n, opts, prefixKey, seed, prefix, body)
@@ -288,11 +239,10 @@ func buildRingWorld(label string, par *model.Params, n int, opts core.Options) *
 // runRingWorldReplay is the no-fork path: simulate everything from t=0.
 func runRingWorldReplay(label string, par *model.Params, n int, opts core.Options, body func(p *sim.Proc, pe *core.PE)) {
 	worldCount.Add(1)
-	w, recycled, poolable := acquireWorld(label, par, n, opts)
+	w, recycled := acquireWorld(label, par, n, opts)
 	if recycled {
 		w.Reset()
 	}
 	err := w.RunKeep(body)
-	recordPointCost(label, w.Cluster.EventsExecuted())
-	releaseWorld(w, label, n, opts, poolable, err)
+	releaseWorld(w, label, n, opts, err)
 }

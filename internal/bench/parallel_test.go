@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"context"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/model"
@@ -16,7 +14,7 @@ func TestRunPointsPreservesOrder(t *testing.T) {
 		points[i] = i
 	}
 	for _, par := range []int{1, 2, 8, 200} {
-		got := RunPoints(context.Background(), par, points, func(v int) int { return v * v })
+		got := RunPointsOrdered(par, points, nil, func(v int) int { return v * v })
 		for i, v := range got {
 			if v != i*i {
 				t.Fatalf("par=%d: result[%d] = %d, want %d", par, i, v, i*i)
@@ -26,7 +24,7 @@ func TestRunPointsPreservesOrder(t *testing.T) {
 }
 
 func TestRunPointsEmpty(t *testing.T) {
-	if got := RunPoints(context.Background(), 4, nil, func(int) int { return 1 }); len(got) != 0 {
+	if got := RunPointsOrdered(4, nil, nil, func(int) int { return 1 }); len(got) != 0 {
 		t.Fatalf("empty points returned %v", got)
 	}
 }
@@ -41,27 +39,12 @@ func TestRunPointsPanicPropagates(t *testing.T) {
 			t.Fatalf("panic lost its payload: %v", r)
 		}
 	}()
-	RunPoints(context.Background(), 4, []int{0, 1, 2, 3, 4, 5, 6, 7}, func(v int) int {
+	RunPointsOrdered(4, []int{0, 1, 2, 3, 4, 5, 6, 7}, nil, func(v int) int {
 		if v == 3 {
 			panic("boom")
 		}
 		return v
 	})
-}
-
-func TestRunPointsCancelStopsClaiming(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	points := make([]int, 1000)
-	RunPoints(ctx, 2, points, func(v int) int {
-		if ran.Add(1) == 3 {
-			cancel()
-		}
-		return v
-	})
-	if n := ran.Load(); n >= 1000 {
-		t.Fatalf("cancellation did not stop the sweep (ran %d points)", n)
-	}
 }
 
 // TestFig9DeterministicAcrossParallelism is the determinism regression

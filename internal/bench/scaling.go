@@ -13,11 +13,8 @@ import (
 // sweep drives the same runtime at 3 → 1024 PEs to measure how the
 // simulator itself scales (events/s, worlds/s) as the world grows. The
 // workload here is deterministic and wall-clock free — host-side timing
-// lives in the cmd layer (cmd/scaleperf, cmd/reproduce -scaling), where
-// wall-clock reads are allowed.
-
-// ScalePEs is the default PE-count ladder for the scaling sweep.
-func ScalePEs() []int { return []int{3, 16, 64, 256, 1024} }
+// lives in the cmd layer (`reproduce scale`), where wall-clock reads are
+// allowed.
 
 // scaleRounds is how many neighbour puts each PE issues per world. More
 // than one round keeps the put phase between the two barriers a
@@ -25,7 +22,7 @@ func ScalePEs() []int { return []int{3, 16, 64, 256, 1024} }
 // loops as well as barrier hops.
 const scaleRounds = 3
 
-// ScaleWorkload runs one n-PE ring world through the pool: every PE
+// ScaleWorkloadTime runs one n-PE ring world through the pool: every PE
 // allocates a symmetric block, barriers, puts putBytes to its right
 // neighbour scaleRounds times (one hop under the paper's rightward
 // routing, so total traffic grows linearly with n), and barriers again.
@@ -33,13 +30,9 @@ const scaleRounds = 3
 // ring256 workload pins this program's outcome at 256 PEs (280 267.167 µs
 // after 24 576 events), so the mode and scaleRounds are fixed. The
 // world's virtual events and world count accrue to the package tallies,
-// which the cmd layer samples around calls to compute events/s.
-func ScaleWorkload(par *model.Params, n, putBytes int) {
-	ScaleWorkloadTime(par, n, putBytes)
-}
-
-// ScaleWorkloadTime runs the scaling workload and returns PE 0's final
-// virtual time — the determinism witness cmd/scaleperf prints.
+// which the cmd layer samples around calls to compute events/s. It
+// returns PE 0's final virtual time — the determinism witness
+// `reproduce scale` prints.
 func ScaleWorkloadTime(par *model.Params, n, putBytes int) sim.Time {
 	var end sim.Time
 	label := "scale/n=" + strconv.Itoa(n)

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -160,8 +162,8 @@ func TestThousandPEWorld(t *testing.T) {
 	}
 	DrainWorldPool()
 	h0, m0 := WorldPoolStats()
-	ScaleWorkload(model.Default(), 1024, 1024)
-	ScaleWorkload(model.Default(), 1024, 1024)
+	ScaleWorkloadTime(model.Default(), 1024, 1024)
+	ScaleWorkloadTime(model.Default(), 1024, 1024)
 	h1, m1 := WorldPoolStats()
 	if h1-h0 < 1 {
 		t.Errorf("second 1024-PE run missed the pool (hits %d, misses %d): PE budget rejects big worlds", h1-h0, m1-m0)
@@ -170,21 +172,47 @@ func TestThousandPEWorld(t *testing.T) {
 }
 
 // BenchmarkScaleWorld256 runs the scaling workload on a pooled 256-PE
-// ring world per op and reports engine throughput as events/s. The
-// benchgate floor on that metric is the scaling guard: it fails CI if
-// per-event dispatch cost at 256 PEs regresses by an order of
-// magnitude (a super-linear scheduler would).
+// ring world per op and reports engine throughput as events/s (the
+// repository benchmark's ring256 workload gates that rate). Its B/op is
+// what a recycled 256-PE world costs the allocator per run;
+// TestBenchCeilings fails if restoring a pooled world goes back to
+// re-backing what it reserves.
 func BenchmarkScaleWorld256(b *testing.B) {
 	DrainWorldPool()
 	par := model.Default()
-	ScaleWorkload(par, 256, 4096) // build + pool the world outside the timer
+	ScaleWorkloadTime(par, 256, 4096) // build + pool the world outside the timer
 	e0 := VirtualEvents()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ScaleWorkload(par, 256, 4096)
+		ScaleWorkloadTime(par, 256, 4096)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(VirtualEvents()-e0)/b.Elapsed().Seconds(), "events/s")
 	DrainWorldPool()
+}
+
+// TestBenchCeilings holds the two machine-independent ceilings of this
+// package's benchmarks: a pooled 256-PE scaling run stays under
+// 300 000 B/op, and a forked sweep point under 200 allocs/op.
+func TestBenchCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two one-second benchmark runs in -short mode")
+	}
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates, and slows each op until one-time construction no longer amortises within the benchmark's second")
+	}
+	if got := testing.Benchmark(BenchmarkScaleWorld256).AllocedBytesPerOp(); got > 300_000 {
+		t.Errorf("BenchmarkScaleWorld256: %d B/op, ceiling 300000", got)
+	}
+	if got := testing.Benchmark(BenchmarkWorldFork).AllocsPerOp(); got > 200 {
+		t.Errorf("BenchmarkWorldFork: %d allocs/op, ceiling 200", got)
+	}
+}
+
+// raceEnabled reports whether this test binary was built with -race,
+// read from its build settings.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }

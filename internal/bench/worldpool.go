@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -40,11 +39,6 @@ const maxPooledWorlds = 32
 // Worlds over the per-world budget are still poolable — one at a time.
 const maxPooledPEs = 4096
 
-// worldPoolOn gates the pool; see SetWorldPool. Defaults to enabled.
-var worldPoolOn atomic.Bool
-
-func init() { worldPoolOn.Store(true) }
-
 var worldPool struct {
 	mu     sync.Mutex
 	worlds map[string][]*core.World
@@ -69,19 +63,6 @@ func worldFingerprint(par *model.Params, n int, opts core.Options, fab fabric.Ki
 func fingerprintOf(w *core.World, n int, opts core.Options) string {
 	return worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Kind())
 }
-
-// SetWorldPool enables or disables world pooling for subsequent
-// runRingWorld calls — the A/B switch for measuring what pooling buys.
-// Disabling drains the pool.
-func SetWorldPool(on bool) {
-	worldPoolOn.Store(on)
-	if !on {
-		DrainWorldPool()
-	}
-}
-
-// WorldPoolEnabled reports whether runRingWorld recycles worlds.
-func WorldPoolEnabled() bool { return worldPoolOn.Load() }
 
 // WorldPoolStats returns how many checkouts were served warm (hits) and
 // how many built fresh worlds (misses) since process start.
@@ -112,16 +93,12 @@ func DrainWorldPool() {
 
 // acquireWorld checks a warm world of the requested shape out of the
 // pool — in whatever state its last run left it: the caller restores it
-// (Reset or Fork) — or, on a miss or with pooling disabled, builds a
-// fresh one. recycled tells the two apart; poolable is whether the world
-// may be checked in after a clean run. A pooled world was keyed by its
-// params value at check-in time; if the params object it references was
-// mutated since (a sweep reusing one clone across points), the stale
-// world is shut down and the checkout is a miss like any other.
-func acquireWorld(label string, par *model.Params, n int, opts core.Options) (w *core.World, recycled, poolable bool) {
-	if !worldPoolOn.Load() {
-		return buildRingWorld(label, par, n, opts), false, false
-	}
+// (Reset or Fork) — or, on a miss, builds a fresh one. recycled tells the
+// two apart. A pooled world was keyed by its params value at check-in
+// time; if the params object it references was mutated since (a sweep
+// reusing one clone across points), the stale world is shut down and the
+// checkout is a miss like any other.
+func acquireWorld(label string, par *model.Params, n int, opts core.Options) (w *core.World, recycled bool) {
 	key := worldFingerprint(par, n, opts, Fabric())
 	worldPool.mu.Lock()
 	if ws := worldPool.worlds[key]; len(ws) > 0 {
@@ -143,21 +120,16 @@ func acquireWorld(label string, par *model.Params, n int, opts core.Options) (w 
 		w = nil
 	}
 	if w == nil {
-		return buildRingWorld(label, par, n, opts), false, true
+		return buildRingWorld(label, par, n, opts), false
 	}
-	return w, true, true
+	return w, true
 }
 
 // checkinWorld returns a cleanly finished world to the pool, asserting
 // its runtime drained (a world that did not is a bug in the point that
-// just ran, and must surface there, not at some later checkout). If
-// pooling was disabled mid-run or the pool is full, the world is shut
-// down instead.
+// just ran, and must surface there, not at some later checkout). If the
+// pool is full, the world is shut down instead.
 func checkinWorld(w *core.World, n int, opts core.Options) {
-	if !worldPoolOn.Load() {
-		w.Cluster.ShutdownSim()
-		return
-	}
 	w.AssertQuiescent("pool check-in")
 	key := fingerprintOf(w, n, opts)
 	worldPool.mu.Lock()
@@ -182,7 +154,7 @@ func checkinWorld(w *core.World, n int, opts core.Options) {
 // releaseWorld ends one acquired world's run: account its events, and
 // either surface the failure with its point label (a failed world cannot
 // be recycled; its goroutines are released first) or hand the world back.
-func releaseWorld(w *core.World, label string, n int, opts core.Options, poolable bool, err error) {
+func releaseWorld(w *core.World, label string, n int, opts core.Options, err error) {
 	worldEvents.Add(w.Cluster.EventsExecuted())
 	if err != nil {
 		w.Cluster.ShutdownSim()
@@ -190,10 +162,6 @@ func releaseWorld(w *core.World, label string, n int, opts core.Options, poolabl
 			panic(fmt.Sprintf("bench: %s: %v", label, err))
 		}
 		panic(err)
-	}
-	if !poolable {
-		w.Cluster.ShutdownSim()
-		return
 	}
 	checkinWorld(w, n, opts)
 }

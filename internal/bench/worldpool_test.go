@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -28,9 +27,6 @@ func runTinyWorld(par *model.Params, opts core.Options) sim.Time {
 }
 
 func TestWorldPoolRecyclesAndMatchesFresh(t *testing.T) {
-	if !WorldPoolEnabled() {
-		t.Fatal("world pool should be enabled by default")
-	}
 	// Pin the replay path: this test asserts the pool's own hit/miss
 	// accounting, which the fork path overlays with prefix-build traffic
 	// (covered by the fork cache tests).
@@ -52,18 +48,6 @@ func TestWorldPoolRecyclesAndMatchesFresh(t *testing.T) {
 	}
 	if first != second {
 		t.Fatalf("recycled world diverged: fresh %v, pooled %v", first, second)
-	}
-
-	// Pool disabled: same virtual result, no pool traffic.
-	SetWorldPool(false)
-	defer SetWorldPool(true)
-	h3, m3 := WorldPoolStats()
-	bare := runTinyWorld(par, core.Options{})
-	if h4, m4 := WorldPoolStats(); h4 != h3 || m4 != m3 {
-		t.Fatalf("disabled pool still counted traffic: hits %d->%d misses %d->%d", h3, h4, m3, m4)
-	}
-	if bare != first {
-		t.Fatalf("pool on/off diverged: %v vs %v", first, bare)
 	}
 }
 
@@ -112,7 +96,7 @@ func TestWorldPoolDetectsMutatedParams(t *testing.T) {
 func TestRunPointsOrderedCostOrderIsInvisible(t *testing.T) {
 	points := []int{10, 20, 30, 40, 50}
 	fn := func(x int) int { return x * x }
-	want := RunPoints(context.Background(), 1, points, fn)
+	want := RunPointsOrdered(1, points, nil, fn)
 
 	for _, costs := range [][]float64{
 		{1, 2, 3, 4, 5}, // ascending: claims run reverse
@@ -122,7 +106,7 @@ func TestRunPointsOrderedCostOrderIsInvisible(t *testing.T) {
 		nil,             // absent
 	} {
 		for _, par := range []int{1, 4} {
-			got := RunPointsOrdered(context.Background(), par, points, costs, fn)
+			got := RunPointsOrdered(par, points, costs, fn)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("costs=%v par=%d: result[%d] = %d, want %d", costs, par, i, got[i], want[i])

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -27,9 +29,9 @@ func BenchmarkWorldSpawnTeardown(b *testing.B) {
 
 // BenchmarkWorldBuild256 is BenchmarkWorldSpawnTeardown at the scaling
 // target: build a 256-PE ring world, run shmem_init, shut it down. Its
-// B/op is what one cold 256-PE world costs the allocator, and the
-// benchgate ceiling on it fails CI if construction or init goes back to
-// backing what it reserves (eager 4 MiB heap chunks put it at 1.3 GiB).
+// B/op is what one cold 256-PE world costs the allocator, and
+// TestBenchCeilings fails if construction or init goes back to backing
+// what it reserves (eager 4 MiB heap chunks put it at 1.3 GiB).
 func BenchmarkWorldBuild256(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -86,4 +88,30 @@ func BenchmarkWorldPut64K(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestBenchCeilings holds the two machine-independent ceilings of this
+// package's benchmarks: the whole transfer stack adds at most one
+// allocation per barrier-fenced 1 MiB put once world construction is
+// amortised, and a cold 256-PE world costs the allocator at most 32 MiB.
+func TestBenchCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two one-second benchmark runs in -short mode")
+	}
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates, and slows each op until one-time construction no longer amortises within the benchmark's second")
+	}
+	if got := testing.Benchmark(BenchmarkWorldPut1M).AllocsPerOp(); got > 1 {
+		t.Errorf("BenchmarkWorldPut1M: %d allocs/op, ceiling 1", got)
+	}
+	if got := testing.Benchmark(BenchmarkWorldBuild256).AllocedBytesPerOp(); got > 32<<20 {
+		t.Errorf("BenchmarkWorldBuild256: %d B/op, ceiling %d", got, 32<<20)
+	}
+}
+
+// raceEnabled reports whether this test binary was built with -race,
+// read from its build settings.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }

@@ -665,7 +665,7 @@ func TestWorldRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-// scaleBody is the shape bench.ScaleWorkload runs: neighbour puts
+// scaleBody is the shape bench.ScaleWorkloadTime runs: neighbour puts
 // between two barriers. Pair it with Options{Mode: driver.ModeCPU}.
 func scaleBody(rounds, putBytes int) func(p *sim.Proc, pe *PE) {
 	return func(p *sim.Proc, pe *PE) {

@@ -64,3 +64,14 @@ func BenchmarkFlowNetChurn(b *testing.B) {
 		return 4<<10 + int64(i*977)%(60<<10)
 	})
 }
+
+// TestBenchCeilings: once its sixteen senders are spawned, the
+// start/finish-heavy solver path allocates nothing per transfer.
+func TestBenchCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a one-second benchmark run in -short mode")
+	}
+	if got := testing.Benchmark(BenchmarkFlowNetChurn).AllocsPerOp(); got != 0 {
+		t.Errorf("BenchmarkFlowNetChurn: %d allocs/op, want 0", got)
+	}
+}

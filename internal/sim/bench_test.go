@@ -95,3 +95,14 @@ func BenchmarkLadderQueueChurn(b *testing.B) {
 		seq++
 	}
 }
+
+// TestBenchCeilings: after warm-up the ladder queue's pop-and-re-push
+// churn reuses every bucket array, rung slot and heap backing.
+func TestBenchCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a one-second benchmark run in -short mode")
+	}
+	if got := testing.Benchmark(BenchmarkLadderQueueChurn).AllocsPerOp(); got != 0 {
+		t.Errorf("BenchmarkLadderQueueChurn: %d allocs/op, want 0", got)
+	}
+}
