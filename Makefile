@@ -35,13 +35,11 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific static analysis (see LINT.md): determinism, Snapshot/
-# Restore completeness, annotated zero-alloc hot paths, park/timer
-# discipline, the fabric.Link lifecycle contract (fabriccontract), and
-# waiver-drift detection. Packages are analyzed on a worker pool; -time
-# reports per-analyzer wall-clock, which is milliseconds: the seconds
-# `make lint` takes are the compile of ntblint and the type-check load.
+# Restore completeness and annotated zero-alloc hot paths, plus every
+# waiver its analyzer never matched. The seconds `make lint` takes are
+# the compile of ntblint and the type-check load, not analysis.
 lint:
-	$(GO) run ./cmd/ntblint -time ./...
+	$(GO) run ./cmd/ntblint ./...
 
 # Host-side simulator speed benchmarks (wall-clock, allocs/op).
 bench:

@@ -4,26 +4,18 @@
 // credibility rests on — see LINT.md for the rules and waiver
 // directives.
 //
-//	simdet         — no wall clock, no global math/rand, no core-count
-//	                 reads, no order-sensitive map iteration in the
-//	                 simulation packages
-//	snapcheck      — every field of a Snapshot()-able type is captured
-//	                 or annotated `// snap: keep`, and every field of the
-//	                 snapshot is applied by Restore or annotated
-//	                 `// restore: keep`
-//	allocfree      — //ntblint:allocfree functions contain no allocating
-//	                 constructs
-//	parkcheck      — park labels are precomputed; AfterTick tickers are
-//	                 pre-allocated
-//	fabriccontract — fabric.Link implementers ship the full lifecycle
-//	                 contract (PROTOCOL.md §13)
-//	waiverdrift    — every waiver directive still attaches to a
-//	                 construct its analyzer recognises
+//	simdet    — no wall clock, no global math/rand, no core-count reads,
+//	            no order-sensitive map iteration in the simulation
+//	            packages
+//	snapcheck — every field of a Snapshot()-able type is captured or
+//	            annotated `// snap: keep`, and every field of the
+//	            snapshot is applied by Restore or annotated
+//	            `// restore: keep`
+//	allocfree — //ntblint:allocfree functions contain no allocating
+//	            constructs
 //
-// Packages are analyzed concurrently (-j workers) after a serial
-// type-check load; diagnostics are merged in position order, so output
-// is byte-identical at any worker count. -time prints per-analyzer
-// wall-clock to stderr.
+// A waiver directive its owning analyzer never matched, and an unknown
+// //ntblint: name, are findings too.
 //
 // Run it from the module root (import resolution shells out to the go
 // command in module mode): `go run ./cmd/ntblint ./...`.
@@ -33,17 +25,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/analysis"
 )
 
 func main() {
-	workers := flag.Int("j", runtime.GOMAXPROCS(0), "analysis worker count (packages analyzed concurrently)")
-	timings := flag.Bool("time", false, "print per-analyzer wall-clock to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: ntblint [-j N] [-time] [packages]\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: ntblint [packages]\n")
 	}
 	flag.Parse()
 	patterns := flag.Args()
@@ -59,14 +47,9 @@ func main() {
 
 	analyzers := analysis.Analyzers()
 	analysis.ApplyRepoScopes(analyzers)
-	diags, times := analysis.RunParallel(pkgs, analyzers, *workers)
+	diags := analysis.Run(pkgs, analyzers)
 	for _, d := range diags {
 		fmt.Println(d)
-	}
-	if *timings {
-		for _, t := range times {
-			fmt.Fprintf(os.Stderr, "ntblint: %-14s %8.1fms\n", t.Name, float64(t.Elapsed.Microseconds())/1000)
-		}
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "ntblint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))

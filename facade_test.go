@@ -172,7 +172,9 @@ func TestFacadeCutLinkDeadlockDiagnosis(t *testing.T) {
 		sym := pe.MustMalloc(p, 64)
 		pe.BarrierAll(p)
 		if pe.ID() == 0 {
-			job.CutLink(0)
+			if err := job.CutLink(0); err != nil {
+				t.Error(err)
+			}
 			pe.PutBytes(p, 1, sym, make([]byte, 64))
 		}
 		pe.BarrierAll(p)
@@ -180,6 +182,38 @@ func TestFacadeCutLinkDeadlockDiagnosis(t *testing.T) {
 	err := job.Cluster.Sim.Run()
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("cut-link run should deadlock detectably, got %v", err)
+	}
+}
+
+// TestFacadeCutLink: CutLink normalises a host index the way Unplug
+// does, and reports a fabric with no cable to cut as an error.
+func TestFacadeCutLink(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		i       int
+		wantErr string
+		cut     int // host whose rightward cable must be down, when wantErr is ""
+	}{
+		{"ring, negative index", Config{Hosts: 3}, -1, "", 2},
+		{"switch", Config{Hosts: 3, Fabric: FabricPCIeSwitch}, 0, "not supported", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			job := NewJob(tc.cfg)
+			err := job.CutLink(tc.i)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("CutLink(%d) = %v, want an error containing %q", tc.i, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("CutLink(%d) = %v", tc.i, err)
+			}
+			if job.Cluster.Hosts[tc.cut].Right.LinkUp() {
+				t.Fatalf("CutLink(%d) left host %d's rightward cable up", tc.i, tc.cut)
+			}
+		})
 	}
 }
 
@@ -192,7 +226,11 @@ func TestFacadeHeartbeats(t *testing.T) {
 	if len(hbs) != 6 { // 3 hosts x 2 adapters
 		t.Fatalf("%d heartbeats installed", len(hbs))
 	}
-	job.Cluster.Sim.After(2_000_000, func() { job.CutLink(2) })
+	job.Cluster.Sim.After(2_000_000, func() {
+		if err := job.CutLink(2); err != nil {
+			t.Error(err)
+		}
+	})
 	if err := job.Cluster.Sim.RunUntil(Time(8_000_000)); err != nil {
 		t.Fatal(err)
 	}

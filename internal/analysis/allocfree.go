@@ -28,7 +28,7 @@ func runAllocfree(pass *Pass) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !HasDirective(fn.Doc, DirectiveAllocFree) {
+			if !ok || fn.Body == nil || !pass.HasDirective(fn.Doc, DirectiveAllocFree) {
 				continue
 			}
 			checkAllocFree(pass, fn)

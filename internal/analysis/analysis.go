@@ -17,9 +17,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Analyzer is one named, self-contained check.
@@ -39,6 +36,11 @@ type Analyzer struct {
 	Run func(pass *Pass)
 }
 
+// Analyzers returns the full ntblint suite in reporting order.
+func Analyzers() []*Analyzer {
+	return []*Analyzer{Simdet, Snapcheck, Allocfree}
+}
+
 // Pass carries one package's syntax and type information to an
 // analyzer's Run function, and collects its diagnostics.
 type Pass struct {
@@ -48,12 +50,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Engine is the cross-package fact layer built over the whole load
-	// (declaration index, named-type and interface lookup). It is shared
-	// by every pass in one Run and read-only, so safe for concurrent use.
-	Engine *Engine
-
-	directives directiveIndex
+	directives []*directive // shared by every pass over the package
 	diags      []Diagnostic
 }
 
@@ -78,82 +75,31 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Timing is one analyzer's wall-clock cost accumulated across every
-// package it ran on in a single Run. The pseudo-entry named "engine"
-// records the one-time cross-package fact-layer build.
-type Timing struct {
-	Name    string
-	Elapsed time.Duration
-}
-
-// Run applies each analyzer to each package it matches and returns the
-// combined findings sorted by position, so output is stable regardless
-// of package or analyzer order.
+// Run applies each analyzer to each package it matches, then reports
+// the package's directives that no analyzer matched (see
+// unmatchedDirectives), and returns the combined findings sorted by
+// position, so output is stable regardless of package or analyzer
+// order.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunParallel(pkgs, analyzers, 1)
-	return diags
-}
-
-// RunParallel is Run with a package-level worker pool: packages are
-// claimed by an atomic counter and analyzed concurrently (loading and
-// the engine build stay serial — the stdlib source importer is not
-// concurrency-safe, but the finished engine and type info are
-// read-only). Diagnostics are slotted per package and merged in the
-// same position order as Run, so output is byte-identical at any
-// worker count. The returned timings accumulate per-analyzer
-// wall-clock across packages, plus the engine build.
-func RunParallel(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnostic, []Timing) {
-	start := time.Now()
-	engine := NewEngine(pkgs)
-	engineElapsed := time.Since(start)
-
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	elapsed := make([]int64, len(analyzers)) // atomic nanoseconds per analyzer
-	perPkg := make([][]Diagnostic, len(pkgs))
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(pkgs) {
-					return
-				}
-				pkg := pkgs[i]
-				for ai, a := range analyzers {
-					if a.Match != nil && !a.Match(pkg.Path) {
-						continue
-					}
-					pass := &Pass{
-						Analyzer:   a,
-						Fset:       pkg.Fset,
-						Files:      pkg.Files,
-						Pkg:        pkg.Types,
-						TypesInfo:  pkg.Info,
-						Engine:     engine,
-						directives: engine.directivesFor(pkg.Path),
-					}
-					t0 := time.Now()
-					a.Run(pass)
-					atomic.AddInt64(&elapsed[ai], int64(time.Since(t0)))
-					perPkg[i] = append(perPkg[i], pass.diags...)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
 	var out []Diagnostic
-	for _, diags := range perPkg {
-		out = append(out, diags...)
+	for _, pkg := range pkgs {
+		dirs := indexDirectives(pkg.Fset, pkg.Files)
+		for _, a := range analyzers {
+			if a.Match != nil && !a.Match(pkg.Path) {
+				continue
+			}
+			pass := &Pass{
+				Analyzer:   a,
+				Fset:       pkg.Fset,
+				Files:      pkg.Files,
+				Pkg:        pkg.Types,
+				TypesInfo:  pkg.Info,
+				directives: dirs,
+			}
+			a.Run(pass)
+			out = append(out, pass.diags...)
+		}
+		out = append(out, unmatchedDirectives(pkg.Fset, dirs, analyzers)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -168,10 +114,5 @@ func RunParallel(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Diagnos
 		}
 		return a.Analyzer < b.Analyzer
 	})
-
-	timings := []Timing{{Name: "engine", Elapsed: engineElapsed}}
-	for ai, a := range analyzers {
-		timings = append(timings, Timing{Name: a.Name, Elapsed: time.Duration(elapsed[ai])})
-	}
-	return out, timings
+	return out
 }

@@ -90,12 +90,9 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 	}
 }
 
-func TestSimdetFixture(t *testing.T)         { runFixture(t, Simdet, "simdet") }
-func TestSnapcheckFixture(t *testing.T)      { runFixture(t, Snapcheck, "snapcheck") }
-func TestAllocfreeFixture(t *testing.T)      { runFixture(t, Allocfree, "allocfree") }
-func TestParkcheckFixture(t *testing.T)      { runFixture(t, Parkcheck, "parkcheck") }
-func TestFabriccontractFixture(t *testing.T) { runFixture(t, Fabriccontract, "fabriccontract") }
-func TestWaiverdriftFixture(t *testing.T)    { runFixture(t, Waiverdrift, "waiverdrift") }
+func TestSimdetFixture(t *testing.T)    { runFixture(t, Simdet, "simdet") }
+func TestSnapcheckFixture(t *testing.T) { runFixture(t, Snapcheck, "snapcheck") }
+func TestAllocfreeFixture(t *testing.T) { runFixture(t, Allocfree, "allocfree") }
 
 // TestSnapcheckSeededOmission deletes one line of a fully applied Restore
 // in the snapshot fixture — the add-a-field-forget-the-restore bug — and
@@ -135,7 +132,7 @@ func TestSnapcheckSeededOmission(t *testing.T) {
 }
 
 // TestSuiteCleanOnRepo is the self-host check: the merged tree must lint
-// clean under the full 6-analyzer suite, scoped exactly as cmd/ntblint
+// clean under the full 3-analyzer suite, scoped exactly as cmd/ntblint
 // scopes it (ApplyRepoScopes is the shared source of truth).
 func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
@@ -156,8 +153,8 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 		}
 	}()
 	ApplyRepoScopes(analyzers)
-	if len(analyzers) != 6 {
-		t.Fatalf("suite has %d analyzers, want 6", len(analyzers))
+	if len(analyzers) != 3 {
+		t.Fatalf("suite has %d analyzers, want 3", len(analyzers))
 	}
 	for _, d := range Run(pkgs, analyzers) {
 		t.Errorf("%s", d)

@@ -32,11 +32,16 @@ import (
 // helpers), and all of them require the author to have considered the
 // field. The analyzer's job is to force that consideration, not to prove
 // the capture is deep enough.
+//
+// The annotations must excuse something: `// snap: keep` outside a
+// snapshot target and `// restore: keep` outside a snapshot value are
+// reported as unused.
 var Snapcheck = &Analyzer{
 	Name: "snapcheck",
 	Doc: "every field of a type with a Snapshot method must be read by " +
 		"Snapshot or annotated `// snap: keep`, and every field of the " +
-		"snapshot it returns must be read by Restore or annotated `// restore: keep`",
+		"snapshot it returns must be read by Restore or annotated `// restore: keep`; " +
+		"an annotation that excuses nothing is reported",
 	Run: runSnapcheck,
 }
 
@@ -55,7 +60,7 @@ type snapTarget struct {
 }
 
 // snapTargets finds every snapshot-bearing struct type of the package,
-// sorted by name. Waiverdrift shares it to anchor the keep annotations.
+// sorted by name.
 func snapTargets(pass *Pass) []*snapTarget {
 	structs := structDecls(pass)
 	methods := map[string]map[string]*ast.FuncDecl{}
@@ -181,11 +186,54 @@ func structDecls(pass *Pass) map[string]*ast.StructType {
 
 func runSnapcheck(pass *Pass) {
 	structs := structDecls(pass)
-	for _, t := range snapTargets(pass) {
+	targets := snapTargets(pass)
+	for _, t := range targets {
 		checkCaptureSide(pass, t)
 		if t.value != nil {
 			checkRestoreSide(pass, t, structs[t.value.Obj().Name()])
 		}
+	}
+	checkKeepAnnotations(pass, targets)
+}
+
+// checkKeepAnnotations reports `// snap: keep` on a field of a struct
+// that is not a snapshot target, and `// restore: keep` on a field of a
+// struct no Snapshot returns: the annotation excuses nothing there, and
+// usually means the method it talked to moved or was removed. Only
+// field-attached comments count — prose mentions of the markers
+// elsewhere are not annotations.
+func checkKeepAnnotations(pass *Pass, targets []*snapTarget) {
+	snapTypes, valueTypes := map[string]bool{}, map[string]bool{}
+	for _, t := range targets {
+		snapTypes[t.name] = true
+		if t.value != nil {
+			valueTypes[t.value.Obj().Name()] = true
+		}
+	}
+	for _, file := range pass.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				if fieldSnapKept(field) && !snapTypes[ts.Name.Name] {
+					pass.Reportf(field.Pos(),
+						"unused `// snap: keep`: %s has no Snapshot method for the annotation to excuse this field from",
+						ts.Name.Name)
+				}
+				if fieldAnnotated(field, "restore: keep") && !valueTypes[ts.Name.Name] {
+					pass.Reportf(field.Pos(),
+						"unused `// restore: keep`: no Snapshot method returns a %s for a Restore to skip this field of",
+						ts.Name.Name)
+				}
+			}
+			return true
+		})
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package allocfree is the fixture for the allocfree analyzer: a
 // function whose doc comment carries //ntblint:allocfree must not
 // allocate, except at sites waived with //ntblint:allocok. Unannotated
-// functions are never checked.
+// functions are never checked. An allocfree or allocok directive that
+// the analyzer never matched is reported by the runner.
 package allocfree
 
 type node struct{ v int }
@@ -59,3 +60,36 @@ func (r *ring) boom(i int) int {
 
 // unchecked carries no annotation, so it may allocate freely.
 func unchecked() []int { return make([]int, 8) }
+
+// hot is allocation-free; the allocok inside waives its cold refill.
+//
+//ntblint:allocfree
+func hot(buf []byte) []byte {
+	if cap(buf) == 0 {
+		//ntblint:allocok — cold refill
+		buf = make([]byte, 0, 16)
+	}
+	return buf
+}
+
+// notAllocFree was once //ntblint:allocfree; the doc directive is gone
+// but the allocok inside lingered.
+func notAllocFree() []int {
+	//ntblint:allocok — drifted // want "unused //ntblint:allocok"
+	return make([]int, 4)
+}
+
+// reused stopped allocating, and its waiver now excuses nothing.
+//
+//ntblint:allocfree
+func (r *ring) reused(v int) {
+	//ntblint:allocok — drifted // want "unused //ntblint:allocok"
+	r.buf = append(r.buf, v)
+}
+
+// misplaced holds an allocfree directive in a body instead of a doc
+// comment, where the analyzer never looks.
+func misplaced() {
+	//ntblint:allocfree // want "unused //ntblint:allocfree"
+	_ = 2
+}

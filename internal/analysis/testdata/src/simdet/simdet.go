@@ -1,6 +1,8 @@
 // Package simdet is the fixture for the simdet analyzer: wall-clock
 // reads, global math/rand draws, and order-sensitive map iteration are
 // flagged; seeded constructors and //ntblint:ordered waivers are not.
+// A waiver simdet never matched, and an unknown directive name, are
+// reported by the runner.
 package simdet
 
 import (
@@ -69,4 +71,38 @@ func sortedKeys(m map[string]int) int {
 		total += v
 	}
 	return total
+}
+
+// sum carries an honored //ntblint:ordered — the range below really is
+// over a map.
+func sum(m map[string]int) int {
+	total := 0
+	//ntblint:ordered — commutative sum
+	for _, v := range m {
+		total += v
+	}
+	return total
+}
+
+// sliceWalk's waiver drifted: the loop it once excused is over a slice
+// now.
+func sliceWalk(s []int) int {
+	total := 0
+	//ntblint:ordered — drifted // want "unused //ntblint:ordered"
+	for _, v := range s {
+		total += v
+	}
+	return total
+}
+
+// fixedWorkers' policy waiver outlived the core-count read it excused.
+func fixedWorkers() int {
+	//ntblint:cpupolicy — drifted // want "unused //ntblint:cpupolicy"
+	return 4
+}
+
+// typoed carries a directive name no analyzer knows.
+func typoed() {
+	//ntblint:frobnicate // want "unknown directive"
+	_ = 3
 }

@@ -5,7 +5,7 @@
 // snapshot — read it, or annotate it `// restore: keep`. The dropped and
 // unapplied fields below are the omissions the analyzer must catch: a
 // restored world would resume with the recycled world's value instead of
-// the captured one.
+// the captured one. A keep annotation that excuses nothing is reported.
 package snapcheck
 
 type clockSnap struct {
@@ -133,4 +133,33 @@ type wrapped struct {
 	link
 	route  int // snap: keep — construction identity
 	tokens int // want "does not capture field tokens"
+}
+
+// withSnap keeps scratch out of snapshots; honoured, since Snapshot
+// below makes it a snapshot target.
+type withSnap struct {
+	scratch []byte // snap: keep — rebuilt on demand
+	n       int
+}
+
+func (w *withSnap) Snapshot() int { return w.n }
+
+// unsnapped has no Snapshot method for its annotation to talk to.
+type unsnapped struct {
+	scratch []byte // snap: keep — drifted // want "unused `// snap: keep`"
+}
+
+// image is what imaged.Snapshot returns, so its restore annotation is
+// honoured; stray is returned by no Snapshot at all.
+type image struct {
+	n    int
+	cost int // restore: keep — a record about the capture
+}
+
+type imaged struct{ n int }
+
+func (i *imaged) Snapshot() image { return image{n: i.n} }
+
+type stray struct {
+	cost int // restore: keep — drifted // want "unused `// restore: keep`"
 }

@@ -25,7 +25,9 @@ func TestPutAcrossCutLinkHangsDetectably(t *testing.T) {
 		sym := pe.MustMalloc(p, 4096)
 		pe.BarrierAll(p)
 		if pe.ID() == 0 {
-			c.CutLink(0) // sever 0 -> 1
+			if err := c.Unplug(0); err != nil { // sever 0 -> 1
+				t.Error(err)
+			}
 			pe.PutBytes(p, 1, sym, make([]byte, 4096))
 		}
 		pe.BarrierAll(p)
@@ -56,7 +58,9 @@ func TestTrafficAvoidingCutLinkStillWorks(t *testing.T) {
 		sym := pe.MustMalloc(p, 8)
 		pe.BarrierAll(p) // init-time traffic predates the cut
 		if pe.ID() == 0 {
-			c.CutLink(1) // sever 1 -> 2
+			if err := c.Unplug(1); err != nil { // sever 1 -> 2
+				t.Error(err)
+			}
 			pe.PutBytes(p, 1, sym, []byte("to-host1"))
 			pe.PutBytes(p, 2, sym, []byte("to-host2"))
 			back1 = make([]byte, 8)
@@ -87,7 +91,9 @@ func TestCutLinkUnderPipelinedProtocol(t *testing.T) {
 		sym := pe.MustMalloc(p, 256<<10)
 		pe.BarrierAll(p)
 		if pe.ID() == 0 {
-			c.CutLink(0)
+			if err := c.Unplug(0); err != nil {
+				t.Error(err)
+			}
 			// More chunks than credits: must block.
 			pe.PutBytes(p, 1, sym, make([]byte, 256<<10))
 		}

@@ -182,16 +182,6 @@ func (c *Cluster) Unplug(i int) error {
 	}
 }
 
-// CutLink fails the cable between host i and host (i+1) mod N, for
-// failure injection (see ntb.Port.Unplug for the resulting semantics).
-func (c *Cluster) CutLink(i int) {
-	h := c.Hosts[i%c.N()]
-	if h.Right == nil {
-		panic(fmt.Sprintf("fabric: host %d has no rightward cable", h.ID))
-	}
-	h.Right.Unplug()
-}
-
 // N returns the number of hosts in the cluster.
 func (c *Cluster) N() int { return len(c.Hosts) }
 

@@ -19,8 +19,6 @@ import (
 // service-thread/forwarder split exists on every backend, relaying or
 // not: a reply generated inside the service thread must not block on a
 // transmit channel, or two hosts answering each other's gets deadlock.
-//
-//ntblint:notlink — the shared half of three backends, not a backend: each embedder adds Start, Boot, Send, Reply, Barrier and Sync
 type ntbService struct {
 	c       *Cluster    // snap: keep — construction identity
 	host    *Host       // snap: keep — construction identity

@@ -66,12 +66,17 @@ func BenchmarkFlowNetChurn(b *testing.B) {
 }
 
 // TestBenchCeilings: once its sixteen senders are spawned, the
-// start/finish-heavy solver path allocates nothing per transfer.
+// start/finish-heavy solver path allocates nothing per transfer. About
+// 90 allocations per run are fixed start-up cost (≈ 0.00004 allocs/op
+// at 2 M ops, ≈ 0.001 under -race); one allocation per coalesced solve
+// reads 0.996. Allocs/op is computed as a float because
+// BenchmarkResult.AllocsPerOp truncates, and would read that as 0.
 func TestBenchCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a one-second benchmark run in -short mode")
 	}
-	if got := testing.Benchmark(BenchmarkFlowNetChurn).AllocsPerOp(); got != 0 {
-		t.Errorf("BenchmarkFlowNetChurn: %d allocs/op, want 0", got)
+	r := testing.Benchmark(BenchmarkFlowNetChurn)
+	if got := float64(r.MemAllocs) / float64(r.N); got > 0.01 {
+		t.Errorf("BenchmarkFlowNetChurn: %.4f allocs/op, ceiling 0.01", got)
 	}
 }

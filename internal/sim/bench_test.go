@@ -97,12 +97,17 @@ func BenchmarkLadderQueueChurn(b *testing.B) {
 }
 
 // TestBenchCeilings: after warm-up the ladder queue's pop-and-re-push
-// churn reuses every bucket array, rung slot and heap backing.
+// churn reuses every bucket array, rung slot and heap backing. It
+// measures 0 allocs/op; the ceiling leaves room for a stray runtime
+// allocation, never one per op. Allocs/op is computed as a float
+// because BenchmarkResult.AllocsPerOp truncates: it reads 0 for
+// anything under one allocation per op.
 func TestBenchCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a one-second benchmark run in -short mode")
 	}
-	if got := testing.Benchmark(BenchmarkLadderQueueChurn).AllocsPerOp(); got != 0 {
-		t.Errorf("BenchmarkLadderQueueChurn: %d allocs/op, want 0", got)
+	r := testing.Benchmark(BenchmarkLadderQueueChurn)
+	if got := float64(r.MemAllocs) / float64(r.N); got > 0.01 {
+		t.Errorf("BenchmarkLadderQueueChurn: %.4f allocs/op, ceiling 0.01", got)
 	}
 }

@@ -182,12 +182,37 @@ func TestGoexitInBodyEndsRunCaller(t *testing.T) {
 // TestStandingProcessEventsAllocateNothing: once processes exist, no
 // kind of event allocates — a park that consumes its own wake inline
 // (sleeper), a park that switches to another process and back (the
-// ping-pong pair), or a timer callback. Every allocation
-// BenchmarkSimEventThroughput reports is therefore per spawn.
+// ping-pong pair), a contended Resource.Acquire (the two holders), a
+// Cond.Wait (the waiter and its broadcaster), or a timer callback. Every
+// allocation BenchmarkSimEventThroughput reports is therefore per spawn,
+// and a label or ticker built per call on any of these park paths fails
+// here.
 func TestStandingProcessEventsAllocateNothing(t *testing.T) {
 	s := New()
 	defer s.Shutdown()
 	ping, pong := NewQueue[int]("ping"), NewQueue[int]("pong")
+	res := NewResource("slot", 1)
+	for _, name := range []string{"holder-a", "holder-b"} {
+		s.GoDaemon(name, func(p *Proc) {
+			for {
+				res.Acquire(p, 1)
+				p.Sleep(2 * Microsecond)
+				res.Release(1)
+			}
+		})
+	}
+	cond := NewCond("bell")
+	s.GoDaemon("waiter", func(p *Proc) {
+		for {
+			cond.Wait(p)
+		}
+	})
+	s.GoDaemon("broadcaster", func(p *Proc) {
+		for {
+			p.Sleep(5 * Microsecond)
+			cond.Broadcast()
+		}
+	})
 	s.GoDaemon("sleeper", func(p *Proc) {
 		for {
 			p.Sleep(Microsecond)

@@ -321,8 +321,9 @@ func TeamReduce[T Scalar](p *Proc, t *Team, op ReduceOp, dst, src SymAddr, nelem
 }
 
 // CutLink severs the cable between host i and host (i+1) mod Hosts, for
-// failure-injection experiments; see the failover example.
-func (j *Job) CutLink(i int) { j.Cluster.CutLink(i) }
+// failure-injection experiments; see the failover example. It returns
+// an error on a fabric with no cable to cut (pcie-switch, cxl).
+func (j *Job) CutLink(i int) error { return j.Cluster.Unplug(i) }
 
 // StartHeartbeats installs the driver's link-liveness monitor on every
 // cabled adapter. onDown runs once per endpoint that loses its peer,
