@@ -173,10 +173,11 @@ func TestThousandPEWorld(t *testing.T) {
 
 // BenchmarkScaleWorld256 runs the scaling workload on a pooled 256-PE
 // ring world per op and reports engine throughput as events/s (the
-// repository benchmark's ring256 workload gates that rate). Its B/op is
-// what a recycled 256-PE world costs the allocator per run;
+// repository benchmark's ring256 workload gates that rate). Its B/op and
+// allocs/op are what a recycled 256-PE world costs the allocator per run;
 // TestBenchCeilings fails if restoring a pooled world goes back to
-// re-backing what it reserves.
+// re-backing what it reserves, or its PE processes go back to starting
+// goroutines instead of resuming the last run's idle coroutines.
 func BenchmarkScaleWorld256(b *testing.B) {
 	DrainWorldPool()
 	par := model.Default()
@@ -192,11 +193,12 @@ func BenchmarkScaleWorld256(b *testing.B) {
 	DrainWorldPool()
 }
 
-// TestBenchCeilings holds the two machine-independent ceilings of this
+// TestBenchCeilings holds the machine-independent ceilings of this
 // package's benchmarks: a pooled 256-PE scaling run stays under
-// 300 000 B/op (it measures ≈ 134 000), and a forked sweep point under
-// 200 allocs/op (≈ 166). Per-op values are floats:
-// BenchmarkResult.AllocsPerOp truncates.
+// 60 000 B/op and 1 500 allocs/op (it measures ≈ 32 300 and 637; with a
+// goroutine started per PE process per run it measured ≈ 134 000 and
+// 4 121), and a forked sweep point under 200 allocs/op (≈ 166). Per-op
+// values are floats: BenchmarkResult.AllocsPerOp truncates.
 func TestBenchCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two one-second benchmark runs in -short mode")
@@ -205,8 +207,11 @@ func TestBenchCeilings(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates, and slows each op until one-time construction no longer amortises within the benchmark's second")
 	}
 	r := testing.Benchmark(BenchmarkScaleWorld256)
-	if got := float64(r.MemBytes) / float64(r.N); got > 300_000 {
-		t.Errorf("BenchmarkScaleWorld256: %.0f B/op, ceiling 300000", got)
+	if got := float64(r.MemBytes) / float64(r.N); got > 60_000 {
+		t.Errorf("BenchmarkScaleWorld256: %.0f B/op, ceiling 60000", got)
+	}
+	if got := float64(r.MemAllocs) / float64(r.N); got > 1500 {
+		t.Errorf("BenchmarkScaleWorld256: %.1f allocs/op, ceiling 1500", got)
 	}
 	r = testing.Benchmark(BenchmarkWorldFork)
 	if got := float64(r.MemAllocs) / float64(r.N); got > 200 {

@@ -186,7 +186,7 @@ func (pe *PE) restore(s *peSnapshot) {
 func (w *World) LaunchForked(body func(p *sim.Proc, pe *PE)) {
 	for _, pe := range w.pes {
 		pe := pe
-		w.Cluster.Sim.Go(peName("pe:", pe.id), func(p *sim.Proc) {
+		w.Cluster.Sim.Go(pe.name, func(p *sim.Proc) {
 			body(p, pe)
 		})
 	}

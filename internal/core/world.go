@@ -151,6 +151,7 @@ func (pe *PE) emitOp(p *sim.Proc, op string, target, bytes int, start sim.Time) 
 // state.
 type PE struct {
 	id    int
+	name  string        // snap: keep — construction identity: "pe:<id>", its application process's name
 	world *World        // snap: keep — construction identity
 	link  fabric.Link   // construction identity; its state is captured via its own Snapshot
 	par   *model.Params // snap: keep — construction identity
@@ -243,6 +244,7 @@ func NewWorld(c *fabric.Cluster, opts Options) *World {
 	for i, h := range c.Hosts {
 		pe := &PE{
 			id:        h.ID,
+			name:      peName("pe:", h.ID),
 			world:     w,
 			link:      links[i],
 			par:       c.Par,
@@ -265,7 +267,7 @@ func NewWorld(c *fabric.Cluster, opts Options) *World {
 func (w *World) Launch(body func(p *sim.Proc, pe *PE)) {
 	for _, pe := range w.pes {
 		pe := pe
-		w.Cluster.Sim.Go(peName("pe:", pe.id), func(p *sim.Proc) {
+		w.Cluster.Sim.Go(pe.name, func(p *sim.Proc) {
 			pe.initPE(p)
 			body(p, pe)
 		})

@@ -252,3 +252,201 @@ func TestStandingProcessEventsAllocateNothing(t *testing.T) {
 type tickCounter struct{ n int }
 
 func (c *tickCounter) Tick(uint64) { c.n++ }
+
+// Coroutine recycling: a finished body's coroutine parks on the idle
+// stack and the next spawn resumes it instead of starting a goroutine.
+
+// idleCount reports how many coroutines are parked on s's idle stack.
+func idleCount(s *Simulator) int {
+	n := 0
+	for co := s.idle; co != nil; co = co.below {
+		n++
+	}
+	return n
+}
+
+// sleepThenReturn is a non-capturing body, so spawning it allocates no
+// closure.
+func sleepThenReturn(p *Proc) { p.Sleep(Microsecond) }
+
+// TestRecycledRunAddsNoGoroutine: a simulator's second batch of N
+// processes, after Reset, runs on the first batch's coroutines.
+func TestRecycledRunAddsNoGoroutine(t *testing.T) {
+	const n = 16
+	s := New()
+	defer s.Shutdown()
+	batch := func() {
+		for i := 0; i < n; i++ {
+			s.Go(fmt.Sprintf("w%d", i), sleepThenReturn)
+		}
+	}
+	batch()
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := idleCount(s); got != n {
+		t.Fatalf("%d idle coroutines after %d processes returned, want %d", got, n, n)
+	}
+	before := runtime.NumGoroutine()
+	s.Reset()
+	batch()
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("spawning onto idle coroutines changed the goroutine count %d -> %d", before, got)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("a recycled run changed the goroutine count %d -> %d", before, got)
+	}
+	if got := idleCount(s); got != n {
+		t.Fatalf("%d idle coroutines after the recycled run, want %d", got, n)
+	}
+}
+
+// TestRecycledBodySeesOwnProc: a body resumed on a recycled coroutine
+// gets the Proc it was spawned as — its name, its daemon flag, its place
+// in a deadlock report — and nothing of the coroutine's previous process.
+func TestRecycledBodySeesOwnProc(t *testing.T) {
+	s := New()
+	defer s.Shutdown()
+	for i := 0; i < 3; i++ {
+		s.Go(fmt.Sprintf("old%d", i), sleepThenReturn)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	s.Reset()
+	var seen []string
+	check := func(p *Proc) {
+		seen = append(seen, p.Name())
+		p.Sleep(Microsecond)
+	}
+	never := NewCond("never")
+	svc := s.GoDaemon("svc", func(p *Proc) {
+		check(p)
+		never.Wait(p)
+	})
+	stuck := s.Go("stuck", func(p *Proc) {
+		check(p)
+		never.Wait(p)
+	})
+	s.Go("done", check)
+	if got := idleCount(s); got != 0 {
+		t.Fatalf("%d coroutines still idle: the three spawns did not reuse them", got)
+	}
+	err := s.Run()
+	if want := []string{"svc", "stuck", "done"}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("bodies saw names %v, want %v", seen, want)
+	}
+	if !svc.daemon || stuck.daemon {
+		t.Fatalf("daemon flags svc=%v stuck=%v, want true false", svc.daemon, stuck.daemon)
+	}
+	if err == nil || !strings.Contains(err.Error(), "1 process(es) parked") ||
+		!strings.Contains(err.Error(), "stuck (blocked on cond never)") || strings.Contains(err.Error(), "old") {
+		t.Fatalf("Run returned %v; want a deadlock naming only stuck", err)
+	}
+}
+
+// TestPanicOnRecycledCoroutineIsNotRecycled: a coroutine whose body
+// panicked ends, as one that never ran another body would; it does not
+// return to the idle stack.
+func TestPanicOnRecycledCoroutineIsNotRecycled(t *testing.T) {
+	s := New()
+	defer s.Shutdown()
+	s.Go("a", sleepThenReturn)
+	s.Go("b", sleepThenReturn)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	s.Reset()
+	s.Go("boom", func(p *Proc) {
+		p.Sleep(Microsecond)
+		panic("boom")
+	})
+	if got := idleCount(s); got != 1 {
+		t.Fatalf("%d idle coroutines after one spawn of two, want 1", got)
+	}
+	if err := s.Run(); err == nil || !strings.Contains(err.Error(), `"boom" panicked`) {
+		t.Fatalf("Run returned %v; want the panic", err)
+	}
+	if got := idleCount(s); got != 1 {
+		t.Fatalf("%d idle coroutines after the panic, want 1", got)
+	}
+}
+
+// TestGoexitOnRecycledCoroutineIsNotRecycled: likewise for a body that
+// calls runtime.Goexit, which also ends Run's caller.
+func TestGoexitOnRecycledCoroutineIsNotRecycled(t *testing.T) {
+	s := New()
+	defer s.Shutdown()
+	s.Go("a", sleepThenReturn)
+	s.Go("b", sleepThenReturn)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	s.Reset()
+	s.Go("quitter", func(p *Proc) {
+		p.Sleep(Microsecond)
+		runtime.Goexit()
+	})
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		s.Run() //nolint:errcheck — must not return at all
+	}()
+	<-ended
+	if err := s.Run(); err == nil || !strings.Contains(err.Error(), `"quitter" called runtime.Goexit`) {
+		t.Fatalf("second Run returned %v; want the recorded Goexit failure", err)
+	}
+	if got := idleCount(s); got != 1 {
+		t.Fatalf("%d idle coroutines after the Goexit, want 1", got)
+	}
+}
+
+// TestShutdownReleasesIdleCoroutines: the goroutines parked on the idle
+// stack end with the simulator, beside its parked daemons.
+func TestShutdownReleasesIdleCoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		s := New()
+		never := NewCond("never")
+		s.GoDaemon("svc", func(p *Proc) { never.Wait(p) })
+		for j := 0; j < 8; j++ {
+			s.Go("w", sleepThenReturn)
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		s.Reset()
+		for j := 0; j < 4; j++ {
+			s.GoAfter("late", Second, sleepThenReturn) // recycled, never started
+		}
+		if err := s.RunUntil(Time(Microsecond)); err != nil {
+			t.Fatal(err)
+		}
+		s.Shutdown()
+		if s.idle != nil || s.LiveProcs() != 0 {
+			t.Fatalf("after Shutdown: %d idle coroutines, %d processes live", idleCount(s), s.LiveProcs())
+		}
+	}
+	assertGoroutinesReleased(t, before)
+}
+
+// TestSpawnOnIdleCoroutineAllocatesOnlyProc: with a coroutine idle, a
+// spawn of a non-capturing body and its whole run allocate at most the
+// Proc.
+func TestSpawnOnIdleCoroutineAllocatesOnlyProc(t *testing.T) {
+	s := New()
+	defer s.Shutdown()
+	spawnAndRun := func() {
+		s.Go("w", sleepThenReturn)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spawnAndRun() // the one goroutine, and the queue backings
+	if allocs := testing.AllocsPerRun(100, spawnAndRun); allocs > 1 {
+		t.Fatalf("%.1f allocations per spawn onto an idle coroutine, want at most 1 (the Proc)", allocs)
+	}
+}

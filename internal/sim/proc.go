@@ -4,25 +4,41 @@ import (
 	"runtime"
 )
 
-// Proc is a simulation process: a coroutine scheduled on virtual time.
-// A Proc's body runs as an iter.Pull coroutine that the run loop switches
-// into (next) and that switches back when it blocks (yield), so only one
-// process executes at a time and process code needs no locking when
-// touching simulation state.
+// Proc is a simulation process: a body scheduled on virtual time.
+// A Proc's body runs on a coro that the run loop switches into (next)
+// and that switches back when it blocks (yield), so only one process
+// executes at a time and process code needs no locking when touching
+// simulation state.
 //
 // All blocking methods must be called from the process's own body.
 type Proc struct {
 	sim  *Simulator
 	name string
-
-	// The coroutine: next runs the body until it parks or returns, yield
-	// parks it, stop makes a parked yield report false (see Shutdown).
-	next  func() (struct{}, bool)
-	yield func(struct{}) bool
-	stop  func()
+	body func(p *Proc) // cleared when the body starts, so a finished Proc pins no closure
+	co   *coro
 
 	daemon    bool   // daemons may remain parked at end of simulation
 	blockedOn string // label of the latest switching park, read by deadlock reports (when every process is parked)
+}
+
+// coro is an iter.Pull coroutine that runs process bodies one after
+// another: next runs the current body until it parks or returns, yield
+// parks it, stop makes a parked yield report false (see Shutdown). When
+// a body returns, the coroutine parks itself on Simulator.idle, and the
+// next spawn resumes it — with the stack the last body grew — instead of
+// starting a goroutine.
+type coro struct {
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	p     *Proc // the process it runs; nil while idle
+	below *coro // the next idle coroutine down Simulator.idle's stack
+}
+
+// procCoro is a fresh spawn's Proc and coroutine, allocated as one object.
+type procCoro struct {
+	p  Proc
+	co coro
 }
 
 // Name returns the process name given at spawn time.
@@ -56,7 +72,7 @@ func (p *Proc) park(label string) {
 		return
 	}
 	p.blockedOn = label
-	if !p.yield(struct{}{}) {
+	if !p.co.yield(struct{}{}) {
 		// Shutdown is tearing the simulation down: terminate this
 		// coroutine, running user defers on the way out. Goexit (not a
 		// panic) so a recover in user code cannot intercept it.

@@ -34,6 +34,11 @@ type Simulator struct {
 
 	procs map[*Proc]struct{} // parked daemons survive a restore by design
 
+	// idle is the top of a stack, linked through coro.below, of the
+	// coroutines whose last body returned, warmest first; GoAfter reuses
+	// them before it starts a goroutine.
+	idle *coro // snap: keep — holds no Proc, no event and no simulation state
+
 	fatal   error // first panic captured from a process; Restore refuses a failed sim
 	running bool
 	killed  bool // Shutdown is terminal
@@ -182,40 +187,74 @@ func (s *Simulator) GoDaemon(name string, body func(p *Proc)) *Proc {
 // runtime.Goexit — t.FailNow and t.Fatal do — fails it the same way and
 // then, as iter.Pull specifies, ends the goroutine that was running the
 // loop once its defers have run: Run's caller.
+//
+// The body runs on the most recently idled coroutine (see coro); only
+// when none is idle does GoAfter start a goroutine.
 func (s *Simulator) GoAfter(name string, d Duration, body func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name}
+	var p *Proc
+	if co := s.idle; co != nil {
+		s.idle, co.below = co.below, nil
+		p = &Proc{sim: s, name: name, body: body, co: co}
+		co.p = p
+	} else {
+		pc := &procCoro{p: Proc{sim: s, name: name, body: body}}
+		p = &pc.p
+		p.co = &pc.co
+		pc.co.p = p
+		s.startCoro(&pc.co)
+	}
 	s.procs[p] = struct{}{}
-	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		returned := false
-		defer func() {
-			r := recover()
-			if s.killed {
-				// Shutdown is unwinding this coroutine; whatever its
-				// defers raised (errKilled) ends here.
-				return
-			}
-			if s.fatal == nil {
-				if err, ok := r.(error); ok {
-					// Preserve typed panics (e.g. a runtime's
-					// global-exit) for errors.As at the caller.
-					s.fatal = fmt.Errorf("sim: process %q panicked: %w", p.name, err)
-				} else if r != nil {
-					s.fatal = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-				} else if !returned {
-					s.fatal = fmt.Errorf("sim: process %q called runtime.Goexit", p.name)
-				}
-			}
-			delete(s.procs, p)
-		}()
-		body(p)
-		returned = true
-	})
 	if d < 0 {
 		d = 0
 	}
 	s.scheduleProc(s.now.Add(d), p)
 	return p
+}
+
+// startCoro starts co's goroutine, parked until the first next. It runs
+// co.p's body, then each later one it is handed while idle; a body that
+// panics or calls runtime.Goexit, or one Shutdown unwinds, ends it.
+func (s *Simulator) startCoro(co *coro) {
+	co.next, co.stop = iter.Pull(func(yield func(struct{}) bool) {
+		co.yield = yield
+		for s.runBody(co.p) {
+			co.p = nil
+			co.below, s.idle = s.idle, co
+			if !yield(struct{}{}) {
+				return // Shutdown stopped it while idle
+			}
+		}
+	})
+}
+
+// runBody runs p's body and reports whether it returned. A panic or a
+// runtime.Goexit fails the simulation (the first failure wins); either
+// way p leaves the live set.
+func (s *Simulator) runBody(p *Proc) (returned bool) {
+	defer func() {
+		r := recover()
+		if s.killed {
+			// Shutdown is unwinding this coroutine; whatever its
+			// defers raised (errKilled) ends here.
+			return
+		}
+		if s.fatal == nil {
+			if err, ok := r.(error); ok {
+				// Preserve typed panics (e.g. a runtime's
+				// global-exit) for errors.As at the caller.
+				s.fatal = fmt.Errorf("sim: process %q panicked: %w", p.name, err)
+			} else if r != nil {
+				s.fatal = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+			} else if !returned {
+				s.fatal = fmt.Errorf("sim: process %q called runtime.Goexit", p.name)
+			}
+		}
+		delete(s.procs, p)
+	}()
+	body := p.body
+	p.body = nil
+	body(p)
+	return true
 }
 
 // peekNext reports the event the run loop dispatches next, or nil: a
@@ -297,7 +336,7 @@ func (s *Simulator) run(deadline Time) error {
 		s.consume(next, queued)
 		switch {
 		case ev.proc != nil:
-			ev.proc.next() // runs the process until it parks or returns
+			ev.proc.co.next() // runs the process until it parks or returns
 		case ev.ticker != nil:
 			ev.ticker.Tick(ev.targ)
 		default:
@@ -384,12 +423,13 @@ func (s *Simulator) assertQuiescent(op string) {
 	}
 }
 
-// Shutdown releases every parked process coroutine (daemons included) and
-// drops pending events, so a finished simulation's entire object graph —
-// window buffers, heaps, queues — becomes collectable. Harnesses that
-// build many simulators in one process (benchmarks, fuzzers) must call it
-// between instances or the parked coroutines pin their worlds' memory.
-// The simulator must not be running; after Shutdown it must not be used
+// Shutdown releases every parked process coroutine (daemons included),
+// every idle one, and drops pending events, so a finished simulation's
+// entire object graph — window buffers, heaps, queues — becomes
+// collectable. Harnesses that build many simulators in one process
+// (benchmarks, fuzzers) must call it between instances or the parked
+// and idle coroutines pin their worlds' memory and goroutines. The
+// simulator must not be running; after Shutdown it must not be used
 // except to read the clock.
 func (s *Simulator) Shutdown() {
 	if s.running {
@@ -399,6 +439,12 @@ func (s *Simulator) Shutdown() {
 		return
 	}
 	s.killed = true
+	// An idle coroutine runs no body: its parked yield reports false and
+	// it returns, so stop returns here without a Goexit.
+	for co := s.idle; co != nil; co = co.below {
+		co.stop()
+	}
+	s.idle = nil
 	//ntblint:ordered — teardown runs after the last observable event; release order is invisible
 	for p := range s.procs {
 		// Sequential teardown: each coroutine fully unwinds (its user
@@ -409,7 +455,7 @@ func (s *Simulator) Shutdown() {
 		unwound := make(chan struct{})
 		go func() {
 			defer close(unwound)
-			p.stop()
+			p.co.stop()
 		}()
 		<-unwound
 	}

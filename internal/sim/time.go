@@ -1,8 +1,9 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
 // The kernel provides a virtual clock, a time-ordered event queue, and
-// coroutine processes. Each process is an iter.Pull coroutine and they
-// are strictly sequentialised: exactly one process (or the run loop) runs
+// coroutine processes. Each process runs on an iter.Pull coroutine, which
+// passes to a later spawn once the body returns, and processes are
+// strictly sequentialised: exactly one process (or the run loop) runs
 // at any instant, and control transfers by direct coroutine switches, so
 // simulations are deterministic and race-free by construction.
 //
