@@ -60,10 +60,12 @@ benchmark-smoke:
 	$(GO) test ./benchmark
 	$(GO) run ./benchmark --seconds 1
 
-# Profile a full reproduce run; inspect with `go tool pprof cpu.pprof`
+# Profile ten full reproduce runs on one worker, each from a drained pool
+# and snapshot cache (BenchmarkReproduce); one run is too short to sample
+# per-figure costs. Inspect with `go tool pprof reproduce.test cpu.pprof`
 # (or mem.pprof for the allocation profile).
 profile:
-	$(GO) run ./cmd/reproduce -cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
+	$(GO) test -run xxx -bench Reproduce -benchtime 10x -cpuprofile cpu.pprof -memprofile mem.pprof ./cmd/reproduce
 
 # Regenerate the archived experiment output.
 reproduce:
@@ -71,4 +73,4 @@ reproduce:
 
 clean:
 	$(GO) clean ./...
-	rm -f cpu.pprof mem.pprof
+	rm -f cpu.pprof mem.pprof reproduce.test

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -130,6 +131,20 @@ func TestReproduceOutputIsCurrent(t *testing.T) {
 	for _, hostSide := range []string{"parallel runner: 4 workers", "[Fig 9: ", "simulated ", "snapshot fork: "} {
 		if !strings.Contains(stderr, hostSide) || strings.Contains(stdout, hostSide) {
 			t.Errorf("host-side line %q belongs on stderr only", hostSide)
+		}
+	}
+}
+
+// BenchmarkReproduce runs the whole figure list per op on one worker,
+// with the world pool and snapshot cache drained first as a fresh process
+// has them. `make profile` profiles it over enough ops to show per-figure
+// host costs that one run is too short to sample.
+func BenchmarkReproduce(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		bench.DrainWorldPool()
+		bench.DrainSnapshots()
+		if code := run([]string{"-j", "1"}, io.Discard, io.Discard); code != 0 {
+			b.Fatalf("reproduce -j 1: exit %d", code)
 		}
 	}
 }

@@ -9,14 +9,24 @@ import (
 	"repro/internal/sim"
 )
 
-// Ablation studies beyond the paper's evaluation, indexed in DESIGN.md:
+// Ablation studies and extension figures beyond the paper's evaluation,
+// indexed in DESIGN.md:
 //
 //	A1: barrier-algorithm choice (the paper argues the ring start/end
 //	    protocol suits the switchless fabric; we price the alternatives);
 //	A2: Get stop-and-wait chunk size (the protocol constant that sets
 //	    the paper's Get throughput ceiling);
 //	A3: ring-size scaling of put/get latency (hop sensitivity beyond the
-//	    3-host testbed).
+//	    3-host testbed);
+//	A4: rightward versus shortest-arc routing;
+//	A5: linear versus ring-pipelined broadcast;
+//	A6: link-protocol pipeline depth;
+//	A7: sensitivity to the service-thread wake cost;
+//	E1: throughput by PCIe generation profile;
+//	E2: one-sided put versus two-sided send/recv;
+//	E5: collective latency versus ring size.
+//
+// E3 lives in apps.go, E4 in breakdown.go and E6 in crossfabric.go.
 
 // MeasureBarrierLatency returns the mean barrier latency (us) for a ring
 // of n hosts under the given algorithm.
@@ -358,9 +368,9 @@ func MeasurePipelined(par *model.Params, depth, size, reps int) (putUS, getUS fl
 		opt.Pipeline = depth
 	}
 	label := fmt.Sprintf("pipelined depth=%d/size=%d", depth, size)
+	buf := make([]byte, size) // PE 0's source and destination
 	runRingWorld(label, par, 3, opt, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
-		buf := make([]byte, size)
 		pe.BarrierAll(p)
 		if pe.ID() == 0 {
 			start := p.Now()
@@ -419,9 +429,10 @@ func RunTwoSidedComparison(par *model.Params) *Figure {
 // one-hop transfers of the given size.
 func MeasureTwoSided(par *model.Params, size, reps int) (putUS, sendUS float64) {
 	label := fmt.Sprintf("two-sided size=%d", size)
+	data := make([]byte, size) // PE 0's send source
+	buf := make([]byte, size)  // PE 1's receive destination
 	runRingWorld(label, par, 3, core.Options{}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
-		data := make([]byte, size)
 		pe.BarrierAll(p)
 		if pe.ID() == 0 {
 			start := p.Now()
@@ -433,7 +444,6 @@ func MeasureTwoSided(par *model.Params, size, reps int) (putUS, sendUS float64) 
 		pe.BarrierAll(p)
 		switch pe.ID() {
 		case 1:
-			buf := make([]byte, size)
 			for r := 0; r < reps; r++ {
 				pe.Recv(p, 0, int64(r), buf)
 			}
@@ -491,9 +501,9 @@ func RunAblationRouting(par *model.Params) *Figure {
 func MeasureGetRouted(par *model.Params, routing core.Routing, n, dst, size int) float64 {
 	var us float64
 	label := fmt.Sprintf("get-routed %s/n=%d/dst=%d/size=%d", routing, n, dst, size)
+	buf := make([]byte, size) // PE 0's get destination
 	runRingWorld(label, par, n, core.Options{Routing: routing}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
-		buf := make([]byte, size)
 		pe.BarrierAll(p)
 		if pe.ID() == 0 {
 			start := p.Now()
@@ -511,9 +521,9 @@ func MeasureGetRouted(par *model.Params, routing core.Routing, n, dst, size int)
 // farthest PE of an n-host ring at the given size (5-rep averages).
 func MeasureFarthest(par *model.Params, n, size int) (putUS, getUS float64) {
 	label := fmt.Sprintf("farthest n=%d/size=%d", n, size)
+	buf := make([]byte, size) // PE 0's source and destination
 	runRingWorld(label, par, n, core.Options{}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
-		buf := make([]byte, size)
 		pe.BarrierAll(p)
 		target := n - 1 // farthest rightward
 		if pe.ID() == 0 {

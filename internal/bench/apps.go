@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/driver"
@@ -10,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Application kernels (extension figure E3): three self-verifying mini
+// Application kernels (extension figure E3): three invariant-checked mini
 // applications — halo-exchange stencil, ring-rotation matmul, bucketed
 // integer sort — timed end to end across link-protocol configurations.
 // The paper evaluates only microbenchmarks; this measures what its
@@ -171,8 +170,12 @@ func AppMatmul(par *model.Params, opts core.Options, hosts, dim int) float64 {
 	})
 }
 
-// AppIntSort runs the NPB-IS-style bucket sort over hosts*perPE keys and
-// self-verifies the bucket boundaries. Returns virtual microseconds.
+// AppIntSort runs the key exchange of an NPB-IS-style bucket sort over
+// hosts*perPE keys and checks that every PE received only keys of its
+// bucket. Returns virtual microseconds. E3 times the exchange and charges
+// nothing for the within-bucket sort, so the sort is not run: the
+// ownership check reads the keys in any order. examples/intsort sorts
+// and checks against a serial reference.
 func AppIntSort(par *model.Params, opts core.Options, hosts, perPE int) float64 {
 	const keyRange = 1 << 16
 	label := fmt.Sprintf("app intsort/hosts=%d/pipeline=%d/%s", hosts, opts.Pipeline, opts.Mode)
@@ -241,7 +244,6 @@ func AppIntSort(par *model.Params, opts core.Options, hosts, perPE int) float64 
 		}
 		got := make([]int32, recvTotal)
 		core.LocalGet(p, pe, recvSym, got)
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		lo, hi := int32(me*width), int32((me+1)*width)
 		if me == n-1 {
 			hi = keyRange

@@ -141,6 +141,24 @@ func TestMeasureShmemOpBasics(t *testing.T) {
 	}
 }
 
+// BenchmarkMeasureShmemOp runs one Fig 9 cell — a 512 KiB DMA put over
+// one hop, one rep — on a warm pool and snapshot cache. Its B/op is what
+// a sweep point costs the allocator besides the world itself;
+// TestBenchCeilings fails if the payload buffer goes back to being
+// allocated once per PE instead of once per measurement.
+func BenchmarkMeasureShmemOp(b *testing.B) {
+	par := model.Default()
+	DrainSnapshots()
+	DrainWorldPool()
+	defer DrainWorldPool()
+	MeasureShmemOp(par, OpPut, driver.ModeDMA, 1, 512<<10, 1) // build + pool the world outside the timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MeasureShmemOp(par, OpPut, driver.ModeDMA, 1, 512<<10, 1)
+	}
+}
+
 func TestCheckFig9ShapesOnRealRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig 9 grid in -short mode")

@@ -22,9 +22,9 @@ const fig10Reps = 10
 func MeasureBarrierAfterPut(par *model.Params, mode driver.Mode, hops, size, reps int) float64 {
 	var total sim.Duration
 	label := fmt.Sprintf("barrier-after-put %s/hops=%d/size=%d", mode, hops, size)
+	buf := make([]byte, size) // PE 0's put source
 	runRingWorld(label, par, 3, core.Options{Mode: mode}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
-		buf := make([]byte, size)
 		pe.BarrierAll(p)
 		for r := 0; r < reps; r++ {
 			if pe.ID() == 0 {

@@ -18,10 +18,11 @@ import (
 // to amortise start-up transients at every size.
 const fig8Reps = 50
 
-// rawDMA moves reps blocks of size bytes from host src's right adapter
-// and returns the achieved throughput in MB/s.
-func rawDMAStream(p *sim.Proc, port *ntb.Port, size, reps int) float64 {
-	src := make([]byte, size)
+// rawDMAStream moves reps blocks of len(src) bytes out of port's DMA
+// engine, one descriptor at a time, and returns the achieved throughput
+// in MB/s. The engine only reads src, so concurrent senders may share it.
+func rawDMAStream(p *sim.Proc, port *ntb.Port, src []byte, reps int) float64 {
+	size := len(src)
 	start := p.Now()
 	for r := 0; r < reps; r++ {
 		port.DMA().Submit(p, ntb.Desc{Region: ntb.RegionData, Off: 0, Src: src, Bytes: size}).Wait(p)
@@ -44,8 +45,9 @@ func Fig8Independent(par *model.Params, linkIdx, size int) float64 {
 		panic(fmt.Sprintf("bench: fig8-independent link=%d: %v", linkIdx, err))
 	}
 	var tput float64
+	src := make([]byte, size)
 	s.Go("sender", func(p *sim.Proc) {
-		tput = rawDMAStream(p, c.Hosts[0].Right, size, fig8Reps)
+		tput = rawDMAStream(p, c.Hosts[0].Right, src, fig8Reps)
 	})
 	if err := s.Run(); err != nil {
 		panic(fmt.Sprintf("bench: fig8-independent link=%d size=%d: %v", linkIdx, size, err))
@@ -66,10 +68,11 @@ func Fig8Ring(par *model.Params, n, size int) []float64 {
 		panic(fmt.Sprintf("bench: fig8-ring n=%d: %v", n, err))
 	}
 	tputs := make([]float64, n)
+	src := make([]byte, size) // read-only source shared by every sender
 	for i := 0; i < n; i++ {
 		i := i
 		s.Go(fmt.Sprintf("sender%d", i), func(p *sim.Proc) {
-			tputs[i] = rawDMAStream(p, c.Hosts[i].Right, size, fig8Reps)
+			tputs[i] = rawDMAStream(p, c.Hosts[i].Right, src, fig8Reps)
 		})
 	}
 	if err := s.Run(); err != nil {

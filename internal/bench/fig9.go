@@ -38,9 +38,9 @@ func (o Op) String() string {
 func MeasureShmemOp(par *model.Params, op Op, mode driver.Mode, hops, size, reps int) float64 {
 	var mean float64
 	label := fmt.Sprintf("shmem-op %s/%s/hops=%d/size=%d", op, mode, hops, size)
+	buf := make([]byte, size) // PE 0's source or destination
 	runRingWorld(label, par, 3, core.Options{Mode: mode}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
-		buf := make([]byte, size)
 		pe.BarrierAll(p)
 		if pe.ID() == 0 {
 			target := hops // PE k is k rightward hops from PE 0

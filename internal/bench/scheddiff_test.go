@@ -197,11 +197,13 @@ func BenchmarkScaleWorld256(b *testing.B) {
 // package's benchmarks: a pooled 256-PE scaling run stays under
 // 60 000 B/op and 1 500 allocs/op (it measures ≈ 32 300 and 637; with a
 // goroutine started per PE process per run it measured ≈ 134 000 and
-// 4 121), and a forked sweep point under 200 allocs/op (≈ 166). Per-op
-// values are floats: BenchmarkResult.AllocsPerOp truncates.
+// 4 121), a forked sweep point under 200 allocs/op (≈ 166), and a
+// 512 KiB Fig 9 put cell under 800 000 B/op (it measures ≈ 530 300; with
+// a payload buffer per PE it measured ≈ 1 579 000). Per-op values are
+// floats: BenchmarkResult.AllocsPerOp truncates.
 func TestBenchCeilings(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two one-second benchmark runs in -short mode")
+		t.Skip("three one-second benchmark runs in -short mode")
 	}
 	if raceEnabled() {
 		t.Skip("the race detector's instrumentation allocates, and slows each op until one-time construction no longer amortises within the benchmark's second")
@@ -216,6 +218,10 @@ func TestBenchCeilings(t *testing.T) {
 	r = testing.Benchmark(BenchmarkWorldFork)
 	if got := float64(r.MemAllocs) / float64(r.N); got > 200 {
 		t.Errorf("BenchmarkWorldFork: %.1f allocs/op, ceiling 200", got)
+	}
+	r = testing.Benchmark(BenchmarkMeasureShmemOp)
+	if got := float64(r.MemBytes) / float64(r.N); got > 800_000 {
+		t.Errorf("BenchmarkMeasureShmemOp: %.0f B/op, ceiling 800000", got)
 	}
 }
 
