@@ -1,4 +1,4 @@
-package ntbshmem
+package ntbshmem_test
 
 // Benchmarks regenerating every figure of the paper's evaluation section,
 // plus the ablations indexed in DESIGN.md. Each benchmark drives the

@@ -14,7 +14,7 @@ import (
 // configurations and platform profiles, reporting end-to-end virtual
 // completion times.
 func apps(args []string, stdout, stderr io.Writer) int {
-	c := newCLI("apps", "E3: the self-verifying application kernels across link configurations, end-to-end virtual completion times.", stdout, stderr, bench.FlagSpec{
+	c := newCLI("apps", "E3: the self-verifying application kernels across link configurations, end-to-end virtual completion times.", stdout, stderr, &bench.FlagSpec{
 		Fabric:      "ntb-ring",
 		FabricUsage: "fabric backend to run the kernels over: ntb-ring, ntb-pair, pcie-switch, or cxl",
 		Select:      true,

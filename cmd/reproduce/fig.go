@@ -18,7 +18,7 @@ import (
 // links of the ring transferring simultaneously, over block sizes
 // 1KB-512KB.
 func fig8(args []string, stdout, stderr io.Writer) int {
-	c := newCLI("fig8", "Fig 8: raw NTB transfer rate, one independent link against every link of the ring at once, 1KB-512KB.", stdout, stderr, bench.FlagSpec{
+	c := newCLI("fig8", "Fig 8: raw NTB transfer rate, one independent link against every link of the ring at once, 1KB-512KB.", stdout, stderr, &bench.FlagSpec{
 		Fabric:      "ntb-ring",
 		FabricUsage: "fabric backend: ntb-ring, ntb-pair, pcie-switch, or cxl (non-ring backends run the cross-fabric workload)",
 	})
@@ -103,7 +103,7 @@ func customRing(par *model.Params, n int) *bench.Figure {
 // OpenSHMEM Put and Get operations over the switchless ring, for
 // {DMA, memcpy} x {1 hop, 2 hops} and request sizes 1KB-512KB.
 func fig9(args []string, stdout, stderr io.Writer) int {
-	c := newCLI("fig9", "Fig 9: OpenSHMEM Put/Get latency and throughput, {DMA, memcpy} x {1 hop, 2 hops}, 1KB-512KB; a ring run machine-checks the paper's shapes.", stdout, stderr, bench.FlagSpec{
+	c := newCLI("fig9", "Fig 9: OpenSHMEM Put/Get latency and throughput, {DMA, memcpy} x {1 hop, 2 hops}, 1KB-512KB; a ring run machine-checks the paper's shapes.", stdout, stderr, &bench.FlagSpec{
 		Fabric:      "ntb-ring",
 		FabricUsage: "fabric backend to measure over: ntb-ring, pcie-switch, or cxl",
 		PairNeeds:   "Fig 9 sweeps a 3-host world",
@@ -141,7 +141,7 @@ func fig9(args []string, stdout, stderr io.Writer) int {
 // after Puts of varying size) and, with -ablation, the barrier-algorithm
 // comparison of DESIGN.md (A1).
 func fig10(args []string, stdout, stderr io.Writer) int {
-	c := newCLI("fig10", "Fig 10: shmem_barrier_all latency after Puts of varying size; -ablation compares barrier algorithms (A1).", stdout, stderr, bench.FlagSpec{
+	c := newCLI("fig10", "Fig 10: shmem_barrier_all latency after Puts of varying size; -ablation compares barrier algorithms (A1).", stdout, stderr, &bench.FlagSpec{
 		Fabric:      "ntb-ring",
 		FabricUsage: "fabric backend to measure over: ntb-ring, pcie-switch, or cxl",
 		PairNeeds:   "Fig 10 runs a 3-host world",

@@ -16,7 +16,7 @@ import (
 // figures is reproduce with no subcommand: every figure group in the
 // paper's order, then the paper-shape checks.
 func figures(args []string, stdout, stderr io.Writer) (code int) {
-	c := newCLI("", "Regenerate every figure of the paper's evaluation plus the ablation studies; fig8, fig9, fig10, apps and scale are subcommands.", stdout, stderr, bench.FlagSpec{
+	c := newCLI("", "Regenerate every figure of the paper's evaluation plus the ablation studies; fig8, fig9, fig10, apps, scale, trace and params are subcommands.", stdout, stderr, &bench.FlagSpec{
 		Fabric:      "ntb-ring,pcie-switch,cxl",
 		FabricUsage: "comma-separated fabric backends for the cross-fabric figure (E6): ntb-ring, ntb-pair, pcie-switch, cxl",
 		FabricList:  true,

@@ -15,6 +15,11 @@
 //	reproduce apps  [-kernel heat1d|matmul|intsort|all] [-hosts N] [-cells N] [-steps N]
 //	                [-dim N] [-keys N] [-profile NAME] [-fabric KIND] [-j N]
 //	reproduce scale [-pes 3,16,64,256,1024] [-reps N] [-put-bytes N] [-fabric KIND]
+//	reproduce trace [-workload put|get|barrier|mix|allpairs] [-hosts N] [-size BYTES] [-out FILE]
+//	reproduce params [-profile NAME] [-dump FILE]
+//
+// trace shows where one traced world's virtual time went, and params
+// describes a platform profile; neither takes -j or -fabric.
 //
 // Everything a figure reports is virtual time and goes to stdout, which
 // is byte-identical at any -j. What the run cost the host — worker count,
@@ -38,11 +43,13 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 var subcommands = map[string]func(args []string, stdout, stderr io.Writer) int{
-	"fig8":  fig8,
-	"fig9":  fig9,
-	"fig10": fig10,
-	"apps":  apps,
-	"scale": scale,
+	"fig8":   fig8,
+	"fig9":   fig9,
+	"fig10":  fig10,
+	"apps":   apps,
+	"scale":  scale,
+	"trace":  traceWorkload,
+	"params": params,
 }
 
 // run is the whole command: it dispatches on the subcommand (none means
@@ -53,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sub, ok := subcommands[args[0]]
 	if !ok {
-		fmt.Fprintf(stderr, "reproduce: unknown subcommand %q: want fig8, fig9, fig10, apps or scale, or none for every figure\n", args[0])
+		fmt.Fprintf(stderr, "reproduce: unknown subcommand %q: want fig8, fig9, fig10, apps, scale, trace or params, or none for every figure\n", args[0])
 		return 2
 	}
 	return sub(args[1:], stdout, stderr)
@@ -65,13 +72,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 type cli struct {
 	*flag.FlagSet  // named "reproduce fig8", which prefixes every error
 	stdout, stderr io.Writer
-	shared         *bench.Flags
+	shared         *bench.Flags // nil for a subcommand that takes none of them
 	csv            bool
 	profile        *string       // -profile, for the subcommands that take it
 	par            *model.Params // the platform after parse
 }
 
-func newCLI(sub, about string, stdout, stderr io.Writer, spec bench.FlagSpec) *cli {
+// newCLI registers the shared flags as spec describes; a nil spec
+// registers none.
+func newCLI(sub, about string, stdout, stderr io.Writer, spec *bench.FlagSpec) *cli {
 	name := strings.TrimSpace("reproduce " + sub)
 	c := &cli{FlagSet: flag.NewFlagSet(name, flag.ContinueOnError), stdout: stdout, stderr: stderr}
 	c.SetOutput(stderr)
@@ -79,7 +88,9 @@ func newCLI(sub, about string, stdout, stderr io.Writer, spec bench.FlagSpec) *c
 		fmt.Fprintf(stderr, "usage: %s [flags]\n%s\n", name, about)
 		c.PrintDefaults()
 	}
-	c.shared = bench.RegisterFlags(c.FlagSet, spec)
+	if spec != nil {
+		c.shared = bench.RegisterFlags(c.FlagSet, *spec)
+	}
 	return c
 }
 
@@ -101,8 +112,10 @@ func (c *cli) parse(args []string) (code int, ok bool) {
 	case c.NArg() > 0:
 		return c.fail(2, fmt.Errorf("unexpected argument %q (flags follow the subcommand)", c.Arg(0))), false
 	}
-	if err := c.shared.Apply(); err != nil {
-		return c.fail(2, err), false
+	if c.shared != nil {
+		if err := c.shared.Apply(); err != nil {
+			return c.fail(2, err), false
+		}
 	}
 	c.par = model.Default()
 	if c.profile != nil {
@@ -137,6 +150,15 @@ func (c *cli) positive(names ...string) error {
 		if v := c.Lookup(name).Value.(flag.Getter).Get().(int); v < 1 {
 			return fmt.Errorf("-%s=%d: need a positive value", name, v)
 		}
+	}
+	return nil
+}
+
+// fitsHeap rejects a payload flag whose value would not fit one symmetric
+// allocation beside the runtime's own: the heap less one growth chunk.
+func (c *cli) fitsHeap(name string, v int) error {
+	if room := c.par.SymHeapMax - c.par.SymHeapChunk; v > room {
+		return fmt.Errorf("-%s=%d: the payload must fit the symmetric heap, at most %d bytes", name, v, room)
 	}
 	return nil
 }

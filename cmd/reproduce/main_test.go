@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/fabric"
+	"repro/internal/model"
 )
 
 // runCLI drives run in-process. The flags install process-global bench
@@ -40,6 +44,12 @@ func TestSubcommandsRun(t *testing.T) {
 		{"fig10 -fabric pcie-switch", "Fig 10 — "},
 		{"apps -kernel heat1d -hosts 3", "profile gen3x8, 3 hosts, ntb-ring fabric (every kernel self-verifies)"},
 		{"scale -pes 3,16 -reps 1", "ntb-ring scaling sweep: reps=1 put-bytes=4096"},
+		{"trace -workload put", `workload "put" on 3 hosts finished at t=`},
+		{"trace -workload get -hosts 4", `workload "get" on 4 hosts finished at t=`},
+		{"trace -workload barrier", "barrier          18            0"},
+		{"trace", "h2.right   dma engine utilization"},
+		{"trace -workload allpairs -size 4096", "switchless ring: [host0]--2.9GB/s--[host1]--3.1GB/s--[host2]--2.6GB/s--[host0]"},
+		{"params -profile gen4x8", `profile "gen4x8" (available: `},
 	} {
 		code, stdout, stderr := runCLI(t, strings.Fields(tc.args)...)
 		if code != 0 || stderr != "" {
@@ -84,6 +94,14 @@ func TestBadFlagValuesAreUsageErrors(t *testing.T) {
 		{"scale -reps 0", "reproduce scale: -reps=0: need a positive value"},
 		{"scale -pes 3,x", `reproduce scale: -pes: "x" is not a cluster size`},
 		{"scale -fabric cxl -pes 300", "reproduce scale: -pes: cluster size 300 out of range [2, 256] for the cxl fabric"},
+		{"trace -size 0", "reproduce trace: -size=0: need a positive value"},
+		{"trace -size -1", "reproduce trace: -size=-1: need a positive value"},
+		{"trace -size 268435456", "reproduce trace: -size=268435456: the payload must fit the symmetric heap"},
+		{"trace -workload foo", `reproduce trace: -workload="foo": want put, get, barrier, mix, allpairs`},
+		{"trace -hosts 1", "reproduce trace: -hosts: cluster size 1 out of range"},
+		{"trace mix", `reproduce trace: unexpected argument "mix"`},
+		{"params -profile gen9x9", "reproduce params: -profile: model: unknown profile"},
+		{"params gen3x8", `reproduce params: unexpected argument "gen3x8"`},
 		{"-fabric ntb-ring,token-ring", "reproduce: -fabric: fabric: unknown fabric kind"},
 		{"-j 1 fig8", `reproduce: unexpected argument "fig8"`},
 		{"fig11", `reproduce: unknown subcommand "fig11"`},
@@ -106,6 +124,44 @@ func TestBadFlagValuesAreUsageErrors(t *testing.T) {
 	}
 	if code, _, stderr := runCLI(t, "scale", "-h"); code != 0 || !strings.Contains(stderr, "-put-bytes") {
 		t.Errorf("reproduce scale -h: exit %d, stderr %q", code, stderr)
+	}
+	// trace and params take none of the shared flags.
+	for _, args := range [][]string{{"trace", "-j", "2"}, {"params", "-fabric", "cxl"}} {
+		if code, _, stderr := runCLI(t, args...); code != 2 || !strings.Contains(stderr, "flag provided but not defined: "+args[1]) {
+			t.Errorf("reproduce %s: exit %d, stderr %q", strings.Join(args, " "), code, stderr)
+		}
+	}
+}
+
+// TestTraceAndParamsWriteFiles: trace -out writes Chrome trace JSON that
+// decodes, and params -dump writes a profile that model.LoadParams reads
+// back equal, the round trip `reproduce -params` relies on.
+func TestTraceAndParamsWriteFiles(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "trace.json")
+	if code, _, stderr := runCLI(t, "trace", "-out", out); code != 0 {
+		t.Fatalf("reproduce trace -out: exit %d, stderr %q", code, stderr)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(data, &events); err != nil || len(events) == 0 {
+		t.Errorf("trace -out: %d events, decode error %v", len(events), err)
+	}
+
+	dump := filepath.Join(dir, "params.json")
+	if code, _, stderr := runCLI(t, "params", "-dump", dump); code != 0 {
+		t.Fatalf("reproduce params -dump: exit %d, stderr %q", code, stderr)
+	}
+	got, err := model.LoadParams(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := model.Profile("gen3x8")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("params -dump does not round-trip:\n got %+v\nwant %+v", *got, *want)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // final virtual time, identical on every run and machine; only the
 // wall-clock columns change.
 func scale(args []string, stdout, stderr io.Writer) int {
-	c := newCLI("scale", "Engine scaling: the neighbour-put + barrier workload per PE count, host-side events/s and worlds/s beside the deterministic virtual end time.", stdout, stderr, bench.FlagSpec{
+	c := newCLI("scale", "Engine scaling: the neighbour-put + barrier workload per PE count, host-side events/s and worlds/s beside the deterministic virtual end time.", stdout, stderr, &bench.FlagSpec{
 		NoWorkers:   true,
 		Fabric:      "ntb-ring",
 		FabricUsage: "fabric backend to scale over: ntb-ring, pcie-switch, or cxl",
@@ -32,13 +32,7 @@ func scale(args []string, stdout, stderr io.Writer) int {
 	}
 	kind := c.shared.Kind()
 	pes, err := bench.ParseHostCounts("pes", *pesFlag, kind)
-	// The payload is one symmetric allocation beside the runtime's own,
-	// so it gets the heap less one growth chunk.
-	var tooBig error
-	if room := c.par.SymHeapMax - c.par.SymHeapChunk; *putBytes > room {
-		tooBig = fmt.Errorf("-put-bytes=%d: the payload must fit the symmetric heap, at most %d bytes", *putBytes, room)
-	}
-	if err := cmp.Or(err, c.positive("reps", "put-bytes"), tooBig); err != nil {
+	if err := cmp.Or(err, c.positive("reps", "put-bytes"), c.fitsHeap("put-bytes", *putBytes)); err != nil {
 		return c.fail(2, err)
 	}
 

@@ -12,30 +12,38 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	ntbshmem "repro"
 )
 
 func main() {
-	hosts := flag.Int("hosts", 3, "number of hosts/PEs")
-	target := flag.Int("target", 1, "PE that PE 0 talks to")
-	mode := flag.String("mode", "dma", "transfer mode: dma or memcpy")
-	pipeline := flag.Int("pipeline", 0, "link pipeline depth (0 = paper's stop-and-wait)")
-	reps := flag.Int("reps", 10, "repetitions per size")
-	flag.Parse()
-	if *target <= 0 || *target >= *hosts {
-		log.Fatalf("target must be in [1, %d)", *hosts)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
 	}
-	m := ntbshmem.ModeDMA
-	if *mode == "memcpy" {
-		m = ntbshmem.ModeCPU
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("bandwidth", flag.ExitOnError)
+	hosts := fs.Int("hosts", 3, "number of hosts/PEs")
+	target := fs.Int("target", 1, "PE that PE 0 talks to")
+	mode := fs.String("mode", "dma", "transfer mode: dma or memcpy")
+	pipeline := fs.Int("pipeline", 0, "link pipeline depth (0 = paper's stop-and-wait)")
+	reps := fs.Int("reps", 10, "repetitions per size")
+	fs.Parse(args)
+	if *target <= 0 || *target >= *hosts {
+		return fmt.Errorf("target must be in [1, %d)", *hosts)
+	}
+	m, ok := map[string]ntbshmem.Mode{"dma": ntbshmem.ModeDMA, "memcpy": ntbshmem.ModeCPU}[*mode]
+	if !ok {
+		return fmt.Errorf("mode %q: want dma or memcpy", *mode)
 	}
 
 	type row struct {
-		size           int
-		putUS, getUS   float64
-		putMBs, getMBs float64
+		size         int
+		putUS, getUS float64
 	}
 	var rows []row
 	err := ntbshmem.Run(ntbshmem.Config{Hosts: *hosts, Mode: m, Pipeline: *pipeline}, func(p *ntbshmem.Proc, pe *ntbshmem.PE) {
@@ -54,34 +62,26 @@ func main() {
 					pe.GetBytes(p, *target, sym, buf)
 				}
 				getUS := float64(p.Now()-start) / 1e3 / float64(*reps)
-				rows = append(rows, row{
-					size:   size,
-					putUS:  putUS,
-					getUS:  getUS,
-					putMBs: float64(size) / putUS,
-					getMBs: float64(size) / getUS,
-				})
+				rows = append(rows, row{size, putUS, getUS})
 			}
 		}
 		pe.BarrierAll(p)
 		pe.Finalize(p)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("# PE0 -> PE%d (%d hops rightward), mode %s, pipeline %d\n",
+	fmt.Fprintf(stdout, "# PE0 -> PE%d (%d hops rightward), mode %s, pipeline %d\n",
 		*target, *target, *mode, *pipeline)
-	fmt.Printf("%-10s %12s %12s %12s %12s\n", "size", "put-lat(us)", "get-lat(us)", "put(MB/s)", "get(MB/s)")
-	for _, r := range rows {
-		fmt.Printf("%-10s %12.2f %12.2f %12.2f %12.2f\n",
-			label(r.size), r.putUS, r.getUS, r.putMBs, r.getMBs)
+	fmt.Fprintf(stdout, "%-10s %12s %12s %12s %12s\n", "size", "put-lat(us)", "get-lat(us)", "put(MB/s)", "get(MB/s)")
+	for i, r := range rows {
+		fmt.Fprintf(stdout, "%-10s %12.2f %12.2f %12.2f %12.2f\n",
+			fmt.Sprintf("%dKB", r.size>>10), r.putUS, r.getUS, float64(r.size)/r.putUS, float64(r.size)/r.getUS)
+		// A larger message never completes sooner.
+		if i > 0 && (r.putUS < rows[i-1].putUS || r.getUS < rows[i-1].getUS) {
+			return fmt.Errorf("%dKB completed sooner than %dKB", r.size>>10, rows[i-1].size>>10)
+		}
 	}
-}
-
-func label(n int) string {
-	if n >= 1<<10 {
-		return fmt.Sprintf("%dKB", n>>10)
-	}
-	return fmt.Sprintf("%dB", n)
+	return nil
 }

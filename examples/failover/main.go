@@ -13,18 +13,28 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sort"
 
 	ntbshmem "repro"
 )
 
 func main() {
-	hosts := flag.Int("hosts", 4, "ring size")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("failover", flag.ExitOnError)
+	hosts := fs.Int("hosts", 4, "ring size")
+	fs.Parse(args)
 
 	job := ntbshmem.NewJob(ntbshmem.Config{Hosts: *hosts, Routing: ntbshmem.RouteShortest})
 	sim := job.Cluster.Sim
+	defer job.Cluster.ShutdownSim() // release the heartbeat daemons RunUntil leaves parked
 
 	interval := 200 * ntbshmem.Duration(1000) // 200us in virtual ns
 	var detections []string
@@ -33,42 +43,47 @@ func main() {
 			fmt.Sprintf("[t=%v] host %d: %s cable lost", sim.Now(), host, side))
 	})
 
+	const message = "still alive via the left arc!!!!"
 	var delivered string
+	var cutErr error
 	job.World.Launch(func(p *ntbshmem.Proc, pe *ntbshmem.PE) {
 		sym := pe.MustMalloc(p, 32)
 		pe.BarrierAll(p) // everyone is quiescent before the fault
 		if pe.ID() != 1 {
 			return
 		}
-		fmt.Printf("[t=%v] operator: cutting the cable between host 1 and host 2\n", p.Now())
-		if err := job.CutLink(1); err != nil {
-			log.Fatal(err)
+		fmt.Fprintf(stdout, "[t=%v] operator: cutting the cable between host 1 and host 2\n", p.Now())
+		if cutErr = job.CutLink(1); cutErr != nil {
+			return
 		}
 		// Give the heartbeat monitors time to notice, then keep working
 		// around the hole: host 0 is still reachable leftward.
 		p.Sleep(3_000_000)
-		pe.PutBytes(p, 0, sym, []byte("still alive via the left arc!!!!"))
+		pe.PutBytes(p, 0, sym, []byte(message))
 		buf := make([]byte, 32)
 		pe.GetBytes(p, 0, sym, buf)
 		delivered = string(buf)
-		fmt.Printf("[t=%v] host 1 round-tripped through host 0: %q\n", p.Now(), delivered)
+		fmt.Fprintf(stdout, "[t=%v] host 1 round-tripped through host 0: %q\n", p.Now(), delivered)
 	})
 
 	// Heartbeats run forever; bound the run explicitly.
 	if err := sim.RunUntil(ntbshmem.Time(30_000_000)); err != nil {
-		log.Fatal(err)
+		return err
+	}
+	if cutErr != nil {
+		return cutErr
 	}
 
 	sort.Strings(detections)
 	for _, d := range detections {
-		fmt.Println(d)
+		fmt.Fprintln(stdout, d)
 	}
 	switch {
 	case len(detections) != 2:
-		log.Fatalf("expected exactly 2 endpoint detections (both ends of one cable), got %d", len(detections))
-	case delivered == "":
-		log.Fatal("post-failure traffic never completed")
-	default:
-		fmt.Println("failure detected on both ends; traffic rerouted around the dead segment")
+		return fmt.Errorf("expected exactly 2 endpoint detections (both ends of one cable), got %d", len(detections))
+	case delivered != message:
+		return fmt.Errorf("post-failure round trip returned %q", delivered)
 	}
+	fmt.Fprintln(stdout, "failure detected on both ends; traffic rerouted around the dead segment")
+	return nil
 }

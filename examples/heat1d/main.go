@@ -2,10 +2,11 @@
 // the canonical PGAS workload the paper's introduction motivates.
 //
 // The rod is split into equal blocks, one per PE. Each iteration every PE
-// updates its interior points and then exchanges boundary cells with its
-// ring neighbours by putting them directly into the neighbours' halo
-// slots (one-sided communication), followed by a barrier. The result is
-// checked against a serial computation of the same system.
+// exchanges boundary cells with its ring neighbours by putting them
+// directly into the neighbours' halo slots (one-sided communication),
+// barriers, and updates its block (apps.Heat1D). On the host the result
+// is checked against a serial computation of the same system, and the
+// reduced total against the initial heat.
 //
 // Run with: go run ./examples/heat1d [-hosts N] [-cells C] [-steps S]
 package main
@@ -13,112 +14,75 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 
 	ntbshmem "repro"
+	"repro/apps"
 )
 
-const alpha = 0.25 // diffusion coefficient (stable for the explicit scheme)
-
 func main() {
-	hosts := flag.Int("hosts", 4, "number of hosts/PEs in the ring")
-	cells := flag.Int("cells", 4096, "total cells in the rod (divisible by hosts)")
-	steps := flag.Int("steps", 200, "time steps")
-	flag.Parse()
-	if *cells%*hosts != 0 {
-		log.Fatalf("cells (%d) must divide evenly among hosts (%d)", *cells, *hosts)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("heat1d", flag.ExitOnError)
+	hosts := fs.Int("hosts", 4, "number of hosts/PEs in the ring")
+	cells := fs.Int("cells", 4096, "total cells in the rod (divisible by hosts)")
+	steps := fs.Int("steps", 200, "time steps")
+	fs.Parse(args)
+	if *hosts < 1 || *cells%*hosts != 0 {
+		return fmt.Errorf("cells (%d) must divide evenly among hosts (%d)", *cells, *hosts)
 	}
 	local := *cells / *hosts
 
 	final := make([][]float64, *hosts)
-	cfg := ntbshmem.Config{Hosts: *hosts}
-	err := ntbshmem.Run(cfg, func(p *ntbshmem.Proc, pe *ntbshmem.PE) {
-		me, n := pe.ID(), pe.NumPEs()
-		// Layout: [haloL | local cells | haloR], all symmetric.
-		field := pe.MustMalloc(p, (local+2)*8)
-		pe.BarrierAll(p)
-
-		// Initial condition: a hot spike in the middle of the rod.
-		u := make([]float64, local+2)
-		for i := 0; i < local; i++ {
-			g := me*local + i
-			if g == *cells/2 {
-				u[i+1] = 1000
-			}
-		}
-		ntbshmem.LocalPut(p, pe, field, u)
-		pe.BarrierAll(p)
-
-		left := (me - 1 + n) % n
-		right := (me + 1) % n
-		for s := 0; s < *steps; s++ {
-			ntbshmem.LocalGet(p, pe, field, u)
-			// Push boundary cells into the neighbours' halos: my first
-			// cell becomes left neighbour's right halo, and vice versa.
-			ntbshmem.Put(p, pe, left, field+ntbshmem.SymAddr((local+1)*8), u[1:2])
-			ntbshmem.Put(p, pe, right, field, u[local:local+1])
-			pe.BarrierAll(p) // halos delivered
-
-			ntbshmem.LocalGet(p, pe, field, u)
-			next := make([]float64, local+2)
-			copy(next, u)
-			for i := 1; i <= local; i++ {
-				next[i] = u[i] + alpha*(u[i-1]-2*u[i]+u[i+1])
-			}
-			ntbshmem.LocalPut(p, pe, field, next)
-			pe.BarrierAll(p) // everyone finished the step
-		}
-
-		out := make([]float64, local+2)
-		ntbshmem.LocalGet(p, pe, field, out)
-		final[me] = out[1 : local+1]
-		if me == 0 {
-			fmt.Printf("[t=%v] %d PEs x %d cells, %d steps complete\n",
-				p.Now(), n, local, *steps)
+	var total float64
+	err := ntbshmem.Run(ntbshmem.Config{Hosts: *hosts}, func(p *ntbshmem.Proc, pe *ntbshmem.PE) {
+		block, sum := apps.Heat1D(p, pe, *cells, *steps)
+		final[pe.ID()] = block
+		if pe.ID() == 0 {
+			total = sum
+			fmt.Fprintf(stdout, "[t=%v] %d PEs x %d cells, %d steps complete\n",
+				p.Now(), pe.NumPEs(), local, *steps)
 		}
 		pe.Finalize(p)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Serial reference.
 	ref := make([]float64, *cells)
-	ref[*cells/2] = 1000
+	ref[*cells/2] = apps.HeatSpike
 	tmp := make([]float64, *cells)
 	for s := 0; s < *steps; s++ {
 		for i := range ref {
-			l, r := 0.0, 0.0
-			if i > 0 {
-				l = ref[i-1]
-			} else {
-				l = ref[*cells-1] // periodic, matching the ring halos
-			}
-			if i < *cells-1 {
-				r = ref[i+1]
-			} else {
-				r = ref[0]
-			}
-			tmp[i] = ref[i] + alpha*(l-2*ref[i]+r)
+			// Periodic, matching the ring halos.
+			l, r := ref[(i-1+*cells)%*cells], ref[(i+1)%*cells]
+			tmp[i] = ref[i] + apps.Alpha*(l-2*ref[i]+r)
 		}
 		ref, tmp = tmp, ref
 	}
 
-	var maxErr, total float64
+	var maxErr float64
 	for peID, block := range final {
 		for i, v := range block {
-			g := peID*local + i
-			if e := math.Abs(v - ref[g]); e > maxErr {
-				maxErr = e
-			}
-			total += v
+			maxErr = max(maxErr, math.Abs(v-ref[peID*local+i]))
 		}
 	}
-	fmt.Printf("energy conserved: total=%.3f (initial 1000)\n", total)
-	fmt.Printf("max deviation from serial reference: %.3e\n", maxErr)
-	if maxErr > 1e-9 {
-		log.Fatal("distributed stencil diverged from the serial reference")
+	fmt.Fprintf(stdout, "energy conserved: total=%.3f (initial %d)\n", total, apps.HeatSpike)
+	fmt.Fprintf(stdout, "max deviation from serial reference: %.3e\n", maxErr)
+	if math.Abs(total-apps.HeatSpike) > 1e-6 {
+		return fmt.Errorf("the rod's total heat %v is not the initial %d", total, apps.HeatSpike)
 	}
-	fmt.Println("distributed result matches serial reference")
+	if maxErr > 1e-9 {
+		return fmt.Errorf("distributed stencil diverged from the serial reference by %.3e", maxErr)
+	}
+	fmt.Fprintln(stdout, "distributed result matches serial reference")
+	return nil
 }

@@ -2,12 +2,12 @@
 // Benchmarks IS kernel, which the OpenSHMEM literature the paper cites
 // uses as its standard workload.
 //
-// Each PE generates a deterministic slice of keys, histograms them into
-// per-destination buckets, exchanges bucket sizes with a Reduce, ships
-// the buckets to their owners with one-sided puts flagged by
-// put-with-signal, sorts its received range locally, and the PEs verify
-// the global order with neighbour boundary checks plus a full serial
-// cross-check at the end.
+// Each PE generates a deterministic slice of keys and buckets them by
+// owning PE. The PEs exchange bucket sizes with an fcollect and ship each
+// bucket to its owner with a one-sided put, flagged by a remote add on
+// the owner's signal word (apps.IntSort). On the host each PE's received
+// range is sorted, and the concatenation in PE order is checked against a
+// serial sort of every key.
 //
 // Run with: go run ./examples/intsort [-hosts N] [-keys K]
 package main
@@ -15,160 +15,66 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
-	"sort"
+	"os"
+	"slices"
 
 	ntbshmem "repro"
+	"repro/apps"
 )
 
-const keyRange = 1 << 16 // keys are uniform in [0, keyRange)
-
 func main() {
-	hosts := flag.Int("hosts", 4, "number of hosts/PEs")
-	keys := flag.Int("keys", 50_000, "keys per PE")
-	flag.Parse()
-	n := *hosts
-	perPE := *keys
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	// Deterministic global key set (each PE regenerates only its part).
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("intsort", flag.ExitOnError)
+	hosts := fs.Int("hosts", 4, "number of hosts/PEs")
+	keys := fs.Int("keys", 50_000, "keys per PE")
+	fs.Parse(args)
+	n, perPE := *hosts, *keys
+
+	// Deterministic global key set, one stream per PE.
 	genKeys := func(pe int) []int32 {
 		rng := rand.New(rand.NewSource(int64(pe) * 7919))
 		out := make([]int32, perPE)
 		for i := range out {
-			out[i] = int32(rng.Intn(keyRange))
+			out[i] = int32(rng.Intn(apps.KeyRange))
 		}
 		return out
 	}
 
-	sorted := make([][]int32, n)
+	got := make([][]int32, n)
 	err := ntbshmem.Run(ntbshmem.Config{Hosts: n}, func(p *ntbshmem.Proc, pe *ntbshmem.PE) {
-		me := pe.ID()
-		mine := genKeys(me)
-
-		// Bucket by owner: PE k owns keys in [k, k+1) * keyRange/n.
-		width := keyRange / n
-		buckets := make([][]int32, n)
-		for _, k := range mine {
-			owner := int(k) / width
-			if owner >= n {
-				owner = n - 1
-			}
-			buckets[owner] = append(buckets[owner], k)
-		}
-
-		// Exchange bucket counts: counts[src*n+dst] via fcollect.
-		countsSym := pe.MustMalloc(p, n*n*4)
-		myCounts := make([]int32, n)
-		for d := range buckets {
-			myCounts[d] = int32(len(buckets[d]))
-		}
-		ntbshmem.LocalPut(p, pe, countsSym+ntbshmem.SymAddr(me*n*4), myCounts)
-		pe.BarrierAll(p)
-		pe.FCollectBytes(p, countsSym+ntbshmem.SymAddr(me*n*4), countsSym, n*4)
-		allCounts := make([]int32, n*n)
-		ntbshmem.LocalGet(p, pe, countsSym, allCounts)
-
-		// My receive area: one segment per source, at prefix offsets.
-		// Allocation sizes must be identical on every PE (symmetric
-		// heap), so size for the globally largest receiver — every PE
-		// can compute it from the counts matrix.
-		recvTotal := 0
-		offs := make([]int, n)
-		for src := 0; src < n; src++ {
-			offs[src] = recvTotal
-			recvTotal += int(allCounts[src*n+me])
-		}
-		maxRecv := 1
-		for dst := 0; dst < n; dst++ {
-			total := 0
-			for src := 0; src < n; src++ {
-				total += int(allCounts[src*n+dst])
-			}
-			if total > maxRecv {
-				maxRecv = total
-			}
-		}
-		recvSym := pe.MustMalloc(p, maxRecv*4)
-		sig := pe.MustMalloc(p, 8)
-		pe.BarrierAll(p) // all receive areas allocated
-
-		// Ship each bucket to its owner with put-with-signal; the
-		// destination offset comes from the counts matrix every PE now
-		// holds.
-		for dst := 0; dst < n; dst++ {
-			// Offset of my segment within dst's receive area.
-			off := 0
-			for src := 0; src < me; src++ {
-				off += int(allCounts[src*n+dst])
-			}
-			if dst == me {
-				ntbshmem.LocalPut(p, pe, recvSym+ntbshmem.SymAddr(offs[me]*4), buckets[me])
-				continue
-			}
-			if len(buckets[dst]) == 0 {
-				pe.AddInt64(p, dst, sig, 1)
-				continue
-			}
-			target := recvSym + ntbshmem.SymAddr(off*4)
-			ntbshmem.Put(p, pe, dst, target, buckets[dst])
-			pe.AddInt64(p, dst, sig, 1) // ordered behind the bucket
-		}
-		// All n-1 remote contributions flagged in.
-		pe.WaitUntilInt64(p, sig, ntbshmem.CmpGE, int64(n-1))
-
-		got := make([]int32, recvTotal)
-		ntbshmem.LocalGet(p, pe, recvSym, got)
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		sorted[me] = got
-
-		// Boundary check with the right neighbour: my max <= its min.
-		boundary := pe.MustMalloc(p, 4)
-		pe.BarrierAll(p)
-		myMin := int32(keyRange)
-		if len(got) > 0 {
-			myMin = got[0]
-		}
-		ntbshmem.PutScalar(p, pe, (me-1+n)%n, boundary, myMin)
-		pe.BarrierAll(p)
-		neighborMin := ntbshmem.GetScalar[int32](p, pe, me, boundary)
-		if me < n-1 && len(got) > 0 && got[len(got)-1] > neighborMin {
-			panic(fmt.Sprintf("pe %d max %d exceeds pe %d min %d",
-				me, got[len(got)-1], me+1, neighborMin))
-		}
-		if me == 0 {
-			fmt.Printf("[t=%v] %d PEs sorted %d keys\n", p.Now(), n, n*perPE)
+		got[pe.ID()] = apps.IntSort(p, pe, genKeys(pe.ID()))
+		if pe.ID() == 0 {
+			fmt.Fprintf(stdout, "[t=%v] %d PEs exchanged %d keys\n", p.Now(), n, n*perPE)
 		}
 		pe.Finalize(p)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	// Full serial cross-check.
-	var all []int32
-	for pe := 0; pe < n; pe++ {
+	var dist, all []int32
+	for pe, bucket := range got {
+		slices.Sort(bucket)
+		dist = append(dist, bucket...)
 		all = append(all, genKeys(pe)...)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	var dist []int32
-	for _, s := range sorted {
-		dist = append(dist, s...)
-	}
+	slices.Sort(all) // the serial reference
 	if len(dist) != len(all) {
-		log.Fatalf("distributed sort has %d keys, want %d", len(dist), len(all))
+		return fmt.Errorf("distributed sort has %d keys, want %d", len(dist), len(all))
 	}
 	for i := range all {
 		if dist[i] != all[i] {
-			log.Fatalf("key %d: distributed %d, serial %d", i, dist[i], all[i])
+			return fmt.Errorf("key %d: distributed %d, serial %d", i, dist[i], all[i])
 		}
 	}
-	fmt.Println("distributed sort matches serial reference")
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	fmt.Fprintln(stdout, "distributed sort matches serial reference")
+	return nil
 }

@@ -4,34 +4,41 @@
 // A and B are row-striped across the PEs. Each of the N steps multiplies
 // the local A panel against the B stripe currently held, then rotates
 // the stripe one hop around the ring with a one-sided put into the
-// neighbour's receive buffer, using put-with-signal for the handoff.
-// The distributed product is checked against a serial multiplication.
+// neighbour's receive buffer, flagged by a remote add on its signal word
+// (apps.Matmul). On the host the stripes are assembled and the product is
+// checked against a serial multiplication.
 //
 // Run with: go run ./examples/matmul [-hosts N] [-dim M]
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
+	"os"
 
 	ntbshmem "repro"
+	"repro/apps"
 )
 
-var le = binary.LittleEndian
-
 func main() {
-	hosts := flag.Int("hosts", 3, "number of hosts/PEs")
-	dim := flag.Int("dim", 48, "matrix dimension (divisible by hosts)")
-	flag.Parse()
-	n, m := *hosts, *dim
-	if m%n != 0 {
-		log.Fatalf("dim (%d) must be divisible by hosts (%d)", m, n)
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
 	}
-	mb := m / n // stripe height
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("matmul", flag.ExitOnError)
+	hosts := fs.Int("hosts", 3, "number of hosts/PEs")
+	dim := fs.Int("dim", 48, "matrix dimension (divisible by hosts)")
+	fs.Parse(args)
+	n, m := *hosts, *dim
+	if n < 1 || m%n != 0 {
+		return fmt.Errorf("dim (%d) must be divisible by hosts (%d)", m, n)
+	}
 
 	// Deterministic inputs.
 	rng := rand.New(rand.NewSource(2026))
@@ -40,6 +47,19 @@ func main() {
 	for i := range A {
 		A[i] = rng.Float64()*2 - 1
 		B[i] = rng.Float64()*2 - 1
+	}
+
+	C := make([]float64, m*m) // the distributed result, stripe by stripe
+	err := ntbshmem.Run(ntbshmem.Config{Hosts: n}, func(p *ntbshmem.Proc, pe *ntbshmem.PE) {
+		stripe := apps.Matmul(p, pe, A, B, m)
+		copy(C[pe.ID()*len(stripe):], stripe)
+		if pe.ID() == 0 {
+			fmt.Fprintf(stdout, "[t=%v] %dx%d matmul across %d PEs complete\n", p.Now(), m, m, n)
+		}
+		pe.Finalize(p)
+	})
+	if err != nil {
+		return err
 	}
 
 	// Serial reference.
@@ -52,75 +72,14 @@ func main() {
 			}
 		}
 	}
-
-	C := make([]float64, m*m) // gathered distributed result
-	err := ntbshmem.Run(ntbshmem.Config{Hosts: n}, func(p *ntbshmem.Proc, pe *ntbshmem.PE) {
-		me := pe.ID()
-		stripeElems := mb * m
-		next := pe.MustMalloc(p, stripeElems*8) // B stripe arriving
-		sig := pe.MustMalloc(p, 8)              // arrival signal
-		pe.BarrierAll(p)
-
-		// Local panels.
-		aLocal := A[me*mb*m : (me+1)*mb*m]
-		cLocal := make([]float64, stripeElems)
-		bStripe := make([]float64, stripeElems)
-		copy(bStripe, B[me*mb*m:(me+1)*mb*m])
-
-		left := (me - 1 + n) % n
-		for step := 0; step < n; step++ {
-			owner := (me + step) % n // whose B stripe we hold
-			// cLocal += A[:, owner block] * stripe.
-			for i := 0; i < mb; i++ {
-				for k := 0; k < mb; k++ {
-					a := aLocal[i*m+owner*mb+k]
-					for j := 0; j < m; j++ {
-						cLocal[i*m+j] += a * bStripe[k*m+j]
-					}
-				}
-			}
-			if step == n-1 {
-				break
-			}
-			// Rotate: hand the stripe to the left neighbour and await
-			// the one arriving from the right, flagged by its signal.
-			buf := make([]byte, stripeElems*8)
-			for i, v := range bStripe {
-				le.PutUint64(buf[8*i:], math.Float64bits(v))
-			}
-			pe.PutSignal(p, left, next, buf, sig, ntbshmem.SignalAdd, 1)
-			pe.WaitUntilInt64(p, sig, ntbshmem.CmpGE, int64(step+1))
-			ntbshmem.LocalGet(p, pe, next, bStripe)
-			pe.BarrierAll(p) // next is drained; safe to reuse as a target
-		}
-		// Gather C stripes at PE 0's address space via fcollect-style puts.
-		cSym := pe.MustMalloc(p, m*m*8)
-		pe.BarrierAll(p)
-		if me == 0 {
-			ntbshmem.LocalPut(p, pe, cSym, cLocal)
-		} else {
-			ntbshmem.Put(p, pe, 0, cSym+ntbshmem.SymAddr(me*stripeElems*8), cLocal)
-		}
-		pe.BarrierAll(p)
-		if me == 0 {
-			ntbshmem.LocalGet(p, pe, cSym, C)
-			fmt.Printf("[t=%v] %dx%d matmul across %d PEs complete\n", p.Now(), m, m, n)
-		}
-		pe.Finalize(p)
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	var maxErr float64
 	for i := range ref {
-		if e := math.Abs(C[i] - ref[i]); e > maxErr {
-			maxErr = e
-		}
+		maxErr = max(maxErr, math.Abs(C[i]-ref[i]))
 	}
-	fmt.Printf("max |distributed - serial| = %.3e\n", maxErr)
+	fmt.Fprintf(stdout, "max |distributed - serial| = %.3e\n", maxErr)
 	if maxErr > 1e-9 {
-		log.Fatal("distributed matmul diverged from serial reference")
+		return fmt.Errorf("distributed matmul diverged from the serial reference by %.3e", maxErr)
 	}
-	fmt.Println("distributed result matches serial reference")
+	fmt.Fprintln(stdout, "distributed result matches serial reference")
+	return nil
 }

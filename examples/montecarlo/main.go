@@ -10,19 +10,29 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand"
+	"os"
 
 	ntbshmem "repro"
 )
 
 func main() {
-	hosts := flag.Int("hosts", 4, "number of hosts/PEs")
-	darts := flag.Int("darts", 200_000, "darts per PE")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("montecarlo", flag.ExitOnError)
+	hosts := fs.Int("hosts", 4, "number of hosts/PEs")
+	darts := fs.Int("darts", 200_000, "darts per PE")
+	fs.Parse(args)
 
 	n := *hosts
 	perPE := *darts
@@ -64,15 +74,16 @@ func main() {
 			h := ntbshmem.GetScalar[int64](p, pe, 0, hits)
 			th := ntbshmem.GetScalar[int64](p, pe, 0, thrown)
 			estimate = 4 * float64(h) / float64(th)
-			fmt.Printf("[t=%v] %d PEs threw %d darts, %d hits\n", p.Now(), pe.NumPEs(), th, h)
+			fmt.Fprintf(stdout, "[t=%v] %d PEs threw %d darts, %d hits\n", p.Now(), pe.NumPEs(), th, h)
 		}
 		pe.Finalize(p)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("pi ~= %.6f (error %.6f)\n", estimate, math.Abs(estimate-math.Pi))
+	fmt.Fprintf(stdout, "pi ~= %.6f (error %.6f)\n", estimate, math.Abs(estimate-math.Pi))
 	if math.Abs(estimate-math.Pi) > 0.05 {
-		log.Fatal("estimate implausibly far from pi; atomics are broken")
+		return errors.New("estimate implausibly far from pi; atomics are broken")
 	}
+	return nil
 }

@@ -12,15 +12,24 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	ntbshmem "repro"
 )
 
 func main() {
-	hosts := flag.Int("hosts", 2, "ring size; PE 0 bounces against PE hosts-1")
-	reps := flag.Int("reps", 5, "round trips per size")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("pingpong", flag.ExitOnError)
+	hosts := fs.Int("hosts", 2, "ring size; PE 0 bounces against PE hosts-1")
+	reps := fs.Int("reps", 5, "round trips per size")
+	fs.Parse(args)
 
 	type row struct {
 		size               int
@@ -28,6 +37,10 @@ func main() {
 	}
 	var rows []row
 	err := ntbshmem.Run(ntbshmem.Config{Hosts: *hosts}, func(p *ntbshmem.Proc, pe *ntbshmem.PE) {
+		// Every PE allocates and joins the barrier; only the two ends play.
+		data := pe.MustMalloc(p, 512<<10)
+		sig := pe.MustMalloc(p, 8)
+		pe.BarrierAll(p)
 		peer := pe.NumPEs() - 1
 		me := pe.ID()
 		if me != 0 && me != peer {
@@ -37,9 +50,6 @@ func main() {
 		if me == peer {
 			other = 0
 		}
-		data := pe.MustMalloc(p, 512<<10)
-		sig := pe.MustMalloc(p, 8)
-		pe.BarrierAll(p)
 
 		round := int64(0)
 		for size := 1 << 10; size <= 512<<10; size <<= 2 {
@@ -78,20 +88,14 @@ func main() {
 		}
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("# PE0 <-> PE%d half-round-trip latency\n", *hosts-1)
-	fmt.Printf("%-10s %16s %20s %8s\n", "size", "send/recv (us)", "put+signal (us)", "ratio")
+	fmt.Fprintf(stdout, "# PE0 <-> PE%d half-round-trip latency\n", *hosts-1)
+	fmt.Fprintf(stdout, "%-10s %16s %20s %8s\n", "size", "send/recv (us)", "put+signal (us)", "ratio")
 	for _, r := range rows {
-		fmt.Printf("%-10s %16.2f %20.2f %7.1fx\n",
-			sizeLabel(r.size), r.sendUS, r.oneSidedUS, r.sendUS/r.oneSidedUS)
+		fmt.Fprintf(stdout, "%-10s %16.2f %20.2f %7.1fx\n",
+			fmt.Sprintf("%dKB", r.size>>10), r.sendUS, r.oneSidedUS, r.sendUS/r.oneSidedUS)
 	}
-}
-
-func sizeLabel(n int) string {
-	if n >= 1<<10 {
-		return fmt.Sprintf("%dKB", n>>10)
-	}
-	return fmt.Sprintf("%dB", n)
+	return nil
 }

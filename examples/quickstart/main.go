@@ -10,13 +10,26 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	ntbshmem "repro"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	if len(args) > 0 {
+		return fmt.Errorf("quickstart takes no arguments, got %q", args)
+	}
 	cfg := ntbshmem.Config{Hosts: 3}
+	received := make([]string, cfg.Hosts)
+	var counter int64
 	err := ntbshmem.Run(cfg, func(p *ntbshmem.Proc, pe *ntbshmem.PE) {
 		// Symmetric allocation: same address on every PE.
 		msg := pe.MustMalloc(p, 64)
@@ -25,9 +38,8 @@ func main() {
 
 		if pe.ID() == 0 {
 			for target := 1; target < pe.NumPEs(); target++ {
-				text := fmt.Sprintf("hello PE %d from PE 0 over PCIe NTB", target)
 				buf := make([]byte, 64)
-				copy(buf, text)
+				copy(buf, greeting(target))
 				pe.PutBytes(p, target, msg, buf)
 			}
 		}
@@ -38,16 +50,30 @@ func main() {
 		if pe.ID() != 0 {
 			buf := make([]byte, 64)
 			pe.LocalRead(p, msg, buf)
-			fmt.Printf("[t=%v] PE %d received: %q\n", p.Now(), pe.ID(), trim(buf))
+			received[pe.ID()] = trim(buf)
+			fmt.Fprintf(stdout, "[t=%v] PE %d received: %q\n", p.Now(), pe.ID(), received[pe.ID()])
 		} else {
-			n := ntbshmem.GetScalar[int64](p, pe, 0, count)
-			fmt.Printf("[t=%v] PE 0 counter after atomics: %d\n", p.Now(), n)
+			counter = ntbshmem.GetScalar[int64](p, pe, 0, count)
+			fmt.Fprintf(stdout, "[t=%v] PE 0 counter after atomics: %d\n", p.Now(), counter)
 		}
 		pe.Finalize(p)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	for target := 1; target < cfg.Hosts; target++ {
+		if received[target] != greeting(target) {
+			return fmt.Errorf("PE %d read %q", target, received[target])
+		}
+	}
+	if counter != int64(cfg.Hosts) {
+		return fmt.Errorf("counter is %d after %d increments", counter, cfg.Hosts)
+	}
+	return nil
+}
+
+func greeting(target int) string {
+	return fmt.Sprintf("hello PE %d from PE 0 over PCIe NTB", target)
 }
 
 func trim(b []byte) string {

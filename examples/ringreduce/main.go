@@ -3,8 +3,8 @@
 //
 // Each PE owns a block of two large vectors, computes its partial dot
 // product and partial min/max, then combines them with Reduce — the
-// shmem_TYPE_OP_to_all family — and every PE checks the collective
-// results against a serially computed reference.
+// shmem_TYPE_OP_to_all family. On the host every PE's results are
+// checked against a serially computed reference.
 //
 // Run with: go run ./examples/ringreduce [-hosts N] [-elems E]
 package main
@@ -12,16 +12,25 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 
 	ntbshmem "repro"
 )
 
 func main() {
-	hosts := flag.Int("hosts", 3, "number of hosts/PEs")
-	elems := flag.Int("elems", 30_000, "elements per PE")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ringreduce", flag.ExitOnError)
+	hosts := fs.Int("hosts", 3, "number of hosts/PEs")
+	elems := fs.Int("elems", 30_000, "elements per PE")
+	fs.Parse(args)
 
 	n := *hosts
 	local := *elems
@@ -80,22 +89,23 @@ func main() {
 		ntbshmem.LocalGet(p, pe, mx, out[:])
 		results[me].max = out[0]
 		if me == 0 {
-			fmt.Printf("[t=%v] reduced over %d PEs x %d elements\n", p.Now(), n, local)
+			fmt.Fprintf(stdout, "[t=%v] reduced over %d PEs x %d elements\n", p.Now(), n, local)
 		}
 		pe.Finalize(p)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	for me, r := range results {
 		if math.Abs(r.dot-refDot) > 1e-6*math.Abs(refDot) {
-			log.Fatalf("PE %d dot=%v, reference %v", me, r.dot, refDot)
+			return fmt.Errorf("PE %d dot=%v, reference %v", me, r.dot, refDot)
 		}
 		if r.min != refMin || r.max != refMax {
-			log.Fatalf("PE %d min/max = %v/%v, reference %v/%v", me, r.min, r.max, refMin, refMax)
+			return fmt.Errorf("PE %d min/max = %v/%v, reference %v/%v", me, r.min, r.max, refMin, refMax)
 		}
 	}
-	fmt.Printf("dot = %.9f, min = %.6f, max = %.6f — all PEs agree with the serial reference\n",
+	fmt.Fprintf(stdout, "dot = %.9f, min = %.6f, max = %.6f — all PEs agree with the serial reference\n",
 		refDot, refMin, refMax)
+	return nil
 }

@@ -4,12 +4,13 @@ import "regexp"
 
 // SimScope matches the packages whose code must be deterministic in the
 // byte-identical-results sense: the kernel, the device and protocol
-// layers, the runtime, and the benchmark engine that renders results/.
+// layers, the runtime, and the benchmark engine and application kernels
+// that render results/.
 // Other packages (examples, commands, parsing helpers) may iterate maps
 // and read clocks freely. It is declared here — not in cmd/ntblint — so
 // the command-line runner and the self-hosting suite test apply the
 // identical scoping.
-var SimScope = regexp.MustCompile(`(^|/)internal/(sim|pcie|ntb|driver|fabric|core|mem|bench|trace)$`)
+var SimScope = regexp.MustCompile(`(^|/)(internal/(sim|pcie|ntb|driver|fabric|core|mem|bench|trace)|apps)$`)
 
 // ApplyRepoScopes installs the production Match functions on the suite:
 // simdet runs on the simulation packages and the rest everywhere.

@@ -2,16 +2,19 @@ package bench
 
 import (
 	"fmt"
+	"math"
 
+	"repro/apps"
 	"repro/internal/core"
 	"repro/internal/driver"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
 
-// Application kernels (extension figure E3): three invariant-checked mini
-// applications — halo-exchange stencil, ring-rotation matmul, bucketed
-// integer sort — timed end to end across link-protocol configurations.
+// Application kernels (extension figure E3): the three kernels of package
+// apps — halo-exchange stencil, ring-rotation matmul, bucketed integer
+// sort — timed end to end across link-protocol configurations, each with
+// a cheap invariant check.
 // The paper evaluates only microbenchmarks; this measures what its
 // prototype would mean for real SPMD codes, and how much the pipelined
 // protocol (A6) buys them.
@@ -50,70 +53,29 @@ func runApp(label string, par *model.Params, n int, opts core.Options, body func
 	return end.Sub(start).Microseconds()
 }
 
-// AppHeat1D runs a halo-exchange stencil: cells points, steps
-// iterations, neighbour halos exchanged with one-sided puts each step.
-// It self-verifies conservation (the explicit scheme preserves the
-// total) and returns the kernel's virtual time in microseconds.
+// AppHeat1D times apps.Heat1D: cells points, steps iterations, neighbour
+// halos exchanged with one-sided puts each step. It checks conservation
+// (the explicit scheme preserves the total) and returns the kernel's
+// virtual time in microseconds.
 func AppHeat1D(par *model.Params, opts core.Options, hosts, cells, steps int) float64 {
 	if cells%hosts != 0 {
 		panic("bench: cells must divide among hosts")
 	}
-	local := cells / hosts
 	label := fmt.Sprintf("app heat1d/hosts=%d/pipeline=%d/%s", hosts, opts.Pipeline, opts.Mode)
 	return runApp(label, par, hosts, opts, func(p *sim.Proc, pe *core.PE) {
-		n := pe.NumPEs()
-		field := pe.MustMalloc(p, (local+2)*8)
-		u := make([]float64, local+2)
-		for i := 0; i < local; i++ {
-			if pe.ID()*local+i == cells/2 {
-				u[i+1] = 1000
-			}
-		}
-		core.LocalPut(p, pe, field, u)
-		pe.BarrierAll(p)
-		left := (pe.ID() - 1 + n) % n
-		right := (pe.ID() + 1) % n
-		for s := 0; s < steps; s++ {
-			core.LocalGet(p, pe, field, u)
-			core.Put(p, pe, left, field+core.SymAddr((local+1)*8), u[1:2])
-			core.Put(p, pe, right, field, u[local:local+1])
-			pe.BarrierAll(p)
-			core.LocalGet(p, pe, field, u)
-			next := make([]float64, local+2)
-			copy(next, u)
-			for i := 1; i <= local; i++ {
-				next[i] = u[i] + 0.25*(u[i-1]-2*u[i]+u[i+1])
-			}
-			core.LocalPut(p, pe, field, next)
-			pe.BarrierAll(p)
-		}
-		// Verify conservation via a reduction.
-		sum := pe.MustMalloc(p, 8)
-		total := pe.MustMalloc(p, 8)
-		pe.BarrierAll(p)
-		core.LocalGet(p, pe, field, u)
-		var mine float64
-		for i := 1; i <= local; i++ {
-			mine += u[i]
-		}
-		core.LocalPut(p, pe, sum, []float64{mine})
-		core.Reduce[float64](p, pe, core.OpSum, total, sum, 1)
-		var out [1]float64
-		core.LocalGet(p, pe, total, out[:])
-		if d := out[0] - 1000; d > 1e-6 || d < -1e-6 {
-			panic(fmt.Sprintf("bench: heat1d lost energy: total %v", out[0]))
+		if _, total := apps.Heat1D(p, pe, cells, steps); math.Abs(total-apps.HeatSpike) > 1e-6 {
+			panic(fmt.Sprintf("bench: heat1d lost energy: total %v", total))
 		}
 	})
 }
 
-// AppMatmul runs the ring-rotation SUMMA matmul on dim x dim matrices
-// and self-verifies a probe row against a serial computation. Returns
+// AppMatmul times apps.Matmul on dim x dim matrices drawn from matmulSeed
+// and checks the product's row 0 against a serial computation. Returns
 // virtual microseconds.
 func AppMatmul(par *model.Params, opts core.Options, hosts, dim int) float64 {
 	if dim%hosts != 0 {
 		panic("bench: dim must divide among hosts")
 	}
-	mb := dim / hosts
 	rng := SeededRNG(matmulSeed)
 	A := make([]float64, dim*dim)
 	B := make([]float64, dim*dim)
@@ -131,124 +93,38 @@ func AppMatmul(par *model.Params, opts core.Options, hosts, dim int) float64 {
 	}
 	label := fmt.Sprintf("app matmul/hosts=%d/pipeline=%d/%s", hosts, opts.Pipeline, opts.Mode)
 	return runApp(label, par, hosts, opts, func(p *sim.Proc, pe *core.PE) {
-		me, n := pe.ID(), pe.NumPEs()
-		stripe := mb * dim
-		next := pe.MustMalloc(p, stripe*8)
-		sig := pe.MustMalloc(p, 8)
-		pe.BarrierAll(p)
-		aLocal := A[me*mb*dim : (me+1)*mb*dim]
-		cLocal := make([]float64, stripe)
-		bStripe := make([]float64, stripe)
-		copy(bStripe, B[me*mb*dim:(me+1)*mb*dim])
-		left := (me - 1 + n) % n
-		for step := 0; step < n; step++ {
-			owner := (me + step) % n
-			for i := 0; i < mb; i++ {
-				for k := 0; k < mb; k++ {
-					a := aLocal[i*dim+owner*mb+k]
-					for j := 0; j < dim; j++ {
-						cLocal[i*dim+j] += a * bStripe[k*dim+j]
-					}
-				}
-			}
-			if step == n-1 {
-				break
-			}
-			core.Put(p, pe, left, next, bStripe)
-			pe.AddInt64(p, left, sig, 1)
-			pe.WaitUntilInt64(p, sig, core.CmpGE, int64(step+1))
-			core.LocalGet(p, pe, next, bStripe)
-			pe.BarrierAll(p)
+		c := apps.Matmul(p, pe, A, B, dim)
+		if pe.ID() != 0 {
+			return
 		}
-		if me == 0 {
-			for j := 0; j < dim; j++ {
-				if d := cLocal[j] - probe[j]; d > 1e-9 || d < -1e-9 {
-					panic(fmt.Sprintf("bench: matmul probe diverged at %d: %v vs %v", j, cLocal[j], probe[j]))
-				}
+		for j := 0; j < dim; j++ {
+			if d := c[j] - probe[j]; d > 1e-9 || d < -1e-9 {
+				panic(fmt.Sprintf("bench: matmul probe diverged at %d: %v vs %v", j, c[j], probe[j]))
 			}
 		}
 	})
 }
 
-// AppIntSort runs the key exchange of an NPB-IS-style bucket sort over
-// hosts*perPE keys and checks that every PE received only keys of its
-// bucket. Returns virtual microseconds. E3 times the exchange and charges
-// nothing for the within-bucket sort, so the sort is not run: the
-// ownership check reads the keys in any order. examples/intsort sorts
-// and checks against a serial reference.
+// AppIntSort times apps.IntSort over hosts*perPE keys, PE me's drawn from
+// seed me*intsortStride, and checks that every PE received only keys of
+// its bucket. Returns virtual microseconds. E3 times the exchange and
+// charges nothing for the within-bucket sort, so it is not run: the
+// ownership check reads the keys in any order.
 func AppIntSort(par *model.Params, opts core.Options, hosts, perPE int) float64 {
-	const keyRange = 1 << 16
 	label := fmt.Sprintf("app intsort/hosts=%d/pipeline=%d/%s", hosts, opts.Pipeline, opts.Mode)
 	return runApp(label, par, hosts, opts, func(p *sim.Proc, pe *core.PE) {
-		n := pe.NumPEs()
-		me := pe.ID()
+		me, n := pe.ID(), pe.NumPEs()
 		rng := peRNG(intsortStride, me)
-		mine := make([]int32, perPE)
-		for i := range mine {
-			mine[i] = int32(rng.Intn(keyRange))
+		keys := make([]int32, perPE)
+		for i := range keys {
+			keys[i] = int32(rng.Intn(apps.KeyRange))
 		}
-		width := keyRange / n
-		buckets := make([][]int32, n)
-		for _, k := range mine {
-			owner := int(k) / width
-			if owner >= n {
-				owner = n - 1
-			}
-			buckets[owner] = append(buckets[owner], k)
-		}
-		countsSym := pe.MustMalloc(p, n*n*4)
-		myCounts := make([]int32, n)
-		for d := range buckets {
-			myCounts[d] = int32(len(buckets[d]))
-		}
-		core.LocalPut(p, pe, countsSym+core.SymAddr(me*n*4), myCounts)
-		pe.BarrierAll(p)
-		pe.FCollectBytes(p, countsSym+core.SymAddr(me*n*4), countsSym, n*4)
-		allCounts := make([]int32, n*n)
-		core.LocalGet(p, pe, countsSym, allCounts)
-		maxRecv := 1
-		for dst := 0; dst < n; dst++ {
-			total := 0
-			for src := 0; src < n; src++ {
-				total += int(allCounts[src*n+dst])
-			}
-			if total > maxRecv {
-				maxRecv = total
-			}
-		}
-		recvSym := pe.MustMalloc(p, maxRecv*4)
-		sig := pe.MustMalloc(p, 8)
-		pe.BarrierAll(p)
-		for dst := 0; dst < n; dst++ {
-			off := 0
-			for src := 0; src < me; src++ {
-				off += int(allCounts[src*n+dst])
-			}
-			if dst == me {
-				myOff := 0
-				for src := 0; src < me; src++ {
-					myOff += int(allCounts[src*n+me])
-				}
-				core.LocalPut(p, pe, recvSym+core.SymAddr(myOff*4), buckets[me])
-				continue
-			}
-			if len(buckets[dst]) > 0 {
-				core.Put(p, pe, dst, recvSym+core.SymAddr(off*4), buckets[dst])
-			}
-			pe.AddInt64(p, dst, sig, 1)
-		}
-		pe.WaitUntilInt64(p, sig, core.CmpGE, int64(n-1))
-		recvTotal := 0
-		for src := 0; src < n; src++ {
-			recvTotal += int(allCounts[src*n+me])
-		}
-		got := make([]int32, recvTotal)
-		core.LocalGet(p, pe, recvSym, got)
+		width := apps.KeyRange / n
 		lo, hi := int32(me*width), int32((me+1)*width)
 		if me == n-1 {
-			hi = keyRange
+			hi = apps.KeyRange
 		}
-		for _, k := range got {
+		for _, k := range apps.IntSort(p, pe, keys) {
 			if k < lo || k >= hi {
 				panic(fmt.Sprintf("bench: pe %d holds out-of-bucket key %d", me, k))
 			}
