@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -429,8 +430,8 @@ func RunTwoSidedComparison(par *model.Params) *Figure {
 // one-hop transfers of the given size.
 func MeasureTwoSided(par *model.Params, size, reps int) (putUS, sendUS float64) {
 	label := fmt.Sprintf("two-sided size=%d", size)
-	data := make([]byte, size) // PE 0's send source
-	buf := make([]byte, size)  // PE 1's receive destination
+	data := mem.Zeros(size)   // PE 0's send source, the read-only zero source
+	buf := make([]byte, size) // PE 1's receive destination
 	runRingWorld(label, par, 3, core.Options{}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
 		pe.BarrierAll(p)

@@ -144,8 +144,8 @@ func TestMeasureShmemOpBasics(t *testing.T) {
 // BenchmarkMeasureShmemOp runs one Fig 9 cell — a 512 KiB DMA put over
 // one hop, one rep — on a warm pool and snapshot cache. Its B/op is what
 // a sweep point costs the allocator besides the world itself;
-// TestBenchCeilings fails if the payload buffer goes back to being
-// allocated once per PE instead of once per measurement.
+// TestBenchCeilings fails if the put source goes back to being a buffer
+// allocated per measurement (or per PE) instead of the zero source.
 func BenchmarkMeasureShmemOp(b *testing.B) {
 	par := model.Default()
 	DrainSnapshots()
@@ -156,6 +156,25 @@ func BenchmarkMeasureShmemOp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MeasureShmemOp(par, OpPut, driver.ModeDMA, 1, 512<<10, 1)
+	}
+}
+
+// BenchmarkAblationBroadcast runs the whole A5 figure — linear and
+// ring-pipelined broadcasts from 16 KiB to 8 MiB on a 6-host ring — per
+// op, on a warm pool and snapshot cache. Its payloads are bytes nobody
+// wrote, so its B/op is what staging them costs; TestBenchCeilings fails
+// if the broadcast root or relay goes back to copying them into fresh
+// buffers.
+func BenchmarkAblationBroadcast(b *testing.B) {
+	par := model.Default()
+	DrainSnapshots()
+	DrainWorldPool()
+	defer DrainWorldPool()
+	RunAblationBroadcast(par) // build + pool the worlds outside the timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		RunAblationBroadcast(par)
 	}
 }
 

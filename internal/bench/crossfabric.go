@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -35,7 +36,7 @@ const crossFabricReps = 5
 func MeasureCrossFabricPut(par *model.Params, n, size, reps int) float64 {
 	var mbps float64
 	label := fmt.Sprintf("crossfabric %s/n=%d/size=%d", Fabric(), n, size)
-	buf := make([]byte, size) // read-only source shared by every PE
+	buf := mem.Zeros(size) // the read-only zero source, shared by every PE
 	runRingWorld(label, par, n, core.Options{}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
 		pe.BarrierAll(p)

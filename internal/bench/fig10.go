@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -22,7 +23,7 @@ const fig10Reps = 10
 func MeasureBarrierAfterPut(par *model.Params, mode driver.Mode, hops, size, reps int) float64 {
 	var total sim.Duration
 	label := fmt.Sprintf("barrier-after-put %s/hops=%d/size=%d", mode, hops, size)
-	buf := make([]byte, size) // PE 0's put source
+	buf := mem.Zeros(size) // PE 0's put source, the read-only zero source
 	runRingWorld(label, par, 3, core.Options{Mode: mode}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
 		pe.BarrierAll(p)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/fabric"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/ntb"
 	"repro/internal/sim"
@@ -45,7 +46,7 @@ func Fig8Independent(par *model.Params, linkIdx, size int) float64 {
 		panic(fmt.Sprintf("bench: fig8-independent link=%d: %v", linkIdx, err))
 	}
 	var tput float64
-	src := make([]byte, size)
+	src := mem.Zeros(size) // the read-only zero source
 	s.Go("sender", func(p *sim.Proc) {
 		tput = rawDMAStream(p, c.Hosts[0].Right, src, fig8Reps)
 	})
@@ -68,7 +69,7 @@ func Fig8Ring(par *model.Params, n, size int) []float64 {
 		panic(fmt.Sprintf("bench: fig8-ring n=%d: %v", n, err))
 	}
 	tputs := make([]float64, n)
-	src := make([]byte, size) // read-only source shared by every sender
+	src := mem.Zeros(size) // the read-only zero source, shared by every sender
 	for i := 0; i < n; i++ {
 		i := i
 		s.Go(fmt.Sprintf("sender%d", i), func(p *sim.Proc) {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -38,7 +39,12 @@ func (o Op) String() string {
 func MeasureShmemOp(par *model.Params, op Op, mode driver.Mode, hops, size, reps int) float64 {
 	var mean float64
 	label := fmt.Sprintf("shmem-op %s/%s/hops=%d/size=%d", op, mode, hops, size)
-	buf := make([]byte, size) // PE 0's source or destination
+	// PE 0's put source is the read-only zero source; its get
+	// destination a real buffer.
+	buf := mem.Zeros(size)
+	if op == OpGet {
+		buf = make([]byte, size)
+	}
 	runRingWorld(label, par, 3, core.Options{Mode: mode}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
 		pe.BarrierAll(p)

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/sim"
@@ -71,19 +70,21 @@ const initPrefixKey = "init"
 
 var snapCache struct {
 	mu sync.Mutex
-	m  map[string]*core.WorldSnapshot
+	m  map[snapKey]*core.WorldSnapshot
 	// buildMu serializes prefix captures so workers racing to a cold key
 	// replay the prefix once, not once per worker.
 	buildMu sync.Mutex
 }
 
-// snapshotFingerprint extends the world-pool fingerprint with the
-// workload-prefix key and seed. Params enter by value, so a sweep that
-// mutates its params object between points can never be served a
-// stale-prefix snapshot — the mutated value is a different key (the
-// same guarantee acquireWorld enforces for pooled worlds).
-func snapshotFingerprint(par *model.Params, n int, opts core.Options, fab fabric.Kind, prefixKey string, seed int64) string {
-	return worldFingerprint(par, n, opts, fab) + fmt.Sprintf("|prefix=%s|seed=%d", prefixKey, seed)
+// snapKey extends the world-pool key with the workload-prefix key and
+// seed. Params enter by value, so a sweep that mutates its params object
+// between points can never be served a stale-prefix snapshot — the
+// mutated value is a different key (the same guarantee acquireWorld
+// enforces for pooled worlds).
+type snapKey struct {
+	shape  poolKey
+	prefix string
+	seed   int64
 }
 
 // DrainSnapshots discards every cached prefix snapshot.
@@ -94,17 +95,17 @@ func DrainSnapshots() {
 }
 
 // cachedSnapshot returns the snapshot for key, or nil.
-func cachedSnapshot(key string) *core.WorldSnapshot {
+func cachedSnapshot(key snapKey) *core.WorldSnapshot {
 	snapCache.mu.Lock()
 	defer snapCache.mu.Unlock()
 	return snapCache.m[key]
 }
 
 // storeSnapshot inserts snap under key if the cache has room.
-func storeSnapshot(key string, snap *core.WorldSnapshot) {
+func storeSnapshot(key snapKey, snap *core.WorldSnapshot) {
 	snapCache.mu.Lock()
 	if snapCache.m == nil {
-		snapCache.m = make(map[string]*core.WorldSnapshot)
+		snapCache.m = make(map[snapKey]*core.WorldSnapshot)
 	}
 	if len(snapCache.m) < maxCachedSnapshots {
 		snapCache.m[key] = snap
@@ -116,7 +117,7 @@ func storeSnapshot(key string, snap *core.WorldSnapshot) {
 // prefix, capturing it on first use by running the prefix on a pooled
 // (or fresh) world. A nil prefix is the bare shmem_init warm-up.
 func prefixSnapshot(label string, par *model.Params, n int, opts core.Options, prefixKey string, seed int64, prefix func(p *sim.Proc, pe *core.PE)) *core.WorldSnapshot {
-	key := snapshotFingerprint(par, n, opts, Fabric(), prefixKey, seed)
+	key := snapKey{shape: worldKey(par, n, opts, Fabric()), prefix: prefixKey, seed: seed}
 	if snap := cachedSnapshot(key); snap != nil {
 		return snap
 	}

@@ -1,0 +1,21 @@
+package bench
+
+import (
+	"fmt"
+	"os"
+	"testing"
+
+	"repro/internal/mem"
+)
+
+// TestMain fails the package if any figure or test wrote into the
+// shared zero source the sweeps' read-only put sources are: the damage
+// would show in whichever later point reads zeros, not the one at fault.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if code == 0 && !mem.ZeroSourceIntact() {
+		fmt.Fprintln(os.Stderr, "internal/bench: the shared zero source was written during the tests")
+		code = 1
+	}
+	os.Exit(code)
+}

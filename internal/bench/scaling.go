@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -41,10 +42,10 @@ func ScaleWorkloadTime(par *model.Params, n, putBytes int) sim.Time {
 }
 
 // scaleBody is the scaling workload's per-PE program; PE 0 records its
-// final virtual time in *end. Every PE puts from the one read-only
-// source buffer, allocated once per call rather than once per PE.
+// final virtual time in *end. Every PE puts from the read-only zero
+// source.
 func scaleBody(putBytes int, end *sim.Time) func(p *sim.Proc, pe *core.PE) {
-	buf := make([]byte, putBytes)
+	buf := mem.Zeros(putBytes)
 	return func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, putBytes)
 		pe.BarrierAll(p)

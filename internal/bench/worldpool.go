@@ -1,7 +1,11 @@
 package bench
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -27,9 +31,10 @@ import (
 // entry would leak its goroutines permanently.
 
 // maxPooledWorlds bounds how many warm worlds the pool retains across all
-// shapes. Overflow check-ins are shut down instead of pooled; the cap
-// only matters for sweeps that touch many distinct shapes (per-point
-// params clones), where pooling has no wins to offer anyway.
+// shapes. The pool is one list in check-in order: a check-in that takes
+// it over budget shuts down the least recently checked-in worlds, so a
+// sweep's current figure group keeps its worlds warm instead of the
+// first 32 worlds the sweep happened to build.
 const maxPooledWorlds = 32
 
 // maxPooledPEs bounds the pool by total parked PEs rather than world
@@ -39,29 +44,79 @@ const maxPooledWorlds = 32
 // Worlds over the per-world budget are still poolable — one at a time.
 const maxPooledPEs = 4096
 
+// pooledWorld is one warm world and the shape it was checked in under.
+type pooledWorld struct {
+	key poolKey
+	w   *core.World
+}
+
 var worldPool struct {
 	mu     sync.Mutex
-	worlds map[string][]*core.World
-	total  int // pooled worlds
-	pes    int // pooled PEs (sum of world sizes), budgeted by maxPooledPEs
+	worlds []pooledWorld // oldest check-in first
+	pes    int           // pooled PEs (sum of world sizes), budgeted by maxPooledPEs
 	hits   uint64
 	misses uint64
 }
 
-// worldFingerprint keys the pool by everything that shapes a world: the
-// full params value (params are mutated per point by some sweeps, so
-// pointer identity is useless), host count, runtime options, and the
-// fabric backend — so a cross-fabric sweep never recycles a
-// switch-topology world into a ring measurement.
-func worldFingerprint(par *model.Params, n int, opts core.Options, fab fabric.Kind) string {
-	return fmt.Sprintf("%+v|n=%d|%+v|fab=%s", *par, n, opts, fab)
+// poolKey is everything that shapes a world: the full params value
+// (params are mutated per point by some sweeps, so pointer identity is
+// useless), host count, runtime options, and the fabric backend — so a
+// cross-fabric sweep never recycles a switch-topology world into a ring
+// measurement.
+type poolKey struct {
+	par  paramsKey
+	n    int
+	opts core.Options
+	fab  fabric.Kind
 }
 
-// fingerprintOf is the fingerprint a built world has now; it differs
-// from the key the world was pooled under if its params object was
-// mutated since.
-func fingerprintOf(w *core.World, n int, opts core.Options) string {
-	return worldFingerprint(w.Cluster.Par, n, opts, w.Cluster.Kind())
+// paramsKey is a model.Params value in comparable form: each scalar
+// field's bits in declaration order, and ChipsetSpread — the one slice
+// field — as a string of its factors' bits.
+type paramsKey struct {
+	fields [maxParamFields]uint64
+	spread string
+}
+
+// maxParamFields is the room paramsKey has for model.Params's fields;
+// keyOfParams panics if Params outgrows it.
+const maxParamFields = 40
+
+func keyOfParams(par *model.Params) paramsKey {
+	var k paramsKey
+	v := reflect.ValueOf(par).Elem()
+	if v.NumField() > maxParamFields {
+		panic(fmt.Sprintf("bench: model.Params has %d fields, the pool key room for %d", v.NumField(), maxParamFields))
+	}
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			k.fields[i] = uint64(f.Int())
+		case reflect.Float64:
+			k.fields[i] = math.Float64bits(f.Float())
+		case reflect.Slice:
+			var buf [64]byte
+			b := buf[:0]
+			for j := range f.Len() {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.Index(j).Float()))
+			}
+			k.spread = string(b)
+		default:
+			panic(fmt.Sprintf("bench: model.Params field %s has kind %s, which the pool key does not carry",
+				v.Type().Field(i).Name, f.Kind()))
+		}
+	}
+	return k
+}
+
+func worldKey(par *model.Params, n int, opts core.Options, fab fabric.Kind) poolKey {
+	return poolKey{par: keyOfParams(par), n: n, opts: opts, fab: fab}
+}
+
+// keyOf is the key a built world has now; it differs from the key the
+// world was pooled under if its params object was mutated since.
+func keyOf(w *core.World, n int, opts core.Options) poolKey {
+	return worldKey(w.Cluster.Par, n, opts, w.Cluster.Kind())
 }
 
 // WorldPoolStats returns how many checkouts were served warm (hits) and
@@ -77,38 +132,35 @@ func WorldPoolStats() (hits, misses uint64) {
 // or goroutines call this between phases.
 func DrainWorldPool() {
 	worldPool.mu.Lock()
-	var all []*core.World
-	//ntblint:ordered — worlds are independent simulators being shut down post-run;
-	for _, ws := range worldPool.worlds {
-		all = append(all, ws...)
-	}
+	all := worldPool.worlds
 	worldPool.worlds = nil
-	worldPool.total = 0
 	worldPool.pes = 0
 	worldPool.mu.Unlock()
-	for _, w := range all {
-		w.Cluster.ShutdownSim()
+	for _, pw := range all {
+		pw.w.Cluster.ShutdownSim()
 	}
 }
 
 // acquireWorld checks a warm world of the requested shape out of the
-// pool — in whatever state its last run left it: the caller restores it
-// (Reset or Fork) — or, on a miss, builds a fresh one. recycled tells the
-// two apart. A pooled world was keyed by its params value at check-in
-// time; if the params object it references was mutated since (a sweep
-// reusing one clone across points), the stale world is shut down and the
-// checkout is a miss like any other.
+// pool — the most recently checked-in match, in whatever state its last
+// run left it: the caller restores it (Reset or Fork) — or, on a miss,
+// builds a fresh one. recycled tells the two apart. A pooled world was
+// keyed by its params value at check-in time; if the params object it
+// references was mutated since (a sweep reusing one clone across
+// points), the stale world is shut down and the checkout is a miss like
+// any other.
 func acquireWorld(label string, par *model.Params, n int, opts core.Options) (w *core.World, recycled bool) {
-	key := worldFingerprint(par, n, opts, Fabric())
+	key := worldKey(par, n, opts, Fabric())
 	worldPool.mu.Lock()
-	if ws := worldPool.worlds[key]; len(ws) > 0 {
-		w = ws[len(ws)-1]
-		ws[len(ws)-1] = nil
-		worldPool.worlds[key] = ws[:len(ws)-1]
-		worldPool.total--
-		worldPool.pes -= n
+	for i := len(worldPool.worlds) - 1; i >= 0; i-- {
+		if worldPool.worlds[i].key == key {
+			w = worldPool.worlds[i].w
+			worldPool.worlds = slices.Delete(worldPool.worlds, i, i+1)
+			worldPool.pes -= n
+			break
+		}
 	}
-	stale := w != nil && fingerprintOf(w, n, opts) != key
+	stale := w != nil && keyOf(w, n, opts) != key
 	if w != nil && !stale {
 		worldPool.hits++
 	} else {
@@ -127,28 +179,29 @@ func acquireWorld(label string, par *model.Params, n int, opts core.Options) (w 
 
 // checkinWorld returns a cleanly finished world to the pool, asserting
 // its runtime drained (a world that did not is a bug in the point that
-// just ran, and must surface there, not at some later checkout). If the
-// pool is full, the world is shut down instead.
+// just ran, and must surface there, not at some later checkout). While
+// the pool is over either budget it shuts down its oldest worlds; the
+// world just checked in always stays, so a world bigger than the whole
+// PE budget is pooled alone and thousand-PE sweeps keep exactly one warm
+// world instead of rebuilding per point.
 func checkinWorld(w *core.World, n int, opts core.Options) {
 	w.AssertQuiescent("pool check-in")
-	key := fingerprintOf(w, n, opts)
+	key := keyOf(w, n, opts)
 	worldPool.mu.Lock()
-	// Admit if both budgets hold; a world bigger than the whole PE
-	// budget is still admitted when the pool is empty, so thousand-PE
-	// sweeps keep exactly one warm world instead of rebuilding per point.
-	if worldPool.total >= maxPooledWorlds ||
-		(worldPool.pes+n > maxPooledPEs && worldPool.total > 0) {
-		worldPool.mu.Unlock()
-		w.Cluster.ShutdownSim()
-		return
-	}
-	if worldPool.worlds == nil {
-		worldPool.worlds = make(map[string][]*core.World)
-	}
-	worldPool.worlds[key] = append(worldPool.worlds[key], w)
-	worldPool.total++
+	worldPool.worlds = append(worldPool.worlds, pooledWorld{key: key, w: w})
 	worldPool.pes += n
+	var evicted []*core.World
+	for len(worldPool.worlds) > 1 &&
+		(len(worldPool.worlds) > maxPooledWorlds || worldPool.pes > maxPooledPEs) {
+		oldest := worldPool.worlds[0]
+		evicted = append(evicted, oldest.w)
+		worldPool.pes -= oldest.key.n
+		worldPool.worlds = slices.Delete(worldPool.worlds, 0, 1)
+	}
 	worldPool.mu.Unlock()
+	for _, old := range evicted {
+		old.Cluster.ShutdownSim()
+	}
 }
 
 // releaseWorld ends one acquired world's run: account its events, and

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -90,6 +92,72 @@ func TestWorldPoolDetectsMutatedParams(t *testing.T) {
 	runTinyWorld(pristine, core.Options{})
 	if h4, m4 := WorldPoolStats(); h4 != h3+1 || m4 != m3 {
 		t.Fatalf("run after the discard: hits %d->%d misses %d->%d, want +1/+0", h3, h4, m3, m4)
+	}
+}
+
+// TestWorldPoolDetectsMutatedChipsetSpread: the pool key carries the one
+// slice field of model.Params by content, so a pooled world whose
+// spread factors are edited in place — same slice, new numbers — is a
+// miss, never handed back as a world of the old shape.
+func TestWorldPoolDetectsMutatedChipsetSpread(t *testing.T) {
+	SetWorldFork(false)
+	defer SetWorldFork(true)
+	DrainWorldPool()
+	defer DrainWorldPool()
+	mutable, pristine := model.Default().Clone(), model.Default().Clone()
+	runTinyWorld(mutable, core.Options{}) // pooled under the default spread
+	mutable.ChipsetSpread[1] = 0.5
+	h0, m0 := WorldPoolStats()
+	runTinyWorld(pristine, core.Options{})
+	if h1, m1 := WorldPoolStats(); h1 != h0 || m1 != m0+1 {
+		t.Fatalf("a world whose spread was mutated in place: hits %d->%d misses %d->%d, want +0/+1", h0, h1, m0, m1)
+	}
+	runTinyWorld(pristine, core.Options{})
+	if h2, _ := WorldPoolStats(); h2 != h0+1 {
+		t.Fatal("the unmutated shape missed the pool")
+	}
+}
+
+// TestWorldPoolEvictsOldestAndShutsItDown: checking in more shapes than
+// the pool holds keeps the most recent ones — the latest shape hits, the
+// first is gone — and every evicted world was shut down: after the pool
+// is drained, the goroutine count is back where it started.
+func TestWorldPoolEvictsOldestAndShutsItDown(t *testing.T) {
+	SetWorldFork(false)
+	defer SetWorldFork(true)
+	DrainWorldPool()
+	before := runtime.NumGoroutine()
+	shapes := make([]*model.Params, maxPooledWorlds+4)
+	for i := range shapes {
+		shapes[i] = model.Default().Clone()
+		shapes[i].DMASetup += sim.Duration(i) // a distinct shape per world
+		runTinyWorld(shapes[i], core.Options{})
+	}
+	worldPool.mu.Lock()
+	pooled := len(worldPool.worlds)
+	worldPool.mu.Unlock()
+	if pooled != maxPooledWorlds {
+		t.Fatalf("%d worlds pooled after %d check-ins, want the cap %d", pooled, len(shapes), maxPooledWorlds)
+	}
+	h0, m0 := WorldPoolStats()
+	runTinyWorld(shapes[len(shapes)-1], core.Options{})
+	if h1, m1 := WorldPoolStats(); h1 != h0+1 || m1 != m0 {
+		t.Fatalf("the latest shape: hits %d->%d misses %d->%d, want a hit", h0, h1, m0, m1)
+	}
+	runTinyWorld(shapes[0], core.Options{})
+	if h2, m2 := WorldPoolStats(); h2 != h0+1 || m2 != m0+1 {
+		t.Fatalf("the oldest shape: hits %d->%d misses %d->%d, want a miss (evicted)", h0, h2, m0, m2)
+	}
+	DrainWorldPool()
+	// A leaked world parks a dozen goroutines; allow a moment for
+	// unrelated runtime goroutines to come and go.
+	after := runtime.NumGoroutine()
+	for i := 0; i < 200 && after > before; i++ {
+		time.Sleep(5 * time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Fatalf("goroutines %d -> %d across eviction and drain: an evicted world was not shut down", before, after)
 	}
 }
 

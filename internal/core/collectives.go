@@ -16,11 +16,11 @@ func (pe *PE) BroadcastBytes(p *sim.Proc, root int, addr SymAddr, n int) {
 	pe.checkLive()
 	pe.checkPeer(root)
 	if pe.id == root {
-		buf := make([]byte, n)
-		pe.LocalRead(p, addr, buf)
+		var buf []byte
+		src := pe.readSource(p, addr, n, &buf)
 		for t := 0; t < pe.NumPEs(); t++ {
 			if t != root {
-				pe.PutBytes(p, t, addr, buf)
+				pe.PutBytes(p, t, addr, src)
 			}
 		}
 	}
@@ -53,7 +53,9 @@ func (pe *PE) BroadcastBytesPipelined(p *sim.Proc, root int, addr SymAddr, n int
 
 	right := (pe.id + 1) % pe.NumPEs()
 	last := (root - 1 + pe.NumPEs()) % pe.NumPEs() // end of the chain
-	buf := make([]byte, chunk)
+	// The relay buffer: allocated by the first chunk that holds data, never
+	// by one nobody wrote (readSource).
+	var buf []byte
 	for c := 0; c < chunks; c++ {
 		off := c * chunk
 		sz := n - off
@@ -65,8 +67,8 @@ func (pe *PE) BroadcastBytesPipelined(p *sim.Proc, root int, addr SymAddr, n int
 			pe.WaitUntilInt64(p, sig, CmpGE, int64(c+1))
 		}
 		if pe.id != last {
-			pe.LocalRead(p, addr+SymAddr(off), buf[:sz])
-			pe.PutSignal(p, right, addr+SymAddr(off), buf[:sz], sig, SignalAdd, 1)
+			src := pe.readSource(p, addr+SymAddr(off), sz, &buf)
+			pe.PutSignal(p, right, addr+SymAddr(off), src, sig, SignalAdd, 1)
 		}
 	}
 	pe.BarrierAll(p)

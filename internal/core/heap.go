@@ -121,7 +121,7 @@ func (pe *PE) LocalWrite(p *sim.Proc, addr SymAddr, src []byte) {
 	pe.checkLive()
 	pe.checkHeapRange(addr, len(src))
 	p.Sleep(sim.BytesAt(len(src), pe.par.MemcpyBW))
-	pe.heap.Write(int64(addr), src)
+	pe.heap.Write(int64(addr), mem.ZeroOr(src))
 	pe.heapWrite.Broadcast()
 }
 
@@ -131,6 +131,24 @@ func (pe *PE) LocalRead(p *sim.Proc, addr SymAddr, dst []byte) {
 	pe.checkHeapRange(addr, len(dst))
 	p.Sleep(sim.BytesAt(len(dst), pe.par.MemcpyBW))
 	pe.heap.Read(int64(addr), dst)
+}
+
+// readSource is LocalRead for a put source: it reads [addr, addr+n) into
+// *buf, growing it if short — except that a range nobody wrote comes
+// back as the shared zero source (mem.Zeros), read and staged nowhere.
+func (pe *PE) readSource(p *sim.Proc, addr SymAddr, n int, buf *[]byte) []byte {
+	pe.checkLive()
+	pe.checkHeapRange(addr, n)
+	p.Sleep(sim.BytesAt(n, pe.par.MemcpyBW))
+	if pe.heap.ZeroRange(int64(addr), n) {
+		return mem.Zeros(n)
+	}
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	src := (*buf)[:n]
+	pe.heap.Read(int64(addr), src)
+	return src
 }
 
 // peekInt64 reads a local symmetric int64 without timing charge; it is

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/driver"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -32,12 +33,18 @@ func (pe *PE) handle(p *sim.Proc, info driver.Info, payload []byte, ack func(*si
 
 	case driver.KindGetReq:
 		// I own the requested data: stage the chunk from the symmetric
-		// heap and send it back the way the request came.
+		// heap and send it back the way the request came. A range nobody
+		// wrote goes back as the zero source, staged nowhere.
 		off, n := unpackGetAux(info.Aux)
 		pe.checkHeapRange(SymAddr(info.SymOff+uint64(off)), n)
-		data := pe.link.GetBuf(n)
 		p.Sleep(sim.BytesAt(n, pe.par.MemcpyBW))
-		pe.heap.Read(int64(info.SymOff)+int64(off), data)
+		var data []byte
+		if from := int64(info.SymOff) + int64(off); pe.heap.ZeroRange(from, n) {
+			data = mem.Zeros(n)
+		} else {
+			data = pe.link.GetBuf(n)
+			pe.heap.Read(from, data)
+		}
 		ack(p)
 		reply := driver.Info{
 			Kind:   driver.KindGetData,
@@ -58,7 +65,11 @@ func (pe *PE) handle(p *sim.Proc, info driver.Info, payload []byte, ack func(*si
 		}
 		off, n := unpackGetAux(info.Aux)
 		p.Sleep(sim.BytesAt(n, pe.par.MemcpyBW))
-		copy(req.buf[off:off+uint64(n)], payload[:n])
+		if dst := req.buf[off : off+uint64(n)]; mem.IsZeroSource(payload) {
+			clear(dst)
+		} else {
+			copy(dst, payload[:n])
+		}
 		ack(p)
 		req.arrived += n
 		req.cond.Broadcast()

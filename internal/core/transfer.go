@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/driver"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -24,10 +25,12 @@ func (pe *PE) PutBytes(p *sim.Proc, target int, dst SymAddr, src []byte) {
 	if len(src) == 0 {
 		return
 	}
+	// src is a host buffer entering the model: each all-zero run of it
+	// (mem.ZeroOr) travels as the zero source, never copied or staged.
 	if target == pe.id {
 		pe.checkHeapRange(dst, len(src))
 		p.Sleep(sim.BytesAt(len(src), pe.par.MemcpyBW))
-		pe.heap.Write(int64(dst), src)
+		pe.heap.Write(int64(dst), mem.ZeroOr(src))
 		pe.heapWrite.Broadcast()
 		return
 	}
@@ -43,7 +46,7 @@ func (pe *PE) PutBytes(p *sim.Proc, target int, dst SymAddr, src []byte) {
 			Size:   uint32(n),
 			SymOff: uint64(dst) + uint64(off),
 		}
-		pe.link.Send(p, info, driver.Payload{Buf: src[off : off+n], N: n})
+		pe.link.Send(p, info, driver.Payload{Buf: mem.ZeroOr(src[off : off+n]), N: n})
 		pe.stats.ChunksSent++
 	}
 }

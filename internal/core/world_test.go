@@ -602,9 +602,15 @@ func TestHeapStatsAndMode(t *testing.T) {
 		if after.ResidentPages != 0 {
 			t.Errorf("Malloc made %d page(s) resident", after.ResidentPages)
 		}
+		// Zeros written to an untouched page are what it reads already:
+		// the page stays without storage.
 		pe.LocalWrite(p, a, make([]byte, 5000))
+		if got := pe.HeapStats(); got.ResidentPages != 0 {
+			t.Errorf("a 5000-byte zero write made %d page(s) resident", got.ResidentPages)
+		}
+		pe.LocalWrite(p, a, bytes.Repeat([]byte{0xA5}, 5000))
 		if got := pe.HeapStats(); got.ResidentPages < 1 || got.ResidentBytes != int64(got.ResidentPages)*mem.PageSize {
-			t.Errorf("after a 5000-byte write: %+v", got)
+			t.Errorf("after a 5000-byte non-zero write: %+v", got)
 		}
 		pe.BarrierAll(p)
 	})

@@ -306,11 +306,16 @@ func (tx *TxChannel) SendChunk(p *sim.Proc, info Info, payload Payload, mode Mod
 		case ModeCPU:
 			src := payload.Buf
 			if payload.Heap != nil {
-				if tx.scratch == nil {
-					tx.scratch = make([]byte, tx.par.WindowSize)
+				if payload.Heap.ZeroRange(payload.HeapOff, payload.N) {
+					// Nobody wrote the range: stage nothing, send the zero source.
+					src = mem.Zeros(payload.N)
+				} else {
+					if tx.scratch == nil {
+						tx.scratch = make([]byte, tx.par.WindowSize)
+					}
+					src = tx.scratch[:payload.N]
+					payload.Heap.Read(payload.HeapOff, src)
 				}
-				src = tx.scratch[:payload.N]
-				payload.Heap.Read(payload.HeapOff, src)
 			}
 			tx.ep.Port.CPUWrite(p, info.Region, 0, src[:payload.N])
 		default:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/driver"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/pcie"
 	"repro/internal/sim"
@@ -128,9 +129,13 @@ func (l *cxlLink) Send(p *sim.Proc, info driver.Info, payload driver.Payload) {
 	data := payload.Buf
 	var staged []byte
 	if payload.Heap != nil {
-		staged = l.pool.get(payload.N)
-		payload.Heap.Read(payload.HeapOff, staged)
-		data = staged
+		if payload.Heap.ZeroRange(payload.HeapOff, payload.N) {
+			data = mem.Zeros(payload.N)
+		} else {
+			staged = l.pool.get(payload.N)
+			payload.Heap.Read(payload.HeapOff, staged)
+			data = staged
+		}
 	}
 	l.access(p, dst, payload.N)
 	mu := l.st.mu[dst]

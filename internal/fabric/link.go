@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/driver"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -291,9 +292,11 @@ func (bp *bufPool) get(n int) []byte {
 	return make([]byte, n)
 }
 
-// put returns a staging buffer to the pool.
+// put returns a staging buffer to the pool. The zero source, which
+// zero payloads travel as in place of a staging buffer, is never taken:
+// the next borrower would write into it.
 func (bp *bufPool) put(b []byte) {
-	if cap(b) == 0 {
+	if cap(b) == 0 || mem.IsZeroSource(b) {
 		return
 	}
 	bp.bufs = append(bp.bufs, b[:0])

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/driver"
+	"repro/internal/mem"
 	"repro/internal/ntb"
 	"repro/internal/sim"
 )
@@ -81,13 +82,18 @@ func (l *ringLink) Boot(p *sim.Proc) {
 
 // stage is the ring's transit path ("bypass data via transfer buffer",
 // Fig 4): a chunk addressed to another host is copied out of the window,
-// the upstream link released, and the copy queued for relay.
+// the upstream link released, and the copy queued for relay. A zero
+// chunk arrives as the zero source and is relayed as it is.
 func (l *ringLink) stage(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.Proc)) {
 	var data []byte
 	if info.Size > 0 {
-		data = l.pool.get(int(info.Size))
 		p.Sleep(sim.BytesAt(int(info.Size), l.c.Par.MemcpyBW))
-		copy(data, payload)
+		if mem.IsZeroSource(payload) {
+			data = payload
+		} else {
+			data = l.pool.get(int(info.Size))
+			copy(data, payload)
+		}
 	}
 	ack(p)
 	l.enqueueForward(info, data)

@@ -7,6 +7,14 @@
 // at the same offset in every PE's symmetric heap. As in the paper, that
 // property falls out of SPMD execution: every PE performs the same
 // allocation sequence, and the allocator here is deterministic.
+//
+// Storage is demand-paged: a page nobody wrote has none and reads as
+// zeros. The rule holds beyond the heap through one shared, read-only
+// zero source (zero.go): a payload nobody wrote travels as a slice of
+// it, which every layer recognises by address and passes on, clears or
+// skips instead of copying, and which Heap.Write turns back into "no
+// storage". Heap.ZeroRange tells senders when a range qualifies,
+// from the page table alone.
 package mem
 
 import (
@@ -331,10 +339,15 @@ func (h *Heap) checkRange(off int64, n int) {
 
 // Write copies data into the heap at virtual offset off, giving storage
 // to the pages it overlaps that have none and privatizing the ones a
-// snapshot shares.
+// snapshot shares. A slice of the zero source (IsZeroSource) is a Zero
+// instead: pages without storage keep none.
 //
 //ntblint:allocfree
 func (h *Heap) Write(off int64, data []byte) {
+	if IsZeroSource(data) {
+		h.Zero(off, len(data))
+		return
+	}
 	h.checkRange(off, len(data))
 	for len(data) > 0 {
 		pi, po := int(off>>pageShift), int(off&pageMask)
@@ -371,8 +384,29 @@ func (h *Heap) Read(off int64, buf []byte) {
 	}
 }
 
+// ZeroRange reports whether [off, off+n) is known to read as zeros from
+// the page table alone: every page it overlaps is without storage, or
+// the range lies at or beyond the written mark. It reads no byte, so a
+// range that holds storage but happens to be zero reports false.
+//
+//ntblint:allocfree
+func (h *Heap) ZeroRange(off int64, n int) bool {
+	h.checkRange(off, n)
+	if n == 0 || off >= h.written {
+		return true
+	}
+	for pi := int(off >> pageShift); pi <= int((off+int64(n)-1)>>pageShift); pi++ {
+		if h.pages[pi].data != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // Zero clears [off, off+n). A page without storage already reads as zeros
 // and stays that way; a shared one is privatized, then cleared.
+//
+//ntblint:allocfree
 func (h *Heap) Zero(off int64, n int) {
 	h.checkRange(off, n)
 	for n > 0 {

@@ -200,7 +200,7 @@ func (w *pagedWorld) span(p *progReader, i int) (off int64, n int, ok bool) {
 // step executes one op of the program.
 func (w *pagedWorld) step(p *progReader) {
 	t := w.t
-	op, i := p.byte()%12, p.byte()%pagedHeaps
+	op, i := p.byte()%14, p.byte()%pagedHeaps
 	h, r := w.heaps[i], w.refs[i]
 	switch op {
 	case 0, 1: // Alloc / AllocAligned
@@ -281,6 +281,22 @@ func (w *pagedWorld) step(p *progReader) {
 		h.Reset()
 		r.blocks = r.blocks[:0]
 		clear(r.data)
+	case 12: // Write of the zero source: a Zero, materialising nothing
+		off, n, ok := w.span(p, i)
+		if !ok {
+			return
+		}
+		resident := h.ResidentPages()
+		h.Write(off, Zeros(n))
+		clear(r.data[off : off+int64(n)])
+		if got := h.ResidentPages(); got != resident {
+			t.Fatalf("zero-source Write changed resident pages %d -> %d", resident, got)
+		}
+	case 13: // ZeroRange never claims a range that holds a non-zero byte
+		off, n, ok := w.span(p, i)
+		if ok && h.ZeroRange(off, n) && !allZero(r.data[off:off+int64(n)]) {
+			t.Fatalf("ZeroRange(%d, %d) of heap %d is true over non-zero bytes", off, n, i)
+		}
 	}
 }
 

@@ -92,12 +92,14 @@ type Port struct {
 	// has reached (see window); beyond that a window reads as zeros.
 	inbound [numRegions][]byte
 	// winDirty brackets the bytes of each inbound window that writes may
-	// have touched since construction or the last Restore. Every mutation
-	// path (CPUWrite stores, the DMA engine's copy-in) records its extent;
-	// in-place protocol edits such as a pipelined receiver clearing a
-	// slot's valid byte land inside an extent some transfer already
-	// dirtied. Restore rezeroes only these brackets, so a world that never
-	// touched a window pays nothing to recycle it.
+	// have touched since construction or the last Restore; every byte
+	// outside it is zero. Every mutation path (CPUWrite stores, the DMA
+	// engine's copy-in) records its extent, and a zero landing trims it
+	// (landZero); in-place protocol edits such as a pipelined receiver
+	// clearing a slot's valid byte land inside an extent some transfer
+	// already dirtied. Restore rezeroes only these brackets, so a world
+	// that never touched a window pays nothing to recycle it, and
+	// InboundPrefix serves a prefix outside them as the zero source.
 	winDirty [numRegions]extent
 
 	// Requester-ID lookup table (the paper's "LUT entry mapping for NTB
@@ -285,8 +287,15 @@ func (p *Port) EngineBW() float64 { return p.engineBW }
 func (p *Port) Inbound(r Region) []byte { return p.window(r, p.par.WindowSize) }
 
 // InboundPrefix returns the first n bytes of an inbound window — where a
-// stop-and-wait chunk lands — without materialising the rest.
-func (p *Port) InboundPrefix(r Region, n int) []byte { return p.window(r, n)[:n] }
+// stop-and-wait chunk lands — without materialising the rest. A prefix
+// no write has dirtied is the shared zero source (mem.Zeros), so a zero
+// chunk reaches its receiver without the window ever holding it.
+func (p *Port) InboundPrefix(r Region, n int) []byte {
+	if d := p.winDirty[r]; d.lo == d.hi || d.lo >= n {
+		return mem.Zeros(n)
+	}
+	return p.window(r, n)[:n]
+}
 
 // WindowResident reports how many bytes of an inbound window hold
 // storage on the host.
@@ -319,6 +328,29 @@ func (p *Port) window(r Region, end int) []byte {
 func (p *Port) landing(r Region, off, n int) []byte {
 	p.markDirty(r, off, n)
 	return p.window(r, off+n)[off : off+n]
+}
+
+// landZero lands a transfer of n zero bytes at [off, off+n) of region r.
+// Bytes outside the dirty extent are zero already, so only the overlap
+// is cleared, and dropped from the extent where it trims an end; the
+// window is neither materialised nor dirtied.
+//
+//ntblint:allocfree
+func (p *Port) landZero(r Region, off, n int) {
+	d := &p.winDirty[r]
+	lo, hi := max(off, d.lo), min(off+n, d.hi)
+	if lo >= hi {
+		return
+	}
+	clear(p.inbound[r][lo:hi])
+	switch {
+	case lo == d.lo && hi == d.hi:
+		*d = extent{}
+	case lo == d.lo:
+		d.lo = hi
+	case hi == d.hi:
+		d.hi = lo
+	}
 }
 
 // extent is a half-open dirty range [lo, hi) within a window; lo == hi
@@ -504,6 +536,10 @@ func (p *Port) CPUWrite(pr *sim.Proc, r Region, off int, data []byte) {
 	if *p.linkDown {
 		return // posted stores to a dead link vanish
 	}
+	if mem.IsZeroSource(data) {
+		peer.landZero(r, off, len(data))
+		return
+	}
 	copy(peer.landing(r, off, len(data)), data)
 }
 
@@ -647,11 +683,14 @@ func (e *Engine) run(pr *sim.Proc) {
 		peer := e.port.mustPeer()
 		peer.admit(e.port)
 		e.port.net.TransferRoute(pr, int64(d.Bytes), e.port.engineBW, e.port.route)
-		dst := peer.landing(d.Region, d.Off, d.Bytes)
-		if d.SrcHeap != nil {
-			d.SrcHeap.Read(d.SrcOff, dst)
-		} else {
-			copy(dst, d.Src[:d.Bytes])
+		switch {
+		case d.SrcHeap != nil && d.SrcHeap.ZeroRange(d.SrcOff, d.Bytes),
+			d.SrcHeap == nil && mem.IsZeroSource(d.Src):
+			peer.landZero(d.Region, d.Off, d.Bytes)
+		case d.SrcHeap != nil:
+			d.SrcHeap.Read(d.SrcOff, peer.landing(d.Region, d.Off, d.Bytes))
+		default:
+			copy(peer.landing(d.Region, d.Off, d.Bytes), d.Src[:d.Bytes])
 		}
 		e.port.emit("dma", "xfer", pr.Now().Sub(start), d.Bytes)
 		e.busy--

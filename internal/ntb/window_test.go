@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -146,5 +147,88 @@ func TestWindowFullInboundIsWholeAndStable(t *testing.T) {
 	win[64] = 0 // the receiver's in-place edit is visible to the port
 	if b.Inbound(RegionData)[64] != 0 {
 		t.Fatal("Inbound returned a different store the second time")
+	}
+}
+
+func TestZeroLandingMaterialisesAndDirtiesNothing(t *testing.T) {
+	// Zero transfers from every source kind — the zero source by DMA and
+	// by PIO, at any offset into it, and a heap range nobody wrote —
+	// reach a clean window without giving it storage, and a receiver's
+	// prefix of it is the zero source. Time and trace bytes are a copy's.
+	s, a, b, _ := pair(t)
+	heap := mem.NewHeap(1<<20, 1<<20)
+	heapOff, _ := heap.Alloc(50000)
+	var traced int
+	a.SetTrace(func(ev TraceEvent) { traced += ev.Bytes })
+	var took sim.Duration
+	run(t, s, func(p *sim.Proc) {
+		start := p.Now()
+		a.DMA().SubmitWait(p, Desc{Region: RegionData, Src: mem.Zeros(50000), Bytes: 50000})
+		took = p.Now().Sub(start)
+		a.DMA().SubmitWait(p, Desc{Region: RegionData, Off: 100, SrcHeap: heap, SrcOff: heapOff, Bytes: 50000})
+		a.CPUWrite(p, RegionBypass, 0, mem.Zeros(3000))
+		a.CPUWrite(p, RegionBypass, 10, mem.Zeros(3010)[10:])
+	})
+	if traced != 50000+50000+3000+3000 {
+		t.Fatalf("traced %d bytes", traced)
+	}
+	_, a2, _, _ := pair(t)
+	var copyTook sim.Duration
+	run(t, a2.sim, func(p *sim.Proc) {
+		start := p.Now()
+		a2.DMA().SubmitWait(p, Desc{Region: RegionData, Src: bytes.Repeat([]byte{1}, 50000), Bytes: 50000})
+		copyTook = p.Now().Sub(start)
+	})
+	if took != copyTook {
+		t.Fatalf("a zero DMA took %v, a copying one %v", took, copyTook)
+	}
+	for _, r := range []Region{RegionData, RegionBypass} {
+		if n := b.WindowResident(r); n != 0 || b.winDirty[r] != (extent{}) {
+			t.Fatalf("%v window: %d bytes materialised, dirty %+v", r, n, b.winDirty[r])
+		}
+	}
+	if got := b.InboundPrefix(RegionData, 50100); !mem.IsZeroSource(got) || len(got) != 50100 {
+		t.Fatal("a clean window's prefix is not the zero source")
+	}
+	if heap.ResidentPages() != 0 {
+		t.Fatal("a zero DMA from the heap materialised a heap page")
+	}
+}
+
+func TestZeroLandingClearsOnlyTheDirtyOverlap(t *testing.T) {
+	s, a, b, _ := pair(t)
+	data := bytes.Repeat([]byte{0xAB}, 3000)
+	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, data) })
+	// A zero chunk over the head trims the extent; its prefix is clean.
+	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, mem.Zeros(1000)) })
+	if d := b.winDirty[RegionData]; d != (extent{1000, 3000}) {
+		t.Fatalf("dirty extent %+v after a zero head landing, want [1000,3000)", d)
+	}
+	if !mem.IsZeroSource(b.InboundPrefix(RegionData, 1000)) {
+		t.Fatal("the cleared head is not served as the zero source")
+	}
+	want := append(make([]byte, 1000), data[1000:]...)
+	if got := b.InboundPrefix(RegionData, 3000); !bytes.Equal(got, want) {
+		t.Fatal("window bytes wrong after a zero head landing")
+	}
+	// A zero chunk inside the extent clears in place and keeps it.
+	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 1500, mem.Zeros(500)) })
+	clear(want[1500:2000])
+	if got := b.InboundPrefix(RegionData, 3000); !bytes.Equal(got, want) || b.winDirty[RegionData] != (extent{1000, 3000}) {
+		t.Fatalf("inner zero landing: bytes right %v, dirty %+v", bytes.Equal(got, want), b.winDirty[RegionData])
+	}
+	// One covering the whole extent leaves the window clean, and a
+	// restore from a dirty image still rezeroes what it must.
+	snap := b.Snapshot()
+	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, mem.Zeros(4096)) })
+	if b.winDirty[RegionData] != (extent{}) || !bytes.Equal(b.Inbound(RegionData)[:4096], make([]byte, 4096)) {
+		t.Fatal("a covering zero landing left dirty bytes")
+	}
+	b.Restore(snap)
+	if got := b.InboundPrefix(RegionData, 3000); !bytes.Equal(got, want) {
+		t.Fatal("restore after a zero landing lost the captured bytes")
+	}
+	if !mem.ZeroSourceIntact() {
+		t.Fatal("the zero source was written")
 	}
 }
