@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-run vet lint bench bench-smoke benchmark-smoke profile reproduce clean
+.PHONY: all build test race vet lint bench bench-smoke benchmark-smoke profile reproduce clean
 
 all: build vet lint test
 
@@ -20,23 +20,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# A targeted race pass: `make race-run PATTERN='Fork|Snapshot' PKGS='./internal/mem
-# ./internal/core' [RACEFLAGS=-count=2]`. It fails when the pattern
-# selects no test in one of the packages, so renaming the tests a CI step
-# exists for cannot turn that step into a silent no-op.
-race-run:
-	@for pkg in $(PKGS); do \
-		$(GO) test -list '$(PATTERN)' $$pkg | grep -q '^Test' || \
-			{ echo "race-run: -run '$(PATTERN)' selects no test in $$pkg" >&2; exit 1; }; \
-	done
-	$(GO) test -race $(RACEFLAGS) -run '$(PATTERN)' $(PKGS)
-
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis (see LINT.md): determinism, Snapshot/
-# Restore completeness and annotated zero-alloc hot paths, plus every
-# waiver its analyzer never matched. The seconds `make lint` takes are
+# Project-specific static analysis (see LINT.md): determinism and
+# annotated zero-alloc hot paths, plus every waiver its analyzer never
+# matched. The seconds `make lint` takes are
 # the compile of ntblint and the type-check load, not analysis.
 lint:
 	$(GO) run ./cmd/ntblint ./...

@@ -51,8 +51,10 @@ func Heat1D(p *ntbshmem.Proc, pe *ntbshmem.PE, cells, steps int) (block []float6
 		pe.BarrierAll(p) // halos delivered
 		ntbshmem.LocalGet(p, pe, field, u)
 		copy(next, u)
+		// float64(…) keeps products unfused on every CPU
+		// (TestNoFusedMultiplyAdd), so results match amd64's bit for bit.
 		for i := 1; i <= local; i++ {
-			next[i] = u[i] + Alpha*(u[i-1]-2*u[i]+u[i+1])
+			next[i] = u[i] + float64(Alpha*(u[i-1]-2*u[i]+u[i+1]))
 		}
 		ntbshmem.LocalPut(p, pe, field, next)
 		pe.BarrierAll(p) // everyone finished the step
@@ -97,7 +99,7 @@ func Matmul(p *ntbshmem.Proc, pe *ntbshmem.PE, A, B []float64, dim int) []float6
 			for k := 0; k < mb; k++ {
 				a := aLocal[i*dim+owner*mb+k]
 				for j := 0; j < dim; j++ {
-					cLocal[i*dim+j] += a * bStripe[k*dim+j]
+					cLocal[i*dim+j] += float64(a * bStripe[k*dim+j])
 				}
 			}
 		}

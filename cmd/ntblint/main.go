@@ -7,10 +7,6 @@
 //	simdet    — no wall clock, no global math/rand, no core-count reads,
 //	            no order-sensitive map iteration in the simulation
 //	            packages
-//	snapcheck — every field of a Snapshot()-able type is captured or
-//	            annotated `// snap: keep`, and every field of the
-//	            snapshot is applied by Restore or annotated
-//	            `// restore: keep`
 //	allocfree — //ntblint:allocfree functions contain no allocating
 //	            constructs
 //

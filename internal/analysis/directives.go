@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// Waiver and annotation directives. All are ordinary line comments:
+// Waiver and annotation directives, all ordinary line comments:
 //
 //	//ntblint:ordered    — on (or on the line above) a `for … range m`
 //	                       over a map: iteration order provably does not
@@ -23,19 +23,10 @@ import (
 //	                       call in a simulation package: this is the
 //	                       sanctioned parallelism-policy site, not
 //	                       simulation state (checked by simdet).
-//	// snap: keep        — trailing a struct field: Snapshot intentionally
-//	                       omits the field (identity, installed daemons,
-//	                       warm buffers — infrastructure that is identical
-//	                       in every quiescent world, or scratch that holds
-//	                       no simulation state).
-//	// restore: keep     — trailing a field of a snapshot struct: Restore
-//	                       intentionally does not apply it (a record
-//	                       about the capture, not captured state).
 //
-// Each //ntblint: directive has one owning analyzer (directiveOwners),
-// which records every occurrence it matches through Pass.Waived or
-// Pass.HasDirective; the runner reports the rest. snapcheck checks the
-// two keep annotations itself.
+// Each directive has one owning analyzer (directiveOwners), which
+// records every occurrence it matches through Pass.Waived or
+// Pass.HasDirective; the runner reports the rest.
 const (
 	DirectiveOrdered   = "ordered"
 	DirectiveAllocOK   = "allocok"
@@ -142,25 +133,4 @@ func unmatchedDirectives(fset *token.FileSet, dirs []*directive, analyzers []*An
 		}
 	}
 	return out
-}
-
-// fieldSnapKept reports whether a struct field carries the
-// `// snap: keep` annotation, in either its doc comment or its trailing
-// comment.
-func fieldSnapKept(field *ast.Field) bool {
-	return fieldAnnotated(field, "snap: keep")
-}
-
-func fieldAnnotated(field *ast.Field, marker string) bool {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, marker) {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -91,48 +91,10 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 }
 
 func TestSimdetFixture(t *testing.T)    { runFixture(t, Simdet, "simdet") }
-func TestSnapcheckFixture(t *testing.T) { runFixture(t, Snapcheck, "snapcheck") }
 func TestAllocfreeFixture(t *testing.T) { runFixture(t, Allocfree, "allocfree") }
 
-// TestSnapcheckSeededOmission deletes one line of a fully applied Restore
-// in the snapshot fixture — the add-a-field-forget-the-restore bug — and
-// asserts the unapplied snapshot field is reported. The unmodified
-// fixture reports nothing for that type (TestSnapcheckFixture), so this
-// proves the read inside Restore is what the analyzer credits.
-func TestSnapcheckSeededOmission(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("testdata", "src", "snapcheck", "snapcheck.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(src)
-	begin := strings.Index(text, "// seed:restore-begin")
-	end := strings.Index(text, "// seed:restore-end")
-	if begin < 0 || end < 0 || end <= begin {
-		t.Fatal("snapcheck fixture lost its seed:restore markers")
-	}
-	mutated := text[:begin] + text[end:]
-
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "snapcheck.go"), []byte(mutated), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := LoadDir(dir, "fixture/snapcheck")
-	if err != nil {
-		t.Fatalf("loading mutated fixture: %v", err)
-	}
-	found := false
-	for _, d := range Run([]*Package{pkg}, []*Analyzer{Snapcheck}) {
-		if strings.Contains(d.Message, "(*cursor).Restore does not read field seq of the cursorSnap") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("snapcheck did not report the seeded Restore omission")
-	}
-}
-
 // TestSuiteCleanOnRepo is the self-host check: the merged tree must lint
-// clean under the full 3-analyzer suite, scoped exactly as cmd/ntblint
+// clean under the full 2-analyzer suite, scoped exactly as cmd/ntblint
 // scopes it (ApplyRepoScopes is the shared source of truth).
 func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
@@ -153,8 +115,8 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 		}
 	}()
 	ApplyRepoScopes(analyzers)
-	if len(analyzers) != 3 {
-		t.Fatalf("suite has %d analyzers, want 3", len(analyzers))
+	if len(analyzers) != 2 {
+		t.Fatalf("suite has %d analyzers, want 2", len(analyzers))
 	}
 	for _, d := range Run(pkgs, analyzers) {
 		t.Errorf("%s", d)

@@ -79,16 +79,18 @@ func AppMatmul(par *model.Params, opts core.Options, hosts, dim int) float64 {
 	rng := SeededRNG(matmulSeed)
 	A := make([]float64, dim*dim)
 	B := make([]float64, dim*dim)
+	// float64(…) keeps every product here unfused on every CPU
+	// (TestNoFusedMultiplyAdd); rand's Float64 inlines to a multiply.
 	for i := range A {
-		A[i] = rng.Float64() - 0.5
-		B[i] = rng.Float64() - 0.5
+		A[i] = float64(rng.Float64()) - 0.5
+		B[i] = float64(rng.Float64()) - 0.5
 	}
 	// Serial probe: row 0 of the product.
 	probe := make([]float64, dim)
 	for k := 0; k < dim; k++ {
 		a := A[k]
 		for j := 0; j < dim; j++ {
-			probe[j] += a * B[k*dim+j]
+			probe[j] += float64(a * B[k*dim+j])
 		}
 	}
 	label := fmt.Sprintf("app matmul/hosts=%d/pipeline=%d/%s", hosts, opts.Pipeline, opts.Mode)

@@ -51,7 +51,7 @@ func Parallelism() int {
 // simulator and every world is pooled, so each accepts only the value
 // that says so. They exist because benchmark/surface.go binds them and
 // benchmark/main.go calls them; the benchmark-only PR that rebinds
-// surface.go (ROADMAP item 2c) removes both.
+// surface.go (ROADMAP item 1c) removes both.
 func SetShards(n int) {
 	if n != 1 {
 		panic(fmt.Sprintf("bench: SetShards(%d): sharding is deleted; a world is one simulator", n))

@@ -25,7 +25,7 @@ const (
 
 // SeededRNG returns a private deterministic generator for the given
 // seed. It is the only sanctioned way to obtain randomness in workload
-// code; harnesses outside this package (cmd/selftest) use it too.
+// code.
 func SeededRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // peRNG returns PE me's private generator for a kernel whose streams

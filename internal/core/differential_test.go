@@ -188,6 +188,8 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 		{"dma-shortest-ring", Options{Routing: RouteShortest}},
 		{"dma-rightward-central", Options{Barrier: BarrierCentral}},
 		{"dma-rightward-dissemination", Options{Barrier: BarrierDissemination}},
+		{"dma-pipelined-ring", Options{Pipeline: 4}},
+		{"memcpy-pipelined-ring", Options{Mode: driver.ModeCPU, Pipeline: 2}},
 	}
 	for _, cfg := range configs {
 		cfg := cfg

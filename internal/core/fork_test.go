@@ -106,39 +106,6 @@ func TestForkEquivalentToFreshRun(t *testing.T) {
 	}
 }
 
-// peState is everything of a PE that restore is answerable for, in
-// comparable form.
-type peState struct {
-	finalized               bool
-	barrierEpoch, syncEpoch uint32
-	ctl                     map[uint32]int
-	pSyncCounts             map[SymAddr]int64
-	nextTag                 uint32
-	matchTable              SymAddr
-	matchTableReady         bool
-	contexts, nextCtxID     int
-	heapLive                int
-	heapLiveBytes           int64
-	stats                   Stats
-}
-
-func stateOf(pe *PE) peState {
-	st := peState{
-		finalized: pe.finalized, barrierEpoch: pe.barrierEpoch, syncEpoch: pe.syncEpoch,
-		ctl: map[uint32]int{}, pSyncCounts: map[SymAddr]int64{},
-		nextTag: pe.nextTag, matchTable: pe.matchTable, matchTableReady: pe.matchTableReady,
-		contexts: len(pe.contexts), nextCtxID: pe.nextCtxID,
-		heapLive: pe.heap.Live(), heapLiveBytes: pe.heap.LiveBytes(), stats: pe.Stats(),
-	}
-	for k, v := range pe.ctl {
-		st.ctl[k] = v
-	}
-	for k, v := range pe.pSyncCounts {
-		st.pSyncCounts[k] = v
-	}
-	return st
-}
-
 func TestPERestoreOverDirtyPEEqualsRestoreOfFresh(t *testing.T) {
 	// The captured point: an ordinary prefix.
 	src := newWorld(3, Options{})
@@ -173,10 +140,18 @@ func TestPERestoreOverDirtyPEEqualsRestoreOfFresh(t *testing.T) {
 	fresh := newWorld(3, Options{})
 	dirty.Fork(snap)
 	fresh.Fork(snap)
-	for i := range fresh.PEs() {
-		got, want := stateOf(dirty.PEs()[i]), stateOf(fresh.PEs()[i])
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("pe %d after restore:\n dirty: %+v\n fresh: %+v", i, got, want)
+	for i, got := range dirty.PEs() {
+		want := fresh.PEs()[i]
+		if !reflect.DeepEqual(got.peState, want.peState) {
+			t.Fatalf("pe %d state after restore:\n dirty: %+v\n fresh: %+v", i, got.peState, want.peState)
+		}
+		// The reference fields restore rebuilds.
+		if !reflect.DeepEqual(got.ctl, want.ctl) || !reflect.DeepEqual(got.pSyncCounts, want.pSyncCounts) ||
+			len(got.contexts) != len(want.contexts) ||
+			got.heap.Live() != want.heap.Live() || got.heap.LiveBytes() != want.heap.LiveBytes() {
+			t.Fatalf("pe %d after restore: ctl %v/%v, pSync %v/%v, contexts %d/%d, heap %d/%d live",
+				i, got.ctl, want.ctl, got.pSyncCounts, want.pSyncCounts,
+				len(got.contexts), len(want.contexts), got.heap.Live(), want.heap.Live())
 		}
 	}
 	for label, w := range map[string]*World{"dirty": dirty, "fresh": fresh} {

@@ -20,7 +20,7 @@ type WorldSnapshot struct {
 	n       int
 	pes     []peSnapshot
 	cluster *fabric.ClusterSnapshot
-	events  uint64 // restore: keep — virtual events the capturing run executed: the replay cost a fork saves, not state
+	events  uint64 // virtual events the capturing run executed: the replay cost a fork saves, not state
 }
 
 // Events reports how many virtual events the run that produced the
@@ -30,21 +30,16 @@ func (s *WorldSnapshot) Events() uint64 { return s.events }
 // Time returns the virtual time the snapshot was captured at.
 func (s *WorldSnapshot) Time() sim.Time { return s.cluster.Time() }
 
-// peSnapshot captures one PE's runtime state; link is the opaque
+// peSnapshot captures one PE's runtime state: a copy of its state
+// struct, the reference fields restore rebuilds, and link, the opaque
 // per-fabric capture (pipe cursors and fabric counters on the ring,
 // counters elsewhere).
 type peSnapshot struct {
-	heap            *mem.HeapSnapshot
-	barrierEpoch    uint32
-	syncEpoch       uint32
-	ctl             map[uint32]int
-	pSyncCounts     map[SymAddr]int64
-	nextTag         uint32
-	matchTable      SymAddr
-	matchTableReady bool
-	nextCtxID       int
-	stats           Stats
-	link            any
+	peState
+	heap        *mem.HeapSnapshot
+	ctl         map[uint32]int
+	pSyncCounts map[SymAddr]int64
+	link        any
 }
 
 // Snapshot captures a cleanly finished world (a nil-error RunKeep) so
@@ -77,17 +72,7 @@ func (pe *PE) snapshot() peSnapshot {
 	if len(pe.contexts) != 0 {
 		panic(fmt.Sprintf("core: snapshot of pe %d with %d live context(s)", pe.id, len(pe.contexts)))
 	}
-	s := peSnapshot{
-		heap:            pe.heap.Snapshot(),
-		barrierEpoch:    pe.barrierEpoch,
-		syncEpoch:       pe.syncEpoch,
-		nextTag:         pe.nextTag,
-		matchTable:      pe.matchTable,
-		matchTableReady: pe.matchTableReady,
-		nextCtxID:       pe.nextCtxID,
-		stats:           pe.stats,
-		link:            pe.link.Snapshot(),
-	}
+	s := peSnapshot{peState: pe.peState, heap: pe.heap.Snapshot(), link: pe.link.Snapshot()}
 	// Most PEs never create either table; keep their images nil.
 	if len(pe.ctl) > 0 {
 		s.ctl = maps.Clone(pe.ctl)
@@ -164,18 +149,11 @@ func (w *World) restore(s *WorldSnapshot) {
 // whatever its previous run left that the image does not mention.
 func (pe *PE) restore(s *peSnapshot) {
 	pe.assertQuiescent("restore")
+	pe.peState = s.peState
 	pe.heap.Fork(s.heap)
-	pe.finalized = false
-	pe.barrierEpoch = s.barrierEpoch
-	pe.syncEpoch = s.syncEpoch
 	pe.ctl = maps.Clone(s.ctl) // nil stays nil: the tables are created lazily
 	pe.pSyncCounts = maps.Clone(s.pSyncCounts)
-	pe.nextTag = s.nextTag
-	pe.matchTable = s.matchTable
-	pe.matchTableReady = s.matchTableReady
 	pe.contexts = pe.contexts[:0]
-	pe.nextCtxID = s.nextCtxID
-	pe.stats = s.stats
 	pe.link.Restore(s.link)
 }
 

@@ -119,13 +119,13 @@ type OpEvent struct {
 // World is one OpenSHMEM job running on a ring cluster.
 type World struct {
 	Cluster *fabric.Cluster
-	par     *model.Params // snap: keep — construction identity
+	par     *model.Params
 	opts    Options
 	pes     []*PE
-	opTrace func(OpEvent) // snap: keep — installed hooks survive recycling and forking
+	opTrace func(OpEvent) // installed hooks survive recycling and forking
 
 	// genesis is the image Reset restores: the world as NewWorld left it.
-	genesis *WorldSnapshot // snap: keep — captured once, when construction ends
+	genesis *WorldSnapshot
 }
 
 // SetOpTrace installs a hook receiving one event per completed
@@ -150,48 +150,62 @@ func (pe *PE) emitOp(p *sim.Proc, op string, target, bytes int, start sim.Time) 
 // behind the fabric.Link; the PE holds only fabric-agnostic protocol
 // state.
 type PE struct {
+	// peState is the runtime's per-run protocol state: a snapshot copies
+	// it and restore assigns it back whole. Restore also rebuilds the
+	// heap, the two token tables and the context list; every other field
+	// is construction identity or must be drained at quiescence.
+	peState
+
 	id    int
-	name  string        // snap: keep — construction identity: "pe:<id>", its application process's name
-	world *World        // snap: keep — construction identity
-	link  fabric.Link   // construction identity; its state is captured via its own Snapshot
-	par   *model.Params // snap: keep — construction identity
-	mode  driver.Mode   // snap: keep — construction identity
+	name  string      // "pe:<id>", its application process's name
+	world *World      // construction identity
+	link  fabric.Link // construction identity; its state is captured via its own Snapshot
+	par   *model.Params
+	mode  driver.Mode
 
-	heap      *mem.Heap
-	finalized bool
-
-	barrierEpoch uint32
-	syncEpoch    uint32
+	heap *mem.Heap
 
 	// Control tokens for the alternative barrier algorithms (lazily
 	// created on first token; most PEs of a ring-barrier world never
 	// see one, and a 1k-PE world must not pay 1k empty maps).
 	ctl     map[uint32]int
-	ctlCond *sim.Cond // snap: keep — no waiters survive a clean run
+	ctlCond *sim.Cond // no waiters survive a clean run
 
 	// Pending get/AMO requests by tag (lazily created on first request).
 	pending map[uint32]*pendingReq
-	nextTag uint32
 
 	// Per-pSync-word monotone sequence numbers for the active-set
 	// collectives (lazily created).
 	pSyncCounts map[SymAddr]int64
+
+	// Live communication contexts (shmem_ctx_*).
+	contexts []*Ctx
+
+	quietCond *sim.Cond // Quiet waits here; no waiters survive a clean run
+
+	// Signalled whenever remote traffic writes this PE's heap.
+	heapWrite *sim.Cond // no waiters survive a clean run
+}
+
+// peState is the PE runtime's value state: barrier epochs, tag and
+// context counters, the match table's location, and the statistics.
+type peState struct {
+	finalized bool
+
+	barrierEpoch uint32
+	syncEpoch    uint32
+
+	nextTag uint32 // tag of the next get/AMO request
 
 	// Two-sided messaging match table (carved from the symmetric heap
 	// during shmem_init).
 	matchTable      SymAddr
 	matchTableReady bool
 
-	// Live communication contexts (shmem_ctx_*).
-	contexts  []*Ctx
 	nextCtxID int
 
 	// Non-blocking operation tracking for Quiet.
 	outstanding int
-	quietCond   *sim.Cond // snap: keep — no waiters survive a clean run
-
-	// Signalled whenever remote traffic writes this PE's heap.
-	heapWrite *sim.Cond // snap: keep — no waiters survive a clean run
 
 	stats Stats
 }

@@ -255,12 +255,18 @@ type Payload struct {
 // receiver ACKs, concurrent senders (the application and the forwarding
 // service thread) must take strict turns; the channel provides that.
 type TxChannel struct {
+	txState // captured by Snapshot, assigned back whole by Restore
+
 	ep      *Endpoint
-	par     *model.Params        // snap: keep — construction identity
-	mu      *sim.Mutex           // snap: keep — released after every send
+	par     *model.Params
+	mu      *sim.Mutex           // released after every send
 	acks    *sim.Queue[struct{}] // Snapshot and Restore assert it drained
-	scratch []byte               // snap: keep — warm staging buffer, overwritten per send
-	sends   uint64
+	scratch []byte               // warm staging buffer, overwritten per send
+}
+
+// txState is a stop-and-wait channel's per-run state: its send tally.
+type txState struct {
+	sends uint64
 }
 
 // NewTxChannel builds the sender side for ep and hooks its ACK vector.

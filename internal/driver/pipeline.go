@@ -105,16 +105,23 @@ func decodeSlotHeader(src []byte) (seq uint32, info Info, ok bool) {
 // PipeTx is the sender half of one link direction under the pipelined
 // protocol.
 type PipeTx struct {
+	pipeTxState // captured by Snapshot, assigned back whole by Restore
+
 	ep        *Endpoint
-	par       *model.Params // snap: keep — construction identity
-	slots     int           // snap: keep — pipeline geometry
-	slotBytes int           // snap: keep — pipeline geometry
+	par       *model.Params
+	slots     int           // pipeline geometry
+	slotBytes int           // pipeline geometry
 	credits   *sim.Resource // Snapshot and Restore assert all returned
-	mu        *sim.Mutex    // snap: keep — serialises slot assignment; released per send
-	nextSlot  int
-	seq       uint32
-	scratch   []byte // snap: keep — warm staging frame, overwritten per send
-	sends     uint64
+	mu        *sim.Mutex    // serialises slot assignment; released per send
+	scratch   []byte        // warm staging frame, overwritten per send
+}
+
+// pipeTxState is a pipelined sender's slot cursor, wire sequence and
+// send tally.
+type pipeTxState struct {
+	nextSlot int
+	seq      uint32
+	sends    uint64
 }
 
 // NewPipeTx builds the pipelined sender over ep with the given slot
@@ -192,10 +199,17 @@ func (tx *PipeTx) SendChunk(p *sim.Proc, info Info, payload Payload, mode Mode) 
 
 // PipeRx is the receiver half: it drains valid slots in sequence order.
 type PipeRx struct {
-	port      *ntb.Port // snap: keep — construction identity
-	slots     int       // snap: keep — pipeline geometry
-	slotBytes int       // snap: keep — pipeline geometry
-	expect    uint32
+	pipeRxState // captured by Snapshot, assigned back whole by Restore
+
+	port      *ntb.Port
+	slots     int // pipeline geometry
+	slotBytes int // pipeline geometry
+}
+
+// pipeRxState is a pipelined receiver's in-order cursor: the wire
+// sequence it accepts next.
+type pipeRxState struct {
+	expect uint32
 }
 
 // NewPipeRx builds the receiver state for port (same geometry as the

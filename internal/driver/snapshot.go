@@ -8,13 +8,13 @@ import "fmt"
 // from: send tallies for the stop-and-wait channel, and the slot cursor
 // / wire sequence / expected sequence for the pipelined pair — the slot
 // contents themselves live in the NTB windows and are restored with
-// them. The zero snapshot is the just-constructed state. Mutexes, ACK
-// queues, credit pools and scratch buffers stay warm across a Restore.
+// them. Each channel keeps that state in one embedded struct, its
+// snapshot is a copy of the struct, and Restore assigns it back. The zero
+// snapshot is the just-constructed state. Mutexes, ACK queues, credit
+// pools and scratch buffers stay warm across a Restore.
 
 // TxSnapshot captures a stop-and-wait channel's per-run state.
-type TxSnapshot struct {
-	sends uint64
-}
+type TxSnapshot txState
 
 func (tx *TxChannel) assertIdle(op string) {
 	if n := tx.acks.Len(); n != 0 {
@@ -25,21 +25,17 @@ func (tx *TxChannel) assertIdle(op string) {
 // Snapshot captures the channel state; the ACK queue must be drained.
 func (tx *TxChannel) Snapshot() TxSnapshot {
 	tx.assertIdle("snapshot")
-	return TxSnapshot{sends: tx.sends}
+	return TxSnapshot(tx.txState)
 }
 
 // Restore brings the channel to the snapshot's state.
 func (tx *TxChannel) Restore(s TxSnapshot) {
 	tx.assertIdle("restore")
-	tx.sends = s.sends
+	tx.txState = txState(s)
 }
 
 // PipeTxSnapshot captures a pipelined sender's cursor and counters.
-type PipeTxSnapshot struct {
-	nextSlot int
-	seq      uint32
-	sends    uint64
-}
+type PipeTxSnapshot pipeTxState
 
 func (tx *PipeTx) assertIdle(op string) {
 	if free := tx.credits.Free(); free != tx.credits.Capacity() {
@@ -52,7 +48,7 @@ func (tx *PipeTx) assertIdle(op string) {
 // all in-flight slots ACKed.
 func (tx *PipeTx) Snapshot() PipeTxSnapshot {
 	tx.assertIdle("snapshot")
-	return PipeTxSnapshot{nextSlot: tx.nextSlot, seq: tx.seq, sends: tx.sends}
+	return PipeTxSnapshot(tx.pipeTxState)
 }
 
 // Restore brings the sender to the snapshot's state. The wire sequence
@@ -61,18 +57,14 @@ func (tx *PipeTx) Snapshot() PipeTxSnapshot {
 // every subsequent message as stale.
 func (tx *PipeTx) Restore(s PipeTxSnapshot) {
 	tx.assertIdle("restore")
-	tx.nextSlot = s.nextSlot
-	tx.seq = s.seq
-	tx.sends = s.sends
+	tx.pipeTxState = pipeTxState(s)
 }
 
 // PipeRxSnapshot captures a pipelined receiver's in-order cursor.
-type PipeRxSnapshot struct {
-	expect uint32
-}
+type PipeRxSnapshot pipeRxState
 
 // Snapshot captures the receiver state.
-func (rx *PipeRx) Snapshot() PipeRxSnapshot { return PipeRxSnapshot{expect: rx.expect} }
+func (rx *PipeRx) Snapshot() PipeRxSnapshot { return PipeRxSnapshot(rx.pipeRxState) }
 
 // Restore brings the receiver's in-order cursor to the snapshot's.
-func (rx *PipeRx) Restore(s PipeRxSnapshot) { rx.expect = s.expect }
+func (rx *PipeRx) Restore(s PipeRxSnapshot) { rx.pipeRxState = pipeRxState(s) }

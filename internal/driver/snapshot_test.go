@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -33,6 +34,9 @@ func TestPipeRestoreOverAdvancedCursorsEqualsRestoreOfFresh(t *testing.T) {
 	// must come out identical and continue identically.
 	advanced := newPipeRig(t, slots)
 	sendSeq(t, advanced, 100, 9)
+	if advanced.tx.pipeTxState == src.tx.pipeTxState || advanced.rx.pipeRxState == src.rx.pipeRxState {
+		t.Fatal("test setup: the advanced pipe's state equals the captured one")
+	}
 	fresh := newPipeRig(t, slots)
 	for _, pr := range []*pipeRig{advanced, fresh} {
 		pr.tx.Restore(txSnap)
@@ -40,13 +44,12 @@ func TestPipeRestoreOverAdvancedCursorsEqualsRestoreOfFresh(t *testing.T) {
 		pr.b.Restore(winSnap) // slot headers live in the window
 		pr.got = nil
 	}
-	if advanced.tx.Snapshot() != fresh.tx.Snapshot() || advanced.rx.Snapshot() != fresh.rx.Snapshot() {
-		t.Fatalf("cursors after Restore: advanced %+v/%+v, fresh %+v/%+v",
-			advanced.tx.Snapshot(), advanced.rx.Snapshot(), fresh.tx.Snapshot(), fresh.rx.Snapshot())
-	}
-	if advanced.tx.Snapshot() != txSnap || advanced.rx.Snapshot() != rxSnap {
-		t.Fatalf("restored cursors %+v/%+v differ from the captured %+v/%+v",
-			advanced.tx.Snapshot(), advanced.rx.Snapshot(), txSnap, rxSnap)
+	// The state structs whole: a field added to one is compared here too.
+	for _, pr := range []*pipeRig{advanced, fresh} {
+		if !reflect.DeepEqual(pr.tx.pipeTxState, src.tx.pipeTxState) || !reflect.DeepEqual(pr.rx.pipeRxState, src.rx.pipeRxState) {
+			t.Fatalf("state after Restore %+v/%+v differs from the captured %+v/%+v",
+				pr.tx.pipeTxState, pr.rx.pipeRxState, src.tx.pipeTxState, src.rx.pipeRxState)
+		}
 	}
 	// The continuation: the receiver must accept the very next sequence
 	// number — a stale cursor on either side drops or wedges messages.
@@ -85,11 +88,11 @@ func TestTxChannelRestoreIsTotal(t *testing.T) {
 	snap := r.txAB.Snapshot()
 	send(5)
 	r.txAB.Restore(snap)
-	if r.txAB.Sends() != 2 || r.txAB.Snapshot() != snap {
-		t.Fatalf("restored channel counts %d sends, captured 2", r.txAB.Sends())
+	if r.txAB.Sends() != 2 || r.txAB.txState != txState(snap) {
+		t.Fatalf("restored channel state %+v, captured %+v", r.txAB.txState, snap)
 	}
 	r.txAB.Restore(TxSnapshot{})
-	if r.txAB.Sends() != 0 {
-		t.Fatalf("zero snapshot left %d sends", r.txAB.Sends())
+	if r.txAB.txState != (txState{}) {
+		t.Fatalf("zero snapshot left state %+v", r.txAB.txState)
 	}
 }

@@ -74,14 +74,14 @@ func NewCXL(s *sim.Simulator, par *model.Params, n int) (*Cluster, error) {
 // bookkeeping — which is also what makes the inline recursion
 // deadlock-free: a delivery can trigger a Reply but never another Send.
 type cxlLink struct {
-	c       *Cluster    // snap: keep — construction identity
-	host    *Host       // snap: keep — construction identity
-	opts    LinkOptions // snap: keep — construction identity
-	deliver Handler     // snap: keep — installed handler survives recycling and forking
-	st      *cxlState   // snap: keep — shared fabric state
-	pool    bufPool     // snap: keep — warm staging buffers hold no simulation state
+	c       *Cluster    // construction identity
+	host    *Host       // construction identity
+	opts    LinkOptions // construction identity
+	deliver Handler     // installed handler survives recycling and forking
+	st      *cxlState   // shared fabric state
+	pool    bufPool     // warm staging buffers hold no simulation state
 
-	stats LinkStats
+	stats LinkStats // the per-run state: Snapshot copies it, Restore assigns it back
 }
 
 func newCXLLink(c *Cluster, h *Host, opts LinkOptions) *cxlLink {

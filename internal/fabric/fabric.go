@@ -43,12 +43,12 @@ type Host struct {
 // and one flow network.
 type Cluster struct {
 	Sim   *sim.Simulator
-	Par   *model.Params // snap: keep — construction identity
+	Par   *model.Params // construction identity
 	Net   *pcie.Network
 	Hosts []*Host
 
 	kind Kind
-	cxl  *cxlState // snap: keep — shared CXL fabric state holds no mutable registers
+	cxl  *cxlState // shared CXL fabric state holds no mutable registers
 }
 
 // MaxHosts is the largest ring NewRing accepts, bounded by the driver's

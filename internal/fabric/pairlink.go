@@ -17,12 +17,12 @@ type pairLink struct {
 	ntbService
 
 	// The single cabled side.
-	out *driver.Endpoint  // snap: keep — construction identity
-	tx  *driver.TxChannel // snap: keep — the cluster snapshot owns its state
-	fwd driver.Dir        // snap: keep — Dir this host's sends carry
+	out *driver.Endpoint  // construction identity
+	tx  *driver.TxChannel // the cluster snapshot owns its state
+	fwd driver.Dir        // Dir this host's sends carry
 
 	// Doorbell barrier tokens (the Fig 6 protocol degenerated to one hop).
-	tokens *tokenPath // snap: keep — AssertQuiescent guarantees them drained
+	tokens *tokenPath // AssertQuiescent guarantees them drained
 }
 
 func newPairLink(c *Cluster, h *Host, opts LinkOptions) *pairLink {

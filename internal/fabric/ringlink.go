@@ -30,7 +30,7 @@ type ringLink struct {
 	// Rightward-travelling tokens arrive on the left-side adapter (host
 	// 0's left adapter faces host N-1); leftward tokens — used by the
 	// bidirectional flush under shortest-path routing — on the right.
-	rightward, leftward *tokenPath // snap: keep — AssertQuiescent guarantees them drained
+	rightward, leftward *tokenPath // AssertQuiescent guarantees them drained
 }
 
 // hostName builds "prefix<id>" with plain integer formatting; link

@@ -20,29 +20,29 @@ import (
 // not: a reply generated inside the service thread must not block on a
 // transmit channel, or two hosts answering each other's gets deadlock.
 type ntbService struct {
-	c       *Cluster    // snap: keep — construction identity
-	host    *Host       // snap: keep — construction identity
-	opts    LinkOptions // snap: keep — construction identity
-	deliver Handler     // snap: keep — installed handler survives recycling and forking
+	c       *Cluster    // construction identity
+	host    *Host       // construction identity
+	opts    LinkOptions // construction identity
+	deliver Handler     // installed handler survives recycling and forking
 
-	ports     []*svcPort           // snap: keep — construction identity, no simulation state
-	svcQ      *sim.Queue[*svcPort] // snap: keep — AssertQuiescent guarantees it drained
-	svcActive bool                 // snap: keep — AssertQuiescent guarantees false (service drained)
-	svcIdle   *sim.Cond            // snap: keep — no waiters survive a clean run
-	fwdQ      *sim.Queue[*fwdMsg]  // snap: keep — AssertQuiescent guarantees it drained
-	fwdBusy   int                  // snap: keep — AssertQuiescent guarantees zero
-	fwdIdle   *sim.Cond            // snap: keep — no waiters survive a clean run
-	pool      bufPool              // snap: keep — warm staging buffers hold no simulation state
+	ports     []*svcPort           // construction identity, no simulation state
+	svcQ      *sim.Queue[*svcPort] // AssertQuiescent guarantees it drained
+	svcActive bool                 // AssertQuiescent guarantees false (service drained)
+	svcIdle   *sim.Cond            // no waiters survive a clean run
+	fwdQ      *sim.Queue[*fwdMsg]  // AssertQuiescent guarantees it drained
+	fwdBusy   int                  // AssertQuiescent guarantees zero
+	fwdIdle   *sim.Cond            // no waiters survive a clean run
+	pool      bufPool              // warm staging buffers hold no simulation state
 
 	// transit consumes an arrival addressed to another host. Only the
 	// ring relays — and so counts what its forwarder pushes as
 	// LinkStats.ChunksForwarded; left nil, a misrouted chunk panics.
-	transit func(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.Proc)) // snap: keep — construction identity
+	transit func(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.Proc)) // construction identity
 	// hop picks the transmit channel a staged chunk leaves by and fills
 	// in what the next hop needs of its Info.
-	hop func(info driver.Info) (driver.Sender, driver.Info) // snap: keep — construction identity
+	hop func(info driver.Info) (driver.Sender, driver.Info) // construction identity
 
-	stats LinkStats
+	stats LinkStats // the per-run state: Snapshot copies it, Restore assigns it back
 }
 
 // svcPort is one inbound port the service thread listens on. Its

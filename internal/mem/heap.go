@@ -77,12 +77,25 @@ type pageRef struct {
 // Heap is not safe for concurrent use; in this repository all access is
 // serialised by the simulation kernel.
 type Heap struct {
+	// heapState is the allocator counters a HeapSnapshot captures and
+	// Fork assigns back whole; Fork rebuilds the page table (copy-on-
+	// write), the block list and the extent itself.
+	heapState
+
 	chunkSize int64 // construction geometry
-	maxSize   int64 // snap: keep — construction geometry
+	maxSize   int64 // construction geometry
 	nchunks   int   // virtual extent, in chunks
 	pages     []pageRef
 	blocks    []block // sorted by offset, covering [0, nchunks*chunkSize)
-	live      int     // number of live allocations
+
+	// spare pools all-zero pages displaced by Fork, handed back out when a
+	// write materialises or privatizes a page.
+	spare []*page
+}
+
+// heapState is a heap's allocator counters and its written mark.
+type heapState struct {
+	live      int // number of live allocations
 	liveBytes int64
 
 	// written is the high-water mark of bytes that may have been modified
@@ -91,10 +104,6 @@ type Heap struct {
 	// a page it displaces only below the mark and privatize copies only
 	// that much.
 	written int64
-
-	// spare pools all-zero pages displaced by Fork, handed back out when a
-	// write materialises or privatizes a page. snap: keep — scratch pool.
-	spare []*page
 }
 
 // NewHeap returns an empty heap that grows in chunkSize steps up to

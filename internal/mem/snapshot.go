@@ -34,13 +34,11 @@ func CowCopies() uint64 { return cowCopies.Load() }
 // immutable and safe to fork from concurrently (forks of one snapshot
 // only ever read it).
 type HeapSnapshot struct {
+	heapState
 	chunkSize int64
 	size      int64   // virtual extent at capture
 	frozen    []*page // page table over [0, written)
 	blocks    []block
-	live      int
-	liveBytes int64
-	written   int64
 }
 
 // Written reports the snapshot's written high-water mark, for tests.
@@ -57,12 +55,10 @@ func writtenPages(written int64) int { return int((written + pageMask) >> pageSh
 // pages.
 func (h *Heap) Snapshot() *HeapSnapshot {
 	s := &HeapSnapshot{
+		heapState: h.heapState,
 		chunkSize: h.chunkSize,
 		size:      h.Size(),
 		blocks:    append([]block(nil), h.blocks...),
-		live:      h.live,
-		liveBytes: h.liveBytes,
-		written:   h.written,
 	}
 	if n := writtenPages(h.written); n > 0 {
 		s.frozen = make([]*page, n)
@@ -117,9 +113,7 @@ func (h *Heap) Fork(s *HeapSnapshot) {
 			h.blocks = append(h.blocks, block{off: s.size, size: extra, free: true})
 		}
 	}
-	h.live = s.live
-	h.liveBytes = s.liveBytes
-	h.written = s.written
+	h.heapState = s.heapState // last: the page pass reads the previous run's written mark
 }
 
 // privatize gives page pi private storage ahead of a write and returns

@@ -171,20 +171,15 @@ func TestForkAsserts(t *testing.T) {
 // heapImage is everything observable about a heap: allocator state plus
 // the bytes of its whole grown extent.
 type heapImage struct {
-	blocks    []block
-	live      int
-	liveBytes int64
-	written   int64
-	data      string
+	heapState
+	blocks []block
+	data   string
 }
 
 func imageOf(h *Heap) heapImage {
 	buf := make([]byte, h.Size())
 	h.Read(0, buf)
-	return heapImage{
-		blocks: append([]block(nil), h.blocks...), live: h.live,
-		liveBytes: h.liveBytes, written: h.written, data: string(buf),
-	}
+	return heapImage{heapState: h.heapState, blocks: append([]block(nil), h.blocks...), data: string(buf)}
 }
 
 func TestForkOverDirtyHeapEqualsForkOfFresh(t *testing.T) {
@@ -228,8 +223,8 @@ func TestForkOverDirtyHeapEqualsForkOfFresh(t *testing.T) {
 	}
 	fresh.Fork(snap)
 	got, want := imageOf(dirty), imageOf(fresh)
-	if got.live != want.live || got.liveBytes != want.liveBytes || got.written != want.written {
-		t.Fatalf("allocator counters: dirty %+v, fresh %+v", got, want)
+	if got.heapState != want.heapState {
+		t.Fatalf("allocator counters: dirty %+v, fresh %+v", got.heapState, want.heapState)
 	}
 	if len(got.blocks) != len(want.blocks) {
 		t.Fatalf("block lists: dirty %v, fresh %v", got.blocks, want.blocks)

@@ -69,28 +69,50 @@ func (r Region) String() string {
 // (left and right adapters). All methods taking a *sim.Proc block that
 // process for the modelled duration of the operation.
 type Port struct {
-	name string         // snap: keep — identity
-	par  *model.Params  // snap: keep — construction identity
-	sim  *sim.Simulator // snap: keep — construction identity
-	net  *pcie.Network  // snap: keep — construction identity
+	// portState is the guest-visible register state a Snapshot captures
+	// and Restore assigns back whole; Restore also brings the scratchpads
+	// and the window bytes under the dirty extents along. Every other
+	// field is construction identity, installed hooks, or the warm
+	// DMA engine.
+	portState
 
-	peer     *Port        // snap: keep — cabling survives recycling
-	wire     *pcie.Server // snap: keep — interned flow-network server
-	localRC  *pcie.Server // snap: keep — interned flow-network server
-	route    *pcie.Route  // snap: keep — interned path to the peer, built at Connect
-	linkDown *bool        // snap: keep — shared cable state; snapshots require healthy links
+	name string
+	par  *model.Params
+	sim  *sim.Simulator
+	net  *pcie.Network
 
-	engineBW float64 // snap: keep — this adapter's DMA engine rate (chipset-dependent)
+	peer     *Port        // cabling survives recycling
+	wire     *pcie.Server // interned flow-network server
+	localRC  *pcie.Server // interned flow-network server
+	route    *pcie.Route  // interned path to the peer, built at Connect
+	linkDown *bool        // shared cable state; snapshots require healthy links
 
-	spads  []uint32
-	db     uint16
-	dbMask uint16
-	isr    func(bits uint16) // snap: keep — registered handler survives, like a driver's ISR
+	engineBW float64 // this adapter's DMA engine rate (chipset-dependent)
+
+	spads []uint32
+	isr   func(bits uint16) // registered handler survives, like a driver's ISR
 
 	// inbound holds each window's backing store, materialised only up to
 	// the highest byte a write, a DMA descriptor, a restore or a reader
 	// has reached (see window); beyond that a window reads as zeros.
 	inbound [numRegions][]byte
+
+	// Requester-ID lookup table (the paper's "LUT entry mapping for NTB
+	// device identification"): when enforced, inbound window
+	// transactions are accepted only from registered requester IDs.
+	reqID       uint16          // assigned identity, reused at re-boot
+	lut         map[uint16]bool // boot reprograms the same entries (see Restore doc)
+	lutEnforced bool            // see Restore doc: an enforced LUT admits what boot admits
+
+	dma   *Engine
+	trace TraceFunc // installed trace hook survives recycling
+}
+
+// portState is a port's doorbell registers and the dirty extent of each
+// inbound window.
+type portState struct {
+	db     uint16
+	dbMask uint16
 	// winDirty brackets the bytes of each inbound window that writes may
 	// have touched since construction or the last Restore; every byte
 	// outside it is zero. Every mutation path (CPUWrite stores, the DMA
@@ -101,16 +123,6 @@ type Port struct {
 	// that never touched a window pays nothing to recycle it, and
 	// InboundPrefix serves a prefix outside them as the zero source.
 	winDirty [numRegions]extent
-
-	// Requester-ID lookup table (the paper's "LUT entry mapping for NTB
-	// device identification"): when enforced, inbound window
-	// transactions are accepted only from registered requester IDs.
-	reqID       uint16          // snap: keep — assigned identity, reused at re-boot
-	lut         map[uint16]bool // snap: keep — boot reprograms the same entries (see Restore doc)
-	lutEnforced bool            // snap: keep — see Restore doc: an enforced LUT admits what boot admits
-
-	dma   *Engine
-	trace TraceFunc // snap: keep — installed trace hook survives recycling
 }
 
 // NewPort creates an unconnected port. localRC is the owning host's root

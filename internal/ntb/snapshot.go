@@ -10,21 +10,16 @@ package ntb
 // it has seen, so there is little to share. The DMA engine must be idle
 // at capture, so its queue needs no image.
 type PortSnapshot struct {
-	spads  []uint32
-	db     uint16
-	dbMask uint16
-	win    [numRegions][]byte // dirty-extent contents, captured copies
-	dirty  [numRegions]extent
+	portState
+	spads []uint32
+	win   [numRegions][]byte // dirty-extent contents, captured copies
 }
 
 // Snapshot captures the port's register surface and window residue.
 func (p *Port) Snapshot() *PortSnapshot {
 	p.dma.assertIdle("snapshot")
-	s := &PortSnapshot{db: p.db, dbMask: p.dbMask}
-	s.spads = append([]uint32(nil), p.spads...)
-	for r := range p.inbound {
-		d := p.winDirty[r]
-		s.dirty[r] = d
+	s := &PortSnapshot{portState: p.portState, spads: append([]uint32(nil), p.spads...)}
+	for r, d := range p.winDirty {
 		if d.hi > d.lo {
 			s.win[r] = append([]byte(nil), p.inbound[r][d.lo:d.hi]...)
 		}
@@ -45,14 +40,14 @@ func (p *Port) Snapshot() *PortSnapshot {
 // daemon, which must be idle) survive as well.
 func (p *Port) Restore(s *PortSnapshot) {
 	p.dma.assertIdle("restore")
-	copy(p.spads, s.spads)
-	p.db, p.dbMask = s.db, s.dbMask
-	for r := range p.inbound {
-		if old := p.winDirty[r]; old.hi > old.lo {
+	for r, old := range p.winDirty {
+		if old.hi > old.lo {
 			clear(p.inbound[r][old.lo:old.hi])
 		}
-		d := s.dirty[r]
-		p.winDirty[r] = d
+	}
+	p.portState = s.portState
+	copy(p.spads, s.spads)
+	for r, d := range p.winDirty {
 		if d.hi > d.lo {
 			copy(p.window(Region(r), d.hi)[d.lo:], s.win[r])
 		}

@@ -2,26 +2,25 @@ package ntb
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
 )
 
-// portImage is everything Restore is answerable for: the register
-// surface, the dirty brackets, and the full logical contents of every
-// window (bytes past the materialised prefix read as zeros), plus how
-// far each window is materialised.
+// portImage is everything Restore is answerable for: the state struct,
+// the scratchpads, and the full logical contents of every window (bytes
+// past the materialised prefix read as zeros), plus how far each window
+// is materialised.
 type portImage struct {
+	portState
 	spads        []uint32
-	db           uint16
-	dbMask       uint16
-	dirty        [numRegions]extent
 	win          [numRegions][]byte
 	materialised [numRegions]int
 }
 
 func imageOf(p *Port) portImage {
-	img := portImage{spads: append([]uint32(nil), p.spads...), db: p.db, dbMask: p.dbMask, dirty: p.winDirty}
+	img := portImage{portState: p.portState, spads: append([]uint32(nil), p.spads...)}
 	for r := range p.inbound {
 		img.win[r] = make([]byte, p.par.WindowSize)
 		copy(img.win[r], p.inbound[r])
@@ -60,8 +59,11 @@ func TestRestoreOverDirtyPortEqualsRestoreOfFresh(t *testing.T) {
 	// the data window and a second window the snapshot never touched.
 	s1, a1, dirty, _ := pair(t)
 	scribble(t, s1, a1, dirty, 1024, 16384, 0xEE, true)
-	if d := dirty.winDirty[RegionData]; d.lo >= snap.dirty[RegionData].lo || d.hi <= snap.dirty[RegionData].hi {
-		t.Fatalf("test setup: dirty extent %+v does not enclose the snapshot's %+v", d, snap.dirty[RegionData])
+	if d := dirty.winDirty[RegionData]; d.lo >= snap.winDirty[RegionData].lo || d.hi <= snap.winDirty[RegionData].hi {
+		t.Fatalf("test setup: dirty extent %+v does not enclose the snapshot's %+v", d, snap.winDirty[RegionData])
+	}
+	if dirty.portState == b0.portState {
+		t.Fatal("test setup: the dirty port's registers equal the captured ones")
 	}
 	dirty.Restore(snap)
 
@@ -69,14 +71,11 @@ func TestRestoreOverDirtyPortEqualsRestoreOfFresh(t *testing.T) {
 	fresh.Restore(snap)
 
 	got, want := imageOf(dirty), imageOf(fresh)
-	if got.db != want.db || got.dbMask != want.dbMask || got.dirty != want.dirty {
-		t.Fatalf("registers: dirty-restored db=%#x mask=%#x dirty=%+v, fresh-restored db=%#x mask=%#x dirty=%+v",
-			got.db, got.dbMask, got.dirty, want.db, want.dbMask, want.dirty)
+	if got.portState != want.portState || got.portState != b0.portState {
+		t.Fatalf("state: dirty-restored %+v, fresh-restored %+v, captured %+v", got.portState, want.portState, b0.portState)
 	}
-	for i := range want.spads {
-		if got.spads[i] != want.spads[i] {
-			t.Fatalf("spad %d: %#x vs %#x", i, got.spads[i], want.spads[i])
-		}
+	if !slices.Equal(got.spads, want.spads) {
+		t.Fatalf("scratchpads: dirty-restored %#x, fresh-restored %#x", got.spads, want.spads)
 	}
 	if !bytes.Equal(got.win[RegionData], want.win[RegionData]) {
 		t.Fatal("data window differs: stale bytes of the previous run survived Restore")
@@ -90,7 +89,7 @@ func TestRestoreOverDirtyPortEqualsRestoreOfFresh(t *testing.T) {
 		t.Fatal("bypass window holds stale bytes after Restore")
 	}
 	// And the source of the snapshot is equal to both.
-	if src := imageOf(b0); !bytes.Equal(src.win[RegionData], got.win[RegionData]) || src.dirty != got.dirty {
+	if src := imageOf(b0); !bytes.Equal(src.win[RegionData], got.win[RegionData]) || src.portState != got.portState {
 		t.Fatal("restored port differs from the port the snapshot was taken of")
 	}
 }

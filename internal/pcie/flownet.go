@@ -130,20 +130,20 @@ func (t *Transfer) Done() bool { return t.done.Done() }
 
 // Network is the fluid-flow solver bound to one simulator.
 type Network struct {
-	sim   *sim.Simulator // snap: keep — construction identity
+	sim   *sim.Simulator // construction identity
 	flows []*Transfer    // Snapshot and Restore assert none in flight
-	gen   uint64         // invalidates stale completion events; bumped by Restore; snap: keep — monotone, never captured
+	gen   uint64         // invalidates stale completion events; bumped by Restore, never captured
 
 	// Interned servers and the solver's per-network scratch, indexed by
 	// Server.idx. srvEpoch stamps which solve last initialised a slot, so
 	// a solve touches only the servers its flows cross and nothing is
 	// cleared between solves.
-	servers  []*Server // snap: keep — interned; rebuilding them is the cold-start cost pooling avoids
-	epoch    uint64    // snap: keep — monotone solve stamp; only equality with srvEpoch matters
-	srvEpoch []uint64  // snap: keep — per-slot stamps stay valid under a monotone epoch
-	residual []float64 // snap: keep — scratch, fully re-initialised by each solve's epoch check
-	count    []int     // snap: keep — scratch, fully re-initialised by each solve's epoch check
-	touched  []int32   // snap: keep — scratch; emptied when each solve retires
+	servers  []*Server // interned; rebuilding them is the cold-start cost pooling avoids
+	epoch    uint64    // monotone solve stamp; only equality with srvEpoch matters
+	srvEpoch []uint64  // per-slot stamps stay valid under a monotone epoch
+	residual []float64 // scratch, fully re-initialised by each solve's epoch check
+	count    []int     // scratch, fully re-initialised by each solve's epoch check
+	touched  []int32   // scratch; emptied when each solve retires
 
 	// solvePending coalesces same-instant re-solves: the first start or
 	// finish at an instant schedules one solve event at that instant and
@@ -152,7 +152,7 @@ type Network struct {
 
 	// pool recycles Transfer records whose lifetime is confined to one
 	// blocking Transfer/TransferRoute call.
-	pool []*Transfer // snap: keep — warm record pool
+	pool []*Transfer // warm record pool
 }
 
 // NewNetwork returns an empty flow network on s.
@@ -266,7 +266,9 @@ func (n *Network) advance() {
 	live := n.flows[:0]
 	for _, f := range n.flows {
 		dt := now.Sub(f.last).Seconds()
-		f.remaining -= f.rate * dt
+		// float64(…) rounds the product itself, so no CPU fuses it into a
+		// multiply-subtract that could move a completion by a nanosecond.
+		f.remaining -= float64(f.rate * dt)
 		f.last = now
 		if f.remaining <= residueThreshold {
 			f.remaining = 0

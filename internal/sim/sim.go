@@ -15,13 +15,16 @@ import (
 // (Sleep, Queue.Pop, Resource.Acquire, Cond.Wait, ...) whose wake is not
 // the very next event.
 type Simulator struct {
-	now    Time
-	seq    uint64
+	// simState is the per-run state a Snapshot captures and Restore
+	// assigns back whole. Every other field is construction identity,
+	// must be drained at quiescence, or is rezeroed by Restore.
+	simState
+
 	events eventQueue // always &ladderQ outside tests; heap_test.go swaps in the reference heap
 
 	// The queue backing lives inside the Simulator so reaching it
 	// through the interface field costs no extra allocation.
-	ladderQ ladderQueue // snap: keep — emptied via events; empty at quiescence
+	ladderQ ladderQueue // emptied via events; empty at quiescence
 
 	// ready is the same-timestamp fast path: events scheduled for the
 	// current instant never touch the heap. Because seq grows
@@ -37,7 +40,7 @@ type Simulator struct {
 	// idle is the top of a stack, linked through coro.below, of the
 	// coroutines whose last body returned, warmest first; GoAfter reuses
 	// them before it starts a goroutine.
-	idle *coro // snap: keep — holds no Proc, no event and no simulation state
+	idle *coro // holds no Proc, no event and no simulation state
 
 	fatal   error // first panic captured from a process; Restore refuses a failed sim
 	running bool
@@ -46,12 +49,19 @@ type Simulator struct {
 	// runEnd is the exclusive time bound of the run in progress: one past
 	// RunUntil's deadline, or timeInf under Run. run sets it before
 	// anything reads it.
-	runEnd Time // snap: keep — only live inside run, which sets it first
+	runEnd Time // only live inside run, which sets it first
 
 	// trace, when set, observes every dispatched event (TraceDispatch).
-	trace func(t Time, seq uint64, kind byte, proc string) // snap: keep — an observer, not state
+	trace func(t Time, seq uint64, kind byte, proc string) // an observer, not state
 
-	executed uint64 // events dispatched since New or the last Restore; snap: keep — Restore rezeroes it, the world snapshot records its own event count
+	executed uint64 // events dispatched since New or the last Restore; the world snapshot records its own event count
+}
+
+// simState is the kernel clock: the virtual time and the event sequence
+// counter that breaks same-timestamp ties.
+type simState struct {
+	now Time
+	seq uint64
 }
 
 // timeInf is the bound of a run with no deadline.

@@ -8,10 +8,7 @@ package sim
 // same places) at the same (now, seq) point and letting the next run's
 // events wake everything exactly as a continuation of the original
 // would.
-type Snapshot struct {
-	now Time
-	seq uint64
-}
+type Snapshot simState
 
 // Now returns the virtual time at which the snapshot was captured.
 func (sn Snapshot) Now() Time { return sn.now }
@@ -21,7 +18,7 @@ func (sn Snapshot) Now() Time { return sn.now }
 // processes, no pending events.
 func (s *Simulator) Snapshot() Snapshot {
 	s.assertQuiescent("Snapshot")
-	return Snapshot{now: s.now, seq: s.seq}
+	return Snapshot(s.simState)
 }
 
 // Restore positions a quiescent simulator — whatever it ran before — at
@@ -38,8 +35,7 @@ func (s *Simulator) Snapshot() Snapshot {
 // place.
 func (s *Simulator) Restore(sn Snapshot) {
 	s.assertQuiescent("Restore")
-	s.now = sn.now
-	s.seq = sn.seq
+	s.simState = simState(sn)
 	s.executed = 0
 	s.events.reset()
 	s.ready = s.ready[:0]
