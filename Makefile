@@ -30,9 +30,9 @@ vet:
 lint:
 	$(GO) run ./cmd/ntblint ./...
 
-# Host-side simulator speed benchmarks (wall-clock, allocs/op).
+# Every go-test benchmark in the module: wall-clock, B/op, allocs/op.
 bench:
-	$(GO) test -run xxx -bench . -benchmem ./internal/pcie ./internal/driver ./internal/sim ./internal/core
+	$(GO) test -run xxx -bench . -benchmem ./...
 
 # One iteration of every benchmark: catches a benchmark that panics or
 # no longer compiles without paying for timing runs. The ceilings that

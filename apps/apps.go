@@ -128,17 +128,24 @@ const KeyRange = 1 << 16
 func IntSort(p *ntbshmem.Proc, pe *ntbshmem.PE, keys []int32) []int32 {
 	me, n := pe.ID(), pe.NumPEs()
 	width := KeyRange / n
-	buckets := make([][]int32, n)
+	owner := func(k int32) int { return min(int(k)/width, n-1) }
+	// A counting pass sizes every bucket, so all of them share one
+	// backing array cut at the counts.
+	myCounts := make([]int32, n)
 	for _, k := range keys {
-		owner := min(int(k)/width, n-1)
-		buckets[owner] = append(buckets[owner], k)
+		myCounts[owner(k)]++
+	}
+	buckets := make([][]int32, n)
+	backing := make([]int32, len(keys))
+	for d, c := range myCounts {
+		buckets[d], backing = backing[:0:c], backing[c:]
+	}
+	for _, k := range keys {
+		d := owner(k)
+		buckets[d] = append(buckets[d], k)
 	}
 	// counts[src*n+dst] is the size of src's bucket for dst.
 	countsSym := pe.MustMalloc(p, n*n*4)
-	myCounts := make([]int32, n)
-	for d := range buckets {
-		myCounts[d] = int32(len(buckets[d]))
-	}
 	ntbshmem.LocalPut(p, pe, countsSym+ntbshmem.SymAddr(me*n*4), myCounts)
 	pe.BarrierAll(p)
 	pe.FCollectBytes(p, countsSym+ntbshmem.SymAddr(me*n*4), countsSym, n*4)

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,11 +22,16 @@ import (
 // policy, so each call starts from the defaults a fresh process has.
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
-	bench.SetFabric(fabric.KindNTBRing)
-	bench.SetParallelism(0)
+	defaultPolicy()
 	var out, errb bytes.Buffer
 	code = run(args, &out, &errb)
 	return code, out.String(), errb.String()
+}
+
+// defaultPolicy reinstalls the bench policy a fresh process starts with.
+func defaultPolicy() {
+	bench.SetFabric(fabric.KindNTBRing)
+	bench.SetParallelism(0)
 }
 
 func TestMain(m *testing.M) {
@@ -196,6 +203,7 @@ func TestReproduceOutputIsCurrent(t *testing.T) {
 // has them. `make profile` profiles it over enough ops to show per-figure
 // host costs that one run is too short to sample.
 func BenchmarkReproduce(b *testing.B) {
+	defaultPolicy()
 	for i := 0; i < b.N; i++ {
 		bench.DrainWorldPool()
 		bench.DrainSnapshots()
@@ -203,6 +211,30 @@ func BenchmarkReproduce(b *testing.B) {
 			b.Fatalf("reproduce -j 1: exit %d", code)
 		}
 	}
+}
+
+// TestBenchCeilings holds the bytes a drained sweep allocates:
+// BenchmarkReproduce at 60 MB/op. It fails if a per-chunk staging frame,
+// a per-call codec buffer or a per-point destination buffer comes back
+// on the figure path (a sweep allocated 89.6 MB with them).
+func TestBenchCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drained figure sweeps for a second in -short mode")
+	}
+	if raceEnabled() {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	r := testing.Benchmark(BenchmarkReproduce)
+	if got := float64(r.MemBytes) / float64(r.N); got > 60e6 {
+		t.Errorf("BenchmarkReproduce: %.0f B/op, ceiling 60000000", got)
+	}
+}
+
+// raceEnabled reports whether this test binary was built with -race,
+// read from its build settings.
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	return ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"})
 }
 
 // firstDiff names the first line at which two outputs part.

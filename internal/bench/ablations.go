@@ -369,14 +369,16 @@ func MeasurePipelined(par *model.Params, depth, size, reps int) (putUS, getUS fl
 		opt.Pipeline = depth
 	}
 	label := fmt.Sprintf("pipelined depth=%d/size=%d", depth, size)
-	buf := make([]byte, size) // PE 0's source and destination
+	src := mem.Zeros(size) // PE 0's put source
+	buf := borrowDst(size) // PE 0's get destination
+	defer returnDst(buf)
 	runRingWorld(label, par, 3, opt, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
 		pe.BarrierAll(p)
 		if pe.ID() == 0 {
 			start := p.Now()
 			for r := 0; r < reps; r++ {
-				pe.PutBytes(p, 1, sym, buf)
+				pe.PutBytes(p, 1, sym, src)
 			}
 			// Pipelined puts are locally complete on return; include the
 			// drain (via barrier-free quiesce through a final blocking
@@ -430,8 +432,9 @@ func RunTwoSidedComparison(par *model.Params) *Figure {
 // one-hop transfers of the given size.
 func MeasureTwoSided(par *model.Params, size, reps int) (putUS, sendUS float64) {
 	label := fmt.Sprintf("two-sided size=%d", size)
-	data := mem.Zeros(size)   // PE 0's send source, the read-only zero source
-	buf := make([]byte, size) // PE 1's receive destination
+	data := mem.Zeros(size) // PE 0's send source, the read-only zero source
+	buf := borrowDst(size)  // PE 1's receive destination
+	defer returnDst(buf)
 	runRingWorld(label, par, 3, core.Options{}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
 		pe.BarrierAll(p)
@@ -502,7 +505,8 @@ func RunAblationRouting(par *model.Params) *Figure {
 func MeasureGetRouted(par *model.Params, routing core.Routing, n, dst, size int) float64 {
 	var us float64
 	label := fmt.Sprintf("get-routed %s/n=%d/dst=%d/size=%d", routing, n, dst, size)
-	buf := make([]byte, size) // PE 0's get destination
+	buf := borrowDst(size) // PE 0's get destination
+	defer returnDst(buf)
 	runRingWorld(label, par, n, core.Options{Routing: routing}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
 		pe.BarrierAll(p)
@@ -522,7 +526,9 @@ func MeasureGetRouted(par *model.Params, routing core.Routing, n, dst, size int)
 // farthest PE of an n-host ring at the given size (5-rep averages).
 func MeasureFarthest(par *model.Params, n, size int) (putUS, getUS float64) {
 	label := fmt.Sprintf("farthest n=%d/size=%d", n, size)
-	buf := make([]byte, size) // PE 0's source and destination
+	src := mem.Zeros(size) // PE 0's put source
+	buf := borrowDst(size) // PE 0's get destination
+	defer returnDst(buf)
 	runRingWorld(label, par, n, core.Options{}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)
 		pe.BarrierAll(p)
@@ -530,7 +536,7 @@ func MeasureFarthest(par *model.Params, n, size int) (putUS, getUS float64) {
 		if pe.ID() == 0 {
 			start := p.Now()
 			for r := 0; r < 5; r++ {
-				pe.PutBytes(p, target, sym, buf)
+				pe.PutBytes(p, target, sym, src)
 			}
 			putUS = p.Now().Sub(start).Microseconds() / 5
 		}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Sizes returns the paper's request-size sweep: 1 KiB to 512 KiB in
@@ -32,6 +33,23 @@ func SizeLabel(n int) string {
 		return fmt.Sprintf("%dB", n)
 	}
 }
+
+// dstBufs recycles the host buffers figure points get and receive into.
+// An op overwrites a destination before anything reads it, so a reused
+// buffer carries no simulation state. Never take a put source from here:
+// stale bytes would turn a zero put into a data put; puts send mem.Zeros.
+var dstBufs sync.Pool // of *[]byte
+
+// borrowDst returns an n-byte destination buffer for one point; give it
+// back with returnDst once the point's world has run.
+func borrowDst(n int) []byte {
+	if b, ok := dstBufs.Get().(*[]byte); ok && cap(*b) >= n {
+		return (*b)[:n]
+	}
+	return make([]byte, n)
+}
+
+func returnDst(b []byte) { dstBufs.Put(&b) }
 
 // Point is one measurement: Value at request size Size (or at parameter
 // X for non-size sweeps).

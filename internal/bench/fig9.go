@@ -40,10 +40,11 @@ func MeasureShmemOp(par *model.Params, op Op, mode driver.Mode, hops, size, reps
 	var mean float64
 	label := fmt.Sprintf("shmem-op %s/%s/hops=%d/size=%d", op, mode, hops, size)
 	// PE 0's put source is the read-only zero source; its get
-	// destination a real buffer.
+	// destination a borrowed buffer.
 	buf := mem.Zeros(size)
 	if op == OpGet {
-		buf = make([]byte, size)
+		buf = borrowDst(size)
+		defer returnDst(buf)
 	}
 	runRingWorld(label, par, 3, core.Options{Mode: mode}, func(p *sim.Proc, pe *core.PE) {
 		sym := pe.MustMalloc(p, size)

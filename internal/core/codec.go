@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -153,18 +154,38 @@ func IGet[T Scalar](p *sim.Proc, pe *PE, target int, src SymAddr, dst []T, tst, 
 	}
 }
 
+// localStage is the stack buffer the typed local ops encode and decode
+// through, a piece at a time: one memcpy charge covers the whole object,
+// and no call allocates.
+const localStage = 1024
+
 // LocalPut writes the PE's own copy of a symmetric object with typed
 // data; LocalGet reads it. They are the typed faces of LocalWrite/
 // LocalRead and are how SPMD programs initialise symmetric memory.
 func LocalPut[T Scalar](p *sim.Proc, pe *PE, dst SymAddr, src []T) {
-	buf := make([]byte, len(src)*sizeOf[T]())
-	encodeSlice(src, buf)
-	pe.LocalWrite(p, dst, buf)
+	es := sizeOf[T]()
+	pe.localCopy(p, dst, len(src)*es)
+	var stage [localStage]byte
+	for len(src) > 0 {
+		k := min(len(src), localStage/es)
+		buf := stage[:k*es]
+		encodeSlice(src[:k], buf)
+		pe.heap.Write(int64(dst), mem.ZeroOr(buf))
+		src, dst = src[k:], dst+SymAddr(k*es)
+	}
+	pe.heapWrite.Broadcast()
 }
 
 // LocalGet reads the PE's own copy of a symmetric object.
 func LocalGet[T Scalar](p *sim.Proc, pe *PE, src SymAddr, dst []T) {
-	buf := make([]byte, len(dst)*sizeOf[T]())
-	pe.LocalRead(p, src, buf)
-	decodeSlice(buf, dst)
+	es := sizeOf[T]()
+	pe.localCopy(p, src, len(dst)*es)
+	var stage [localStage]byte
+	for len(dst) > 0 {
+		k := min(len(dst), localStage/es)
+		buf := stage[:k*es]
+		pe.heap.Read(int64(src), buf)
+		decodeSlice(buf, dst[:k])
+		dst, src = dst[k:], src+SymAddr(k*es)
+	}
 }

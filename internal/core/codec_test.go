@@ -141,6 +141,55 @@ func TestStridedBoundsChecked(t *testing.T) {
 	}
 }
 
+func TestTypedLocalOpsSpanStagePiecesAtOneCopyCost(t *testing.T) {
+	// Objects several stage pieces long, with an all-zero piece in the
+	// middle, round-trip exactly and cost what one LocalWrite of their
+	// bytes costs.
+	w := newWorld(3, Options{})
+	const n = 3*localStage/4 + 5 // int32s: three pieces and a tail
+	want := make([]int32, n)
+	for i := range want {
+		if i < localStage/4 || i >= 2*localStage/4 {
+			want[i] = int32(7*i - 500)
+		}
+	}
+	wantBytes := make([]byte, 4*n)
+	encodeSlice(want, wantBytes)
+	var typed, raw sim.Duration
+	var got []int32
+	var gotBytes []byte
+	err := w.Run(func(p *sim.Proc, pe *PE) {
+		sym := pe.MustMalloc(p, 4*n)
+		if pe.ID() != 0 {
+			return
+		}
+		start := p.Now()
+		LocalPut(p, pe, sym, want)
+		typed = p.Now().Sub(start)
+		gotBytes = make([]byte, 4*n)
+		pe.LocalRead(p, sym, gotBytes)
+		got = make([]int32, n)
+		LocalGet(p, pe, sym, got)
+		start = p.Now()
+		pe.LocalWrite(p, sym, wantBytes)
+		raw = p.Now().Sub(start)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotBytes) != string(wantBytes) {
+		t.Fatal("LocalPut stored different bytes than the encoding")
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("int32[%d] = %d, want %d", i, got[i], want[i])
+		}
+	}
+	if typed != raw {
+		t.Fatalf("LocalPut took %v, a LocalWrite of its bytes %v", typed, raw)
+	}
+}
+
 func TestCodecPropertyRoundTrip(t *testing.T) {
 	// Property: encode/decode is the identity for every scalar type.
 	check := func(e error) {

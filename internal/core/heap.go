@@ -115,21 +115,25 @@ func (pe *PE) checkHeapRange(addr SymAddr, n int) {
 	}
 }
 
+// localCopy checks a local access to [addr, addr+n) of this PE's own
+// symmetric memory and charges its one memcpy.
+func (pe *PE) localCopy(p *sim.Proc, addr SymAddr, n int) {
+	pe.checkLive()
+	pe.checkHeapRange(addr, n)
+	p.Sleep(sim.BytesAt(n, pe.par.MemcpyBW))
+}
+
 // LocalWrite stores bytes into this PE's own copy of a symmetric object,
 // at local-memcpy cost. It is how applications initialise symmetric data.
 func (pe *PE) LocalWrite(p *sim.Proc, addr SymAddr, src []byte) {
-	pe.checkLive()
-	pe.checkHeapRange(addr, len(src))
-	p.Sleep(sim.BytesAt(len(src), pe.par.MemcpyBW))
+	pe.localCopy(p, addr, len(src))
 	pe.heap.Write(int64(addr), mem.ZeroOr(src))
 	pe.heapWrite.Broadcast()
 }
 
 // LocalRead loads bytes from this PE's own copy of a symmetric object.
 func (pe *PE) LocalRead(p *sim.Proc, addr SymAddr, dst []byte) {
-	pe.checkLive()
-	pe.checkHeapRange(addr, len(dst))
-	p.Sleep(sim.BytesAt(len(dst), pe.par.MemcpyBW))
+	pe.localCopy(p, addr, len(dst))
 	pe.heap.Read(int64(addr), dst)
 }
 
@@ -137,9 +141,7 @@ func (pe *PE) LocalRead(p *sim.Proc, addr SymAddr, dst []byte) {
 // *buf, growing it if short — except that a range nobody wrote comes
 // back as the shared zero source (mem.Zeros), read and staged nowhere.
 func (pe *PE) readSource(p *sim.Proc, addr SymAddr, n int, buf *[]byte) []byte {
-	pe.checkLive()
-	pe.checkHeapRange(addr, n)
-	p.Sleep(sim.BytesAt(n, pe.par.MemcpyBW))
+	pe.localCopy(p, addr, n)
 	if pe.heap.ZeroRange(int64(addr), n) {
 		return mem.Zeros(n)
 	}

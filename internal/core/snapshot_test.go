@@ -43,7 +43,7 @@ func TestSnapshotStateFieldCounts(t *testing.T) {
 		{reflect.TypeFor[pcie.Network](), "", 11},
 		{reflect.TypeFor[ntb.Port](), "portState", 18},
 		{reflect.TypeFor[mem.Heap](), "heapState", 6},
-		{reflect.TypeFor[driver.TxChannel](), "txState", 5},
+		{reflect.TypeFor[driver.TxChannel](), "txState", 4},
 		{reflect.TypeFor[driver.PipeTx](), "pipeTxState", 7},
 		{reflect.TypeFor[driver.PipeRx](), "pipeRxState", 3},
 		{reflect.TypeFor[fabric.Cluster](), "", 6},

@@ -19,7 +19,6 @@ package driver
 import (
 	"fmt"
 
-	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/ntb"
 	"repro/internal/sim"
@@ -241,13 +240,10 @@ func (m Mode) String() string {
 	return "DMA"
 }
 
-// Payload is a chunk source: either an in-memory buffer or a symmetric
-// heap range.
+// Payload is a chunk source: the first N bytes of Buf.
 type Payload struct {
-	Buf     []byte
-	Heap    *mem.Heap
-	HeapOff int64
-	N       int
+	Buf []byte
+	N   int
 }
 
 // TxChannel serialises one direction of one link. Because a chunk
@@ -257,11 +253,10 @@ type Payload struct {
 type TxChannel struct {
 	txState // captured by Snapshot, assigned back whole by Restore
 
-	ep      *Endpoint
-	par     *model.Params
-	mu      *sim.Mutex           // released after every send
-	acks    *sim.Queue[struct{}] // Snapshot and Restore assert it drained
-	scratch []byte               // warm staging buffer, overwritten per send
+	ep   *Endpoint
+	par  *model.Params
+	mu   *sim.Mutex           // released after every send
+	acks *sim.Queue[struct{}] // Snapshot and Restore assert it drained
 }
 
 // txState is a stop-and-wait channel's per-run state: its send tally.
@@ -276,8 +271,6 @@ func NewTxChannel(ep *Endpoint, par *model.Params) *TxChannel {
 		par:  par,
 		mu:   sim.NewMutex("tx:" + ep.Port.Name()),
 		acks: sim.NewQueue[struct{}]("ack:" + ep.Port.Name()),
-		// scratch (a window-sized staging buffer) is allocated on first
-		// memcpy-from-heap send; most channels only ever DMA.
 	}
 	ep.Handle(VecAck, func() { tx.acks.Push(struct{}{}) })
 	return tx
@@ -300,30 +293,12 @@ func (tx *TxChannel) SendChunk(p *sim.Proc, info Info, payload Payload, mode Mod
 	}
 	tx.mu.Lock(p)
 	if payload.N > 0 {
+		data := payload.Buf[:payload.N]
 		switch mode {
 		case ModeDMA:
-			d := ntb.Desc{Region: info.Region, Off: 0, Bytes: payload.N}
-			if payload.Heap != nil {
-				d.SrcHeap, d.SrcOff = payload.Heap, payload.HeapOff
-			} else {
-				d.Src = payload.Buf
-			}
-			tx.ep.Port.DMA().SubmitWait(p, d)
+			tx.ep.Port.DMA().SubmitWait(p, ntb.Desc{Region: info.Region, Src: data, Bytes: payload.N})
 		case ModeCPU:
-			src := payload.Buf
-			if payload.Heap != nil {
-				if payload.Heap.ZeroRange(payload.HeapOff, payload.N) {
-					// Nobody wrote the range: stage nothing, send the zero source.
-					src = mem.Zeros(payload.N)
-				} else {
-					if tx.scratch == nil {
-						tx.scratch = make([]byte, tx.par.WindowSize)
-					}
-					src = tx.scratch[:payload.N]
-					payload.Heap.Read(payload.HeapOff, src)
-				}
-			}
-			tx.ep.Port.CPUWrite(p, info.Region, 0, src[:payload.N])
+			tx.ep.Port.CPUWrite(p, info.Region, 0, data)
 		default:
 			panic("driver: unknown mode")
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/ntb"
 	"repro/internal/pcie"
@@ -138,34 +137,6 @@ func TestSendChunkCPUMode(t *testing.T) {
 	}
 	if len(datas) != 1 || !bytes.Equal(datas[0], payload) {
 		t.Fatal("CPU-mode payload mismatch")
-	}
-}
-
-func TestSendChunkFromHeap(t *testing.T) {
-	r := newRig(t)
-	var infos []Info
-	var datas [][]byte
-	r.autoAck(t, &infos, &datas)
-	h := mem.NewHeap(4096, 1<<20)
-	off, _ := h.Alloc(9000)
-	want := make([]byte, 9000)
-	for i := range want {
-		want[i] = byte(3 * i)
-	}
-	h.Write(off, want)
-	for _, mode := range []Mode{ModeDMA, ModeCPU} {
-		mode := mode
-		r.sim.Go("send-"+mode.String(), func(p *sim.Proc) {
-			r.txAB.SendChunk(p, Info{
-				Kind: KindPut, Region: ntb.RegionData, Size: 9000, SymOff: uint64(off),
-			}, Payload{Heap: h, HeapOff: off, N: 9000}, mode)
-		})
-	}
-	if err := r.sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(datas) != 2 || !bytes.Equal(datas[0], want) || !bytes.Equal(datas[1], want) {
-		t.Fatal("heap-sourced chunk mismatch")
 	}
 }
 

@@ -109,11 +109,11 @@ type PipeTx struct {
 
 	ep        *Endpoint
 	par       *model.Params
-	slots     int           // pipeline geometry
-	slotBytes int           // pipeline geometry
-	credits   *sim.Resource // Snapshot and Restore assert all returned
-	mu        *sim.Mutex    // serialises slot assignment; released per send
-	scratch   []byte        // warm staging frame, overwritten per send
+	slots     int                   // pipeline geometry
+	slotBytes int                   // pipeline geometry
+	credits   *sim.Resource         // Snapshot and Restore assert all returned
+	mu        *sim.Mutex            // serialises slot assignment; released per send
+	hdr       [SlotHeaderBytes]byte // slot header staging, overwritten per send
 }
 
 // pipeTxState is a pipelined sender's slot cursor, wire sequence and
@@ -141,7 +141,6 @@ func NewPipeTx(ep *Endpoint, par *model.Params, slots int) *PipeTx {
 		slotBytes: slotBytes,
 		credits:   sim.NewResource("pipe-credits:"+ep.Port.Name(), int64(slots)),
 		mu:        sim.NewMutex("pipe-tx:" + ep.Port.Name()),
-		scratch:   make([]byte, slotBytes),
 	}
 	ep.Handle(VecAck, func() { tx.credits.Release(1) })
 	return tx
@@ -156,9 +155,11 @@ func (tx *PipeTx) MaxPayload() int { return tx.slotBytes - SlotHeaderBytes }
 // Sends reports chunks pushed.
 func (tx *PipeTx) Sends() uint64 { return tx.sends }
 
-// SendChunk implements Sender: take a credit, fill the next slot
-// (header and payload in one wire transfer), ring the kind's vector, and
-// return — local completion only.
+// SendChunk implements Sender: take a credit, fill the next slot in
+// place (header and payload in one wire transfer), ring the kind's
+// vector, and return — local completion only.
+//
+//ntblint:allocfree
 func (tx *PipeTx) SendChunk(p *sim.Proc, info Info, payload Payload, mode Mode) {
 	if payload.N > tx.MaxPayload() {
 		panic(fmt.Sprintf("driver: chunk %d exceeds pipeline slot payload %d", payload.N, tx.MaxPayload()))
@@ -171,24 +172,17 @@ func (tx *PipeTx) SendChunk(p *sim.Proc, info Info, payload Payload, mode Mode) 
 	slot := tx.nextSlot
 	tx.nextSlot = (tx.nextSlot + 1) % tx.slots
 	tx.seq++
-	// Assemble header+payload in the scratch frame.
-	frame := tx.scratch[:SlotHeaderBytes+payload.N]
-	encodeSlotHeader(frame, tx.seq, &info)
-	if payload.N > 0 {
-		if payload.Heap != nil {
-			payload.Heap.Read(payload.HeapOff, frame[SlotHeaderBytes:])
-		} else {
-			copy(frame[SlotHeaderBytes:], payload.Buf[:payload.N])
-		}
-	}
+	// Header and payload land in the slot in place, as one transfer.
+	encodeSlotHeader(tx.hdr[:], tx.seq, &info)
+	data := payload.Buf[:payload.N]
 	off := slot * tx.slotBytes
 	switch mode {
 	case ModeDMA:
 		tx.ep.Port.DMA().SubmitWait(p, ntb.Desc{
-			Region: ntb.RegionData, Off: off, Src: frame, Bytes: len(frame),
+			Region: ntb.RegionData, Off: off, Hdr: tx.hdr[:], Src: data, Bytes: payload.N,
 		})
 	case ModeCPU:
-		tx.ep.Port.CPUWrite(p, ntb.RegionData, off, frame)
+		tx.ep.Port.CPUWriteHdr(p, ntb.RegionData, off, tx.hdr[:], data)
 	default:
 		panic("driver: unknown mode")
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/ntb"
 	"repro/internal/sim"
 )
@@ -208,4 +209,58 @@ func TestPipeGeometryAccessors(t *testing.T) {
 		t.Errorf("max payload = %d, want %d", tx.MaxPayload(), want)
 	}
 	_ = fmt.Sprint(tx.Sends())
+}
+
+func TestPipeSendAllocatesNothing(t *testing.T) {
+	// A warm pipelined sender fills its slots in place: no staging frame,
+	// no per-chunk buffer, for data and zero payloads alike.
+	for _, mode := range []Mode{ModeDMA, ModeCPU} {
+		t.Run(mode.String(), func(t *testing.T) {
+			r := newRig(t)
+			defer r.sim.Shutdown()
+			const slots, chunk, burst = 4, 8 << 10, 12
+			tx, rx := NewPipeTx(r.epA, r.par, slots), NewPipeRx(r.b, r.par, slots)
+			svc := sim.NewQueue[struct{}]("svc")
+			r.epB.Handle(VecPut, func() { svc.Push(struct{}{}) })
+			r.sim.GoDaemon("svc", func(p *sim.Proc) {
+				for {
+					svc.Pop(p)
+					for {
+						if _, _, ok := rx.Next(p); !ok {
+							break
+						}
+						rx.Release(p)
+					}
+				}
+			})
+			data := bytes.Repeat([]byte{0x5A}, chunk)
+			start := sim.NewQueue[struct{}]("start")
+			r.sim.GoDaemon("sender", func(p *sim.Proc) {
+				for {
+					start.Pop(p)
+					for i := 0; i < burst; i++ {
+						src := data
+						if i%2 == 1 {
+							src = mem.Zeros(chunk)
+						}
+						tx.SendChunk(p, Info{Kind: KindPut, Dst: 1, Size: chunk}, Payload{Buf: src, N: chunk}, mode)
+					}
+				}
+			})
+			sends := func() {
+				start.Push(struct{}{})
+				if err := r.sim.RunUntil(r.sim.Now().Add(10 * sim.Millisecond)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sends() // warm the engine's job pool and the queues
+			if allocs := testing.AllocsPerRun(10, sends); allocs != 0 {
+				t.Fatalf("%.1f allocations per burst of %d pipelined sends, want 0", allocs, burst)
+			}
+			// The warm-up burst, AllocsPerRun's own warm-up, then ten runs.
+			if got := tx.Sends(); got != 12*burst {
+				t.Fatalf("%d chunks sent in 12 bursts, want %d", got, 12*burst)
+			}
+		})
+	}
 }

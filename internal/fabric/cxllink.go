@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/driver"
-	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/pcie"
 	"repro/internal/sim"
@@ -126,25 +125,11 @@ func nopAck(*sim.Proc) {}
 // delivery on the issuing process under the target's home-agent mutex.
 func (l *cxlLink) Send(p *sim.Proc, info driver.Info, payload driver.Payload) {
 	dst := int(info.Dst)
-	data := payload.Buf
-	var staged []byte
-	if payload.Heap != nil {
-		if payload.Heap.ZeroRange(payload.HeapOff, payload.N) {
-			data = mem.Zeros(payload.N)
-		} else {
-			staged = l.pool.get(payload.N)
-			payload.Heap.Read(payload.HeapOff, staged)
-			data = staged
-		}
-	}
 	l.access(p, dst, payload.N)
 	mu := l.st.mu[dst]
 	mu.Lock(p)
-	l.st.links[dst].deliver(p, info, data[:payload.N], nopAck)
+	l.st.links[dst].deliver(p, info, payload.Buf[:payload.N], nopAck)
 	mu.Unlock()
-	if staged != nil {
-		l.pool.put(staged)
-	}
 }
 
 // Reply returns a response to the requester inline, without a mutex

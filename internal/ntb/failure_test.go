@@ -82,6 +82,25 @@ func TestUnplugWedgesDMA(t *testing.T) {
 	}
 }
 
+func TestUnplugDropsWholeFrame(t *testing.T) {
+	// A framed transfer to a dead link lands neither its header nor its
+	// payload: PIO stores vanish, and a DMA descriptor wedges the engine
+	// before any byte moves.
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			s, a, b, _ := pair(t)
+			a.Unplug()
+			s.Go("send", func(p *sim.Proc) { m.send(p, a, RegionData, 0, pattern(64, 1), pattern(4000, 2)) })
+			if err := s.Run(); err != nil && !strings.Contains(err.Error(), "deadlock") {
+				t.Fatal(err)
+			}
+			if n, d := b.WindowResident(RegionData), b.winDirty[RegionData]; n != 0 || d != (extent{}) {
+				t.Fatalf("dead link: %d window bytes materialised, dirty %+v", n, d)
+			}
+		})
+	}
+}
+
 func TestUnplugBothSidesSeeIt(t *testing.T) {
 	s, a, b, _ := pair(t)
 	_ = s

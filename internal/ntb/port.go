@@ -539,20 +539,43 @@ func (p *Port) checkWindow(r Region, off, n int) {
 // the calling process performs write-combining stores through its
 // outgoing BAR. It blocks for the full transfer.
 func (p *Port) CPUWrite(pr *sim.Proc, r Region, off int, data []byte) {
-	p.checkWindow(r, off, len(data))
+	p.CPUWriteHdr(pr, r, off, nil, data)
+}
+
+// CPUWriteHdr is CPUWrite of a framed message: hdr lands at off and data
+// right behind it, in one burst of stores priced as one transfer of
+// len(hdr)+len(data) bytes, so a framed sender needs no staging copy.
+//
+//ntblint:allocfree
+func (p *Port) CPUWriteHdr(pr *sim.Proc, r Region, off int, hdr, data []byte) {
+	n := len(hdr) + len(data)
+	p.checkWindow(r, off, n)
 	peer := p.mustPeer()
 	peer.admit(p)
 	start := pr.Now()
-	p.net.TransferRoute(pr, int64(len(data)), p.par.WindowWriteBW, p.route)
-	p.emit("pio", "window-write", pr.Now().Sub(start), len(data))
+	p.net.TransferRoute(pr, int64(n), p.par.WindowWriteBW, p.route)
+	p.emit("pio", "window-write", pr.Now().Sub(start), n)
 	if *p.linkDown {
 		return // posted stores to a dead link vanish
 	}
+	peer.land(r, off, hdr, data)
+}
+
+// land delivers one transfer into region r at off: hdr, then data right
+// behind it. Data from the zero source lands as zeros (landZero), so a
+// zero payload behind a header dirties and materialises nothing.
+//
+//ntblint:allocfree
+func (p *Port) land(r Region, off int, hdr, data []byte) {
+	if len(hdr) > 0 {
+		copy(p.landing(r, off, len(hdr)), hdr)
+		off += len(hdr)
+	}
 	if mem.IsZeroSource(data) {
-		peer.landZero(r, off, len(data))
+		p.landZero(r, off, len(data))
 		return
 	}
-	copy(peer.landing(r, off, len(data)), data)
+	copy(p.landing(r, off, len(data)), data)
 }
 
 // CPURead pulls data from the peer's inbound window with uncached loads
@@ -578,16 +601,25 @@ func (p *Port) CPURead(pr *sim.Proc, r Region, off int, buf []byte) {
 
 // ---- DMA engine ----
 
-// Desc is one DMA descriptor: move Bytes bytes from the host-resident
-// source (either Src or, when SrcHeap is non-nil, heap range [SrcOff,
-// SrcOff+Bytes)) into the peer's inbound window r at Off.
+// Desc is one DMA descriptor: move the first Bytes bytes of Src into the
+// peer's inbound window r behind the optional header prefix Hdr, which
+// lands at Off in the same transfer of len(Hdr)+Bytes bytes.
 type Desc struct {
-	Region  Region
-	Off     int
-	Src     []byte
-	SrcHeap *mem.Heap
-	SrcOff  int64
-	Bytes   int
+	Region Region
+	Off    int
+	Hdr    []byte
+	Src    []byte
+	Bytes  int
+}
+
+// check validates a descriptor against the engine's port.
+//
+//ntblint:allocfree
+func (d *Desc) check(p *Port) {
+	p.checkWindow(d.Region, d.Off, len(d.Hdr)+d.Bytes)
+	if len(d.Src) < d.Bytes {
+		panic("ntb: DMA descriptor source shorter than Bytes")
+	}
 }
 
 // Engine is a per-adapter DMA engine. Descriptors are processed strictly
@@ -622,10 +654,7 @@ func newEngine(p *Port) *Engine {
 // register write (ringing the engine) when called from process context;
 // pass nil to submit from scheduler context at zero cost.
 func (e *Engine) Submit(pr *sim.Proc, d Desc) *sim.Completion {
-	e.port.checkWindow(d.Region, d.Off, d.Bytes)
-	if d.SrcHeap == nil && len(d.Src) < d.Bytes {
-		panic("ntb: DMA descriptor source shorter than Bytes")
-	}
+	d.check(e.port)
 	if pr != nil {
 		pr.Sleep(e.port.par.LocalMMIO)
 	}
@@ -643,10 +672,7 @@ func (e *Engine) Submit(pr *sim.Proc, d Desc) *sim.Completion {
 //
 //ntblint:allocfree
 func (e *Engine) SubmitWait(pr *sim.Proc, d Desc) {
-	e.port.checkWindow(d.Region, d.Off, d.Bytes)
-	if d.SrcHeap == nil && len(d.Src) < d.Bytes {
-		panic("ntb: DMA descriptor source shorter than Bytes")
-	}
+	d.check(e.port)
 	pr.Sleep(e.port.par.LocalMMIO)
 	var job *engineJob
 	if last := len(e.jpool) - 1; last >= 0 {
@@ -694,17 +720,10 @@ func (e *Engine) run(pr *sim.Proc) {
 		}
 		peer := e.port.mustPeer()
 		peer.admit(e.port)
-		e.port.net.TransferRoute(pr, int64(d.Bytes), e.port.engineBW, e.port.route)
-		switch {
-		case d.SrcHeap != nil && d.SrcHeap.ZeroRange(d.SrcOff, d.Bytes),
-			d.SrcHeap == nil && mem.IsZeroSource(d.Src):
-			peer.landZero(d.Region, d.Off, d.Bytes)
-		case d.SrcHeap != nil:
-			d.SrcHeap.Read(d.SrcOff, peer.landing(d.Region, d.Off, d.Bytes))
-		default:
-			copy(peer.landing(d.Region, d.Off, d.Bytes), d.Src[:d.Bytes])
-		}
-		e.port.emit("dma", "xfer", pr.Now().Sub(start), d.Bytes)
+		n := len(d.Hdr) + d.Bytes
+		e.port.net.TransferRoute(pr, int64(n), e.port.engineBW, e.port.route)
+		peer.land(d.Region, d.Off, d.Hdr, d.Src[:d.Bytes])
+		e.port.emit("dma", "xfer", pr.Now().Sub(start), n)
 		e.busy--
 		job.done.Complete()
 	}

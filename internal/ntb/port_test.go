@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/pcie"
 	"repro/internal/sim"
@@ -210,29 +209,6 @@ func TestDMATransferMovesDataAndCosts(t *testing.T) {
 	tol := sim.Microseconds(3)
 	if d := elapsed - want; d > tol || d < -tol {
 		t.Fatalf("DMA 256KiB took %v, want ~%v", elapsed, want)
-	}
-}
-
-func TestDMAFromHeapSource(t *testing.T) {
-	s, a, b, _ := pair(t)
-	h := mem.NewHeap(4096, 1<<20)
-	off, err := h.Alloc(10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 10000)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	h.Write(off, data)
-	s.Go("dma", func(p *sim.Proc) {
-		a.DMA().Submit(p, Desc{Region: RegionBypass, Off: 64, SrcHeap: h, SrcOff: off, Bytes: 10000}).Wait(p)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b.Inbound(RegionBypass)[64:64+10000], data) {
-		t.Fatal("heap-sourced DMA mismatch")
 	}
 }
 

@@ -151,13 +151,11 @@ func TestWindowFullInboundIsWholeAndStable(t *testing.T) {
 }
 
 func TestZeroLandingMaterialisesAndDirtiesNothing(t *testing.T) {
-	// Zero transfers from every source kind — the zero source by DMA and
-	// by PIO, at any offset into it, and a heap range nobody wrote —
-	// reach a clean window without giving it storage, and a receiver's
-	// prefix of it is the zero source. Time and trace bytes are a copy's.
+	// Zero transfers — the zero source by DMA and by PIO, at any offset
+	// into it and into the window — reach a clean window without giving
+	// it storage, and a receiver's prefix of it is the zero source. Time
+	// and trace bytes are a copy's.
 	s, a, b, _ := pair(t)
-	heap := mem.NewHeap(1<<20, 1<<20)
-	heapOff, _ := heap.Alloc(50000)
 	var traced int
 	a.SetTrace(func(ev TraceEvent) { traced += ev.Bytes })
 	var took sim.Duration
@@ -165,7 +163,7 @@ func TestZeroLandingMaterialisesAndDirtiesNothing(t *testing.T) {
 		start := p.Now()
 		a.DMA().SubmitWait(p, Desc{Region: RegionData, Src: mem.Zeros(50000), Bytes: 50000})
 		took = p.Now().Sub(start)
-		a.DMA().SubmitWait(p, Desc{Region: RegionData, Off: 100, SrcHeap: heap, SrcOff: heapOff, Bytes: 50000})
+		a.DMA().SubmitWait(p, Desc{Region: RegionData, Off: 100, Src: mem.Zeros(50100)[100:], Bytes: 50000})
 		a.CPUWrite(p, RegionBypass, 0, mem.Zeros(3000))
 		a.CPUWrite(p, RegionBypass, 10, mem.Zeros(3010)[10:])
 	})
@@ -189,9 +187,6 @@ func TestZeroLandingMaterialisesAndDirtiesNothing(t *testing.T) {
 	}
 	if got := b.InboundPrefix(RegionData, 50100); !mem.IsZeroSource(got) || len(got) != 50100 {
 		t.Fatal("a clean window's prefix is not the zero source")
-	}
-	if heap.ResidentPages() != 0 {
-		t.Fatal("a zero DMA from the heap materialised a heap page")
 	}
 }
 
@@ -230,5 +225,105 @@ func TestZeroLandingClearsOnlyTheDirtyOverlap(t *testing.T) {
 	}
 	if !mem.ZeroSourceIntact() {
 		t.Fatal("the zero source was written")
+	}
+}
+
+// modes are the two ways a port moves a framed transfer: a DMA
+// descriptor with a header prefix, and programmed I/O.
+var modes = []struct {
+	name string
+	send func(p *sim.Proc, a *Port, r Region, off int, hdr, data []byte)
+}{
+	{"DMA", func(p *sim.Proc, a *Port, r Region, off int, hdr, data []byte) {
+		a.DMA().SubmitWait(p, Desc{Region: r, Off: off, Hdr: hdr, Src: data, Bytes: len(data)})
+	}},
+	{"PIO", func(p *sim.Proc, a *Port, r Region, off int, hdr, data []byte) {
+		a.CPUWriteHdr(p, r, off, hdr, data)
+	}},
+}
+
+// pattern returns n bytes of a non-zero sequence starting at seed.
+func pattern(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i%251) | 1
+	}
+	return b
+}
+
+func TestHeaderPrefixLandsByteExactAtOffset(t *testing.T) {
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			s, a, b, _ := pair(t)
+			hdr, data := pattern(64, 7), pattern(10000, 90)
+			const off = 1000
+			run(t, s, func(p *sim.Proc) { m.send(p, a, RegionBypass, off, hdr, data) })
+			win := b.Inbound(RegionBypass)
+			if !bytes.Equal(win[off:off+64], hdr) || !bytes.Equal(win[off+64:off+64+10000], data) {
+				t.Fatal("header or payload did not land byte-exact behind one another")
+			}
+			if !bytes.Equal(win[:off], make([]byte, off)) || win[off+64+10000] != 0 {
+				t.Fatal("bytes outside the frame were written")
+			}
+			if d := b.winDirty[RegionBypass]; d != (extent{off, off + 64 + 10000}) {
+				t.Fatalf("dirty extent %+v, want the frame", d)
+			}
+		})
+	}
+}
+
+func TestHeaderPrefixedZeroPayloadDirtiesOnlyTheHeader(t *testing.T) {
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			s, a, b, _ := pair(t)
+			hdr := pattern(64, 3)
+			run(t, s, func(p *sim.Proc) { m.send(p, a, RegionData, 0, hdr, mem.Zeros(60000)) })
+			if n := b.WindowResident(RegionData); n != minWindow {
+				t.Fatalf("%d window bytes materialised, want only the header's %d", n, minWindow)
+			}
+			if d := b.winDirty[RegionData]; d != (extent{0, 64}) {
+				t.Fatalf("dirty extent %+v, want the header alone", d)
+			}
+			if got := b.InboundPrefix(RegionData, 64); !bytes.Equal(got, hdr) {
+				t.Fatal("header did not land")
+			}
+			// Over a slot a data payload dirtied, the zero payload clears
+			// its bytes and trims the extent back to the header.
+			run(t, s, func(p *sim.Proc) { m.send(p, a, RegionData, 0, hdr, pattern(5000, 1)) })
+			run(t, s, func(p *sim.Proc) { m.send(p, a, RegionData, 0, hdr, mem.Zeros(5000)) })
+			if d := b.winDirty[RegionData]; d != (extent{0, 64}) {
+				t.Fatalf("dirty extent %+v after a zero payload over data, want the header alone", d)
+			}
+			if got := b.Inbound(RegionData)[64 : 64+5000]; !bytes.Equal(got, make([]byte, 5000)) {
+				t.Fatal("a zero payload left stale data in its slot")
+			}
+			if !mem.ZeroSourceIntact() {
+				t.Fatal("the zero source was written")
+			}
+		})
+	}
+}
+
+func TestHeaderPrefixedTransferTimesAsOneFrame(t *testing.T) {
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			timed := func(hdr, data []byte) (took sim.Duration, traced int) {
+				s, a, _, _ := pair(t)
+				a.SetTrace(func(ev TraceEvent) { traced += ev.Bytes })
+				run(t, s, func(p *sim.Proc) {
+					start := p.Now()
+					m.send(p, a, RegionData, 128, hdr, data)
+					took = p.Now().Sub(start)
+				})
+				return took, traced
+			}
+			const n = 64 + 30000
+			frameTook, frameTraced := timed(nil, pattern(n, 5))
+			hdrTook, hdrTraced := timed(pattern(64, 9), pattern(n-64, 5))
+			if hdrTook != frameTook || hdrTraced != frameTraced || hdrTraced != n {
+				t.Fatalf("header+payload took %v tracing %d bytes; one %d-byte frame took %v tracing %d",
+					hdrTook, hdrTraced, n, frameTook, frameTraced)
+			}
+		})
 	}
 }
