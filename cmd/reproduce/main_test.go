@@ -214,9 +214,11 @@ func BenchmarkReproduce(b *testing.B) {
 }
 
 // TestBenchCeilings holds the bytes a drained sweep allocates:
-// BenchmarkReproduce at 60 MB/op. It fails if a per-chunk staging frame,
+// BenchmarkReproduce at 40 MB/op. It fails if a per-chunk staging frame,
 // a per-call codec buffer or a per-point destination buffer comes back
-// on the figure path (a sweep allocated 89.6 MB with them).
+// on the figure path (a sweep allocated 89.6 MB with them), or a
+// pipelined receiver's window goes back to materialising its whole slot
+// ring, with typed ops marshalling through copies (48.6 MB).
 func TestBenchCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drained figure sweeps for a second in -short mode")
@@ -225,8 +227,8 @@ func TestBenchCeilings(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	r := testing.Benchmark(BenchmarkReproduce)
-	if got := float64(r.MemBytes) / float64(r.N); got > 60e6 {
-		t.Errorf("BenchmarkReproduce: %.0f B/op, ceiling 60000000", got)
+	if got := float64(r.MemBytes) / float64(r.N); got > 40e6 {
+		t.Errorf("BenchmarkReproduce: %.0f B/op, ceiling 40000000", got)
 	}
 }
 

@@ -183,3 +183,32 @@ func TestRunPointsOrderedCostOrderIsInvisible(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledWindowsHoldOnlyTheSlotsUsed holds the window half of a
+// drained sweep's live heap: after E3's kernels and A6's pipeline-depth
+// sweep, the worlds the pool keeps warm hold at most 4 MiB of
+// inbound-window storage. One worker runs the points, as in a `-j 1`
+// sweep, so the pool holds one world per shape. A pipelined receiver
+// materialising its whole slot ring pinned 14 MiB here; one holding
+// only the slots it used pins about 3 MiB.
+func TestPooledWindowsHoldOnlyTheSlotsUsed(t *testing.T) {
+	defer SetParallelism(int(parallelism.Load()))
+	SetParallelism(1)
+	DrainWorldPool()
+	DrainSnapshots()
+	defer DrainWorldPool()
+	par := model.Default()
+	RunAppKernels(par)
+	RunAblationPipeline(par)
+	worldPool.mu.Lock()
+	total := 0
+	for _, pw := range worldPool.worlds {
+		total += pw.w.Cluster.WindowResident()
+	}
+	worlds := len(worldPool.worlds)
+	worldPool.mu.Unlock()
+	t.Logf("%d pooled worlds hold %.2f MiB of window storage", worlds, float64(total)/(1<<20))
+	if total > 4<<20 {
+		t.Errorf("pooled worlds hold %d window bytes, ceiling %d", total, 4<<20)
+	}
+}

@@ -81,16 +81,16 @@ func (pe *PE) applyAMO(p *sim.Proc, info driver.Info, operands [16]byte) uint64 
 	w := amoWidth(info.Aux >> 8 & 0xFF)
 	pe.checkHeapRange(SymAddr(info.SymOff), int(w))
 	p.Sleep(pe.par.LocalMMIO) // read-modify-write cost at the owner
-	o1 := le.Uint64(operands[0:8])
-	o2 := le.Uint64(operands[8:16])
+	o1 := native.Uint64(operands[0:8])
+	o2 := native.Uint64(operands[8:16])
 
 	var buf [8]byte
 	pe.heap.Read(int64(info.SymOff), buf[:w])
 	var old uint64
 	if w == width32 {
-		old = uint64(le.Uint32(buf[:4]))
+		old = uint64(native.Uint32(buf[:4]))
 	} else {
-		old = le.Uint64(buf[:8])
+		old = native.Uint64(buf[:8])
 	}
 
 	apply := true
@@ -119,9 +119,9 @@ func (pe *PE) applyAMO(p *sim.Proc, info driver.Info, operands [16]byte) uint64 
 	}
 	if apply {
 		if w == width32 {
-			le.PutUint32(buf[:4], uint32(next))
+			native.PutUint32(buf[:4], uint32(next))
 		} else {
-			le.PutUint64(buf[:8], next)
+			native.PutUint64(buf[:8], next)
 		}
 		pe.heap.Write(int64(info.SymOff), buf[:w])
 	}
@@ -138,8 +138,8 @@ func (pe *PE) amo(p *sim.Proc, target int, addr SymAddr, op AMOOp, w amoWidth, o
 	defer pe.emitOp(p, "amo", target, int(w), opStart)
 	p.Sleep(pe.par.PutSoftware)
 	var operands [16]byte
-	le.PutUint64(operands[0:8], o1)
-	le.PutUint64(operands[8:16], o2)
+	native.PutUint64(operands[0:8], o1)
+	native.PutUint64(operands[8:16], o2)
 	if target == pe.id {
 		info := driver.Info{SymOff: uint64(addr), Aux: uint64(op) | uint64(w)<<8}
 		old := pe.applyAMO(p, info, operands)

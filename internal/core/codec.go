@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
-	"math"
+	"unsafe"
 
-	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -25,86 +23,30 @@ func sizeOf[T Scalar]() int {
 	}
 }
 
-// encodeSlice serialises src little-endian into dst, which must be large
-// enough.
-func encodeSlice[T Scalar](src []T, dst []byte) {
-	switch s := any(src).(type) {
-	case []int32:
-		for i, v := range s {
-			le.PutUint32(dst[4*i:], uint32(v))
-		}
-	case []uint32:
-		for i, v := range s {
-			le.PutUint32(dst[4*i:], v)
-		}
-	case []int64:
-		for i, v := range s {
-			le.PutUint64(dst[8*i:], uint64(v))
-		}
-	case []uint64:
-		for i, v := range s {
-			le.PutUint64(dst[8*i:], v)
-		}
-	case []float32:
-		for i, v := range s {
-			le.PutUint32(dst[4*i:], math.Float32bits(v))
-		}
-	case []float64:
-		for i, v := range s {
-			le.PutUint64(dst[8*i:], math.Float64bits(v))
-		}
-	default:
-		panic(fmt.Sprintf("core: unsupported scalar slice %T", src))
-	}
-}
-
-// decodeSlice deserialises little-endian bytes into dst.
-func decodeSlice[T Scalar](src []byte, dst []T) {
-	switch d := any(dst).(type) {
-	case []int32:
-		for i := range d {
-			d[i] = int32(le.Uint32(src[4*i:]))
-		}
-	case []uint32:
-		for i := range d {
-			d[i] = le.Uint32(src[4*i:])
-		}
-	case []int64:
-		for i := range d {
-			d[i] = int64(le.Uint64(src[8*i:]))
-		}
-	case []uint64:
-		for i := range d {
-			d[i] = le.Uint64(src[8*i:])
-		}
-	case []float32:
-		for i := range d {
-			d[i] = math.Float32frombits(le.Uint32(src[4*i:]))
-		}
-	case []float64:
-		for i := range d {
-			d[i] = math.Float64frombits(le.Uint64(src[8*i:]))
-		}
-	default:
-		panic(fmt.Sprintf("core: unsupported scalar slice %T", dst))
-	}
+// bytesOf views a typed slice as its bytes, in the host's byte order,
+// which the runtime's own words share (native): a typed op hands
+// PutBytes, GetBytes and the heap the caller's memory rather than a
+// marshalled copy, as on real hardware, where both sides share the
+// layout. This is the repository's only use of unsafe. It is safe
+// because every op that takes a view is blocking: PutBytes returns once
+// the source is reusable and GetBytes once the destination is filled,
+// and neither retains its slice, so no view outlives its call. Scalar
+// holds only fixed-width numbers, whose bytes are all value bits.
+func bytesOf[T Scalar](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*sizeOf[T]())
 }
 
 // Put is the typed shmem_TYPE_put: copy src into target's symmetric
-// object at dst. On real hardware no conversion happens (both sides share
-// the layout), so marshalling here carries no modelled time cost.
+// object at dst. No conversion happens (see bytesOf), so the typed face
+// costs what PutBytes of the same bytes costs.
 func Put[T Scalar](p *sim.Proc, pe *PE, target int, dst SymAddr, src []T) {
-	buf := make([]byte, len(src)*sizeOf[T]())
-	encodeSlice(src, buf)
-	pe.PutBytes(p, target, dst, buf)
+	pe.PutBytes(p, target, dst, bytesOf(src))
 }
 
 // Get is the typed shmem_TYPE_get: copy target's symmetric object at src
 // into dst.
 func Get[T Scalar](p *sim.Proc, pe *PE, target int, src SymAddr, dst []T) {
-	buf := make([]byte, len(dst)*sizeOf[T]())
-	pe.GetBytes(p, target, src, buf)
-	decodeSlice(buf, dst)
+	pe.GetBytes(p, target, src, bytesOf(dst))
 }
 
 // PutScalar puts a single element (shmem_TYPE_p).
@@ -130,10 +72,8 @@ func IPut[T Scalar](p *sim.Proc, pe *PE, target int, dst SymAddr, src []T, tst, 
 		panic("core: iput source stride walks past the slice")
 	}
 	es := sizeOf[T]()
-	one := make([]byte, es)
 	for i := 0; i < nelems; i++ {
-		encodeSlice(src[i*sst:i*sst+1], one)
-		pe.PutBytes(p, target, dst+SymAddr(i*tst*es), one)
+		pe.PutBytes(p, target, dst+SymAddr(i*tst*es), bytesOf(src[i*sst:i*sst+1]))
 	}
 }
 
@@ -147,45 +87,19 @@ func IGet[T Scalar](p *sim.Proc, pe *PE, target int, src SymAddr, dst []T, tst, 
 		panic("core: iget destination stride walks past the slice")
 	}
 	es := sizeOf[T]()
-	one := make([]byte, es)
 	for i := 0; i < nelems; i++ {
-		pe.GetBytes(p, target, src+SymAddr(i*sst*es), one)
-		decodeSlice(one, dst[i*tst:i*tst+1])
+		pe.GetBytes(p, target, src+SymAddr(i*sst*es), bytesOf(dst[i*tst:i*tst+1]))
 	}
 }
-
-// localStage is the stack buffer the typed local ops encode and decode
-// through, a piece at a time: one memcpy charge covers the whole object,
-// and no call allocates.
-const localStage = 1024
 
 // LocalPut writes the PE's own copy of a symmetric object with typed
 // data; LocalGet reads it. They are the typed faces of LocalWrite/
 // LocalRead and are how SPMD programs initialise symmetric memory.
 func LocalPut[T Scalar](p *sim.Proc, pe *PE, dst SymAddr, src []T) {
-	es := sizeOf[T]()
-	pe.localCopy(p, dst, len(src)*es)
-	var stage [localStage]byte
-	for len(src) > 0 {
-		k := min(len(src), localStage/es)
-		buf := stage[:k*es]
-		encodeSlice(src[:k], buf)
-		pe.heap.Write(int64(dst), mem.ZeroOr(buf))
-		src, dst = src[k:], dst+SymAddr(k*es)
-	}
-	pe.heapWrite.Broadcast()
+	pe.LocalWrite(p, dst, bytesOf(src))
 }
 
 // LocalGet reads the PE's own copy of a symmetric object.
 func LocalGet[T Scalar](p *sim.Proc, pe *PE, src SymAddr, dst []T) {
-	es := sizeOf[T]()
-	pe.localCopy(p, src, len(dst)*es)
-	var stage [localStage]byte
-	for len(dst) > 0 {
-		k := min(len(dst), localStage/es)
-		buf := stage[:k*es]
-		pe.heap.Read(int64(src), buf)
-		decodeSlice(buf, dst[:k])
-		dst, src = dst[k:], src+SymAddr(k*es)
-	}
+	pe.LocalRead(p, src, bytesOf(dst))
 }

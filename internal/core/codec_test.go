@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -141,20 +142,33 @@ func TestStridedBoundsChecked(t *testing.T) {
 	}
 }
 
+// nativeBytes encodes v in the host's byte order with encoding/binary,
+// independently of bytesOf.
+func nativeBytes[T int32 | int64](v []T) []byte {
+	var b []byte
+	for _, x := range v {
+		if sizeOf[T]() == 4 {
+			b = binary.NativeEndian.AppendUint32(b, uint32(x))
+		} else {
+			b = binary.NativeEndian.AppendUint64(b, uint64(x))
+		}
+	}
+	return b
+}
+
 func TestTypedLocalOpsSpanStagePiecesAtOneCopyCost(t *testing.T) {
-	// Objects several stage pieces long, with an all-zero piece in the
-	// middle, round-trip exactly and cost what one LocalWrite of their
-	// bytes costs.
+	// Objects of several kilobytes, with an all-zero run in the middle,
+	// round-trip exactly, store exactly their native-order bytes, and
+	// cost what one LocalWrite of those bytes costs.
 	w := newWorld(3, Options{})
-	const n = 3*localStage/4 + 5 // int32s: three pieces and a tail
+	const n = 3*256 + 5
 	want := make([]int32, n)
 	for i := range want {
-		if i < localStage/4 || i >= 2*localStage/4 {
+		if i < 256 || i >= 2*256 {
 			want[i] = int32(7*i - 500)
 		}
 	}
-	wantBytes := make([]byte, 4*n)
-	encodeSlice(want, wantBytes)
+	wantBytes := nativeBytes(want)
 	var typed, raw sim.Duration
 	var got []int32
 	var gotBytes []byte
@@ -178,7 +192,7 @@ func TestTypedLocalOpsSpanStagePiecesAtOneCopyCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(gotBytes) != string(wantBytes) {
-		t.Fatal("LocalPut stored different bytes than the encoding")
+		t.Fatal("LocalPut stored different bytes than the native-order encoding")
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -191,48 +205,111 @@ func TestTypedLocalOpsSpanStagePiecesAtOneCopyCost(t *testing.T) {
 }
 
 func TestCodecPropertyRoundTrip(t *testing.T) {
-	// Property: encode/decode is the identity for every scalar type.
+	// Property: a typed view is exactly the native-order encoding of its
+	// elements, for each width and for floats' bit patterns, so what a
+	// typed put stores is what the runtime's word readers decode.
 	check := func(e error) {
 		if e != nil {
 			t.Error(e)
 		}
 	}
 	check(quick.Check(func(v []int64) bool {
-		buf := make([]byte, len(v)*8)
-		encodeSlice(v, buf)
-		out := make([]int64, len(v))
-		decodeSlice(buf, out)
-		for i := range v {
-			if out[i] != v[i] {
-				return false
-			}
-		}
-		return true
+		return string(bytesOf(v)) == string(nativeBytes(v))
+	}, nil))
+	check(quick.Check(func(v []int32) bool {
+		return string(bytesOf(v)) == string(nativeBytes(v))
 	}, nil))
 	check(quick.Check(func(v []float32) bool {
-		buf := make([]byte, len(v)*4)
-		encodeSlice(v, buf)
-		out := make([]float32, len(v))
-		decodeSlice(buf, out)
-		for i := range v {
-			if out[i] != v[i] && !(math.IsNaN(float64(out[i])) && math.IsNaN(float64(v[i]))) {
+		b := bytesOf(v)
+		for i, x := range v {
+			if binary.NativeEndian.Uint32(b[4*i:]) != math.Float32bits(x) {
 				return false
 			}
 		}
-		return true
+		return len(b) == 4*len(v)
 	}, nil))
-	check(quick.Check(func(v []uint32) bool {
-		buf := make([]byte, len(v)*4)
-		encodeSlice(v, buf)
-		out := make([]uint32, len(v))
-		decodeSlice(buf, out)
-		for i := range v {
-			if out[i] != v[i] {
+	check(quick.Check(func(v []float64) bool {
+		b := bytesOf(v)
+		for i, x := range v {
+			if binary.NativeEndian.Uint64(b[8*i:]) != math.Float64bits(x) {
 				return false
 			}
 		}
-		return true
+		return len(b) == 8*len(v)
 	}, nil))
+	if bytesOf([]uint64(nil)) != nil || len(bytesOf([]uint32{})) != 0 {
+		t.Error("an empty slice's view is not empty")
+	}
+}
+
+func TestTypedWordIsTheRuntimeWord(t *testing.T) {
+	// A word a typed put stores is the word the runtime's own readers
+	// see: WaitUntilInt64 is satisfied by it, peekInt64 reads it, and an
+	// AMO fetches and adds to it, whatever the host's byte order.
+	const v = -0x0102030405060708
+	w := newWorld(2, Options{})
+	var waited, peeked, fetched, after int64
+	err := w.Run(func(p *sim.Proc, pe *PE) {
+		sym := pe.MustMalloc(p, 8)
+		pe.BarrierAll(p)
+		switch pe.ID() {
+		case 0:
+			Put(p, pe, 1, sym, []int64{v})
+		case 1:
+			waited = pe.WaitUntilInt64(p, sym, CmpEQ, v)
+			peeked = pe.peekInt64(sym)
+		}
+		pe.BarrierAll(p)
+		if pe.ID() == 0 {
+			fetched = pe.FetchAddInt64(p, 1, sym, 9)
+			after = GetScalar[int64](p, pe, 1, sym)
+		}
+		pe.BarrierAll(p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if waited != v || peeked != v || fetched != v || after != v+9 {
+		t.Fatalf("wait %#x, peek %#x, fetch-add %#x then %#x; want %#x and %#x", waited, peeked, fetched, after, int64(v), int64(v+9))
+	}
+}
+
+func TestTypedOpsAddNoAllocations(t *testing.T) {
+	// Typed local ops allocate nothing, and a typed put or get allocates
+	// exactly what PutBytes or GetBytes of the same bytes does: no
+	// marshalled copy rides along.
+	w := newWorld(2, Options{})
+	data := []int64{1, -2, 3, 1 << 40}
+	raw := nativeBytes(data)
+	err := w.Run(func(p *sim.Proc, pe *PE) {
+		sym := pe.MustMalloc(p, 8*len(data))
+		pe.BarrierAll(p)
+		if pe.ID() == 0 {
+			got, gotRaw := make([]int64, len(data)), make([]byte, len(raw))
+			allocs := func(op func()) float64 { return testing.AllocsPerRun(20, op) }
+			if n := allocs(func() { LocalPut(p, pe, sym, data) }); n != 0 {
+				t.Errorf("LocalPut: %v allocations, want 0", n)
+			}
+			if n := allocs(func() { LocalGet(p, pe, sym, got) }); n != 0 {
+				t.Errorf("LocalGet: %v allocations, want 0", n)
+			}
+			typed, byteOp := allocs(func() { Put(p, pe, 1, sym, data) }), allocs(func() { pe.PutBytes(p, 1, sym, raw) })
+			if typed != byteOp {
+				t.Errorf("Put: %v allocations, PutBytes of its bytes %v", typed, byteOp)
+			}
+			typed, byteOp = allocs(func() { Get(p, pe, 1, sym, got) }), allocs(func() { pe.GetBytes(p, 1, sym, gotRaw) })
+			if typed != byteOp {
+				t.Errorf("Get: %v allocations, GetBytes of its bytes %v", typed, byteOp)
+			}
+			if string(bytesOf(got)) != string(raw) || string(gotRaw) != string(raw) {
+				t.Error("the gets returned different bytes than were put")
+			}
+		}
+		pe.BarrierAll(p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSizeOf(t *testing.T) {

@@ -137,7 +137,7 @@ func TestCrossFabricAtomicSum(t *testing.T) {
 				if pe.ID() == 0 {
 					raw := make([]byte, 8)
 					pe.LocalRead(p, ctr, raw)
-					got = int64(binary.LittleEndian.Uint64(raw))
+					got = int64(binary.NativeEndian.Uint64(raw))
 				}
 			})
 			if err != nil {

@@ -159,12 +159,12 @@ func (pe *PE) readSource(p *sim.Proc, addr SymAddr, n int, buf *[]byte) []byte {
 func (pe *PE) peekInt64(addr SymAddr) int64 {
 	var b [8]byte
 	pe.heap.Read(int64(addr), b[:])
-	return int64(le.Uint64(b[:]))
+	return int64(native.Uint64(b[:]))
 }
 
 // pokeInt64 writes a local symmetric int64 without timing charge.
 func (pe *PE) pokeInt64(addr SymAddr, v int64) {
 	var b [8]byte
-	le.PutUint64(b[:], uint64(v))
+	native.PutUint64(b[:], uint64(v))
 	pe.heap.Write(int64(addr), b[:])
 }

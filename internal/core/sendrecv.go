@@ -164,10 +164,10 @@ func (pe *PE) Send(p *sim.Proc, dst int, tag int64, data []byte) {
 		pe.GetBytes(p, dst, table, snapshot)
 		for s := 0; s < RecvSlots; s++ {
 			base := s * slotBytes
-			state := int64(le.Uint64(snapshot[base:]))
-			etag := int64(le.Uint64(snapshot[base+8:]))
-			srcF := int64(le.Uint64(snapshot[base+16:]))
-			capacity := int64(le.Uint64(snapshot[base+32:]))
+			state := int64(native.Uint64(snapshot[base:]))
+			etag := int64(native.Uint64(snapshot[base+8:]))
+			srcF := int64(native.Uint64(snapshot[base+16:]))
+			capacity := int64(native.Uint64(snapshot[base+32:]))
 			if state != slotPosted || etag != tag {
 				continue
 			}
@@ -182,7 +182,7 @@ func (pe *PE) Send(p *sim.Proc, dst int, tag int64, data []byte) {
 			if pe.CompareSwapInt64(p, dst, slotAddr(table, s, 0), slotPosted, claim) != slotPosted {
 				continue
 			}
-			bounce := SymAddr(le.Uint64(snapshot[base+24:]))
+			bounce := SymAddr(native.Uint64(snapshot[base+24:]))
 			if len(data) > 0 {
 				pe.PutBytes(p, dst, bounce, data)
 			}

@@ -130,5 +130,8 @@ func (pe *PE) writeHeapFrom(src []byte, dst SymAddr) {
 	pe.heap.Write(int64(dst), src)
 }
 
-// le is the byte order of every multi-byte value the runtime moves.
-var le = binary.LittleEndian
+// native is the byte order of every multi-byte value the runtime keeps
+// in a symmetric heap: the host's own, so the words an AMO, a wait or the
+// match table reads agree with the bytes of a typed view (bytesOf) on
+// every architecture.
+var native = binary.NativeEndian

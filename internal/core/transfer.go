@@ -126,7 +126,7 @@ func (pe *PE) PutSignal(p *sim.Proc, target int, dst SymAddr, src []byte, sig Sy
 		pe.AddInt64(p, target, sig, val)
 	default:
 		var word [8]byte
-		le.PutUint64(word[:], uint64(val))
+		native.PutUint64(word[:], uint64(val))
 		pe.PutBytes(p, target, sig, word[:])
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/driver"
 	"repro/internal/fabric"
 	"repro/internal/mem"
-	"repro/internal/ntb"
 	"repro/internal/sim"
 )
 
@@ -49,20 +48,6 @@ func zeroCases() []struct {
 	return out
 }
 
-// windowBytes is how many inbound-window bytes the cluster's NTB ports
-// hold storage for (zero on CXL, which has none).
-func windowBytes(c *fabric.Cluster) int {
-	total := 0
-	for _, h := range c.Hosts {
-		for _, port := range append([]*ntb.Port{h.Left, h.Right}, h.Mesh...) {
-			if port != nil {
-				total += port.WindowResident(ntb.RegionData) + port.WindowResident(ntb.RegionBypass)
-			}
-		}
-	}
-	return total
-}
-
 // TestZeroSourceGetThenDataGetOnEveryFabric drives a get of a range
 // nobody wrote — the reply travels as the zero source — and then a get
 // of real data through the same link, whose staging buffer comes from
@@ -94,7 +79,7 @@ func TestZeroSourceGetThenDataGetOnEveryFabric(t *testing.T) {
 					if rp := pe.HeapStats().ResidentPages; rp != 0 {
 						t.Errorf("zero traffic materialised %d heap page(s) at the owner", rp)
 					}
-					if wb := windowBytes(w.Cluster); wb != 0 {
+					if wb := w.Cluster.WindowResident(); wb != 0 {
 						t.Errorf("zero traffic materialised %d window byte(s)", wb)
 					}
 					pe.LocalWrite(p, sym, data)

@@ -207,24 +207,31 @@ type pipeRxState struct {
 }
 
 // NewPipeRx builds the receiver state for port (same geometry as the
-// peer's PipeTx).
+// peer's PipeTx) and divides the port's data window into its slots, so
+// the window holds storage only for slots that carried data.
 func NewPipeRx(port *ntb.Port, par *model.Params, slots int) *PipeRx {
+	port.Partition(ntb.RegionData, slots)
 	return &PipeRx{port: port, slots: slots, slotBytes: par.WindowSize / slots}
+}
+
+// header returns slot s's header bytes: the window's own bytes once a
+// transfer landed in the slot, the zero source (which decodes as
+// invalid) while none has, so polling an idle ring materialises nothing.
+func (rx *PipeRx) header(s int) []byte {
+	return rx.port.InboundRange(ntb.RegionData, s*rx.slotBytes, SlotHeaderBytes)
 }
 
 // Next returns the next in-order message, if one is ready: its Info, the
 // payload window slice (valid until Release), and true. The caller must
 // Release the slot after copying the payload out.
 func (rx *PipeRx) Next(p *sim.Proc) (Info, []byte, bool) {
-	win := rx.port.Inbound(ntb.RegionData)
 	for s := 0; s < rx.slots; s++ {
-		base := s * rx.slotBytes
-		seq, info, ok := decodeSlotHeader(win[base : base+SlotHeaderBytes])
+		seq, info, ok := decodeSlotHeader(rx.header(s))
 		if !ok || seq != rx.expect+1 {
 			continue
 		}
 		p.Sleep(rx.port.Par().LocalMMIO) // header inspection
-		payload := win[base+SlotHeaderBytes : base+SlotHeaderBytes+int(info.Size)]
+		payload := rx.port.InboundRange(ntb.RegionData, s*rx.slotBytes+SlotHeaderBytes, int(info.Size))
 		return info, payload, true
 	}
 	return Info{}, nil, false
@@ -233,13 +240,11 @@ func (rx *PipeRx) Next(p *sim.Proc) (Info, []byte, bool) {
 // Release invalidates the just-consumed slot and returns a credit to the
 // sender.
 func (rx *PipeRx) Release(p *sim.Proc) {
-	win := rx.port.Inbound(ntb.RegionData)
 	// Clear the valid word of the expected slot (it was just consumed).
 	for s := 0; s < rx.slots; s++ {
-		base := s * rx.slotBytes
-		seq, _, ok := decodeSlotHeader(win[base : base+SlotHeaderBytes])
-		if ok && seq == rx.expect+1 {
-			win[base+hdrValid] = 0
+		hdr := rx.header(s)
+		if seq, _, ok := decodeSlotHeader(hdr); ok && seq == rx.expect+1 {
+			hdr[hdrValid] = 0
 			break
 		}
 	}

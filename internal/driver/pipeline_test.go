@@ -92,6 +92,42 @@ func TestPipeDeliversInOrder(t *testing.T) {
 	}
 }
 
+func TestPipeWindowHoldsOnlyTheSlotsUsed(t *testing.T) {
+	// Polling an idle pipelined receiver materialises nothing; after
+	// three small chunks through an eight-slot ring, exactly the three
+	// slots they used hold storage, one minimal part each, not the whole
+	// window.
+	pr := newPipeRig(t, 8)
+	pr.sim.Go("poll", func(p *sim.Proc) {
+		for i := 0; i < 3; i++ {
+			if _, _, ok := pr.rx.Next(p); ok {
+				t.Error("an idle ring yielded a message")
+			}
+		}
+	})
+	if err := pr.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := pr.b.WindowResident(ntb.RegionData); n != 0 {
+		t.Fatalf("polling an idle receiver materialised %d window bytes", n)
+	}
+	pr.sim.Go("sender", func(p *sim.Proc) {
+		for i := 0; i < 3; i++ {
+			pr.tx.SendChunk(p, Info{Kind: KindPut, Dst: 1, Size: 1000, Tag: uint32(i)},
+				Payload{Buf: bytes.Repeat([]byte{byte(i + 1)}, 1000), N: 1000}, ModeDMA)
+		}
+	})
+	if err := pr.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.data) != 3 || !bytes.Equal(pr.data[2], bytes.Repeat([]byte{3}, 1000)) {
+		t.Fatalf("delivered %d messages", len(pr.data))
+	}
+	if n := pr.b.WindowResident(ntb.RegionData); n != 3*4096 {
+		t.Fatalf("%d window bytes materialised by three 1000-byte chunks, want three 4 KiB slots", n)
+	}
+}
+
 func TestPipeSenderOverlapsWithoutAcks(t *testing.T) {
 	// With 4 credits, the sender pushes 4 chunks paying only DMA time;
 	// a stop-and-wait sender would pay the receiver's wake + ack per

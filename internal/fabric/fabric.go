@@ -151,6 +151,20 @@ func (h *Host) finishSides(par *model.Params) {
 	}
 }
 
+// WindowResident reports how many inbound-window bytes the cluster's
+// NTB ports hold storage for (zero on CXL, which has none).
+func (c *Cluster) WindowResident() int {
+	total := 0
+	for _, h := range c.Hosts {
+		for _, port := range append([]*ntb.Port{h.Left, h.Right}, h.Mesh...) {
+			if port != nil {
+				total += port.WindowResident(ntb.RegionData) + port.WindowResident(ntb.RegionBypass)
+			}
+		}
+	}
+	return total
+}
+
 // RunSim drives the world's simulation to completion.
 func (c *Cluster) RunSim() error { return c.Sim.Run() }
 

@@ -17,7 +17,7 @@ import (
 // reference; every results/*.csv is produced over it), the two-host NTB
 // pair, a modelled PCIe switch with true P2P routing through a shared
 // switch core, and a CXL.mem-style mapped window with load/store
-// completion and no doorbell round-trips. PROTOCOL.md §13 specifies the
+// completion and no doorbell round-trips. PROTOCOL.md §12 specifies the
 // contract.
 
 // Kind selects a fabric backend.

@@ -133,7 +133,7 @@ func (s *ntbService) serve(p *sim.Proc) {
 		// The payload alias is exactly the bytes the message carried, so a
 		// control message (barrier token, get request) materialises nothing
 		// and a small chunk does not materialise a whole window.
-		s.arrive(p, info, sp.port.InboundPrefix(info.Region, int(info.Size)), sp.ack)
+		s.arrive(p, info, sp.port.InboundRange(info.Region, 0, int(info.Size)), sp.ack)
 	}
 }
 

@@ -18,6 +18,7 @@ package ntb
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 
 	"repro/internal/mem"
@@ -92,10 +93,9 @@ type Port struct {
 	spads []uint32
 	isr   func(bits uint16) // registered handler survives, like a driver's ISR
 
-	// inbound holds each window's backing store, materialised only up to
-	// the highest byte a write, a DMA descriptor, a restore or a reader
-	// has reached (see window); beyond that a window reads as zeros.
-	inbound [numRegions][]byte
+	// inbound holds each window's backing store, in parts materialised
+	// on demand (see inboundWindow).
+	inbound [numRegions]inboundWindow
 
 	// Requester-ID lookup table (the paper's "LUT entry mapping for NTB
 	// device identification"): when enforced, inbound window
@@ -119,9 +119,10 @@ type portState struct {
 	// engine's copy-in) records its extent, and a zero landing trims it
 	// (landZero); in-place protocol edits such as a pipelined receiver
 	// clearing a slot's valid byte land inside an extent some transfer
-	// already dirtied. Restore rezeroes only these brackets, so a world
-	// that never touched a window pays nothing to recycle it, and
-	// InboundPrefix serves a prefix outside them as the zero source.
+	// already dirtied. Restore rezeroes only the storage inside these
+	// brackets, so a world that never touched a window pays nothing to
+	// recycle it, and InboundRange serves a range outside them as the zero
+	// source.
 	winDirty [numRegions]extent
 }
 
@@ -137,10 +138,16 @@ func NewPort(name string, s *sim.Simulator, net *pcie.Network, par *model.Params
 		engineBW: par.DMAEngineBW,
 		spads:    make([]uint32, par.SpadCount),
 	}
-	// Inbound windows are materialised on demand (see window): most worlds
-	// never address most regions, and the ones they do address mostly carry
-	// chunks far smaller than WindowSize, so eager allocation would spend
-	// the bulk of world construction zeroing megabytes nobody reads.
+	// Inbound windows are materialised on demand (see inboundWindow): most
+	// worlds never address most regions, and the ones they do address
+	// mostly carry chunks far smaller than WindowSize, so eager allocation
+	// would spend the bulk of world construction zeroing megabytes nobody
+	// reads. Each starts as one part; both regions' part lists share one
+	// allocation.
+	parts := make([][]byte, numRegions)
+	for r := range p.inbound {
+		p.inbound[r] = inboundWindow{partBytes: par.WindowSize, parts: parts[r : r+1 : r+1]}
+	}
 	p.dma = newEngine(p)
 	return p
 }
@@ -293,68 +300,139 @@ func (p *Port) SetEngineBW(bw float64) {
 // EngineBW returns the adapter's DMA engine rate.
 func (p *Port) EngineBW() float64 { return p.engineBW }
 
-// Inbound returns the whole backing store of an inbound window, for
-// receivers that address all of it (the pipelined slot ring). The slice
-// aliases device memory; the service thread copies out of it.
-func (p *Port) Inbound(r Region) []byte { return p.window(r, p.par.WindowSize) }
-
-// InboundPrefix returns the first n bytes of an inbound window — where a
-// stop-and-wait chunk lands — without materialising the rest. A prefix
-// no write has dirtied is the shared zero source (mem.Zeros), so a zero
-// chunk reaches its receiver without the window ever holding it.
-func (p *Port) InboundPrefix(r Region, n int) []byte {
-	if d := p.winDirty[r]; d.lo == d.hi || d.lo >= n {
+// InboundRange returns bytes [off, off+n) of an inbound window, which
+// must lie inside one part (see Partition), without materialising the
+// rest. A range no write has dirtied, or past everything its part holds
+// storage for, is the shared zero source (mem.Zeros): a zero chunk
+// reaches its receiver, and a pipelined receiver polls an idle slot's
+// header, without the window ever holding the bytes. Any other range
+// aliases device memory: the service thread copies out of it, and a
+// receiver may edit it in place (a pipelined receiver clearing a slot's
+// valid byte).
+func (p *Port) InboundRange(r Region, off, n int) []byte {
+	w := &p.inbound[r]
+	i, base := w.part(off, n)
+	if d := p.winDirty[r]; d.lo == d.hi || d.lo >= off+n || d.hi <= off || len(w.parts[i]) <= off-base {
 		return mem.Zeros(n)
 	}
-	return p.window(r, n)[:n]
+	return w.grow(i, off-base+n)[off-base:][:n]
 }
 
 // WindowResident reports how many bytes of an inbound window hold
-// storage on the host.
-func (p *Port) WindowResident(r Region) int { return len(p.inbound[r]) }
+// storage on the host, summed over its parts.
+func (p *Port) WindowResident(r Region) int {
+	n := 0
+	for _, s := range p.inbound[r].parts {
+		n += len(s)
+	}
+	return n
+}
 
-// minWindow is the smallest materialised window; Params.Validate keeps
+// Partition divides inbound window r into parts equal parts of
+// WindowSize/parts bytes, each materialised on its own; a pipelined
+// receiver divides its data window into its slots, so the ring holds
+// storage only for the slots that carried data. Every transfer into the
+// window must then lie inside one part; the remainder past the last
+// part belongs to none. Partitioning is part of building the receiver:
+// the window must not hold storage yet.
+func (p *Port) Partition(r Region, parts int) {
+	if parts < 1 || parts > p.par.WindowSize {
+		panic(fmt.Sprintf("ntb: %d parts of a %d-byte window", parts, p.par.WindowSize))
+	}
+	if p.WindowResident(r) != 0 || p.winDirty[r] != (extent{}) {
+		panic("ntb: partition of " + p.name + "'s " + r.String() + " window after it was written")
+	}
+	p.inbound[r] = inboundWindow{partBytes: p.par.WindowSize / parts, parts: make([][]byte, parts)}
+}
+
+// minWindow is the smallest materialised part; Params.Validate keeps
 // WindowSize at or above it.
 const minWindow = 4096
 
-// window returns region r's backing store, materialised at least up to
-// end. Storage grows in power-of-two steps capped at WindowSize, by
-// moving to a larger slice: unmaterialised bytes read as zeros exactly
-// like an eagerly allocated window's, so virtual-time behaviour is
-// unchanged. An alias handed out before a growth step keeps the bytes it
-// was taken for — the store it points into is never written again — and
-// every receiver re-fetches the window per message, so none goes on
-// reading an outgrown one.
-func (p *Port) window(r Region, end int) []byte {
-	w := p.inbound[r]
-	if end > len(w) {
-		grown := make([]byte, min(p.par.WindowSize, max(minWindow, 1<<bits.Len(uint(end-1)))))
-		copy(grown, w)
-		p.inbound[r], w = grown, grown
+// inboundWindow is one inbound window's backing store, in equal parts:
+// one part of WindowSize unless Partition divided the window. Each part
+// is materialised only up to the highest byte a write, a DMA descriptor,
+// a restore or a reader has reached within it; beyond that it reads as
+// zeros. Every transfer lies inside one part, so a payload is always one
+// contiguous slice of one part's storage.
+type inboundWindow struct {
+	partBytes int
+	parts     [][]byte
+}
+
+// part locates [off, off+n): the index of the part holding it and that
+// part's window offset. A range crossing a part boundary, or lying in
+// the remainder past the last part, breaks the invariant every transfer
+// keeps and panics.
+//
+//ntblint:allocfree
+func (w *inboundWindow) part(off, n int) (i, base int) {
+	if len(w.parts) > 1 { // a stop-and-wait window skips the division
+		i = min(off/w.partBytes, len(w.parts)-1)
+		base = i * w.partBytes
 	}
-	return w
+	if off < 0 || off+n > base+w.partBytes {
+		panic(fmt.Sprintf("ntb: window access [%d,%d) crosses a %d-byte part", off, off+n, w.partBytes))
+	}
+	return i, base
+}
+
+// grow returns part i's storage, materialised at least up to end (an
+// offset within the part). Storage grows in power-of-two steps capped at
+// the part size, by moving to a larger slice: unmaterialised bytes read
+// as zeros exactly like an eagerly allocated window's, so virtual-time
+// behaviour is unchanged. An alias handed out before a growth step keeps
+// the bytes it was taken for — the store it points into is never written
+// again — and every receiver re-fetches its range per message, so none
+// goes on reading an outgrown one.
+func (w *inboundWindow) grow(i, end int) []byte {
+	s := w.parts[i]
+	if end > len(s) {
+		grown := make([]byte, min(w.partBytes, max(minWindow, 1<<bits.Len(uint(end-1)))))
+		copy(grown, s)
+		w.parts[i], s = grown, grown
+	}
+	return s
+}
+
+// dirtyRuns yields, part by part, the storage inside extent d: each
+// run's window offset and its bytes, aliasing the store. Bytes of d past
+// a part's storage are zero and not yielded, so a ring whose extent
+// spans slots 0 to 5 yields two runs when only those two slots landed.
+func (w *inboundWindow) dirtyRuns(d extent) iter.Seq2[int, []byte] {
+	return func(yield func(int, []byte) bool) {
+		for i := d.lo / w.partBytes; d.lo < d.hi && i < len(w.parts) && i*w.partBytes < d.hi; i++ {
+			base, s := i*w.partBytes, w.parts[i]
+			if lo, hi := max(d.lo, base), min(d.hi, base+len(s)); lo < hi && !yield(lo, s[lo-base:hi-base]) {
+				return
+			}
+		}
+	}
 }
 
 // landing marks [off, off+n) of region r dirty and returns it, for a
-// transfer's bytes to land in.
-func (p *Port) landing(r Region, off, n int) []byte {
+// transfer's bytes to land in; the range lies in part i at window offset
+// base.
+func (p *Port) landing(r Region, i, base, off, n int) []byte {
 	p.markDirty(r, off, n)
-	return p.window(r, off+n)[off : off+n]
+	return p.inbound[r].grow(i, off-base+n)[off-base:][:n]
 }
 
-// landZero lands a transfer of n zero bytes at [off, off+n) of region r.
-// Bytes outside the dirty extent are zero already, so only the overlap
-// is cleared, and dropped from the extent where it trims an end; the
+// landZero lands a transfer of n zero bytes at [off, off+n) of region r,
+// in part i at window offset base. Bytes outside the dirty extent are
+// zero already, so only the overlap is cleared — as far as the part
+// holds storage — and dropped from the extent where it trims an end; the
 // window is neither materialised nor dirtied.
 //
 //ntblint:allocfree
-func (p *Port) landZero(r Region, off, n int) {
+func (p *Port) landZero(r Region, i, base, off, n int) {
 	d := &p.winDirty[r]
 	lo, hi := max(off, d.lo), min(off+n, d.hi)
 	if lo >= hi {
 		return
 	}
-	clear(p.inbound[r][lo:hi])
+	s := p.inbound[r].parts[i]
+	clear(s[min(lo-base, len(s)):min(hi-base, len(s))])
 	switch {
 	case lo == d.lo && hi == d.hi:
 		*d = extent{}
@@ -525,7 +603,8 @@ func (p *Port) Route() *pcie.Route {
 	return p.route
 }
 
-// checkWindow validates a window write destination.
+// checkWindow validates a transfer into the peer's window r: it must lie
+// inside the window and inside one of its parts.
 func (p *Port) checkWindow(r Region, off, n int) {
 	if r < 0 || r >= numRegions {
 		panic(fmt.Sprintf("ntb: bad region %d", r))
@@ -533,6 +612,7 @@ func (p *Port) checkWindow(r Region, off, n int) {
 	if off < 0 || n < 0 || off+n > p.par.WindowSize {
 		panic(fmt.Sprintf("ntb: window access [%d,%d) exceeds window size %d", off, off+n, p.par.WindowSize))
 	}
+	p.mustPeer().inbound[r].part(off, n)
 }
 
 // CPUWrite moves data into the peer's inbound window with programmed I/O:
@@ -567,15 +647,16 @@ func (p *Port) CPUWriteHdr(pr *sim.Proc, r Region, off int, hdr, data []byte) {
 //
 //ntblint:allocfree
 func (p *Port) land(r Region, off int, hdr, data []byte) {
+	i, base := p.inbound[r].part(off, len(hdr)+len(data))
 	if len(hdr) > 0 {
-		copy(p.landing(r, off, len(hdr)), hdr)
+		copy(p.landing(r, i, base, off, len(hdr)), hdr)
 		off += len(hdr)
 	}
 	if mem.IsZeroSource(data) {
-		p.landZero(r, off, len(data))
+		p.landZero(r, i, base, off, len(data))
 		return
 	}
-	copy(p.landing(r, off, len(data)), data)
+	copy(p.landing(r, i, base, off, len(data)), data)
 }
 
 // CPURead pulls data from the peer's inbound window with uncached loads
@@ -596,7 +677,7 @@ func (p *Port) CPURead(pr *sim.Proc, r Region, off int, buf []byte) {
 	start := pr.Now()
 	p.net.TransferRoute(pr, int64(len(buf)), p.par.WindowReadBW, p.route)
 	p.emit("pio", "window-read", pr.Now().Sub(start), len(buf))
-	copy(buf, peer.window(r, off+len(buf))[off:])
+	copy(buf, peer.InboundRange(r, off, len(buf)))
 }
 
 // ---- DMA engine ----

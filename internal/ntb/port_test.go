@@ -148,14 +148,14 @@ func TestCPUWriteLandsInPeerWindow(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.Inbound(RegionData)[100 : 100+len(payload)]; !bytes.Equal(got, payload) {
+	if got := b.InboundRange(RegionData, 100, len(payload)); !bytes.Equal(got, payload) {
 		t.Fatalf("window contents = %q", got)
 	}
 }
 
 func TestCPUReadPullsFromPeerWindow(t *testing.T) {
 	s, a, b, par := pair(t)
-	copy(b.Inbound(RegionBypass)[8:], "hidden")
+	b.land(RegionBypass, 8, nil, []byte("hidden"))
 	var elapsed sim.Duration
 	s.Go("r", func(p *sim.Proc) {
 		buf := make([]byte, 6)
@@ -201,7 +201,7 @@ func TestDMATransferMovesDataAndCosts(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(b.Inbound(RegionData)[:n], src) {
+	if !bytes.Equal(b.InboundRange(RegionData, 0, n), src) {
 		t.Fatal("DMA data mismatch")
 	}
 	// Expected: setup + n/engineBW (engine is the bottleneck).
@@ -225,7 +225,7 @@ func TestDMADescriptorsProcessInOrder(t *testing.T) {
 			i := i
 			s.Go("watch", func(wp *sim.Proc) {
 				done.Wait(wp)
-				order = append(order, b.Inbound(RegionData)[0], i)
+				order = append(order, b.InboundRange(RegionData, 0, 1)[0], i)
 			})
 		}
 		last.Wait(p)

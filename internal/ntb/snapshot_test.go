@@ -21,10 +21,12 @@ type portImage struct {
 
 func imageOf(p *Port) portImage {
 	img := portImage{portState: p.portState, spads: append([]uint32(nil), p.spads...)}
-	for r := range p.inbound {
+	for r, w := range p.inbound {
 		img.win[r] = make([]byte, p.par.WindowSize)
-		copy(img.win[r], p.inbound[r])
-		img.materialised[r] = len(p.inbound[r])
+		for i, s := range w.parts {
+			copy(img.win[r][i*w.partBytes:], s)
+		}
+		img.materialised[r] = p.WindowResident(Region(r))
 	}
 	return img
 }
@@ -99,7 +101,7 @@ func TestSnapshotOfFreshPortMaterialisesNothing(t *testing.T) {
 	snap := b.Snapshot()
 	b.Restore(snap)
 	for r := range b.inbound {
-		if b.inbound[r] != nil || snap.win[r] != nil {
+		if b.WindowResident(Region(r)) != 0 || snap.win[r] != nil {
 			t.Fatalf("region %v materialised by a power-on Snapshot/Restore", Region(r))
 		}
 	}

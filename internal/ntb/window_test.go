@@ -20,26 +20,26 @@ func run(t *testing.T, s *sim.Simulator, body func(p *sim.Proc)) {
 
 func TestWindowMaterialisesOnlyToHighestByteReached(t *testing.T) {
 	s, a, b, par := pair(t)
-	if len(b.inbound[RegionData]) != 0 {
+	if b.WindowResident(RegionData) != 0 {
 		t.Fatal("a fresh port holds window storage")
 	}
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, []byte{1, 2, 3}) })
-	if got := len(b.inbound[RegionData]); got != minWindow {
+	if got := b.WindowResident(RegionData); got != minWindow {
 		t.Fatalf("a 3-byte write materialised %d bytes, want %d", got, minWindow)
 	}
 	// Power-of-two steps: a DMA descriptor ending at 40 000 takes 64 KiB.
 	run(t, s, func(p *sim.Proc) {
 		a.DMA().SubmitWait(p, Desc{Region: RegionData, Off: 39000, Src: bytes.Repeat([]byte{9}, 1000), Bytes: 1000})
 	})
-	if got := len(b.inbound[RegionData]); got != 1<<16 {
+	if got := b.WindowResident(RegionData); got != 1<<16 {
 		t.Fatalf("a descriptor ending at 40000 materialised %d bytes, want %d", got, 1<<16)
 	}
-	if len(b.inbound[RegionBypass]) != 0 {
+	if b.WindowResident(RegionBypass) != 0 {
 		t.Fatal("the untouched bypass window was materialised")
 	}
 	// The earlier bytes moved with the growth step, and everything
 	// between the two writes reads as zero.
-	win := b.InboundPrefix(RegionData, 40000)
+	win := b.InboundRange(RegionData, 0, 40000)
 	want := make([]byte, 40000)
 	copy(want, []byte{1, 2, 3})
 	copy(want[39000:], bytes.Repeat([]byte{9}, 1000))
@@ -48,7 +48,7 @@ func TestWindowMaterialisesOnlyToHighestByteReached(t *testing.T) {
 	}
 	// The last byte of the window caps growth at WindowSize.
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, par.WindowSize-1, []byte{7}) })
-	if got := len(b.inbound[RegionData]); got != par.WindowSize {
+	if got := b.WindowResident(RegionData); got != par.WindowSize {
 		t.Fatalf("a write to the last byte materialised %d bytes, want WindowSize %d", got, par.WindowSize)
 	}
 }
@@ -61,11 +61,11 @@ func TestWindowWriteHighReadsLowUntouchedBytesAsZero(t *testing.T) {
 	if !bytes.Equal(low[:4096], make([]byte, 4096)) {
 		t.Fatal("untouched low bytes read nonzero across the link")
 	}
-	if !bytes.Equal(b.Inbound(RegionBypass)[:70000], low) || string(b.Inbound(RegionBypass)[70000:70004]) != "high" {
+	if !bytes.Equal(b.InboundRange(RegionBypass, 0, 70000), low) || string(b.InboundRange(RegionBypass, 70000, 4)) != "high" {
 		t.Fatal("full-window view wrong below or at the high write")
 	}
 	// A reader of a window nobody wrote sees zeros too.
-	if !bytes.Equal(b.InboundPrefix(RegionData, 512), make([]byte, 512)) {
+	if !bytes.Equal(b.InboundRange(RegionData, 0, 512), make([]byte, 512)) {
 		t.Fatal("never-written window reads nonzero")
 	}
 }
@@ -78,7 +78,7 @@ func TestWindowPayloadAliasSurvivesLaterLargerWrite(t *testing.T) {
 	s, a, b, _ := pair(t)
 	small := bytes.Repeat([]byte{0x5A}, 3000)
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, small) })
-	alias := b.InboundPrefix(RegionData, len(small))
+	alias := b.InboundRange(RegionData, 0, len(small))
 	large := bytes.Repeat([]byte{0xC3}, 200000)
 	run(t, s, func(p *sim.Proc) {
 		a.DMA().SubmitWait(p, Desc{Region: RegionData, Off: 4096, Src: large, Bytes: len(large)})
@@ -86,7 +86,7 @@ func TestWindowPayloadAliasSurvivesLaterLargerWrite(t *testing.T) {
 	if !bytes.Equal(alias, small) {
 		t.Fatal("an alias taken before a growth step lost its bytes")
 	}
-	now := b.InboundPrefix(RegionData, 4096+len(large))
+	now := b.InboundRange(RegionData, 0, 4096+len(large))
 	if !bytes.Equal(now[:len(small)], small) || !bytes.Equal(now[4096:], large) {
 		t.Fatal("window contents wrong after growth")
 	}
@@ -101,52 +101,167 @@ func TestWindowSnapshotRestoreAcrossGrowthStep(t *testing.T) {
 	small := b0.Snapshot()
 	run(t, s0, func(p *sim.Proc) { a0.CPUWrite(p, RegionData, 300000, []byte("grown")) })
 	grown := b0.Snapshot()
-	if len(b0.inbound[RegionData]) != 1<<19 {
-		t.Fatalf("test setup: window at %d bytes", len(b0.inbound[RegionData]))
+	if b0.WindowResident(RegionData) != 1<<19 {
+		t.Fatalf("test setup: window at %d bytes", b0.WindowResident(RegionData))
 	}
 
 	b0.Restore(small)
 	want := make([]byte, 1<<19)
 	copy(want[100:], "small")
-	if !bytes.Equal(b0.inbound[RegionData], want) {
+	if !bytes.Equal(b0.inbound[RegionData].parts[0], want) {
 		t.Fatal("restore of the small image over a grown window left stale bytes")
 	}
 
 	_, _, fresh, par := pair(t)
 	fresh.Restore(grown)
-	if got := len(fresh.inbound[RegionData]); got != 1<<19 {
+	if got := fresh.WindowResident(RegionData); got != 1<<19 {
 		t.Fatalf("restore of the grown image materialised %d bytes, want %d", got, 1<<19)
 	}
 	full := make([]byte, par.WindowSize)
 	copy(full[100:], "small")
 	copy(full[300000:], "grown")
-	if !bytes.Equal(fresh.Inbound(RegionData), full) {
+	if !bytes.Equal(fresh.InboundRange(RegionData, 0, par.WindowSize), full) {
 		t.Fatal("restored window differs from the captured one")
 	}
 	b0.Restore(grown)
-	if !bytes.Equal(b0.Inbound(RegionData), full) {
+	if !bytes.Equal(b0.InboundRange(RegionData, 0, par.WindowSize), full) {
 		t.Fatal("re-restore of the grown image over the small one differs")
 	}
 }
 
-func TestWindowFullInboundIsWholeAndStable(t *testing.T) {
-	// The pipelined receiver's contract: Inbound is the whole window, it
-	// keeps what demand-sized writes already landed, and once taken it is
-	// the store every later write lands in (no further growth to orphan
-	// it).
+func TestWindowRangedReadAliasesTheStore(t *testing.T) {
+	// The pipelined receiver's contract: a ranged read of a slot a
+	// transfer landed in is the part's own store, so the receiver's
+	// in-place edit reaches the port, and a transfer landing in another
+	// part, however large, never moves it.
 	s, a, b, par := pair(t)
+	b.Partition(RegionData, 4)
+	slot := par.WindowSize / 4
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 64, []byte("slot0")) })
-	win := b.Inbound(RegionData)
-	if len(win) != par.WindowSize || string(win[64:69]) != "slot0" {
-		t.Fatalf("full window is %d bytes, holds %q", len(win), win[64:69])
+	hdr := b.InboundRange(RegionData, 64, 5)
+	if string(hdr) != "slot0" || mem.IsZeroSource(hdr) {
+		t.Fatalf("ranged read of a landed slot holds %q", hdr)
 	}
-	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, par.WindowSize/2, []byte("slot1")) })
-	if string(win[par.WindowSize/2:par.WindowSize/2+5]) != "slot1" {
-		t.Fatal("a write after the full window was taken did not land in it")
+	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 3*slot, pattern(slot, 1)) })
+	hdr[0] = 0 // the receiver's in-place edit is visible to the port
+	if got := b.InboundRange(RegionData, 64, 5); got[0] != 0 || string(got[1:]) != "lot0" {
+		t.Fatalf("a second ranged read holds %q: the store moved", got)
 	}
-	win[64] = 0 // the receiver's in-place edit is visible to the port
-	if b.Inbound(RegionData)[64] != 0 {
-		t.Fatal("Inbound returned a different store the second time")
+}
+
+// slotRing is a port pair whose receiver b divides its data window into
+// eight slots, with a framed transfer landed in slots 0 and 5: a 64-byte
+// header and 1000 bytes by PIO, a header and 10 000 bytes by DMA.
+func slotRing(t *testing.T) (s *sim.Simulator, a, b *Port, slot int) {
+	t.Helper()
+	s, a, b, par := pair(t)
+	b.Partition(RegionData, 8)
+	slot = par.WindowSize / 8
+	run(t, s, func(p *sim.Proc) {
+		a.CPUWriteHdr(p, RegionData, 0, pattern(64, 1), pattern(1000, 2))
+		a.DMA().SubmitWait(p, Desc{Region: RegionData, Off: 5 * slot, Hdr: pattern(64, 3), Src: pattern(10000, 4), Bytes: 10000})
+	})
+	return s, a, b, slot
+}
+
+func TestPartitionedWindowMaterialisesOnlyLandedParts(t *testing.T) {
+	// Polling every header of an idle ring reads the zero source and
+	// materialises nothing.
+	_, _, idle, par := pair(t)
+	idle.Partition(RegionData, 8)
+	for i := 0; i < 8; i++ {
+		if h := idle.InboundRange(RegionData, i*par.WindowSize/8, 64); !mem.IsZeroSource(h) {
+			t.Fatalf("slot %d's header on an idle ring is not the zero source", i)
+		}
+	}
+	if n := idle.WindowResident(RegionData); n != 0 {
+		t.Fatalf("polling an idle ring materialised %d bytes", n)
+	}
+
+	// After transfers to slots 0 and 5, exactly those two parts hold
+	// storage, each demand-sized to its transfer, although the dirty
+	// extent spans slots 1 to 4 too.
+	_, _, b, slot := slotRing(t)
+	if got, want := b.WindowResident(RegionData), minWindow+1<<14; got != want {
+		t.Fatalf("%d window bytes materialised, want %d (a 4 KiB and a 16 KiB part)", got, want)
+	}
+	for i, s := range b.inbound[RegionData].parts {
+		if (i == 0 || i == 5) != (len(s) > 0) {
+			t.Fatalf("part %d holds %d bytes", i, len(s))
+		}
+	}
+	if !mem.IsZeroSource(b.InboundRange(RegionData, 3*slot, 64)) {
+		t.Fatal("an unlanded slot inside the dirty extent is not read as the zero source")
+	}
+	if !bytes.Equal(b.InboundRange(RegionData, 0, 64+1000), append(pattern(64, 1), pattern(1000, 2)...)) ||
+		!bytes.Equal(b.InboundRange(RegionData, 5*slot+64, 10000), pattern(10000, 4)) {
+		t.Fatal("a slot's bytes did not land")
+	}
+}
+
+func TestPartitionedSnapshotCopiesOnlyDirtySlots(t *testing.T) {
+	_, _, b, slot := slotRing(t)
+	snap := b.Snapshot()
+	// The image holds the two slots' stored bytes inside the extent, not
+	// the 640 KiB between them.
+	captured := 0
+	for _, r := range snap.win[RegionData] {
+		captured += len(r.bytes)
+	}
+	if len(snap.win[RegionData]) != 2 || captured != minWindow+64+10000 {
+		t.Fatalf("snapshot captured %d runs of %d bytes, want 2 of %d", len(snap.win[RegionData]), captured, minWindow+64+10000)
+	}
+
+	// Restored over a fresh ring and over one whose run dirtied other
+	// slots and rewrote slot 5, both equal the captured port byte for
+	// byte and hold storage only where a run restored some.
+	_, _, fresh, _ := pair(t)
+	fresh.Partition(RegionData, 8)
+	fresh.Restore(snap)
+	s1, a1, dirty, _ := slotRing(t)
+	run(t, s1, func(p *sim.Proc) {
+		a1.CPUWrite(p, RegionData, 2*slot, pattern(3000, 5))
+		a1.CPUWrite(p, RegionData, 5*slot, pattern(slot, 6))
+		a1.CPUWrite(p, RegionData, 7*slot+100, pattern(500, 7))
+	})
+	dirty.Restore(snap)
+	want := imageOf(b)
+	for name, got := range map[string]*Port{"fresh": fresh, "dirty": dirty} {
+		img := imageOf(got)
+		if img.portState != want.portState || !bytes.Equal(img.win[RegionData], want.win[RegionData]) {
+			t.Fatalf("restore over a %s ring differs from the captured port", name)
+		}
+	}
+	if n := fresh.WindowResident(RegionData); n != minWindow+1<<14 {
+		t.Fatalf("restore into a fresh ring materialised %d bytes, want the two slots' %d", n, minWindow+1<<14)
+	}
+}
+
+func TestTransferCrossingPartPanics(t *testing.T) {
+	s, a, b, par := pair(t)
+	b.Partition(RegionData, 3) // 349 525-byte parts and a 1-byte remainder
+	slot := par.WindowSize / 3
+	for name, op := range map[string]func(p *sim.Proc){
+		"PIO":    func(p *sim.Proc) { a.CPUWrite(p, RegionData, slot-10, make([]byte, 20)) },
+		"header": func(p *sim.Proc) { a.CPUWriteHdr(p, RegionData, slot-32, make([]byte, 64), nil) },
+		"DMA": func(p *sim.Proc) {
+			a.DMA().SubmitWait(p, Desc{Region: RegionData, Off: 2*slot - 64, Hdr: make([]byte, 64), Src: []byte{1}, Bytes: 1})
+		},
+		"remainder":   func(p *sim.Proc) { a.CPUWrite(p, RegionData, par.WindowSize-1, []byte{1}) },
+		"CPURead":     func(p *sim.Proc) { a.CPURead(p, RegionData, slot-1, make([]byte, 2)) },
+		"ranged read": func(*sim.Proc) { b.InboundRange(RegionData, 2*slot-1, 2) },
+	} {
+		run(t, s, func(p *sim.Proc) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s across a part boundary did not panic", name)
+				}
+			}()
+			op(p)
+		})
+	}
+	if n := b.WindowResident(RegionData); n != 0 {
+		t.Fatalf("refused transfers materialised %d bytes", n)
 	}
 }
 
@@ -185,7 +300,7 @@ func TestZeroLandingMaterialisesAndDirtiesNothing(t *testing.T) {
 			t.Fatalf("%v window: %d bytes materialised, dirty %+v", r, n, b.winDirty[r])
 		}
 	}
-	if got := b.InboundPrefix(RegionData, 50100); !mem.IsZeroSource(got) || len(got) != 50100 {
+	if got := b.InboundRange(RegionData, 0, 50100); !mem.IsZeroSource(got) || len(got) != 50100 {
 		t.Fatal("a clean window's prefix is not the zero source")
 	}
 }
@@ -199,28 +314,28 @@ func TestZeroLandingClearsOnlyTheDirtyOverlap(t *testing.T) {
 	if d := b.winDirty[RegionData]; d != (extent{1000, 3000}) {
 		t.Fatalf("dirty extent %+v after a zero head landing, want [1000,3000)", d)
 	}
-	if !mem.IsZeroSource(b.InboundPrefix(RegionData, 1000)) {
+	if !mem.IsZeroSource(b.InboundRange(RegionData, 0, 1000)) {
 		t.Fatal("the cleared head is not served as the zero source")
 	}
 	want := append(make([]byte, 1000), data[1000:]...)
-	if got := b.InboundPrefix(RegionData, 3000); !bytes.Equal(got, want) {
+	if got := b.InboundRange(RegionData, 0, 3000); !bytes.Equal(got, want) {
 		t.Fatal("window bytes wrong after a zero head landing")
 	}
 	// A zero chunk inside the extent clears in place and keeps it.
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 1500, mem.Zeros(500)) })
 	clear(want[1500:2000])
-	if got := b.InboundPrefix(RegionData, 3000); !bytes.Equal(got, want) || b.winDirty[RegionData] != (extent{1000, 3000}) {
+	if got := b.InboundRange(RegionData, 0, 3000); !bytes.Equal(got, want) || b.winDirty[RegionData] != (extent{1000, 3000}) {
 		t.Fatalf("inner zero landing: bytes right %v, dirty %+v", bytes.Equal(got, want), b.winDirty[RegionData])
 	}
 	// One covering the whole extent leaves the window clean, and a
 	// restore from a dirty image still rezeroes what it must.
 	snap := b.Snapshot()
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, mem.Zeros(4096)) })
-	if b.winDirty[RegionData] != (extent{}) || !bytes.Equal(b.Inbound(RegionData)[:4096], make([]byte, 4096)) {
+	if b.winDirty[RegionData] != (extent{}) || !bytes.Equal(b.InboundRange(RegionData, 0, 4096), make([]byte, 4096)) {
 		t.Fatal("a covering zero landing left dirty bytes")
 	}
 	b.Restore(snap)
-	if got := b.InboundPrefix(RegionData, 3000); !bytes.Equal(got, want) {
+	if got := b.InboundRange(RegionData, 0, 3000); !bytes.Equal(got, want) {
 		t.Fatal("restore after a zero landing lost the captured bytes")
 	}
 	if !mem.ZeroSourceIntact() {
@@ -258,7 +373,7 @@ func TestHeaderPrefixLandsByteExactAtOffset(t *testing.T) {
 			hdr, data := pattern(64, 7), pattern(10000, 90)
 			const off = 1000
 			run(t, s, func(p *sim.Proc) { m.send(p, a, RegionBypass, off, hdr, data) })
-			win := b.Inbound(RegionBypass)
+			win := b.InboundRange(RegionBypass, 0, off+64+10000+1)
 			if !bytes.Equal(win[off:off+64], hdr) || !bytes.Equal(win[off+64:off+64+10000], data) {
 				t.Fatal("header or payload did not land byte-exact behind one another")
 			}
@@ -284,7 +399,7 @@ func TestHeaderPrefixedZeroPayloadDirtiesOnlyTheHeader(t *testing.T) {
 			if d := b.winDirty[RegionData]; d != (extent{0, 64}) {
 				t.Fatalf("dirty extent %+v, want the header alone", d)
 			}
-			if got := b.InboundPrefix(RegionData, 64); !bytes.Equal(got, hdr) {
+			if got := b.InboundRange(RegionData, 0, 64); !bytes.Equal(got, hdr) {
 				t.Fatal("header did not land")
 			}
 			// Over a slot a data payload dirtied, the zero payload clears
@@ -294,7 +409,7 @@ func TestHeaderPrefixedZeroPayloadDirtiesOnlyTheHeader(t *testing.T) {
 			if d := b.winDirty[RegionData]; d != (extent{0, 64}) {
 				t.Fatalf("dirty extent %+v after a zero payload over data, want the header alone", d)
 			}
-			if got := b.Inbound(RegionData)[64 : 64+5000]; !bytes.Equal(got, make([]byte, 5000)) {
+			if got := b.InboundRange(RegionData, 64, 5000); !bytes.Equal(got, make([]byte, 5000)) {
 				t.Fatal("a zero payload left stale data in its slot")
 			}
 			if !mem.ZeroSourceIntact() {
