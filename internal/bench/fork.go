@@ -129,12 +129,10 @@ func prefixSnapshot(label string, par *model.Params, n int, opts core.Options, p
 
 	worldCount.Add(1)
 	forkPrefixBuilds.Add(1)
-	w, _ := acquireWorld(label, par, n, opts)
-	// Reset a fresh world too: it parks the daemon-spawn events, so the
-	// snapshot's event count — the replay cost every fork of it reports
-	// saving — matches what a recycled world records. Whether a prefix
-	// build hits the pool depends on worker timing; the counts must not.
-	w.Reset()
+	w, recycled := acquireWorld(label, par, n, opts)
+	if recycled {
+		w.Reset()
+	}
 	run := prefix
 	if run == nil {
 		run = func(p *sim.Proc, pe *core.PE) {}

@@ -24,11 +24,12 @@ import (
 // genesis image (World.Reset) for a from-t0 run, or straight onto a
 // prefix snapshot (World.Fork).
 //
-// A pooled world's daemons stay parked on live goroutines, so a world
-// must never be silently dropped: every world that leaves the pool is
-// either recycled or released with Shutdown. That is why this is an
-// explicit bounded structure rather than a sync.Pool — a GC-evicted
-// entry would leak its goroutines permanently.
+// A pooled world's started service threads, forwarders and DMA engines
+// stay parked on live goroutines, so a world must never be silently
+// dropped: every world that leaves the pool is either recycled or
+// released with Shutdown. That is why this is an explicit bounded
+// structure rather than a sync.Pool — a GC-evicted entry would leak its
+// goroutines permanently.
 
 // maxPooledWorlds bounds how many warm worlds the pool retains across all
 // shapes. The pool is one list in check-in order: a check-in that takes
@@ -38,9 +39,9 @@ import (
 const maxPooledWorlds = 32
 
 // maxPooledPEs bounds the pool by total parked PEs rather than world
-// count alone: a single 1024-PE world holds ~2k daemon goroutines and
-// megabytes of per-PE state, so weighting the budget by PEs keeps the
-// scaling sweep from pinning 32 such worlds (64k goroutines) in memory.
+// count alone: a single 1024-PE world holds up to ~4k reactor goroutines
+// and megabytes of per-PE state, so weighting the budget by PEs keeps the
+// scaling sweep from pinning 32 such worlds in memory.
 // Worlds over the per-world budget are still poolable — one at a time.
 const maxPooledPEs = 4096
 

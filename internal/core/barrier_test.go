@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fabric"
+	"repro/internal/model"
 	"repro/internal/sim"
 )
 
@@ -244,5 +246,49 @@ func TestBarrierStatsName(t *testing.T) {
 	}
 	if fmt.Sprint(CmpGE) != ">=" {
 		t.Errorf("CmpGE prints %v", CmpGE)
+	}
+}
+
+func TestBarrierDeliversUnderSlowService(t *testing.T) {
+	// BarrierAll's delivery guarantee must not depend on how quickly a
+	// service thread wakes: a doorbell handed to a waking service thread
+	// sits in neither its queue nor its active flag until the wake-up
+	// sleep ends, and the barrier's drain must still not overtake it.
+	const n, sz = 3, 40_000
+	for _, pipeline := range []int{0, 4} {
+		for _, wakeUs := range []float64{70, 400, 1000} {
+			for _, target := range []int{1, 2} {
+				name := fmt.Sprintf("pipeline=%d/wake=%gus/hops=%d", pipeline, wakeUs, target)
+				t.Run(name, func(t *testing.T) {
+					par := model.Default()
+					par.ServiceWake = sim.Microseconds(wakeUs)
+					c, err := fabric.NewRing(sim.New(), par, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w := NewWorld(c, Options{Pipeline: pipeline})
+					block := bytes.Repeat([]byte{0x5A}, sz)
+					var got []byte
+					err = w.Run(func(p *sim.Proc, pe *PE) {
+						sym := pe.MustMalloc(p, sz)
+						pe.BarrierAll(p)
+						if pe.ID() == 0 {
+							pe.PutBytes(p, target, sym, block)
+						}
+						pe.BarrierAll(p)
+						if pe.ID() == target {
+							got = make([]byte, sz)
+							pe.LocalRead(p, sym, got)
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, block) {
+						t.Fatalf("target heap after the barrier does not hold PE 0's put")
+					}
+				})
+			}
+		}
 	}
 }

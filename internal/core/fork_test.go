@@ -172,14 +172,10 @@ func TestGenesisCaptureMaterialisesNothing(t *testing.T) {
 	// no heap page and copies no window byte.
 	w := newWorld(256, Options{})
 	defer w.Cluster.ShutdownSim()
-	recapture := func() {
-		s := w.snapshotPEs()
-		s.cluster = w.Cluster.Genesis()
-	}
-	recapture() // first call, outside the measurement, like NewWorld's own
+	w.Snapshot() // first call, outside the measurement, like NewWorld's own
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	recapture()
+	w.Snapshot()
 	w.Reset() // restoring it materialises nothing either
 	runtime.ReadMemStats(&after)
 	// Register files, block lists and per-PE bookkeeping: about 1 KiB a PE.

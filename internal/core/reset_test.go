@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -124,34 +125,33 @@ func TestResetEquivalentToFreshWorld(t *testing.T) {
 
 func TestResetRepeatedRecycling(t *testing.T) {
 	// The same body replayed on one world must give the identical trace
-	// every cycle, including the virtual-event count.
+	// every cycle, including the virtual-event count and the kernel's
+	// dispatch stream. A fresh world's first run is no exception: its
+	// service threads, forwarders and DMA engines start on their first
+	// job in every run, so it dispatches exactly what a recycled run does.
 	body := resetScript(7, 2, 8)
 	w := newWorld(3, Options{})
 	defer w.Cluster.Sim.Shutdown()
+	dispatched := dispatchRecorder(w.Cluster.Sim)
 
 	ref, refEnd, refStats := traceRun(t, w, body)
 	freshEvents := w.Cluster.Sim.EventsExecuted()
-	var recycledEvents uint64
+	freshDispatch := dispatched()
 	for cycle := 0; cycle < 3; cycle++ {
 		w.Reset()
 		if got := w.Cluster.Sim.EventsExecuted(); got != 0 {
 			t.Fatalf("cycle %d: EventsExecuted = %d after Reset, want 0", cycle, got)
 		}
+		before := len(dispatched())
 		trace, end, stats := traceRun(t, w, body)
 		if end != refEnd || stats != refStats {
 			t.Fatalf("cycle %d: end %v stats %+v, want %v %+v", cycle, end, stats, refEnd, refStats)
 		}
-		// A fresh world's first run additionally executes the one-time
-		// daemon-spawn events (service threads, forwarders, DMA engines);
-		// recycled runs skip those and must agree with each other exactly.
-		events := w.Cluster.Sim.EventsExecuted()
-		if cycle == 0 {
-			recycledEvents = events
-			if events > freshEvents {
-				t.Fatalf("recycled run executed %d events, more than the fresh run's %d", events, freshEvents)
-			}
-		} else if events != recycledEvents {
-			t.Fatalf("cycle %d: %d virtual events, want %d", cycle, events, recycledEvents)
+		if events := w.Cluster.Sim.EventsExecuted(); events != freshEvents {
+			t.Fatalf("cycle %d: %d virtual events, fresh run %d", cycle, events, freshEvents)
+		}
+		if dispatch := dispatched()[before:]; !slices.Equal(dispatch, freshDispatch) {
+			t.Fatalf("cycle %d: dispatch stream differs from the fresh run's (%d vs %d events)", cycle, len(dispatch), len(freshDispatch))
 		}
 		if len(trace) != len(ref) {
 			t.Fatalf("cycle %d: %d events, want %d", cycle, len(trace), len(ref))

@@ -47,19 +47,12 @@ type peSnapshot struct {
 // Quiescence is asserted at every layer; a world with in-flight work
 // cannot be captured.
 func (w *World) Snapshot() *WorldSnapshot {
-	s := w.snapshotPEs()
-	s.events = w.Cluster.EventsExecuted()
-	s.cluster = w.Cluster.Snapshot()
-	return s
-}
-
-// snapshotPEs captures the runtime half of a world image; the caller
-// adds the cluster's.
-func (w *World) snapshotPEs() *WorldSnapshot {
 	s := &WorldSnapshot{opts: w.opts, n: len(w.pes), pes: make([]peSnapshot, len(w.pes))}
 	for i, pe := range w.pes {
 		s.pes[i] = pe.snapshot()
 	}
+	s.events = w.Cluster.EventsExecuted()
+	s.cluster = w.Cluster.Snapshot()
 	return s
 }
 
@@ -128,17 +121,11 @@ func (w *World) Fork(s *WorldSnapshot) {
 // quiescent — pending requests, staged forwards, un-drained service
 // work, a failed simulation — because then the previous run did not
 // complete cleanly and the world must be discarded instead of recycled.
-// Service and forwarder daemons stay parked on their queues, doorbell
-// handlers stay installed, and warm buffers (heap chunks, staging pool,
-// event-queue backing) are retained.
+// Service threads, forwarders and DMA engines that an earlier run
+// started stay parked on their queues (one that never started still
+// starts on its first job), doorbell handlers stay installed, and warm
+// buffers (heap chunks, staging pool, event-queue backing) are retained.
 func (w *World) restore(s *WorldSnapshot) {
-	// A freshly built world still has its daemon-spawn events queued for
-	// t=0; drive them so the daemons reach the parked state a completed
-	// run leaves them in (a no-op on a recycled world, whose queue is
-	// empty).
-	if err := w.Cluster.RunSim(); err != nil {
-		panic(fmt.Sprintf("core: restore of a world whose simulation failed: %v", err))
-	}
 	for i, pe := range w.pes {
 		pe.restore(&s.pes[i])
 	}

@@ -211,7 +211,7 @@ type peState struct {
 }
 
 // peName builds "prefix<id>" with plain integer formatting; world
-// construction names a dozen queues, conds, and daemons per PE, and at
+// construction names a dozen queues, conds, and reactors per PE, and at
 // a thousand PEs fmt's reflection cost shows up in pool-miss latency.
 func peName(prefix string, id int) string {
 	return prefix + strconv.Itoa(id)
@@ -236,9 +236,10 @@ type pendingReq struct {
 }
 
 // NewWorld builds an OpenSHMEM job over the given cluster, whatever its
-// fabric kind. Interrupt handlers and service threads are installed
-// immediately (before virtual time starts), mirroring a driver that
-// loads before the application.
+// fabric kind. Interrupt handlers are installed immediately (before
+// virtual time starts), mirroring a driver that loads before the
+// application; service threads, forwarders and DMA engines start on
+// their first job, so a fresh world has no pending events.
 func NewWorld(c *fabric.Cluster, opts Options) *World {
 	if opts.Routing == RouteShortest && opts.Barrier != BarrierRing {
 		// Only the ring barrier's per-hop flush has a bidirectional
@@ -271,8 +272,7 @@ func NewWorld(c *fabric.Cluster, opts Options) *World {
 		w.pes = append(w.pes, pe)
 		pe.link.Start(pe.handle)
 	}
-	w.genesis = w.snapshotPEs()
-	w.genesis.cluster = c.Genesis()
+	w.genesis = w.Snapshot()
 	return w
 }
 
@@ -292,8 +292,8 @@ func (w *World) Launch(body func(p *sim.Proc, pe *PE)) {
 func (w *World) Run(body func(p *sim.Proc, pe *PE)) error {
 	w.Launch(body)
 	err := w.Cluster.RunSim()
-	// Shut the simulator down so the world's daemon goroutines (service
-	// threads, forwarders, DMA engines) release their references;
+	// Shut the simulator down so the goroutines of the service threads,
+	// forwarders and DMA engines the run started release their references;
 	// harnesses that build many worlds per process rely on this. Use
 	// Launch plus Cluster.RunSim directly to keep a world alive.
 	w.Cluster.ShutdownSim()

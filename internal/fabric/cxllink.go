@@ -95,8 +95,8 @@ func newCXLLink(c *Cluster, h *Host, opts LinkOptions) *cxlLink {
 	return l
 }
 
-// Start registers the delivery handler with the shared fabric. No
-// daemons are spawned: a load/store fabric has no service threads.
+// Start registers the delivery handler with the shared fabric. A
+// load/store fabric has no service threads.
 func (l *cxlLink) Start(deliver Handler) {
 	l.deliver = deliver
 }

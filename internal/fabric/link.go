@@ -177,7 +177,7 @@ type Handler func(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.P
 // Link is one host's attachment to the fabric: the transport the
 // OpenSHMEM runtime sends through and is delivered from. Implementations
 // own all interconnect-specific machinery — routing direction and window
-// region selection, service and relay daemons, doorbell vectors, buffer
+// region selection, service and relay threads, doorbell vectors, buffer
 // staging — so the runtime above contains no backend branches.
 //
 // Ordering contract: messages from one host to one destination are
@@ -187,8 +187,9 @@ type Handler func(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.P
 // multi-hop ring: no). Reply routes a response generated inside a
 // Handler back to the requester without deadlocking the service path.
 type Link interface {
-	// Start installs the delivery handler and spawns the link's daemons.
-	// Called exactly once, before virtual time starts, in host order.
+	// Start installs the delivery handler and creates the link's service
+	// threads, which start on their first message. Called exactly once,
+	// before virtual time starts, in host order.
 	Start(deliver Handler)
 	// Boot performs the fabric's pre-transfer setup exchange (LUT
 	// programming, Id publication) and panics if discovery contradicts

@@ -38,7 +38,7 @@ func newPairLink(c *Cluster, h *Host, opts LinkOptions) *pairLink {
 	return l
 }
 
-// Start wires the data doorbell vectors of the single adapter and spawns
+// Start wires the data doorbell vectors of the single adapter and creates
 // the service and forwarder threads.
 func (l *pairLink) Start(deliver Handler) { l.start(deliver, l.out) }
 

@@ -14,7 +14,7 @@ import (
 // paper's switchless NTB ring. It owns the Fig 5 service thread, the
 // bypass-buffer forwarder, rightward/shortest-arc routing, and the Fig 6
 // doorbell barrier. Every results/*.csv is produced over this link, so
-// its virtual timeline is the extraction invariant: daemon names, spawn
+// its virtual timeline is the extraction invariant: thread names, wake
 // order, sleeps, and per-chunk work are exactly what the pre-extraction
 // runtime did.
 type ringLink struct {
@@ -59,7 +59,7 @@ func newRingLink(c *Cluster, h *Host, opts LinkOptions) *ringLink {
 	return l
 }
 
-// Start wires the data doorbell vectors of both adapters and spawns the
+// Start wires the data doorbell vectors of both adapters and creates the
 // service and forwarder threads.
 func (l *ringLink) Start(deliver Handler) {
 	l.start(deliver, l.host.LeftEP, l.host.RightEP)

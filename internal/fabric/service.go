@@ -25,14 +25,14 @@ type ntbService struct {
 	opts    LinkOptions // construction identity
 	deliver Handler     // installed handler survives recycling and forking
 
-	ports     []*svcPort           // construction identity, no simulation state
-	svcQ      *sim.Queue[*svcPort] // AssertQuiescent guarantees it drained
-	svcActive bool                 // AssertQuiescent guarantees false (service drained)
-	svcIdle   *sim.Cond            // no waiters survive a clean run
-	fwdQ      *sim.Queue[*fwdMsg]  // AssertQuiescent guarantees it drained
-	fwdBusy   int                  // AssertQuiescent guarantees zero
-	fwdIdle   *sim.Cond            // no waiters survive a clean run
-	pool      bufPool              // warm staging buffers hold no simulation state
+	ports     []*svcPort             // construction identity, no simulation state
+	svcQ      *sim.Reactor[*svcPort] // AssertQuiescent guarantees it drained
+	svcActive bool                   // AssertQuiescent guarantees false (service drained)
+	svcIdle   *sim.Cond              // no waiters survive a clean run
+	fwdQ      *sim.Reactor[*fwdMsg]  // AssertQuiescent guarantees it drained
+	fwdBusy   int                    // AssertQuiescent guarantees zero
+	fwdIdle   *sim.Cond              // no waiters survive a clean run
+	pool      bufPool                // warm staging buffers hold no simulation state
 
 	// transit consumes an arrival addressed to another host. Only the
 	// ring relays — and so counts what its forwarder pushes as
@@ -61,28 +61,31 @@ type svcPort struct {
 	rel func(*sim.Proc)
 }
 
-// fwdMsg is a staged chunk awaiting the forwarder daemon.
+// fwdMsg is a staged chunk awaiting the forwarder thread.
 type fwdMsg struct {
 	info driver.Info
 	data []byte
 }
 
+// newNTBService builds a host's service core. Its service and forwarder
+// threads are reactors: each starts on the first message its queue
+// receives, so a host that is never sent a chunk runs no service thread
+// and one that never stages a chunk runs no forwarder.
 func newNTBService(c *Cluster, h *Host, opts LinkOptions) ntbService {
 	return ntbService{
 		c:       c,
 		host:    h,
 		opts:    opts,
-		svcQ:    sim.NewQueue[*svcPort](hostName("svc:", h.ID)),
 		svcIdle: sim.NewCond(hostName("svc-idle:", h.ID)),
-		fwdQ:    sim.NewQueue[*fwdMsg](hostName("fwd:", h.ID)),
 		fwdIdle: sim.NewCond(hostName("fwd-idle:", h.ID)),
 		pool:    bufPool{par: c.Par},
 	}
 }
 
 // start installs the delivery handler, wires the data doorbells of every
-// listed endpoint (nil entries are uncabled sides) and spawns the
-// service and forwarder threads (the paper's shmem_init steps 2 and 4).
+// listed endpoint (nil entries are uncabled sides) and creates the
+// service and forwarder threads (the paper's shmem_init steps 2 and 4),
+// which start on their first message.
 func (s *ntbService) start(deliver Handler, eps ...*driver.Endpoint) {
 	s.deliver = deliver
 	for _, ep := range eps {
@@ -99,42 +102,49 @@ func (s *ntbService) start(deliver Handler, eps ...*driver.Endpoint) {
 		ep.Handle(driver.VecPut, dataVec)
 		ep.Handle(driver.VecGet, dataVec)
 	}
-	s.c.Sim.GoDaemon(fmt.Sprintf("shmem-svc:%d", s.host.ID), s.serve)
-	s.c.Sim.GoDaemon(fmt.Sprintf("shmem-fwd:%d", s.host.ID), s.forward)
+	s.svcQ = sim.NewReactor(s.c.Sim, hostName("svc:", s.host.ID), hostName("shmem-svc:", s.host.ID), s.serve)
+	s.fwdQ = sim.NewReactor(s.c.Sim, hostName("fwd:", s.host.ID), hostName("shmem-fwd:", s.host.ID), s.forward)
 }
 
-// serve is the per-host service thread of Fig 5. It sleeps until a
-// DMAPUT/DMAGET doorbell queues work, pays the thread wake-up cost, and
-// consumes the arrival: under the paper's protocol it reads the transfer
-// information from the scratchpads and handles one message; under the
-// pipelined protocol it drains every in-order slot the doorbell (or a
-// coalesced batch of doorbells) announced.
-func (s *ntbService) serve(p *sim.Proc) {
+// serve is the per-host service thread of Fig 5, started by the first
+// DMAPUT/DMAGET doorbell. Each time a doorbell wakes it, it pays the
+// thread wake-up cost and consumes the arrival; it goes back to sleep
+// only when no doorbell queued more work meanwhile.
+func (s *ntbService) serve(p *sim.Proc, sp *svcPort) {
+	p.Sleep(s.c.Par.ServiceWake)
 	for {
-		sp, ok := s.svcQ.TryPop()
-		if !ok {
+		s.setSvcActive(true)
+		p.Sleep(s.c.Par.ISRCost)
+		s.consume(p, sp)
+		var ok bool
+		if sp, ok = s.svcQ.TryPop(); !ok {
 			s.setSvcActive(false)
 			sp = s.svcQ.Pop(p)
 			p.Sleep(s.c.Par.ServiceWake)
 		}
-		s.setSvcActive(true)
-		p.Sleep(s.c.Par.ISRCost)
-		if sp.rx != nil {
-			for {
-				info, payload, ready := sp.rx.Next(p)
-				if !ready {
-					break
-				}
-				s.arrive(p, info, payload, sp.rel)
-			}
-			continue
-		}
-		info := driver.ReadInfo(p, sp.port)
-		// The payload alias is exactly the bytes the message carried, so a
-		// control message (barrier token, get request) materialises nothing
-		// and a small chunk does not materialise a whole window.
-		s.arrive(p, info, sp.port.InboundRange(info.Region, 0, int(info.Size)), sp.ack)
 	}
+}
+
+// consume handles what one doorbell on sp announced: under the paper's
+// protocol it reads the transfer information from the scratchpads and
+// handles one message; under the pipelined protocol it drains every
+// in-order slot the doorbell (or a coalesced batch of doorbells)
+// announced.
+func (s *ntbService) consume(p *sim.Proc, sp *svcPort) {
+	if sp.rx != nil {
+		for {
+			info, payload, ready := sp.rx.Next(p)
+			if !ready {
+				return
+			}
+			s.arrive(p, info, payload, sp.rel)
+		}
+	}
+	info := driver.ReadInfo(p, sp.port)
+	// The payload alias is exactly the bytes the message carried, so a
+	// control message (barrier token, get request) materialises nothing
+	// and a small chunk does not materialise a whole window.
+	s.arrive(p, info, sp.port.InboundRange(info.Region, 0, int(info.Size)), sp.ack)
 }
 
 // arrive routes one message the service thread took off a port: chunks
@@ -167,18 +177,16 @@ func (s *ntbService) enqueueForward(info driver.Info, data []byte) {
 	s.fwdQ.Push(&fwdMsg{info: info, data: data})
 }
 
-// forward is the second half of the service path: it pushes staged
-// chunks out the channel hop picks. The pushes are stop-and-wait like
-// first-hop sends, but the unbounded staging queue decouples them from
-// upstream ACKs, so rings cannot deadlock on store-and-forward cycles
-// and no backend deadlocks on crossed replies.
-func (s *ntbService) forward(p *sim.Proc) {
+// forward is the second half of the service path, started by the first
+// staged chunk: it pushes staged chunks out the channel hop picks,
+// paying the thread wake-up cost whenever the staging queue ran dry. The
+// pushes are stop-and-wait like first-hop sends, but the unbounded
+// staging queue decouples them from upstream ACKs, so rings cannot
+// deadlock on store-and-forward cycles and no backend deadlocks on
+// crossed replies.
+func (s *ntbService) forward(p *sim.Proc, m *fwdMsg) {
+	p.Sleep(s.c.Par.ServiceWake)
 	for {
-		m, ok := s.fwdQ.TryPop()
-		if !ok {
-			m = s.fwdQ.Pop(p)
-			p.Sleep(s.c.Par.ServiceWake)
-		}
 		tx, info := s.hop(m.info)
 		tx.SendChunk(p, info, driver.Payload{Buf: m.data, N: len(m.data)}, s.opts.Mode)
 		if m.data != nil {
@@ -190,6 +198,11 @@ func (s *ntbService) forward(p *sim.Proc) {
 		s.fwdBusy--
 		if s.fwdBusy == 0 {
 			s.fwdIdle.Broadcast()
+		}
+		var ok bool
+		if m, ok = s.fwdQ.TryPop(); !ok {
+			m = s.fwdQ.Pop(p)
+			p.Sleep(s.c.Par.ServiceWake)
 		}
 	}
 }

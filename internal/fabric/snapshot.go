@@ -34,21 +34,14 @@ func (s *ClusterSnapshot) Time() sim.Time { return s.sim.Now() }
 
 // Snapshot captures a quiescent cluster: the simulator between runs
 // with no pending events and only parked daemons, the flow network idle,
-// every DMA engine drained, every stop-and-wait ACK consumed.
+// every DMA engine drained, every stop-and-wait ACK consumed. A cluster
+// whose construction has just ended is quiescent (construction spawns
+// no process); its image has the device layers at power-on and the
+// clock at zero, materialises no window and copies no bytes, and
+// restoring it is how a world returns to t0.
 func (c *Cluster) Snapshot() *ClusterSnapshot {
-	s := c.Genesis() // the device image; the clock follows
-	s.sim = c.Sim.Snapshot()
-	return s
-}
-
-// Genesis captures the device image of a cluster whose construction has
-// just ended, with the kernel clock at the zero sim.Snapshot: a fresh
-// simulator still has its daemon-spawn events queued and cannot be
-// captured, and time zero is where it is positioned anyway. The device
-// layers are at power-on, so the image materialises no window and copies
-// no bytes. Restoring it is how a world returns to t0.
-func (c *Cluster) Genesis() *ClusterSnapshot {
 	s := &ClusterSnapshot{
+		sim:   c.Sim.Snapshot(),
 		n:     c.N(),
 		kind:  c.kind,
 		net:   c.Net.Snapshot(),
@@ -88,11 +81,12 @@ func (c *Cluster) Genesis() *ClusterSnapshot {
 // ran before, to the snapshot: every NTB port (scratchpads, doorbells,
 // dirty window extents), transmit channel and the flow network is restored
 // and the simulator positioned at the captured clock. The object graph
-// itself (ports, routes, endpoints, device daemons) survives, which is
-// the entire point: a restored cluster continues — or, from its genesis
-// image, replays the boot exchange — with none of the construction cost.
+// itself (ports, routes, endpoints, started DMA engines) survives, which
+// is the entire point: a restored cluster continues — or, from its
+// genesis image, replays the boot exchange — with none of the
+// construction cost.
 // Worlds with failure injection (an unplugged cable) cannot be restored:
-// the wedged DMA daemon makes the simulator refuse.
+// the wedged DMA engine makes the simulator refuse.
 func (c *Cluster) Restore(s *ClusterSnapshot) {
 	if c.N() != s.n || c.kind != s.kind {
 		panic(fmt.Sprintf("fabric: restore of a %d-host %s cluster from a %d-host %s snapshot",

@@ -85,7 +85,7 @@ func newSwitchLink(c *Cluster, h *Host, opts LinkOptions) *switchLink {
 	return l
 }
 
-// Start wires the data doorbells of every per-peer port and spawns the
+// Start wires the data doorbells of every per-peer port and creates the
 // service and forwarder threads.
 func (l *switchLink) Start(deliver Handler) {
 	l.start(deliver, l.host.MeshEP...)

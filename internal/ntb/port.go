@@ -705,10 +705,11 @@ func (d *Desc) check(p *Port) {
 
 // Engine is a per-adapter DMA engine. Descriptors are processed strictly
 // in submission order; each costs the setup time plus the flow-network
-// transfer time.
+// transfer time. Its process starts on the first descriptor, so an
+// adapter whose engine is never rung never spawns one.
 type Engine struct {
 	port  *Port
-	queue *sim.Queue[*engineJob]
+	queue *sim.Reactor[*engineJob]
 	busy  int
 	// jpool recycles job records whose lifetime is confined to one
 	// SubmitWait call, keeping the per-chunk descriptor path
@@ -722,11 +723,8 @@ type engineJob struct {
 }
 
 func newEngine(p *Port) *Engine {
-	e := &Engine{
-		port:  p,
-		queue: sim.NewQueue[*engineJob]("dma:" + p.name),
-	}
-	p.sim.GoDaemon("dma-engine:"+p.name, e.run)
+	e := &Engine{port: p}
+	e.queue = sim.NewReactor(p.sim, "dma:"+p.name, "dma-engine:"+p.name, e.run)
 	return e
 }
 
@@ -784,10 +782,10 @@ func (e *Engine) assertIdle(op string) {
 	}
 }
 
-func (e *Engine) run(pr *sim.Proc) {
+// run is the engine's process, started on its first job.
+func (e *Engine) run(pr *sim.Proc, job *engineJob) {
 	par := e.port.par
-	for {
-		job := e.queue.Pop(pr)
+	for ; ; job = e.queue.Pop(pr) {
 		d := &job.desc
 		start := pr.Now()
 		pr.Sleep(par.DMASetup)

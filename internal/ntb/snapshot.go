@@ -46,8 +46,8 @@ func (p *Port) Snapshot() *PortSnapshot {
 // all. The LUT is intentionally not part of the snapshot: boot
 // reprograms it with the same entries and no window transaction precedes
 // boot, so an already-enforced LUT admits exactly what a not-yet-enforced
-// one would. The ISR registration and the DMA engine (with its parked
-// daemon, which must be idle) survive as well.
+// one would. The ISR registration and the DMA engine (which must be
+// idle; its process, once started, stays parked) survive as well.
 func (p *Port) Restore(s *PortSnapshot) {
 	p.dma.assertIdle("restore")
 	for r := range p.inbound {

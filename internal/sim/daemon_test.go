@@ -300,3 +300,83 @@ func TestShutdownSurvivesBlockingDefers(t *testing.T) {
 		t.Fatal("teardown defer did not complete")
 	}
 }
+
+func TestReactorRunsAsADaemonParkedSinceConstruction(t *testing.T) {
+	// A Reactor's daemon must be indistinguishable from one spawned at
+	// construction and parked on Pop: the same dispatch stream (times,
+	// sequence numbers, kinds, names), the same Len after every Push, the
+	// same service order. The eager daemon's spawn event is run and then
+	// rewound away, since a reactor has none.
+	type obs struct {
+		now  Time
+		item int
+		qlen int
+	}
+	serve := func(p *Proc, item int, log *[]obs) {
+		*log = append(*log, obs{p.Now(), item, -1})
+		p.Sleep(2 * Microsecond)
+	}
+	client := func(s *Simulator, push func(int), qlen func() int, log *[]obs) {
+		s.After(3*Microsecond, func() { push(99) })
+		s.Go("client", func(p *Proc) {
+			for i := 0; i < 6; i++ {
+				push(i)
+				*log = append(*log, obs{p.Now(), i, qlen()})
+				if i%3 == 2 {
+					p.Sleep(5 * Microsecond)
+				}
+			}
+		})
+	}
+	run := func(s *Simulator) []string {
+		var rec []string
+		s.TraceDispatch(func(t Time, seq uint64, kind byte, proc string) {
+			rec = append(rec, fmt.Sprintf("%d %d %c %s", t, seq, kind, proc))
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+
+	var eagerLog []obs
+	eager := New()
+	q := NewQueue[int]("work")
+	eager.GoDaemon("server", func(p *Proc) {
+		for {
+			serve(p, q.Pop(p), &eagerLog)
+		}
+	})
+	if err := eager.Run(); err != nil {
+		t.Fatal(err)
+	}
+	eager.Reset()
+	client(eager, q.Push, q.Len, &eagerLog)
+	eagerTrace := run(eager)
+	eager.Shutdown()
+
+	var lazyLog []obs
+	lazy := New()
+	var r *Reactor[int]
+	r = NewReactor(lazy, "work", "server", func(p *Proc, item int) {
+		for ; ; item = r.Pop(p) {
+			serve(p, item, &lazyLog)
+		}
+	})
+	if err := lazy.Run(); err != nil || lazy.LiveProcs() != 0 || lazy.EventsExecuted() != 0 {
+		t.Fatalf("a reactor before its first item: err %v, %d procs, %d events", err, lazy.LiveProcs(), lazy.EventsExecuted())
+	}
+	client(lazy, r.Push, r.Len, &lazyLog)
+	lazyTrace := run(lazy)
+	if lazy.LiveProcs() != 1 {
+		t.Errorf("started reactor: %d live processes, want its daemon", lazy.LiveProcs())
+	}
+	lazy.Shutdown()
+
+	if fmt.Sprint(lazyLog) != fmt.Sprint(eagerLog) {
+		t.Errorf("service log\n  reactor: %v\n  daemon:  %v", lazyLog, eagerLog)
+	}
+	if strings.Join(lazyTrace, "\n") != strings.Join(eagerTrace, "\n") {
+		t.Errorf("dispatch stream\n  reactor: %v\n  daemon:  %v", lazyTrace, eagerTrace)
+	}
+}

@@ -201,6 +201,49 @@ func (q *Queue[T]) TryPop() (T, bool) {
 	return item, true
 }
 
+// Reactor is a Queue served by one daemon process that starts on the
+// queue's first item, not before: a reactor that never gets work never
+// exists. The first item is handed to the new process the way Push hands
+// an item to a parked Pop — the queue never holds it, and the spawn
+// takes the (t, seq) place the wake would have had — so Len, and the
+// order in which everything runs, read as if the daemon had been parked
+// on Pop since construction. Later items go through Push and Pop as on
+// any Queue, and once started the daemon stays, across Restore, until
+// Shutdown.
+type Reactor[T any] struct {
+	Queue[T]
+	sim     *Simulator
+	proc    string                 // the daemon's process name
+	body    func(p *Proc, first T) // the daemon: first is its first item, later ones come from Pop
+	started bool
+}
+
+// NewReactor returns a reactor whose queue is labelled queue and whose
+// daemon, named proc, will run body.
+func NewReactor[T any](s *Simulator, queue, proc string, body func(p *Proc, first T)) *Reactor[T] {
+	return &Reactor[T]{Queue: Queue[T]{name: queue, parkLabel: "queue " + queue}, sim: s, proc: proc, body: body}
+}
+
+// Push hands item to the daemon, starting it if this is its first item.
+// It is safe to call from scheduler context.
+//
+//ntblint:allocfree
+func (r *Reactor[T]) Push(item T) {
+	if r.started {
+		r.Queue.Push(item)
+		return
+	}
+	r.start(item)
+}
+
+// start spawns the daemon on its first item. It allocates the daemon's
+// closure (and, when no coroutine is idle, its goroutine) once per
+// reactor, which is why it sits outside Push.
+func (r *Reactor[T]) start(first T) {
+	r.started = true
+	r.sim.GoDaemon(r.proc, func(p *Proc) { r.body(p, first) })
+}
+
 // resourceWaiter is a parked acquirer and the amount it needs.
 type resourceWaiter struct {
 	p       *Proc
