@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/driver"
+	"repro/internal/fabric"
+	"repro/internal/mem"
 	"repro/internal/model"
 )
 
@@ -83,21 +85,55 @@ func TestGoldenCSVs(t *testing.T) {
 			figs = append(figs, RunFig8(par)...)
 			figs = append(figs, RunFig9(par)...)
 			figs = append(figs, RunAblationPipeline(par))
-			for _, f := range figs {
-				name := CSVFileName(f.ID)
-				want, err := os.ReadFile(filepath.Join("..", "..", "results", name))
-				if err != nil {
-					t.Errorf("%s: no archived golden: %v", f.ID, err)
-					continue
-				}
-				got := f.CSV()
-				if got == string(want) {
-					continue
-				}
-				t.Errorf("%s: regenerated CSV differs from results/%s:\n%s",
-					f.ID, name, firstDiff(string(want), got))
-			}
+			matchArchive(t, figs)
 		})
+	}
+}
+
+// matchArchive byte-compares each figure's CSV with its archived file in
+// results/.
+func matchArchive(t *testing.T, figs []*Figure) {
+	t.Helper()
+	for _, f := range figs {
+		name := CSVFileName(f.ID)
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", name))
+		if err != nil {
+			t.Errorf("%s: no archived golden: %v", f.ID, err)
+			continue
+		}
+		if got := f.CSV(); got != string(want) {
+			t.Errorf("%s: regenerated CSV differs from results/%s:\n%s", f.ID, name, firstDiff(string(want), got))
+		}
+	}
+}
+
+// TestGoldenCSVsShareTheLenderAcrossWorkers runs the golden figure
+// groups plus E3 — the worlds that write the most heap, window and
+// staging bytes — on eight workers, so pooled worlds borrow from and
+// give back to the one mem lender concurrently (`make race` runs it
+// under the race detector). Every CSV must still match its archive, the
+// pool must park no storage, and every block the lender holds must be
+// all zero.
+func TestGoldenCSVsShareTheLenderAcrossWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden CSV sweep in -short mode")
+	}
+	defer SetParallelism(int(parallelism.Load()))
+	SetParallelism(8)
+	DrainWorldPool()
+	DrainSnapshots()
+	defer DrainWorldPool()
+	par := model.Default()
+	var figs []*Figure
+	figs = append(figs, RunFig8(par)...)
+	figs = append(figs, RunFig9(par)...)
+	figs = append(figs, RunAblationPipeline(par), RunAppKernels(par))
+	matchArchive(t, figs)
+	if total, _ := pooledResidency(); total != (fabric.Residency{}) {
+		t.Errorf("pooled worlds hold payload storage: %+v", total)
+	}
+	if !mem.LenderClean() {
+		t.Error("a world gave the lender a block with bytes its run wrote")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
+	"repro/internal/mem"
 	"repro/internal/model"
 )
 
@@ -19,10 +20,14 @@ import (
 // finished worlds warm, keyed by that shape, so runRingWorld pays
 // construction once per shape per worker instead of once per point.
 //
-// A world is checked in as its run left it — asserted quiescent, nothing
-// rewound — and restored exactly once, by whoever checks it out: to its
-// genesis image (World.Reset) for a from-t0 run, or straight onto a
-// prefix snapshot (World.Fork).
+// A world is checked in asserted quiescent and with its payload storage
+// given back: World.ReturnStorage runs the drop half of its next restore
+// early, so its written heap pages, window parts and staging buffers go
+// to the mem lender, and an idle world parks none of them. Nothing else
+// is rewound. Whoever checks the world out restores it exactly once: to
+// its genesis image (World.Reset) for a from-t0 run, or straight onto a
+// prefix snapshot (World.Fork); that restore finds nothing to drop, and
+// the run borrows its storage back from the lender.
 //
 // A pooled world's started service threads, forwarders and DMA engines
 // stay parked on live goroutines, so a world must never be silently
@@ -129,8 +134,10 @@ func WorldPoolStats() (hits, misses uint64) {
 }
 
 // DrainWorldPool shuts down and discards every pooled world, releasing
-// their daemon goroutines. Benchmarks and tests that account for memory
-// or goroutines call this between phases.
+// their daemon goroutines, and empties the mem lender the pooled worlds
+// gave their storage to, so the next sweep pays what a fresh process
+// pays. Benchmarks and tests that account for memory or goroutines call
+// this between phases.
 func DrainWorldPool() {
 	worldPool.mu.Lock()
 	all := worldPool.worlds
@@ -140,6 +147,7 @@ func DrainWorldPool() {
 	for _, pw := range all {
 		pw.w.Cluster.ShutdownSim()
 	}
+	mem.DrainLender()
 }
 
 // acquireWorld checks a warm world of the requested shape out of the
@@ -180,13 +188,14 @@ func acquireWorld(label string, par *model.Params, n int, opts core.Options) (w 
 
 // checkinWorld returns a cleanly finished world to the pool, asserting
 // its runtime drained (a world that did not is a bug in the point that
-// just ran, and must surface there, not at some later checkout). While
+// just ran, and must surface there, not at some later checkout) and
+// giving its payload storage back to the mem lender. While
 // the pool is over either budget it shuts down its oldest worlds; the
 // world just checked in always stays, so a world bigger than the whole
 // PE budget is pooled alone and thousand-PE sweeps keep exactly one warm
 // world instead of rebuilding per point.
 func checkinWorld(w *core.World, n int, opts core.Options) {
-	w.AssertQuiescent("pool check-in")
+	w.ReturnStorage()
 	key := keyOf(w, n, opts)
 	worldPool.mu.Lock()
 	worldPool.worlds = append(worldPool.worlds, pooledWorld{key: key, w: w})

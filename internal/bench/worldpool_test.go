@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fabric"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -184,13 +186,14 @@ func TestRunPointsOrderedCostOrderIsInvisible(t *testing.T) {
 	}
 }
 
-// TestPooledWindowsHoldOnlyTheSlotsUsed holds the window half of a
+// TestPooledWindowsHoldOnlyTheSlotsUsed holds the payload half of a
 // drained sweep's live heap: after E3's kernels and A6's pipeline-depth
-// sweep, the worlds the pool keeps warm hold at most 4 MiB of
-// inbound-window storage. One worker runs the points, as in a `-j 1`
-// sweep, so the pool holds one world per shape. A pipelined receiver
-// materialising its whole slot ring pinned 14 MiB here; one holding
-// only the slots it used pins about 3 MiB.
+// sweep, the worlds the pool keeps warm hold no heap page, no window
+// byte and no staging buffer — check-in gave them all to the mem lender
+// — and the lender holds at most 4.5 MiB. One worker runs the points, as
+// in a `-j 1` sweep, so the pool holds one world per shape. Pooled
+// worlds that kept their storage parked about 10 MiB here; one lender
+// shared by all of them needs the most any one class held at a check-in.
 func TestPooledWindowsHoldOnlyTheSlotsUsed(t *testing.T) {
 	defer SetParallelism(int(parallelism.Load()))
 	SetParallelism(1)
@@ -200,15 +203,29 @@ func TestPooledWindowsHoldOnlyTheSlotsUsed(t *testing.T) {
 	par := model.Default()
 	RunAppKernels(par)
 	RunAblationPipeline(par)
+	total, worlds := pooledResidency()
+	held := mem.LenderHeld()
+	t.Logf("%d pooled worlds hold %+v; the lender holds %.2f MiB", worlds, total, float64(held)/(1<<20))
+	if total != (fabric.Residency{}) {
+		t.Errorf("pooled worlds hold payload storage: %+v", total)
+	}
+	if held > 9<<19 {
+		t.Errorf("the lender holds %d bytes, ceiling %d", held, 9<<19)
+	}
+	if !mem.LenderClean() {
+		t.Error("a pooled world gave storage back with bytes its run wrote")
+	}
+}
+
+// pooledResidency sums the payload storage the pooled worlds hold.
+func pooledResidency() (total fabric.Residency, worlds int) {
 	worldPool.mu.Lock()
-	total := 0
+	defer worldPool.mu.Unlock()
 	for _, pw := range worldPool.worlds {
-		total += pw.w.Cluster.WindowResident()
+		r := pw.w.Resident()
+		total.HeapPages += r.HeapPages
+		total.WindowBytes += r.WindowBytes
+		total.StagingBytes += r.StagingBytes
 	}
-	worlds := len(worldPool.worlds)
-	worldPool.mu.Unlock()
-	t.Logf("%d pooled worlds hold %.2f MiB of window storage", worlds, float64(total)/(1<<20))
-	if total > 4<<20 {
-		t.Errorf("pooled worlds hold %d window bytes, ceiling %d", total, 4<<20)
-	}
+	return total, len(worldPool.worlds)
 }

@@ -121,15 +121,43 @@ func (w *World) Fork(s *WorldSnapshot) {
 // quiescent — pending requests, staged forwards, un-drained service
 // work, a failed simulation — because then the previous run did not
 // complete cleanly and the world must be discarded instead of recycled.
-// Service threads, forwarders and DMA engines that an earlier run
-// started stay parked on their queues (one that never started still
-// starts on its first job), doorbell handlers stay installed, and warm
-// buffers (heap chunks, staging pool, event-queue backing) are retained.
+// Every layer first drops what the previous run left: its payload
+// storage (heap pages, window parts, staging buffers) goes back to the
+// mem lender, which is all ReturnStorage does. Service threads,
+// forwarders and DMA engines that an earlier run started stay parked on
+// their queues (one that never started still starts on its first job),
+// doorbell handlers stay installed, and the event queue keeps its
+// backing.
 func (w *World) restore(s *WorldSnapshot) {
 	for i, pe := range w.pes {
 		pe.restore(&s.pes[i])
 	}
 	w.Cluster.Restore(s.cluster)
+}
+
+// ReturnStorage gives every heap page, NTB window part and relay staging
+// buffer the world holds back to the mem lender, cleared where its run
+// wrote — the drop half of the next Reset or Fork, run early. The bench
+// world pool calls it at check-in, so an idle pooled world parks no
+// payload storage and the restore at checkout finds nothing to drop.
+// The world keeps its allocations and device registers, but its heaps
+// and windows read as zeros: only Reset or Fork may follow.
+func (w *World) ReturnStorage() {
+	w.AssertQuiescent("storage return")
+	for _, pe := range w.pes {
+		pe.heap.ReturnStorage()
+	}
+	w.Cluster.ReturnStorage()
+}
+
+// Resident reports the payload storage the world holds: heap pages,
+// window bytes and staging bytes.
+func (w *World) Resident() fabric.Residency {
+	r := w.Cluster.Resident()
+	for _, pe := range w.pes {
+		r.HeapPages += pe.heap.ResidentPages()
+	}
+	return r
 }
 
 // restore brings one quiescent PE to a captured state, first dropping

@@ -15,11 +15,16 @@ import (
 // TestMain fails the package if any test's traffic wrote into the shared
 // zero source: a pool that took it back hands it out as a staging
 // buffer, and the next heap read writes through it — which corrupts
-// whichever later test reads zeros, not the one at fault.
+// whichever later test reads zeros, not the one at fault. A block given
+// back to the mem lender with bytes still set does the same damage.
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if code == 0 && !mem.ZeroSourceIntact() {
 		fmt.Fprintln(os.Stderr, "internal/core: the shared zero source was written during the tests")
+		code = 1
+	}
+	if code == 0 && !mem.LenderClean() {
+		fmt.Fprintln(os.Stderr, "internal/core: storage went back to the mem lender with bytes a run wrote")
 		code = 1
 	}
 	os.Exit(code)
@@ -79,7 +84,7 @@ func TestZeroSourceGetThenDataGetOnEveryFabric(t *testing.T) {
 					if rp := pe.HeapStats().ResidentPages; rp != 0 {
 						t.Errorf("zero traffic materialised %d heap page(s) at the owner", rp)
 					}
-					if wb := w.Cluster.WindowResident(); wb != 0 {
+					if wb := w.Resident().WindowBytes; wb != 0 {
 						t.Errorf("zero traffic materialised %d window byte(s)", wb)
 					}
 					pe.LocalWrite(p, sym, data)

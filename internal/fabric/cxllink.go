@@ -78,7 +78,6 @@ type cxlLink struct {
 	opts    LinkOptions // construction identity
 	deliver Handler     // installed handler survives recycling and forking
 	st      *cxlState   // shared fabric state
-	pool    bufPool     // warm staging buffers hold no simulation state
 
 	stats LinkStats // the per-run state: Snapshot copies it, Restore assigns it back
 }
@@ -89,7 +88,6 @@ func newCXLLink(c *Cluster, h *Host, opts LinkOptions) *cxlLink {
 		host: h,
 		opts: opts,
 		st:   c.cxl,
-		pool: bufPool{par: c.Par},
 	}
 	c.cxl.links[h.ID] = l
 	return l
@@ -140,7 +138,7 @@ func (l *cxlLink) Reply(p *sim.Proc, orig driver.Info, reply driver.Info, data [
 	l.access(p, requester, len(data))
 	l.st.links[requester].deliver(p, reply, data, nopAck)
 	if data != nil {
-		l.pool.put(data)
+		l.host.staging.put(data)
 	}
 }
 
@@ -167,7 +165,6 @@ func (l *cxlLink) AssertQuiescent(op string) {}
 func (l *cxlLink) Snapshot() any    { return l.stats }
 func (l *cxlLink) Restore(snap any) { l.stats = snap.(LinkStats) }
 
-// GetBuf borrows a staging buffer of at least n bytes from the host's
-// pool; PutBuf returns it.
-func (l *cxlLink) GetBuf(n int) []byte { return l.pool.get(n) }
-func (l *cxlLink) PutBuf(b []byte)     { l.pool.put(b) }
+// GetBuf borrows a staging buffer of n bytes from the host's pool;
+// Reply returns it once delivered.
+func (l *cxlLink) GetBuf(n int) []byte { return l.host.staging.get(n) }

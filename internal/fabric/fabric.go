@@ -9,6 +9,7 @@ package fabric
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/driver"
 	"repro/internal/model"
@@ -35,6 +36,10 @@ type Host struct {
 	Mesh   []*ntb.Port
 	MeshEP []*driver.Endpoint
 	MeshTx []*driver.TxChannel
+
+	// staging is the host's relay staging buffers, shared by whichever
+	// link the host runs; Cluster.ReturnStorage gives them back.
+	staging bufPool
 
 	cluster *Cluster
 }
@@ -151,18 +156,55 @@ func (h *Host) finishSides(par *model.Params) {
 	}
 }
 
-// WindowResident reports how many inbound-window bytes the cluster's
-// NTB ports hold storage for (zero on CXL, which has none).
-func (c *Cluster) WindowResident() int {
-	total := 0
-	for _, h := range c.Hosts {
-		for _, port := range append([]*ntb.Port{h.Left, h.Right}, h.Mesh...) {
-			if port != nil {
-				total += port.WindowResident(ntb.RegionData) + port.WindowResident(ntb.RegionBypass)
+// ports yields the host's cabled NTB ports: its ring or pair sides and,
+// on the switch fabric, its mesh ports.
+func (h *Host) ports() iter.Seq[*ntb.Port] {
+	return func(yield func(*ntb.Port) bool) {
+		for _, port := range [2]*ntb.Port{h.Left, h.Right} {
+			if port != nil && !yield(port) {
+				return
+			}
+		}
+		for _, port := range h.Mesh {
+			if port != nil && !yield(port) {
+				return
 			}
 		}
 	}
-	return total
+}
+
+// Residency is the payload storage a world holds on the host.
+type Residency struct {
+	HeapPages    int // symmetric-heap pages holding storage (mem.PageSize bytes each)
+	WindowBytes  int // NTB inbound-window storage (none on CXL)
+	StagingBytes int // relay staging buffers
+}
+
+// Resident reports the window and staging storage the cluster holds;
+// core.World.Resident adds the heap pages.
+func (c *Cluster) Resident() Residency {
+	var r Residency
+	for _, h := range c.Hosts {
+		for port := range h.ports() {
+			r.WindowBytes += port.WindowResident(ntb.RegionData) + port.WindowResident(ntb.RegionBypass)
+		}
+		r.StagingBytes += h.staging.resident()
+	}
+	return r
+}
+
+// ReturnStorage gives every NTB window part and relay staging buffer the
+// cluster holds back to the mem lender, cleared where it was written:
+// the windows read as zeros, and the device registers are left as they
+// are. It is the storage half of Restore, which a pooled world runs
+// early, at check-in. The cluster must be quiescent.
+func (c *Cluster) ReturnStorage() {
+	for _, h := range c.Hosts {
+		for port := range h.ports() {
+			port.ReturnStorage()
+		}
+		h.staging.giveBack()
+	}
 }
 
 // RunSim drives the world's simulation to completion.

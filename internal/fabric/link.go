@@ -226,10 +226,9 @@ type Link interface {
 	// is simply the first snapshot the world takes of it.
 	Snapshot() any
 	Restore(s any)
-	// GetBuf borrows a staging buffer of at least n bytes from the
-	// host's pool; PutBuf returns it.
+	// GetBuf borrows a staging buffer of n bytes from the host's pool;
+	// Reply returns it.
 	GetBuf(n int) []byte
-	PutBuf(b []byte)
 }
 
 // Links builds one Link per host for this cluster's fabric kind. It
@@ -272,25 +271,35 @@ func (c *Cluster) Links(opts LinkOptions) ([]Link, error) {
 	return links, nil
 }
 
-// bufPool is the per-host staging-buffer pool every backend embeds.
+// bufPool is a host's relay staging buffers. Its buffers are blocks
+// borrowed from the mem lender and reused mid-run without clearing: a
+// staged chunk overwrites every byte it carries. ReturnStorage gives
+// them back, cleared over the longest chunk any of them carried.
 type bufPool struct {
-	par  *model.Params
-	bufs [][]byte
+	bufs  [][]byte
+	dirty int // the longest chunk handed out since the last giveBack
 }
 
-// get returns a staging buffer of at least n bytes from the pool.
+// get returns a staging buffer of n bytes: the smallest pooled buffer
+// that holds n, or else a block borrowed from the lender.
 func (bp *bufPool) get(n int) []byte {
-	if last := len(bp.bufs) - 1; last >= 0 {
-		b := bp.bufs[last]
-		bp.bufs = bp.bufs[:last]
-		if cap(b) >= n {
-			return b[:n]
+	best := -1
+	for i, b := range bp.bufs {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(bp.bufs[best])) {
+			best = i
 		}
 	}
-	if n < bp.par.BypassChunk {
-		return make([]byte, n, bp.par.BypassChunk)
+	var b []byte
+	if best < 0 {
+		b = mem.Borrow(n, n)
+	} else {
+		last := len(bp.bufs) - 1
+		b, bp.bufs[best] = bp.bufs[best], bp.bufs[last]
+		bp.bufs[last] = nil
+		bp.bufs = bp.bufs[:last]
 	}
-	return make([]byte, n)
+	bp.dirty = max(bp.dirty, n)
+	return b[:n]
 }
 
 // put returns a staging buffer to the pool. The zero source, which
@@ -301,4 +310,25 @@ func (bp *bufPool) put(b []byte) {
 		return
 	}
 	bp.bufs = append(bp.bufs, b[:0])
+}
+
+// giveBack clears every pooled buffer over the extent a chunk may have
+// dirtied and returns it to the mem lender.
+func (bp *bufPool) giveBack() {
+	for i, b := range bp.bufs {
+		clear(b[:min(cap(b), bp.dirty)])
+		mem.Return(b)
+		bp.bufs[i] = nil
+	}
+	bp.bufs = bp.bufs[:0]
+	bp.dirty = 0
+}
+
+// resident is the bytes of storage the pool holds.
+func (bp *bufPool) resident() int {
+	n := 0
+	for _, b := range bp.bufs {
+		n += cap(b)
+	}
+	return n
 }

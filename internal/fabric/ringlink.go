@@ -91,7 +91,7 @@ func (l *ringLink) stage(p *sim.Proc, info driver.Info, payload []byte, ack func
 		if mem.IsZeroSource(payload) {
 			data = payload
 		} else {
-			data = l.pool.get(int(info.Size))
+			data = l.host.staging.get(int(info.Size))
 			copy(data, payload)
 		}
 	}

@@ -32,7 +32,6 @@ type ntbService struct {
 	fwdQ      *sim.Reactor[*fwdMsg]  // AssertQuiescent guarantees it drained
 	fwdBusy   int                    // AssertQuiescent guarantees zero
 	fwdIdle   *sim.Cond              // no waiters survive a clean run
-	pool      bufPool                // warm staging buffers hold no simulation state
 
 	// transit consumes an arrival addressed to another host. Only the
 	// ring relays — and so counts what its forwarder pushes as
@@ -78,7 +77,6 @@ func newNTBService(c *Cluster, h *Host, opts LinkOptions) ntbService {
 		opts:    opts,
 		svcIdle: sim.NewCond(hostName("svc-idle:", h.ID)),
 		fwdIdle: sim.NewCond(hostName("fwd-idle:", h.ID)),
-		pool:    bufPool{par: c.Par},
 	}
 }
 
@@ -190,7 +188,7 @@ func (s *ntbService) forward(p *sim.Proc, m *fwdMsg) {
 		tx, info := s.hop(m.info)
 		tx.SendChunk(p, info, driver.Payload{Buf: m.data, N: len(m.data)}, s.opts.Mode)
 		if m.data != nil {
-			s.pool.put(m.data)
+			s.host.staging.put(m.data)
 		}
 		if s.transit != nil {
 			s.stats.ChunksForwarded++
@@ -241,10 +239,9 @@ func (s *ntbService) Stats() LinkStats { return s.stats }
 func (s *ntbService) Snapshot() any    { return s.stats }
 func (s *ntbService) Restore(snap any) { s.stats = snap.(LinkStats) }
 
-// GetBuf borrows a staging buffer of at least n bytes from the host's
-// pool; PutBuf returns it.
-func (s *ntbService) GetBuf(n int) []byte { return s.pool.get(n) }
-func (s *ntbService) PutBuf(b []byte)     { s.pool.put(b) }
+// GetBuf borrows a staging buffer of n bytes from the host's pool; the
+// forwarder returns it once the reply is pushed.
+func (s *ntbService) GetBuf(n int) []byte { return s.host.staging.get(n) }
 
 // tokenPath is one travel direction of the Fig 6 doorbell barrier on
 // one host: tokens leave by out's doorbells and arrive, as interrupts on

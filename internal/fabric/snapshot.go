@@ -78,9 +78,11 @@ func (c *Cluster) Snapshot() *ClusterSnapshot {
 }
 
 // Restore brings a quiescent cluster of identical topology, whatever it
-// ran before, to the snapshot: every NTB port (scratchpads, doorbells,
-// dirty window extents), transmit channel and the flow network is restored
-// and the simulator positioned at the captured clock. The object graph
+// ran before, to the snapshot: its window and staging storage goes back
+// to the mem lender (each port's Restore returns its own), every NTB
+// port (scratchpads, doorbells, dirty window extents), transmit channel
+// and the flow network is restored and the simulator positioned at the
+// captured clock. The object graph
 // itself (ports, routes, endpoints, started DMA engines) survives, which
 // is the entire point: a restored cluster continues — or, from its
 // genesis image, replays the boot exchange — with none of the
@@ -96,6 +98,7 @@ func (c *Cluster) Restore(s *ClusterSnapshot) {
 		if (h.Left != nil) != (s.left[i] != nil) || (h.Right != nil) != (s.right[i] != nil) {
 			panic(fmt.Sprintf("fabric: restore of host %d with mismatched cabling", i))
 		}
+		h.staging.giveBack()
 		if h.Left != nil {
 			h.Left.Restore(s.left[i])
 			h.TxLeft.Restore(s.txL[i])

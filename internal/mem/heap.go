@@ -87,10 +87,6 @@ type Heap struct {
 	nchunks   int   // virtual extent, in chunks
 	pages     []pageRef
 	blocks    []block // sorted by offset, covering [0, nchunks*chunkSize)
-
-	// spare pools all-zero pages displaced by Fork, handed back out when a
-	// write materialises or privatizes a page.
-	spare []*page
 }
 
 // heapState is a heap's allocator counters and its written mark.
@@ -100,9 +96,9 @@ type heapState struct {
 
 	// written is the high-water mark of bytes that may have been modified
 	// since construction or the last Fork/Reset. Write raises it, and
-	// every materialised page is zero at and beyond it, so Fork re-zeroes
-	// a page it displaces only below the mark and privatize copies only
-	// that much.
+	// every materialised page is zero at and beyond it, so ReturnStorage
+	// re-zeroes a page it gives back only below the mark and privatize
+	// copies only that much.
 	written int64
 }
 
@@ -432,9 +428,9 @@ func (h *Heap) Zero(off int64, n int) {
 	}
 }
 
-// Reset drops every allocation and rezeroes the written extent, returning
-// the heap to a state indistinguishable from freshly constructed while
-// keeping its pages in the spare pool: Fork onto the empty snapshot. Because
+// Reset drops every allocation and gives the heap's pages back to the
+// block lender, returning it to a state indistinguishable from freshly
+// constructed: Fork onto the empty snapshot. Because
 // grow costs nothing in virtual time and first-fit over a single leading
 // free block assigns the same offsets a demand-grown fresh heap would,
 // an allocation sequence replayed after Reset yields byte-identical

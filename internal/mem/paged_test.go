@@ -200,7 +200,7 @@ func (w *pagedWorld) span(p *progReader, i int) (off int64, n int, ok bool) {
 // step executes one op of the program.
 func (w *pagedWorld) step(p *progReader) {
 	t := w.t
-	op, i := p.byte()%14, p.byte()%pagedHeaps
+	op, i := p.byte()%15, p.byte()%pagedHeaps
 	h, r := w.heaps[i], w.refs[i]
 	switch op {
 	case 0, 1: // Alloc / AllocAligned
@@ -297,6 +297,13 @@ func (w *pagedWorld) step(p *progReader) {
 		if ok && h.ZeroRange(off, n) && !allZero(r.data[off:off+int64(n)]) {
 			t.Fatalf("ZeroRange(%d, %d) of heap %d is true over non-zero bytes", off, n, i)
 		}
+	case 14: // ReturnStorage, as a pooled world's check-in runs it: the
+		// allocations stay, their contents read as zeros, no page is held
+		h.ReturnStorage()
+		clear(r.data)
+		if n := h.ResidentPages(); n != 0 {
+			t.Fatalf("ReturnStorage left heap %d holding %d pages", i, n)
+		}
 	}
 }
 
@@ -336,6 +343,9 @@ func (w *pagedWorld) check() {
 	}
 	for i, h := range w.heaps {
 		same("heap", h, w.refs[i].size, w.refs[i].data, w.refs[i].blocks)
+	}
+	if !LenderClean() {
+		t.Fatal("a page went back to the lender with a non-zero byte")
 	}
 	for k, s := range w.snaps {
 		if s == nil {
@@ -479,8 +489,8 @@ func TestFrozenPagesSurviveChildWritesAndForkCycles(t *testing.T) {
 	fresh := NewHeap(pageSize+8, 8*(pageSize+8))
 	fresh.Fork(snap)
 	checkPattern(t, fresh, off, span, 0x11)
-	// The page a's fork displaced was parked zeroed: the next write that
-	// takes it must not resurrect stale bytes.
+	// The page a's fork displaced went back to the lender zeroed: the
+	// next write that borrows it must not resurrect stale bytes.
 	a.Reset()
 	if _, err := a.Alloc(span); err != nil {
 		t.Fatal(err)
@@ -491,6 +501,6 @@ func TestFrozenPagesSurviveChildWritesAndForkCycles(t *testing.T) {
 	want := make([]byte, span)
 	want[pageSize] = 1
 	if !bytes.Equal(got, want) {
-		t.Fatal("a recycled spare page carried stale bytes")
+		t.Fatal("a page the lender lent again carried stale bytes")
 	}
 }

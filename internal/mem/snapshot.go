@@ -73,12 +73,11 @@ func (h *Heap) Snapshot() *HeapSnapshot {
 
 // Fork brings the heap, whatever it holds, to the snapshot's state: the
 // previous run's allocations are dropped, allocator metadata is
-// restored, and the page table over everything the previous run may
-// have written becomes the snapshot's — its frozen pages aliased, not
-// copied, and nil everywhere else. Private pages this displaces are
-// re-zeroed below the written mark and parked in the spare pool, ready
-// to back later writes without allocating. The heap must have the
-// snapshot's geometry.
+// restored, and the page table becomes the snapshot's — its frozen pages
+// aliased, not copied, and nil everywhere else. The pages the previous
+// run held go back to the block lender first (ReturnStorage), so a heap
+// a pooled world already emptied at check-in has nothing to drop. The
+// heap must have the snapshot's geometry.
 func (h *Heap) Fork(s *HeapSnapshot) {
 	if h.chunkSize != s.chunkSize {
 		panic(fmt.Sprintf("mem: fork of a chunk-size-%d heap from a chunk-size-%d snapshot", h.chunkSize, s.chunkSize))
@@ -86,21 +85,13 @@ func (h *Heap) Fork(s *HeapSnapshot) {
 	if s.size > h.maxSize {
 		panic(fmt.Sprintf("mem: fork of a max-%d heap from a %d-byte snapshot", h.maxSize, s.size))
 	}
+	h.ReturnStorage()
 	if h.Size() < s.size {
 		h.setChunks(int(s.size / s.chunkSize))
 	}
-	// Storage exists only below the written mark, so one pass over the
-	// previous run's extent and the snapshot's covers every entry that
-	// can differ.
-	for pi := range max(writtenPages(h.written), len(s.frozen)) {
-		pg := &h.pages[pi]
-		if pg.data != nil && !pg.shared {
-			clear(pg.data[:min(pageSize, h.written-int64(pi)<<pageShift)])
-			h.spare = append(h.spare, pg.data)
-		}
-		*pg = pageRef{}
-		if pi < len(s.frozen) && s.frozen[pi] != nil {
-			*pg = pageRef{data: s.frozen[pi], shared: true}
+	for pi, data := range s.frozen {
+		if data != nil {
+			h.pages[pi] = pageRef{data: data, shared: true}
 		}
 	}
 	h.blocks = append(h.blocks[:0], s.blocks...)
@@ -113,23 +104,35 @@ func (h *Heap) Fork(s *HeapSnapshot) {
 			h.blocks = append(h.blocks, block{off: s.size, size: extra, free: true})
 		}
 	}
-	h.heapState = s.heapState // last: the page pass reads the previous run's written mark
+	h.heapState = s.heapState
+}
+
+// ReturnStorage gives every private page back to the block lender,
+// re-zeroed below the written mark, and drops the references to pages a
+// snapshot shares (frozen pages are never given back). Allocations stay;
+// their contents read as zeros. It is the first half of Fork and Reset,
+// which a pooled world runs early, at check-in, so that an idle world
+// parks no pages.
+func (h *Heap) ReturnStorage() {
+	// Storage exists only below the written mark.
+	for pi := range writtenPages(h.written) {
+		pg := &h.pages[pi]
+		if pg.data != nil && !pg.shared {
+			clear(pg.data[:min(pageSize, h.written-int64(pi)<<pageShift)])
+			Return(pg.data[:])
+		}
+		*pg = pageRef{}
+	}
+	h.written = 0
 }
 
 // privatize gives page pi private storage ahead of a write and returns
-// it. A page that had none takes an all-zero one; a shared page is
-// copied — the copy-on-write fault path — but only its slice of
+// it: an all-zero page from the block lender, into which a shared page
+// is copied — the copy-on-write fault path — but only its slice of
 // [0, written): a frozen page is zero beyond the written mark it was
 // captured under, which the heap's own mark never falls below.
 func (h *Heap) privatize(pi int) *page {
-	var priv *page
-	if last := len(h.spare) - 1; last >= 0 {
-		priv = h.spare[last]
-		h.spare[last] = nil
-		h.spare = h.spare[:last]
-	} else {
-		priv = new(page)
-	}
+	priv := (*page)(Borrow(pageSize, pageSize))
 	pg := &h.pages[pi]
 	if pg.shared {
 		if n := h.written - int64(pi)<<pageShift; n > 0 {

@@ -105,8 +105,8 @@ func TestForkResetForkRecyclesSpares(t *testing.T) {
 			}
 		}
 	}
-	// The spare pool cycles pages; the child never grows past the
-	// snapshot's extent.
+	// Pages cycle through the block lender; the child never grows past
+	// the snapshot's extent.
 	if child.Chunks() != 2 {
 		t.Fatalf("child holds %d chunks after 3 fork cycles, want 2", child.Chunks())
 	}

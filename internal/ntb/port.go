@@ -378,21 +378,39 @@ func (w *inboundWindow) part(off, n int) (i, base int) {
 }
 
 // grow returns part i's storage, materialised at least up to end (an
-// offset within the part). Storage grows in power-of-two steps capped at
-// the part size, by moving to a larger slice: unmaterialised bytes read
-// as zeros exactly like an eagerly allocated window's, so virtual-time
-// behaviour is unchanged. An alias handed out before a growth step keeps
-// the bytes it was taken for — the store it points into is never written
-// again — and every receiver re-fetches its range per message, so none
-// goes on reading an outgrown one.
+// offset within the part). Storage is a block from the mem lender in
+// power-of-two steps — the smallest free block that reaches end, used
+// whole up to the part size, so a part rebuilt on a recycled world takes
+// the block its predecessor gave back instead of stepping up from 4 KiB
+// again. Unmaterialised bytes read as zeros exactly like an eagerly
+// allocated window's, so virtual-time behaviour is unchanged. A part
+// outgrown mid-run is never given back: an alias handed out before a
+// growth step keeps the bytes it was taken for — the store it points
+// into is never written again — and every receiver re-fetches its range
+// per message, so none goes on reading an outgrown one.
 func (w *inboundWindow) grow(i, end int) []byte {
 	s := w.parts[i]
 	if end > len(s) {
-		grown := make([]byte, min(w.partBytes, max(minWindow, 1<<bits.Len(uint(end-1)))))
+		block := mem.Borrow(min(w.partBytes, max(minWindow, 1<<bits.Len(uint(end-1)))), w.partBytes)
+		grown := block[:min(w.partBytes, len(block))]
 		copy(grown, s)
 		w.parts[i], s = grown, grown
 	}
 	return s
+}
+
+// giveBack clears the storage inside extent d and returns every part to
+// the mem lender, leaving the window without storage.
+func (w *inboundWindow) giveBack(d extent) {
+	for _, b := range w.dirtyRuns(d) {
+		clear(b)
+	}
+	for i, s := range w.parts {
+		if cap(s) > 0 {
+			mem.Return(s)
+			w.parts[i] = nil
+		}
+	}
 }
 
 // dirtyRuns yields, part by part, the storage inside extent d: each

@@ -6,14 +6,18 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/pcie"
 	"repro/internal/sim"
 )
 
-// pair builds two connected ports on separate hosts.
+// pair builds two connected ports on separate hosts. It empties the mem
+// lender first, so each window part a test materialises is the step its
+// own writes reached, not a larger block an earlier test gave back.
 func pair(t testing.TB) (*sim.Simulator, *Port, *Port, *model.Params) {
 	t.Helper()
+	mem.DrainLender()
 	par := model.Default()
 	s := sim.New()
 	net := pcie.NewNetwork(s)

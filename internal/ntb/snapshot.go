@@ -38,23 +38,18 @@ func (p *Port) Snapshot() *PortSnapshot {
 }
 
 // Restore brings the port, whatever its previous run left, to the
-// snapshot's state: the register surface is replaced, the storage inside
-// each window's old dirty extent is rezeroed and the captured runs
-// copied in (the rest of the window is zero, as it was when the snapshot
-// was taken). No storage is released; a part is materialised only as far
-// as a captured run reaches, so one the snapshot never touched is not at
-// all. The LUT is intentionally not part of the snapshot: boot
-// reprograms it with the same entries and no window transaction precedes
-// boot, so an already-enforced LUT admits exactly what a not-yet-enforced
-// one would. The ISR registration and the DMA engine (which must be
-// idle; its process, once started, stays parked) survive as well.
+// snapshot's state: its window storage goes back to the mem lender
+// (ReturnStorage), the register surface is replaced and the captured
+// runs are copied in (the rest of the window is zero, as it was when
+// the snapshot was taken). A part is materialised only as far as a
+// captured run reaches, so one the snapshot never touched is not at all.
+// The LUT is intentionally not part of the snapshot: boot reprograms it
+// with the same entries and no window transaction precedes boot, so an
+// already-enforced LUT admits exactly what a not-yet-enforced one would.
+// The ISR registration and the DMA engine (which must be idle; its
+// process, once started, stays parked) survive as well.
 func (p *Port) Restore(s *PortSnapshot) {
-	p.dma.assertIdle("restore")
-	for r := range p.inbound {
-		for _, b := range p.inbound[r].dirtyRuns(p.winDirty[r]) {
-			clear(b)
-		}
-	}
+	p.ReturnStorage()
 	p.portState = s.portState
 	copy(p.spads, s.spads)
 	for r := range p.inbound {
@@ -63,5 +58,19 @@ func (p *Port) Restore(s *PortSnapshot) {
 			i, base := w.part(run.off, len(run.bytes))
 			copy(w.grow(i, run.off-base+len(run.bytes))[run.off-base:], run.bytes)
 		}
+	}
+}
+
+// ReturnStorage rezeroes the bytes inside each window's dirty extent and
+// gives every window part back to the mem lender: the windows read as
+// zeros and hold no storage, and the registers are left as they are. It
+// is the first half of Restore, which a pooled world runs early, at
+// check-in, so that an idle port parks no window bytes. The DMA engine
+// must be idle.
+func (p *Port) ReturnStorage() {
+	p.dma.assertIdle("storage return")
+	for r := range p.inbound {
+		p.inbound[r].giveBack(p.winDirty[r])
+		p.winDirty[r] = extent{}
 	}
 }

@@ -92,6 +92,64 @@ func TestWindowPayloadAliasSurvivesLaterLargerWrite(t *testing.T) {
 	}
 }
 
+func TestReturnedPartIsRelentAndReadsZeroOutsideWhatLanded(t *testing.T) {
+	// b's data window grows to a 32 KiB part under a 20 000-byte
+	// transfer and gives it back dirty; c, another port, borrows that
+	// very block for a 10-byte write ending past 4 KiB (the lender's 4 KiB
+	// block, b's bypass part, is too small). Both windows read zeros
+	// everywhere but where their own bytes landed.
+	s, a, b, par := pair(t)
+	s2, a2, c, _ := pair(t)
+	run(t, s, func(p *sim.Proc) {
+		a.CPUWrite(p, RegionData, 1000, pattern(20000, 1))
+		a.CPUWrite(p, RegionBypass, 0, pattern(100, 2))
+	})
+	old := b.inbound[RegionData].parts[0]
+	if len(old) != 1<<15 {
+		t.Fatalf("test setup: part at %d bytes", len(old))
+	}
+	b.ReturnStorage()
+	if n := b.WindowResident(RegionData) + b.WindowResident(RegionBypass); n != 0 || mem.LenderHeld() != 1<<15+minWindow {
+		t.Fatalf("after ReturnStorage the port holds %d bytes and the lender %d", n, mem.LenderHeld())
+	}
+	if !mem.LenderClean() {
+		t.Fatal("a part went back to the lender with its bytes")
+	}
+	run(t, s2, func(p *sim.Proc) { a2.CPUWrite(p, RegionData, 5000, pattern(10, 3)) })
+	if part := c.inbound[RegionData].parts[0]; len(part) != 1<<15 || &part[0] != &old[0] {
+		t.Fatalf("c materialised %d bytes, not b's returned part", len(part))
+	}
+	wantC := make([]byte, par.WindowSize)
+	copy(wantC[5000:], pattern(10, 3))
+	if !bytes.Equal(c.InboundRange(RegionData, 0, par.WindowSize), wantC) {
+		t.Fatal("the re-lent part reads stale bytes outside what landed")
+	}
+	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 30000, pattern(8, 4)) })
+	wantB := make([]byte, par.WindowSize)
+	copy(wantB[30000:], pattern(8, 4))
+	if !bytes.Equal(b.InboundRange(RegionData, 0, par.WindowSize), wantB) ||
+		!bytes.Equal(b.InboundRange(RegionBypass, 0, 4096), make([]byte, 4096)) {
+		t.Fatal("b's windows read stale bytes after giving their storage back")
+	}
+
+}
+
+func TestRebuiltPartTakesAReturnedBlockWhole(t *testing.T) {
+	// A 3-byte write after a 512 KiB part went back materialises the
+	// whole returned block instead of stepping up from 4 KiB.
+	s, a, b, _ := pair(t)
+	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 300000, []byte("far")) })
+	b.ReturnStorage()
+	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, []byte{1, 2, 3}) })
+	if got := b.WindowResident(RegionData); got != 1<<19 || mem.LenderHeld() != 0 {
+		t.Fatalf("the rebuilt part holds %d bytes and the lender %d, want the returned 512 KiB block in the part",
+			got, mem.LenderHeld())
+	}
+	if !bytes.Equal(b.InboundRange(RegionData, 0, 1<<19), append([]byte{1, 2, 3}, make([]byte, 1<<19-3)...)) {
+		t.Fatal("the rebuilt part reads stale bytes")
+	}
+}
+
 func TestWindowSnapshotRestoreAcrossGrowthStep(t *testing.T) {
 	// Captured small, restored over a port that grew: the grown tail reads
 	// zero again. Captured grown, restored into a port that never grew:
