@@ -136,8 +136,8 @@ func figures(args []string, stdout, stderr io.Writer) (code int) {
 	forks, prefixBuilds, eventsSaved := bench.ForkStats()
 	fmt.Fprintf(stderr, "simulated %d worlds in %.1f s (%.1f worlds/s, par=%d, pool %d hits / %d misses)\n",
 		worlds, elapsed, float64(worlds)/elapsed, bench.Parallelism(), hits, misses)
-	fmt.Fprintf(stderr, "snapshot fork: %d forks from %d warm-up prefixes (%d virtual events skipped, %d CoW pages copied)\n",
-		forks, prefixBuilds, eventsSaved, bench.CowPagesCopied())
+	fmt.Fprintf(stderr, "snapshot fork: %d forks from %d warm-up prefixes (%d virtual events skipped)\n",
+		forks, prefixBuilds, eventsSaved)
 	fmt.Fprintln(stdout, "(all reported numbers are virtual-time measurements; wall times above are host-side cost)")
 	return 0
 }

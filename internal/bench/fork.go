@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -18,8 +17,8 @@ import (
 // snapshot cache: the first point of a (shape, prefix, seed) key runs
 // the prefix once and captures a core.WorldSnapshot; every later point
 // checks out a pooled world — in whatever state its last run left it —
-// Forks it onto the snapshot (copy-on-write heap pages, copied device
-// registers), and runs only its divergent body. Fork equivalence
+// Forks it onto the snapshot (copied heap pages and device registers),
+// and runs only its divergent body. Fork equivalence
 // (internal/core/fork_test.go) guarantees the simulated futures — and
 // therefore the results/ CSVs — are byte-identical to the replay path.
 
@@ -48,19 +47,15 @@ var (
 
 // ForkStats reports how many sweep points forked a cached snapshot, how
 // many prefix runs were captured, and how many virtual events the forks
-// avoided re-simulating. CoW page-copy counts live in mem.CowCopies.
+// avoided re-simulating.
 func ForkStats() (forks, prefixBuilds, eventsSaved uint64) {
 	return forkForks.Load(), forkPrefixBuilds.Load(), forkEventsSaved.Load()
 }
 
-// CowPagesCopied reports the process-wide copy-on-write page-copy count
-// (re-exported from internal/mem so harnesses need only this package).
-func CowPagesCopied() uint64 { return mem.CowCopies() }
-
 // maxCachedSnapshots bounds the snapshot cache. Snapshots are plain data
-// (no goroutines), so eviction is just a dropped reference; the bound
-// only matters for sweeps touching many distinct shapes, which fall back
-// to replaying.
+// (no goroutines) and nothing is evicted: once the cache is full, a point
+// whose key it lacks builds no prefix and replays instead, so a sweep
+// touching many distinct shapes pays one world per point, not two.
 const maxCachedSnapshots = 16
 
 // initPrefixKey names the implicit warm-up every world executes anyway:
@@ -94,36 +89,40 @@ func DrainSnapshots() {
 	snapCache.mu.Unlock()
 }
 
-// cachedSnapshot returns the snapshot for key, or nil.
-func cachedSnapshot(key snapKey) *core.WorldSnapshot {
+// cachedSnapshot returns the snapshot for key, or nil, and whether the
+// cache has room for another.
+func cachedSnapshot(key snapKey) (*core.WorldSnapshot, bool) {
 	snapCache.mu.Lock()
 	defer snapCache.mu.Unlock()
-	return snapCache.m[key]
+	return snapCache.m[key], len(snapCache.m) < maxCachedSnapshots
 }
 
-// storeSnapshot inserts snap under key if the cache has room.
+// storeSnapshot inserts snap under key. Only prefixSnapshot stores, under
+// buildMu, after finding room.
 func storeSnapshot(key snapKey, snap *core.WorldSnapshot) {
 	snapCache.mu.Lock()
 	if snapCache.m == nil {
 		snapCache.m = make(map[snapKey]*core.WorldSnapshot)
 	}
-	if len(snapCache.m) < maxCachedSnapshots {
-		snapCache.m[key] = snap
-	}
+	snapCache.m[key] = snap
 	snapCache.mu.Unlock()
 }
 
 // prefixSnapshot returns the cached snapshot for the given shape and
 // prefix, capturing it on first use by running the prefix on a pooled
-// (or fresh) world. A nil prefix is the bare shmem_init warm-up.
+// (or fresh) world. It returns nil, building nothing, when the key is
+// not cached and the cache is full: the point replays. A nil prefix is
+// the bare shmem_init warm-up.
 func prefixSnapshot(label string, par *model.Params, n int, opts core.Options, prefixKey string, seed int64, prefix func(p *sim.Proc, pe *core.PE)) *core.WorldSnapshot {
 	key := snapKey{shape: worldKey(par, n, opts, Fabric()), prefix: prefixKey, seed: seed}
-	if snap := cachedSnapshot(key); snap != nil {
+	if snap, room := cachedSnapshot(key); snap != nil || !room {
 		return snap
 	}
 	snapCache.buildMu.Lock()
 	defer snapCache.buildMu.Unlock()
-	if snap := cachedSnapshot(key); snap != nil {
+	// Stores happen only under buildMu, so the room seen here holds until
+	// the store below.
+	if snap, room := cachedSnapshot(key); snap != nil || !room {
 		return snap
 	}
 
@@ -189,12 +188,11 @@ func ForkProbePoint(par *model.Params, n, rounds, fill, point int) {
 
 // runForked serves one sweep point from the prefix cache: fork a pooled
 // world onto the snapshot and run only the divergent body.
-func runForked(label string, par *model.Params, n int, opts core.Options, prefixKey string, seed int64, prefix, body func(p *sim.Proc, pe *core.PE)) {
-	snap := prefixSnapshot(label, par, n, opts, prefixKey, seed, prefix)
+func runForked(label string, par *model.Params, n int, opts core.Options, snap *core.WorldSnapshot, body func(p *sim.Proc, pe *core.PE)) {
 	worldCount.Add(1)
 	w, _ := acquireWorld(label, par, n, opts)
 	w.Fork(snap)
-	err := w.RunKeepForked(body)
+	err := w.RunKeep(body)
 	forkForks.Add(1)
 	forkEventsSaved.Add(snap.Events())
 	releaseWorld(w, label, n, opts, err)

@@ -103,6 +103,31 @@ func TestForkCacheDetectsMutatedParams(t *testing.T) {
 	}
 }
 
+func TestFullSnapshotCacheReplaysNewShapes(t *testing.T) {
+	// Nothing is evicted: past maxCachedSnapshots distinct keys, a point
+	// builds no prefix and forks nothing — it replays, in one world.
+	SetWorldFork(true)
+	DrainSnapshots()
+	DrainWorldPool()
+	defer DrainSnapshots()
+	par := model.Default()
+	body := func(p *sim.Proc, pe *core.PE) { pe.BarrierAll(p) }
+	for k := range maxCachedSnapshots + 4 {
+		f0, b0, _ := ForkStats()
+		w0 := WorldsSimulated()
+		runRingWorldPrefixed("cache-bound", par, 3, core.Options{}, fmt.Sprintf("bound:%d", k), 0, nil, body)
+		f1, b1, _ := ForkStats()
+		forks, builds, worlds := f1-f0, b1-b0, WorldsSimulated()-w0
+		want := [3]uint64{1, 1, 2} // a prefix build and a fork, two worlds
+		if k >= maxCachedSnapshots {
+			want = [3]uint64{0, 0, 1}
+		}
+		if got := [3]uint64{builds, forks, worlds}; got != want {
+			t.Fatalf("shape %d: %d prefix builds, %d forks, %d worlds; want %v", k, builds, forks, worlds, want)
+		}
+	}
+}
+
 func TestForkProbePointBothPaths(t *testing.T) {
 	par := model.Default()
 	SetWorldFork(true)

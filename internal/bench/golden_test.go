@@ -68,7 +68,10 @@ func TestGoldenNumbers(t *testing.T) {
 // hot-path rewrite must not move any virtual-time figure by even one
 // nanosecond. A mismatch prints a line-level diff of the first divergent
 // figure. The sweep runs once per snapshot-fork mode: the fork path must
-// reproduce the replay path's archived bytes, not merely its own.
+// reproduce the replay path's archived bytes, not merely its own. The
+// fork pass also holds the claim that makes copying heap snapshots
+// free: no prefix snapshot the sweep caches holds a heap page, so no
+// fork copies one.
 func TestGoldenCSVs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden CSV sweep in -short mode")
@@ -86,7 +89,27 @@ func TestGoldenCSVs(t *testing.T) {
 			figs = append(figs, RunFig9(par)...)
 			figs = append(figs, RunAblationPipeline(par))
 			matchArchive(t, figs)
+			if forkOn {
+				checkPrefixSnapshotsHoldNoHeapPage(t)
+			}
 		})
+	}
+}
+
+// checkPrefixSnapshotsHoldNoHeapPage fails the test if the snapshot cache
+// is empty or any cached prefix snapshot holds a heap page: a warm-up
+// that writes the heap makes every fork of it pay a page copy per page.
+func checkPrefixSnapshotsHoldNoHeapPage(t *testing.T) {
+	t.Helper()
+	snapCache.mu.Lock()
+	defer snapCache.mu.Unlock()
+	if len(snapCache.m) == 0 {
+		t.Error("the sweep cached no prefix snapshot")
+	}
+	for key, snap := range snapCache.m {
+		if n := snap.HeapPages(); n != 0 {
+			t.Errorf("prefix snapshot %q (seed %d) holds %d heap page(s)", key.prefix, key.seed, n)
+		}
 	}
 }
 

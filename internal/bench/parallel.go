@@ -45,13 +45,15 @@ func Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// SetShards and SetWorldPool are what is left of two deleted mechanisms:
-// conservative-PDES sharding (measured five times, never a win;
-// EXPERIMENTS.md) and the world pool's off switch. A world is one
-// simulator and every world is pooled, so each accepts only the value
-// that says so. They exist because benchmark/surface.go binds them and
-// benchmark/main.go calls them; the benchmark-only PR that rebinds
-// surface.go (ROADMAP item 1c) removes both.
+// SetShards, SetWorldPool and CowPagesCopied are what is left of three
+// deleted mechanisms: conservative-PDES sharding (measured five times,
+// never a win; EXPERIMENTS.md), the world pool's off switch and the
+// heap's copy-on-write pages (heap snapshots copy at capture). A world
+// is one simulator, every world is pooled and no page is shared, so
+// each accepts or reports only the value that says so. They exist
+// because benchmark/surface.go binds them and benchmark/main.go calls
+// the first two; the benchmark-only change that rebinds surface.go
+// (ROADMAP item 1c) removes all three.
 func SetShards(n int) {
 	if n != 1 {
 		panic(fmt.Sprintf("bench: SetShards(%d): sharding is deleted; a world is one simulator", n))
@@ -63,6 +65,8 @@ func SetWorldPool(on bool) {
 		panic("bench: SetWorldPool(false): the pool-off path is deleted; every world is pooled")
 	}
 }
+
+func CowPagesCopied() uint64 { return 0 }
 
 // benchFabric selects which fabric backend subsequent world builds use;
 // the zero value is fabric.KindNTBRing, the reference topology every
@@ -204,15 +208,18 @@ func runRingWorld(label string, par *model.Params, n int, opts core.Options, bod
 // With forking enabled (the default) the prefix — implicitly including
 // shmem_init — is simulated once per (shape, prefixKey, seed) and every
 // further point forks the captured snapshot, running only body; with it
-// disabled the whole prefix replays from t=0 per point, which is the
-// reference the fork-equivalence tests compare against. A nil prefix
+// disabled, or for a key the full snapshot cache lacks, the whole prefix
+// replays from t=0 per point, which is the reference the
+// fork-equivalence tests compare against. A nil prefix
 // means the bare shmem_init warm-up. prefixKey with seed must uniquely
 // name what prefix simulates; two different prefix closures must never
 // share a key for the same shape.
 func runRingWorldPrefixed(label string, par *model.Params, n int, opts core.Options, prefixKey string, seed int64, prefix, body func(p *sim.Proc, pe *core.PE)) {
 	if forkOn.Load() {
-		runForked(label, par, n, opts, prefixKey, seed, prefix, body)
-		return
+		if snap := prefixSnapshot(label, par, n, opts, prefixKey, seed, prefix); snap != nil {
+			runForked(label, par, n, opts, snap, body)
+			return
+		}
 	}
 	combined := body
 	if prefix != nil {

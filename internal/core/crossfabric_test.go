@@ -272,12 +272,12 @@ func TestCrossFabricForkEquivalence(t *testing.T) {
 			ref := newFabricWorld(fc.kind, fc.n, Options{})
 			traceRun(t, ref, prefix)
 			snap := ref.Snapshot()
-			wantTrace, wantEnd, wantStats := traceRunForked(t, ref, body)
+			wantTrace, wantEnd, wantStats := traceRun(t, ref, body)
 			ref.Cluster.Sim.Shutdown()
 
 			child := newFabricWorld(fc.kind, fc.n, Options{})
 			child.Fork(snap)
-			gotTrace, gotEnd, gotStats := traceRunForked(t, child, body)
+			gotTrace, gotEnd, gotStats := traceRun(t, child, body)
 			child.Cluster.Sim.Shutdown()
 
 			if gotEnd != wantEnd {

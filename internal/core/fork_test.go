@@ -17,19 +17,6 @@ import (
 // prefix-then-body from t=0 with the same seed. The bench prefix cache
 // forks sweep points on the strength of this property.
 
-// traceRunForked is traceRun for the post-fork phase: body runs without
-// the shmem_init prefix (the forked state already contains it).
-func traceRunForked(t *testing.T, w *World, body func(p *sim.Proc, pe *PE)) ([]OpEvent, sim.Time, Stats) {
-	t.Helper()
-	var trace []OpEvent
-	w.SetOpTrace(func(ev OpEvent) { trace = append(trace, ev) })
-	if err := w.RunKeepForked(body); err != nil {
-		t.Fatal(err)
-	}
-	w.SetOpTrace(nil)
-	return trace, w.Cluster.Sim.Now(), w.PEs()[0].Stats()
-}
-
 // compareTraces fails the test on the first diverging event.
 func compareTraces(t *testing.T, label string, got, want []OpEvent) {
 	t.Helper()
@@ -68,7 +55,7 @@ func TestForkEquivalentToFreshRun(t *testing.T) {
 			traceRun(t, ref, prefix)
 			snap := ref.Snapshot()
 			refEvents := events(ref)
-			wantTrace, wantEnd, wantStats := traceRunForked(t, ref, body)
+			wantTrace, wantEnd, wantStats := traceRun(t, ref, body)
 			bodyEvents := events(ref) - refEvents
 			ref.Cluster.ShutdownSim()
 
@@ -88,7 +75,7 @@ func TestForkEquivalentToFreshRun(t *testing.T) {
 				if now := child.Cluster.Sim.Now(); now != snap.Time() {
 					t.Fatalf("%s: forked world starts at t=%v, snapshot taken at %v", label, now, snap.Time())
 				}
-				gotTrace, gotEnd, gotStats := traceRunForked(t, child, body)
+				gotTrace, gotEnd, gotStats := traceRun(t, child, body)
 				if got := events(child); got != bodyEvents {
 					t.Errorf("%s: forked body executed %d virtual events, continuation executed %d", label, got, bodyEvents)
 				}
@@ -112,7 +99,7 @@ func TestPERestoreOverDirtyPEEqualsRestoreOfFresh(t *testing.T) {
 	traceRun(t, src, resetScript(29, 2, 5))
 	snap := src.Snapshot()
 	body := resetScript(30, 2, 4)
-	wantTrace, wantEnd, _ := traceRunForked(t, src, body)
+	wantTrace, wantEnd, _ := traceRun(t, src, body)
 	src.Cluster.Sim.Shutdown()
 
 	// A world whose PEs ended their previous life in every state the
@@ -155,7 +142,7 @@ func TestPERestoreOverDirtyPEEqualsRestoreOfFresh(t *testing.T) {
 		}
 	}
 	for label, w := range map[string]*World{"dirty": dirty, "fresh": fresh} {
-		gotTrace, gotEnd, _ := traceRunForked(t, w, body)
+		gotTrace, gotEnd, _ := traceRun(t, w, body)
 		w.Cluster.Sim.Shutdown()
 		if gotEnd != wantEnd {
 			t.Errorf("%s: continuation ends at %v, want %v", label, gotEnd, wantEnd)
@@ -216,7 +203,7 @@ func TestGenesisCaptureMaterialisesNothing(t *testing.T) {
 func TestForkManyChildrenDiverge(t *testing.T) {
 	// Several children forked from one snapshot run different futures;
 	// each must match its own continuation reference, and later forks
-	// must not see earlier children's writes (CoW isolation).
+	// must not see earlier children's writes.
 	prefix := resetScript(5, 2, 6)
 	futures := []func(p *sim.Proc, pe *PE){
 		resetScript(100, 2, 4),
@@ -239,14 +226,14 @@ func TestForkManyChildrenDiverge(t *testing.T) {
 		// Reference for each future: fresh world, prefix then future.
 		ref := newWorld(3, Options{})
 		traceRun(t, ref, prefix)
-		trace, end, stats := traceRunForked(t, ref, fut)
+		trace, end, stats := traceRun(t, ref, fut)
 		ref.Cluster.Sim.Shutdown()
 		want[i] = result{trace, end, stats}
 	}
 	for i, fut := range futures {
 		child := newWorld(3, Options{})
 		child.Fork(snap)
-		trace, end, stats := traceRunForked(t, child, fut)
+		trace, end, stats := traceRun(t, child, fut)
 		child.Cluster.Sim.Shutdown()
 		if end != want[i].end || stats != want[i].stats {
 			t.Errorf("future %d: end %v stats %+v, want %v %+v", i, end, stats, want[i].end, want[i].stats)
@@ -269,14 +256,14 @@ func TestForkAfterFork(t *testing.T) {
 
 	child := newWorld(3, Options{})
 	child.Fork(snap1)
-	traceRunForked(t, child, mid)
+	traceRun(t, child, mid)
 	snap2 := child.Snapshot()
-	wantTrace, wantEnd, wantStats := traceRunForked(t, child, body)
+	wantTrace, wantEnd, wantStats := traceRun(t, child, body)
 	child.Cluster.Sim.Shutdown()
 
 	grand := newWorld(3, Options{})
 	grand.Fork(snap2)
-	gotTrace, gotEnd, gotStats := traceRunForked(t, grand, body)
+	gotTrace, gotEnd, gotStats := traceRun(t, grand, body)
 	grand.Cluster.Sim.Shutdown()
 
 	if gotEnd != wantEnd || gotStats != wantStats {
@@ -299,7 +286,7 @@ func TestForkThenReset(t *testing.T) {
 
 	w := newWorld(3, Options{})
 	w.Fork(snap)
-	traceRunForked(t, w, body)
+	traceRun(t, w, body)
 	w.Reset()
 	if now := w.Cluster.Sim.Now(); now != 0 {
 		t.Fatalf("reset-after-fork world starts at t=%v, want 0", now)
@@ -332,14 +319,14 @@ func TestForkIntoRecycledWorld(t *testing.T) {
 
 	fresh := newWorld(3, Options{})
 	fresh.Fork(snap)
-	wantTrace, wantEnd, wantStats := traceRunForked(t, fresh, body)
+	wantTrace, wantEnd, wantStats := traceRun(t, fresh, body)
 	fresh.Cluster.Sim.Shutdown()
 
 	recycled := newWorld(3, Options{})
 	traceRun(t, recycled, otherLife)
 	recycled.Reset()
 	recycled.Fork(snap)
-	gotTrace, gotEnd, gotStats := traceRunForked(t, recycled, body)
+	gotTrace, gotEnd, gotStats := traceRun(t, recycled, body)
 	recycled.Cluster.Sim.Shutdown()
 
 	if gotEnd != wantEnd || gotStats != wantStats {

@@ -158,7 +158,7 @@ func TestForkAcrossReactorStarts(t *testing.T) {
 			started := ref.Cluster.Sim.LiveProcs()
 			snap := ref.Snapshot()
 			refDispatch := dispatchRecorder(ref.Cluster.Sim)
-			wantTrace, wantEnd, wantStats := traceRunForked(t, ref, body)
+			wantTrace, wantEnd, wantStats := traceRun(t, ref, body)
 
 			child := tc.child(t)
 			defer child.Cluster.ShutdownSim()
@@ -167,7 +167,7 @@ func TestForkAcrossReactorStarts(t *testing.T) {
 			}
 			child.Fork(snap)
 			childDispatch := dispatchRecorder(child.Cluster.Sim)
-			gotTrace, gotEnd, gotStats := traceRunForked(t, child, body)
+			gotTrace, gotEnd, gotStats := traceRun(t, child, body)
 
 			if gotEnd != wantEnd || gotStats != wantStats {
 				t.Errorf("fork ended at %v with pe 0 stats %+v; continuation %v, %+v", gotEnd, gotStats, wantEnd, wantStats)

@@ -49,7 +49,9 @@ func resetScript(seed int64, rounds, opsPerRound int) func(p *sim.Proc, pe *PE) 
 
 // traceRun executes body on w via RunKeep with the op trace attached and
 // returns the captured events, the final virtual time, and PE 0's stats.
-// The world is left resettable (daemons parked, trace detached).
+// A fresh or reset world boots first; a forked one, or one traceRun has
+// already run, continues without shmem_init. The world is left
+// resettable (daemons parked, trace detached).
 func traceRun(t *testing.T, w *World, body func(p *sim.Proc, pe *PE)) ([]OpEvent, sim.Time, Stats) {
 	t.Helper()
 	var trace []OpEvent

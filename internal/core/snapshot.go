@@ -10,11 +10,12 @@ import (
 )
 
 // WorldSnapshot is a frozen image of a quiescent world at an arbitrary
-// virtual time: per-PE runtime state (symmetric heap via copy-on-write
-// pages, barrier/tag/match-table cursors, pipe cursors, stats) plus the
-// cluster's device image and kernel clock. A snapshot is immutable;
-// any number of worlds of the same shape can Fork from it, and forked
-// children diverge without disturbing it or each other.
+// virtual time: per-PE runtime state (a copy of the symmetric heap's
+// written pages, barrier/tag/match-table cursors, pipe cursors, stats)
+// plus the cluster's device image and kernel clock. A snapshot is
+// immutable and shares no storage with any world; any number of worlds
+// of the same shape can Fork from it, and forked children diverge
+// without disturbing it or each other.
 type WorldSnapshot struct {
 	opts    Options
 	n       int
@@ -29,6 +30,16 @@ func (s *WorldSnapshot) Events() uint64 { return s.events }
 
 // Time returns the virtual time the snapshot was captured at.
 func (s *WorldSnapshot) Time() sim.Time { return s.cluster.Time() }
+
+// HeapPages reports how many symmetric-heap pages the snapshot holds a
+// copy of, over every PE: the pages each Fork from it copies.
+func (s *WorldSnapshot) HeapPages() int {
+	n := 0
+	for i := range s.pes {
+		n += s.pes[i].heap.Pages()
+	}
+	return n
+}
 
 // peSnapshot captures one PE's runtime state: a copy of its state
 // struct, the reference fields restore rebuilds, and link, the opaque
@@ -100,12 +111,12 @@ func (pe *PE) assertQuiescent(op string) {
 	}
 }
 
-// Fork brings this world to the snapshot's state, so its next
-// RunKeepForked body continues the captured world's future. The world
-// must have the snapshot's shape (options and PE count) and be quiescent
-// — cleanly finished, whatever it ran, or freshly built. Heap pages are
-// aliased copy-on-write, so a fork's cost is the device-register copies
-// plus one page copy per chunk the divergent future actually writes.
+// Fork brings this world to the snapshot's state, so its next RunKeep
+// body continues the captured world's future (shmem_init does not run
+// again). The world must have the snapshot's shape (options and PE
+// count) and be quiescent — cleanly finished, whatever it ran, or
+// freshly built. A fork's cost is the device-register copies plus one
+// page copy per heap page the snapshot holds.
 func (w *World) Fork(s *WorldSnapshot) {
 	if w.opts != s.opts {
 		panic(fmt.Sprintf("core: fork of a %+v world from a %+v snapshot", w.opts, s.opts))
@@ -170,27 +181,4 @@ func (pe *PE) restore(s *peSnapshot) {
 	pe.pSyncCounts = maps.Clone(s.pSyncCounts)
 	pe.contexts = pe.contexts[:0]
 	pe.link.Restore(s.link)
-}
-
-// LaunchForked spawns one application process per PE running body
-// directly, without re-running shmem_init: a forked world already
-// carries the post-init runtime the snapshot captured. Drive with
-// Cluster.RunSim, or use RunKeepForked.
-func (w *World) LaunchForked(body func(p *sim.Proc, pe *PE)) {
-	for _, pe := range w.pes {
-		pe := pe
-		w.Cluster.Sim.Go(pe.name, func(p *sim.Proc) {
-			body(p, pe)
-		})
-	}
-}
-
-// RunKeepForked is RunKeep for a forked (or continuing) world: body
-// starts at the current virtual time with no init prefix, the world's
-// daemons stay parked afterwards for recycling. Calling it on a world
-// that just finished a RunKeep continues that run's future — the
-// reference behaviour Fork is tested against.
-func (w *World) RunKeepForked(body func(p *sim.Proc, pe *PE)) error {
-	w.LaunchForked(body)
-	return w.Cluster.RunSim()
 }

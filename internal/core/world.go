@@ -198,7 +198,8 @@ type peState struct {
 	nextTag uint32 // tag of the next get/AMO request
 
 	// Two-sided messaging match table (carved from the symmetric heap
-	// during shmem_init).
+	// during shmem_init). matchTableReady doubles as "shmem_init has
+	// run": Launch boots a PE only while it is false.
 	matchTable      SymAddr
 	matchTableReady bool
 
@@ -276,13 +277,18 @@ func NewWorld(c *fabric.Cluster, opts Options) *World {
 	return w
 }
 
-// Launch spawns one application process per PE running body. Call
+// Launch spawns one application process per PE running body, preceded
+// by shmem_init on a PE whose state says init has not run. A fresh or
+// Reset world therefore boots, and a forked world — or one that just
+// finished a RunKeep — continues the future its state carries. Call
 // Cluster.RunSim (or World.Run) afterwards to execute.
 func (w *World) Launch(body func(p *sim.Proc, pe *PE)) {
 	for _, pe := range w.pes {
 		pe := pe
 		w.Cluster.Sim.Go(pe.name, func(p *sim.Proc) {
-			pe.initPE(p)
+			if !pe.matchTableReady {
+				pe.initPE(p)
+			}
 			body(p, pe)
 		})
 	}
@@ -302,7 +308,8 @@ func (w *World) Run(body func(p *sim.Proc, pe *PE)) error {
 
 // RunKeep is Run without the teardown: the world's daemons stay parked
 // and its object graph stays live, so a subsequent Reset or Fork can
-// recycle the world for another body. A world run this way must
+// recycle the world for another body, or another RunKeep can continue
+// it (Launch boots no PE twice). A world run this way must
 // eventually be shut down via Cluster.ShutdownSim — dropping it while
 // daemons are parked leaks their goroutines.
 func (w *World) RunKeep(body func(p *sim.Proc, pe *PE)) error {

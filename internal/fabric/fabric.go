@@ -156,17 +156,20 @@ func (h *Host) finishSides(par *model.Params) {
 	}
 }
 
-// ports yields the host's cabled NTB ports: its ring or pair sides and,
-// on the switch fabric, its mesh ports.
-func (h *Host) ports() iter.Seq[*ntb.Port] {
-	return func(yield func(*ntb.Port) bool) {
-		for _, port := range [2]*ntb.Port{h.Left, h.Right} {
-			if port != nil && !yield(port) {
-				return
-			}
+// Ports yields the host's cabled sides as (NTB port, transmit channel)
+// pairs: its left side, its right side, then, on the switch fabric, its
+// mesh ports in peer order. Snapshot, Restore, storage return and trace
+// recorders all reach a host's devices through it.
+func (h *Host) Ports() iter.Seq2[*ntb.Port, *driver.TxChannel] {
+	return func(yield func(*ntb.Port, *driver.TxChannel) bool) {
+		if h.Left != nil && !yield(h.Left, h.TxLeft) {
+			return
 		}
-		for _, port := range h.Mesh {
-			if port != nil && !yield(port) {
+		if h.Right != nil && !yield(h.Right, h.TxRight) {
+			return
+		}
+		for j, port := range h.Mesh {
+			if port != nil && !yield(port, h.MeshTx[j]) {
 				return
 			}
 		}
@@ -185,7 +188,7 @@ type Residency struct {
 func (c *Cluster) Resident() Residency {
 	var r Residency
 	for _, h := range c.Hosts {
-		for port := range h.ports() {
+		for port := range h.Ports() {
 			r.WindowBytes += port.WindowResident(ntb.RegionData) + port.WindowResident(ntb.RegionBypass)
 		}
 		r.StagingBytes += h.staging.resident()
@@ -200,7 +203,7 @@ func (c *Cluster) Resident() Residency {
 // early, at check-in. The cluster must be quiescent.
 func (c *Cluster) ReturnStorage() {
 	for _, h := range c.Hosts {
-		for port := range h.ports() {
+		for port := range h.Ports() {
 			port.ReturnStorage()
 		}
 		h.staging.giveBack()

@@ -10,23 +10,24 @@ import (
 )
 
 // ClusterSnapshot is a frozen image of a quiescent cluster's device
-// state: the kernel clock plus, per host, the NTB port images and
-// stop-and-wait channel counters of every cabled side — ring/pair sides
-// and, on the switch fabric, the per-peer mesh ports. Pipelined channel
-// state is owned by the links (which installed the pipes) and
-// snapshotted there; the CXL fabric has no device registers to capture.
+// state: the kernel clock plus the NTB port image and stop-and-wait
+// channel counters of every cabled side — ring/pair sides and, on the
+// switch fabric, the per-peer mesh ports. Pipelined channel state is
+// owned by the links (which installed the pipes) and snapshotted there;
+// the CXL fabric has no device registers to capture.
 type ClusterSnapshot struct {
 	n    int
 	kind Kind
 	sim  sim.Snapshot
 	net  pcie.NetSnapshot
-	// Per-host device images; entries are nil/zero when the side is not
-	// cabled, mirroring Host.
-	left, right []*ntb.PortSnapshot
-	txL, txR    []driver.TxSnapshot
-	// Switch-fabric mesh images, indexed [host][peer]; nil off-switch.
-	mesh   [][]*ntb.PortSnapshot
-	meshTx [][]driver.TxSnapshot
+	// sides holds every host's Host.Ports images, host after host.
+	sides []sideSnapshot
+}
+
+// sideSnapshot is one cabled side's image: its port and its channel.
+type sideSnapshot struct {
+	port *ntb.PortSnapshot
+	tx   driver.TxSnapshot
 }
 
 // Time returns the virtual time the snapshot was captured at.
@@ -45,33 +46,11 @@ func (c *Cluster) Snapshot() *ClusterSnapshot {
 		n:     c.N(),
 		kind:  c.kind,
 		net:   c.Net.Snapshot(),
-		left:  make([]*ntb.PortSnapshot, c.N()),
-		right: make([]*ntb.PortSnapshot, c.N()),
-		txL:   make([]driver.TxSnapshot, c.N()),
-		txR:   make([]driver.TxSnapshot, c.N()),
+		sides: make([]sideSnapshot, 0, 2*c.N()),
 	}
-	for i, h := range c.Hosts {
-		if h.Left != nil {
-			s.left[i] = h.Left.Snapshot()
-			s.txL[i] = h.TxLeft.Snapshot()
-		}
-		if h.Right != nil {
-			s.right[i] = h.Right.Snapshot()
-			s.txR[i] = h.TxRight.Snapshot()
-		}
-	}
-	if c.kind == KindPCIeSwitch {
-		s.mesh = make([][]*ntb.PortSnapshot, c.N())
-		s.meshTx = make([][]driver.TxSnapshot, c.N())
-		for i, h := range c.Hosts {
-			s.mesh[i] = make([]*ntb.PortSnapshot, c.N())
-			s.meshTx[i] = make([]driver.TxSnapshot, c.N())
-			for j, port := range h.Mesh {
-				if port != nil {
-					s.mesh[i][j] = port.Snapshot()
-					s.meshTx[i][j] = h.MeshTx[j].Snapshot()
-				}
-			}
+	for _, h := range c.Hosts {
+		for port, tx := range h.Ports() {
+			s.sides = append(s.sides, sideSnapshot{port.Snapshot(), tx.Snapshot()})
 		}
 	}
 	return s
@@ -94,28 +73,15 @@ func (c *Cluster) Restore(s *ClusterSnapshot) {
 		panic(fmt.Sprintf("fabric: restore of a %d-host %s cluster from a %d-host %s snapshot",
 			c.N(), c.kind, s.n, s.kind))
 	}
-	for i, h := range c.Hosts {
-		if (h.Left != nil) != (s.left[i] != nil) || (h.Right != nil) != (s.right[i] != nil) {
-			panic(fmt.Sprintf("fabric: restore of host %d with mismatched cabling", i))
-		}
+	// The same kind and host count build the same cabling, so the side
+	// images line up with Host.Ports, host after host.
+	sides := s.sides
+	for _, h := range c.Hosts {
 		h.staging.giveBack()
-		if h.Left != nil {
-			h.Left.Restore(s.left[i])
-			h.TxLeft.Restore(s.txL[i])
-		}
-		if h.Right != nil {
-			h.Right.Restore(s.right[i])
-			h.TxRight.Restore(s.txR[i])
-		}
-	}
-	if s.mesh != nil {
-		for i, h := range c.Hosts {
-			for j, port := range h.Mesh {
-				if port != nil {
-					port.Restore(s.mesh[i][j])
-					h.MeshTx[j].Restore(s.meshTx[i][j])
-				}
-			}
+		for port, tx := range h.Ports() {
+			port.Restore(sides[0].port)
+			tx.Restore(sides[0].tx)
+			sides = sides[1:]
 		}
 	}
 	c.Net.Restore(s.net)

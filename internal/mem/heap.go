@@ -59,16 +59,9 @@ const (
 	PageSize = pageSize
 )
 
+// page is one page of storage, lent by the block lender. A nil entry in
+// the page table is a page nobody has written: it reads as zeros.
 type page [pageSize]byte
-
-// pageRef is one page-table entry. A nil data pointer is a page nobody
-// has written: it reads as zeros. shared marks data as aliasing a
-// HeapSnapshot's frozen page, which is immutable: writers privatize it
-// first and Fork swaps the pointer out instead of clearing (snapshot.go).
-type pageRef struct {
-	data   *page
-	shared bool
-}
 
 // Heap is a symmetric heap: offsets handed out by Alloc are virtual
 // addresses within a contiguous space that grows on demand, one
@@ -78,14 +71,14 @@ type pageRef struct {
 // serialised by the simulation kernel.
 type Heap struct {
 	// heapState is the allocator counters a HeapSnapshot captures and
-	// Fork assigns back whole; Fork rebuilds the page table (copy-on-
-	// write), the block list and the extent itself.
+	// Fork assigns back whole; Fork rebuilds the page table (copying the
+	// snapshot's pages in), the block list and the extent itself.
 	heapState
 
 	chunkSize int64 // construction geometry
 	maxSize   int64 // construction geometry
 	nchunks   int   // virtual extent, in chunks
-	pages     []pageRef
+	pages     []*page
 	blocks    []block // sorted by offset, covering [0, nchunks*chunkSize)
 }
 
@@ -97,7 +90,7 @@ type heapState struct {
 	// written is the high-water mark of bytes that may have been modified
 	// since construction or the last Fork/Reset. Write raises it, and
 	// every materialised page is zero at and beyond it, so ReturnStorage
-	// re-zeroes a page it gives back only below the mark and privatize
+	// re-zeroes a page it gives back only below the mark and Snapshot
 	// copies only that much.
 	written int64
 }
@@ -124,13 +117,12 @@ func (h *Heap) LiveBytes() int64 { return h.liveBytes }
 // "scattered but virtually continuative" regions.
 func (h *Heap) Chunks() int { return h.nchunks }
 
-// ResidentPages returns how many pages hold storage (private or shared
-// with a snapshot); ResidentPages()*PageSize bytes is what the heap costs
-// the host.
+// ResidentPages returns how many pages hold storage;
+// ResidentPages()*PageSize bytes is what the heap costs the host.
 func (h *Heap) ResidentPages() int {
 	n := 0
-	for i := range h.pages {
-		if h.pages[i].data != nil {
+	for _, pg := range h.pages {
+		if pg != nil {
 			n++
 		}
 	}
@@ -142,7 +134,7 @@ func (h *Heap) ResidentPages() int {
 func (h *Heap) setChunks(n int) {
 	h.nchunks = n
 	if np := int((h.Size() + pageMask) >> pageShift); np > len(h.pages) {
-		h.pages = append(h.pages, make([]pageRef, np-len(h.pages))...)
+		h.pages = append(h.pages, make([]*page, np-len(h.pages))...)
 	}
 }
 
@@ -343,9 +335,9 @@ func (h *Heap) checkRange(off int64, n int) {
 }
 
 // Write copies data into the heap at virtual offset off, giving storage
-// to the pages it overlaps that have none and privatizing the ones a
-// snapshot shares. A slice of the zero source (IsZeroSource) is a Zero
-// instead: pages without storage keep none.
+// from the block lender to the pages it overlaps that have none. A slice
+// of the zero source (IsZeroSource) is a Zero instead: pages without
+// storage keep none.
 //
 //ntblint:allocfree
 func (h *Heap) Write(off int64, data []byte) {
@@ -357,19 +349,21 @@ func (h *Heap) Write(off int64, data []byte) {
 	for len(data) > 0 {
 		pi, po := int(off>>pageShift), int(off&pageMask)
 		pg := h.pages[pi]
-		if pg.data == nil || pg.shared {
-			pg.data = h.privatize(pi)
+		if pg == nil {
+			pg = borrowPage()
+			h.pages[pi] = pg
 		}
-		n := copy(pg.data[po:], data)
+		n := copy(pg[po:], data)
 		data = data[n:]
 		off += int64(n)
 	}
-	// Raised last: privatize copies a shared page only below the mark it
-	// was frozen under.
 	if off > h.written {
 		h.written = off
 	}
 }
+
+// borrowPage returns an all-zero page from the block lender.
+func borrowPage() *page { return (*page)(Borrow(pageSize, pageSize)) }
 
 // Read copies len(buf) bytes from virtual offset off into buf.
 //
@@ -379,7 +373,7 @@ func (h *Heap) Read(off int64, buf []byte) {
 	for len(buf) > 0 {
 		pi, po := int(off>>pageShift), int(off&pageMask)
 		n := min(len(buf), pageSize-po)
-		if pg := h.pages[pi].data; pg != nil {
+		if pg := h.pages[pi]; pg != nil {
 			copy(buf[:n], pg[po:])
 		} else {
 			clear(buf[:n])
@@ -401,7 +395,7 @@ func (h *Heap) ZeroRange(off int64, n int) bool {
 		return true
 	}
 	for pi := int(off >> pageShift); pi <= int((off+int64(n)-1)>>pageShift); pi++ {
-		if h.pages[pi].data != nil {
+		if h.pages[pi] != nil {
 			return false
 		}
 	}
@@ -409,7 +403,7 @@ func (h *Heap) ZeroRange(off int64, n int) bool {
 }
 
 // Zero clears [off, off+n). A page without storage already reads as zeros
-// and stays that way; a shared one is privatized, then cleared.
+// and stays that way.
 //
 //ntblint:allocfree
 func (h *Heap) Zero(off int64, n int) {
@@ -417,11 +411,8 @@ func (h *Heap) Zero(off int64, n int) {
 	for n > 0 {
 		pi, po := int(off>>pageShift), int(off&pageMask)
 		run := min(n, pageSize-po)
-		if pg := h.pages[pi]; pg.data != nil {
-			if pg.shared {
-				pg.data = h.privatize(pi)
-			}
-			clear(pg.data[po : po+run])
+		if pg := h.pages[pi]; pg != nil {
+			clear(pg[po : po+run])
 		}
 		n -= run
 		off += int64(run)

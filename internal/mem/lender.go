@@ -17,9 +17,9 @@ import (
 // Every block the lender holds is all zero. A borrower may rely on that
 // instead of clearing, so whoever gives a block back clears what it
 // dirtied first — the dirty-extent clears a restore does anyway, moved
-// to the moment the storage is returned. Blocks still referenced
-// elsewhere (a snapshot's frozen page, an alias into an outgrown window
-// part) and the zero source are never given back.
+// to the moment the storage is returned. A block still referenced
+// elsewhere (an alias into an outgrown window part) and the zero source
+// are never given back; a heap snapshot holds copies, not lent pages.
 
 // minBlockShift sizes the smallest block, 4 KiB.
 const minBlockShift = 12

@@ -113,13 +113,14 @@ func TestHeapPagesComeFromAndGoBackToTheLender(t *testing.T) {
 	if !bytes.Equal(got, make([]byte, pageSize)) {
 		t.Fatal("a lent page carried stale bytes")
 	}
-	// Frozen pages stay with their snapshot; Fork gives back only the
-	// private ones.
+	// A snapshot keeps its own copy; Fork gives the heap's three pages
+	// back and borrows one for each of the snapshot's two.
 	snap := h.Snapshot()
 	fillPattern(h, off+pageSize, 4, 0x46)
 	h.Fork(snap)
-	if LenderHeld() != pageSize {
-		t.Fatalf("fork gave %d bytes back, want the one private page", LenderHeld())
+	if LenderHeld() != pageSize || h.ResidentPages() != 2 {
+		t.Fatalf("after fork the lender holds %d bytes and the heap %d pages, want one page and two",
+			LenderHeld(), h.ResidentPages())
 	}
 	checkPattern(t, h, off, 8, 0x45)
 	checkPattern(t, h, off+2*pageSize, 8, 0x44)

@@ -309,7 +309,8 @@ func (w *pagedWorld) step(p *progReader) {
 
 // check compares everything observable: every heap against its reference,
 // and every snapshot — through a fresh heap forked from it — against the
-// image taken with it, however much its sharers have written since.
+// image taken with it, however much the heaps it came from or was forked
+// into have written since.
 func (w *pagedWorld) check() {
 	t := w.t
 	t.Helper()
@@ -416,7 +417,7 @@ func TestReadOfNeverWrittenPagesIsZeroAndMaterialisesNothing(t *testing.T) {
 	if !bytes.Equal(buf, make([]byte, len(buf))) {
 		t.Fatal("never-written pages read nonzero")
 	}
-	if h.ResidentPages() != 0 || h.Snapshot().frozen != nil {
+	if h.ResidentPages() != 0 || h.Snapshot().Pages() != 0 {
 		t.Fatalf("alloc + read left %d resident page(s)", h.ResidentPages())
 	}
 	// One byte on each side of a page boundary makes exactly two resident.
@@ -426,22 +427,18 @@ func TestReadOfNeverWrittenPagesIsZeroAndMaterialisesNothing(t *testing.T) {
 	}
 }
 
-func TestZeroSkipsNilClearsPrivatePrivatizesShared(t *testing.T) {
+func TestZeroSkipsPagesWithoutStorage(t *testing.T) {
 	h := NewHeap(4*pageSize, 4*pageSize)
 	off, err := h.Alloc(4 * pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Page 0 shared with a snapshot, page 1 private, pages 2-3 untouched.
+	// Page 0 written before a snapshot, page 1 after, pages 2-3 untouched.
 	fillPattern(h, off, pageSize, 0x21)
 	snap := h.Snapshot()
 	fillPattern(h, off+pageSize, pageSize, 0x42)
 
-	before := CowCopies()
 	h.Zero(off+pageSize/2, 3*pageSize) // half of 0, all of 1 and 2, half of 3
-	if got := CowCopies() - before; got != 1 {
-		t.Fatalf("Zero over one shared page made %d CoW copies, want 1", got)
-	}
 	if h.ResidentPages() != 2 {
 		t.Fatalf("Zero left %d resident pages, want 2 (never-written pages must stay nil)", h.ResidentPages())
 	}
@@ -451,18 +448,18 @@ func TestZeroSkipsNilClearsPrivatePrivatizesShared(t *testing.T) {
 	if !bytes.Equal(rest, make([]byte, len(rest))) {
 		t.Fatal("zeroed range reads nonzero")
 	}
-	// The frozen page is untouched.
+	// The snapshot's copy is untouched.
 	child := NewHeap(4*pageSize, 4*pageSize)
 	child.Fork(snap)
 	checkPattern(t, child, off, pageSize, 0x21)
 }
 
-func TestFrozenPagesSurviveChildWritesAndForkCycles(t *testing.T) {
-	// A snapshot's pages are immutable however its sharers diverge: two
+func TestSnapshotSurvivesChildWritesAndForkCycles(t *testing.T) {
+	// A snapshot is immutable however the heaps around it diverge: two
 	// children write different pages, the parent overwrites everything,
 	// one child re-forks over its dirty state, and the snapshot still
-	// reads exactly as captured — while each copy cost one page, not the
-	// extent.
+	// reads exactly as captured. Each fork holds exactly the pages the
+	// snapshot copied, no more.
 	const span = 3*pageSize + 100
 	parent := NewHeap(pageSize+8, 8*(pageSize+8))
 	off, err := parent.Alloc(span)
@@ -471,16 +468,18 @@ func TestFrozenPagesSurviveChildWritesAndForkCycles(t *testing.T) {
 	}
 	fillPattern(parent, off, span, 0x11)
 	snap := parent.Snapshot()
+	if snap.Pages() != 4 {
+		t.Fatalf("a snapshot of %d written bytes holds %d pages, want 4", span, snap.Pages())
+	}
 
 	a, b := NewHeap(pageSize+8, 8*(pageSize+8)), NewHeap(pageSize+8, 8*(pageSize+8))
 	a.Fork(snap)
 	b.Fork(snap)
-	before := CowCopies()
+	if a.ResidentPages() != snap.Pages() {
+		t.Fatalf("a fork holds %d pages, its snapshot %d", a.ResidentPages(), snap.Pages())
+	}
 	fillPattern(a, off+pageSize-4, 8, 0x77) // straddles pages 0 and 1
 	fillPattern(b, off+3*pageSize, 50, 0x55)
-	if got := CowCopies() - before; got != 3 {
-		t.Fatalf("three touched pages made %d CoW copies", got)
-	}
 	fillPattern(parent, off, span, 0x99)
 	a.Fork(snap) // over a dirty heap
 	checkPattern(t, a, off, span, 0x11)
@@ -489,8 +488,8 @@ func TestFrozenPagesSurviveChildWritesAndForkCycles(t *testing.T) {
 	fresh := NewHeap(pageSize+8, 8*(pageSize+8))
 	fresh.Fork(snap)
 	checkPattern(t, fresh, off, span, 0x11)
-	// The page a's fork displaced went back to the lender zeroed: the
-	// next write that borrows it must not resurrect stale bytes.
+	// The pages a's fork displaced went back to the lender zeroed: the
+	// next write that borrows one must not resurrect stale bytes.
 	a.Reset()
 	if _, err := a.Alloc(span); err != nil {
 		t.Fatal(err)

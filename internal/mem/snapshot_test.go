@@ -28,7 +28,7 @@ func checkPattern(t *testing.T, h *Heap, off int64, n int, salt byte) {
 	}
 }
 
-func TestSnapshotForkSharesPagesAndPrivatizesOnWrite(t *testing.T) {
+func TestSnapshotForkCopiesAndForksDiverge(t *testing.T) {
 	parent := NewHeap(testChunk, testMax)
 	off, err := parent.Alloc(3 * testChunk) // spans multiple chunks
 	if err != nil {
@@ -50,13 +50,15 @@ func TestSnapshotForkSharesPagesAndPrivatizesOnWrite(t *testing.T) {
 		t.Fatalf("fork allocator state live=%d/%d bytes=%d/%d", childA.Live(), parent.Live(), childA.LiveBytes(), parent.LiveBytes())
 	}
 
-	// Child A diverges: its write privatizes only the touched page and
-	// must not be visible to the parent or child B.
-	before := CowCopies()
-	fillPattern(childA, off, testChunk/2, 0x77)
-	if got := CowCopies() - before; got != 1 {
-		t.Fatalf("half-chunk write privatized %d pages, want 1", got)
+	// Each child holds its own copy of the written pages, and nothing
+	// else; the parent keeps its own.
+	if childA.ResidentPages() != snap.Pages() || parent.ResidentPages() != snap.Pages() {
+		t.Fatalf("resident pages: child %d, parent %d, snapshot %d", childA.ResidentPages(), parent.ResidentPages(), snap.Pages())
 	}
+
+	// Child A diverges: its write must not be visible to the parent or
+	// child B.
+	fillPattern(childA, off, testChunk/2, 0x77)
 	checkPattern(t, childA, off, testChunk/2, 0x77)
 	checkPattern(t, parent, off, 3*testChunk, 0x11)
 	checkPattern(t, childB, off, 3*testChunk, 0x11)
@@ -70,8 +72,8 @@ func TestParentWritesAfterSnapshotDoNotLeakIntoForks(t *testing.T) {
 	}
 	fillPattern(parent, off, testChunk, 0x21)
 	snap := parent.Snapshot()
-	// The parent keeps running after the capture; its writes fault the
-	// shared page into a private copy.
+	// The parent keeps running after the capture; the snapshot holds a
+	// copy, so its writes reach no fork.
 	fillPattern(parent, off, testChunk, 0x42)
 
 	child := NewHeap(testChunk, testMax)
@@ -183,10 +185,10 @@ func imageOf(h *Heap) heapImage {
 }
 
 func TestForkOverDirtyHeapEqualsForkOfFresh(t *testing.T) {
-	// Fork is total: a heap holding live allocations, private pages it
-	// wrote, and pages shared with some other snapshot must come out
-	// exactly like a fresh heap forked from the same snapshot — and must
-	// leave that other snapshot's pages untouched.
+	// Fork is total: a heap holding live allocations, pages it wrote, and
+	// pages forked from some other snapshot must come out exactly like a
+	// fresh heap forked from the same snapshot — and must leave that
+	// other snapshot untouched.
 	parent := NewHeap(testChunk, testMax)
 	off, err := parent.Alloc(2 * testChunk)
 	if err != nil {
@@ -204,13 +206,13 @@ func TestForkOverDirtyHeapEqualsForkOfFresh(t *testing.T) {
 	otherSnap := other.Snapshot()
 
 	dirty := NewHeap(testChunk, testMax)
-	dirty.Fork(otherSnap)                      // shared pages
-	fillPattern(dirty, offO, testChunk/2, 0x7) // page 0 privatized
+	dirty.Fork(otherSnap)                      // pages copied from otherSnap
+	fillPattern(dirty, offO, testChunk/2, 0x7) // page 0 rewritten
 	extra, err := dirty.Alloc(3 * testChunk)   // live allocation past the snapshot extent
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillPattern(dirty, extra, 3*testChunk, 0x8) // private written bytes beyond snap's
+	fillPattern(dirty, extra, 3*testChunk, 0x8) // written bytes beyond snap's
 	dirty.Fork(snap)
 
 	// The dirty heap grew further than the snapshot; a fresh heap grown

@@ -50,8 +50,8 @@ func TestZeroSourceWriteLeavesPagesWithoutStorage(t *testing.T) {
 	if n := h.ResidentPages(); n != 0 {
 		t.Fatalf("a zero-source write to untouched pages made %d resident", n)
 	}
-	// Over data it is a clear: private pages in place, a page a snapshot
-	// shares privatized first, the snapshot's image intact.
+	// Over data it is a clear in place, and a snapshot taken before it
+	// keeps its image.
 	data := bytes.Repeat([]byte{0xEE}, 3*pageSize)
 	h.Write(off, data)
 	snap := h.Snapshot()
@@ -67,7 +67,7 @@ func TestZeroSourceWriteLeavesPagesWithoutStorage(t *testing.T) {
 	fresh.Fork(snap)
 	fresh.Read(off, got)
 	if !bytes.Equal(got, data) {
-		t.Fatal("a zero-source write reached a snapshot's frozen page")
+		t.Fatal("a zero-source write reached a snapshot's copy")
 	}
 	if !ZeroSourceIntact() {
 		t.Fatal("the zero source was written")

@@ -32,14 +32,13 @@ func (r *Recorder) Hook() ntb.TraceFunc {
 	return func(e ntb.TraceEvent) { r.events = append(r.events, e) }
 }
 
-// Attach installs the recorder on every cabled port of the cluster.
+// Attach installs the recorder on every cabled port of the cluster:
+// ring and pair sides, and the switch fabric's mesh ports. (The CXL
+// fabric has no NTB port to record.)
 func (r *Recorder) Attach(c *fabric.Cluster) {
 	for _, h := range c.Hosts {
-		if h.Left != nil {
-			h.Left.SetTrace(r.Hook())
-		}
-		if h.Right != nil {
-			h.Right.SetTrace(r.Hook())
+		for port := range h.Ports() {
+			port.SetTrace(r.Hook())
 		}
 	}
 }
