@@ -23,10 +23,11 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis (see LINT.md): determinism and
-# annotated zero-alloc hot paths, plus every waiver its analyzer never
-# matched. The seconds `make lint` takes are
-# the compile of ntblint and the type-check load, not analysis.
+# Project-specific static analysis (see LINT.md): determinism in the
+# simulation packages, plus every waiver its analyzer never matched.
+# Zero-allocation hot paths are held by the allocs/op tests, not here.
+# The seconds `make lint` takes are the compile of ntblint and the
+# type-check load, not analysis.
 lint:
 	$(GO) run ./cmd/ntblint ./...
 

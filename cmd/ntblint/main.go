@@ -1,14 +1,12 @@
-// Command ntblint runs the repository's custom static analyzers over
+// Command ntblint runs the repository's custom static analyzer over
 // the given package patterns (default ./...) and exits non-zero on any
-// finding. It is the machine check behind the invariants the simulator's
-// credibility rests on — see LINT.md for the rules and waiver
+// finding. It is the machine check behind the determinism the
+// simulator's results rest on — see LINT.md for the rules and waiver
 // directives.
 //
-//	simdet    — no wall clock, no global math/rand, no core-count reads,
-//	            no order-sensitive map iteration in the simulation
-//	            packages
-//	allocfree — //ntblint:allocfree functions contain no allocating
-//	            constructs
+//	simdet — no wall clock, no global math/rand, no core-count reads,
+//	         no order-sensitive map iteration in the simulation
+//	         packages
 //
 // A waiver directive its owning analyzer never matched, and an unknown
 // //ntblint: name, are findings too.

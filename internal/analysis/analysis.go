@@ -1,7 +1,7 @@
 // Package analysis is the repository's static-analysis toolkit: a small,
 // dependency-free core modelled on golang.org/x/tools/go/analysis plus
-// the ntblint analyzers that machine-check the simulator's determinism
-// and hot-path invariants (see LINT.md).
+// the ntblint analyzer that machine-checks the simulator's determinism
+// invariants (see LINT.md).
 //
 // The x/tools module is deliberately not imported — the reproduction
 // builds with the standard library alone — so this package re-creates
@@ -38,7 +38,7 @@ type Analyzer struct {
 
 // Analyzers returns the full ntblint suite in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{Simdet, Allocfree}
+	return []*Analyzer{Simdet}
 }
 
 // Pass carries one package's syntax and type information to an

@@ -12,25 +12,16 @@ import (
 //	//ntblint:ordered    — on (or on the line above) a `for … range m`
 //	                       over a map: iteration order provably does not
 //	                       affect simulation results or rendered output.
-//	//ntblint:allocok    — on (or above) a statement inside an
-//	                       //ntblint:allocfree function: this allocation
-//	                       is deliberate (pool refill, cold start) and
-//	                       the comment should say why.
-//	//ntblint:allocfree  — in a function's doc comment: the body must
-//	                       not allocate (checked by the allocfree
-//	                       analyzer).
 //	//ntblint:cpupolicy  — on (or above) a runtime.NumCPU/GOMAXPROCS
 //	                       call in a simulation package: this is the
 //	                       sanctioned parallelism-policy site, not
 //	                       simulation state (checked by simdet).
 //
 // Each directive has one owning analyzer (directiveOwners), which
-// records every occurrence it matches through Pass.Waived or
-// Pass.HasDirective; the runner reports the rest.
+// records every occurrence it matches through Pass.Waived; the runner
+// reports the rest.
 const (
 	DirectiveOrdered   = "ordered"
-	DirectiveAllocOK   = "allocok"
-	DirectiveAllocFree = "allocfree"
 	DirectiveCPUPolicy = "cpupolicy"
 )
 
@@ -39,8 +30,6 @@ const (
 var directiveOwners = map[string]struct{ owner, anchor string }{
 	DirectiveOrdered:   {"simdet", "range over a map on this line or the next"},
 	DirectiveCPUPolicy: {"simdet", "runtime.NumCPU/GOMAXPROCS call on this line or the next"},
-	DirectiveAllocFree: {"allocfree", "function declaration this doc comment belongs to"},
-	DirectiveAllocOK:   {"allocfree", "allocation inside an //ntblint:allocfree function on this line or the next"},
 }
 
 const directivePrefix = "//ntblint:"
@@ -90,23 +79,6 @@ func (p *Pass) Waived(pos token.Pos, directive string) bool {
 		}
 	}
 	return waived
-}
-
-// HasDirective reports whether any comment in the group carries the
-// named ntblint directive (used for //ntblint:allocfree in func docs),
-// and records it as matched.
-func (p *Pass) HasDirective(doc *ast.CommentGroup, directive string) bool {
-	if doc == nil {
-		return false
-	}
-	found := false
-	for _, d := range p.directives {
-		if d.name == directive && doc.Pos() <= d.pos && d.pos < doc.End() {
-			d.matched = true
-			found = true
-		}
-	}
-	return found
 }
 
 // unmatchedDirectives is the rule behind every waiver: one its owner

@@ -90,11 +90,10 @@ func runFixture(t *testing.T, a *Analyzer, name string) {
 	}
 }
 
-func TestSimdetFixture(t *testing.T)    { runFixture(t, Simdet, "simdet") }
-func TestAllocfreeFixture(t *testing.T) { runFixture(t, Allocfree, "allocfree") }
+func TestSimdetFixture(t *testing.T) { runFixture(t, Simdet, "simdet") }
 
 // TestSuiteCleanOnRepo is the self-host check: the merged tree must lint
-// clean under the full 2-analyzer suite, scoped exactly as cmd/ntblint
+// clean under the full suite, scoped exactly as cmd/ntblint
 // scopes it (ApplyRepoScopes is the shared source of truth).
 func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
@@ -115,8 +114,8 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 		}
 	}()
 	ApplyRepoScopes(analyzers)
-	if len(analyzers) != 2 {
-		t.Fatalf("suite has %d analyzers, want 2", len(analyzers))
+	if len(analyzers) != 1 || analyzers[0] != Simdet {
+		t.Fatalf("suite has %d analyzers, want simdet alone", len(analyzers))
 	}
 	for _, d := range Run(pkgs, analyzers) {
 		t.Errorf("%s", d)

@@ -15,7 +15,8 @@ import (
 
 // TestResetWorldReusesCoroutines: after Reset, a world's next run spawns
 // its PE processes without starting a goroutine, and each still runs as
-// "pe:<id>".
+// "pe:<id>". The goroutine count may fall during a run (another test's
+// goroutine exiting late) but must not rise.
 func TestResetWorldReusesCoroutines(t *testing.T) {
 	const n = 8
 	w := newWorld(n, Options{})
@@ -35,7 +36,7 @@ func TestResetWorldReusesCoroutines(t *testing.T) {
 		if err := w.RunKeep(body); err != nil {
 			t.Fatal(err)
 		}
-		if got := runtime.NumGoroutine(); got != before {
+		if got := runtime.NumGoroutine(); got > before {
 			t.Fatalf("cycle %d: goroutines %d -> %d across a recycled run", cycle, before, got)
 		}
 		for id, name := range names {

@@ -41,7 +41,7 @@ func TestSnapshotStateFieldCounts(t *testing.T) {
 	}{
 		{reflect.TypeFor[sim.Simulator](), "simState", 12},
 		{reflect.TypeFor[pcie.Network](), "", 11},
-		{reflect.TypeFor[ntb.Port](), "portState", 18},
+		{reflect.TypeFor[ntb.Port](), "portState", 17},
 		{reflect.TypeFor[mem.Heap](), "heapState", 5},
 		{reflect.TypeFor[driver.TxChannel](), "txState", 4},
 		{reflect.TypeFor[driver.PipeTx](), "pipeTxState", 7},

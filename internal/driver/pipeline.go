@@ -158,8 +158,6 @@ func (tx *PipeTx) Sends() uint64 { return tx.sends }
 // SendChunk implements Sender: take a credit, fill the next slot in
 // place (header and payload in one wire transfer), ring the kind's
 // vector, and return — local completion only.
-//
-//ntblint:allocfree
 func (tx *PipeTx) SendChunk(p *sim.Proc, info Info, payload Payload, mode Mode) {
 	if payload.N > tx.MaxPayload() {
 		panic(fmt.Sprintf("driver: chunk %d exceeds pipeline slot payload %d", payload.N, tx.MaxPayload()))

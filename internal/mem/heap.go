@@ -326,8 +326,6 @@ func (h *Heap) Free(off int64) error {
 // checkRange panics when [off, off+n) lies outside the grown heap; callers
 // of Read/Write/Zero must stay within allocations they own, and an
 // out-of-range access is a library bug, not user input.
-//
-//ntblint:allocfree
 func (h *Heap) checkRange(off int64, n int) {
 	if off < 0 || n < 0 || off+int64(n) > h.Size() {
 		panic(fmt.Sprintf("mem: access [%d, %d) outside heap of size %d", off, off+int64(n), h.Size()))
@@ -338,8 +336,6 @@ func (h *Heap) checkRange(off int64, n int) {
 // from the block lender to the pages it overlaps that have none. A slice
 // of the zero source (IsZeroSource) is a Zero instead: pages without
 // storage keep none.
-//
-//ntblint:allocfree
 func (h *Heap) Write(off int64, data []byte) {
 	if IsZeroSource(data) {
 		h.Zero(off, len(data))
@@ -366,8 +362,6 @@ func (h *Heap) Write(off int64, data []byte) {
 func borrowPage() *page { return (*page)(Borrow(pageSize, pageSize)) }
 
 // Read copies len(buf) bytes from virtual offset off into buf.
-//
-//ntblint:allocfree
 func (h *Heap) Read(off int64, buf []byte) {
 	h.checkRange(off, len(buf))
 	for len(buf) > 0 {
@@ -387,8 +381,6 @@ func (h *Heap) Read(off int64, buf []byte) {
 // the page table alone: every page it overlaps is without storage, or
 // the range lies at or beyond the written mark. It reads no byte, so a
 // range that holds storage but happens to be zero reports false.
-//
-//ntblint:allocfree
 func (h *Heap) ZeroRange(off int64, n int) bool {
 	h.checkRange(off, n)
 	if n == 0 || off >= h.written {
@@ -404,8 +396,6 @@ func (h *Heap) ZeroRange(off int64, n int) bool {
 
 // Zero clears [off, off+n). A page without storage already reads as zeros
 // and stays that way.
-//
-//ntblint:allocfree
 func (h *Heap) Zero(off int64, n int) {
 	h.checkRange(off, n)
 	for n > 0 {

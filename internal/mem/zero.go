@@ -38,8 +38,6 @@ func Zeros(n int) []byte {
 
 // IsZeroSource reports whether b is a non-empty slice of the shared zero
 // source, at any offset — by address, without reading a byte.
-//
-//ntblint:allocfree
 func IsZeroSource(b []byte) bool {
 	c := cap(b)
 	return c > 0 && &b[:c][c-1] == &zeroSrc[zeroSourceSize-1]
@@ -50,8 +48,6 @@ func IsZeroSource(b []byte) bool {
 // a host buffer entering the model as a put source. A buffer whose first
 // byte is set — almost every random payload — costs one comparison, and
 // the scan otherwise stops at the first block that differs.
-//
-//ntblint:allocfree
 func ZeroOr(b []byte) []byte {
 	if len(b) == 0 || b[0] != 0 || len(b) > zeroSourceSize || IsZeroSource(b) || !allZero(b) {
 		return b
@@ -62,8 +58,6 @@ func ZeroOr(b []byte) []byte {
 // allZero reports whether every byte of b is zero, by comparing it with
 // the zero source: the comparison runs at memequal speed and returns at
 // the first block that differs.
-//
-//ntblint:allocfree
 func allZero(b []byte) bool {
 	for len(b) > 0 {
 		n := min(len(b), zeroSourceSize)

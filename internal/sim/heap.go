@@ -36,7 +36,6 @@ func (h *eventHeap) less(i, j int) bool {
 	return a.seq < b.seq
 }
 
-//ntblint:allocfree
 func (h *eventHeap) push(e event) {
 	h.items = append(h.items, e)
 	i := len(h.items) - 1
@@ -50,7 +49,6 @@ func (h *eventHeap) push(e event) {
 	}
 }
 
-//ntblint:allocfree
 func (h *eventHeap) pop() event {
 	top := h.items[0]
 	last := len(h.items) - 1
@@ -77,7 +75,6 @@ func (h *eventHeap) reset() {
 	h.items = h.items[:0]
 }
 
-//ntblint:allocfree
 func (h *eventHeap) siftDown(i int) {
 	n := len(h.items)
 	for {

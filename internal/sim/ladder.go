@@ -85,8 +85,6 @@ func (r *rung) activeStart() Time { return r.start.Add(Duration(r.cur) * r.width
 
 // insert files e into its bucket. The caller guarantees e.t lies inside
 // the rung's active region.
-//
-//ntblint:allocfree
 func (r *rung) insert(e event) {
 	idx := int(Duration(e.t-r.start) / r.width)
 	if idx >= len(r.buckets) {
@@ -110,7 +108,6 @@ type ladderQueue struct {
 
 func (q *ladderQueue) Len() int { return q.size }
 
-//ntblint:allocfree
 func (q *ladderQueue) push(e event) {
 	q.size++
 	if e.t < q.bottomLimit {
@@ -156,7 +153,6 @@ func (q *ladderQueue) push(e event) {
 	q.bottom.push(e)
 }
 
-//ntblint:allocfree
 func (q *ladderQueue) pop() event {
 	if q.bottom.Len() == 0 {
 		q.advance()
@@ -228,8 +224,6 @@ func (q *ladderQueue) advance() {
 
 // clearBucket releases the transferred bucket's event references and
 // advances the rung cursor past it.
-//
-//ntblint:allocfree
 func (q *ladderQueue) clearBucket(r *rung, idx int) {
 	b := r.buckets[idx]
 	for i := range b {

@@ -54,8 +54,6 @@ func (p *Proc) Now() Time { return p.sim.now }
 // be paired with exactly one wake. If that wake is the very event the
 // run loop would dispatch next, park consumes it here and returns
 // without leaving the coroutine; otherwise it switches to the run loop.
-//
-//ntblint:allocfree
 func (p *Proc) park(label string) {
 	s := p.sim
 	if s.killed {
@@ -82,15 +80,11 @@ func (p *Proc) park(label string) {
 
 // wake schedules p to resume at the current virtual time. It must only be
 // used by kernel primitives that know p is parked and not yet woken.
-//
-//ntblint:allocfree
 func (p *Proc) wake() {
 	p.sim.scheduleProc(p.sim.now, p)
 }
 
 // wakeAfter schedules p to resume d from now.
-//
-//ntblint:allocfree
 func (p *Proc) wakeAfter(d Duration) {
 	if d < 0 {
 		d = 0
@@ -101,8 +95,6 @@ func (p *Proc) wakeAfter(d Duration) {
 // Sleep suspends the process for d of virtual time. A non-positive d
 // yields the processor for one scheduling round (other events at the same
 // timestamp run first).
-//
-//ntblint:allocfree
 func (p *Proc) Sleep(d Duration) {
 	p.wakeAfter(d)
 	// A static label: a sleeper always has its wake event pending, so it

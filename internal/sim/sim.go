@@ -118,13 +118,10 @@ func (s *Simulator) schedule(t Time, fn func()) {
 
 // scheduleProc enqueues a wake of p at time t without allocating a
 // closure — the kernel's hottest operation.
-//
-//ntblint:allocfree
 func (s *Simulator) scheduleProc(t Time, p *Proc) {
 	s.scheduleEvent(t, event{proc: p})
 }
 
-//ntblint:allocfree
 func (s *Simulator) scheduleEvent(t Time, ev event) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v, before now %v", t, s.now))
@@ -162,8 +159,6 @@ type Ticker interface {
 // so the timer path stays allocation-free; the argument typically
 // carries a generation stamp for stale-event detection or a small
 // payload such as doorbell bits.
-//
-//ntblint:allocfree
 func (s *Simulator) AfterTick(d Duration, tk Ticker, arg uint64) {
 	if tk == nil {
 		panic("sim: AfterTick with nil Ticker")
@@ -273,8 +268,6 @@ func (s *Simulator) runBody(p *Proc) (returned bool) {
 // the queue head if it lies before runEnd. queued tells which of the
 // two holds it. The run loop and park's own-wake test both select
 // through here, so the rule exists once.
-//
-//ntblint:allocfree
 func (s *Simulator) peekNext() (ev *event, queued bool) {
 	ev = s.events.peek()
 	switch {
@@ -290,8 +283,6 @@ func (s *Simulator) peekNext() (ev *event, queued bool) {
 
 // consume removes the event peekNext just reported, advances the clock
 // to it and counts it. ev is dead afterwards.
-//
-//ntblint:allocfree
 func (s *Simulator) consume(ev *event, queued bool) {
 	s.executed++
 	if s.trace != nil {

@@ -22,11 +22,8 @@ type Cond struct {
 func NewCond(name string) *Cond { return &Cond{name: name, parkLabel: "cond " + name} }
 
 // Wait parks the calling process until a Signal or Broadcast wakes it.
-//
-//ntblint:allocfree
 func (c *Cond) Wait(p *Proc) {
 	if c.parkLabel == "" { // zero-value Cond (e.g. inside Completion)
-		//ntblint:allocok — one-time lazy label init for zero-value Conds
 		c.parkLabel = "cond " + c.name
 	}
 	c.waiters = append(c.waiters, p)
@@ -34,8 +31,6 @@ func (c *Cond) Wait(p *Proc) {
 }
 
 // Signal wakes the longest-waiting process, if any.
-//
-//ntblint:allocfree
 func (c *Cond) Signal() {
 	if len(c.waiters) == 0 {
 		return
@@ -47,8 +42,6 @@ func (c *Cond) Signal() {
 }
 
 // Broadcast wakes every currently waiting process.
-//
-//ntblint:allocfree
 func (c *Cond) Broadcast() {
 	for _, w := range c.waiters {
 		w.wake()
@@ -139,8 +132,6 @@ func (q *Queue[T]) Len() int { return len(q.items) }
 
 // Push appends an item, waking the longest-waiting consumer if present.
 // It is safe to call from scheduler context.
-//
-//ntblint:allocfree
 func (q *Queue[T]) Push(item T) {
 	if len(q.waiters) > 0 {
 		w := q.waiters[0]
@@ -156,8 +147,6 @@ func (q *Queue[T]) Push(item T) {
 
 // Pop removes and returns the oldest item, blocking while the queue is
 // empty.
-//
-//ntblint:allocfree
 func (q *Queue[T]) Pop(p *Proc) T {
 	if len(q.items) > 0 {
 		item := q.items[0]
@@ -172,8 +161,7 @@ func (q *Queue[T]) Pop(p *Proc) T {
 		w = q.wpool[last]
 		q.wpool = q.wpool[:last]
 	} else {
-		//ntblint:allocok — pool refill; amortised to zero in steady state
-		w = new(queueWaiter[T])
+		w = new(queueWaiter[T]) // pool refill; amortised to zero in steady state
 	}
 	w.p = p
 	q.waiters = append(q.waiters, w)
@@ -226,8 +214,6 @@ func NewReactor[T any](s *Simulator, queue, proc string, body func(p *Proc, firs
 
 // Push hands item to the daemon, starting it if this is its first item.
 // It is safe to call from scheduler context.
-//
-//ntblint:allocfree
 func (r *Reactor[T]) Push(item T) {
 	if r.started {
 		r.Queue.Push(item)
@@ -281,8 +267,6 @@ func (r *Resource) Free() int64 { return r.free }
 
 // Acquire blocks until n units are available and takes them. n must not
 // exceed the resource's capacity.
-//
-//ntblint:allocfree
 func (r *Resource) Acquire(p *Proc, n int64) {
 	if n > r.capacity {
 		panic("sim: acquire exceeds capacity of resource " + r.name)
@@ -296,8 +280,7 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 		w = r.wpool[last]
 		r.wpool = r.wpool[:last]
 	} else {
-		//ntblint:allocok — pool refill; amortised to zero in steady state
-		w = new(resourceWaiter)
+		w = new(resourceWaiter) // pool refill; amortised to zero in steady state
 	}
 	w.p, w.n, w.granted = p, n, false
 	r.waiters = append(r.waiters, w)
@@ -311,8 +294,6 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 
 // Release returns n units and serves queued waiters in FIFO order.
 // It is safe to call from scheduler context.
-//
-//ntblint:allocfree
 func (r *Resource) Release(n int64) {
 	r.free += n
 	if r.free > r.capacity {
