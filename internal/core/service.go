@@ -10,10 +10,11 @@ import (
 )
 
 // handle implements the Fig 5 decision tree for one message delivered to
-// this PE by its fabric link. payload aliases fabric-owned space (an
-// inbound window, a pipeline slot, or the sender's buffer on a
-// load/store fabric); every branch copies what it needs out before
-// calling ack, because ack lets the sender reuse the space. Transit
+// this PE by its fabric link. payload aliases space the PE does not own
+// (the sender's buffer, lent to an inbound window under the paper's
+// protocol or read directly on a load/store fabric, or a pipeline slot);
+// every branch copies what it needs out before calling ack, because ack
+// lets the sender reuse the space (TestPutHandlerCopiesBeforeItsAck). Transit
 // traffic never reaches here — store-and-forward relaying is the link's
 // business (the ring's bypass path).
 func (pe *PE) handle(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.Proc)) {

@@ -127,7 +127,7 @@ type Info struct {
 	Dst    uint16     // host Id of the final destination PE
 	Region ntb.Region // inbound window the chunk landed in
 	Dir    Dir        // ring direction the message is travelling
-	Size   uint32     // payload bytes in the window; for KindGetReq, the requested bytes
+	Size   uint32     // payload bytes in the window; zero for a message that carries none
 	SymOff uint64     // symmetric-heap offset (put target / get source)
 	Tag    uint32     // request identity for get/AMO replies
 	Aux    uint64     // chunk offset within the request, or AMO operand
@@ -283,7 +283,11 @@ func (tx *TxChannel) Sends() uint64 { return tx.sends }
 // SendChunk moves one chunk (payload may be empty for pure-register
 // messages) into the peer window named by info.Region, publishes info,
 // rings the kind's vector, and waits for the ACK. It blocks the caller
-// for the full stop-and-wait cycle.
+// for the full stop-and-wait cycle. The transfer is priced and traced
+// like any DMA descriptor or PIO burst, but the window holds the chunk
+// by reference to payload.Buf (a loan, see ntb.Port.Reclaim): the
+// receiver copies it out before it ACKs, and the sender reclaims it
+// after the ACK, before the next chunk may take the window.
 func (tx *TxChannel) SendChunk(p *sim.Proc, info Info, payload Payload, mode Mode) {
 	if payload.N > tx.par.WindowSize {
 		panic(fmt.Sprintf("driver: chunk %d exceeds window %d", payload.N, tx.par.WindowSize))
@@ -296,9 +300,9 @@ func (tx *TxChannel) SendChunk(p *sim.Proc, info Info, payload Payload, mode Mod
 		data := payload.Buf[:payload.N]
 		switch mode {
 		case ModeDMA:
-			tx.ep.Port.DMA().SubmitWait(p, ntb.Desc{Region: info.Region, Src: data, Bytes: payload.N})
+			tx.ep.Port.DMA().LendWait(p, info.Region, data)
 		case ModeCPU:
-			tx.ep.Port.CPUWrite(p, info.Region, 0, data)
+			tx.ep.Port.CPULend(p, info.Region, data)
 		default:
 			panic("driver: unknown mode")
 		}
@@ -306,6 +310,9 @@ func (tx *TxChannel) SendChunk(p *sim.Proc, info Info, payload Payload, mode Mod
 	info.writeTo(p, tx.ep.Port)
 	tx.ep.Ring(p, info.Kind.vector())
 	tx.acks.Pop(p)
+	if payload.N > 0 {
+		tx.ep.Port.Reclaim(info.Region)
+	}
 	tx.sends++
 	tx.mu.Unlock()
 }

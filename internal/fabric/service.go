@@ -139,9 +139,9 @@ func (s *ntbService) consume(p *sim.Proc, sp *svcPort) {
 		}
 	}
 	info := driver.ReadInfo(p, sp.port)
-	// The payload alias is exactly the bytes the message carried, so a
-	// control message (barrier token, get request) materialises nothing
-	// and a small chunk does not materialise a whole window.
+	// The payload is exactly the bytes the message carried: the sender's
+	// buffer, lent to the window until this thread's ACK, for a chunk,
+	// and nothing for a control message (barrier token, get request).
 	s.arrive(p, info, sp.port.InboundRange(info.Region, 0, int(info.Size)), sp.ack)
 }
 

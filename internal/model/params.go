@@ -109,9 +109,9 @@ type Params struct {
 
 	// ---- Protocol geometry ----
 
-	// WindowSize is the per-direction NTB memory window in bytes; a
-	// transfer larger than the window moves in window-sized stages with
-	// a drain handshake between stages.
+	// WindowSize is the per-direction NTB memory window in bytes, 4 KiB
+	// to 1 GiB; a transfer larger than the window moves in window-sized
+	// stages with a drain handshake between stages.
 	WindowSize int
 	// PutChunk is the stop-and-wait unit of the Put protocol: each chunk
 	// is DMA'd (or CPU-copied) into the neighbour's window, announced via
@@ -269,8 +269,8 @@ func (p *Params) Validate() error {
 		return errf("CPU copy bandwidths must be positive")
 	case p.RootComplexBW <= 0:
 		return errf("RootComplexBW must be positive")
-	case p.WindowSize < 4096:
-		return errf("WindowSize too small: %d", p.WindowSize)
+	case p.WindowSize < 4096 || p.WindowSize > 1<<30:
+		return errf("WindowSize out of range: %d", p.WindowSize)
 	case p.PutChunk < 512 || p.PutChunk > p.WindowSize:
 		return errf("PutChunk out of range: %d", p.PutChunk)
 	case p.BypassChunk < 512 || p.BypassChunk > p.WindowSize:

@@ -108,8 +108,8 @@ type Port struct {
 	trace TraceFunc // installed trace hook survives recycling
 }
 
-// portState is a port's doorbell registers and the dirty extent of each
-// inbound window.
+// portState is a port's doorbell registers and the dirty extent and
+// reclaimed bracket of each inbound window.
 type portState struct {
 	db     uint16
 	dbMask uint16
@@ -124,6 +124,14 @@ type portState struct {
 	// recycle it, and InboundRange serves a range outside them as the zero
 	// source.
 	winDirty [numRegions]extent
+	// winStale brackets, in each inbound window, the bytes of loans the
+	// sender has reclaimed (see Reclaim) that no landing has covered
+	// since. The window held them only by reference, so they have no
+	// stored value, and InboundRange panics on a range that overlaps
+	// one. Like winDirty it is one bracket: a reclaim widens it to span
+	// the new loan too, and a landing trims it only where it covers an
+	// end.
+	winStale [numRegions]extent
 }
 
 // NewPort creates an unconnected port. localRC is the owning host's root
@@ -313,7 +321,10 @@ func (p *Port) EngineBW() float64 { return p.engineBW }
 
 // InboundRange returns bytes [off, off+n) of an inbound window, which
 // must lie inside one part (see Partition), without materialising the
-// rest. A range no write has dirtied, or past everything its part holds
+// rest. A range inside an outstanding loan is the sender's own buffer
+// (see lend): the service thread copies a stop-and-wait chunk out of it
+// before its ACK lets the sender reclaim it, and a read after that panics.
+// A range no write has dirtied, or past everything its part holds
 // storage for, is the shared zero source (mem.Zeros): a zero chunk
 // reaches its receiver, and a pipelined receiver polls an idle slot's
 // header, without the window ever holding the bytes. Any other range
@@ -323,7 +334,17 @@ func (p *Port) EngineBW() float64 { return p.engineBW }
 func (p *Port) InboundRange(r Region, off, n int) []byte {
 	w := &p.inbound[r]
 	i, base := w.part(off, n)
-	if d := p.winDirty[r]; d.lo == d.hi || d.lo >= off+n || d.hi <= off || len(w.parts[i]) <= off-base {
+	if l := w.lent(); l.overlaps(off, n) {
+		if off+n > int(l.hi) {
+			panic(fmt.Sprintf("ntb: read of [%d,%d) of %s's %v window straddles the loan [%d,%d)", off, off+n, p.name, r, l.lo, l.hi))
+		}
+		return w.loan[off:][:n]
+	}
+	if st := p.winStale[r]; st.overlaps(off, n) {
+		panic(fmt.Sprintf("ntb: read of [%d,%d) of %s's %v window after the sender reclaimed [%d,%d): a stop-and-wait chunk must be copied out before its ACK",
+			off, off+n, p.name, r, st.lo, st.hi))
+	}
+	if !p.winDirty[r].overlaps(off, n) || len(w.parts[i]) <= off-base {
 		return mem.Zeros(n)
 	}
 	return w.grow(i, off-base+n)[off-base:][:n]
@@ -350,7 +371,7 @@ func (p *Port) Partition(r Region, parts int) {
 	if parts < 1 || parts > p.par.WindowSize {
 		panic(fmt.Sprintf("ntb: %d parts of a %d-byte window", parts, p.par.WindowSize))
 	}
-	if p.WindowResident(r) != 0 || p.winDirty[r] != (extent{}) {
+	if p.WindowResident(r) != 0 || p.winDirty[r] != (extent{}) || p.winStale[r] != (extent{}) || p.inbound[r].loan != nil {
 		panic("ntb: partition of " + p.name + "'s " + r.String() + " window after it was written")
 	}
 	p.inbound[r] = inboundWindow{partBytes: p.par.WindowSize / parts, parts: make([][]byte, parts)}
@@ -365,11 +386,17 @@ const minWindow = 4096
 // is materialised only up to the highest byte a write, a DMA descriptor,
 // a restore or a reader has reached within it; beyond that it reads as
 // zeros. Every transfer lies inside one part, so a payload is always one
-// contiguous slice of one part's storage.
+// contiguous slice of one part's storage. A lent range (see lend) holds
+// no storage at all: the window refers to the sender's buffer until the
+// sender reclaims it.
 type inboundWindow struct {
 	partBytes int
 	parts     [][]byte
+	loan      []byte // the outstanding loan, from the window's first byte; nil when none is outstanding
 }
+
+// lent returns the outstanding loan's extent, empty when there is none.
+func (w *inboundWindow) lent() extent { return span(0, len(w.loan)) }
 
 // part locates [off, off+n): the index of the part holding it and that
 // part's window offset. A range crossing a part boundary, or lying in
@@ -427,10 +454,11 @@ func (w *inboundWindow) giveBack(d extent) {
 // a part's storage are zero and not yielded, so a ring whose extent
 // spans slots 0 to 5 yields two runs when only those two slots landed.
 func (w *inboundWindow) dirtyRuns(d extent) iter.Seq2[int, []byte] {
+	dlo, dhi := int(d.lo), int(d.hi)
 	return func(yield func(int, []byte) bool) {
-		for i := d.lo / w.partBytes; d.lo < d.hi && i < len(w.parts) && i*w.partBytes < d.hi; i++ {
+		for i := dlo / w.partBytes; dlo < dhi && i < len(w.parts) && i*w.partBytes < dhi; i++ {
 			base, s := i*w.partBytes, w.parts[i]
-			if lo, hi := max(d.lo, base), min(d.hi, base+len(s)); lo < hi && !yield(lo, s[lo-base:hi-base]) {
+			if lo, hi := max(dlo, base), min(dhi, base+len(s)); lo < hi && !yield(lo, s[lo-base:hi-base]) {
 				return
 			}
 		}
@@ -452,41 +480,65 @@ func (p *Port) landing(r Region, i, base, off, n int) []byte {
 // window is neither materialised nor dirtied.
 func (p *Port) landZero(r Region, i, base, off, n int) {
 	d := &p.winDirty[r]
-	lo, hi := max(off, d.lo), min(off+n, d.hi)
+	lo, hi := max(off, int(d.lo)), min(off+n, int(d.hi))
 	if lo >= hi {
 		return
 	}
 	s := p.inbound[r].parts[i]
 	clear(s[min(lo-base, len(s)):min(hi-base, len(s))])
+	d.trim(lo, hi)
+}
+
+// extent is a half-open range [lo, hi) within a window; lo == hi means
+// empty. Its bounds are 32-bit (Params.Validate caps WindowSize), which
+// keeps portState, and with it every Port and PortSnapshot, small.
+type extent struct{ lo, hi int32 }
+
+// span is the extent [off, off+n).
+func span(off, n int) extent { return extent{int32(off), int32(off + n)} }
+
+// overlaps reports whether [off, off+n) shares a byte with e.
+func (e extent) overlaps(off, n int) bool {
+	return e.lo < e.hi && n > 0 && off < int(e.hi) && off+n > int(e.lo)
+}
+
+// widen makes e the smallest extent covering both e and the non-empty x.
+func (e *extent) widen(x extent) {
+	if e.lo == e.hi {
+		*e = x
+		return
+	}
+	e.lo, e.hi = min(e.lo, x.lo), max(e.hi, x.hi)
+}
+
+// trim drops [lo, hi) from e where it covers e whole or one of its ends;
+// a range strictly inside e, or outside it, leaves e as it is.
+func (e *extent) trim(lo, hi int) {
 	switch {
-	case lo == d.lo && hi == d.hi:
-		*d = extent{}
-	case lo == d.lo:
-		d.lo = hi
-	case hi == d.hi:
-		d.hi = lo
+	case lo >= int(e.hi) || hi <= int(e.lo):
+	case lo <= int(e.lo) && hi >= int(e.hi):
+		*e = extent{}
+	case lo <= int(e.lo):
+		e.lo = int32(hi)
+	case hi >= int(e.hi):
+		e.hi = int32(lo)
 	}
 }
 
-// extent is a half-open dirty range [lo, hi) within a window; lo == hi
-// means untouched.
-type extent struct{ lo, hi int }
+// covers marks [off, off+n) of region r as holding a value again: a
+// landing there must not meet an outstanding loan, and the bytes leave
+// the reclaimed bracket where they trim it.
+func (p *Port) covers(r Region, off, n int) {
+	if l := p.inbound[r].lent(); l.overlaps(off, n) {
+		panic(fmt.Sprintf("ntb: transfer into [%d,%d) of %s's %v window while [%d,%d) is lent", off, off+n, p.name, r, l.lo, l.hi))
+	}
+	p.winStale[r].trim(off, off+n)
+}
 
 // markDirty widens region r's dirty extent to cover [off, off+n).
 func (p *Port) markDirty(r Region, off, n int) {
-	if n <= 0 {
-		return
-	}
-	d := &p.winDirty[r]
-	if d.lo == d.hi {
-		d.lo, d.hi = off, off+n
-		return
-	}
-	if off < d.lo {
-		d.lo = off
-	}
-	if end := off + n; end > d.hi {
-		d.hi = end
+	if n > 0 {
+		p.winDirty[r].widen(span(off, n))
 	}
 }
 
@@ -498,12 +550,6 @@ func (p *Port) mustPeer() *Port {
 }
 
 // ---- ScratchPad registers ----
-
-// SpadWrite writes a local scratchpad register.
-func (p *Port) SpadWrite(pr *sim.Proc, idx int, val uint32) {
-	pr.Sleep(p.par.LocalMMIO)
-	p.spads[idx] = val
-}
 
 // SpadRead reads a local scratchpad register.
 func (p *Port) SpadRead(pr *sim.Proc, idx int) uint32 {
@@ -643,17 +689,32 @@ func (p *Port) CPUWrite(pr *sim.Proc, r Region, off int, data []byte) {
 // right behind it, in one burst of stores priced as one transfer of
 // len(hdr)+len(data) bytes, so a framed sender needs no staging copy.
 func (p *Port) CPUWriteHdr(pr *sim.Proc, r Region, off int, hdr, data []byte) {
-	n := len(hdr) + len(data)
+	if p.store(pr, r, off, len(hdr)+len(data)) {
+		p.peer.land(r, off, hdr, data)
+	}
+}
+
+// CPULend is CPUWrite of a chunk the peer's window holds by reference:
+// the same stores into window r from its first byte, priced the same,
+// after which the window's first len(data) bytes are data itself until
+// the caller reclaims them (see lend).
+func (p *Port) CPULend(pr *sim.Proc, r Region, data []byte) {
+	if p.store(pr, r, 0, len(data)) {
+		p.peer.lend(r, data)
+	}
+}
+
+// store prices n bytes of programmed-I/O stores into the peer's window r
+// at off and reports whether they reached it: posted stores to a dead
+// link vanish.
+func (p *Port) store(pr *sim.Proc, r Region, off, n int) bool {
 	p.checkWindow(r, off, n)
 	peer := p.mustPeer()
 	peer.admit(p)
 	start := pr.Now()
 	p.net.TransferRoute(pr, int64(n), p.par.WindowWriteBW, p.route)
 	p.emit("pio", "window-write", pr.Now().Sub(start), n)
-	if *p.linkDown {
-		return // posted stores to a dead link vanish
-	}
-	peer.land(r, off, hdr, data)
+	return !*p.linkDown
 }
 
 // land delivers one transfer into region r at off: hdr, then data right
@@ -661,6 +722,7 @@ func (p *Port) CPUWriteHdr(pr *sim.Proc, r Region, off int, hdr, data []byte) {
 // zero payload behind a header dirties and materialises nothing.
 func (p *Port) land(r Region, off int, hdr, data []byte) {
 	i, base := p.inbound[r].part(off, len(hdr)+len(data))
+	p.covers(r, off, len(hdr)+len(data))
 	if len(hdr) > 0 {
 		copy(p.landing(r, i, base, off, len(hdr)), hdr)
 		off += len(hdr)
@@ -670,6 +732,52 @@ func (p *Port) land(r Region, off int, hdr, data []byte) {
 		return
 	}
 	copy(p.landing(r, i, base, off, len(data)), data)
+}
+
+// lend is how a stop-and-wait chunk lands (CPULend, Engine.LendWait):
+// the paper's receiver copies every chunk out of the window before its
+// ACK releases the window (PROTOCOL.md §2), so the window need not hold
+// a copy of its own. Until the sender's Reclaim, InboundRange serves the
+// first len(data) bytes of window r from data itself, the sender's
+// buffer; no window storage is borrowed and no dirty extent grows. A
+// loan starts at the window's first byte, where every stop-and-wait
+// chunk lands. One loan per window may be outstanding, no landing may
+// overlap it, and Snapshot, Restore and ReturnStorage refuse a port that
+// holds one.
+func (p *Port) lend(r Region, data []byte) {
+	w := &p.inbound[r]
+	if len(data) == 0 {
+		panic("ntb: loan of no bytes into " + p.name + "'s " + r.String() + " window")
+	}
+	if w.loan != nil {
+		panic(fmt.Sprintf("ntb: second loan into %s's %v window while [0,%d) is lent", p.name, r, len(w.loan)))
+	}
+	p.covers(r, 0, len(data))
+	w.loan = data
+}
+
+// Reclaim ends the outstanding loan into the peer's window r, once the
+// receiver's ACK says it copied the chunk out; the sender may then reuse
+// its buffer. The lent bytes join the peer's reclaimed bracket, which
+// InboundRange refuses to read until a later landing covers them.
+func (p *Port) Reclaim(r Region) {
+	peer := p.mustPeer()
+	w := &peer.inbound[r]
+	if w.loan == nil {
+		panic("ntb: reclaim of " + peer.name + "'s " + r.String() + " window with no loan outstanding")
+	}
+	peer.winStale[r].widen(w.lent())
+	w.loan = nil
+}
+
+// assertNoLoans panics while any window of the port is lent: the bytes
+// are the sender's, so the window can be neither captured nor recycled.
+func (p *Port) assertNoLoans(op string) {
+	for r := range p.inbound {
+		if n := len(p.inbound[r].loan); n > 0 {
+			panic(fmt.Sprintf("ntb: %s of %s with [0,%d) of its %v window lent", op, p.name, n, Region(r)))
+		}
+	}
 }
 
 // CPURead pulls data from the peer's inbound window with uncached loads
@@ -730,6 +838,7 @@ type Engine struct {
 
 type engineJob struct {
 	desc Desc
+	lend bool // land the source as a loan (LendWait), not a copy
 	done *sim.Completion
 }
 
@@ -757,9 +866,21 @@ func (e *Engine) Submit(pr *sim.Proc, d Desc) *sim.Completion {
 // SubmitWait enqueues a descriptor and blocks the caller until the data
 // is visible in the peer window — Submit followed by Wait, except that
 // the completion is never exposed, so the engine recycles the job record
-// and the per-chunk descriptor path allocates nothing. This is the form
-// the driver's chunk senders use.
-func (e *Engine) SubmitWait(pr *sim.Proc, d Desc) {
+// and the per-chunk descriptor path allocates nothing.
+func (e *Engine) SubmitWait(pr *sim.Proc, d Desc) { e.submitWait(pr, d, false) }
+
+// LendWait is SubmitWait of a chunk the peer's window holds by
+// reference: the descriptor that moves data to the first byte of window
+// r, priced the same, after which the window's first len(data) bytes are
+// data itself until the caller reclaims them (see Port.Reclaim). This is
+// the form the stop-and-wait channel uses.
+func (e *Engine) LendWait(pr *sim.Proc, r Region, data []byte) {
+	e.submitWait(pr, Desc{Region: r, Src: data, Bytes: len(data)}, true)
+}
+
+// submitWait runs one descriptor to completion, landing it as a copy or,
+// with lend set, as a loan.
+func (e *Engine) submitWait(pr *sim.Proc, d Desc, lend bool) {
 	d.check(e.port)
 	pr.Sleep(e.port.par.LocalMMIO)
 	var job *engineJob
@@ -770,7 +891,7 @@ func (e *Engine) SubmitWait(pr *sim.Proc, d Desc) {
 	} else {
 		job = &engineJob{done: sim.NewCompletion("dma-done:" + e.port.name)} // pool miss; recycled forever after
 	}
-	job.desc = d
+	job.desc, job.lend = d, lend
 	e.busy++
 	e.queue.Push(job)
 	job.done.Wait(pr)
@@ -809,7 +930,11 @@ func (e *Engine) run(pr *sim.Proc, job *engineJob) {
 		peer.admit(e.port)
 		n := len(d.Hdr) + d.Bytes
 		e.port.net.TransferRoute(pr, int64(n), e.port.engineBW, e.port.route)
-		peer.land(d.Region, d.Off, d.Hdr, d.Src[:d.Bytes])
+		if job.lend {
+			peer.lend(d.Region, d.Src[:d.Bytes])
+		} else {
+			peer.land(d.Region, d.Off, d.Hdr, d.Src[:d.Bytes])
+		}
 		e.port.emit("dma", "xfer", pr.Now().Sub(start), n)
 		e.busy--
 		job.done.Complete()

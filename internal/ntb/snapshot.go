@@ -4,13 +4,14 @@ import "bytes"
 
 // PortSnapshot is a frozen image of a port's guest-visible device state:
 // the scratchpad file, doorbell status and mask registers, and the dirty
-// extent of each inbound memory window. Window bytes are copied at
-// capture time rather than shared copy-on-write like the heap's pages:
-// after a quiescent prefix the dirty residue is small protocol state
-// (pipelined slot headers, the last chunk a stop-and-wait link carried),
-// not bulk payload, and each part of a window is demand-sized to the
-// largest transfer it has seen, so there is little to share. The DMA
-// engine must be idle at capture, so its queue needs no image.
+// extent and reclaimed bracket of each inbound memory window. Window
+// bytes are copied at capture time rather than shared copy-on-write like
+// the heap's pages: after a quiescent prefix the dirty residue is small
+// protocol state (pipelined slot headers; a stop-and-wait link lends its
+// chunks and leaves none), not bulk payload, and each part of a window
+// is demand-sized to the largest transfer it has seen, so there is
+// little to share. The DMA engine must be idle and no window lent at
+// capture, so neither its queue nor a loan needs an image.
 type PortSnapshot struct {
 	portState
 	spads []uint32
@@ -28,6 +29,7 @@ type windowRun struct {
 // used slots 0 and 5 copies those two slots and nothing between them.
 func (p *Port) Snapshot() *PortSnapshot {
 	p.dma.assertIdle("snapshot")
+	p.assertNoLoans("snapshot")
 	s := &PortSnapshot{portState: p.portState, spads: append([]uint32(nil), p.spads...)}
 	for r := range p.inbound {
 		for off, b := range p.inbound[r].dirtyRuns(p.winDirty[r]) {
@@ -66,11 +68,13 @@ func (p *Port) Restore(s *PortSnapshot) {
 // zeros and hold no storage, and the registers are left as they are. It
 // is the first half of Restore, which a pooled world runs early, at
 // check-in, so that an idle port parks no window bytes. The DMA engine
-// must be idle.
+// must be idle and no window lent; a reclaimed bracket is dropped with
+// the storage, since the window then reads as zeros.
 func (p *Port) ReturnStorage() {
 	p.dma.assertIdle("storage return")
+	p.assertNoLoans("storage return")
 	for r := range p.inbound {
 		p.inbound[r].giveBack(p.winDirty[r])
-		p.winDirty[r] = extent{}
+		p.winDirty[r], p.winStale[r] = extent{}, extent{}
 	}
 }

@@ -438,7 +438,7 @@ func TestHeaderPrefixLandsByteExactAtOffset(t *testing.T) {
 			if !bytes.Equal(win[:off], make([]byte, off)) || win[off+64+10000] != 0 {
 				t.Fatal("bytes outside the frame were written")
 			}
-			if d := b.winDirty[RegionBypass]; d != (extent{off, off + 64 + 10000}) {
+			if d := b.winDirty[RegionBypass]; d != span(off, 64+10000) {
 				t.Fatalf("dirty extent %+v, want the frame", d)
 			}
 		})

@@ -88,7 +88,7 @@ func TestYieldDoesNotJumpEarlierWake(t *testing.T) {
 	})
 	s.Go("p", func(p *Proc) {
 		p.Sleep(10)
-		c.Signal() // q's wake enters the ready FIFO first
+		c.Broadcast() // q's wake enters the ready FIFO first
 		order = append(order, "p signalled")
 		p.Yield()
 		order = append(order, "p resumed")
@@ -183,7 +183,7 @@ func TestGoexitInBodyEndsRunCaller(t *testing.T) {
 // kind of event allocates — a park that consumes its own wake inline
 // (sleeper), a park that switches to another process and back (the
 // ping-pong pair), a contended Resource.Acquire (the two holders), a
-// Cond.Wait (the waiter, woken by Broadcast and Signal in turn), or a
+// Cond.Wait (the waiter, woken by Broadcast), or a
 // timer callback. Every
 // allocation BenchmarkSimEventThroughput reports is therefore per spawn,
 // and a label or ticker built per call on any of these park paths fails
@@ -212,8 +212,6 @@ func TestStandingProcessEventsAllocateNothing(t *testing.T) {
 		for {
 			p.Sleep(5 * Microsecond)
 			cond.Broadcast()
-			p.Sleep(5 * Microsecond)
-			cond.Signal()
 		}
 	})
 	s.GoDaemon("sleeper", func(p *Proc) {

@@ -235,24 +235,22 @@ func TestGoAfterDelaysStart(t *testing.T) {
 	}
 }
 
-func TestCondSignalWakesFIFO(t *testing.T) {
+// TestCondBroadcastWakesFIFO: a broadcast puts its waiters on the ready
+// FIFO in the order they parked, not the order they were spawned.
+func TestCondBroadcastWakesFIFO(t *testing.T) {
 	s := New()
 	c := NewCond("c")
 	var woke []string
-	for _, name := range []string{"a", "b", "c"} {
-		name := name
+	for i, name := range []string{"c", "b", "a"} {
 		s.Go(name, func(p *Proc) {
+			p.Sleep(Duration(3-i) * Microsecond) // park in the order a, b, c
 			c.Wait(p)
 			woke = append(woke, name)
 		})
 	}
-	s.Go("signaler", func(p *Proc) {
-		p.Sleep(Microsecond) // let everyone park
-		c.Signal()
-		p.Sleep(Microsecond)
-		c.Signal()
-		p.Sleep(Microsecond)
-		c.Signal()
+	s.Go("broadcaster", func(p *Proc) {
+		p.Sleep(10 * Microsecond) // let everyone park
+		c.Broadcast()
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ package sim
 //		cond.Wait(p)
 //	}
 //
-// Signal and Broadcast may be called from process or scheduler context.
+// Broadcast may be called from process or scheduler context.
 type Cond struct {
 	name      string
 	parkLabel string // "cond " + name, built once instead of per Wait
@@ -21,24 +21,13 @@ type Cond struct {
 // NewCond returns a condition variable labelled name for deadlock reports.
 func NewCond(name string) *Cond { return &Cond{name: name, parkLabel: "cond " + name} }
 
-// Wait parks the calling process until a Signal or Broadcast wakes it.
+// Wait parks the calling process until a Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
 	if c.parkLabel == "" { // zero-value Cond (e.g. inside Completion)
 		c.parkLabel = "cond " + c.name
 	}
 	c.waiters = append(c.waiters, p)
 	p.park(c.parkLabel)
-}
-
-// Signal wakes the longest-waiting process, if any.
-func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	w := c.waiters[0]
-	copy(c.waiters, c.waiters[1:])
-	c.waiters = c.waiters[:len(c.waiters)-1]
-	w.wake()
 }
 
 // Broadcast wakes every currently waiting process.
