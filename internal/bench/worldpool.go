@@ -25,8 +25,8 @@ import (
 // early, so its written heap pages, window parts and staging buffers go
 // to the mem lender, and an idle world parks none of them. Nothing else
 // is rewound. Whoever checks the world out restores it exactly once: to
-// its genesis image (World.Reset) for a from-t0 run, or straight onto a
-// prefix snapshot (World.Fork); that restore finds nothing to drop, and
+// power-on (World.Reset) for a from-t0 run, or straight onto a prefix
+// snapshot (World.Fork); that restore finds nothing to drop, and
 // the run borrows its storage back from the lender.
 //
 // A pooled world's started service threads, forwarders and DMA engines

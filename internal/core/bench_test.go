@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/fabric"
+	"repro/internal/model"
 	"repro/internal/sim"
 )
 
@@ -90,19 +92,46 @@ func BenchmarkWorldPut64K(b *testing.B) {
 	}
 }
 
+// TestConstructionAllocations holds world construction — fabric.NewRing
+// plus NewWorld, before any run — to a fixed number of allocations
+// whatever the host count: hosts, ports, endpoints, channels, cables,
+// links, PEs and heaps are each one slab per world, primitives are
+// embedded by value, and nothing is named until asked. It reads 21 at
+// 3 hosts and at 256 (25 under -race; it read 383 and 31 951 with about
+// 125 objects per host), so one allocation seeded per host fails the
+// 256-host case.
+func TestConstructionAllocations(t *testing.T) {
+	par := model.Default()
+	for _, n := range []int{3, 256} {
+		allocs := testing.AllocsPerRun(10, func() {
+			c, err := fabric.NewRing(sim.New(), par, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			NewWorld(c, Options{})
+		})
+		if allocs > 30 {
+			t.Errorf("building a %d-host ring world made %.0f allocations, ceiling 30", n, allocs)
+		}
+	}
+}
+
 // TestBenchCeilings holds the machine-independent ceilings of this
 // package's benchmarks: the whole transfer stack adds at most one
 // allocation per barrier-fenced 1 MiB put once world construction is
-// amortised (it measures ≈ 0.09 allocs/op, all of it construction), and
-// a cold 256-PE world costs the allocator at most 2.06 MB and 38 600
-// allocations (≈ 2.018 MB and 37 880: shmem_init starts none of its
-// service threads, forwarders or DMA engines, and each port's requester-ID
-// LUT is an array; spawning all 1 024 at construction read 3.09 MB and
-// 56 000, and a map per LUT reads 2.067 MB and 38 900).
+// amortised (it measures ≈ 0.09 allocs/op, all of it construction); a
+// cold 256-PE world costs the allocator at most 1.6 MB and 5 900
+// allocations (≈ 1.509 MB and 5 708, nearly all of them shmem_init's
+// processes: construction is a few slabs, and one allocation seeded per
+// host reads 5 964; 125 objects per host read 2.035 MB and 37 880, and
+// spawning all 1 024 reactors at construction 3.09 MB and 56 000); and
+// a 3-host world built, booted, barriered and torn down costs at most
+// 20 000 B and 100 allocations (≈ 18 800 and 97; 35 600 and 455 with
+// 125 objects per host).
 // Per-op values are floats: BenchmarkResult.AllocsPerOp truncates.
 func TestBenchCeilings(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two one-second benchmark runs in -short mode")
+		t.Skip("three one-second benchmark runs in -short mode")
 	}
 	if raceEnabled() {
 		t.Skip("the race detector's instrumentation allocates, and slows each op until one-time construction no longer amortises within the benchmark's second")
@@ -112,11 +141,18 @@ func TestBenchCeilings(t *testing.T) {
 		t.Errorf("BenchmarkWorldPut1M: %.3f allocs/op, ceiling 1", got)
 	}
 	r = testing.Benchmark(BenchmarkWorldBuild256)
-	if got := float64(r.MemBytes) / float64(r.N); got > 2.06e6 {
-		t.Errorf("BenchmarkWorldBuild256: %.0f B/op, ceiling 2.06e6", got)
+	if got := float64(r.MemBytes) / float64(r.N); got > 1.6e6 {
+		t.Errorf("BenchmarkWorldBuild256: %.0f B/op, ceiling 1.6e6", got)
 	}
-	if got := float64(r.MemAllocs) / float64(r.N); got > 38_600 {
-		t.Errorf("BenchmarkWorldBuild256: %.0f allocs/op, ceiling 38600", got)
+	if got := float64(r.MemAllocs) / float64(r.N); got > 5_900 {
+		t.Errorf("BenchmarkWorldBuild256: %.0f allocs/op, ceiling 5900", got)
+	}
+	r = testing.Benchmark(BenchmarkWorldSpawnTeardown)
+	if got := float64(r.MemBytes) / float64(r.N); got > 20_000 {
+		t.Errorf("BenchmarkWorldSpawnTeardown: %.0f B/op, ceiling 20000", got)
+	}
+	if got := float64(r.MemAllocs) / float64(r.N); got > 100 {
+		t.Errorf("BenchmarkWorldSpawnTeardown: %.1f allocs/op, ceiling 100", got)
 	}
 }
 

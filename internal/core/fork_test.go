@@ -152,14 +152,14 @@ func TestPERestoreOverDirtyPEEqualsRestoreOfFresh(t *testing.T) {
 }
 
 func TestGenesisCaptureMaterialisesNothing(t *testing.T) {
-	// The genesis image is captured once per world, at construction: it
-	// must not touch an NTB window or a symmetric heap page, or a 256-PE
-	// world would pay for an image of power-on zeroes. Neither may
-	// shmem_init: the image every sweep forks from right after it freezes
-	// no heap page and copies no window byte.
+	// An image of a fresh world — power-on, which Reset restores without
+	// any image — must not touch an NTB window or a symmetric heap page,
+	// or a 256-PE world would pay for an image of zeroes; nor may Reset.
+	// Neither may shmem_init: the image every sweep forks from right
+	// after it freezes no heap page and copies no window byte.
 	w := newWorld(256, Options{})
 	defer w.Cluster.ShutdownSim()
-	w.Snapshot() // first call, outside the measurement, like NewWorld's own
+	w.Snapshot() // first call, outside the measurement
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	w.Snapshot()
@@ -167,7 +167,7 @@ func TestGenesisCaptureMaterialisesNothing(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	// Register files, block lists and per-PE bookkeeping: about 1 KiB a PE.
 	if delta := after.TotalAlloc - before.TotalAlloc; delta > 256*2048 {
-		t.Errorf("capturing and restoring the genesis image of a fresh 256-PE world allocated %d bytes, more than 2 KiB per PE",
+		t.Errorf("capturing an image of a fresh 256-PE world and resetting it allocated %d bytes, more than 2 KiB per PE",
 			delta)
 	}
 	materialised := func(when string) {
@@ -187,10 +187,10 @@ func TestGenesisCaptureMaterialisesNothing(t *testing.T) {
 			}
 		}
 	}
-	materialised("genesis capture")
+	materialised("a fresh world's capture")
 	for _, pe := range w.PEs() {
 		if pe.heap.Chunks() != 0 {
-			t.Fatalf("pe %d: genesis capture grew the symmetric heap to %d chunk(s)", pe.ID(), pe.heap.Chunks())
+			t.Fatalf("pe %d: a fresh world's capture grew the symmetric heap to %d chunk(s)", pe.ID(), pe.heap.Chunks())
 		}
 	}
 	if err := w.RunKeep(func(p *sim.Proc, pe *PE) {}); err != nil {

@@ -64,19 +64,18 @@ func traceRun(t *testing.T, w *World, body func(p *sim.Proc, pe *PE)) ([]OpEvent
 }
 
 func TestResetEquivalentToFreshWorld(t *testing.T) {
-	// Reset is Fork onto the image recorded when construction ended, and
-	// same-shaped worlds record interchangeable images; all three ways
-	// back to t0 must be indistinguishable from a fresh world.
+	// Reset restores power-on, every layer's zero image, and a snapshot
+	// of a just-built same-shaped world captures that same state; both
+	// ways back to t0 must be indistinguishable from a fresh world.
 	rewinds := []struct {
 		name   string
 		rewind func(w *World, opts Options)
 	}{
 		{"reset", func(w *World, _ Options) { w.Reset() }},
-		{"fork-genesis", func(w *World, _ Options) { w.Fork(w.genesis) }},
-		{"fork-foreign-genesis", func(w *World, opts Options) {
+		{"fork-fresh-image", func(w *World, opts Options) {
 			other := newWorld(4, opts)
 			defer other.Cluster.Sim.Shutdown()
-			w.Fork(other.genesis)
+			w.Fork(other.Snapshot())
 		}},
 	}
 	for _, tc := range []struct {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/driver"
+	"repro/internal/fabric"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -17,7 +18,7 @@ import (
 // lets the sender reuse the space (TestPutHandlerCopiesBeforeItsAck). Transit
 // traffic never reaches here — store-and-forward relaying is the link's
 // business (the ring's bypass path).
-func (pe *PE) handle(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.Proc)) {
+func (pe *PE) handle(p *sim.Proc, info driver.Info, payload []byte, ack fabric.Acker) {
 	if int(info.Dst) != pe.id {
 		panic(fmt.Sprintf("core: pe %d delivered a message addressed to pe %d", pe.id, info.Dst))
 	}
@@ -29,7 +30,7 @@ func (pe *PE) handle(p *sim.Proc, info driver.Info, payload []byte, ack func(*si
 		pe.checkHeapRange(SymAddr(info.SymOff), int(info.Size))
 		p.Sleep(sim.BytesAt(int(info.Size), pe.par.MemcpyBW))
 		pe.writeHeapFrom(payload, SymAddr(info.SymOff))
-		ack(p)
+		ack.Ack(p)
 		pe.heapWrite.Broadcast()
 
 	case driver.KindGetReq:
@@ -46,7 +47,7 @@ func (pe *PE) handle(p *sim.Proc, info driver.Info, payload []byte, ack func(*si
 			data = pe.link.GetBuf(n)
 			pe.heap.Read(from, data)
 		}
-		ack(p)
+		ack.Ack(p)
 		reply := driver.Info{
 			Kind:   driver.KindGetData,
 			Src:    uint16(pe.id),
@@ -71,7 +72,7 @@ func (pe *PE) handle(p *sim.Proc, info driver.Info, payload []byte, ack func(*si
 		} else {
 			copy(dst, payload[:n])
 		}
-		ack(p)
+		ack.Ack(p)
 		req.arrived += n
 		req.cond.Broadcast()
 
@@ -80,7 +81,7 @@ func (pe *PE) handle(p *sim.Proc, info driver.Info, payload []byte, ack func(*si
 		// operands ride in the 16-byte window payload.
 		var operands [16]byte
 		copy(operands[:], payload[:info.Size])
-		ack(p)
+		ack.Ack(p)
 		old := pe.applyAMO(p, info, operands)
 		reply := driver.Info{
 			Kind: driver.KindAMOReply,
@@ -97,13 +98,13 @@ func (pe *PE) handle(p *sim.Proc, info driver.Info, payload []byte, ack func(*si
 		if req == nil {
 			panic(fmt.Sprintf("core: pe %d got AMO reply for unknown tag %d", pe.id, info.Tag))
 		}
-		ack(p)
+		ack.Ack(p)
 		req.value = info.Aux
 		req.replied = true
 		req.cond.Broadcast()
 
 	case driver.KindBarrierCtl:
-		ack(p)
+		ack.Ack(p)
 		if pe.ctl == nil {
 			pe.ctl = make(map[uint32]int)
 		}

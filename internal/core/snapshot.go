@@ -128,7 +128,8 @@ func (w *World) Fork(s *WorldSnapshot) {
 }
 
 // restore is the one way a world changes state outside a run; Reset and
-// Fork differ only in the image they pass. It panics if any layer is not
+// Fork differ only in the image they pass, and Reset's is nil: every
+// layer's zero image, power-on. It panics if any layer is not
 // quiescent — pending requests, staged forwards, un-drained service
 // work, a failed simulation — because then the previous run did not
 // complete cleanly and the world must be discarded instead of recycled.
@@ -140,10 +141,18 @@ func (w *World) Fork(s *WorldSnapshot) {
 // doorbell handlers stay installed, and the event queue keeps its
 // backing.
 func (w *World) restore(s *WorldSnapshot) {
+	var cluster *fabric.ClusterSnapshot // power-on
 	for i, pe := range w.pes {
-		pe.restore(&s.pes[i])
+		var ps peSnapshot // power-on
+		if s != nil {
+			ps = s.pes[i]
+		}
+		pe.restore(&ps)
 	}
-	w.Cluster.Restore(s.cluster)
+	if s != nil {
+		cluster = s.cluster
+	}
+	w.Cluster.Restore(cluster)
 }
 
 // ReturnStorage gives every heap page, NTB window part and relay staging

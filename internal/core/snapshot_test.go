@@ -41,19 +41,19 @@ func TestSnapshotStateFieldCounts(t *testing.T) {
 	}{
 		{reflect.TypeFor[sim.Simulator](), "simState", 12},
 		{reflect.TypeFor[pcie.Network](), "", 11},
-		{reflect.TypeFor[ntb.Port](), "portState", 17},
+		{reflect.TypeFor[ntb.Port](), "portState", 16},
 		{reflect.TypeFor[mem.Heap](), "heapState", 5},
 		{reflect.TypeFor[driver.TxChannel](), "txState", 4},
 		{reflect.TypeFor[driver.PipeTx](), "pipeTxState", 7},
 		{reflect.TypeFor[driver.PipeRx](), "pipeRxState", 3},
 		{reflect.TypeFor[fabric.Cluster](), "", 6},
-		{ntbService, "stats", 13},
+		{ntbService, "stats", 14},
 		{ringLink, "", 7},
 		{linkOf(fabric.KindNTBPair, 2), "", 5},
 		{linkOf(fabric.KindPCIeSwitch, 3), "", 1},
 		{linkOf(fabric.KindCXL, 3), "stats", 5},
-		{reflect.TypeFor[World](), "", 6},
-		{reflect.TypeFor[PE](), "peState", 14},
+		{reflect.TypeFor[World](), "", 5},
+		{reflect.TypeFor[PE](), "peState", 13},
 	} {
 		outside := c.typ.NumField()
 		if c.state != "" {

@@ -121,11 +121,8 @@ type World struct {
 	Cluster *fabric.Cluster
 	par     *model.Params
 	opts    Options
-	pes     []*PE
+	pes     []*PE         // into one slab of PEs
 	opTrace func(OpEvent) // installed hooks survive recycling and forking
-
-	// genesis is the image Reset restores: the world as NewWorld left it.
-	genesis *WorldSnapshot
 }
 
 // SetOpTrace installs a hook receiving one event per completed
@@ -157,19 +154,18 @@ type PE struct {
 	peState
 
 	id    int
-	name  string      // "pe:<id>", its application process's name
 	world *World      // construction identity
 	link  fabric.Link // construction identity; its state is captured via its own Snapshot
 	par   *model.Params
 	mode  driver.Mode
 
-	heap *mem.Heap
+	heap *mem.Heap // into the world's slab of heaps
 
 	// Control tokens for the alternative barrier algorithms (lazily
 	// created on first token; most PEs of a ring-barrier world never
 	// see one, and a 1k-PE world must not pay 1k empty maps).
 	ctl     map[uint32]int
-	ctlCond *sim.Cond // no waiters survive a clean run
+	ctlCond sim.Cond // no waiters survive a clean run
 
 	// Pending get/AMO requests by tag (lazily created on first request).
 	pending map[uint32]*pendingReq
@@ -181,10 +177,10 @@ type PE struct {
 	// Live communication contexts (shmem_ctx_*).
 	contexts []*Ctx
 
-	quietCond *sim.Cond // Quiet waits here; no waiters survive a clean run
+	quietCond sim.Cond // Quiet waits here; no waiters survive a clean run
 
 	// Signalled whenever remote traffic writes this PE's heap.
-	heapWrite *sim.Cond // no waiters survive a clean run
+	heapWrite sim.Cond // no waiters survive a clean run
 }
 
 // peState is the PE runtime's value state: barrier epochs, tag and
@@ -211,11 +207,19 @@ type peState struct {
 	stats Stats
 }
 
-// peName builds "prefix<id>" with plain integer formatting; world
-// construction names a dozen queues, conds, and reactors per PE, and at
-// a thousand PEs fmt's reflection cost shows up in pool-miss latency.
-func peName(prefix string, id int) string {
-	return prefix + strconv.Itoa(id)
+// peNum names a PE by its Id in decimal, the subject of the names of
+// its process and its conditions ("pe:3").
+type peNum PE
+
+func (pe *peNum) Name() string { return strconv.Itoa(pe.id) }
+
+func (pe *PE) num() *peNum { return (*peNum)(pe) }
+
+// deliverer is a PE as the fabric.Handler of its link.
+type deliverer PE
+
+func (d *deliverer) Deliver(p *sim.Proc, info driver.Info, payload []byte, ack fabric.Acker) {
+	(*PE)(d).handle(p, info, payload, ack)
 }
 
 // addPending registers an in-flight get/AMO under tag, creating the
@@ -240,7 +244,9 @@ type pendingReq struct {
 // fabric kind. Interrupt handlers are installed immediately (before
 // virtual time starts), mirroring a driver that loads before the
 // application; service threads, forwarders and DMA engines start on
-// their first job, so a fresh world has no pending events.
+// their first job, so a fresh world has no pending events. The PEs and
+// their heaps are laid out in one slab each, and nothing is named until
+// a trace, a report or an error asks.
 func NewWorld(c *fabric.Cluster, opts Options) *World {
 	if opts.Routing == RouteShortest && opts.Barrier != BarrierRing {
 		// Only the ring barrier's per-hop flush has a bidirectional
@@ -256,24 +262,18 @@ func NewWorld(c *fabric.Cluster, opts Options) *World {
 	if err != nil {
 		panic("core: " + err.Error())
 	}
-	w := &World{Cluster: c, par: c.Par, opts: opts}
+	w := &World{Cluster: c, par: c.Par, opts: opts, pes: make([]*PE, c.N())}
+	pes := make([]PE, c.N())
+	heaps := mem.NewHeaps(c.N(), c.Par.SymHeapChunk, c.Par.SymHeapMax)
 	for i, h := range c.Hosts {
-		pe := &PE{
-			id:        h.ID,
-			name:      peName("pe:", h.ID),
-			world:     w,
-			link:      links[i],
-			par:       c.Par,
-			mode:      opts.Mode,
-			heap:      mem.NewHeap(c.Par.SymHeapChunk, c.Par.SymHeapMax),
-			ctlCond:   sim.NewCond(peName("ctl:", h.ID)),
-			quietCond: sim.NewCond(peName("quiet:", h.ID)),
-			heapWrite: sim.NewCond(peName("heap-write:", h.ID)),
-		}
-		w.pes = append(w.pes, pe)
-		pe.link.Start(pe.handle)
+		pe := &pes[i]
+		pe.id, pe.world, pe.link, pe.par, pe.mode, pe.heap = h.ID, w, links[i], c.Par, opts.Mode, &heaps[i]
+		pe.ctlCond.Init(sim.NameOf("ctl:", pe.num()))
+		pe.quietCond.Init(sim.NameOf("quiet:", pe.num()))
+		pe.heapWrite.Init(sim.NameOf("heap-write:", pe.num()))
+		w.pes[i] = pe
+		pe.link.Start((*deliverer)(pe))
 	}
-	w.genesis = w.Snapshot()
 	return w
 }
 
@@ -285,7 +285,7 @@ func NewWorld(c *fabric.Cluster, opts Options) *World {
 func (w *World) Launch(body func(p *sim.Proc, pe *PE)) {
 	for _, pe := range w.pes {
 		pe := pe
-		w.Cluster.Sim.Go(pe.name, func(p *sim.Proc) {
+		w.Cluster.Sim.GoNamed(sim.NameOf("pe:", pe.num()), func(p *sim.Proc) {
 			if !pe.matchTableReady {
 				pe.initPE(p)
 			}
@@ -318,11 +318,11 @@ func (w *World) RunKeep(body func(p *sim.Proc, pe *PE)) error {
 }
 
 // Reset rewinds a cleanly finished world (a nil-error RunKeep) to its
-// just-constructed state: Fork onto the genesis image NewWorld recorded.
-// Because that image is what a fresh construction produces, a reset
+// just-constructed state: restore of the nil image, which is power-on —
+// each layer's zero state, which is what construction leaves. So a reset
 // world replays any body with an event trace identical to a fresh
 // world's — the invariant the bench world pool is built on.
-func (w *World) Reset() { w.restore(w.genesis) }
+func (w *World) Reset() { w.restore(nil) }
 
 // PEs returns the world's processing elements in Id order.
 func (w *World) PEs() []*PE { return w.pes }

@@ -192,30 +192,60 @@ func ReadInfo(p *sim.Proc, port *ntb.Port) Info {
 // work onto a service thread's queue.
 type Endpoint struct {
 	Port     *ntb.Port
-	handlers [16]func()
+	handlers [16]sim.Ticker // by vector; Tick's argument is the vector
 }
 
 // NewEndpoint installs the demultiplexing ISR on port.
 func NewEndpoint(port *ntb.Port) *Endpoint {
-	e := &Endpoint{Port: port}
-	port.SetISR(func(bits uint16) {
-		port.ClearInISR(bits)
-		for v := 0; v < 16; v++ {
-			if bits&(1<<v) != 0 && e.handlers[v] != nil {
-				e.handlers[v]()
-			}
-		}
-	})
+	e := new(Endpoint)
+	e.init(port)
 	return e
 }
 
+// NewEndpoints builds one endpoint per port of a slab, in one slab:
+// endpoint i serves ports[i].
+func NewEndpoints(ports []ntb.Port) []Endpoint {
+	eps := make([]Endpoint, len(ports))
+	for i := range eps {
+		eps[i].init(&ports[i])
+	}
+	return eps
+}
+
+// init makes e port's interrupt handler.
+func (e *Endpoint) init(port *ntb.Port) {
+	e.Port = port
+	port.SetInterruptTarget(e)
+}
+
+// Tick implements sim.Ticker as the port's ISR: arg carries the doorbell
+// bits, and each registered vector among them runs. Not for direct use.
+func (e *Endpoint) Tick(arg uint64) {
+	bits := uint16(arg)
+	e.Port.ClearInISR(bits)
+	for v := 0; v < 16; v++ {
+		if h := e.handlers[v]; bits&(1<<v) != 0 && h != nil {
+			h.Tick(uint64(v))
+		}
+	}
+}
+
 // Handle registers fn for doorbell vector vec.
-func (e *Endpoint) Handle(vec int, fn func()) {
+func (e *Endpoint) Handle(vec int, fn func()) { e.HandleTick(vec, funcTicker(fn)) }
+
+// HandleTick is Handle for a handler that is a sim.Ticker: tk.Tick(vec)
+// runs when vec fires, and registering it allocates nothing.
+func (e *Endpoint) HandleTick(vec int, tk sim.Ticker) {
 	if vec < 0 || vec >= 16 {
 		panic(fmt.Sprintf("driver: bad vector %d", vec))
 	}
-	e.handlers[vec] = fn
+	e.handlers[vec] = tk
 }
+
+// funcTicker is a doorbell handler function as a sim.Ticker.
+type funcTicker func()
+
+func (f funcTicker) Tick(uint64) { f() }
 
 // Ring rings a doorbell vector on the peer host.
 func (e *Endpoint) Ring(p *sim.Proc, vec int) {
@@ -255,8 +285,8 @@ type TxChannel struct {
 
 	ep   *Endpoint
 	par  *model.Params
-	mu   *sim.Mutex           // released after every send
-	acks *sim.Queue[struct{}] // Snapshot and Restore assert it drained
+	mu   sim.Mutex           // released after every send
+	acks sim.Queue[struct{}] // Snapshot and Restore assert it drained
 }
 
 // txState is a stop-and-wait channel's per-run state: its send tally.
@@ -266,15 +296,32 @@ type txState struct {
 
 // NewTxChannel builds the sender side for ep and hooks its ACK vector.
 func NewTxChannel(ep *Endpoint, par *model.Params) *TxChannel {
-	tx := &TxChannel{
-		ep:   ep,
-		par:  par,
-		mu:   sim.NewMutex("tx:" + ep.Port.Name()),
-		acks: sim.NewQueue[struct{}]("ack:" + ep.Port.Name()),
-	}
-	ep.Handle(VecAck, func() { tx.acks.Push(struct{}{}) })
+	tx := new(TxChannel)
+	tx.init(ep, par)
 	return tx
 }
+
+// NewTxChannels builds one channel per endpoint of a slab, in one slab:
+// channel i sends over eps[i].
+func NewTxChannels(eps []Endpoint, par *model.Params) []TxChannel {
+	txs := make([]TxChannel, len(eps))
+	for i := range txs {
+		txs[i].init(&eps[i], par)
+	}
+	return txs
+}
+
+// init readies the channel over ep, named after its port.
+func (tx *TxChannel) init(ep *Endpoint, par *model.Params) {
+	tx.ep, tx.par = ep, par
+	tx.mu.Init(sim.NameOf("tx:", ep.Port))
+	tx.acks.Init(sim.NameOf("ack:", ep.Port))
+	ep.HandleTick(VecAck, tx)
+}
+
+// Tick implements sim.Ticker as the ACK vector's handler: the receiver
+// consumed the chunk in flight. Not for direct use.
+func (tx *TxChannel) Tick(uint64) { tx.acks.Push(struct{}{}) }
 
 // Sends reports how many chunks the channel has pushed (for tests and
 // the trace).

@@ -111,8 +111,8 @@ type PipeTx struct {
 	par       *model.Params
 	slots     int                   // pipeline geometry
 	slotBytes int                   // pipeline geometry
-	credits   *sim.Resource         // Snapshot and Restore assert all returned
-	mu        *sim.Mutex            // serialises slot assignment; released per send
+	credits   sim.Resource          // Snapshot and Restore assert all returned
+	mu        sim.Mutex             // serialises slot assignment; released per send
 	hdr       [SlotHeaderBytes]byte // slot header staging, overwritten per send
 }
 
@@ -134,17 +134,16 @@ func NewPipeTx(ep *Endpoint, par *model.Params, slots int) *PipeTx {
 	if slotBytes < SlotHeaderBytes+512 {
 		panic(fmt.Sprintf("driver: %d slots leave %d-byte slots, too small", slots, slotBytes))
 	}
-	tx := &PipeTx{
-		ep:        ep,
-		par:       par,
-		slots:     slots,
-		slotBytes: slotBytes,
-		credits:   sim.NewResource("pipe-credits:"+ep.Port.Name(), int64(slots)),
-		mu:        sim.NewMutex("pipe-tx:" + ep.Port.Name()),
-	}
-	ep.Handle(VecAck, func() { tx.credits.Release(1) })
+	tx := &PipeTx{ep: ep, par: par, slots: slots, slotBytes: slotBytes}
+	tx.credits.Init(sim.NameOf("pipe-credits:", ep.Port), int64(slots))
+	tx.mu.Init(sim.NameOf("pipe-tx:", ep.Port))
+	ep.HandleTick(VecAck, tx)
 	return tx
 }
+
+// Tick implements sim.Ticker as the ACK vector's handler: the receiver
+// released a slot, which returns a credit. Not for direct use.
+func (tx *PipeTx) Tick(uint64) { tx.credits.Release(1) }
 
 // Slots returns the pipeline depth.
 func (tx *PipeTx) Slots() int { return tx.slots }

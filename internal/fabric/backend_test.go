@@ -209,22 +209,23 @@ func TestCXLWiring(t *testing.T) {
 	if c.cxl == nil {
 		t.Fatal("CXL cluster has no shared fabric state")
 	}
-	if len(c.cxl.mu) != n || len(c.cxl.routes) != n || len(c.cxl.links) != n {
-		t.Fatalf("CXL state sized mu=%d routes=%d links=%d, want %d",
-			len(c.cxl.mu), len(c.cxl.routes), len(c.cxl.links), n)
+	if len(c.cxl.mu) != n || len(c.cxl.routes) != n*n || len(c.cxl.links) != n {
+		t.Fatalf("CXL state sized mu=%d routes=%d links=%d, want %d, %d, %d",
+			len(c.cxl.mu), len(c.cxl.routes), len(c.cxl.links), n, n*n, n)
 	}
 	for i, h := range c.Hosts {
 		if h.Left != nil || h.Right != nil || h.Mesh != nil {
 			t.Errorf("host %d carries NTB adapters on the CXL fabric", i)
 		}
 		for j := 0; j < n; j++ {
+			// A route never built is the zero Route, with no bottleneck.
 			if i == j {
-				if c.cxl.routes[i][j] != nil {
+				if c.cxl.routes[i*n+j].Bottleneck() != 0 {
 					t.Errorf("host %d has a fabric route to itself", i)
 				}
 				continue
 			}
-			if c.cxl.routes[i][j] == nil {
+			if c.cxl.routes[i*n+j].Bottleneck() == 0 {
 				t.Errorf("host %d missing route to %d", i, j)
 			}
 		}

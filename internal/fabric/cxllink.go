@@ -21,10 +21,10 @@ const MaxCXLHosts = 256
 // after a clean run (the home-agent mutexes are held only inside a
 // Send), so no snapshot covers it; per-link counters live on the links.
 type cxlState struct {
-	server *pcie.Server    // interned flow-network server
-	routes [][]*pcie.Route // interned [src][dst] paths
-	mu     []*sim.Mutex    // free after any clean run
-	links  []*cxlLink      // construction identity
+	server pcie.Server  // interned flow-network server
+	routes []pcie.Route // interned paths, src*n+dst
+	mu     []sim.Mutex  // free after any clean run
+	links  []*cxlLink   // construction identity
 }
 
 // NewCXL builds a CXL.mem-style fabric of n hosts: every host maps a
@@ -44,17 +44,20 @@ func NewCXL(s *sim.Simulator, par *model.Params, n int) (*Cluster, error) {
 		return nil, err
 	}
 	st := &cxlState{
-		server: pcie.NewServer("cxl-fabric", par.CXLWindowBW),
-		routes: make([][]*pcie.Route, n),
-		mu:     make([]*sim.Mutex, n),
+		routes: make([]pcie.Route, n*n),
+		mu:     make([]sim.Mutex, n),
 		links:  make([]*cxlLink, n),
 	}
+	st.server.Init(sim.Named("cxl-fabric"), par.CXLWindowBW)
+	paths := make([]*pcie.Server, 3*n*n) // each route's root complex, fabric, root complex
 	for i, h := range c.Hosts {
-		st.mu[i] = sim.NewMutex(hostName("cxl-home:", i))
-		st.routes[i] = make([]*pcie.Route, n)
+		st.mu[i].Init(sim.NameOf("cxl-home:", h.num()))
 		for j := 0; j < n; j++ {
 			if j != i {
-				st.routes[i][j] = c.Net.NewRoute(h.RC, st.server, c.Hosts[j].RC)
+				k := i*n + j
+				path := paths[3*k : 3*k+3 : 3*k+3]
+				path[0], path[1], path[2] = h.RC, &st.server, c.Hosts[j].RC
+				c.Net.InitRoute(&st.routes[k], path...)
 			}
 		}
 	}
@@ -82,15 +85,11 @@ type cxlLink struct {
 	stats LinkStats // the per-run state: Snapshot copies it, Restore assigns it back
 }
 
-func newCXLLink(c *Cluster, h *Host, opts LinkOptions) *cxlLink {
-	l := &cxlLink{
-		c:    c,
-		host: h,
-		opts: opts,
-		st:   c.cxl,
-	}
+// init builds the CXL link of host h in place, in the cluster's slab of
+// links.
+func (l *cxlLink) init(c *Cluster, h *Host, opts LinkOptions) {
+	l.c, l.host, l.opts, l.st = c, h, opts, c.cxl
 	c.cxl.links[h.ID] = l
-	return l
 }
 
 // Start registers the delivery handler with the shared fabric. A
@@ -111,22 +110,24 @@ func (l *cxlLink) Boot(p *sim.Proc) {
 func (l *cxlLink) access(p *sim.Proc, dst int, size int) {
 	p.Sleep(l.c.Par.CXLLatency)
 	if size > 0 {
-		l.c.Net.TransferRoute(p, int64(size), l.c.Par.CXLWindowBW, l.st.routes[l.host.ID][dst])
+		l.c.Net.TransferRoute(p, int64(size), l.c.Par.CXLWindowBW, &l.st.routes[l.host.ID*l.c.N()+dst])
 	}
 }
 
 // nopAck is the ack delivered messages receive: the payload aliases the
 // sender's buffer, which outlives the synchronous delivery.
-func nopAck(*sim.Proc) {}
+type nopAck struct{}
+
+func (nopAck) Ack(*sim.Proc) {}
 
 // Send completes a message like a store: coherence access, then inline
 // delivery on the issuing process under the target's home-agent mutex.
 func (l *cxlLink) Send(p *sim.Proc, info driver.Info, payload driver.Payload) {
 	dst := int(info.Dst)
 	l.access(p, dst, payload.N)
-	mu := l.st.mu[dst]
+	mu := &l.st.mu[dst]
 	mu.Lock(p)
-	l.st.links[dst].deliver(p, info, payload.Buf[:payload.N], nopAck)
+	l.st.links[dst].deliver.Deliver(p, info, payload.Buf[:payload.N], nopAck{})
 	mu.Unlock()
 }
 
@@ -136,7 +137,7 @@ func (l *cxlLink) Send(p *sim.Proc, info driver.Info, payload driver.Payload) {
 func (l *cxlLink) Reply(p *sim.Proc, orig driver.Info, reply driver.Info, data []byte) {
 	requester := int(reply.Dst)
 	l.access(p, requester, len(data))
-	l.st.links[requester].deliver(p, reply, data, nopAck)
+	l.st.links[requester].deliver.Deliver(p, reply, data, nopAck{})
 	if data != nil {
 		l.host.staging.put(data)
 	}
@@ -161,9 +162,14 @@ func (l *cxlLink) Stats() LinkStats { return l.stats }
 func (l *cxlLink) AssertQuiescent(op string) {}
 
 // Snapshot and Restore cover the link's only mutable state, its
-// counters.
-func (l *cxlLink) Snapshot() any    { return l.stats }
-func (l *cxlLink) Restore(snap any) { l.stats = snap.(LinkStats) }
+// counters. Restoring nil is power-on.
+func (l *cxlLink) Snapshot() any { return l.stats }
+func (l *cxlLink) Restore(snap any) {
+	l.stats = LinkStats{}
+	if snap != nil {
+		l.stats = snap.(LinkStats)
+	}
+}
 
 // GetBuf borrows a staging buffer of n bytes from the host's pool;
 // Reply returns it once delivered.

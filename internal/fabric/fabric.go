@@ -10,6 +10,7 @@ package fabric
 import (
 	"fmt"
 	"iter"
+	"strconv"
 
 	"repro/internal/driver"
 	"repro/internal/model"
@@ -25,7 +26,7 @@ import (
 // per peer.
 type Host struct {
 	ID int
-	RC *pcie.Server
+	RC *pcie.Server // rc, named "rc:h<ID>"
 
 	Left, Right     *ntb.Port         // nil when the side is not cabled
 	LeftEP, RightEP *driver.Endpoint  // nil when the side is not cabled
@@ -41,6 +42,7 @@ type Host struct {
 	// link the host runs; Cluster.ReturnStorage gives them back.
 	staging bufPool
 
+	rc      pcie.Server
 	cluster *Cluster
 }
 
@@ -77,18 +79,22 @@ func NewRing(s *sim.Simulator, par *model.Params, n int) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Host i's adapters are ports 2i (left) and 2i+1 (right) of one
+	// slab, and so are their endpoints and channels.
+	c.newSides(2*n, func(i int) (*Host, int) {
+		if i%2 == 0 {
+			return c.Hosts[i/2], ntb.SideLeft
+		}
+		return c.Hosts[i/2], ntb.SideRight
+	})
+	cables := make([]ntb.Cable, n)
 	for i, h := range c.Hosts {
 		next := c.Hosts[(i+1)%n]
-		h.Right = ntb.NewPort(fmt.Sprintf("h%d.right", i), s, c.Net, par, h.RC)
-		next.Left = ntb.NewPort(fmt.Sprintf("h%d.left", next.ID), s, c.Net, par, next.RC)
 		// Both adapters of link i run at that link's chipset-dependent
 		// engine rate (the paper mixes PEX 8733 and 8749 parts).
 		h.Right.SetEngineBW(par.LinkEngineBW(i))
 		next.Left.SetEngineBW(par.LinkEngineBW(i))
-		ntb.Connect(h.Right, next.Left)
-	}
-	for _, h := range c.Hosts {
-		h.finishSides(par)
+		cables[i].Join(h.Right, next.Left)
 	}
 	return c, nil
 }
@@ -102,20 +108,23 @@ func NewPair(s *sim.Simulator, par *model.Params) (*Cluster, error) {
 		return nil, err
 	}
 	a, b := c.Hosts[0], c.Hosts[1]
-	a.Right = ntb.NewPort("h0.right", s, c.Net, par, a.RC)
-	b.Left = ntb.NewPort("h1.left", s, c.Net, par, b.RC)
+	c.newSides(2, func(i int) (*Host, int) {
+		if i == 0 {
+			return a, ntb.SideRight
+		}
+		return b, ntb.SideLeft
+	})
 	a.Right.SetEngineBW(par.LinkEngineBW(0))
 	b.Left.SetEngineBW(par.LinkEngineBW(0))
 	ntb.Connect(a.Right, b.Left)
-	a.finishSides(par)
-	b.finishSides(par)
 	return c, nil
 }
 
 // newCluster is the construction funnel every topology constructor goes
 // through: it rejects a missing simulator or profile and a profile that
 // fails Validate — all reachable from caller configuration — and builds
-// the hosts' root complexes on one fresh flow network.
+// the hosts, with their root complexes, in one slab on one fresh flow
+// network.
 func newCluster(s *sim.Simulator, par *model.Params, n int, kind Kind) (*Cluster, error) {
 	if s == nil {
 		return nil, fmt.Errorf("fabric: a %s cluster needs a simulator, got nil", kind)
@@ -127,34 +136,54 @@ func newCluster(s *sim.Simulator, par *model.Params, n int, kind Kind) (*Cluster
 		return nil, fmt.Errorf("fabric: %w", err)
 	}
 	c := &Cluster{Sim: s, Par: par, Net: pcie.NewNetwork(s), kind: kind}
-	for i := 0; i < n; i++ {
-		c.Hosts = append(c.Hosts, &Host{
-			ID:      i,
-			RC:      pcie.NewServer(fmt.Sprintf("rc:h%d", i), par.RootComplexBW),
-			cluster: c,
-		})
+	// Each root complex and each cable's wire is one server; a ring has
+	// as many cables as hosts.
+	c.Net.Reserve(2 * n)
+	hosts := make([]Host, n)
+	c.Hosts = make([]*Host, n)
+	for i := range hosts {
+		h := &hosts[i]
+		h.ID, h.cluster = i, c
+		h.rc.Init(sim.NameOf("rc:h", h.num()), par.RootComplexBW)
+		h.RC = &h.rc
+		c.Hosts[i] = h
 	}
 	return c, nil
 }
 
-// finishSides builds endpoints and transmit channels for the cabled
-// sides and assigns the PCIe requester IDs the LUTs filter on: bit 0
-// carries the side, the rest the host Id plus one (so no assigned ID is
-// the unconfigured-port zero), giving every adapter in a ring of any
-// buildable size a unique ID. (The historical right-side scheme,
-// id<<1|0x100, collided across hosts 128 apart.)
-func (h *Host) finishSides(par *model.Params) {
-	if h.Left != nil {
-		h.Left.SetRequesterID(uint16(h.ID+1)<<1 | 1)
-		h.LeftEP = driver.NewEndpoint(h.Left)
-		h.TxLeft = driver.NewTxChannel(h.LeftEP, par)
-	}
-	if h.Right != nil {
-		h.Right.SetRequesterID(uint16(h.ID+1) << 1)
-		h.RightEP = driver.NewEndpoint(h.Right)
-		h.TxRight = driver.NewTxChannel(h.RightEP, par)
+// newSides builds n ring or pair adapters in slabs — ports, endpoints
+// and transmit channels — where side(i) says which host's left or right
+// adapter the i-th is, and assigns the PCIe requester IDs the LUTs
+// filter on: bit 0 carries the side, the rest the host Id plus one (so
+// no assigned ID is the unconfigured-port zero), giving every adapter in
+// a ring of any buildable size a unique ID. (The historical right-side
+// scheme, id<<1|0x100, collided across hosts 128 apart.)
+func (c *Cluster) newSides(n int, side func(i int) (*Host, int)) {
+	ports := ntb.NewPorts(c.Sim, c.Net, c.Par, n, func(i int) (ntb.Place, *pcie.Server) {
+		h, sd := side(i)
+		return ntb.Place{Host: h.ID, Side: sd}, h.RC
+	})
+	eps := driver.NewEndpoints(ports)
+	txs := driver.NewTxChannels(eps, c.Par)
+	for i := range ports {
+		h, sd := side(i)
+		if sd == ntb.SideLeft {
+			h.Left, h.LeftEP, h.TxLeft = &ports[i], &eps[i], &txs[i]
+			h.Left.SetRequesterID(uint16(h.ID+1)<<1 | 1)
+		} else {
+			h.Right, h.RightEP, h.TxRight = &ports[i], &eps[i], &txs[i]
+			h.Right.SetRequesterID(uint16(h.ID+1) << 1)
+		}
 	}
 }
+
+// hostNum names a host by its Id in decimal, the subject of the names
+// of its root complex and its link's queues and threads ("svc:3").
+type hostNum Host
+
+func (h *hostNum) Name() string { return strconv.Itoa(h.ID) }
+
+func (h *Host) num() *hostNum { return (*hostNum)(h) }
 
 // Ports yields the host's cabled sides as (NTB port, transmit channel)
 // pairs: its left side, its right side, then, on the switch fabric, its

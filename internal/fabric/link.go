@@ -168,11 +168,19 @@ type LinkStats struct {
 	ChunksForwarded uint64
 }
 
-// Handler consumes one message addressed to the local host. payload
-// aliases fabric-owned space (an inbound window, a pipeline slot, or the
-// sender's buffer on a load/store fabric); the handler must copy what it
-// keeps before calling ack, which releases that space to the sender.
-type Handler func(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.Proc))
+// Handler consumes the messages a link delivers to its host.
+type Handler interface {
+	// Deliver consumes one message addressed to the local host. payload
+	// aliases fabric-owned space (an inbound window, a pipeline slot, or
+	// the sender's buffer on a load/store fabric); the handler must copy
+	// what it keeps before calling ack.Ack, which releases that space to
+	// the sender.
+	Deliver(p *sim.Proc, info driver.Info, payload []byte, ack Acker)
+}
+
+// Acker releases the space a delivered message's payload aliases to its
+// sender.
+type Acker interface{ Ack(p *sim.Proc) }
 
 // Link is one host's attachment to the fabric: the transport the
 // OpenSHMEM runtime sends through and is delivered from. Implementations
@@ -222,8 +230,8 @@ type Link interface {
 	AssertQuiescent(op string)
 	// Snapshot captures the link's mutable state (stats, protocol
 	// cursors); Restore brings a quiescent same-shaped link, whatever it
-	// ran before, to a captured state. A link's just-constructed state
-	// is simply the first snapshot the world takes of it.
+	// ran before, to a captured state. Restoring nil is power-on: every
+	// counter and cursor zero, as the link was built.
 	Snapshot() any
 	Restore(s any)
 	// GetBuf borrows a staging buffer of n bytes from the host's pool;
@@ -256,19 +264,31 @@ func (c *Cluster) Links(opts LinkOptions) ([]Link, error) {
 		}
 	}
 	links := make([]Link, c.N())
-	for i, h := range c.Hosts {
-		switch c.kind {
-		case KindNTBPair:
-			links[i] = newPairLink(c, h, opts)
-		case KindPCIeSwitch:
-			links[i] = newSwitchLink(c, h, opts)
-		case KindCXL:
-			links[i] = newCXLLink(c, h, opts)
-		default:
-			links[i] = newRingLink(c, h, opts)
-		}
+	switch c.kind {
+	case KindNTBPair:
+		layLinks(c, opts, links, make([]pairLink, c.N()))
+	case KindPCIeSwitch:
+		layLinks(c, opts, links, make([]switchLink, c.N()))
+	case KindCXL:
+		layLinks(c, opts, links, make([]cxlLink, c.N()))
+	default:
+		layLinks(c, opts, links, make([]ringLink, c.N()))
 	}
 	return links, nil
+}
+
+// layLinks builds host i's link in place as slab[i] and lists it as
+// links[i]: one allocation for every host's link.
+func layLinks[L any, P interface {
+	*L
+	Link
+	init(c *Cluster, h *Host, opts LinkOptions)
+}](c *Cluster, opts LinkOptions, links []Link, slab []L) {
+	for i, h := range c.Hosts {
+		l := P(&slab[i])
+		l.init(c, h, opts)
+		links[i] = l
+	}
 }
 
 // bufPool is a host's relay staging buffers. Its buffers are blocks

@@ -22,20 +22,27 @@ type pairLink struct {
 	fwd driver.Dir        // Dir this host's sends carry
 
 	// Doorbell barrier tokens (the Fig 6 protocol degenerated to one hop).
-	tokens *tokenPath // AssertQuiescent guarantees them drained
+	tokens tokenPath // AssertQuiescent guarantees them drained
 }
 
-func newPairLink(c *Cluster, h *Host, opts LinkOptions) *pairLink {
-	l := &pairLink{ntbService: newNTBService(c, h, opts)}
+// init builds the pair link of host h in place, in the cluster's slab
+// of links.
+func (l *pairLink) init(c *Cluster, h *Host, opts LinkOptions) {
+	l.ntbService.init(c, h, opts, l)
 	if h.ID == 0 {
 		l.out, l.tx, l.fwd = h.RightEP, h.TxRight, driver.DirRight
 	} else {
 		l.out, l.tx, l.fwd = h.LeftEP, h.TxLeft, driver.DirLeft
 	}
-	// Staged replies leave by the one cable there is.
-	l.hop = func(info driver.Info) (driver.Sender, driver.Info) { return l.tx, info }
-	l.tokens = l.newTokenPath(l.out, l.out, "")
-	return l
+	l.initTokenPath(&l.tokens, l.out, l.out, "barrier-start:", "barrier-end:")
+}
+
+// hop sends every staged reply by the one cable there is.
+func (l *pairLink) hop(info driver.Info) (driver.Sender, driver.Info) { return l.tx, info }
+
+// transit refuses a chunk addressed elsewhere: a pair has no third host.
+func (l *pairLink) transit(p *sim.Proc, info driver.Info, payload []byte, ack Acker) {
+	l.misrouted(info)
 }
 
 // Start wires the data doorbell vectors of the single adapter and creates
@@ -78,13 +85,13 @@ func (l *pairLink) Reply(p *sim.Proc, orig driver.Info, reply driver.Info, data 
 // and launches the END round. Sends are delivery-synchronous on a pair,
 // so the drains only flush replies still staged on the forwarder.
 func (l *pairLink) Barrier(p *sim.Proc) bool {
-	l.tokenRound(p, l.tokens, true)
+	l.tokenRound(p, &l.tokens, true)
 	return true
 }
 
 // Sync is the doorbell exchange without the drain.
 func (l *pairLink) Sync(p *sim.Proc) bool {
-	l.tokenRound(p, l.tokens, false)
+	l.tokenRound(p, &l.tokens, false)
 	return true
 }
 

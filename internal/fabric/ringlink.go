@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/driver"
 	"repro/internal/mem"
@@ -30,21 +29,16 @@ type ringLink struct {
 	// Rightward-travelling tokens arrive on the left-side adapter (host
 	// 0's left adapter faces host N-1); leftward tokens — used by the
 	// bidirectional flush under shortest-path routing — on the right.
-	rightward, leftward *tokenPath // AssertQuiescent guarantees them drained
+	rightward, leftward tokenPath // AssertQuiescent guarantees them drained
 }
 
-// hostName builds "prefix<id>" with plain integer formatting; link
-// construction names several queues and conds per host, and at a
-// thousand hosts fmt's reflection cost shows up in pool-miss latency.
-func hostName(prefix string, id int) string {
-	return prefix + strconv.Itoa(id)
-}
-
-func newRingLink(c *Cluster, h *Host, opts LinkOptions) *ringLink {
-	l := &ringLink{ntbService: newNTBService(c, h, opts)}
-	l.transit, l.hop = l.stage, l.nextHop
-	l.rightward = l.newTokenPath(h.LeftEP, h.RightEP, "")
-	l.leftward = l.newTokenPath(h.RightEP, h.LeftEP, "-left")
+// init builds the ring link of host h in place, in the cluster's slab
+// of links.
+func (l *ringLink) init(c *Cluster, h *Host, opts LinkOptions) {
+	l.ntbService.init(c, h, opts, l)
+	l.relays = true
+	l.initTokenPath(&l.rightward, h.LeftEP, h.RightEP, "barrier-start:", "barrier-end:")
+	l.initTokenPath(&l.leftward, h.RightEP, h.LeftEP, "barrier-start-left:", "barrier-end-left:")
 	// Pick the link protocol. NewPipeTx re-registers the ACK vector that
 	// the fabric-built stop-and-wait channels claimed, retiring them.
 	if depth := opts.Pipeline; depth >= 2 {
@@ -56,7 +50,6 @@ func newRingLink(c *Cluster, h *Host, opts LinkOptions) *ringLink {
 		l.txLeft = h.TxLeft
 		l.txRight = h.TxRight
 	}
-	return l
 }
 
 // Start wires the data doorbell vectors of both adapters and creates the
@@ -64,9 +57,7 @@ func newRingLink(c *Cluster, h *Host, opts LinkOptions) *ringLink {
 func (l *ringLink) Start(deliver Handler) {
 	l.start(deliver, l.host.LeftEP, l.host.RightEP)
 	if l.rxLeft != nil {
-		left, right := l.ports[0], l.ports[1] // in start's endpoint order
-		left.rx, left.rel = l.rxLeft, l.rxLeft.Release
-		right.rx, right.rel = l.rxRight, l.rxRight.Release
+		l.ports[0].rx, l.ports[1].rx = l.rxLeft, l.rxRight // in start's endpoint order
 	}
 }
 
@@ -80,11 +71,11 @@ func (l *ringLink) Boot(p *sim.Proc) {
 	}
 }
 
-// stage is the ring's transit path ("bypass data via transfer buffer",
+// transit is the ring's staging path ("bypass data via transfer buffer",
 // Fig 4): a chunk addressed to another host is copied out of the window,
 // the upstream link released, and the copy queued for relay. A zero
 // chunk arrives as the zero source and is relayed as it is.
-func (l *ringLink) stage(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.Proc)) {
+func (l *ringLink) transit(p *sim.Proc, info driver.Info, payload []byte, ack Acker) {
 	var data []byte
 	if info.Size > 0 {
 		p.Sleep(sim.BytesAt(int(info.Size), l.c.Par.MemcpyBW))
@@ -95,15 +86,15 @@ func (l *ringLink) stage(p *sim.Proc, info driver.Info, payload []byte, ack func
 			copy(data, payload)
 		}
 	}
-	ack(p)
+	ack.Ack(p)
 	l.enqueueForward(info, data)
 }
 
-// nextHop sends a chunk one hop onward in its recorded direction: the
+// hop sends a chunk one hop onward in its recorded direction: the
 // transmit channel for that direction, and the inbound window at the
 // next hop — the data window when that hop is the final destination, the
 // bypass window when the chunk must be relayed again (Fig 4).
-func (l *ringLink) nextHop(info driver.Info) (driver.Sender, driver.Info) {
+func (l *ringLink) hop(info driver.Info) (driver.Sender, driver.Info) {
 	tx, next := l.txRight, l.host.RightNeighbor()
 	if info.Dir == driver.DirLeft {
 		tx, next = l.txLeft, l.host.LeftNeighbor()
@@ -120,7 +111,7 @@ func (l *ringLink) nextHop(info driver.Info) (driver.Sender, driver.Info) {
 // next hop, then push the chunk stop-and-wait (or into a pipe slot).
 func (l *ringLink) Send(p *sim.Proc, info driver.Info, payload driver.Payload) {
 	info.Dir = l.dirTo(int(info.Dst))
-	tx, info := l.nextHop(info)
+	tx, info := l.hop(info)
 	tx.SendChunk(p, info, payload, l.opts.Mode)
 }
 
@@ -139,9 +130,9 @@ func (l *ringLink) Reply(p *sim.Proc, orig driver.Info, reply driver.Info, data 
 // token's direction, so under shortest-path routing a second, leftward
 // round is required for the leftward chains.
 func (l *ringLink) Barrier(p *sim.Proc) bool {
-	l.tokenRound(p, l.rightward, true)
+	l.tokenRound(p, &l.rightward, true)
 	if l.opts.Routing == RouteShortest {
-		l.tokenRound(p, l.leftward, true)
+		l.tokenRound(p, &l.leftward, true)
 	}
 	return true
 }
@@ -150,7 +141,7 @@ func (l *ringLink) Barrier(p *sim.Proc) bool {
 // synchronisation, no delivery guarantee. It exists so the ablation can
 // price the flush.
 func (l *ringLink) Sync(p *sim.Proc) bool {
-	l.tokenRound(p, l.rightward, false)
+	l.tokenRound(p, &l.rightward, false)
 	return true
 }
 
@@ -206,8 +197,12 @@ func (l *ringLink) Snapshot() any {
 	return s
 }
 
+// Restore brings the link to snap; nil is power-on.
 func (l *ringLink) Restore(snap any) {
-	s := snap.(*ringLinkSnap)
+	var s ringLinkSnap
+	if snap != nil {
+		s = *snap.(*ringLinkSnap)
+	}
 	l.stats = s.stats
 	if l.rxLeft != nil {
 		l.txLeft.(*driver.PipeTx).Restore(s.txLeft)

@@ -24,40 +24,62 @@ type ntbService struct {
 	host    *Host       // construction identity
 	opts    LinkOptions // construction identity
 	deliver Handler     // installed handler survives recycling and forking
+	link    backend     // construction identity: the backend embedding this core
+	relays  bool        // construction identity: whether link relays transit chunks
 
-	ports     []*svcPort             // construction identity, no simulation state
-	svcQ      *sim.Reactor[*svcPort] // AssertQuiescent guarantees it drained
-	svcActive bool                   // AssertQuiescent guarantees false (service drained)
-	svcIdle   *sim.Cond              // no waiters survive a clean run
-	fwdQ      *sim.Reactor[*fwdMsg]  // AssertQuiescent guarantees it drained
-	fwdBusy   int                    // AssertQuiescent guarantees zero
-	fwdIdle   *sim.Cond              // no waiters survive a clean run
-
-	// transit consumes an arrival addressed to another host. Only the
-	// ring relays — and so counts what its forwarder pushes as
-	// LinkStats.ChunksForwarded; left nil, a misrouted chunk panics.
-	transit func(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.Proc)) // construction identity
-	// hop picks the transmit channel a staged chunk leaves by and fills
-	// in what the next hop needs of its Info.
-	hop func(info driver.Info) (driver.Sender, driver.Info) // construction identity
+	ports     []svcPort                          // construction identity, no simulation state
+	portBuf   [2]svcPort                         // ports' backing on the ring and the pair
+	svcQ      sim.Reactor[*ntbService, *svcPort] // AssertQuiescent guarantees it drained
+	svcActive bool                               // AssertQuiescent guarantees false (service drained)
+	svcIdle   sim.Cond                           // no waiters survive a clean run
+	fwdQ      sim.Reactor[*ntbService, *fwdMsg]  // AssertQuiescent guarantees it drained
+	fwdBusy   int                                // AssertQuiescent guarantees zero
+	fwdIdle   sim.Cond                           // no waiters survive a clean run
 
 	stats LinkStats // the per-run state: Snapshot copies it, Restore assigns it back
 }
 
+// backend is what a backend adds to the service core it embeds: what
+// happens to a chunk addressed elsewhere, and which channel a staged
+// chunk leaves by.
+type backend interface {
+	// transit consumes an arrival addressed to another host. Only the
+	// ring relays (and so counts what its forwarder pushes as
+	// LinkStats.ChunksForwarded); the others panic on a misrouted chunk.
+	transit(p *sim.Proc, info driver.Info, payload []byte, ack Acker)
+	// hop picks the transmit channel a staged chunk leaves by and fills
+	// in what the next hop needs of its Info.
+	hop(info driver.Info) (driver.Sender, driver.Info)
+}
+
 // svcPort is one inbound port the service thread listens on. Its
 // doorbell vectors queue the record itself, so the service loop finds
-// the port's ack thunk — and, under the pipelined protocol, its slot
-// receiver — without a lookup. The thunks are built once in start:
-// arrive passes its ack through the indirect deliver handler, so a
-// closure literal built in serve's loop would escape, one heap
-// allocation per message on the BenchmarkWorldPut1M hot path.
+// the port — and, under the pipelined protocol, its slot receiver —
+// without a lookup, and the record is the Acker every message it
+// delivers carries.
 type svcPort struct {
+	s    *ntbService
 	port *ntb.Port
-	ack  func(*sim.Proc)
-	// rx and rel are set when the port runs the pipelined
-	// header-in-window protocol: the slot receiver and its Release.
-	rx  *driver.PipeRx
-	rel func(*sim.Proc)
+	rx   *driver.PipeRx // set when the port runs the pipelined header-in-window protocol
+}
+
+// Ack releases the message just consumed from the port: the ACK
+// doorbell under the paper's protocol, the slot's Release under the
+// pipelined one.
+func (sp *svcPort) Ack(p *sim.Proc) {
+	if sp.rx != nil {
+		sp.rx.Release(p)
+		return
+	}
+	driver.Ack(p, sp.port)
+}
+
+// Tick implements sim.Ticker as the port's data doorbell vectors
+// (DMAPUT and DMAGET): it counts the interrupt and queues the port for
+// the service thread.
+func (sp *svcPort) Tick(uint64) {
+	sp.s.stats.Interrupts++
+	sp.s.svcQ.Push(sp)
 }
 
 // fwdMsg is a staged chunk awaiting the forwarder thread.
@@ -66,42 +88,39 @@ type fwdMsg struct {
 	data []byte
 }
 
-// newNTBService builds a host's service core. Its service and forwarder
-// threads are reactors: each starts on the first message its queue
-// receives, so a host that is never sent a chunk runs no service thread
-// and one that never stages a chunk runs no forwarder.
-func newNTBService(c *Cluster, h *Host, opts LinkOptions) ntbService {
-	return ntbService{
-		c:       c,
-		host:    h,
-		opts:    opts,
-		svcIdle: sim.NewCond(hostName("svc-idle:", h.ID)),
-		fwdIdle: sim.NewCond(hostName("fwd-idle:", h.ID)),
-	}
+// init sets up a host's service core inside link, the backend that
+// embeds it. Its service and forwarder threads are reactors: each
+// starts on the first message its queue receives, so a host that is
+// never sent a chunk runs no service thread and one that never stages a
+// chunk runs no forwarder. Every name is formatted only when asked for.
+func (s *ntbService) init(c *Cluster, h *Host, opts LinkOptions, link backend) {
+	s.c, s.host, s.opts, s.link = c, h, opts, link
+	s.svcIdle.Init(sim.NameOf("svc-idle:", h.num()))
+	s.fwdIdle.Init(sim.NameOf("fwd-idle:", h.num()))
+	s.svcQ.Init(c.Sim, sim.NameOf("svc:", h.num()), "shmem-svc:", s, (*ntbService).serve)
+	s.fwdQ.Init(c.Sim, sim.NameOf("fwd:", h.num()), "shmem-fwd:", s, (*ntbService).forward)
 }
 
-// start installs the delivery handler, wires the data doorbells of every
-// listed endpoint (nil entries are uncabled sides) and creates the
-// service and forwarder threads (the paper's shmem_init steps 2 and 4),
-// which start on their first message.
+// start installs the delivery handler and wires the data doorbells of
+// every listed endpoint (nil entries are uncabled sides) to the service
+// thread (the paper's shmem_init steps 2 and 4), which, like the
+// forwarder, starts on its first message.
 func (s *ntbService) start(deliver Handler, eps ...*driver.Endpoint) {
 	s.deliver = deliver
+	// The doorbells hold pointers into ports, so its backing never moves.
+	s.ports = s.portBuf[:0]
+	if len(eps) > len(s.portBuf) {
+		s.ports = make([]svcPort, 0, len(eps))
+	}
 	for _, ep := range eps {
 		if ep == nil {
 			continue
 		}
-		port := ep.Port
-		sp := &svcPort{port: port, ack: func(pp *sim.Proc) { driver.Ack(pp, port) }}
-		s.ports = append(s.ports, sp)
-		dataVec := func() {
-			s.stats.Interrupts++
-			s.svcQ.Push(sp)
-		}
-		ep.Handle(driver.VecPut, dataVec)
-		ep.Handle(driver.VecGet, dataVec)
+		s.ports = append(s.ports, svcPort{s: s, port: ep.Port})
+		sp := &s.ports[len(s.ports)-1]
+		ep.HandleTick(driver.VecPut, sp)
+		ep.HandleTick(driver.VecGet, sp)
 	}
-	s.svcQ = sim.NewReactor(s.c.Sim, hostName("svc:", s.host.ID), hostName("shmem-svc:", s.host.ID), s.serve)
-	s.fwdQ = sim.NewReactor(s.c.Sim, hostName("fwd:", s.host.ID), hostName("shmem-fwd:", s.host.ID), s.forward)
 }
 
 // serve is the per-host service thread of Fig 5, started by the first
@@ -135,28 +154,31 @@ func (s *ntbService) consume(p *sim.Proc, sp *svcPort) {
 			if !ready {
 				return
 			}
-			s.arrive(p, info, payload, sp.rel)
+			s.arrive(p, info, payload, sp)
 		}
 	}
 	info := driver.ReadInfo(p, sp.port)
 	// The payload is exactly the bytes the message carried: the sender's
 	// buffer, lent to the window until this thread's ACK, for a chunk,
 	// and nothing for a control message (barrier token, get request).
-	s.arrive(p, info, sp.port.InboundRange(info.Region, 0, int(info.Size)), sp.ack)
+	s.arrive(p, info, sp.port.InboundRange(info.Region, 0, int(info.Size)), sp)
 }
 
 // arrive routes one message the service thread took off a port: chunks
 // addressed here go up to the runtime's handler, anything else to the
 // backend's transit path.
-func (s *ntbService) arrive(p *sim.Proc, info driver.Info, payload []byte, ack func(*sim.Proc)) {
+func (s *ntbService) arrive(p *sim.Proc, info driver.Info, payload []byte, ack Acker) {
 	if int(info.Dst) == s.host.ID {
-		s.deliver(p, info, payload, ack)
+		s.deliver.Deliver(p, info, payload, ack)
 		return
 	}
-	if s.transit == nil {
-		panic(fmt.Sprintf("fabric: %s host %d received a chunk addressed to host %d", s.c.kind, s.host.ID, info.Dst))
-	}
-	s.transit(p, info, payload, ack)
+	s.link.transit(p, info, payload, ack)
+}
+
+// misrouted panics on a chunk addressed to another host, for the
+// backends that do not relay.
+func (s *ntbService) misrouted(info driver.Info) {
+	panic(fmt.Sprintf("fabric: %s host %d received a chunk addressed to host %d", s.c.kind, s.host.ID, info.Dst))
 }
 
 // setSvcActive tracks whether the service thread is mid-message, for
@@ -185,12 +207,12 @@ func (s *ntbService) enqueueForward(info driver.Info, data []byte) {
 func (s *ntbService) forward(p *sim.Proc, m *fwdMsg) {
 	p.Sleep(s.c.Par.ServiceWake)
 	for {
-		tx, info := s.hop(m.info)
+		tx, info := s.link.hop(m.info)
 		tx.SendChunk(p, info, driver.Payload{Buf: m.data, N: len(m.data)}, s.opts.Mode)
 		if m.data != nil {
 			s.host.staging.put(m.data)
 		}
-		if s.transit != nil {
+		if s.relays {
 			s.stats.ChunksForwarded++
 		}
 		s.fwdBusy--
@@ -235,9 +257,15 @@ func (s *ntbService) AssertQuiescent(op string) {
 func (s *ntbService) Stats() LinkStats { return s.stats }
 
 // Snapshot and Restore cover the only mutable state a quiescent service
-// core holds, its counters; the ring adds its pipe cursors.
-func (s *ntbService) Snapshot() any    { return s.stats }
-func (s *ntbService) Restore(snap any) { s.stats = snap.(LinkStats) }
+// core holds, its counters; the ring adds its pipe cursors. Restoring
+// nil is power-on.
+func (s *ntbService) Snapshot() any { return s.stats }
+func (s *ntbService) Restore(snap any) {
+	s.stats = LinkStats{}
+	if snap != nil {
+		s.stats = snap.(LinkStats)
+	}
+}
 
 // GetBuf borrows a staging buffer of n bytes from the host's pool; the
 // forwarder returns it once the reply is pushed.
@@ -247,27 +275,30 @@ func (s *ntbService) GetBuf(n int) []byte { return s.host.staging.get(n) }
 // one host: tokens leave by out's doorbells and arrive, as interrupts on
 // the facing adapter, in the two queues.
 type tokenPath struct {
+	s            *ntbService
 	out          *driver.Endpoint
-	startQ, endQ *sim.Queue[struct{}]
+	startQ, endQ sim.Queue[struct{}]
 }
 
-// newTokenPath wires the barrier vectors of in (where this direction's
-// tokens arrive) to a fresh queue pair named after suffix.
-func (s *ntbService) newTokenPath(in, out *driver.Endpoint, suffix string) *tokenPath {
-	t := &tokenPath{
-		out:    out,
-		startQ: sim.NewQueue[struct{}](hostName("barrier-start"+suffix+":", s.host.ID)),
-		endQ:   sim.NewQueue[struct{}](hostName("barrier-end"+suffix+":", s.host.ID)),
+// initTokenPath wires the barrier vectors of in (where this direction's
+// tokens arrive) to t's queues, named start and end after the host.
+func (s *ntbService) initTokenPath(t *tokenPath, in, out *driver.Endpoint, start, end string) {
+	t.s, t.out = s, out
+	t.startQ.Init(sim.NameOf(start, s.host.num()))
+	t.endQ.Init(sim.NameOf(end, s.host.num()))
+	in.HandleTick(driver.VecBarrierStart, t)
+	in.HandleTick(driver.VecBarrierEnd, t)
+}
+
+// Tick implements sim.Ticker as the barrier vectors: it counts the
+// interrupt and queues the token that vector vec announced.
+func (t *tokenPath) Tick(vec uint64) {
+	t.s.stats.Interrupts++
+	if vec == driver.VecBarrierStart {
+		t.startQ.Push(struct{}{})
+	} else {
+		t.endQ.Push(struct{}{})
 	}
-	token := func(q *sim.Queue[struct{}]) func() {
-		return func() {
-			s.stats.Interrupts++
-			q.Push(struct{}{})
-		}
-	}
-	in.Handle(driver.VecBarrierStart, token(t.startQ))
-	in.Handle(driver.VecBarrierEnd, token(t.endQ))
-	return t
 }
 
 // queued reports tokens received but not consumed.
@@ -288,16 +319,16 @@ func (s *ntbService) tokenRound(p *sim.Proc, t *tokenPath, flush bool) {
 	if s.host.ID == 0 {
 		t.out.Ring(p, driver.VecBarrierStart)
 	}
-	s.waitToken(p, t.startQ)
+	s.waitToken(p, &t.startQ)
 	if flush {
 		s.Drain(p)
 	}
 	if s.host.ID == 0 {
 		t.out.Ring(p, driver.VecBarrierEnd)
-		s.waitToken(p, t.endQ)
+		s.waitToken(p, &t.endQ)
 	} else {
 		t.out.Ring(p, driver.VecBarrierStart)
-		s.waitToken(p, t.endQ)
+		s.waitToken(p, &t.endQ)
 		t.out.Ring(p, driver.VecBarrierEnd)
 	}
 }

@@ -35,11 +35,7 @@ func (s *ClusterSnapshot) Time() sim.Time { return s.sim.Now() }
 
 // Snapshot captures a quiescent cluster: the simulator between runs
 // with no pending events and only parked daemons, the flow network idle,
-// every DMA engine drained, every stop-and-wait ACK consumed. A cluster
-// whose construction has just ended is quiescent (construction spawns
-// no process); its image has the device layers at power-on and the
-// clock at zero, materialises no window and copies no bytes, and
-// restoring it is how a world returns to t0.
+// every DMA engine drained, every stop-and-wait ACK consumed.
 func (c *Cluster) Snapshot() *ClusterSnapshot {
 	s := &ClusterSnapshot{
 		sim:   c.Sim.Snapshot(),
@@ -61,29 +57,37 @@ func (c *Cluster) Snapshot() *ClusterSnapshot {
 // to the mem lender (each port's Restore returns its own), every NTB
 // port (scratchpads, doorbells, dirty window extents), transmit channel
 // and the flow network is restored and the simulator positioned at the
-// captured clock. The object graph
-// itself (ports, routes, endpoints, started DMA engines) survives, which
-// is the entire point: a restored cluster continues — or, from its
-// genesis image, replays the boot exchange — with none of the
+// captured clock. A nil snapshot is power-on: every device at its zero
+// state and the clock at zero, which is how a world returns to t0. The
+// object graph itself (ports, routes, endpoints, started DMA engines)
+// survives, which is the entire point: a restored cluster continues —
+// or, from power-on, replays the boot exchange — with none of the
 // construction cost.
 // Worlds with failure injection (an unplugged cable) cannot be restored:
 // the wedged DMA engine makes the simulator refuse.
 func (c *Cluster) Restore(s *ClusterSnapshot) {
-	if c.N() != s.n || c.kind != s.kind {
-		panic(fmt.Sprintf("fabric: restore of a %d-host %s cluster from a %d-host %s snapshot",
-			c.N(), c.kind, s.n, s.kind))
+	var sides []sideSnapshot
+	var clock sim.Snapshot
+	if s != nil {
+		if c.N() != s.n || c.kind != s.kind {
+			panic(fmt.Sprintf("fabric: restore of a %d-host %s cluster from a %d-host %s snapshot",
+				c.N(), c.kind, s.n, s.kind))
+		}
+		// The same kind and host count build the same cabling, so the
+		// side images line up with Host.Ports, host after host.
+		sides, clock = s.sides, s.sim
 	}
-	// The same kind and host count build the same cabling, so the side
-	// images line up with Host.Ports, host after host.
-	sides := s.sides
 	for _, h := range c.Hosts {
 		h.staging.giveBack()
 		for port, tx := range h.Ports() {
-			port.Restore(sides[0].port)
-			tx.Restore(sides[0].tx)
-			sides = sides[1:]
+			var side sideSnapshot // power-on
+			if len(sides) > 0 {
+				side, sides = sides[0], sides[1:]
+			}
+			port.Restore(side.port)
+			tx.Restore(side.tx)
 		}
 	}
-	c.Net.Restore(s.net)
-	c.Sim.Restore(s.sim)
+	c.Net.Restore(pcie.NetSnapshot{})
+	c.Sim.Restore(clock)
 }

@@ -32,34 +32,48 @@ func NewSwitch(s *sim.Simulator, par *model.Params, n int) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	core := pcie.NewServer("switch-core", par.SwitchCoreBW)
-	uplinks := make([]*pcie.Server, n)
+	servers := make([]pcie.Server, n+1) // the uplinks, then the core
+	core := &servers[n]
+	core.Init(sim.Named("switch-core"), par.SwitchCoreBW)
+	// Host i's mesh port facing j is port slot(i, j) of one slab, and so
+	// are its endpoint and channel.
+	slot := func(i, j int) int {
+		if j > i {
+			j--
+		}
+		return i*(n-1) + j
+	}
+	ports := ntb.NewPorts(s, c.Net, par, n*(n-1), func(k int) (ntb.Place, *pcie.Server) {
+		i, j := k/(n-1), k%(n-1)
+		if j >= i {
+			j++
+		}
+		return ntb.Place{Host: i, Side: j}, c.Hosts[i].RC
+	})
+	eps := driver.NewEndpoints(ports)
+	txs := driver.NewTxChannels(eps, par)
+	mesh := make([]*ntb.Port, n*n)
+	meshEP := make([]*driver.Endpoint, n*n)
+	meshTx := make([]*driver.TxChannel, n*n)
 	for i, h := range c.Hosts {
-		uplinks[i] = pcie.NewServer(hostName("uplink:h", i), par.EffectiveWireBW())
-		h.Mesh = make([]*ntb.Port, n)
-		h.MeshEP = make([]*driver.Endpoint, n)
-		h.MeshTx = make([]*driver.TxChannel, n)
+		servers[i].Init(sim.NameOf("uplink:h", h.num()), par.EffectiveWireBW())
+		h.Mesh, h.MeshEP, h.MeshTx = mesh[i*n:(i+1)*n:(i+1)*n], meshEP[i*n:(i+1)*n:(i+1)*n], meshTx[i*n:(i+1)*n:(i+1)*n]
+		for j := range n {
+			if j != i {
+				k := slot(i, j)
+				h.Mesh[j], h.MeshEP[j], h.MeshTx[j] = &ports[k], &eps[k], &txs[k]
+			}
+		}
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			pi := ntb.NewPort(fmt.Sprintf("h%d.m%d", i, j), s, c.Net, par, c.Hosts[i].RC)
-			pj := ntb.NewPort(fmt.Sprintf("h%d.m%d", j, i), s, c.Net, par, c.Hosts[j].RC)
+			pi, pj := c.Hosts[i].Mesh[j], c.Hosts[j].Mesh[i]
 			// Host i's port facing j: (i+1) in the high byte, (j+1) in
 			// the low — unique across the fabric, never the unconfigured
 			// zero, and disjoint from the ring scheme's shifted Ids.
 			pi.SetRequesterID(uint16(i+1)<<8 | uint16(j+1))
 			pj.SetRequesterID(uint16(j+1)<<8 | uint16(i+1))
-			ntb.ConnectVia(pi, pj, uplinks[i], core, uplinks[j])
-			c.Hosts[i].Mesh[j] = pi
-			c.Hosts[j].Mesh[i] = pj
-		}
-	}
-	for _, h := range c.Hosts {
-		for j, port := range h.Mesh {
-			if port != nil {
-				h.MeshEP[j] = driver.NewEndpoint(port)
-				h.MeshTx[j] = driver.NewTxChannel(h.MeshEP[j], par)
-			}
+			ntb.ConnectVia(pi, pj, &servers[i], core, &servers[j])
 		}
 	}
 	return c, nil
@@ -78,11 +92,19 @@ type switchLink struct {
 	ntbService
 }
 
-func newSwitchLink(c *Cluster, h *Host, opts LinkOptions) *switchLink {
-	l := &switchLink{ntbService: newNTBService(c, h, opts)}
-	// Staged replies leave by the requester's port.
-	l.hop = func(info driver.Info) (driver.Sender, driver.Info) { return h.MeshTx[int(info.Dst)], info }
-	return l
+// init builds the switch link of host h in place, in the cluster's slab
+// of links.
+func (l *switchLink) init(c *Cluster, h *Host, opts LinkOptions) { l.ntbService.init(c, h, opts, l) }
+
+// hop sends a staged reply by the requester's port.
+func (l *switchLink) hop(info driver.Info) (driver.Sender, driver.Info) {
+	return l.host.MeshTx[int(info.Dst)], info
+}
+
+// transit refuses a chunk addressed elsewhere: every port faces its
+// destination.
+func (l *switchLink) transit(p *sim.Proc, info driver.Info, payload []byte, ack Acker) {
+	l.misrouted(info)
 }
 
 // Start wires the data doorbells of every per-peer port and creates the

@@ -78,8 +78,11 @@ type Heap struct {
 	chunkSize int64 // construction geometry
 	maxSize   int64 // construction geometry
 	nchunks   int   // virtual extent, in chunks
-	pages     []*page
-	blocks    []block // sorted by offset, covering [0, nchunks*chunkSize)
+	// pages is the page table, grown only as far as the highest page a
+	// write or a fork reached; an entry past its end, like a nil one, is
+	// a page nobody wrote.
+	pages  []*page
+	blocks []block // sorted by offset, covering [0, nchunks*chunkSize)
 }
 
 // heapState is a heap's allocator counters and its written mark.
@@ -98,10 +101,20 @@ type heapState struct {
 // NewHeap returns an empty heap that grows in chunkSize steps up to
 // maxSize total.
 func NewHeap(chunkSize, maxSize int) *Heap {
+	return &NewHeaps(1, chunkSize, maxSize)[0]
+}
+
+// NewHeaps returns n empty heaps of one geometry in one slab, one per PE
+// of a world.
+func NewHeaps(n, chunkSize, maxSize int) []Heap {
 	if chunkSize <= 0 || maxSize < chunkSize {
 		panic(fmt.Sprintf("mem: bad heap geometry chunk=%d max=%d", chunkSize, maxSize))
 	}
-	return &Heap{chunkSize: int64(chunkSize), maxSize: int64(maxSize)}
+	hs := make([]Heap, n)
+	for i := range hs {
+		hs[i] = Heap{chunkSize: int64(chunkSize), maxSize: int64(maxSize)}
+	}
+	return hs
 }
 
 // Size returns the current virtual extent of the heap in bytes.
@@ -129,11 +142,22 @@ func (h *Heap) ResidentPages() int {
 	return n
 }
 
-// setChunks sets the virtual extent and sizes the page table to cover
-// it. New entries are nil: growing allocates no bytes.
-func (h *Heap) setChunks(n int) {
-	h.nchunks = n
-	if np := int((h.Size() + pageMask) >> pageShift); np > len(h.pages) {
+// setChunks sets the virtual extent. Growing allocates nothing, not
+// even page-table entries: those come with the first write to a page.
+func (h *Heap) setChunks(n int) { h.nchunks = n }
+
+// page returns page pi's storage, nil for a page nobody wrote.
+func (h *Heap) page(pi int) *page {
+	if pi < len(h.pages) {
+		return h.pages[pi]
+	}
+	return nil
+}
+
+// cover grows the page table to hold an entry for every page of
+// [0, end); the new entries are nil.
+func (h *Heap) cover(end int64) {
+	if np := int((end + pageMask) >> pageShift); np > len(h.pages) {
 		h.pages = append(h.pages, make([]*page, np-len(h.pages))...)
 	}
 }
@@ -342,6 +366,7 @@ func (h *Heap) Write(off int64, data []byte) {
 		return
 	}
 	h.checkRange(off, len(data))
+	h.cover(off + int64(len(data)))
 	for len(data) > 0 {
 		pi, po := int(off>>pageShift), int(off&pageMask)
 		pg := h.pages[pi]
@@ -367,7 +392,7 @@ func (h *Heap) Read(off int64, buf []byte) {
 	for len(buf) > 0 {
 		pi, po := int(off>>pageShift), int(off&pageMask)
 		n := min(len(buf), pageSize-po)
-		if pg := h.pages[pi]; pg != nil {
+		if pg := h.page(pi); pg != nil {
 			copy(buf[:n], pg[po:])
 		} else {
 			clear(buf[:n])
@@ -387,7 +412,7 @@ func (h *Heap) ZeroRange(off int64, n int) bool {
 		return true
 	}
 	for pi := int(off >> pageShift); pi <= int((off+int64(n)-1)>>pageShift); pi++ {
-		if h.pages[pi] != nil {
+		if h.page(pi) != nil {
 			return false
 		}
 	}
@@ -401,7 +426,7 @@ func (h *Heap) Zero(off int64, n int) {
 	for n > 0 {
 		pi, po := int(off>>pageShift), int(off&pageMask)
 		run := min(n, pageSize-po)
-		if pg := h.pages[pi]; pg != nil {
+		if pg := h.page(pi); pg != nil {
 			clear(pg[po : po+run])
 		}
 		n -= run
@@ -411,12 +436,12 @@ func (h *Heap) Zero(off int64, n int) {
 
 // Reset drops every allocation and gives the heap's pages back to the
 // block lender, returning it to a state indistinguishable from freshly
-// constructed: Fork onto the empty snapshot. Because
+// constructed: Fork onto the zero snapshot, which is power-on. Because
 // grow costs nothing in virtual time and first-fit over a single leading
 // free block assigns the same offsets a demand-grown fresh heap would,
 // an allocation sequence replayed after Reset yields byte-identical
 // placement — the property recycled simulation worlds rely on.
-func (h *Heap) Reset() { h.Fork(&HeapSnapshot{chunkSize: h.chunkSize}) }
+func (h *Heap) Reset() { h.Fork(&powerOn) }
 
 // BlockOf returns the base offset and size of the live allocation
 // containing off, for bounds validation by the runtime.

@@ -17,7 +17,8 @@ import (
 // HeapSnapshot is an immutable image of a heap: the allocator's block
 // list and counters plus copies of the pages over the written extent at
 // capture time (nil where nothing was written). Forks only read it, so
-// any number may fork from it concurrently.
+// any number may fork from it concurrently. The zero HeapSnapshot is
+// power-on: an empty heap of any geometry.
 type HeapSnapshot struct {
 	heapState
 	chunkSize int64
@@ -40,6 +41,9 @@ func (s *HeapSnapshot) Pages() int {
 	return n
 }
 
+// powerOn is the zero image Reset forks onto.
+var powerOn HeapSnapshot
+
 // writtenPages is the number of page-table entries overlapping
 // [0, written).
 func writtenPages(written int64) int { return int((written + pageMask) >> pageShift) }
@@ -59,7 +63,7 @@ func (h *Heap) Snapshot() *HeapSnapshot {
 		size:      h.Size(),
 		blocks:    append([]block(nil), h.blocks...),
 	}
-	if n := writtenPages(h.written); n > 0 {
+	if n := min(writtenPages(h.written), len(h.pages)); n > 0 {
 		s.pages = make([][]byte, n)
 		for pi, pg := range h.pages[:n] {
 			if pg != nil {
@@ -76,9 +80,13 @@ func (h *Heap) Snapshot() *HeapSnapshot {
 // borrowed from the block lender; the rest have no storage. The pages
 // the previous run held go back to the lender first (ReturnStorage), so
 // a heap a pooled world already emptied at check-in has nothing to drop.
-// The heap must have the snapshot's geometry.
+// The heap must have the snapshot's geometry; a nil or zero snapshot is
+// power-on, an empty heap of any geometry.
 func (h *Heap) Fork(s *HeapSnapshot) {
-	if h.chunkSize != s.chunkSize {
+	if s == nil {
+		s = &powerOn
+	}
+	if s.chunkSize != 0 && h.chunkSize != s.chunkSize {
 		panic(fmt.Sprintf("mem: fork of a chunk-size-%d heap from a chunk-size-%d snapshot", h.chunkSize, s.chunkSize))
 	}
 	if s.size > h.maxSize {
@@ -88,6 +96,7 @@ func (h *Heap) Fork(s *HeapSnapshot) {
 	if h.Size() < s.size {
 		h.setChunks(int(s.size / s.chunkSize))
 	}
+	h.cover(int64(len(s.pages)) << pageShift)
 	for pi, data := range s.pages {
 		if data != nil {
 			pg := borrowPage()
@@ -114,7 +123,7 @@ func (h *Heap) Fork(s *HeapSnapshot) {
 // runs early, at check-in, so that an idle world parks no pages.
 func (h *Heap) ReturnStorage() {
 	// Storage exists only below the written mark.
-	for pi, pg := range h.pages[:writtenPages(h.written)] {
+	for pi, pg := range h.pages[:min(writtenPages(h.written), len(h.pages))] {
 		if pg != nil {
 			clear(pg[:h.writtenOn(pi)])
 			Return(pg[:])

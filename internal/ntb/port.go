@@ -21,6 +21,7 @@ import (
 	"iter"
 	"math/bits"
 	"slices"
+	"strconv"
 
 	"repro/internal/mem"
 	"repro/internal/model"
@@ -78,21 +79,20 @@ type Port struct {
 	// DMA engine.
 	portState
 
-	name string
-	par  *model.Params
-	sim  *sim.Simulator
-	net  *pcie.Network
+	label portLabel // its name, given or formatted on demand (see Name)
+	par   *model.Params
+	sim   *sim.Simulator
+	net   *pcie.Network
 
 	peer     *Port        // cabling survives recycling
-	wire     *pcie.Server // interned flow-network server
 	localRC  *pcie.Server // interned flow-network server
-	route    *pcie.Route  // interned path to the peer, built at Connect
-	linkDown *bool        // shared cable state; snapshots require healthy links
+	route    *pcie.Route  // interned path to the peer, in the Cable that joined them
+	linkDown *bool        // the Cable's state, shared with the peer; snapshots require healthy links
 
 	engineBW float64 // this adapter's DMA engine rate (chipset-dependent)
 
 	spads []uint32
-	isr   func(bits uint16) // registered handler survives, like a driver's ISR
+	isr   sim.Ticker // registered handler survives, like a driver's ISR; Tick's argument carries the doorbell bits
 
 	// inbound holds each window's backing store, in parts materialised
 	// on demand (see inboundWindow).
@@ -104,8 +104,28 @@ type Port struct {
 	reqID uint16   // assigned identity, reused at re-boot
 	lut   lutTable // boot reprograms the same entries (see Restore doc)
 
-	dma   *Engine
+	dma   Engine
 	trace TraceFunc // installed trace hook survives recycling
+}
+
+// Place is where a fabric-built port sits, from which its name is
+// formatted when a trace, a report or an error first asks for it: on
+// host Host, its left or right adapter ("h3.left", "h3.right") or, with
+// Side ≥ 0, its switch mesh port facing host Side ("h3.m5").
+type Place struct{ Host, Side int }
+
+// The adapter sides of Place.Side.
+const (
+	SideLeft  = -1
+	SideRight = -2
+)
+
+// portLabel is a port's name: given to NewPort, or formatted from its
+// Place on first use and kept.
+type portLabel struct {
+	name   string
+	at     Place
+	placed bool
 }
 
 // portState is a port's doorbell registers and the dirty extent and
@@ -137,27 +157,52 @@ type portState struct {
 // NewPort creates an unconnected port. localRC is the owning host's root
 // complex server in the flow network.
 func NewPort(name string, s *sim.Simulator, net *pcie.Network, par *model.Params, localRC *pcie.Server) *Port {
-	p := &Port{
-		name:     name,
-		par:      par,
-		sim:      s,
-		net:      net,
-		localRC:  localRC,
-		engineBW: par.DMAEngineBW,
-		spads:    make([]uint32, par.SpadCount),
-	}
-	// Inbound windows are materialised on demand (see inboundWindow): most
-	// worlds never address most regions, and the ones they do address
-	// mostly carry chunks far smaller than WindowSize, so eager allocation
-	// would spend the bulk of world construction zeroing megabytes nobody
-	// reads. Each starts as one part; both regions' part lists share one
-	// allocation.
-	parts := make([][]byte, numRegions)
-	for r := range p.inbound {
-		p.inbound[r] = inboundWindow{partBytes: par.WindowSize, parts: parts[r : r+1 : r+1]}
-	}
-	p.dma = newEngine(p)
+	p := &Port{label: portLabel{name: name}}
+	p.init(s, net, par, localRC, make([]uint32, par.SpadCount))
 	return p
+}
+
+// NewPorts builds n unconnected ports in one slab, as a fabric lays out
+// its adapters: at(i) gives port i's Place, which names it, and its
+// host's root complex server.
+func NewPorts(s *sim.Simulator, net *pcie.Network, par *model.Params, n int, at func(i int) (Place, *pcie.Server)) []Port {
+	ports := make([]Port, n)
+	k := par.SpadCount
+	spads := make([]uint32, n*k)
+	for i := range ports {
+		place, rc := at(i)
+		ports[i].label = portLabel{at: place, placed: true}
+		ports[i].init(s, net, par, rc, spads[i*k:(i+1)*k:(i+1)*k])
+	}
+	return ports
+}
+
+// init readies a port whose label is set. Inbound windows are
+// materialised on demand (see inboundWindow): most worlds never address
+// most regions, and the ones they do address mostly carry chunks far
+// smaller than WindowSize, so eager allocation would spend the bulk of
+// world construction zeroing megabytes nobody reads. Each starts as one
+// part.
+func (p *Port) init(s *sim.Simulator, net *pcie.Network, par *model.Params, localRC *pcie.Server, spads []uint32) {
+	p.par, p.sim, p.net, p.localRC = par, s, net, localRC
+	p.engineBW = par.DMAEngineBW
+	p.spads = spads
+	for r := range p.inbound {
+		w := &p.inbound[r]
+		w.partBytes, w.parts = par.WindowSize, w.whole[:]
+	}
+	p.dma.init(p)
+}
+
+// Cable is what two connected ports share: the wire's flow-network
+// server, the route each direction's transfers are priced along, and
+// the link state. Connect makes one; a fabric cabling many port pairs
+// lays its cables out in one slice and joins each pair with Join.
+type Cable struct {
+	wire   pcie.Server
+	down   bool
+	routes [2]pcie.Route
+	paths  [6]*pcie.Server // both routes' server lists when they fit
 }
 
 // Connect joins two ports with a cable whose wire capacity comes from the
@@ -165,12 +210,19 @@ func NewPort(name string, s *sim.Simulator, net *pcie.Network, par *model.Params
 // network. Each direction's flow-network route (local root complex, the
 // cable, the peer's root complex) is interned here, once, so per-transfer
 // pricing never rebuilds the server list.
-func Connect(a, b *Port) {
+func Connect(a, b *Port) { new(Cable).Join(a, b) }
+
+// Join is Connect over c, a cable laid out in a larger value.
+func (c *Cable) Join(a, b *Port) {
 	checkCable(a, b)
-	wire := pcie.NewServer("wire:"+a.name+"<->"+b.name, a.par.EffectiveWireBW())
-	cable(a, b, wire)
-	a.wire, b.wire = wire, wire
+	c.wire.Init(sim.NameOf("wire:", (*wireName)(a)), a.par.EffectiveWireBW())
+	c.join(a, b, &c.wire)
 }
+
+// wireName names the wire a cable from a runs: "<a><-><a's peer>".
+type wireName Port
+
+func (w *wireName) Name() string { a := (*Port)(w); return a.Name() + "<->" + a.peer.Name() }
 
 // ConnectVia joins two ports whose traffic crosses the given chain of
 // shared flow-network servers instead of a dedicated cable — how a PCIe
@@ -180,7 +232,7 @@ func Connect(a, b *Port) {
 // a common switch core prices itself in the flow network.
 func ConnectVia(a, b *Port, via ...*pcie.Server) {
 	checkCable(a, b)
-	cable(a, b, via...)
+	new(Cable).join(a, b, via...)
 }
 
 // checkCable validates that two ports can be joined.
@@ -196,24 +248,25 @@ func checkCable(a, b *Port) {
 	}
 }
 
-// cable peers two checked ports and interns both directions' routes
-// through the via chain.
-func cable(a, b *Port, via ...*pcie.Server) {
+// join peers two checked ports over c and interns both directions'
+// routes through the via chain.
+func (c *Cable) join(a, b *Port, via ...*pcie.Server) {
 	a.peer, b.peer = b, a
-	fwd := make([]*pcie.Server, 0, len(via)+2)
-	fwd = append(fwd, a.localRC)
-	fwd = append(fwd, via...)
-	fwd = append(fwd, b.localRC)
-	a.route = a.net.NewRoute(fwd...)
-	rev := make([]*pcie.Server, 0, len(via)+2)
-	rev = append(rev, b.localRC)
-	for i := len(via) - 1; i >= 0; i-- {
-		rev = append(rev, via[i])
+	k := len(via) + 2
+	path := c.paths[:]
+	if 2*k > len(path) {
+		path = make([]*pcie.Server, 2*k)
 	}
-	rev = append(rev, a.localRC)
-	b.route = b.net.NewRoute(rev...)
-	down := new(bool)
-	a.linkDown, b.linkDown = down, down
+	fwd, rev := path[:k:k], path[k:2*k:2*k]
+	fwd[0], fwd[k-1] = a.localRC, b.localRC
+	rev[0], rev[k-1] = b.localRC, a.localRC
+	for i, v := range via {
+		fwd[1+i], rev[k-2-i] = v, v
+	}
+	a.net.InitRoute(&c.routes[0], fwd...)
+	b.net.InitRoute(&c.routes[1], rev...)
+	a.route, b.route = &c.routes[0], &c.routes[1]
+	a.linkDown, b.linkDown = &c.down, &c.down
 }
 
 // Unplug fails the cable between this port and its peer, for failure
@@ -236,8 +289,22 @@ func (p *Port) LinkUp() bool { return p.linkDown != nil && !*p.linkDown }
 // before the root complex synthesises the master-abort completion.
 const abortTimeout = 50 * sim.Microsecond
 
-// Name returns the port's diagnostic label.
-func (p *Port) Name() string { return p.name }
+// Name returns the port's diagnostic label: the name NewPort was given,
+// or one formatted from its Place the first time it is asked for.
+func (p *Port) Name() string {
+	if p.label.name == "" && p.label.placed {
+		at := p.label.at
+		side := "m" + strconv.Itoa(at.Side)
+		switch at.Side {
+		case SideLeft:
+			side = "left"
+		case SideRight:
+			side = "right"
+		}
+		p.label.name = "h" + strconv.Itoa(at.Host) + "." + side
+	}
+	return p.label.name
+}
 
 // Par returns the platform profile the port was built with.
 func (p *Port) Par() *model.Params { return p.par }
@@ -249,7 +316,7 @@ func (p *Port) Peer() *Port { return p.peer }
 func (p *Port) Connected() bool { return p.peer != nil }
 
 // DMA returns the port's DMA engine.
-func (p *Port) DMA() *Engine { return p.dma }
+func (p *Port) DMA() *Engine { return &p.dma }
 
 // SetRequesterID assigns the PCIe requester ID this port's outbound
 // transactions carry (the fabric derives it from host and side).
@@ -268,7 +335,7 @@ func (p *Port) LUTAdd(pr *sim.Proc, reqID uint16) {
 		return
 	}
 	if p.lut.n == len(p.lut.ids) {
-		panic(fmt.Sprintf("ntb: %s LUT full (%d entries): cannot admit requester %#x", p.name, p.lut.n, reqID))
+		panic(fmt.Sprintf("ntb: %s LUT full (%d entries): cannot admit requester %#x", p.Name(), p.lut.n, reqID))
 	}
 	p.lut.ids[p.lut.n] = reqID
 	p.lut.n++
@@ -292,7 +359,7 @@ type lutTable struct {
 func (p *Port) admit(from *Port) {
 	if p.lut.n > 0 && !p.LUTContains(from.reqID) {
 		panic(fmt.Sprintf("ntb: %s rejected transaction from requester %#x (%s): not in LUT",
-			p.name, from.reqID, from.name))
+			p.Name(), from.reqID, from.Name()))
 	}
 }
 
@@ -302,7 +369,7 @@ func (p *Port) SetTrace(fn TraceFunc) { p.trace = fn }
 
 func (p *Port) emit(cat, name string, dur sim.Duration, bytes int) {
 	if p.trace != nil {
-		p.trace(TraceEvent{T: p.sim.Now(), Dur: dur, Cat: cat, Name: name, Port: p.name, Bytes: bytes})
+		p.trace(TraceEvent{T: p.sim.Now(), Dur: dur, Cat: cat, Name: name, Port: p.Name(), Bytes: bytes})
 	}
 }
 
@@ -336,18 +403,18 @@ func (p *Port) InboundRange(r Region, off, n int) []byte {
 	i, base := w.part(off, n)
 	if l := w.lent(); l.overlaps(off, n) {
 		if off+n > int(l.hi) {
-			panic(fmt.Sprintf("ntb: read of [%d,%d) of %s's %v window straddles the loan [%d,%d)", off, off+n, p.name, r, l.lo, l.hi))
+			panic(fmt.Sprintf("ntb: read of [%d,%d) of %s's %v window straddles the loan [%d,%d)", off, off+n, p.Name(), r, l.lo, l.hi))
 		}
 		return w.loan[off:][:n]
 	}
 	if st := p.winStale[r]; st.overlaps(off, n) {
 		panic(fmt.Sprintf("ntb: read of [%d,%d) of %s's %v window after the sender reclaimed [%d,%d): a stop-and-wait chunk must be copied out before its ACK",
-			off, off+n, p.name, r, st.lo, st.hi))
+			off, off+n, p.Name(), r, st.lo, st.hi))
 	}
 	if !p.winDirty[r].overlaps(off, n) || len(w.parts[i]) <= off-base {
 		return mem.Zeros(n)
 	}
-	return w.grow(i, off-base+n)[off-base:][:n]
+	return w.grow(i, off-base+n, p.winDirty[r])[off-base:][:n]
 }
 
 // WindowResident reports how many bytes of an inbound window hold
@@ -372,7 +439,7 @@ func (p *Port) Partition(r Region, parts int) {
 		panic(fmt.Sprintf("ntb: %d parts of a %d-byte window", parts, p.par.WindowSize))
 	}
 	if p.WindowResident(r) != 0 || p.winDirty[r] != (extent{}) || p.winStale[r] != (extent{}) || p.inbound[r].loan != nil {
-		panic("ntb: partition of " + p.name + "'s " + r.String() + " window after it was written")
+		panic("ntb: partition of " + p.Name() + "'s " + r.String() + " window after it was written")
 	}
 	p.inbound[r] = inboundWindow{partBytes: p.par.WindowSize / parts, parts: make([][]byte, parts)}
 }
@@ -392,8 +459,15 @@ const minWindow = 4096
 type inboundWindow struct {
 	partBytes int
 	parts     [][]byte
-	loan      []byte // the outstanding loan, from the window's first byte; nil when none is outstanding
+	whole     [1][]byte // parts' backing while the window is one part
+	loan      []byte    // the outstanding loan, from the window's first byte; nil when none is outstanding
+	// spent holds the parts grow outgrew, each with the run of it that
+	// may hold bytes, until giveBack clears and returns them.
+	spent []spentPart
 }
+
+// spentPart is an outgrown part's block and its possibly dirty run.
+type spentPart struct{ block, dirty []byte }
 
 // lent returns the outstanding loan's extent, empty when there is none.
 func (w *inboundWindow) lent() extent { return span(0, len(w.loan)) }
@@ -420,23 +494,31 @@ func (w *inboundWindow) part(off, n int) (i, base int) {
 // the block its predecessor gave back instead of stepping up from 4 KiB
 // again. Unmaterialised bytes read as zeros exactly like an eagerly
 // allocated window's, so virtual-time behaviour is unchanged. A part
-// outgrown mid-run is never given back: an alias handed out before a
-// growth step keeps the bytes it was taken for — the store it points
-// into is never written again — and every receiver re-fetches its range
-// per message, so none goes on reading an outgrown one.
-func (w *inboundWindow) grow(i, end int) []byte {
+// outgrown mid-run is kept aside until giveBack, with the run of it that
+// dirty extent d reached: an alias handed out before a growth step keeps
+// the bytes it was taken for until the port's storage goes back — the
+// store it points into is never written again — and every receiver
+// re-fetches its range per message, so none goes on reading an outgrown
+// one.
+func (w *inboundWindow) grow(i, end int, d extent) []byte {
 	s := w.parts[i]
 	if end > len(s) {
 		block := mem.Borrow(min(w.partBytes, max(minWindow, 1<<bits.Len(uint(end-1)))), w.partBytes)
 		grown := block[:min(w.partBytes, len(block))]
 		copy(grown, s)
+		if cap(s) > 0 {
+			base := i * w.partBytes
+			lo, hi := min(max(int(d.lo)-base, 0), len(s)), min(max(int(d.hi)-base, 0), len(s))
+			w.spent = append(w.spent, spentPart{block: s, dirty: s[lo:hi]})
+		}
 		w.parts[i], s = grown, grown
 	}
 	return s
 }
 
-// giveBack clears the storage inside extent d and returns every part to
-// the mem lender, leaving the window without storage.
+// giveBack clears the storage inside extent d and returns every part,
+// and every part the window outgrew, to the mem lender, leaving the
+// window without storage.
 func (w *inboundWindow) giveBack(d extent) {
 	for _, b := range w.dirtyRuns(d) {
 		clear(b)
@@ -447,6 +529,12 @@ func (w *inboundWindow) giveBack(d extent) {
 			w.parts[i] = nil
 		}
 	}
+	for i, sp := range w.spent {
+		clear(sp.dirty)
+		mem.Return(sp.block)
+		w.spent[i] = spentPart{}
+	}
+	w.spent = w.spent[:0]
 }
 
 // dirtyRuns yields, part by part, the storage inside extent d: each
@@ -470,7 +558,7 @@ func (w *inboundWindow) dirtyRuns(d extent) iter.Seq2[int, []byte] {
 // base.
 func (p *Port) landing(r Region, i, base, off, n int) []byte {
 	p.markDirty(r, off, n)
-	return p.inbound[r].grow(i, off-base+n)[off-base:][:n]
+	return p.inbound[r].grow(i, off-base+n, p.winDirty[r])[off-base:][:n]
 }
 
 // landZero lands a transfer of n zero bytes at [off, off+n) of region r,
@@ -530,7 +618,7 @@ func (e *extent) trim(lo, hi int) {
 // the reclaimed bracket where they trim it.
 func (p *Port) covers(r Region, off, n int) {
 	if l := p.inbound[r].lent(); l.overlaps(off, n) {
-		panic(fmt.Sprintf("ntb: transfer into [%d,%d) of %s's %v window while [%d,%d) is lent", off, off+n, p.name, r, l.lo, l.hi))
+		panic(fmt.Sprintf("ntb: transfer into [%d,%d) of %s's %v window while [%d,%d) is lent", off, off+n, p.Name(), r, l.lo, l.hi))
 	}
 	p.winStale[r].trim(off, off+n)
 }
@@ -544,7 +632,7 @@ func (p *Port) markDirty(r Region, off, n int) {
 
 func (p *Port) mustPeer() *Port {
 	if p.peer == nil {
-		panic("ntb: " + p.name + " is not connected")
+		panic("ntb: " + p.Name() + " is not connected")
 	}
 	return p.peer
 }
@@ -593,7 +681,21 @@ func (p *Port) mustPeerLink() *bool {
 // SetISR registers the host's interrupt handler. The handler runs in
 // scheduler context after the modelled interrupt latency; it must not
 // block (real handlers queue work for the service thread, and so do ours).
-func (p *Port) SetISR(fn func(bits uint16)) { p.isr = fn }
+func (p *Port) SetISR(fn func(bits uint16)) {
+	p.isr = nil
+	if fn != nil {
+		p.isr = isrFunc(fn)
+	}
+}
+
+// SetInterruptTarget is SetISR for a handler that is a sim.Ticker: its
+// Tick receives the doorbell bits, and registering it allocates nothing.
+func (p *Port) SetInterruptTarget(tk sim.Ticker) { p.isr = tk }
+
+// isrFunc is an interrupt handler function as a sim.Ticker.
+type isrFunc func(bits uint16)
+
+func (f isrFunc) Tick(arg uint64) { f(uint16(arg)) }
 
 // PeerDBSet rings doorbell bits on the peer port: a posted MMIO write,
 // then interrupt delivery on the far host after the interrupt latency.
@@ -620,7 +722,7 @@ func (p *Port) raise(bits uint16) {
 	p.emit("doorbell", "deliver", 0, 0)
 	p.db |= bits
 	if deliver := bits &^ p.dbMask; deliver != 0 && p.isr != nil {
-		p.isr(deliver)
+		p.isr.Tick(uint64(deliver))
 	}
 }
 
@@ -653,7 +755,7 @@ func (p *Port) DBClearMask(pr *sim.Proc, bits uint16) {
 	pr.Sleep(p.par.LocalMMIO)
 	p.dbMask &^= bits
 	if pending := p.db &^ p.dbMask & bits; pending != 0 && p.isr != nil {
-		p.isr(pending)
+		p.isr.Tick(uint64(pending))
 	}
 }
 
@@ -747,10 +849,10 @@ func (p *Port) land(r Region, off int, hdr, data []byte) {
 func (p *Port) lend(r Region, data []byte) {
 	w := &p.inbound[r]
 	if len(data) == 0 {
-		panic("ntb: loan of no bytes into " + p.name + "'s " + r.String() + " window")
+		panic("ntb: loan of no bytes into " + p.Name() + "'s " + r.String() + " window")
 	}
 	if w.loan != nil {
-		panic(fmt.Sprintf("ntb: second loan into %s's %v window while [0,%d) is lent", p.name, r, len(w.loan)))
+		panic(fmt.Sprintf("ntb: second loan into %s's %v window while [0,%d) is lent", p.Name(), r, len(w.loan)))
 	}
 	p.covers(r, 0, len(data))
 	w.loan = data
@@ -764,7 +866,7 @@ func (p *Port) Reclaim(r Region) {
 	peer := p.mustPeer()
 	w := &peer.inbound[r]
 	if w.loan == nil {
-		panic("ntb: reclaim of " + peer.name + "'s " + r.String() + " window with no loan outstanding")
+		panic("ntb: reclaim of " + peer.Name() + "'s " + r.String() + " window with no loan outstanding")
 	}
 	peer.winStale[r].widen(w.lent())
 	w.loan = nil
@@ -775,7 +877,7 @@ func (p *Port) Reclaim(r Region) {
 func (p *Port) assertNoLoans(op string) {
 	for r := range p.inbound {
 		if n := len(p.inbound[r].loan); n > 0 {
-			panic(fmt.Sprintf("ntb: %s of %s with [0,%d) of its %v window lent", op, p.name, n, Region(r)))
+			panic(fmt.Sprintf("ntb: %s of %s with [0,%d) of its %v window lent", op, p.Name(), n, Region(r)))
 		}
 	}
 }
@@ -828,45 +930,85 @@ func (d *Desc) check(p *Port) {
 // adapter whose engine is never rung never spawns one.
 type Engine struct {
 	port  *Port
-	queue *sim.Reactor[*engineJob]
+	queue sim.Reactor[*Engine, *engineJob]
 	busy  int
-	// jpool recycles job records whose lifetime is confined to one
-	// SubmitWait call, keeping the per-chunk descriptor path
-	// allocation-free.
+	// jpool recycles job records: a SubmitWait caller returns its own
+	// after the wait, and the engine returns a Submit's as it lands, so
+	// the descriptor path allocates nothing once the pool is warm.
 	jpool []*engineJob
+	// submitted and landed count descriptors in submission order; a
+	// Ticket is the submitted count its descriptor took, and tickets
+	// wakes Ticket waiters as each of theirs lands.
+	submitted, landed uint64
+	tickets           sim.Cond
 }
 
 type engineJob struct {
-	desc Desc
-	lend bool // land the source as a loan (LendWait), not a copy
-	done *sim.Completion
+	desc   Desc
+	lend   bool // land the source as a loan (LendWait), not a copy
+	ticket bool // a Submit's: the engine recycles it as it lands
+	done   sim.Completion
 }
 
-func newEngine(p *Port) *Engine {
-	e := &Engine{port: p}
-	e.queue = sim.NewReactor(p.sim, "dma:"+p.name, "dma-engine:"+p.name, e.run)
-	return e
+// init readies the engine of port p, which names its queue, its process
+// and its completions.
+func (e *Engine) init(p *Port) {
+	e.port = p
+	e.queue.Init(p.sim, sim.NameOf("dma:", p), "dma-engine:", e, (*Engine).run)
+	e.tickets.Init(sim.NameOf("dma-done:", p))
 }
 
-// Submit enqueues a descriptor and returns a completion that fires when
+// job returns a recycled job record, or a new one on a pool miss.
+func (e *Engine) job() *engineJob {
+	if last := len(e.jpool) - 1; last >= 0 {
+		job := e.jpool[last]
+		e.jpool = e.jpool[:last]
+		job.done.Reset()
+		return job
+	}
+	job := new(engineJob) // pool miss; recycled forever after
+	job.done.Init(sim.NameOf("dma-done:", e.port))
+	return job
+}
+
+// Ticket is a submitted descriptor's completion.
+type Ticket struct {
+	e *Engine
+	n uint64 // the descriptor's place in submission order
+}
+
+// Done reports whether the descriptor's data is visible in the peer
+// window.
+func (t Ticket) Done() bool { return t.e.landed >= t.n }
+
+// Wait parks until the descriptor's data is visible in the peer window;
+// afterwards it returns immediately.
+func (t Ticket) Wait(p *sim.Proc) {
+	for !t.Done() {
+		t.e.tickets.Wait(p)
+	}
+}
+
+// Submit enqueues a descriptor and returns a ticket that completes when
 // the data is visible in the peer window. Submit itself costs one local
 // register write (ringing the engine) when called from process context;
 // pass nil to submit from scheduler context at zero cost.
-func (e *Engine) Submit(pr *sim.Proc, d Desc) *sim.Completion {
+func (e *Engine) Submit(pr *sim.Proc, d Desc) Ticket {
 	d.check(e.port)
 	if pr != nil {
 		pr.Sleep(e.port.par.LocalMMIO)
 	}
-	job := &engineJob{desc: d, done: sim.NewCompletion("dma-done:" + e.port.name)}
+	job := e.job()
+	job.desc, job.lend, job.ticket = d, false, true
+	e.submitted++
 	e.busy++
 	e.queue.Push(job)
-	return job.done
+	return Ticket{e, e.submitted}
 }
 
 // SubmitWait enqueues a descriptor and blocks the caller until the data
 // is visible in the peer window — Submit followed by Wait, except that
-// the completion is never exposed, so the engine recycles the job record
-// and the per-chunk descriptor path allocates nothing.
+// the caller holds the job record until it wakes and recycles it itself.
 func (e *Engine) SubmitWait(pr *sim.Proc, d Desc) { e.submitWait(pr, d, false) }
 
 // LendWait is SubmitWait of a chunk the peer's window holds by
@@ -883,15 +1025,9 @@ func (e *Engine) LendWait(pr *sim.Proc, r Region, data []byte) {
 func (e *Engine) submitWait(pr *sim.Proc, d Desc, lend bool) {
 	d.check(e.port)
 	pr.Sleep(e.port.par.LocalMMIO)
-	var job *engineJob
-	if last := len(e.jpool) - 1; last >= 0 {
-		job = e.jpool[last]
-		e.jpool = e.jpool[:last]
-		job.done.Reset()
-	} else {
-		job = &engineJob{done: sim.NewCompletion("dma-done:" + e.port.name)} // pool miss; recycled forever after
-	}
-	job.desc, job.lend = d, lend
+	job := e.job()
+	job.desc, job.lend, job.ticket = d, lend, false
+	e.submitted++
 	e.busy++
 	e.queue.Push(job)
 	job.done.Wait(pr)
@@ -907,7 +1043,7 @@ func (e *Engine) Pending() int { return e.busy }
 // nor recycled. The warm job pool survives a restore.
 func (e *Engine) assertIdle(op string) {
 	if e.busy != 0 || e.queue.Len() != 0 {
-		panic(fmt.Sprintf("ntb: %s of %s with %d descriptor(s) outstanding", op, e.port.name, e.busy))
+		panic(fmt.Sprintf("ntb: %s of %s with %d descriptor(s) outstanding", op, e.port.Name(), e.busy))
 	}
 }
 
@@ -923,7 +1059,7 @@ func (e *Engine) run(pr *sim.Proc, job *engineJob) {
 			// completes and the engine processes nothing further, as on
 			// real parts until a driver-level reset.
 			pr.Sleep(par.DMASetup)
-			wedge := sim.NewCompletion("dma-wedged:" + e.port.name)
+			wedge := sim.NewCompletion("dma-wedged:" + e.port.Name())
 			wedge.Wait(pr) // parks forever
 		}
 		peer := e.port.mustPeer()
@@ -937,6 +1073,12 @@ func (e *Engine) run(pr *sim.Proc, job *engineJob) {
 		}
 		e.port.emit("dma", "xfer", pr.Now().Sub(start), n)
 		e.busy--
+		e.landed++
 		job.done.Complete()
+		if job.ticket {
+			job.desc = Desc{}
+			e.jpool = append(e.jpool, job)
+			e.tickets.Broadcast()
+		}
 	}
 }

@@ -220,7 +220,7 @@ func TestDMADescriptorsProcessInOrder(t *testing.T) {
 	s, a, b, _ := pair(t)
 	var order []byte
 	s.Go("dma", func(p *sim.Proc) {
-		var last *sim.Completion
+		var last Ticket
 		for i := byte(0); i < 5; i++ {
 			src := []byte{i}
 			last = a.DMA().Submit(p, Desc{Region: RegionData, Off: 0, Src: src, Bytes: 1})
@@ -244,6 +244,47 @@ func TestDMADescriptorsProcessInOrder(t *testing.T) {
 		if order[2*i] != i || order[2*i+1] != i {
 			t.Fatalf("completion order wrong: %v", order)
 		}
+	}
+}
+
+func TestSubmitAllocatesNothing(t *testing.T) {
+	// Submit takes its job record from the engine's pool and the engine
+	// recycles it as the descriptor lands; the ticket it returns is a
+	// value. Once the pool is warm a burst of Submit-then-Wait, and one
+	// of Submits waited on only at the last, allocates nothing.
+	s, a, b, _ := pair(t)
+	src := bytes.Repeat([]byte{7}, 4096)
+	start := sim.NewQueue[int]("start")
+	s.GoDaemon("submitter", func(p *sim.Proc) {
+		for {
+			waitEach := start.Pop(p) == 0
+			var last Ticket
+			for i := 0; i < 8; i++ {
+				last = a.DMA().Submit(p, Desc{Region: RegionData, Off: i * 4096, Src: src, Bytes: len(src)})
+				if waitEach {
+					last.Wait(p)
+				}
+			}
+			last.Wait(p)
+			if !last.Done() || a.DMA().Pending() != 0 {
+				t.Errorf("a waited-on ticket reads done=%v with %d descriptor(s) pending", last.Done(), a.DMA().Pending())
+			}
+		}
+	})
+	for _, waitEach := range []int{0, 1} {
+		burst := func() {
+			start.Push(waitEach)
+			if err := s.RunUntil(s.Now().Add(10 * sim.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		burst() // warm the job pool, the queues and the flow network
+		if allocs := testing.AllocsPerRun(10, burst); allocs != 0 {
+			t.Fatalf("%.1f allocations per burst of 8 Submits (wait each: %v), want 0", allocs, waitEach == 0)
+		}
+	}
+	if !bytes.Equal(b.InboundRange(RegionData, 7*4096, 4096), src) {
+		t.Fatal("the last descriptor's bytes are not in the peer window")
 	}
 }
 

@@ -18,6 +18,9 @@ type PortSnapshot struct {
 	win   [numRegions][]windowRun // the storage inside each dirty extent, part by part, captured copies
 }
 
+// powerOn is the zero image Restore(nil) applies.
+var powerOn PortSnapshot
+
 // windowRun is a captured stretch of window bytes at window offset off.
 type windowRun struct {
 	off   int
@@ -49,16 +52,21 @@ func (p *Port) Snapshot() *PortSnapshot {
 // with the same entries and no window transaction precedes boot, so an
 // already-enforced LUT admits exactly what a not-yet-enforced one would.
 // The ISR registration and the DMA engine (which must be idle; its
-// process, once started, stays parked) survive as well.
+// process, once started, stays parked) survive as well. A nil snapshot
+// is power-on: registers, scratchpads and windows all zero.
 func (p *Port) Restore(s *PortSnapshot) {
+	if s == nil {
+		s = &powerOn
+	}
 	p.ReturnStorage()
 	p.portState = s.portState
+	clear(p.spads)
 	copy(p.spads, s.spads)
 	for r := range p.inbound {
 		w := &p.inbound[r]
 		for _, run := range s.win[r] {
 			i, base := w.part(run.off, len(run.bytes))
-			copy(w.grow(i, run.off-base+len(run.bytes))[run.off-base:], run.bytes)
+			copy(w.grow(i, run.off-base+len(run.bytes), p.winDirty[r])[run.off-base:], run.bytes)
 		}
 	}
 }

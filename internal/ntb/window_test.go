@@ -72,9 +72,10 @@ func TestWindowWriteHighReadsLowUntouchedBytesAsZero(t *testing.T) {
 
 func TestWindowPayloadAliasSurvivesLaterLargerWrite(t *testing.T) {
 	// A service thread takes its alias of a small message's payload; a
-	// later, larger message makes the window grow. The alias must go on
-	// reading the bytes it was taken for, and the window must hold the
-	// new message.
+	// later, larger message makes the window grow. Until the port's
+	// storage goes back (ReturnStorage, at the next quiescent point), the
+	// alias must go on reading the bytes it was taken for, and the window
+	// must hold the new message.
 	s, a, b, _ := pair(t)
 	small := bytes.Repeat([]byte{0x5A}, 3000)
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, small) })
@@ -89,6 +90,31 @@ func TestWindowPayloadAliasSurvivesLaterLargerWrite(t *testing.T) {
 	now := b.InboundRange(RegionData, 0, 4096+len(large))
 	if !bytes.Equal(now[:len(small)], small) || !bytes.Equal(now[4096:], large) {
 		t.Fatal("window contents wrong after growth")
+	}
+}
+
+func TestOutgrownPartsGoBackAtReturnStorage(t *testing.T) {
+	// A part that grows 4 KiB → 8 KiB → 64 KiB keeps the two blocks it
+	// outgrew aside, and ReturnStorage gives all three back to the
+	// lender, each cleared where it was written.
+	s, a, b, _ := pair(t)
+	run(t, s, func(p *sim.Proc) {
+		a.CPUWrite(p, RegionBypass, 100, pattern(3000, 1))
+		a.CPUWrite(p, RegionBypass, 5000, pattern(2000, 2))
+		a.CPUWrite(p, RegionBypass, 60000, pattern(100, 3))
+	})
+	if got := b.WindowResident(RegionBypass); got != 1<<16 || len(b.inbound[RegionBypass].spent) != 2 {
+		t.Fatalf("test setup: part at %d bytes with %d outgrown", got, len(b.inbound[RegionBypass].spent))
+	}
+	b.ReturnStorage()
+	if held := mem.LenderHeld(); held != minWindow+2*minWindow+1<<16 {
+		t.Fatalf("the lender holds %d bytes after ReturnStorage, want the part and both blocks it outgrew", held)
+	}
+	if !mem.LenderClean() {
+		t.Fatal("an outgrown part went back to the lender with its bytes")
+	}
+	if len(b.inbound[RegionBypass].spent) != 0 || b.WindowResident(RegionBypass) != 0 {
+		t.Fatal("the window kept storage after ReturnStorage")
 	}
 }
 
@@ -163,10 +189,15 @@ func TestWindowSnapshotRestoreAcrossGrowthStep(t *testing.T) {
 		t.Fatalf("test setup: window at %d bytes", b0.WindowResident(RegionData))
 	}
 
+	// The restore rebuilds the part from whichever block the lender has
+	// that reaches the captured run — the 4 KiB part the window outgrew,
+	// which went back with the rest — and every byte it holds but the
+	// run is zero.
 	b0.Restore(small)
-	want := make([]byte, 1<<19)
+	part := b0.inbound[RegionData].parts[0]
+	want := make([]byte, len(part))
 	copy(want[100:], "small")
-	if !bytes.Equal(b0.inbound[RegionData].parts[0], want) {
+	if !bytes.Equal(part, want) {
 		t.Fatal("restore of the small image over a grown window left stale bytes")
 	}
 

@@ -35,6 +35,7 @@ package pcie
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -44,7 +45,7 @@ import (
 // belongs to at most one Network: it is interned on the first Route that
 // crosses it.
 type Server struct {
-	name     string
+	name     sim.Name
 	capacity float64
 	net      *Network // owning network, set at interning
 	idx      int      // index into the network's scratch arrays
@@ -52,14 +53,22 @@ type Server struct {
 
 // NewServer returns a server with the given capacity in bytes/second.
 func NewServer(name string, capacity float64) *Server {
+	s := new(Server)
+	s.Init(sim.Named(name), capacity)
+	return s
+}
+
+// Init sets up a server laid out in a larger value (a fabric's slab of
+// root complexes and wires) with the given capacity in bytes/second.
+func (s *Server) Init(name sim.Name, capacity float64) {
 	if capacity <= 0 {
-		panic("pcie: server capacity must be positive: " + name)
+		panic("pcie: server capacity must be positive: " + name.String())
 	}
-	return &Server{name: name, capacity: capacity}
+	s.name, s.capacity = name, capacity
 }
 
 // Name returns the server's diagnostic label.
-func (s *Server) Name() string { return s.name }
+func (s *Server) Name() string { return s.name.String() }
 
 // Capacity returns the server's capacity in bytes/second.
 func (s *Server) Capacity() float64 { return s.capacity }
@@ -78,6 +87,15 @@ type Route struct {
 // NewRoute interns the listed servers into the network and returns the
 // reusable route crossing them, in order.
 func (n *Network) NewRoute(servers ...*Server) *Route {
+	r := new(Route)
+	n.InitRoute(r, servers...)
+	return r
+}
+
+// InitRoute interns the listed servers into the network and makes r,
+// laid out in a larger value, the route crossing them in order. r keeps
+// servers as its path.
+func (n *Network) InitRoute(r *Route, servers ...*Server) {
 	if len(servers) == 0 {
 		panic("pcie: route with no servers")
 	}
@@ -88,7 +106,16 @@ func (n *Network) NewRoute(servers ...*Server) *Route {
 			bottleneck = s.capacity
 		}
 	}
-	return &Route{net: n, servers: servers, bottleneck: bottleneck}
+	*r = Route{net: n, servers: servers, bottleneck: bottleneck}
+}
+
+// Reserve sizes the network's server tables for k more servers, so a
+// fabric that interns hundreds of them grows each table once.
+func (n *Network) Reserve(k int) {
+	n.servers = slices.Grow(n.servers, k)
+	n.srvEpoch = slices.Grow(n.srvEpoch, k)
+	n.residual = slices.Grow(n.residual, k)
+	n.count = slices.Grow(n.count, k)
 }
 
 // Bottleneck returns the route's minimum server capacity.
@@ -100,7 +127,7 @@ func (n *Network) intern(s *Server) {
 		return
 	}
 	if s.net != nil {
-		panic("pcie: server " + s.name + " already belongs to another network")
+		panic("pcie: server " + s.Name() + " already belongs to another network")
 	}
 	s.net = n
 	s.idx = len(n.servers)

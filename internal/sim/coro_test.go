@@ -192,7 +192,8 @@ func TestStandingProcessEventsAllocateNothing(t *testing.T) {
 	s := New()
 	defer s.Shutdown()
 	ping, pong := NewQueue[int]("ping"), NewQueue[int]("pong")
-	res := NewResource("slot", 1)
+	res := new(Resource)
+	res.Init(Named("slot"), 1)
 	for _, name := range []string{"holder-a", "holder-b"} {
 		s.GoDaemon(name, func(p *Proc) {
 			for {
@@ -340,8 +341,8 @@ func TestRecycledBodySeesOwnProc(t *testing.T) {
 	if want := []string{"svc", "stuck", "done"}; !reflect.DeepEqual(seen, want) {
 		t.Fatalf("bodies saw names %v, want %v", seen, want)
 	}
-	if !svc.daemon || stuck.daemon {
-		t.Fatalf("daemon flags svc=%v stuck=%v, want true false", svc.daemon, stuck.daemon)
+	if !svc.co.daemon || stuck.co.daemon {
+		t.Fatalf("daemon flags svc=%v stuck=%v, want true false", svc.co.daemon, stuck.co.daemon)
 	}
 	if err == nil || !strings.Contains(err.Error(), "1 process(es) parked") ||
 		!strings.Contains(err.Error(), "stuck (blocked on cond never)") || strings.Contains(err.Error(), "old") {

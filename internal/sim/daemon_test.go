@@ -137,8 +137,9 @@ func TestResourceMisusePanics(t *testing.T) {
 		}()
 		f()
 	}
-	assertPanic("zero capacity", func() { NewResource("r", 0) })
-	r := NewResource("r", 2)
+	assertPanic("zero capacity", func() { new(Resource).Init(Named("r"), 0) })
+	r := new(Resource)
+	r.Init(Named("r"), 2)
 	assertPanic("over-release", func() { r.Release(3) })
 	s := New()
 	s.Go("big", func(p *Proc) {
@@ -147,7 +148,8 @@ func TestResourceMisusePanics(t *testing.T) {
 				t.Error("over-capacity acquire should panic")
 			}
 		}()
-		r2 := NewResource("r2", 1)
+		r2 := new(Resource)
+		r2.Init(Named("r2"), 1)
 		r2.Acquire(p, 5)
 	})
 	if err := s.Run(); err != nil {
@@ -357,10 +359,10 @@ func TestReactorRunsAsADaemonParkedSinceConstruction(t *testing.T) {
 
 	var lazyLog []obs
 	lazy := New()
-	var r *Reactor[int]
-	r = NewReactor(lazy, "work", "server", func(p *Proc, item int) {
+	r := new(Reactor[*[]obs, int])
+	r.Init(lazy, Named("work"), "server", &lazyLog, func(log *[]obs, p *Proc, item int) {
 		for ; ; item = r.Pop(p) {
-			serve(p, item, &lazyLog)
+			serve(p, item, log)
 		}
 	})
 	if err := lazy.Run(); err != nil || lazy.LiveProcs() != 0 || lazy.EventsExecuted() != 0 {

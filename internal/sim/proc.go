@@ -13,12 +13,9 @@ import (
 // All blocking methods must be called from the process's own body.
 type Proc struct {
 	sim  *Simulator
-	name string
+	name Name
 	body func(p *Proc) // cleared when the body starts, so a finished Proc pins no closure
-	co   *coro
-
-	daemon    bool   // daemons may remain parked at end of simulation
-	blockedOn string // label of the latest switching park, read by deadlock reports (when every process is parked)
+	co   *coro         // also holds the process's daemon flag and what it is blocked on
 }
 
 // coro is an iter.Pull coroutine that runs process bodies one after
@@ -33,6 +30,11 @@ type coro struct {
 	stop  func()
 	p     *Proc // the process it runs; nil while idle
 	below *coro // the next idle coroutine down Simulator.idle's stack
+
+	// The process p's kernel bookkeeping lives here, which keeps a Proc,
+	// allocated at every spawn, at 64 bytes.
+	daemon    bool    // daemons may remain parked at end of simulation
+	blockedOn blocker // what p's latest switching park waits on, read by deadlock reports (when every process is parked)
 }
 
 // procCoro is a fresh spawn's Proc and coroutine, allocated as one object.
@@ -41,8 +43,8 @@ type procCoro struct {
 	co coro
 }
 
-// Name returns the process name given at spawn time.
-func (p *Proc) Name() string { return p.name }
+// Name returns the process name given at spawn time, formatted.
+func (p *Proc) Name() string { return p.name.String() }
 
 // Sim returns the simulator this process belongs to.
 func (p *Proc) Sim() *Simulator { return p.sim }
@@ -54,7 +56,7 @@ func (p *Proc) Now() Time { return p.sim.now }
 // be paired with exactly one wake. If that wake is the very event the
 // run loop would dispatch next, park consumes it here and returns
 // without leaving the coroutine; otherwise it switches to the run loop.
-func (p *Proc) park(label string) {
+func (p *Proc) park(on blocker) {
 	s := p.sim
 	if s.killed {
 		// A deferred call running during teardown tried to block (for
@@ -69,7 +71,7 @@ func (p *Proc) park(label string) {
 		s.consume(next, queued)
 		return
 	}
-	p.blockedOn = label
+	p.co.blockedOn = on
 	if !p.co.yield(struct{}{}) {
 		// Shutdown is tearing the simulation down: terminate this
 		// coroutine, running user defers on the way out. Goexit (not a
@@ -97,10 +99,7 @@ func (p *Proc) wakeAfter(d Duration) {
 // timestamp run first).
 func (p *Proc) Sleep(d Duration) {
 	p.wakeAfter(d)
-	// A static label: a sleeper always has its wake event pending, so it
-	// can never appear in a deadlock report, and formatting the duration
-	// here would put fmt.Sprintf on the kernel's hottest path.
-	p.park("sleep")
+	p.park(sleeping{})
 }
 
 // Yield lets every other event already scheduled at the current instant

@@ -71,13 +71,11 @@ const timeInf = Time(1<<63 - 1)
 // unwinding the goroutine.
 var errKilled = fmt.Errorf("sim: blocking call during Shutdown teardown")
 
-// New returns an empty simulator positioned at virtual time zero.
+// New returns an empty simulator positioned at virtual time zero. Its
+// event arrays grow with the first run and keep their backing across
+// Restore, so a pooled world sizes them once to what it runs.
 func New() *Simulator {
-	s := &Simulator{
-		ready: make([]event, 0, 64),
-		procs: make(map[*Proc]struct{}),
-	}
-	s.ladderQ.bottom.items = make([]event, 0, 128)
+	s := &Simulator{procs: make(map[*Proc]struct{})}
 	s.events = &s.ladderQ
 	return s
 }
@@ -103,7 +101,7 @@ func (s *Simulator) TraceDispatch(fn func(t Time, seq uint64, kind byte, proc st
 func (s *Simulator) traceEvent(ev *event) {
 	switch {
 	case ev.proc != nil:
-		s.trace(ev.t, ev.seq, 'p', ev.proc.name)
+		s.trace(ev.t, ev.seq, 'p', ev.proc.Name())
 	case ev.ticker != nil:
 		s.trace(ev.t, ev.seq, 't', "")
 	default:
@@ -172,7 +170,13 @@ func (s *Simulator) AfterTick(d Duration, tk Ticker, arg uint64) {
 // Go spawns a new process executing body and schedules it to start now.
 // The name is used in deadlock reports and traces.
 func (s *Simulator) Go(name string, body func(p *Proc)) *Proc {
-	return s.GoAfter(name, 0, body)
+	return s.spawn(Named(name), 0, body)
+}
+
+// GoNamed is Go with a Name formatted only when a trace or a report
+// reads it.
+func (s *Simulator) GoNamed(name Name, body func(p *Proc)) *Proc {
+	return s.spawn(name, 0, body)
 }
 
 // GoDaemon spawns a service process that is allowed to outlive the
@@ -180,8 +184,12 @@ func (s *Simulator) Go(name string, body func(p *Proc)) *Proc {
 // daemons is complete, not deadlocked. Use it for device engines and
 // interrupt dispatchers that loop forever.
 func (s *Simulator) GoDaemon(name string, body func(p *Proc)) *Proc {
-	p := s.GoAfter(name, 0, body)
-	p.daemon = true
+	return s.goDaemon(Named(name), body)
+}
+
+func (s *Simulator) goDaemon(name Name, body func(p *Proc)) *Proc {
+	p := s.spawn(name, 0, body)
+	p.co.daemon = true
 	return p
 }
 
@@ -196,11 +204,16 @@ func (s *Simulator) GoDaemon(name string, body func(p *Proc)) *Proc {
 // The body runs on the most recently idled coroutine (see coro); only
 // when none is idle does GoAfter start a goroutine.
 func (s *Simulator) GoAfter(name string, d Duration, body func(p *Proc)) *Proc {
+	return s.spawn(Named(name), d, body)
+}
+
+// spawn is the one way a process starts: GoAfter with any Name.
+func (s *Simulator) spawn(name Name, d Duration, body func(p *Proc)) *Proc {
 	var p *Proc
 	if co := s.idle; co != nil {
 		s.idle, co.below = co.below, nil
 		p = &Proc{sim: s, name: name, body: body, co: co}
-		co.p = p
+		co.p, co.daemon, co.blockedOn = p, false, nil
 	} else {
 		pc := &procCoro{p: Proc{sim: s, name: name, body: body}}
 		p = &pc.p
@@ -247,11 +260,11 @@ func (s *Simulator) runBody(p *Proc) (returned bool) {
 			if err, ok := r.(error); ok {
 				// Preserve typed panics (e.g. a runtime's
 				// global-exit) for errors.As at the caller.
-				s.fatal = fmt.Errorf("sim: process %q panicked: %w", p.name, err)
+				s.fatal = fmt.Errorf("sim: process %q panicked: %w", p.Name(), err)
 			} else if r != nil {
-				s.fatal = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+				s.fatal = fmt.Errorf("sim: process %q panicked: %v", p.Name(), r)
 			} else if !returned {
-				s.fatal = fmt.Errorf("sim: process %q called runtime.Goexit", p.name)
+				s.fatal = fmt.Errorf("sim: process %q called runtime.Goexit", p.Name())
 			}
 		}
 		delete(s.procs, p)
@@ -373,7 +386,7 @@ func (s *Simulator) nextTime() (Time, bool) {
 func (s *Simulator) nondaemonProcs() int {
 	n := 0
 	for p := range s.procs {
-		if !p.daemon {
+		if !p.co.daemon {
 			n++
 		}
 	}
@@ -384,10 +397,10 @@ func (s *Simulator) deadlockError() error {
 	names := make([]string, 0, len(s.procs))
 	//ntblint:ordered — the report is sorted below, so iteration order never shows
 	for p := range s.procs {
-		if p.daemon {
+		if p.co.daemon {
 			continue
 		}
-		names = append(names, fmt.Sprintf("%s (blocked on %s)", p.name, p.blockedOn))
+		names = append(names, fmt.Sprintf("%s (blocked on %s)", p.Name(), p.co.blockedOn.blockLabel()))
 	}
 	sort.Strings(names)
 	return fmt.Errorf("sim: deadlock at %v: %d process(es) parked with no pending events: %s",

@@ -386,7 +386,8 @@ func TestQueueManyConsumersFIFOWake(t *testing.T) {
 
 func TestResourceBlocksAtCapacity(t *testing.T) {
 	s := New()
-	r := NewResource("r", 2)
+	r := new(Resource)
+	r.Init(Named("r"), 2)
 	var acquired []Time
 	for i := 0; i < 4; i++ {
 		s.Go(fmt.Sprintf("u%d", i), func(p *Proc) {
@@ -419,7 +420,8 @@ func TestResourceFIFONoStarvation(t *testing.T) {
 	// though the small ones could proceed; FIFO fairness is part of the
 	// determinism contract.
 	s := New()
-	r := NewResource("r", 4)
+	r := new(Resource)
+	r.Init(Named("r"), 4)
 	var order []string
 	s.Go("hog", func(p *Proc) {
 		r.Acquire(p, 4)
@@ -448,7 +450,8 @@ func TestResourcePropertyConservation(t *testing.T) {
 	// Property: after any pattern of acquire/hold/release, free == capacity.
 	f := func(holds []uint8) bool {
 		s := New()
-		r := NewResource("r", 3)
+		r := new(Resource)
+		r.Init(Named("r"), 3)
 		for i, h := range holds {
 			h := Duration(h)
 			s.Go(fmt.Sprintf("u%d", i), func(p *Proc) {
@@ -470,7 +473,8 @@ func TestResourcePropertyConservation(t *testing.T) {
 
 func TestMutexMutualExclusion(t *testing.T) {
 	s := New()
-	m := NewMutex("m")
+	m := new(Mutex)
+	m.Init(Named("m"))
 	inside := 0
 	maxInside := 0
 	for i := 0; i < 8; i++ {

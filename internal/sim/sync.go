@@ -11,23 +11,29 @@ package sim
 //		cond.Wait(p)
 //	}
 //
-// Broadcast may be called from process or scheduler context.
+// Broadcast may be called from process or scheduler context. A Cond is
+// usable as its zero value, embedded in a larger one; Init names it.
 type Cond struct {
-	name      string
-	parkLabel string // "cond " + name, built once instead of per Wait
-	waiters   []*Proc
+	name    Name
+	waiters []*Proc
 }
 
 // NewCond returns a condition variable labelled name for deadlock reports.
-func NewCond(name string) *Cond { return &Cond{name: name, parkLabel: "cond " + name} }
+func NewCond(name string) *Cond {
+	c := new(Cond)
+	c.Init(Named(name))
+	return c
+}
+
+// Init names a condition variable for deadlock reports.
+func (c *Cond) Init(name Name) { c.name = name }
+
+func (c *Cond) blockLabel() string { return "cond " + c.name.String() }
 
 // Wait parks the calling process until a Broadcast wakes it.
 func (c *Cond) Wait(p *Proc) {
-	if c.parkLabel == "" { // zero-value Cond (e.g. inside Completion)
-		c.parkLabel = "cond " + c.name
-	}
 	c.waiters = append(c.waiters, p)
-	p.park(c.parkLabel)
+	p.park(c)
 }
 
 // Broadcast wakes every currently waiting process.
@@ -43,18 +49,22 @@ func (c *Cond) Waiters() int { return len(c.waiters) }
 
 // Completion is a one-shot latch: processes that Wait before Complete is
 // called park until it fires; afterwards Wait returns immediately.
-// The zero value is an incomplete latch, usable once given a name via
-// NewCompletion (the name only affects diagnostics).
+// The zero value is an incomplete latch; Init names it (the name only
+// affects diagnostics).
 type Completion struct {
-	name string // diagnostic identity
 	done bool
-	cond Cond
+	cond Cond // its name is the latch's
 }
 
 // NewCompletion returns an unfired latch labelled name.
 func NewCompletion(name string) *Completion {
-	return &Completion{name: name, cond: Cond{name: name}}
+	c := new(Completion)
+	c.Init(Named(name))
+	return c
 }
+
+// Init names a latch for deadlock reports.
+func (c *Completion) Init(name Name) { c.cond.Init(name) }
 
 // Done reports whether the latch has fired.
 func (c *Completion) Done() bool { return c.done }
@@ -81,10 +91,10 @@ func (c *Completion) Wait(p *Proc) {
 // fired, is a lifecycle bug and panics.
 func (c *Completion) Reset() {
 	if !c.done {
-		panic("sim: Reset of an unfired completion: " + c.name)
+		panic("sim: Reset of an unfired completion: " + c.cond.name.String())
 	}
 	if len(c.cond.waiters) != 0 {
-		panic("sim: Reset of a completion with parked waiters: " + c.name)
+		panic("sim: Reset of a completion with parked waiters: " + c.cond.name.String())
 	}
 	c.done = false
 }
@@ -99,12 +109,12 @@ type queueWaiter[T any] struct {
 // Queue is an unbounded FIFO channel in virtual time. Push never blocks;
 // Pop blocks until an item is available. Items are handed directly to the
 // longest-waiting consumer, so wake order is FIFO and no consumer can
-// starve.
+// starve. A Queue is usable as its zero value, embedded in a larger one;
+// Init names it.
 type Queue[T any] struct {
-	name      string
-	parkLabel string
-	items     []T
-	waiters   []*queueWaiter[T]
+	name    Name
+	items   []T
+	waiters []*queueWaiter[T]
 	// wpool recycles waiter records: a waiter's lifetime is confined to
 	// one Pop call, so the record is returned here as Pop unblocks and
 	// the steady-state park path allocates nothing.
@@ -113,8 +123,15 @@ type Queue[T any] struct {
 
 // NewQueue returns an empty queue labelled name.
 func NewQueue[T any](name string) *Queue[T] {
-	return &Queue[T]{name: name, parkLabel: "queue " + name}
+	q := new(Queue[T])
+	q.Init(Named(name))
+	return q
 }
+
+// Init names a queue for deadlock reports.
+func (q *Queue[T]) Init(name Name) { q.name = name }
+
+func (q *Queue[T]) blockLabel() string { return "queue " + q.name.String() }
 
 // Len reports the number of buffered (not yet handed off) items.
 func (q *Queue[T]) Len() int { return len(q.items) }
@@ -154,9 +171,9 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	}
 	w.p = p
 	q.waiters = append(q.waiters, w)
-	p.park(q.parkLabel)
+	p.park(q)
 	if !w.ready {
-		panic("sim: queue waiter woken without item: " + q.name)
+		panic("sim: queue waiter woken without item: " + q.name.String())
 	}
 	item := w.item
 	*w = queueWaiter[T]{}
@@ -187,23 +204,32 @@ func (q *Queue[T]) TryPop() (T, bool) {
 // on Pop since construction. Later items go through Push and Pop as on
 // any Queue, and once started the daemon stays, across Restore, until
 // Shutdown.
-type Reactor[T any] struct {
+//
+// The daemon runs body(recv, p, first). Passing the owner and a method
+// expression, (*Owner).serve, instead of a method value keeps building a
+// reactor free of allocation: the one closure a daemon needs is made
+// when it starts. A Reactor is usable embedded in its owner once Init
+// has set it up.
+type Reactor[R, T any] struct {
 	Queue[T]
 	sim     *Simulator
-	proc    string                 // the daemon's process name
-	body    func(p *Proc, first T) // the daemon: first is its first item, later ones come from Pop
+	proc    string                         // the daemon's name is the queue's with this prefix
+	recv    R                              // body's receiver, the reactor's owner
+	body    func(recv R, p *Proc, first T) // the daemon: first is its first item, later ones come from Pop
 	started bool
 }
 
-// NewReactor returns a reactor whose queue is labelled queue and whose
-// daemon, named proc, will run body.
-func NewReactor[T any](s *Simulator, queue, proc string, body func(p *Proc, first T)) *Reactor[T] {
-	return &Reactor[T]{Queue: Queue[T]{name: queue, parkLabel: "queue " + queue}, sim: s, proc: proc, body: body}
+// Init sets up a reactor embedded in its owner: its queue is labelled
+// queue, and its daemon, named as queue is but with the prefix proc,
+// will run body(recv, …).
+func (r *Reactor[R, T]) Init(s *Simulator, queue Name, proc string, recv R, body func(recv R, p *Proc, first T)) {
+	r.Queue.Init(queue)
+	r.sim, r.proc, r.recv, r.body = s, proc, recv, body
 }
 
 // Push hands item to the daemon, starting it if this is its first item.
 // It is safe to call from scheduler context.
-func (r *Reactor[T]) Push(item T) {
+func (r *Reactor[R, T]) Push(item T) {
 	if r.started {
 		r.Queue.Push(item)
 		return
@@ -214,9 +240,9 @@ func (r *Reactor[T]) Push(item T) {
 // start spawns the daemon on its first item. It allocates the daemon's
 // closure (and, when no coroutine is idle, its goroutine) once per
 // reactor, which is why it sits outside Push.
-func (r *Reactor[T]) start(first T) {
+func (r *Reactor[R, T]) start(first T) {
 	r.started = true
-	r.sim.GoDaemon(r.proc, func(p *Proc) { r.body(p, first) })
+	r.sim.goDaemon(Name{prefix: r.proc, of: r.name.of}, func(p *Proc) { r.body(r.recv, p, first) })
 }
 
 // resourceWaiter is a parked acquirer and the amount it needs.
@@ -232,21 +258,23 @@ type resourceWaiter struct {
 // order; a large request at the head blocks smaller later ones, which
 // preserves fairness and keeps timing deterministic.
 type Resource struct {
-	name      string
-	parkLabel string
-	capacity  int64
-	free      int64
-	waiters   []*resourceWaiter
-	wpool     []*resourceWaiter // recycled waiter records, as in Queue
+	name     Name
+	capacity int64
+	free     int64
+	waiters  []*resourceWaiter
+	wpool    []*resourceWaiter // recycled waiter records, as in Queue
 }
 
-// NewResource returns a resource with the given capacity, all free.
-func NewResource(name string, capacity int64) *Resource {
+// Init sets up a resource embedded in a larger value, all of its
+// capacity free.
+func (r *Resource) Init(name Name, capacity int64) {
 	if capacity <= 0 {
-		panic("sim: resource capacity must be positive: " + name)
+		panic("sim: resource capacity must be positive: " + name.String())
 	}
-	return &Resource{name: name, parkLabel: "resource " + name, capacity: capacity, free: capacity}
+	r.name, r.capacity, r.free = name, capacity, capacity
 }
+
+func (r *Resource) blockLabel() string { return "resource " + r.name.String() }
 
 // Capacity returns the total capacity.
 func (r *Resource) Capacity() int64 { return r.capacity }
@@ -258,7 +286,7 @@ func (r *Resource) Free() int64 { return r.free }
 // exceed the resource's capacity.
 func (r *Resource) Acquire(p *Proc, n int64) {
 	if n > r.capacity {
-		panic("sim: acquire exceeds capacity of resource " + r.name)
+		panic("sim: acquire exceeds capacity of resource " + r.name.String())
 	}
 	if len(r.waiters) == 0 && r.free >= n {
 		r.free -= n
@@ -273,9 +301,9 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	}
 	w.p, w.n, w.granted = p, n, false
 	r.waiters = append(r.waiters, w)
-	p.park(r.parkLabel)
+	p.park(r)
 	if !w.granted {
-		panic("sim: resource waiter woken without grant: " + r.name)
+		panic("sim: resource waiter woken without grant: " + r.name.String())
 	}
 	*w = resourceWaiter{}
 	r.wpool = append(r.wpool, w)
@@ -286,7 +314,7 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 func (r *Resource) Release(n int64) {
 	r.free += n
 	if r.free > r.capacity {
-		panic("sim: release overflows capacity of resource " + r.name)
+		panic("sim: release overflows capacity of resource " + r.name.String())
 	}
 	for len(r.waiters) > 0 {
 		head := r.waiters[0]
@@ -301,11 +329,12 @@ func (r *Resource) Release(n int64) {
 	}
 }
 
-// Mutex is a virtual-time mutual-exclusion lock with FIFO handoff.
-type Mutex struct{ r *Resource }
+// Mutex is a virtual-time mutual-exclusion lock with FIFO handoff. It is
+// usable embedded in a larger value once Init has named it.
+type Mutex struct{ r Resource }
 
-// NewMutex returns an unlocked mutex labelled name.
-func NewMutex(name string) *Mutex { return &Mutex{r: NewResource(name, 1)} }
+// Init names an unlocked mutex.
+func (m *Mutex) Init(name Name) { m.r.Init(name, 1) }
 
 // Lock blocks until the mutex is held by the caller.
 func (m *Mutex) Lock(p *Proc) { m.r.Acquire(p, 1) }
