@@ -37,8 +37,18 @@ const scaleRounds = 3
 func ScaleWorkloadTime(par *model.Params, n, putBytes int) sim.Time {
 	var end sim.Time
 	label := "scale/n=" + strconv.Itoa(n)
-	runRingWorld(label, par, n, core.Options{Mode: driver.ModeCPU}, scaleBody(putBytes, &end))
+	runRingWorld(label, par, n, scaleOptions, scaleBody(putBytes, &end))
 	return end
+}
+
+// scaleOptions runs the scaling workload in the paper's memcpy mode.
+var scaleOptions = core.Options{Mode: driver.ModeCPU}
+
+// NewScaleWorld builds, and does not run, a fresh world of the shape
+// ScaleWorkloadTime runs: n PEs on the selected fabric. The cmd layer
+// reads what construction allocates around it.
+func NewScaleWorld(par *model.Params, n int) *core.World {
+	return buildRingWorld("scale", par, n, scaleOptions)
 }
 
 // scaleBody is the scaling workload's per-PE program; PE 0 records its

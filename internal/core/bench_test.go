@@ -1,11 +1,16 @@
 package core
 
 import (
+	"bytes"
+	"math"
+	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
 
+	"repro/internal/driver"
 	"repro/internal/fabric"
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/sim"
 )
@@ -116,18 +121,126 @@ func TestConstructionAllocations(t *testing.T) {
 	}
 }
 
+// TestPooledRingFootprint holds what a pooled 256-PE memcpy-mode ring
+// keeps live between runs — the world the benchmark's ring256 workload
+// recycles: built, run once (three 4 KiB neighbour puts per PE between
+// two barriers) and checked in (ReturnStorage). Its post-GC heap is the
+// slabs of hosts, ports, endpoints, channels, cables, links, PEs and
+// heaps, plus the coroutines of the PE bodies and service threads that
+// run started. Each optional part is built on first use — a port's DMA
+// engine, a host's forwarder — or only for the worlds that use it — a
+// shortest-arc ring's leftward token path, the switch mesh — so this
+// world holds none of them. It reads about 4 800 B per PE (4 930 under
+// -race); with every part built eagerly it read 6 180.
+func TestPooledRingFootprint(t *testing.T) {
+	const n, putBytes, ceiling = 256, 4096, 5_050 // ceiling in B per PE
+	body := func(p *sim.Proc, pe *PE) {
+		sym := pe.MustMalloc(p, putBytes)
+		pe.BarrierAll(p)
+		for range 3 {
+			pe.PutBytes(p, (pe.ID()+1)%n, sym, mem.Zeros(putBytes))
+		}
+		pe.BarrierAll(p)
+	}
+	pooled := func() *World {
+		w := newWorld(n, Options{Mode: driver.ModeCPU})
+		if err := w.RunKeep(body); err != nil {
+			t.Fatal(err)
+		}
+		w.ReturnStorage()
+		return w
+	}
+	// The first worlds leave the runtime holding what later ones reuse
+	// (goroutine records above all), so the reading is the least of
+	// three worlds built after a first.
+	pooled().Cluster.ShutdownSim()
+	perPE := math.Inf(1)
+	for range 3 {
+		mem.DrainLender()
+		before := liveHeap()
+		w := pooled()
+		perPE = min(perPE, float64(liveHeap()-before)/n)
+		w.Cluster.ShutdownSim()
+	}
+	if perPE > ceiling {
+		t.Errorf("a pooled %d-PE memcpy ring keeps %.0f B per PE live, ceiling %d", n, perPE, ceiling)
+	}
+}
+
+// liveHeap is the heap still reachable after a full collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestRelayedPutAllocatesNothing holds the store-and-forward path to zero
+// allocations once it is warm: PE 0 puts to PE 2, two hops rightward,
+// so host 1's service thread stages every chunk (a pooled staging
+// buffer) and its forwarder pushes it on. The staged chunk travels the
+// forwarder's queue by value; one fwdMsg allocated per relayed chunk
+// reads 3 allocations per put here.
+func TestRelayedPutAllocatesNothing(t *testing.T) {
+	const size = 2<<15 + 100 // two full put chunks and a partial one
+	// settle is long enough for the last chunk to be relayed, copied
+	// into PE 2's heap and acknowledged before the next put starts.
+	const settle = 2 * sim.Millisecond
+	buf := make([]byte, size)
+	for i := range buf {
+		buf[i] = byte(i%251 + 1)
+	}
+	for _, mode := range []driver.Mode{driver.ModeDMA, driver.ModeCPU} {
+		t.Run(mode.String(), func(t *testing.T) {
+			w := newWorld(3, Options{Mode: mode})
+			err := w.Run(func(p *sim.Proc, pe *PE) {
+				sym := pe.MustMalloc(p, size)
+				pe.BarrierAll(p)
+				if pe.ID() == 0 {
+					put := func() {
+						pe.PutBytes(p, 2, sym, buf)
+						p.Sleep(settle)
+					}
+					put() // build the forwarder and warm its queue, the staging pool and PE 2's heap
+					before := w.pes[1].Stats().ChunksForwarded
+					if allocs := testing.AllocsPerRun(20, put); allocs != 0 {
+						t.Errorf("%.1f allocations per 2-hop put relayed by PE 1, want 0", allocs)
+					}
+					// AllocsPerRun's own warm-up, then twenty runs, three chunks each.
+					if got := w.pes[1].Stats().ChunksForwarded - before; got != 21*3 {
+						t.Errorf("PE 1 relayed %d chunks in 21 puts, want %d", got, 21*3)
+					}
+				}
+				pe.BarrierAll(p)
+				if pe.ID() == 2 {
+					got := make([]byte, size)
+					pe.LocalRead(p, sym, got)
+					if !bytes.Equal(got, buf) {
+						t.Error("the relayed puts did not land in PE 2's heap")
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestBenchCeilings holds the machine-independent ceilings of this
 // package's benchmarks: the whole transfer stack adds at most one
 // allocation per barrier-fenced 1 MiB put once world construction is
 // amortised (it measures ≈ 0.09 allocs/op, all of it construction); a
-// cold 256-PE world costs the allocator at most 1.6 MB and 5 900
-// allocations (≈ 1.509 MB and 5 708, nearly all of them shmem_init's
+// cold 256-PE world costs the allocator at most 1.2 MB and 5 900
+// allocations (≈ 1.157 MB and 5 708, nearly all of them shmem_init's
 // processes: construction is a few slabs, and one allocation seeded per
-// host reads 5 964; 125 objects per host read 2.035 MB and 37 880, and
-// spawning all 1 024 reactors at construction 3.09 MB and 56 000); and
-// a 3-host world built, booted, barriered and torn down costs at most
-// 20 000 B and 100 allocations (≈ 18 800 and 97; 35 600 and 455 with
-// 125 objects per host).
+// host reads 5 964; with every DMA engine, forwarder, leftward token
+// path and 16-vector handler table built eagerly it read 1.509 MB, 125
+// objects per host read 2.035 MB and 37 880, and spawning all 1 024
+// reactors at construction 3.09 MB and 56 000); and a 3-host world
+// built, booted, barriered and torn down costs at most 14 500 B and 100
+// allocations (≈ 13 900 and 97; 18 800 with every part built eagerly,
+// 35 600 and 455 with 125 objects per host).
 // Per-op values are floats: BenchmarkResult.AllocsPerOp truncates.
 func TestBenchCeilings(t *testing.T) {
 	if testing.Short() {
@@ -141,15 +254,15 @@ func TestBenchCeilings(t *testing.T) {
 		t.Errorf("BenchmarkWorldPut1M: %.3f allocs/op, ceiling 1", got)
 	}
 	r = testing.Benchmark(BenchmarkWorldBuild256)
-	if got := float64(r.MemBytes) / float64(r.N); got > 1.6e6 {
-		t.Errorf("BenchmarkWorldBuild256: %.0f B/op, ceiling 1.6e6", got)
+	if got := float64(r.MemBytes) / float64(r.N); got > 1.2e6 {
+		t.Errorf("BenchmarkWorldBuild256: %.0f B/op, ceiling 1.2e6", got)
 	}
 	if got := float64(r.MemAllocs) / float64(r.N); got > 5_900 {
 		t.Errorf("BenchmarkWorldBuild256: %.0f allocs/op, ceiling 5900", got)
 	}
 	r = testing.Benchmark(BenchmarkWorldSpawnTeardown)
-	if got := float64(r.MemBytes) / float64(r.N); got > 20_000 {
-		t.Errorf("BenchmarkWorldSpawnTeardown: %.0f B/op, ceiling 20000", got)
+	if got := float64(r.MemBytes) / float64(r.N); got > 14_500 {
+		t.Errorf("BenchmarkWorldSpawnTeardown: %.0f B/op, ceiling 14500", got)
 	}
 	if got := float64(r.MemAllocs) / float64(r.N); got > 100 {
 		t.Errorf("BenchmarkWorldSpawnTeardown: %.1f allocs/op, ceiling 100", got)

@@ -46,11 +46,11 @@ func TestSnapshotStateFieldCounts(t *testing.T) {
 		{reflect.TypeFor[driver.TxChannel](), "txState", 4},
 		{reflect.TypeFor[driver.PipeTx](), "pipeTxState", 7},
 		{reflect.TypeFor[driver.PipeRx](), "pipeRxState", 3},
-		{reflect.TypeFor[fabric.Cluster](), "", 6},
-		{ntbService, "stats", 14},
+		{reflect.TypeFor[fabric.Cluster](), "", 7},
+		{ntbService, "stats", 12},
 		{ringLink, "", 7},
 		{linkOf(fabric.KindNTBPair, 2), "", 5},
-		{linkOf(fabric.KindPCIeSwitch, 3), "", 1},
+		{linkOf(fabric.KindPCIeSwitch, 3), "", 3},
 		{linkOf(fabric.KindCXL, 3), "stats", 5},
 		{reflect.TypeFor[World](), "", 5},
 		{reflect.TypeFor[PE](), "peState", 13},

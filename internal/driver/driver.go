@@ -26,14 +26,16 @@ import (
 
 // Doorbell vector assignments. The first four are the paper's
 // (§III-B.1); VecAck is the flow-control return signal that releases the
-// sender's window and scratchpads for the next chunk.
+// sender's window and scratchpads for the next chunk, and VecHeartbeat
+// (heartbeat.go) carries liveness beats. An endpoint dispatches these
+// numVecs vectors and no others.
 const (
 	VecPut          = 0 // DOORBELL_DMAPUT: a put (or forwarded) chunk landed
 	VecGet          = 1 // DOORBELL_DMAGET: a get request or get data chunk landed
 	VecBarrierStart = 2 // DOORBELL_BARRIER_START
 	VecBarrierEnd   = 3 // DOORBELL_BARRIER_END
 	VecAck          = 4 // chunk consumed; window and spads are free
-	numVecs         = 5
+	numVecs         = VecHeartbeat + 1
 )
 
 // Kind tags an Info record with the message type it describes.
@@ -192,7 +194,7 @@ func ReadInfo(p *sim.Proc, port *ntb.Port) Info {
 // work onto a service thread's queue.
 type Endpoint struct {
 	Port     *ntb.Port
-	handlers [16]sim.Ticker // by vector; Tick's argument is the vector
+	handlers [numVecs]sim.Ticker // by vector; Tick's argument is the vector
 }
 
 // NewEndpoint installs the demultiplexing ISR on port.
@@ -219,11 +221,12 @@ func (e *Endpoint) init(port *ntb.Port) {
 }
 
 // Tick implements sim.Ticker as the port's ISR: arg carries the doorbell
-// bits, and each registered vector among them runs. Not for direct use.
+// bits, and each registered vector among them runs; a bit above the
+// driver's vectors has no handler. Not for direct use.
 func (e *Endpoint) Tick(arg uint64) {
 	bits := uint16(arg)
 	e.Port.ClearInISR(bits)
-	for v := 0; v < 16; v++ {
+	for v := range numVecs {
 		if h := e.handlers[v]; bits&(1<<v) != 0 && h != nil {
 			h.Tick(uint64(v))
 		}
@@ -234,9 +237,10 @@ func (e *Endpoint) Tick(arg uint64) {
 func (e *Endpoint) Handle(vec int, fn func()) { e.HandleTick(vec, funcTicker(fn)) }
 
 // HandleTick is Handle for a handler that is a sim.Ticker: tk.Tick(vec)
-// runs when vec fires, and registering it allocates nothing.
+// runs when vec fires, and registering it allocates nothing. vec must be
+// one of the driver's vectors.
 func (e *Endpoint) HandleTick(vec int, tk sim.Ticker) {
-	if vec < 0 || vec >= 16 {
+	if vec < 0 || vec >= numVecs {
 		panic(fmt.Sprintf("driver: bad vector %d", vec))
 	}
 	e.handlers[vec] = tk

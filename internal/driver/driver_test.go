@@ -252,6 +252,35 @@ func TestEndpointVectorDispatch(t *testing.T) {
 	}
 }
 
+func TestEndpointDispatchesOnlyTheDriversVectors(t *testing.T) {
+	// An endpoint's handler table holds the driver's vectors, VecPut
+	// through VecHeartbeat: registering any other panics, and a doorbell
+	// bit above them reaches no handler.
+	r := newRig(t)
+	var fired []int
+	r.epB.Handle(VecHeartbeat, func() { fired = append(fired, VecHeartbeat) })
+	for _, vec := range []int{-1, VecHeartbeat + 1, 15} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("registering vector %d did not panic", vec)
+				}
+			}()
+			r.epB.Handle(vec, func() { fired = append(fired, vec) })
+		}()
+	}
+	r.sim.Go("ring", func(p *sim.Proc) {
+		r.a.PeerDBSet(p, 1<<VecHeartbeat|1<<(VecHeartbeat+1)|1<<15)
+		p.Sleep(sim.Microseconds(10))
+	})
+	if err := r.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 1 || fired[0] != VecHeartbeat {
+		t.Fatalf("handlers fired: %v, want only the heartbeat's", fired)
+	}
+}
+
 func TestInfoCodecProperty(t *testing.T) {
 	// Property: the scratchpad codec is the identity for every field
 	// within wire widths.

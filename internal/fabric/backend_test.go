@@ -157,6 +157,31 @@ func TestMaxHostsFor(t *testing.T) {
 	}
 }
 
+func TestRingLinksBuildOnlyWhatTheyUse(t *testing.T) {
+	// A rightward ring's links carry no leftward token path and a
+	// shortest-arc ring's all do, and no link holds a forwarder before
+	// it stages a chunk.
+	for _, r := range []Routing{RouteRightward, RouteShortest} {
+		c, err := NewRing(sim.New(), model.Default(), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links, err := c.Links(LinkOptions{Routing: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range links {
+			rl := l.(*ringLink)
+			if (rl.leftward != nil) != (r == RouteShortest) {
+				t.Errorf("%v ring: link %d has a leftward token path: %v", r, i, rl.leftward != nil)
+			}
+			if rl.fwd != nil {
+				t.Errorf("%v ring: link %d built a forwarder before staging a chunk", r, i)
+			}
+		}
+	}
+}
+
 func TestSwitchWiring(t *testing.T) {
 	const n = 4
 	c, err := NewSwitch(sim.New(), model.Default(), n)
@@ -168,24 +193,39 @@ func TestSwitchWiring(t *testing.T) {
 		if h.Left != nil || h.Right != nil {
 			t.Errorf("host %d has ring adapters on the switch fabric", i)
 		}
-		if len(h.Mesh) != n || len(h.MeshEP) != n || len(h.MeshTx) != n {
-			t.Fatalf("host %d mesh slices sized %d/%d/%d, want %d",
-				i, len(h.Mesh), len(h.MeshEP), len(h.MeshTx), n)
+		eps, txs := c.mesh.of(i)
+		if len(eps) != n-1 || len(txs) != n-1 {
+			t.Fatalf("host %d has %d mesh endpoints and %d channels, want %d", i, len(eps), len(txs), n-1)
+		}
+		ports := 0
+		for port, tx := range h.Ports() {
+			if port != eps[ports].Port || tx != &txs[ports] {
+				t.Errorf("host %d: Ports yields side %d out of peer-slot order", i, ports)
+			}
+			ports++
+		}
+		if ports != n-1 {
+			t.Errorf("host %d: Ports yields %d sides, want %d", i, ports, n-1)
 		}
 		for j := 0; j < n; j++ {
 			if j == i {
-				if h.Mesh[j] != nil || h.MeshEP[j] != nil || h.MeshTx[j] != nil {
-					t.Errorf("host %d has a port to itself", i)
-				}
 				continue
 			}
-			if h.Mesh[j] == nil || h.MeshEP[j] == nil || h.MeshTx[j] == nil {
-				t.Fatalf("host %d missing mesh objects toward %d", i, j)
+			k := peerSlot(i, j)
+			if slotPeer(i, k) != j {
+				t.Errorf("host %d: slot %d of peer %d maps back to peer %d", i, k, j, slotPeer(i, k))
 			}
-			if peer := h.Mesh[j].Peer(); peer != c.Hosts[j].Mesh[i] {
+			port := c.mesh.port(i, j)
+			if eps[k].Port != port {
+				t.Fatalf("host %d: slot %d does not hold the side toward %d", i, k, j)
+			}
+			if peer := port.Peer(); peer != c.mesh.port(j, i) {
 				t.Errorf("host %d port to %d not cabled to the mirror port", i, j)
 			}
-			id := h.Mesh[j].RequesterID()
+			if want := fmt.Sprintf("h%d.m%d", i, j); port.Name() != want {
+				t.Errorf("host %d port to %d is named %q, want %q", i, j, port.Name(), want)
+			}
+			id := port.RequesterID()
 			if want := uint16(i+1)<<8 | uint16(j+1); id != want {
 				t.Errorf("host %d port to %d has requester id %#x, want %#x", i, j, id, want)
 			}
@@ -214,8 +254,11 @@ func TestCXLWiring(t *testing.T) {
 			len(c.cxl.mu), len(c.cxl.routes), len(c.cxl.links), n, n*n, n)
 	}
 	for i, h := range c.Hosts {
-		if h.Left != nil || h.Right != nil || h.Mesh != nil {
+		if h.Left != nil || h.Right != nil {
 			t.Errorf("host %d carries NTB adapters on the CXL fabric", i)
+		}
+		for range h.Ports() {
+			t.Errorf("host %d yields an NTB port on the CXL fabric", i)
 		}
 		for j := 0; j < n; j++ {
 			// A route never built is the zero Route, with no bottleneck.

@@ -22,8 +22,8 @@ import (
 // Host is one computing node: a root complex, up to two NTB adapters
 // (left cables toward hostID-1, right toward hostID+1), and the driver
 // endpoints and transmit channels over them. On the switch fabric the
-// two ring sides stay empty and the host instead carries one mesh port
-// per peer.
+// two ring sides stay empty, and the host's one mesh port per peer sits
+// in the cluster's switch mesh (Ports yields them).
 type Host struct {
 	ID int
 	RC *pcie.Server // rc, named "rc:h<ID>"
@@ -31,12 +31,6 @@ type Host struct {
 	Left, Right     *ntb.Port         // nil when the side is not cabled
 	LeftEP, RightEP *driver.Endpoint  // nil when the side is not cabled
 	TxLeft, TxRight *driver.TxChannel // nil when the side is not cabled
-
-	// Switch-fabric mesh: per-peer ports/endpoints/channels indexed by
-	// peer host Id (the self slot is nil). Nil on other fabrics.
-	Mesh   []*ntb.Port
-	MeshEP []*driver.Endpoint
-	MeshTx []*driver.TxChannel
 
 	// staging is the host's relay staging buffers, shared by whichever
 	// link the host runs; Cluster.ReturnStorage gives them back.
@@ -55,7 +49,8 @@ type Cluster struct {
 	Hosts []*Host
 
 	kind Kind
-	cxl  *cxlState // shared CXL fabric state holds no mutable registers
+	cxl  *cxlState  // shared CXL fabric state holds no mutable registers
+	mesh switchMesh // the switch fabric's per-peer sides; empty on the others
 }
 
 // MaxHosts is the largest ring NewRing accepts, bounded by the driver's
@@ -197,8 +192,9 @@ func (h *Host) Ports() iter.Seq2[*ntb.Port, *driver.TxChannel] {
 		if h.Right != nil && !yield(h.Right, h.TxRight) {
 			return
 		}
-		for j, port := range h.Mesh {
-			if port != nil && !yield(port, h.MeshTx[j]) {
+		eps, txs := h.cluster.mesh.of(h.ID)
+		for i := range eps {
+			if !yield(eps[i].Port, &txs[i]) {
 				return
 			}
 		}

@@ -272,7 +272,11 @@ func (c *Cluster) Links(opts LinkOptions) ([]Link, error) {
 	case KindCXL:
 		layLinks(c, opts, links, make([]cxlLink, c.N()))
 	default:
-		layLinks(c, opts, links, make([]ringLink, c.N()))
+		slab := make([]ringLink, c.N())
+		layLinks(c, opts, links, slab)
+		if opts.Routing == RouteShortest {
+			layLeftward(slab)
+		}
 	}
 	return links, nil
 }

@@ -45,9 +45,12 @@ func (l *pairLink) transit(p *sim.Proc, info driver.Info, payload []byte, ack Ac
 	l.misrouted(info)
 }
 
-// Start wires the data doorbell vectors of the single adapter and creates
-// the service and forwarder threads.
-func (l *pairLink) Start(deliver Handler) { l.start(deliver, l.out) }
+// Start wires the data doorbell vectors of the single adapter to the
+// service thread.
+func (l *pairLink) Start(deliver Handler) {
+	l.start(deliver, 1)
+	l.listen(l.out)
+}
 
 // Boot runs the pre-setup exchange over the single cable and validates
 // the discovered peer.

@@ -28,8 +28,10 @@ type ringLink struct {
 	// Ring barrier tokens (Fig 6), one path per travel direction.
 	// Rightward-travelling tokens arrive on the left-side adapter (host
 	// 0's left adapter faces host N-1); leftward tokens — used by the
-	// bidirectional flush under shortest-path routing — on the right.
-	rightward, leftward tokenPath // AssertQuiescent guarantees them drained
+	// bidirectional flush under shortest-path routing, and only there —
+	// on the right.
+	rightward tokenPath  // AssertQuiescent guarantees it drained
+	leftward  *tokenPath // nil unless RouteShortest; AssertQuiescent guarantees it drained
 }
 
 // init builds the ring link of host h in place, in the cluster's slab
@@ -38,7 +40,6 @@ func (l *ringLink) init(c *Cluster, h *Host, opts LinkOptions) {
 	l.ntbService.init(c, h, opts, l)
 	l.relays = true
 	l.initTokenPath(&l.rightward, h.LeftEP, h.RightEP, "barrier-start:", "barrier-end:")
-	l.initTokenPath(&l.leftward, h.RightEP, h.LeftEP, "barrier-start-left:", "barrier-end-left:")
 	// Pick the link protocol. NewPipeTx re-registers the ACK vector that
 	// the fabric-built stop-and-wait channels claimed, retiring them.
 	if depth := opts.Pipeline; depth >= 2 {
@@ -52,10 +53,24 @@ func (l *ringLink) init(c *Cluster, h *Host, opts LinkOptions) {
 	}
 }
 
-// Start wires the data doorbell vectors of both adapters and creates the
-// service and forwarder threads.
+// layLeftward gives every link of a shortest-arc ring its leftward
+// token path, from one slab for the world: the paper's rightward ring
+// never circulates a token leftward, so its links carry none.
+func layLeftward(slab []ringLink) {
+	paths := make([]tokenPath, len(slab))
+	for i := range slab {
+		l := &slab[i]
+		l.leftward = &paths[i]
+		l.initTokenPath(l.leftward, l.host.RightEP, l.host.LeftEP, "barrier-start-left:", "barrier-end-left:")
+	}
+}
+
+// Start wires the data doorbell vectors of both adapters to the service
+// thread, which, like the forwarder, starts on its first message.
 func (l *ringLink) Start(deliver Handler) {
-	l.start(deliver, l.host.LeftEP, l.host.RightEP)
+	l.start(deliver, 2)
+	l.listen(l.host.LeftEP)
+	l.listen(l.host.RightEP)
 	if l.rxLeft != nil {
 		l.ports[0].rx, l.ports[1].rx = l.rxLeft, l.rxRight // in start's endpoint order
 	}
@@ -131,8 +146,8 @@ func (l *ringLink) Reply(p *sim.Proc, orig driver.Info, reply driver.Info, data 
 // round is required for the leftward chains.
 func (l *ringLink) Barrier(p *sim.Proc) bool {
 	l.tokenRound(p, &l.rightward, true)
-	if l.opts.Routing == RouteShortest {
-		l.tokenRound(p, &l.leftward, true)
+	if l.leftward != nil {
+		l.tokenRound(p, l.leftward, true)
 	}
 	return true
 }
@@ -172,7 +187,11 @@ func oppositeDir(d driver.Dir) driver.Dir {
 // precondition of Snapshot and Restore.
 func (l *ringLink) AssertQuiescent(op string) {
 	l.ntbService.AssertQuiescent(op)
-	if n := l.rightward.queued() + l.leftward.queued(); n != 0 {
+	n := l.rightward.queued()
+	if l.leftward != nil {
+		n += l.leftward.queued()
+	}
+	if n != 0 {
 		panic(fmt.Sprintf("fabric: %s of host %d with %d barrier token(s) queued", op, l.host.ID, n))
 	}
 }

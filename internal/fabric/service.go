@@ -11,9 +11,10 @@ import (
 // ntbService is the service core the three NTB backends — ring, pair,
 // switch — embed: the Fig 5 service thread that consumes doorbell-
 // announced arrivals, the forwarder thread that pushes staged chunks
-// (relays and service-thread replies) out a transmit channel, the
-// bookkeeping Drain and AssertQuiescent read, the staging-buffer pool
-// and the activity counters. A backend supplies only what differs: which
+// (relays and service-thread replies) out a transmit channel (built by
+// the first chunk staged, see forwarder), the bookkeeping Drain and
+// AssertQuiescent read, the staging-buffer pool and the activity
+// counters. A backend supplies only what differs: which
 // ports it listens on, what happens to a chunk addressed elsewhere
 // (transit), and which channel a staged chunk leaves by (hop). The
 // service-thread/forwarder split exists on every backend, relaying or
@@ -32,11 +33,20 @@ type ntbService struct {
 	svcQ      sim.Reactor[*ntbService, *svcPort] // AssertQuiescent guarantees it drained
 	svcActive bool                               // AssertQuiescent guarantees false (service drained)
 	svcIdle   sim.Cond                           // no waiters survive a clean run
-	fwdQ      sim.Reactor[*ntbService, *fwdMsg]  // AssertQuiescent guarantees it drained
-	fwdBusy   int                                // AssertQuiescent guarantees zero
-	fwdIdle   sim.Cond                           // no waiters survive a clean run
+	fwd       *forwarder                         // nil until the first chunk is staged; AssertQuiescent guarantees it drained
 
 	stats LinkStats // the per-run state: Snapshot copies it, Restore assigns it back
+}
+
+// forwarder is a host's forwarder thread and the bookkeeping Drain and
+// AssertQuiescent read of it. The first chunk the host stages builds it
+// (enqueueForward), so a host that never relays or replies — every host
+// of a neighbour-put ring — holds none; once built it stays for the
+// world's life, pooled worlds included.
+type forwarder struct {
+	q    sim.Reactor[*ntbService, fwdMsg]
+	busy int      // chunks staged and not yet pushed; AssertQuiescent guarantees zero
+	idle sim.Cond // no waiters survive a clean run
 }
 
 // backend is what a backend adds to the service core it embeds: what
@@ -82,45 +92,43 @@ func (sp *svcPort) Tick(uint64) {
 	sp.s.svcQ.Push(sp)
 }
 
-// fwdMsg is a staged chunk awaiting the forwarder thread.
+// fwdMsg is a staged chunk awaiting the forwarder thread. It travels by
+// value through the forwarder's queue, so staging a chunk allocates
+// nothing once the queue is warm.
 type fwdMsg struct {
 	info driver.Info
 	data []byte
 }
 
 // init sets up a host's service core inside link, the backend that
-// embeds it. Its service and forwarder threads are reactors: each
-// starts on the first message its queue receives, so a host that is
-// never sent a chunk runs no service thread and one that never stages a
-// chunk runs no forwarder. Every name is formatted only when asked for.
+// embeds it. Its service thread is a reactor: it starts on the first
+// message its queue receives, so a host that is never sent a chunk runs
+// no service thread. The forwarder is built later still, by the first
+// chunk staged. Every name is formatted only when asked for.
 func (s *ntbService) init(c *Cluster, h *Host, opts LinkOptions, link backend) {
 	s.c, s.host, s.opts, s.link = c, h, opts, link
 	s.svcIdle.Init(sim.NameOf("svc-idle:", h.num()))
-	s.fwdIdle.Init(sim.NameOf("fwd-idle:", h.num()))
 	s.svcQ.Init(c.Sim, sim.NameOf("svc:", h.num()), "shmem-svc:", s, (*ntbService).serve)
-	s.fwdQ.Init(c.Sim, sim.NameOf("fwd:", h.num()), "shmem-fwd:", s, (*ntbService).forward)
 }
 
-// start installs the delivery handler and wires the data doorbells of
-// every listed endpoint (nil entries are uncabled sides) to the service
-// thread (the paper's shmem_init steps 2 and 4), which, like the
-// forwarder, starts on its first message.
-func (s *ntbService) start(deliver Handler, eps ...*driver.Endpoint) {
+// start installs the delivery handler and readies the service thread to
+// listen on n ports (the paper's shmem_init steps 2 and 4); the backend
+// then names each with listen.
+func (s *ntbService) start(deliver Handler, n int) {
 	s.deliver = deliver
 	// The doorbells hold pointers into ports, so its backing never moves.
 	s.ports = s.portBuf[:0]
-	if len(eps) > len(s.portBuf) {
-		s.ports = make([]svcPort, 0, len(eps))
+	if n > len(s.portBuf) {
+		s.ports = make([]svcPort, 0, n)
 	}
-	for _, ep := range eps {
-		if ep == nil {
-			continue
-		}
-		s.ports = append(s.ports, svcPort{s: s, port: ep.Port})
-		sp := &s.ports[len(s.ports)-1]
-		ep.HandleTick(driver.VecPut, sp)
-		ep.HandleTick(driver.VecGet, sp)
-	}
+}
+
+// listen wires ep's data doorbells to the service thread.
+func (s *ntbService) listen(ep *driver.Endpoint) {
+	s.ports = append(s.ports, svcPort{s: s, port: ep.Port})
+	sp := &s.ports[len(s.ports)-1]
+	ep.HandleTick(driver.VecPut, sp)
+	ep.HandleTick(driver.VecGet, sp)
 }
 
 // serve is the per-host service thread of Fig 5, started by the first
@@ -190,11 +198,19 @@ func (s *ntbService) setSvcActive(active bool) {
 	}
 }
 
-// enqueueForward hands a chunk to the forwarder thread. Callable from
-// process or scheduler context.
+// enqueueForward hands a chunk to the forwarder thread, building the
+// forwarder on the host's first staged chunk. Callable from process or
+// scheduler context.
 func (s *ntbService) enqueueForward(info driver.Info, data []byte) {
-	s.fwdBusy++
-	s.fwdQ.Push(&fwdMsg{info: info, data: data})
+	f := s.fwd
+	if f == nil {
+		f = new(forwarder)
+		f.idle.Init(sim.NameOf("fwd-idle:", s.host.num()))
+		f.q.Init(s.c.Sim, sim.NameOf("fwd:", s.host.num()), "shmem-fwd:", s, (*ntbService).forward)
+		s.fwd = f
+	}
+	f.busy++
+	f.q.Push(fwdMsg{info: info, data: data})
 }
 
 // forward is the second half of the service path, started by the first
@@ -204,7 +220,8 @@ func (s *ntbService) enqueueForward(info driver.Info, data []byte) {
 // staging queue decouples them from upstream ACKs, so rings cannot
 // deadlock on store-and-forward cycles and no backend deadlocks on
 // crossed replies.
-func (s *ntbService) forward(p *sim.Proc, m *fwdMsg) {
+func (s *ntbService) forward(p *sim.Proc, m fwdMsg) {
+	f := s.fwd
 	p.Sleep(s.c.Par.ServiceWake)
 	for {
 		tx, info := s.link.hop(m.info)
@@ -215,13 +232,13 @@ func (s *ntbService) forward(p *sim.Proc, m *fwdMsg) {
 		if s.relays {
 			s.stats.ChunksForwarded++
 		}
-		s.fwdBusy--
-		if s.fwdBusy == 0 {
-			s.fwdIdle.Broadcast()
+		f.busy--
+		if f.busy == 0 {
+			f.idle.Broadcast()
 		}
 		var ok bool
-		if m, ok = s.fwdQ.TryPop(); !ok {
-			m = s.fwdQ.Pop(p)
+		if m, ok = f.q.TryPop(); !ok {
+			m = f.q.Pop(p)
 			p.Sleep(s.c.Par.ServiceWake)
 		}
 	}
@@ -239,16 +256,16 @@ func (s *ntbService) Drain(p *sim.Proc) {
 	for s.svcQ.Len() > 0 || s.svcActive {
 		s.svcIdle.Wait(p)
 	}
-	for s.fwdBusy > 0 {
-		s.fwdIdle.Wait(p)
+	for s.fwd != nil && s.fwd.busy > 0 {
+		s.fwd.idle.Wait(p)
 	}
 }
 
 // AssertQuiescent panics unless the service path has fully drained — the
-// shared precondition of Snapshot and Restore. Backends with barrier
-// token queues extend it.
+// shared precondition of Snapshot and Restore. A forwarder never built
+// is idle. Backends with barrier token queues extend it.
 func (s *ntbService) AssertQuiescent(op string) {
-	if s.svcActive || s.svcQ.Len() != 0 || s.fwdBusy != 0 || s.fwdQ.Len() != 0 {
+	if s.svcActive || s.svcQ.Len() != 0 || s.fwd != nil && (s.fwd.busy != 0 || s.fwd.q.Len() != 0) {
 		panic(fmt.Sprintf("fabric: %s of host %d with service work outstanding", op, s.host.ID))
 	}
 }

@@ -35,39 +35,21 @@ func NewSwitch(s *sim.Simulator, par *model.Params, n int) (*Cluster, error) {
 	servers := make([]pcie.Server, n+1) // the uplinks, then the core
 	core := &servers[n]
 	core.Init(sim.Named("switch-core"), par.SwitchCoreBW)
-	// Host i's mesh port facing j is port slot(i, j) of one slab, and so
-	// are its endpoint and channel.
-	slot := func(i, j int) int {
-		if j > i {
-			j--
-		}
-		return i*(n-1) + j
-	}
+	// Host i's mesh port facing j is port i*(n-1) + peerSlot(i, j) of
+	// one slab, and so are its endpoint and channel.
 	ports := ntb.NewPorts(s, c.Net, par, n*(n-1), func(k int) (ntb.Place, *pcie.Server) {
-		i, j := k/(n-1), k%(n-1)
-		if j >= i {
-			j++
-		}
-		return ntb.Place{Host: i, Side: j}, c.Hosts[i].RC
+		i := k / (n - 1)
+		return ntb.Place{Host: i, Side: slotPeer(i, k%(n-1))}, c.Hosts[i].RC
 	})
-	eps := driver.NewEndpoints(ports)
-	txs := driver.NewTxChannels(eps, par)
-	mesh := make([]*ntb.Port, n*n)
-	meshEP := make([]*driver.Endpoint, n*n)
-	meshTx := make([]*driver.TxChannel, n*n)
+	c.mesh.per = n - 1
+	c.mesh.eps = driver.NewEndpoints(ports)
+	c.mesh.txs = driver.NewTxChannels(c.mesh.eps, par)
 	for i, h := range c.Hosts {
 		servers[i].Init(sim.NameOf("uplink:h", h.num()), par.EffectiveWireBW())
-		h.Mesh, h.MeshEP, h.MeshTx = mesh[i*n:(i+1)*n:(i+1)*n], meshEP[i*n:(i+1)*n:(i+1)*n], meshTx[i*n:(i+1)*n:(i+1)*n]
-		for j := range n {
-			if j != i {
-				k := slot(i, j)
-				h.Mesh[j], h.MeshEP[j], h.MeshTx[j] = &ports[k], &eps[k], &txs[k]
-			}
-		}
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			pi, pj := c.Hosts[i].Mesh[j], c.Hosts[j].Mesh[i]
+			pi, pj := c.mesh.port(i, j), c.mesh.port(j, i)
 			// Host i's port facing j: (i+1) in the high byte, (j+1) in
 			// the low — unique across the fabric, never the unconfigured
 			// zero, and disjoint from the ring scheme's shifted Ids.
@@ -77,6 +59,41 @@ func NewSwitch(s *sim.Simulator, par *model.Params, n int) (*Cluster, error) {
 		}
 	}
 	return c, nil
+}
+
+// switchMesh is a switch cluster's per-peer sides: one slab of
+// endpoints (each holding its port, from one slab of ports) and one of
+// channels, host after host, each host's n-1 sides in increasing peer
+// order with itself skipped (peerSlot). Other fabrics leave it empty.
+type switchMesh struct {
+	per int // sides per host
+	eps []driver.Endpoint
+	txs []driver.TxChannel
+}
+
+// of returns host i's sides in peer-slot order; none off the switch.
+func (m *switchMesh) of(i int) ([]driver.Endpoint, []driver.TxChannel) {
+	lo, hi := i*m.per, (i+1)*m.per
+	return m.eps[lo:hi:hi], m.txs[lo:hi:hi]
+}
+
+// port returns host i's mesh port facing host j.
+func (m *switchMesh) port(i, j int) *ntb.Port { return m.eps[i*m.per+peerSlot(i, j)].Port }
+
+// peerSlot is the slot in which host i keeps its side facing host j ≠ i.
+func peerSlot(i, j int) int {
+	if j > i {
+		return j - 1
+	}
+	return j
+}
+
+// slotPeer is the host that host i's side in slot k faces.
+func slotPeer(i, k int) int {
+	if k >= i {
+		return k + 1
+	}
+	return k
 }
 
 // switchLink attaches one host of the switched fabric. Every message is
@@ -90,15 +107,26 @@ func NewSwitch(s *sim.Simulator, par *model.Params, n int) (*Cluster, error) {
 // over Send — sound here because sends are delivery-synchronous.
 type switchLink struct {
 	ntbService
+
+	// The host's mesh sides, slices of the cluster's slabs in peer-slot
+	// order; the cluster snapshot owns the channels' state.
+	eps []driver.Endpoint
+	txs []driver.TxChannel
 }
 
 // init builds the switch link of host h in place, in the cluster's slab
 // of links.
-func (l *switchLink) init(c *Cluster, h *Host, opts LinkOptions) { l.ntbService.init(c, h, opts, l) }
+func (l *switchLink) init(c *Cluster, h *Host, opts LinkOptions) {
+	l.ntbService.init(c, h, opts, l)
+	l.eps, l.txs = c.mesh.of(h.ID)
+}
+
+// txTo returns the channel of the port facing host dst.
+func (l *switchLink) txTo(dst int) *driver.TxChannel { return &l.txs[peerSlot(l.host.ID, dst)] }
 
 // hop sends a staged reply by the requester's port.
 func (l *switchLink) hop(info driver.Info) (driver.Sender, driver.Info) {
-	return l.host.MeshTx[int(info.Dst)], info
+	return l.txTo(int(info.Dst)), info
 }
 
 // transit refuses a chunk addressed elsewhere: every port faces its
@@ -107,10 +135,13 @@ func (l *switchLink) transit(p *sim.Proc, info driver.Info, payload []byte, ack 
 	l.misrouted(info)
 }
 
-// Start wires the data doorbells of every per-peer port and creates the
-// service and forwarder threads.
+// Start wires the data doorbells of every per-peer port to the service
+// thread.
 func (l *switchLink) Start(deliver Handler) {
-	l.start(deliver, l.host.MeshEP...)
+	l.start(deliver, len(l.eps))
+	for i := range l.eps {
+		l.listen(&l.eps[i])
+	}
 }
 
 // Boot programs every mesh port's LUT with its peer, publishes this
@@ -118,20 +149,15 @@ func (l *switchLink) Start(deliver Handler) {
 // generalised to a full mesh, in increasing peer order.
 func (l *switchLink) Boot(p *sim.Proc) {
 	h := l.host
-	for _, port := range h.Mesh {
-		if port != nil {
-			port.LUTAdd(p, port.Peer().RequesterID())
-		}
+	for i := range l.eps {
+		port := l.eps[i].Port
+		port.LUTAdd(p, port.Peer().RequesterID())
 	}
-	for _, port := range h.Mesh {
-		if port != nil {
-			port.PeerSpadWrite(p, driver.SpadBoot, uint32(h.ID)+1)
-		}
+	for i := range l.eps {
+		l.eps[i].Port.PeerSpadWrite(p, driver.SpadBoot, uint32(h.ID)+1)
 	}
-	for peer, port := range h.Mesh {
-		if port == nil {
-			continue
-		}
+	for i := range l.eps {
+		port, peer := l.eps[i].Port, slotPeer(h.ID, i)
 		for {
 			if v := port.SpadRead(p, driver.SpadBoot); v != 0 {
 				if int(v)-1 != peer {
@@ -151,7 +177,7 @@ func (l *switchLink) Boot(p *sim.Proc) {
 func (l *switchLink) Send(p *sim.Proc, info driver.Info, payload driver.Payload) {
 	info.Dir = driver.DirRight
 	info.Region = ntb.RegionData
-	l.host.MeshTx[int(info.Dst)].SendChunk(p, info, payload, l.opts.Mode)
+	l.txTo(int(info.Dst)).SendChunk(p, info, payload, l.opts.Mode)
 }
 
 // Reply stages a response on the forwarder for single-hop return.

@@ -104,7 +104,7 @@ type Port struct {
 	reqID uint16   // assigned identity, reused at re-boot
 	lut   lutTable // boot reprograms the same entries (see Restore doc)
 
-	dma   Engine
+	dma   *Engine   // built by the first DMA call; nil on a port that never ran one
 	trace TraceFunc // installed trace hook survives recycling
 }
 
@@ -191,7 +191,6 @@ func (p *Port) init(s *sim.Simulator, net *pcie.Network, par *model.Params, loca
 		w := &p.inbound[r]
 		w.partBytes, w.parts = par.WindowSize, w.whole[:]
 	}
-	p.dma.init(p)
 }
 
 // Cable is what two connected ports share: the wire's flow-network
@@ -315,8 +314,17 @@ func (p *Port) Peer() *Port { return p.peer }
 // Connected reports whether the port has a link partner.
 func (p *Port) Connected() bool { return p.peer != nil }
 
-// DMA returns the port's DMA engine.
-func (p *Port) DMA() *Engine { return &p.dma }
+// DMA returns the port's DMA engine, building it on the first call: a
+// port that only ever moves data by programmed I/O (memcpy mode, or a
+// side that never sends) carries no engine, and a built one stays,
+// warm, for the port's life.
+func (p *Port) DMA() *Engine {
+	if p.dma == nil {
+		p.dma = new(Engine)
+		p.dma.init(p)
+	}
+	return p.dma
+}
 
 // SetRequesterID assigns the PCIe requester ID this port's outbound
 // transactions carry (the fabric derives it from host and side).
@@ -926,8 +934,8 @@ func (d *Desc) check(p *Port) {
 
 // Engine is a per-adapter DMA engine. Descriptors are processed strictly
 // in submission order; each costs the setup time plus the flow-network
-// transfer time. Its process starts on the first descriptor, so an
-// adapter whose engine is never rung never spawns one.
+// transfer time. Port.DMA builds it and its process starts on the first
+// descriptor, so an adapter whose engine is never rung holds neither.
 type Engine struct {
 	port  *Port
 	queue sim.Reactor[*Engine, *engineJob]
@@ -1040,9 +1048,10 @@ func (e *Engine) Pending() int { return e.busy }
 
 // assertIdle panics unless the engine has no descriptors queued or in
 // flight — a wedged or mid-descriptor engine can be neither captured
-// nor recycled. The warm job pool survives a restore.
+// nor recycled. An engine never built (nil) is idle. The warm job pool
+// survives a restore.
 func (e *Engine) assertIdle(op string) {
-	if e.busy != 0 || e.queue.Len() != 0 {
+	if e != nil && (e.busy != 0 || e.queue.Len() != 0) {
 		panic(fmt.Sprintf("ntb: %s of %s with %d descriptor(s) outstanding", op, e.port.Name(), e.busy))
 	}
 }

@@ -247,6 +247,28 @@ func TestDMADescriptorsProcessInOrder(t *testing.T) {
 	}
 }
 
+func TestEngineBuiltOnFirstUse(t *testing.T) {
+	// A port carries no DMA engine until its first DMA call; one that
+	// never runs one still snapshots, restores and returns its storage
+	// as idle, and a built engine is the same engine on every later call.
+	s, a, b, _ := pair(t)
+	if a.dma != nil || b.dma != nil {
+		t.Fatal("a fresh port holds a DMA engine")
+	}
+	s.Go("pio", func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, []byte{1, 2, 3}) })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	b.Restore(a.Snapshot())
+	a.ReturnStorage()
+	if a.dma != nil || b.dma != nil {
+		t.Fatal("programmed I/O, a snapshot or a restore built a DMA engine")
+	}
+	if e := a.DMA(); e == nil || a.DMA() != e || a.dma != e {
+		t.Fatal("DMA does not build one engine and keep it")
+	}
+}
+
 func TestSubmitAllocatesNothing(t *testing.T) {
 	// Submit takes its job record from the engine's pool and the engine
 	// recycles it as the descriptor lands; the ticket it returns is a

@@ -54,9 +54,6 @@ func (d Duration) String() string { return fmt.Sprintf("%.3fus", float64(d)/1e3)
 // Fractional nanoseconds are truncated.
 func Microseconds(us float64) Duration { return Duration(us * 1e3) }
 
-// Nanoseconds constructs a Duration from an integer nanosecond count.
-func Nanoseconds(ns int64) Duration { return Duration(ns) }
-
 // BytesAt returns the time needed to move n bytes at rate bytesPerSecond.
 // A zero or negative rate yields zero duration (infinite bandwidth), which
 // callers use to disable a cost component.
