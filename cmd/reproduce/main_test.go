@@ -219,7 +219,7 @@ func BenchmarkReproduce(b *testing.B) {
 // on the figure path (a sweep allocated 89.6 MB with them), if a
 // pipelined receiver's window goes back to materialising its whole slot
 // ring, with typed ops marshalling through copies (48.6 MB), or if
-// pooled worlds go back to keeping their heap pages, window parts and
+// pooled worlds go back to keeping their heap pages, slot blocks and
 // staging buffers instead of lending them on through mem's block lender
 // (31.2 MB; 23.4 MB without).
 func TestBenchCeilings(t *testing.T) {

@@ -22,7 +22,7 @@ import (
 //
 // A world is checked in asserted quiescent and with its payload storage
 // given back: World.ReturnStorage runs the drop half of its next restore
-// early, so its written heap pages, window parts and staging buffers go
+// early, so its written heap pages, slot blocks and staging buffers go
 // to the mem lender, and an idle world parks none of them. Nothing else
 // is rewound. Whoever checks the world out restores it exactly once: to
 // power-on (World.Reset) for a from-t0 run, or straight onto a prefix

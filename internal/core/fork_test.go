@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/ntb"
 	"repro/internal/sim"
 )
 
@@ -177,14 +176,8 @@ func TestGenesisCaptureMaterialisesNothing(t *testing.T) {
 				t.Fatalf("pe %d: %s left %d symmetric heap page(s) materialised", pe.ID(), when, hs.ResidentPages)
 			}
 		}
-		for _, h := range w.Cluster.Hosts {
-			for _, port := range []*ntb.Port{h.Left, h.Right} {
-				for _, r := range []ntb.Region{ntb.RegionData, ntb.RegionBypass} {
-					if n := port.WindowResident(r); n != 0 {
-						t.Fatalf("host %d: %s left %d byte(s) of the %v window of %s materialised", h.ID, when, n, r, port.Name())
-					}
-				}
-			}
+		if r := w.Resident(); r.WindowBytes != 0 || r.StagingBytes != 0 {
+			t.Fatalf("%s left %d window and %d staging byte(s) materialised", when, r.WindowBytes, r.StagingBytes)
 		}
 	}
 	materialised("a fresh world's capture")

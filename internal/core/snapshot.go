@@ -134,7 +134,7 @@ func (w *World) Fork(s *WorldSnapshot) {
 // work, a failed simulation — because then the previous run did not
 // complete cleanly and the world must be discarded instead of recycled.
 // Every layer first drops what the previous run left: its payload
-// storage (heap pages, window parts, staging buffers) goes back to the
+// storage (heap pages, pipelined slot blocks, staging buffers) goes back to the
 // mem lender, which is all ReturnStorage does. Service threads,
 // forwarders and DMA engines that an earlier run started stay parked on
 // their queues (one that never started still starts on its first job),
@@ -155,13 +155,13 @@ func (w *World) restore(s *WorldSnapshot) {
 	w.Cluster.Restore(cluster)
 }
 
-// ReturnStorage gives every heap page, NTB window part and relay staging
-// buffer the world holds back to the mem lender, cleared where its run
+// ReturnStorage gives every heap page, pipelined slot block and relay
+// staging buffer the world holds back to the mem lender, cleared where its run
 // wrote — the drop half of the next Reset or Fork, run early. The bench
 // world pool calls it at check-in, so an idle pooled world parks no
 // payload storage and the restore at checkout finds nothing to drop.
 // The world keeps its allocations and device registers, but its heaps
-// and windows read as zeros: only Reset or Fork may follow.
+// and slot rings read as zeros: only Reset or Fork may follow.
 func (w *World) ReturnStorage() {
 	w.AssertQuiescent("storage return")
 	for _, pe := range w.pes {
@@ -171,7 +171,7 @@ func (w *World) ReturnStorage() {
 }
 
 // Resident reports the payload storage the world holds: heap pages,
-// window bytes and staging bytes.
+// slot-ring bytes and staging bytes.
 func (w *World) Resident() fabric.Residency {
 	r := w.Cluster.Resident()
 	for _, pe := range w.pes {

@@ -48,7 +48,7 @@ func TestSnapshotStateFieldCounts(t *testing.T) {
 		{reflect.TypeFor[driver.PipeRx](), "pipeRxState", 3},
 		{reflect.TypeFor[fabric.Cluster](), "", 7},
 		{ntbService, "stats", 12},
-		{ringLink, "", 7},
+		{ringLink, "", 5},
 		{linkOf(fabric.KindNTBPair, 2), "", 5},
 		{linkOf(fabric.KindPCIeSwitch, 3), "", 3},
 		{linkOf(fabric.KindCXL, 3), "stats", 5},

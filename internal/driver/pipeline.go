@@ -3,6 +3,7 @@ package driver
 import (
 	"fmt"
 
+	"repro/internal/mem"
 	"repro/internal/model"
 	"repro/internal/ntb"
 	"repro/internal/sim"
@@ -145,9 +146,6 @@ func NewPipeTx(ep *Endpoint, par *model.Params, slots int) *PipeTx {
 // released a slot, which returns a credit. Not for direct use.
 func (tx *PipeTx) Tick(uint64) { tx.credits.Release(1) }
 
-// Slots returns the pipeline depth.
-func (tx *PipeTx) Slots() int { return tx.slots }
-
 // MaxPayload returns the largest chunk one slot carries.
 func (tx *PipeTx) MaxPayload() int { return tx.slotBytes - SlotHeaderBytes }
 
@@ -189,12 +187,18 @@ func (tx *PipeTx) SendChunk(p *sim.Proc, info Info, payload Payload, mode Mode) 
 }
 
 // PipeRx is the receiver half: it drains valid slots in sequence order.
+// Its slot ring is the memory the data window translates onto (it
+// registers itself with ntb.Port.SetTrans): each slot is a buffer that
+// borrows a block from the mem lender on its first landing and grows in
+// power-of-two steps up to the slot size, so the ring holds storage only
+// for the slots that carried data. Its headers and payloads are read
+// from that storage, and ReturnStorage gives it all back.
 type PipeRx struct {
 	pipeRxState // captured by Snapshot, assigned back whole by Restore
 
 	port      *ntb.Port
-	slots     int // pipeline geometry
-	slotBytes int // pipeline geometry
+	slots     []mem.Buffer // the slot ring, the data window's translation
+	slotBytes int          // pipeline geometry
 }
 
 // pipeRxState is a pipelined receiver's in-order cursor: the wire
@@ -204,47 +208,84 @@ type pipeRxState struct {
 }
 
 // NewPipeRx builds the receiver state for port (same geometry as the
-// peer's PipeTx) and divides the port's data window into its slots, so
-// the window holds storage only for slots that carried data.
+// peer's PipeTx) and points the port's data window at its slot ring.
 func NewPipeRx(port *ntb.Port, par *model.Params, slots int) *PipeRx {
-	port.Partition(ntb.RegionData, slots)
-	return &PipeRx{port: port, slots: slots, slotBytes: par.WindowSize / slots}
+	slotBytes := par.WindowSize / slots
+	rx := &PipeRx{port: port, slots: mem.NewBuffers(slots, slotBytes), slotBytes: slotBytes}
+	port.SetTrans(ntb.RegionData, rx)
+	return rx
 }
 
-// header returns slot s's header bytes: the window's own bytes once a
-// transfer landed in the slot, the zero source (which decodes as
-// invalid) while none has, so polling an idle ring materialises nothing.
-func (rx *PipeRx) header(s int) []byte {
-	return rx.port.InboundRange(ntb.RegionData, s*rx.slotBytes, SlotHeaderBytes)
+// slot locates [off, off+n) of the data window: the slot holding it and
+// the offset within the slot. Every transfer lies inside one slot; one
+// crossing a slot boundary, or lying past the last slot, panics.
+func (rx *PipeRx) slot(off, n int) (*mem.Buffer, int) {
+	s, in := off/rx.slotBytes, off%rx.slotBytes
+	if off < 0 || s >= len(rx.slots) || in+n > rx.slotBytes {
+		panic(fmt.Sprintf("driver: data window access [%d,%d) crosses a %d-byte slot", off, off+n, rx.slotBytes))
+	}
+	return &rx.slots[s], in
 }
+
+// Land implements ntb.Target: a transfer into the data window is stored
+// in the slot it lies in.
+func (rx *PipeRx) Land(off int, hdr, data []byte) {
+	b, in := rx.slot(off, len(hdr)+len(data))
+	b.Land(in, hdr, data)
+}
+
+// Range implements ntb.Target: bytes [off, off+n) of the slot they lie in.
+func (rx *PipeRx) Range(off, n int) []byte {
+	b, in := rx.slot(off, n)
+	return b.Range(in, n)
+}
+
+// head returns the window offset of the slot the next in-order message
+// lands in: wire sequence s always lands in slot (s-1) mod slots,
+// because PipeTx advances its slot cursor and its sequence together, so
+// the message after expect is in slot expect mod slots.
+func (rx *PipeRx) head() int { return int(rx.expect%uint32(len(rx.slots))) * rx.slotBytes }
 
 // Next returns the next in-order message, if one is ready: its Info, the
-// payload window slice (valid until Release), and true. The caller must
-// Release the slot after copying the payload out.
+// payload (valid until Release), and true. A slot nothing landed in
+// reads as the zero source, which decodes as invalid, so polling an idle
+// ring holds no storage. The caller must Release the slot after copying
+// the payload out.
 func (rx *PipeRx) Next(p *sim.Proc) (Info, []byte, bool) {
-	for s := 0; s < rx.slots; s++ {
-		seq, info, ok := decodeSlotHeader(rx.header(s))
-		if !ok || seq != rx.expect+1 {
-			continue
-		}
-		p.Sleep(rx.port.Par().LocalMMIO) // header inspection
-		payload := rx.port.InboundRange(ntb.RegionData, s*rx.slotBytes+SlotHeaderBytes, int(info.Size))
-		return info, payload, true
+	off := rx.head()
+	seq, info, ok := decodeSlotHeader(rx.Range(off, SlotHeaderBytes))
+	if !ok || seq != rx.expect+1 {
+		return Info{}, nil, false
 	}
-	return Info{}, nil, false
+	p.Sleep(rx.port.Par().LocalMMIO) // header inspection
+	return info, rx.Range(off+SlotHeaderBytes, int(info.Size)), true
 }
 
 // Release invalidates the just-consumed slot and returns a credit to the
 // sender.
 func (rx *PipeRx) Release(p *sim.Proc) {
-	// Clear the valid word of the expected slot (it was just consumed).
-	for s := 0; s < rx.slots; s++ {
-		hdr := rx.header(s)
-		if seq, _, ok := decodeSlotHeader(hdr); ok && seq == rx.expect+1 {
-			hdr[hdrValid] = 0
-			break
-		}
+	hdr := rx.Range(rx.head(), SlotHeaderBytes)
+	if seq, _, ok := decodeSlotHeader(hdr); !ok || seq != rx.expect+1 {
+		panic(fmt.Sprintf("driver: release on %s with no message %d in its slot", rx.port.Name(), rx.expect+1))
 	}
+	hdr[hdrValid] = 0
 	rx.expect++
 	rx.port.PeerDBSet(p, 1<<VecAck)
+}
+
+// Resident reports the bytes of storage the slot ring holds.
+func (rx *PipeRx) Resident() int {
+	n := 0
+	for i := range rx.slots {
+		n += rx.slots[i].Resident()
+	}
+	return n
+}
+
+// ReturnStorage clears every slot and gives its block back to the mem
+// lender: the ring reads as zeros and holds no storage.
+func (rx *PipeRx) ReturnStorage() {
+	for i := range rx.slots {
+		rx.slots[i].ReturnStorage()
+	}
 }

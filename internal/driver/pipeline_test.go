@@ -95,8 +95,8 @@ func TestPipeDeliversInOrder(t *testing.T) {
 func TestPipeWindowHoldsOnlyTheSlotsUsed(t *testing.T) {
 	// Polling an idle pipelined receiver materialises nothing; after
 	// three small chunks through an eight-slot ring, exactly the three
-	// slots they used hold storage, one minimal part each, not the whole
-	// window.
+	// slots they used hold storage, one minimal block each, not the whole
+	// window, and ReturnStorage gives it all back cleared.
 	pr := newPipeRig(t, 8)
 	pr.sim.Go("poll", func(p *sim.Proc) {
 		for i := 0; i < 3; i++ {
@@ -108,7 +108,7 @@ func TestPipeWindowHoldsOnlyTheSlotsUsed(t *testing.T) {
 	if err := pr.sim.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n := pr.b.WindowResident(ntb.RegionData); n != 0 {
+	if n := pr.rx.Resident(); n != 0 {
 		t.Fatalf("polling an idle receiver materialised %d window bytes", n)
 	}
 	pr.sim.Go("sender", func(p *sim.Proc) {
@@ -123,8 +123,18 @@ func TestPipeWindowHoldsOnlyTheSlotsUsed(t *testing.T) {
 	if len(pr.data) != 3 || !bytes.Equal(pr.data[2], bytes.Repeat([]byte{3}, 1000)) {
 		t.Fatalf("delivered %d messages", len(pr.data))
 	}
-	if n := pr.b.WindowResident(ntb.RegionData); n != 3*4096 {
+	if n := pr.rx.Resident(); n != 3*4096 {
 		t.Fatalf("%d window bytes materialised by three 1000-byte chunks, want three 4 KiB slots", n)
+	}
+	for s := range pr.rx.slots {
+		if (s < 3) != (pr.rx.slots[s].Resident() > 0) {
+			t.Fatalf("slot %d holds %d bytes", s, pr.rx.slots[s].Resident())
+		}
+	}
+	held := mem.LenderHeld()
+	pr.rx.ReturnStorage()
+	if pr.rx.Resident() != 0 || mem.LenderHeld() != held+3*4096 || !mem.LenderClean() {
+		t.Fatal("ReturnStorage kept slot storage or gave it back dirty")
 	}
 }
 
@@ -237,9 +247,6 @@ func TestPipeCPUMode(t *testing.T) {
 func TestPipeGeometryAccessors(t *testing.T) {
 	r := newRig(t)
 	tx := NewPipeTx(r.epA, r.par, 8)
-	if tx.Slots() != 8 {
-		t.Errorf("slots = %d", tx.Slots())
-	}
 	want := r.par.WindowSize/8 - SlotHeaderBytes
 	if tx.MaxPayload() != want {
 		t.Errorf("max payload = %d, want %d", tx.MaxPayload(), want)

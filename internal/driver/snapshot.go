@@ -6,9 +6,10 @@ import "fmt"
 // ACKs queued, no credits outstanding — a clean run leaves nothing in
 // flight) and cover the handful of per-run counters a world continues
 // from: send tallies for the stop-and-wait channel, and the slot cursor
-// / wire sequence / expected sequence for the pipelined pair — the slot
-// contents themselves live in the NTB windows and are restored with
-// them. Each channel keeps that state in one embedded struct, its
+// / wire sequence / expected sequence for the pipelined pair. The slot
+// contents need no image: at quiescence every slot was released, so its
+// header reads invalid whatever it holds, and a restored ring starts
+// empty. Each channel keeps that state in one embedded struct, its
 // snapshot is a copy of the struct, and Restore assigns it back. The zero
 // snapshot is the just-constructed state. Mutexes, ACK queues, credit
 // pools and scratch buffers stay warm across a Restore.
@@ -52,9 +53,9 @@ func (tx *PipeTx) Snapshot() PipeTxSnapshot {
 }
 
 // Restore brings the sender to the snapshot's state. The wire sequence
-// must continue from the captured value or the receiver — whose slot
-// headers are restored with the NTB window contents — would discard
-// every subsequent message as stale.
+// must continue from the captured value, which the receiver's restored
+// cursor expects next, or the receiver would discard every subsequent
+// message as stale.
 func (tx *PipeTx) Restore(s PipeTxSnapshot) {
 	tx.assertIdle("restore")
 	tx.pipeTxState = pipeTxState(s)
@@ -66,5 +67,10 @@ type PipeRxSnapshot pipeRxState
 // Snapshot captures the receiver state.
 func (rx *PipeRx) Snapshot() PipeRxSnapshot { return PipeRxSnapshot(rx.pipeRxState) }
 
-// Restore brings the receiver's in-order cursor to the snapshot's.
-func (rx *PipeRx) Restore(s PipeRxSnapshot) { rx.pipeRxState = pipeRxState(s) }
+// Restore brings the receiver's in-order cursor to the snapshot's and
+// gives the slot ring's storage back (ReturnStorage): every slot of a
+// quiescent ring was released, so an empty ring reads the same.
+func (rx *PipeRx) Restore(s PipeRxSnapshot) {
+	rx.ReturnStorage()
+	rx.pipeRxState = pipeRxState(s)
+}

@@ -35,6 +35,10 @@ type Host struct {
 	// staging is the host's relay staging buffers, shared by whichever
 	// link the host runs; Cluster.ReturnStorage gives them back.
 	staging bufPool
+	// rxLeft and rxRight are the slot rings the adapters' data windows
+	// translate onto when the ring link runs the pipelined protocol
+	// (nil otherwise); Cluster.ReturnStorage gives their storage back.
+	rxLeft, rxRight *driver.PipeRx
 
 	rc      pcie.Server
 	cluster *Cluster
@@ -204,32 +208,33 @@ func (h *Host) Ports() iter.Seq2[*ntb.Port, *driver.TxChannel] {
 // Residency is the payload storage a world holds on the host.
 type Residency struct {
 	HeapPages    int // symmetric-heap pages holding storage (mem.PageSize bytes each)
-	WindowBytes  int // NTB inbound-window storage (none on CXL)
+	WindowBytes  int // memory NTB inbound windows translate onto: pipelined slot rings
 	StagingBytes int // relay staging buffers
 }
 
-// Resident reports the window and staging storage the cluster holds;
+// Resident reports the slot-ring and staging storage the cluster holds;
 // core.World.Resident adds the heap pages.
 func (c *Cluster) Resident() Residency {
 	var r Residency
 	for _, h := range c.Hosts {
-		for port := range h.Ports() {
-			r.WindowBytes += port.WindowResident(ntb.RegionData) + port.WindowResident(ntb.RegionBypass)
+		if h.rxLeft != nil {
+			r.WindowBytes += h.rxLeft.Resident() + h.rxRight.Resident()
 		}
 		r.StagingBytes += h.staging.resident()
 	}
 	return r
 }
 
-// ReturnStorage gives every NTB window part and relay staging buffer the
-// cluster holds back to the mem lender, cleared where it was written:
-// the windows read as zeros, and the device registers are left as they
-// are. It is the storage half of Restore, which a pooled world runs
-// early, at check-in. The cluster must be quiescent.
+// ReturnStorage gives every pipelined slot block and relay staging
+// buffer the cluster holds back to the mem lender, cleared where it was
+// written: the slot rings read as zeros, and the device registers are
+// left as they are. It is the storage half of Restore, which a pooled
+// world runs early, at check-in. The cluster must be quiescent.
 func (c *Cluster) ReturnStorage() {
 	for _, h := range c.Hosts {
-		for port := range h.Ports() {
-			port.ReturnStorage()
+		if h.rxLeft != nil {
+			h.rxLeft.ReturnStorage()
+			h.rxRight.ReturnStorage()
 		}
 		h.staging.giveBack()
 	}

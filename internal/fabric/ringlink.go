@@ -21,9 +21,8 @@ type ringLink struct {
 
 	// Link senders: the paper's stop-and-wait TxChannels (whose state
 	// the cluster snapshot owns) or pipelined PipeTx, per
-	// LinkOptions.Pipeline; rx state exists only pipelined.
+	// LinkOptions.Pipeline; the pipelined receivers sit in the host.
 	txLeft, txRight driver.Sender
-	rxLeft, rxRight *driver.PipeRx
 
 	// Ring barrier tokens (Fig 6), one path per travel direction.
 	// Rightward-travelling tokens arrive on the left-side adapter (host
@@ -45,8 +44,8 @@ func (l *ringLink) init(c *Cluster, h *Host, opts LinkOptions) {
 	if depth := opts.Pipeline; depth >= 2 {
 		l.txLeft = driver.NewPipeTx(h.LeftEP, c.Par, depth)
 		l.txRight = driver.NewPipeTx(h.RightEP, c.Par, depth)
-		l.rxLeft = driver.NewPipeRx(h.Left, c.Par, depth)
-		l.rxRight = driver.NewPipeRx(h.Right, c.Par, depth)
+		h.rxLeft = driver.NewPipeRx(h.Left, c.Par, depth)
+		h.rxRight = driver.NewPipeRx(h.Right, c.Par, depth)
 	} else {
 		l.txLeft = h.TxLeft
 		l.txRight = h.TxRight
@@ -71,8 +70,8 @@ func (l *ringLink) Start(deliver Handler) {
 	l.start(deliver, 2)
 	l.listen(l.host.LeftEP)
 	l.listen(l.host.RightEP)
-	if l.rxLeft != nil {
-		l.ports[0].rx, l.ports[1].rx = l.rxLeft, l.rxRight // in start's endpoint order
+	if h := l.host; h.rxLeft != nil {
+		l.ports[0].rx, l.ports[1].rx = h.rxLeft, h.rxRight // in start's endpoint order
 	}
 }
 
@@ -208,10 +207,10 @@ type ringLinkSnap struct {
 
 func (l *ringLink) Snapshot() any {
 	s := &ringLinkSnap{stats: l.stats}
-	if l.rxLeft != nil {
+	if h := l.host; h.rxLeft != nil {
 		s.txLeft = l.txLeft.(*driver.PipeTx).Snapshot()
 		s.txRight = l.txRight.(*driver.PipeTx).Snapshot()
-		s.rxLeft, s.rxRight = l.rxLeft.Snapshot(), l.rxRight.Snapshot()
+		s.rxLeft, s.rxRight = h.rxLeft.Snapshot(), h.rxRight.Snapshot()
 	}
 	return s
 }
@@ -223,10 +222,10 @@ func (l *ringLink) Restore(snap any) {
 		s = *snap.(*ringLinkSnap)
 	}
 	l.stats = s.stats
-	if l.rxLeft != nil {
+	if h := l.host; h.rxLeft != nil {
 		l.txLeft.(*driver.PipeTx).Restore(s.txLeft)
 		l.txRight.(*driver.PipeTx).Restore(s.txRight)
-		l.rxLeft.Restore(s.rxLeft)
-		l.rxRight.Restore(s.rxRight)
+		h.rxLeft.Restore(s.rxLeft)
+		h.rxRight.Restore(s.rxRight)
 	}
 }

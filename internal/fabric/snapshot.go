@@ -53,9 +53,9 @@ func (c *Cluster) Snapshot() *ClusterSnapshot {
 }
 
 // Restore brings a quiescent cluster of identical topology, whatever it
-// ran before, to the snapshot: its window and staging storage goes back
-// to the mem lender (each port's Restore returns its own), every NTB
-// port (scratchpads, doorbells, dirty window extents), transmit channel
+// ran before, to the snapshot: its staging storage goes back to the mem
+// lender (a pipelined link's Restore returns its slot rings), every NTB
+// port (scratchpads, doorbells, reclaimed brackets), transmit channel
 // and the flow network is restored and the simulator positioned at the
 // captured clock. A nil snapshot is power-on: every device at its zero
 // state and the clock at zero, which is how a world returns to t0. The

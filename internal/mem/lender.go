@@ -6,8 +6,9 @@ import (
 	"sync"
 )
 
-// The block lender. Payload storage — heap pages, NTB window parts and
-// relay staging buffers — is a shared resource, as the paper's scattered
+// The block lender. Payload storage — heap pages, the buffers NTB
+// windows translate onto (Buffer) and relay staging buffers — is a
+// shared resource, as the paper's scattered
 // physical chunks are: it comes from one process-wide lender of
 // power-of-two blocks and goes back to it when a quiescent world drops
 // it (a pooled world at check-in, any world at Restore or Fork). Idle
@@ -16,10 +17,9 @@ import (
 //
 // Every block the lender holds is all zero. A borrower may rely on that
 // instead of clearing, so whoever gives a block back clears what it
-// dirtied first — the dirty-extent clears a restore does anyway, moved
-// to the moment the storage is returned. A block still referenced
-// elsewhere (an alias into an outgrown window part) and the zero source
-// are never given back; a heap snapshot holds copies, not lent pages.
+// dirtied first — the clears a restore does anyway, moved to the moment
+// the storage is returned. The zero source is never given back; a heap
+// snapshot holds copies, not lent pages.
 
 // minBlockShift sizes the smallest block, 4 KiB.
 const minBlockShift = 12

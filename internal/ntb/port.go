@@ -8,7 +8,11 @@
 //   - a 16-bit Doorbell register with a mask, where a peer-side set
 //     delivers an interrupt to the local host;
 //   - two inbound memory windows (the shmem data window and the bypass
-//     window), which the peer reaches through its outgoing BAR; and
+//     window), which the peer reaches through its outgoing BAR. A window
+//     is an address translation, not storage: a copy landing is a store
+//     into memory the receiving host registered (SetTrans), and a
+//     stop-and-wait chunk is lent, served from the sender's buffer until
+//     its ACK; and
 //   - a DMA engine that moves bulk data through the link.
 //
 // Bulk transfers are priced by the pcie fluid-flow network (engine rate,
@@ -18,8 +22,6 @@ package ntb
 
 import (
 	"fmt"
-	"iter"
-	"math/bits"
 	"slices"
 	"strconv"
 
@@ -74,9 +76,9 @@ func (r Region) String() string {
 type Port struct {
 	// portState is the guest-visible register state a Snapshot captures
 	// and Restore assigns back whole; Restore also brings the scratchpads
-	// and the window bytes under the dirty extents along. Every other
-	// field is construction identity, installed hooks, or the warm
-	// DMA engine.
+	// along. Every other field is construction identity, installed hooks,
+	// the warm DMA engine, or the windows' translations, whose memory
+	// belongs to the receivers that registered it.
 	portState
 
 	label portLabel // its name, given or formatted on demand (see Name)
@@ -94,8 +96,8 @@ type Port struct {
 	spads []uint32
 	isr   sim.Ticker // registered handler survives, like a driver's ISR; Tick's argument carries the doorbell bits
 
-	// inbound holds each window's backing store, in parts materialised
-	// on demand (see inboundWindow).
+	// inbound holds each window's translation and outstanding loan (see
+	// inboundWindow); the port holds no payload bytes.
 	inbound [numRegions]inboundWindow
 
 	// Requester-ID lookup table (the paper's "LUT entry mapping for NTB
@@ -128,43 +130,39 @@ type portLabel struct {
 	placed bool
 }
 
-// portState is a port's doorbell registers and the dirty extent and
-// reclaimed bracket of each inbound window.
+// portState is a port's doorbell registers and the reclaimed bracket of
+// each inbound window.
 type portState struct {
 	db     uint16
 	dbMask uint16
-	// winDirty brackets the bytes of each inbound window that writes may
-	// have touched since construction or the last Restore; every byte
-	// outside it is zero. Every mutation path (CPUWrite stores, the DMA
-	// engine's copy-in) records its extent, and a zero landing trims it
-	// (landZero); in-place protocol edits such as a pipelined receiver
-	// clearing a slot's valid byte land inside an extent some transfer
-	// already dirtied. Restore rezeroes only the storage inside these
-	// brackets, so a world that never touched a window pays nothing to
-	// recycle it, and InboundRange serves a range outside them as the zero
-	// source.
-	winDirty [numRegions]extent
 	// winStale brackets, in each inbound window, the bytes of loans the
 	// sender has reclaimed (see Reclaim) that no landing has covered
 	// since. The window held them only by reference, so they have no
 	// stored value, and InboundRange panics on a range that overlaps
-	// one. Like winDirty it is one bracket: a reclaim widens it to span
-	// the new loan too, and a landing trims it only where it covers an
-	// end.
+	// one. It is one bracket: a reclaim widens it to span the new loan
+	// too, and a landing trims it only where it covers an end.
 	winStale [numRegions]extent
 }
 
 // NewPort creates an unconnected port. localRC is the owning host's root
-// complex server in the flow network.
+// complex server in the flow network. Each of its inbound windows
+// translates onto a default target, a flat buffer of WindowSize bytes
+// borrowed as landings reach into it (mem.Buffer), so the raw device API
+// works on a bare port; a receiver may register its own (SetTrans).
 func NewPort(name string, s *sim.Simulator, net *pcie.Network, par *model.Params, localRC *pcie.Server) *Port {
 	p := &Port{label: portLabel{name: name}}
 	p.init(s, net, par, localRC, make([]uint32, par.SpadCount))
+	bufs := mem.NewBuffers(int(numRegions), par.WindowSize)
+	for r := range bufs {
+		p.inbound[r].trans = &bufs[r]
+	}
 	return p
 }
 
 // NewPorts builds n unconnected ports in one slab, as a fabric lays out
 // its adapters: at(i) gives port i's Place, which names it, and its
-// host's root complex server.
+// host's root complex server. Their windows have no translation until a
+// receiver registers one (SetTrans).
 func NewPorts(s *sim.Simulator, net *pcie.Network, par *model.Params, n int, at func(i int) (Place, *pcie.Server)) []Port {
 	ports := make([]Port, n)
 	k := par.SpadCount
@@ -177,20 +175,11 @@ func NewPorts(s *sim.Simulator, net *pcie.Network, par *model.Params, n int, at 
 	return ports
 }
 
-// init readies a port whose label is set. Inbound windows are
-// materialised on demand (see inboundWindow): most worlds never address
-// most regions, and the ones they do address mostly carry chunks far
-// smaller than WindowSize, so eager allocation would spend the bulk of
-// world construction zeroing megabytes nobody reads. Each starts as one
-// part.
+// init readies a port whose label is set.
 func (p *Port) init(s *sim.Simulator, net *pcie.Network, par *model.Params, localRC *pcie.Server, spads []uint32) {
 	p.par, p.sim, p.net, p.localRC = par, s, net, localRC
 	p.engineBW = par.DMAEngineBW
 	p.spads = spads
-	for r := range p.inbound {
-		w := &p.inbound[r]
-		w.partBytes, w.parts = par.WindowSize, w.whole[:]
-	}
 }
 
 // Cable is what two connected ports share: the wire's flow-network
@@ -394,21 +383,15 @@ func (p *Port) SetEngineBW(bw float64) {
 // EngineBW returns the adapter's DMA engine rate.
 func (p *Port) EngineBW() float64 { return p.engineBW }
 
-// InboundRange returns bytes [off, off+n) of an inbound window, which
-// must lie inside one part (see Partition), without materialising the
-// rest. A range inside an outstanding loan is the sender's own buffer
-// (see lend): the service thread copies a stop-and-wait chunk out of it
-// before its ACK lets the sender reclaim it, and a read after that panics.
-// A range no write has dirtied, or past everything its part holds
-// storage for, is the shared zero source (mem.Zeros): a zero chunk
-// reaches its receiver, and a pipelined receiver polls an idle slot's
-// header, without the window ever holding the bytes. Any other range
-// aliases device memory: the service thread copies out of it, and a
-// receiver may edit it in place (a pipelined receiver clearing a slot's
-// valid byte).
+// InboundRange returns bytes [off, off+n) of an inbound window. A range
+// inside an outstanding loan is the sender's own buffer (see lend): the
+// service thread copies a stop-and-wait chunk out of it before its ACK
+// lets the sender reclaim it, and a read after that panics. Any other
+// range is read through the window's translation (see SetTrans): an
+// alias of the receiver's memory, or the zero source (mem.Zeros) where
+// nothing landed. A window without a translation reads as zeros.
 func (p *Port) InboundRange(r Region, off, n int) []byte {
 	w := &p.inbound[r]
-	i, base := w.part(off, n)
 	if l := w.lent(); l.overlaps(off, n) {
 		if off+n > int(l.hi) {
 			panic(fmt.Sprintf("ntb: read of [%d,%d) of %s's %v window straddles the loan [%d,%d)", off, off+n, p.Name(), r, l.lo, l.hi))
@@ -419,171 +402,47 @@ func (p *Port) InboundRange(r Region, off, n int) []byte {
 		panic(fmt.Sprintf("ntb: read of [%d,%d) of %s's %v window after the sender reclaimed [%d,%d): a stop-and-wait chunk must be copied out before its ACK",
 			off, off+n, p.Name(), r, st.lo, st.hi))
 	}
-	if !p.winDirty[r].overlaps(off, n) || len(w.parts[i]) <= off-base {
+	if w.trans == nil {
 		return mem.Zeros(n)
 	}
-	return w.grow(i, off-base+n, p.winDirty[r])[off-base:][:n]
+	return w.trans.Range(off, n)
 }
 
-// WindowResident reports how many bytes of an inbound window hold
-// storage on the host, summed over its parts.
-func (p *Port) WindowResident(r Region) int {
-	n := 0
-	for _, s := range p.inbound[r].parts {
-		n += len(s)
-	}
-	return n
+// Target is the host memory an inbound window translates onto. The
+// window holds no bytes of its own: as a Linux NTB client points a
+// memory window at a buffer it allocated (ntb_mw_set_trans), the
+// receiver registers its memory with SetTrans, every copy landing in
+// the window is a store into it, and every read of the window a read of
+// it. The receiver owns the memory's lifetime; a port's Snapshot and
+// Restore leave it alone.
+type Target interface {
+	// Land stores hdr at window offset off and data right behind it.
+	// Data from the zero source (mem.Zeros) lands as zeros.
+	Land(off int, hdr, data []byte)
+	// Range returns bytes [off, off+n): an alias of the memory, or the
+	// zero source where nothing landed.
+	Range(off, n int) []byte
 }
 
-// Partition divides inbound window r into parts equal parts of
-// WindowSize/parts bytes, each materialised on its own; a pipelined
-// receiver divides its data window into its slots, so the ring holds
-// storage only for the slots that carried data. Every transfer into the
-// window must then lie inside one part; the remainder past the last
-// part belongs to none. Partitioning is part of building the receiver:
-// the window must not hold storage yet.
-func (p *Port) Partition(r Region, parts int) {
-	if parts < 1 || parts > p.par.WindowSize {
-		panic(fmt.Sprintf("ntb: %d parts of a %d-byte window", parts, p.par.WindowSize))
-	}
-	if p.WindowResident(r) != 0 || p.winDirty[r] != (extent{}) || p.winStale[r] != (extent{}) || p.inbound[r].loan != nil {
-		panic("ntb: partition of " + p.Name() + "'s " + r.String() + " window after it was written")
-	}
-	p.inbound[r] = inboundWindow{partBytes: p.par.WindowSize / parts, parts: make([][]byte, parts)}
-}
+// SetTrans points inbound window r at t, the receiver's memory; nil
+// leaves the window without one. A port NewPort builds starts with a
+// default target per window (see NewPort). A fabric-built port starts
+// with none: its
+// stop-and-wait chunks are lent (see lend), a zero landing stores
+// nothing, and any other copy landing is a protocol bug that panics.
+func (p *Port) SetTrans(r Region, t Target) { p.inbound[r].trans = t }
 
-// minWindow is the smallest materialised part; Params.Validate keeps
-// WindowSize at or above it.
-const minWindow = 4096
-
-// inboundWindow is one inbound window's backing store, in equal parts:
-// one part of WindowSize unless Partition divided the window. Each part
-// is materialised only up to the highest byte a write, a DMA descriptor,
-// a restore or a reader has reached within it; beyond that it reads as
-// zeros. Every transfer lies inside one part, so a payload is always one
-// contiguous slice of one part's storage. A lent range (see lend) holds
-// no storage at all: the window refers to the sender's buffer until the
-// sender reclaims it.
+// inboundWindow is one inbound window: its translation and the
+// outstanding loan. A lent range (see lend) is served from the sender's
+// buffer until the sender reclaims it; every other landing goes through
+// the translation.
 type inboundWindow struct {
-	partBytes int
-	parts     [][]byte
-	whole     [1][]byte // parts' backing while the window is one part
-	loan      []byte    // the outstanding loan, from the window's first byte; nil when none is outstanding
-	// spent holds the parts grow outgrew, each with the run of it that
-	// may hold bytes, until giveBack clears and returns them.
-	spent []spentPart
+	loan  []byte // the outstanding loan, from the window's first byte; nil when none is outstanding
+	trans Target
 }
-
-// spentPart is an outgrown part's block and its possibly dirty run.
-type spentPart struct{ block, dirty []byte }
 
 // lent returns the outstanding loan's extent, empty when there is none.
 func (w *inboundWindow) lent() extent { return span(0, len(w.loan)) }
-
-// part locates [off, off+n): the index of the part holding it and that
-// part's window offset. A range crossing a part boundary, or lying in
-// the remainder past the last part, breaks the invariant every transfer
-// keeps and panics.
-func (w *inboundWindow) part(off, n int) (i, base int) {
-	if len(w.parts) > 1 { // a stop-and-wait window skips the division
-		i = min(off/w.partBytes, len(w.parts)-1)
-		base = i * w.partBytes
-	}
-	if off < 0 || off+n > base+w.partBytes {
-		panic(fmt.Sprintf("ntb: window access [%d,%d) crosses a %d-byte part", off, off+n, w.partBytes))
-	}
-	return i, base
-}
-
-// grow returns part i's storage, materialised at least up to end (an
-// offset within the part). Storage is a block from the mem lender in
-// power-of-two steps — the smallest free block that reaches end, used
-// whole up to the part size, so a part rebuilt on a recycled world takes
-// the block its predecessor gave back instead of stepping up from 4 KiB
-// again. Unmaterialised bytes read as zeros exactly like an eagerly
-// allocated window's, so virtual-time behaviour is unchanged. A part
-// outgrown mid-run is kept aside until giveBack, with the run of it that
-// dirty extent d reached: an alias handed out before a growth step keeps
-// the bytes it was taken for until the port's storage goes back — the
-// store it points into is never written again — and every receiver
-// re-fetches its range per message, so none goes on reading an outgrown
-// one.
-func (w *inboundWindow) grow(i, end int, d extent) []byte {
-	s := w.parts[i]
-	if end > len(s) {
-		block := mem.Borrow(min(w.partBytes, max(minWindow, 1<<bits.Len(uint(end-1)))), w.partBytes)
-		grown := block[:min(w.partBytes, len(block))]
-		copy(grown, s)
-		if cap(s) > 0 {
-			base := i * w.partBytes
-			lo, hi := min(max(int(d.lo)-base, 0), len(s)), min(max(int(d.hi)-base, 0), len(s))
-			w.spent = append(w.spent, spentPart{block: s, dirty: s[lo:hi]})
-		}
-		w.parts[i], s = grown, grown
-	}
-	return s
-}
-
-// giveBack clears the storage inside extent d and returns every part,
-// and every part the window outgrew, to the mem lender, leaving the
-// window without storage.
-func (w *inboundWindow) giveBack(d extent) {
-	for _, b := range w.dirtyRuns(d) {
-		clear(b)
-	}
-	for i, s := range w.parts {
-		if cap(s) > 0 {
-			mem.Return(s)
-			w.parts[i] = nil
-		}
-	}
-	for i, sp := range w.spent {
-		clear(sp.dirty)
-		mem.Return(sp.block)
-		w.spent[i] = spentPart{}
-	}
-	w.spent = w.spent[:0]
-}
-
-// dirtyRuns yields, part by part, the storage inside extent d: each
-// run's window offset and its bytes, aliasing the store. Bytes of d past
-// a part's storage are zero and not yielded, so a ring whose extent
-// spans slots 0 to 5 yields two runs when only those two slots landed.
-func (w *inboundWindow) dirtyRuns(d extent) iter.Seq2[int, []byte] {
-	dlo, dhi := int(d.lo), int(d.hi)
-	return func(yield func(int, []byte) bool) {
-		for i := dlo / w.partBytes; dlo < dhi && i < len(w.parts) && i*w.partBytes < dhi; i++ {
-			base, s := i*w.partBytes, w.parts[i]
-			if lo, hi := max(dlo, base), min(dhi, base+len(s)); lo < hi && !yield(lo, s[lo-base:hi-base]) {
-				return
-			}
-		}
-	}
-}
-
-// landing marks [off, off+n) of region r dirty and returns it, for a
-// transfer's bytes to land in; the range lies in part i at window offset
-// base.
-func (p *Port) landing(r Region, i, base, off, n int) []byte {
-	p.markDirty(r, off, n)
-	return p.inbound[r].grow(i, off-base+n, p.winDirty[r])[off-base:][:n]
-}
-
-// landZero lands a transfer of n zero bytes at [off, off+n) of region r,
-// in part i at window offset base. Bytes outside the dirty extent are
-// zero already, so only the overlap is cleared — as far as the part
-// holds storage — and dropped from the extent where it trims an end; the
-// window is neither materialised nor dirtied.
-func (p *Port) landZero(r Region, i, base, off, n int) {
-	d := &p.winDirty[r]
-	lo, hi := max(off, int(d.lo)), min(off+n, int(d.hi))
-	if lo >= hi {
-		return
-	}
-	s := p.inbound[r].parts[i]
-	clear(s[min(lo-base, len(s)):min(hi-base, len(s))])
-	d.trim(lo, hi)
-}
 
 // extent is a half-open range [lo, hi) within a window; lo == hi means
 // empty. Its bounds are 32-bit (Params.Validate caps WindowSize), which
@@ -629,13 +488,6 @@ func (p *Port) covers(r Region, off, n int) {
 		panic(fmt.Sprintf("ntb: transfer into [%d,%d) of %s's %v window while [%d,%d) is lent", off, off+n, p.Name(), r, l.lo, l.hi))
 	}
 	p.winStale[r].trim(off, off+n)
-}
-
-// markDirty widens region r's dirty extent to cover [off, off+n).
-func (p *Port) markDirty(r Region, off, n int) {
-	if n > 0 {
-		p.winDirty[r].widen(span(off, n))
-	}
 }
 
 func (p *Port) mustPeer() *Port {
@@ -777,7 +629,7 @@ func (p *Port) Route() *pcie.Route {
 }
 
 // checkWindow validates a transfer into the peer's window r: it must lie
-// inside the window and inside one of its parts.
+// inside the window.
 func (p *Port) checkWindow(r Region, off, n int) {
 	if r < 0 || r >= numRegions {
 		panic(fmt.Sprintf("ntb: bad region %d", r))
@@ -785,7 +637,7 @@ func (p *Port) checkWindow(r Region, off, n int) {
 	if off < 0 || n < 0 || off+n > p.par.WindowSize {
 		panic(fmt.Sprintf("ntb: window access [%d,%d) exceeds window size %d", off, off+n, p.par.WindowSize))
 	}
-	p.mustPeer().inbound[r].part(off, n)
+	p.mustPeer()
 }
 
 // CPUWrite moves data into the peer's inbound window with programmed I/O:
@@ -828,20 +680,19 @@ func (p *Port) store(pr *sim.Proc, r Region, off, n int) bool {
 }
 
 // land delivers one transfer into region r at off: hdr, then data right
-// behind it. Data from the zero source lands as zeros (landZero), so a
-// zero payload behind a header dirties and materialises nothing.
+// behind it, stored through the window's translation. Without one, a
+// landing of zeros alone stores nothing and any other panics before it
+// touches memory.
 func (p *Port) land(r Region, off int, hdr, data []byte) {
-	i, base := p.inbound[r].part(off, len(hdr)+len(data))
+	t := p.inbound[r].trans
+	if t == nil && (len(hdr) > 0 || len(data) > 0 && !mem.IsZeroSource(data)) {
+		panic(fmt.Sprintf("ntb: copy landing of [%d,%d) into %s's %v window, which has no translation",
+			off, off+len(hdr)+len(data), p.Name(), r))
+	}
 	p.covers(r, off, len(hdr)+len(data))
-	if len(hdr) > 0 {
-		copy(p.landing(r, i, base, off, len(hdr)), hdr)
-		off += len(hdr)
+	if t != nil {
+		t.Land(off, hdr, data)
 	}
-	if mem.IsZeroSource(data) {
-		p.landZero(r, i, base, off, len(data))
-		return
-	}
-	copy(p.landing(r, i, base, off, len(data)), data)
 }
 
 // lend is how a stop-and-wait chunk lands (CPULend, Engine.LendWait):
@@ -849,11 +700,9 @@ func (p *Port) land(r Region, off int, hdr, data []byte) {
 // ACK releases the window (PROTOCOL.md §2), so the window need not hold
 // a copy of its own. Until the sender's Reclaim, InboundRange serves the
 // first len(data) bytes of window r from data itself, the sender's
-// buffer; no window storage is borrowed and no dirty extent grows. A
-// loan starts at the window's first byte, where every stop-and-wait
+// buffer, and the window's translation is not touched. A loan starts at the window's first byte, where every stop-and-wait
 // chunk lands. One loan per window may be outstanding, no landing may
-// overlap it, and Snapshot, Restore and ReturnStorage refuse a port that
-// holds one.
+// overlap it, and Snapshot and Restore refuse a port that holds one.
 func (p *Port) lend(r Region, data []byte) {
 	w := &p.inbound[r]
 	if len(data) == 0 {
@@ -880,9 +729,11 @@ func (p *Port) Reclaim(r Region) {
 	w.loan = nil
 }
 
-// assertNoLoans panics while any window of the port is lent: the bytes
-// are the sender's, so the window can be neither captured nor recycled.
-func (p *Port) assertNoLoans(op string) {
+// assertQuiet panics while the DMA engine has work or any window of
+// the port is lent (the bytes are the sender's): such a port can be
+// neither captured nor recycled.
+func (p *Port) assertQuiet(op string) {
+	p.dma.assertIdle(op)
 	for r := range p.inbound {
 		if n := len(p.inbound[r].loan); n > 0 {
 			panic(fmt.Sprintf("ntb: %s of %s with [0,%d) of its %v window lent", op, p.Name(), n, Region(r)))

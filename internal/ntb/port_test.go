@@ -13,8 +13,8 @@ import (
 )
 
 // pair builds two connected ports on separate hosts. It empties the mem
-// lender first, so each window part a test materialises is the step its
-// own writes reached, not a larger block an earlier test gave back.
+// lender first, so each block a default target materialises is the step
+// its own writes reached, not a larger block an earlier test gave back.
 func pair(t testing.TB) (*sim.Simulator, *Port, *Port, *model.Params) {
 	t.Helper()
 	mem.DrainLender()
@@ -249,8 +249,8 @@ func TestDMADescriptorsProcessInOrder(t *testing.T) {
 
 func TestEngineBuiltOnFirstUse(t *testing.T) {
 	// A port carries no DMA engine until its first DMA call; one that
-	// never runs one still snapshots, restores and returns its storage
-	// as idle, and a built engine is the same engine on every later call.
+	// never runs one still snapshots and restores as idle, and a built
+	// engine is the same engine on every later call.
 	s, a, b, _ := pair(t)
 	if a.dma != nil || b.dma != nil {
 		t.Fatal("a fresh port holds a DMA engine")
@@ -260,7 +260,7 @@ func TestEngineBuiltOnFirstUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Restore(a.Snapshot())
-	a.ReturnStorage()
+	a.Restore(nil)
 	if a.dma != nil || b.dma != nil {
 		t.Fatal("programmed I/O, a snapshot or a restore built a DMA engine")
 	}

@@ -2,7 +2,6 @@ package ntb
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -12,34 +11,33 @@ import (
 	"repro/internal/sim"
 )
 
-// The inbound windows against a reference that shares none of their
-// mechanisms: per region a flat byte array for the contents, a flag per
-// byte for what a reclaimed loan left without a value, and a copy of the
-// outstanding loan's bytes. A program is a byte string (decoded by
-// winProg), so the seeded test and the native fuzz target drive the same
-// interpreter. Its ops are the window's whole surface: copy landings
-// (PIO, and DMA behind a header), zero landings, loans by DMA and by PIO
-// and their reclaim, ranged reads, Partition, Snapshot/Restore and
-// ReturnStorage — and the misuses each must refuse with a panic.
+// The inbound windows' translation, loan and reclaimed-bracket rules
+// against a reference that shares none of their mechanisms: per region a
+// flat byte array for what landed, a flag per byte for what a reclaimed
+// loan left without a value, and a copy of the outstanding loan's bytes.
+// The receiver's data window translates onto the simplest memory there
+// is, a flat array (flatTarget), so what is checked is the port's
+// routing, not a target's storage (a slot ring's storage has its own
+// differential test in internal/driver); its bypass window has no
+// translation, as on a fabric-built port. A program is a byte string
+// (decoded by winProg), so the seeded test and the native fuzz target
+// drive the same interpreter. Its ops are the window's whole surface:
+// copy landings (PIO, and DMA behind a header), zero landings, loans by
+// DMA and by PIO and their reclaim, ranged reads, Snapshot/Restore and a
+// new translation — and the misuses each must refuse with a panic.
 
-// fuzzWindowSize is the window the programs run on: small enough that a
-// program reaches every part, large enough for several growth steps.
+// fuzzWindowSize is the window the programs run on.
 const fuzzWindowSize = 1 << 16
-
-// windowGeometries are the part counts Partition divides a region into:
-// whole, halves, parts that do not divide the window (leaving a
-// remainder), and minimum-sized parts.
-var windowGeometries = []int{1, 2, 3, 5, 16}
 
 const windowSnaps = 3
 
 // refRegion is the reference model of one inbound window.
 type refRegion struct {
-	parts  int
 	data   []byte // everything not landed is zero
 	poison []bool // reclaimed and not covered since: the bytes have no value
 	stale  extentRef
 	loan   []byte // a copy of the outstanding loan's bytes; nil when none
+	lands  int    // landings the translation has received
 }
 
 // extentRef is the reference's bracket of reclaimed bytes; lo == hi when
@@ -51,10 +49,8 @@ type extentRef struct{ lo, hi int }
 func (e extentRef) hits(off, n int) bool { return e.lo < e.hi && n > 0 && off < e.hi && e.lo < off+n }
 
 func newRefRegion() refRegion {
-	return refRegion{parts: 1, data: make([]byte, fuzzWindowSize), poison: make([]bool, fuzzWindowSize)}
+	return refRegion{data: make([]byte, fuzzWindowSize), poison: make([]bool, fuzzWindowSize)}
 }
-
-func (r *refRegion) partBytes() int { return fuzzWindowSize / r.parts }
 
 // cover records a landing of bytes b at off: they hold a value now.
 func (r *refRegion) cover(off int, b []byte) {
@@ -88,11 +84,20 @@ func (r *refRegion) reclaim() {
 	r.loan = nil
 }
 
-func (r *refRegion) clone() refRegion {
-	c := *r
-	c.data, c.poison = bytes.Clone(r.data), append([]bool(nil), r.poison...)
-	return c
+// flatTarget is the simplest memory a window translates onto: a flat
+// array, and a count of the landings it received.
+type flatTarget struct {
+	mem   []byte
+	lands int
 }
+
+func (f *flatTarget) Land(off int, hdr, data []byte) {
+	copy(f.mem[off:], hdr)
+	copy(f.mem[off+len(hdr):], data)
+	f.lands++
+}
+
+func (f *flatTarget) Range(off, n int) []byte { return f.mem[off : off+n] }
 
 // winProg decodes a program; an exhausted program reads as zeros.
 type winProg struct{ b []byte }
@@ -111,28 +116,26 @@ func (p *winProg) byte() int {
 func (p *winProg) u16() int { return p.byte()<<8 | p.byte() }
 
 // windowWorld is what one program runs against: a sender a cabled to a
-// receiver b, whose two windows sit beside their references, the
-// sender's buffers behind outstanding loans, and a few snapshot slots,
-// each beside its image.
+// receiver b, whose data window translates onto target and whose bypass
+// window onto nothing, both beside their references, the sender's
+// buffers behind outstanding loans, and a few snapshot slots, each
+// beside the reclaimed brackets it was taken with.
 type windowWorld struct {
 	t      *testing.T
 	s      *sim.Simulator
 	a, b   *Port
+	target *flatTarget
 	ref    [numRegions]refRegion
 	lent   [numRegions][]byte
 	snaps  [windowSnaps]*PortSnapshot
-	images [windowSnaps][numRegions]refRegion
+	images [windowSnaps][numRegions]extentRef
 	fill   byte
 }
 
-func fuzzParams() *model.Params {
+// windowPair builds a sender and a receiver port on one flow network.
+func windowPair() (*sim.Simulator, *Port, *Port) {
 	par := model.Default()
 	par.WindowSize = fuzzWindowSize
-	return par
-}
-
-// windowPair builds a sender and a receiver port on one flow network.
-func windowPair(par *model.Params) (*sim.Simulator, *Port, *Port) {
 	s := sim.New()
 	net := pcie.NewNetwork(s)
 	a := NewPort("A", s, net, par, pcie.NewServer("rcA", par.RootComplexBW))
@@ -143,11 +146,19 @@ func windowPair(par *model.Params) (*sim.Simulator, *Port, *Port) {
 
 func newWindowWorld(t *testing.T) *windowWorld {
 	w := &windowWorld{t: t}
-	w.s, w.a, w.b = windowPair(fuzzParams())
+	w.s, w.a, w.b = windowPair()
+	w.translate()
+	w.b.SetTrans(RegionBypass, nil)
 	for r := range w.ref {
 		w.ref[r] = newRefRegion()
 	}
 	return w
+}
+
+// translate points the data window at a new, empty flat target.
+func (w *windowWorld) translate() {
+	w.target = &flatTarget{mem: make([]byte, fuzzWindowSize)}
+	w.b.SetTrans(RegionData, w.target)
 }
 
 // proc runs body as one process of the world's simulator.
@@ -182,7 +193,7 @@ func (w *windowWorld) bytes(n int) []byte {
 }
 
 // size draws a transfer length from three classes: register-sized,
-// chunk-sized, and up to a whole part.
+// chunk-sized, and up to most.
 func size(p *winProg, most int) int {
 	switch v := p.u16(); p.byte() % 4 {
 	case 0:
@@ -194,16 +205,13 @@ func size(p *winProg, most int) int {
 	}
 }
 
-// place picks a range of n bytes inside one part of region r, at the
-// part's first byte one time in four (where loans live).
-func (w *windowWorld) place(p *winProg, r Region, n int) int {
-	ref := &w.ref[r]
-	pb := ref.partBytes()
-	base := p.byte() % ref.parts * pb
+// place picks a range of n bytes inside the window, at its first byte
+// one time in four (where loans live).
+func place(p *winProg, n int) int {
 	if p.byte()%4 == 0 {
-		return base
+		return 0
 	}
-	return base + p.u16()%(pb-n+1)
+	return p.u16() % (fuzzWindowSize - n + 1)
 }
 
 // anyLoan reports whether either window of the receiver is lent.
@@ -211,25 +219,25 @@ func (w *windowWorld) anyLoan() bool { return w.ref[0].loan != nil || w.ref[1].l
 
 // step executes one op of the program.
 func (w *windowWorld) step(p *winProg) {
-	t := w.t
 	op, r := p.byte()%13, Region(p.byte()%int(numRegions))
 	ref := &w.ref[r]
-	pb := ref.partBytes()
+	translated := r == RegionData
 	switch op {
 	case 0, 1, 2: // copy landing: PIO, PIO behind a header, DMA behind a header
 		hdr := 0
 		if op > 0 {
 			hdr = 1 + p.byte()%64
 		}
-		n := size(p, pb-hdr)
-		off := w.place(p, r, hdr+n)
+		n := size(p, fuzzWindowSize-hdr)
+		off := place(p, hdr+n)
 		h, data := w.bytes(hdr), w.bytes(n)
-		if ref.loan != nil && off < len(ref.loan) {
+		overLoan := ref.loan != nil && off < len(ref.loan)
+		if overLoan || !translated {
 			if op == 2 {
 				return // the engine would panic in its own process
 			}
 			w.proc(func(pr *sim.Proc) {
-				w.refuses("a landing over a loan", func() { w.a.CPUWriteHdr(pr, r, off, h, data) })
+				w.refuses("a landing over a loan or into no translation", func() { w.a.CPUWriteHdr(pr, r, off, h, data) })
 			})
 			return
 		}
@@ -241,13 +249,13 @@ func (w *windowWorld) step(p *winProg) {
 			}
 		})
 		ref.cover(off, append(h, data...))
-	case 3, 4: // zero landing, PIO and DMA, headerless: materialises nothing
-		n := size(p, pb)
-		off := w.place(p, r, n)
+		ref.lands++
+	case 3, 4: // zero landing, PIO and DMA, headerless: a translation stores zeros, none stores nothing
+		n := size(p, fuzzWindowSize)
+		off := place(p, n)
 		if ref.loan != nil && off < len(ref.loan) {
 			return
 		}
-		resident := w.b.WindowResident(r)
 		w.proc(func(pr *sim.Proc) {
 			if op == 3 {
 				w.a.CPUWrite(pr, r, off, mem.Zeros(n))
@@ -256,11 +264,11 @@ func (w *windowWorld) step(p *winProg) {
 			}
 		})
 		ref.cover(off, make([]byte, n))
-		if got := w.b.WindowResident(r); got != resident {
-			t.Fatalf("a zero landing changed the %v window's storage %d -> %d", r, resident, got)
+		if translated {
+			ref.lands++
 		}
-	case 5, 6: // loan, by DMA and by PIO: borrows no storage, dirties nothing
-		n := size(p, pb)
+	case 5, 6: // loan, by DMA and by PIO: the translation is not touched
+		n := size(p, fuzzWindowSize)
 		data := w.bytes(n)
 		if ref.loan != nil {
 			if op == 6 {
@@ -270,7 +278,6 @@ func (w *windowWorld) step(p *winProg) {
 			}
 			return
 		}
-		resident, dirty := w.b.WindowResident(r), w.b.winDirty[r]
 		w.proc(func(pr *sim.Proc) {
 			if op == 5 {
 				w.a.DMA().LendWait(pr, r, data)
@@ -281,10 +288,6 @@ func (w *windowWorld) step(p *winProg) {
 		w.lent[r] = data
 		ref.cover(0, ref.data[:n]) // the bytes under the loan keep their value
 		ref.loan = bytes.Clone(data)
-		if w.b.WindowResident(r) != resident || w.b.winDirty[r] != dirty {
-			t.Fatalf("a loan grew the %v window: storage %d -> %d, dirty %+v -> %+v",
-				r, resident, w.b.WindowResident(r), dirty, w.b.winDirty[r])
-		}
 	case 7: // reclaim
 		if ref.loan == nil {
 			w.refuses("a reclaim with no loan", func() { w.a.Reclaim(r) })
@@ -301,8 +304,8 @@ func (w *windowWorld) step(p *winProg) {
 		w.lent[r][i] ^= 0x5A
 		ref.loan[i] ^= 0x5A
 	case 9: // ranged read
-		n := size(p, pb)
-		w.read(r, w.place(p, r, n), n)
+		n := size(p, fuzzWindowSize)
+		w.read(r, place(p, n), n)
 	case 10: // Snapshot
 		k := p.byte() % windowSnaps
 		if w.anyLoan() {
@@ -311,11 +314,11 @@ func (w *windowWorld) step(p *winProg) {
 		}
 		w.snaps[k] = w.b.Snapshot()
 		for i := range w.ref {
-			w.images[k][i] = w.ref[i].clone()
+			w.images[k][i] = w.ref[i].stale
 		}
-	case 11: // Restore
+	case 11: // Restore: the brackets come back, the translation's memory stays
 		k := p.byte() % windowSnaps
-		if w.snaps[k] == nil || w.images[k][0].parts != w.ref[0].parts || w.images[k][1].parts != w.ref[1].parts {
+		if w.snaps[k] == nil {
 			return
 		}
 		if w.anyLoan() {
@@ -324,27 +327,16 @@ func (w *windowWorld) step(p *winProg) {
 		}
 		w.b.Restore(w.snaps[k])
 		for i := range w.ref {
-			w.ref[i] = w.images[k][i].clone()
+			w.ref[i].stale = w.images[k][i]
+			for j := range w.ref[i].poison {
+				w.ref[i].poison[j] = w.ref[i].stale.hits(j, 1)
+			}
 		}
-	case 12: // ReturnStorage, then perhaps Partition the clean window
-		if w.anyLoan() {
-			w.refuses("a storage return while lent", func() { w.b.ReturnStorage() })
-			return
-		}
-		w.b.ReturnStorage()
-		for i := range w.ref {
-			parts := w.ref[i].parts
-			w.ref[i] = newRefRegion()
-			w.ref[i].parts = parts
-		}
-		if w.b.WindowResident(RegionData)+w.b.WindowResident(RegionBypass) != 0 {
-			t.Fatal("ReturnStorage left window storage")
-		}
-		if g := p.byte(); g%2 == 0 {
-			parts := windowGeometries[g/2%len(windowGeometries)]
-			w.b.Partition(r, parts)
-			ref.parts = parts
-		}
+	case 12: // a new translation onto empty memory
+		w.translate()
+		d := &w.ref[RegionData]
+		clear(d.data)
+		d.lands = 0
 	}
 }
 
@@ -377,70 +369,54 @@ func (w *windowWorld) read(r Region, off, n int) {
 }
 
 // check compares everything observable: each window's readable bytes,
-// part by part, its reclaimed bracket, and the dirty-extent promise that
-// every landed non-zero byte lies inside it; then every snapshot, through
-// a fresh port restored from it, against the image taken with it.
+// its reclaimed bracket and the landings its translation received; then
+// every snapshot, through a fresh port restored from it, against the
+// brackets taken with it.
 func (w *windowWorld) check() {
 	t := w.t
 	t.Helper()
-	same := func(what string, port *Port, ref *refRegion, r Region, lent []byte) {
-		t.Helper()
-		if got := port.winStale[r]; int(got.lo) != ref.stale.lo || int(got.hi) != ref.stale.hi {
-			t.Fatalf("%s %v window: reclaimed bracket %+v, reference %+v", what, r, got, ref.stale)
-		}
-		d := port.winDirty[r]
-		for i, b := range ref.data {
-			if b != 0 && !ref.poison[i] && (i < int(d.lo) || i >= int(d.hi)) && (ref.loan == nil || i >= len(ref.loan)) {
-				t.Fatalf("%s %v window: landed byte %d lies outside the dirty extent %+v", what, r, i, d)
-			}
-		}
-		pb := ref.partBytes()
-		for base := 0; base+pb <= fuzzWindowSize; base += pb {
-			// Walk the part in runs that are all loan, all reclaimed
-			// bracket, or neither; a loan and the bracket never meet.
-			for off := base; off < base+pb; {
-				end := base + pb
-				switch l, s := len(ref.loan), ref.stale; {
-				case off < l:
-					end = min(end, l)
-					if got := port.InboundRange(r, off, end-off); !bytes.Equal(got, ref.loan[off:end]) || &got[0] != &lent[off] {
-						t.Fatalf("%s %v window: loan bytes [%d,%d) are not the lent buffer", what, r, off, end)
-					}
-				case s.lo <= off && off < s.hi:
-					end = min(end, s.hi)
-				default:
-					if s.lo < s.hi && s.lo > off {
-						end = min(end, s.lo)
-					}
-					if got := port.InboundRange(r, off, end-off); !bytes.Equal(got, ref.data[off:end]) {
-						t.Fatalf("%s %v window: bytes [%d,%d) differ from the reference", what, r, off, end)
-					}
-				}
-				off = end
-			}
-		}
-	}
 	for r := range w.ref {
-		same("port", w.b, &w.ref[r], Region(r), w.lent[r])
-	}
-	if !mem.LenderClean() {
-		t.Fatal("window storage went back to the lender with a non-zero byte")
+		ref, port, lent := &w.ref[r], w.b, w.lent[r]
+		if got := port.winStale[r]; int(got.lo) != ref.stale.lo || int(got.hi) != ref.stale.hi {
+			t.Fatalf("%v window: reclaimed bracket %+v, reference %+v", Region(r), got, ref.stale)
+		}
+		if Region(r) == RegionData && w.target.lands != ref.lands {
+			t.Fatalf("the translation received %d landings, reference %d", w.target.lands, ref.lands)
+		}
+		// Walk the window in runs that are all loan, all reclaimed
+		// bracket, or neither; a loan and the bracket never meet.
+		for off := 0; off < fuzzWindowSize; {
+			end := fuzzWindowSize
+			switch l, s := len(ref.loan), ref.stale; {
+			case off < l:
+				end = l
+				if got := port.InboundRange(Region(r), off, end-off); !bytes.Equal(got, ref.loan[off:end]) || &got[0] != &lent[off] {
+					t.Fatalf("%v window: loan bytes [%d,%d) are not the lent buffer", Region(r), off, end)
+				}
+			case s.lo <= off && off < s.hi:
+				end = s.hi
+			default:
+				if s.lo < s.hi && s.lo > off {
+					end = s.lo
+				}
+				if got := port.InboundRange(Region(r), off, end-off); !bytes.Equal(got, ref.data[off:end]) {
+					t.Fatalf("%v window: bytes [%d,%d) differ from the reference", Region(r), off, end)
+				}
+			}
+			off = end
+		}
 	}
 	for k, snap := range w.snaps {
 		if snap == nil {
 			continue
 		}
-		_, _, fresh := windowPair(w.b.par)
-		for r := range fresh.inbound {
-			if parts := w.images[k][r].parts; parts > 1 {
-				fresh.Partition(Region(r), parts)
-			}
-		}
+		_, _, fresh := windowPair()
 		fresh.Restore(snap)
 		for r := range w.images[k] {
-			same(fmt.Sprintf("snapshot %d", k), fresh, &w.images[k][r], Region(r), nil)
+			if got, want := fresh.winStale[r], w.images[k][r]; int(got.lo) != want.lo || int(got.hi) != want.hi {
+				t.Fatalf("snapshot %d: %v window's restored bracket %+v, captured %+v", k, Region(r), got, want)
+			}
 		}
-		fresh.ReturnStorage()
 	}
 }
 
@@ -456,12 +432,6 @@ func runWindowProgram(t *testing.T, prog []byte, checkEvery int) {
 		}
 	}
 	w.check()
-	for r := range w.ref {
-		if w.ref[r].loan != nil {
-			w.a.Reclaim(Region(r))
-		}
-	}
-	w.b.ReturnStorage()
 }
 
 func TestInboundWindowDifferential(t *testing.T) {

@@ -18,37 +18,48 @@ func run(t *testing.T, s *sim.Simulator, body func(p *sim.Proc)) {
 	}
 }
 
+// target is bare port p's default target behind window r: the flat
+// buffer NewPort registered.
+func target(p *Port, r Region) *mem.Buffer { return p.inbound[r].trans.(*mem.Buffer) }
+
+// returnTargets returns both of bare port p's default targets to the lender.
+func returnTargets(p *Port) {
+	for r := range p.inbound {
+		target(p, Region(r)).ReturnStorage()
+	}
+}
+
 func TestWindowMaterialisesOnlyToHighestByteReached(t *testing.T) {
 	s, a, b, par := pair(t)
-	if b.WindowResident(RegionData) != 0 {
-		t.Fatal("a fresh port holds window storage")
+	if target(b, RegionData).Resident() != 0 {
+		t.Fatal("a fresh port's default target holds storage")
 	}
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, []byte{1, 2, 3}) })
-	if got := b.WindowResident(RegionData); got != minWindow {
-		t.Fatalf("a 3-byte write materialised %d bytes, want %d", got, minWindow)
+	if got := target(b, RegionData).Resident(); got != 4096 {
+		t.Fatalf("a 3-byte write materialised %d bytes, want 4096", got)
 	}
 	// Power-of-two steps: a DMA descriptor ending at 40 000 takes 64 KiB.
 	run(t, s, func(p *sim.Proc) {
 		a.DMA().SubmitWait(p, Desc{Region: RegionData, Off: 39000, Src: bytes.Repeat([]byte{9}, 1000), Bytes: 1000})
 	})
-	if got := b.WindowResident(RegionData); got != 1<<16 {
+	if got := target(b, RegionData).Resident(); got != 1<<16 {
 		t.Fatalf("a descriptor ending at 40000 materialised %d bytes, want %d", got, 1<<16)
 	}
-	if b.WindowResident(RegionBypass) != 0 {
+	if target(b, RegionBypass).Resident() != 0 {
 		t.Fatal("the untouched bypass window was materialised")
 	}
 	// The earlier bytes moved with the growth step, and everything
 	// between the two writes reads as zero.
-	win := b.InboundRange(RegionData, 0, 40000)
+	view := b.InboundRange(RegionData, 0, 40000)
 	want := make([]byte, 40000)
 	copy(want, []byte{1, 2, 3})
 	copy(want[39000:], bytes.Repeat([]byte{9}, 1000))
-	if !bytes.Equal(win, want) {
+	if !bytes.Equal(view, want) {
 		t.Fatal("window contents wrong after a growth step")
 	}
 	// The last byte of the window caps growth at WindowSize.
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, par.WindowSize-1, []byte{7}) })
-	if got := b.WindowResident(RegionData); got != par.WindowSize {
+	if got := target(b, RegionData).Resident(); got != par.WindowSize {
 		t.Fatalf("a write to the last byte materialised %d bytes, want WindowSize %d", got, par.WindowSize)
 	}
 }
@@ -70,59 +81,40 @@ func TestWindowWriteHighReadsLowUntouchedBytesAsZero(t *testing.T) {
 	}
 }
 
-func TestWindowPayloadAliasSurvivesLaterLargerWrite(t *testing.T) {
-	// A service thread takes its alias of a small message's payload; a
-	// later, larger message makes the window grow. Until the port's
-	// storage goes back (ReturnStorage, at the next quiescent point), the
-	// alias must go on reading the bytes it was taken for, and the window
-	// must hold the new message.
-	s, a, b, _ := pair(t)
-	small := bytes.Repeat([]byte{0x5A}, 3000)
-	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, small) })
-	alias := b.InboundRange(RegionData, 0, len(small))
-	large := bytes.Repeat([]byte{0xC3}, 200000)
-	run(t, s, func(p *sim.Proc) {
-		a.DMA().SubmitWait(p, Desc{Region: RegionData, Off: 4096, Src: large, Bytes: len(large)})
-	})
-	if !bytes.Equal(alias, small) {
-		t.Fatal("an alias taken before a growth step lost its bytes")
-	}
-	now := b.InboundRange(RegionData, 0, 4096+len(large))
-	if !bytes.Equal(now[:len(small)], small) || !bytes.Equal(now[4096:], large) {
-		t.Fatal("window contents wrong after growth")
-	}
-}
-
-func TestOutgrownPartsGoBackAtReturnStorage(t *testing.T) {
-	// A part that grows 4 KiB → 8 KiB → 64 KiB keeps the two blocks it
-	// outgrew aside, and ReturnStorage gives all three back to the
-	// lender, each cleared where it was written.
+func TestOutgrownBlockGoesBackAtOnce(t *testing.T) {
+	// A target that grows 4 KiB → 8 KiB → 64 KiB gives each block it
+	// outgrows back to the lender as it grows, cleared where it was
+	// written, and ReturnStorage gives back the last.
 	s, a, b, _ := pair(t)
 	run(t, s, func(p *sim.Proc) {
 		a.CPUWrite(p, RegionBypass, 100, pattern(3000, 1))
 		a.CPUWrite(p, RegionBypass, 5000, pattern(2000, 2))
 		a.CPUWrite(p, RegionBypass, 60000, pattern(100, 3))
 	})
-	if got := b.WindowResident(RegionBypass); got != 1<<16 || len(b.inbound[RegionBypass].spent) != 2 {
-		t.Fatalf("test setup: part at %d bytes with %d outgrown", got, len(b.inbound[RegionBypass].spent))
-	}
-	b.ReturnStorage()
-	if held := mem.LenderHeld(); held != minWindow+2*minWindow+1<<16 {
-		t.Fatalf("the lender holds %d bytes after ReturnStorage, want the part and both blocks it outgrew", held)
+	if got, held := target(b, RegionBypass).Resident(), mem.LenderHeld(); got != 1<<16 || held != 4096+8192 {
+		t.Fatalf("the target holds %d bytes and the lender %d, want 64 KiB and the two outgrown blocks", got, held)
 	}
 	if !mem.LenderClean() {
-		t.Fatal("an outgrown part went back to the lender with its bytes")
+		t.Fatal("an outgrown block went back to the lender with its bytes")
 	}
-	if len(b.inbound[RegionBypass].spent) != 0 || b.WindowResident(RegionBypass) != 0 {
-		t.Fatal("the window kept storage after ReturnStorage")
+	want := make([]byte, 60100)
+	copy(want[100:], pattern(3000, 1))
+	copy(want[5000:], pattern(2000, 2))
+	copy(want[60000:], pattern(100, 3))
+	if !bytes.Equal(b.InboundRange(RegionBypass, 0, 60100), want) {
+		t.Fatal("the grown target lost bytes it carried over")
+	}
+	returnTargets(b)
+	if held := mem.LenderHeld(); held != 4096+8192+1<<16 || !mem.LenderClean() {
+		t.Fatalf("the lender holds %d bytes after ReturnStorage (clean: %v), want all three blocks cleared", held, mem.LenderClean())
 	}
 }
 
 func TestReturnedPartIsRelentAndReadsZeroOutsideWhatLanded(t *testing.T) {
-	// b's data window grows to a 32 KiB part under a 20 000-byte
+	// b's data target grows to a 32 KiB block under a 20 000-byte
 	// transfer and gives it back dirty; c, another port, borrows that
 	// very block for a 10-byte write ending past 4 KiB (the lender's 4 KiB
-	// block, b's bypass part, is too small). Both windows read zeros
+	// block, b's bypass target, is too small). Both windows read zeros
 	// everywhere but where their own bytes landed.
 	s, a, b, par := pair(t)
 	s2, a2, c, _ := pair(t)
@@ -130,25 +122,25 @@ func TestReturnedPartIsRelentAndReadsZeroOutsideWhatLanded(t *testing.T) {
 		a.CPUWrite(p, RegionData, 1000, pattern(20000, 1))
 		a.CPUWrite(p, RegionBypass, 0, pattern(100, 2))
 	})
-	old := b.inbound[RegionData].parts[0]
-	if len(old) != 1<<15 {
-		t.Fatalf("test setup: part at %d bytes", len(old))
+	old := &b.InboundRange(RegionData, 0, 1)[0]
+	if n := target(b, RegionData).Resident(); n != 1<<15 {
+		t.Fatalf("test setup: target at %d bytes", n)
 	}
-	b.ReturnStorage()
-	if n := b.WindowResident(RegionData) + b.WindowResident(RegionBypass); n != 0 || mem.LenderHeld() != 1<<15+minWindow {
-		t.Fatalf("after ReturnStorage the port holds %d bytes and the lender %d", n, mem.LenderHeld())
+	returnTargets(b)
+	if n := target(b, RegionData).Resident() + target(b, RegionBypass).Resident(); n != 0 || mem.LenderHeld() != 1<<15+4096 {
+		t.Fatalf("after ReturnStorage the port's targets hold %d bytes and the lender %d", n, mem.LenderHeld())
 	}
 	if !mem.LenderClean() {
-		t.Fatal("a part went back to the lender with its bytes")
+		t.Fatal("a block went back to the lender with its bytes")
 	}
 	run(t, s2, func(p *sim.Proc) { a2.CPUWrite(p, RegionData, 5000, pattern(10, 3)) })
-	if part := c.inbound[RegionData].parts[0]; len(part) != 1<<15 || &part[0] != &old[0] {
-		t.Fatalf("c materialised %d bytes, not b's returned part", len(part))
+	if n := target(c, RegionData).Resident(); n != 1<<15 || &c.InboundRange(RegionData, 0, 1)[0] != old {
+		t.Fatalf("c materialised %d bytes, not b's returned block", n)
 	}
 	wantC := make([]byte, par.WindowSize)
 	copy(wantC[5000:], pattern(10, 3))
 	if !bytes.Equal(c.InboundRange(RegionData, 0, par.WindowSize), wantC) {
-		t.Fatal("the re-lent part reads stale bytes outside what landed")
+		t.Fatal("the re-lent block reads stale bytes outside what landed")
 	}
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 30000, pattern(8, 4)) })
 	wantB := make([]byte, par.WindowSize)
@@ -157,208 +149,80 @@ func TestReturnedPartIsRelentAndReadsZeroOutsideWhatLanded(t *testing.T) {
 		!bytes.Equal(b.InboundRange(RegionBypass, 0, 4096), make([]byte, 4096)) {
 		t.Fatal("b's windows read stale bytes after giving their storage back")
 	}
-
 }
 
 func TestRebuiltPartTakesAReturnedBlockWhole(t *testing.T) {
-	// A 3-byte write after a 512 KiB part went back materialises the
+	// A 3-byte write after a 512 KiB block went back materialises the
 	// whole returned block instead of stepping up from 4 KiB.
 	s, a, b, _ := pair(t)
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 300000, []byte("far")) })
-	b.ReturnStorage()
+	returnTargets(b)
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, []byte{1, 2, 3}) })
-	if got := b.WindowResident(RegionData); got != 1<<19 || mem.LenderHeld() != 0 {
-		t.Fatalf("the rebuilt part holds %d bytes and the lender %d, want the returned 512 KiB block in the part",
+	if got := target(b, RegionData).Resident(); got != 1<<19 || mem.LenderHeld() != 0 {
+		t.Fatalf("the rebuilt target holds %d bytes and the lender %d, want the returned 512 KiB block in the target",
 			got, mem.LenderHeld())
 	}
 	if !bytes.Equal(b.InboundRange(RegionData, 0, 1<<19), append([]byte{1, 2, 3}, make([]byte, 1<<19-3)...)) {
-		t.Fatal("the rebuilt part reads stale bytes")
+		t.Fatal("the rebuilt target reads stale bytes")
 	}
 }
 
 func TestWindowSnapshotRestoreAcrossGrowthStep(t *testing.T) {
-	// Captured small, restored over a port that grew: the grown tail reads
-	// zero again. Captured grown, restored into a port that never grew:
-	// Restore materialises as far as the captured extent.
-	s0, a0, b0, _ := pair(t)
-	run(t, s0, func(p *sim.Proc) { a0.CPUWrite(p, RegionData, 100, []byte("small")) })
+	// A port's image is its registers: the memory its windows translate
+	// onto is the receiver's. Captured before a growth step and restored
+	// after it, the port's registers go back but the window still reads
+	// both landings from the grown block; restored into a fresh port,
+	// the image materialises nothing.
+	s0, a0, b0, par := pair(t)
+	run(t, s0, func(p *sim.Proc) {
+		a0.CPUWrite(p, RegionData, 100, []byte("small"))
+		a0.PeerSpadWrite(p, 2, 7)
+	})
 	small := b0.Snapshot()
-	run(t, s0, func(p *sim.Proc) { a0.CPUWrite(p, RegionData, 300000, []byte("grown")) })
-	grown := b0.Snapshot()
-	if b0.WindowResident(RegionData) != 1<<19 {
-		t.Fatalf("test setup: window at %d bytes", b0.WindowResident(RegionData))
+	run(t, s0, func(p *sim.Proc) {
+		a0.CPUWrite(p, RegionData, 300000, []byte("grown"))
+		a0.PeerSpadWrite(p, 2, 9)
+	})
+	if b0.Snapshot().spads[2] != 9 || target(b0, RegionData).Resident() != 1<<19 {
+		t.Fatal("test setup: no growth step or no register write")
 	}
-
-	// The restore rebuilds the part from whichever block the lender has
-	// that reaches the captured run — the 4 KiB part the window outgrew,
-	// which went back with the rest — and every byte it holds but the
-	// run is zero.
 	b0.Restore(small)
-	part := b0.inbound[RegionData].parts[0]
-	want := make([]byte, len(part))
-	copy(want[100:], "small")
-	if !bytes.Equal(part, want) {
-		t.Fatal("restore of the small image over a grown window left stale bytes")
-	}
-
-	_, _, fresh, par := pair(t)
-	fresh.Restore(grown)
-	if got := fresh.WindowResident(RegionData); got != 1<<19 {
-		t.Fatalf("restore of the grown image materialised %d bytes, want %d", got, 1<<19)
-	}
 	full := make([]byte, par.WindowSize)
 	copy(full[100:], "small")
 	copy(full[300000:], "grown")
-	if !bytes.Equal(fresh.InboundRange(RegionData, 0, par.WindowSize), full) {
-		t.Fatal("restored window differs from the captured one")
+	if b0.spads[2] != 7 || !bytes.Equal(b0.InboundRange(RegionData, 0, par.WindowSize), full) {
+		t.Fatal("restore did not bring the registers back, or touched the window's memory")
 	}
-	b0.Restore(grown)
-	if !bytes.Equal(b0.InboundRange(RegionData, 0, par.WindowSize), full) {
-		t.Fatal("re-restore of the grown image over the small one differs")
+	_, _, fresh, _ := pair(t)
+	fresh.Restore(small)
+	if fresh.spads[2] != 7 || target(fresh, RegionData).Resident() != 0 {
+		t.Fatal("restore into a fresh port lost the registers or materialised window storage")
 	}
 }
 
 func TestWindowRangedReadAliasesTheStore(t *testing.T) {
-	// The pipelined receiver's contract: a ranged read of a slot a
-	// transfer landed in is the part's own store, so the receiver's
-	// in-place edit reaches the port, and a transfer landing in another
-	// part, however large, never moves it.
-	s, a, b, par := pair(t)
-	b.Partition(RegionData, 4)
-	slot := par.WindowSize / 4
+	// A ranged read of bytes a transfer landed is the target's own
+	// store, so a receiver's in-place edit (a pipelined receiver clearing
+	// a slot's valid byte) reaches the window, and a later landing that
+	// stays within the block never moves it.
+	s, a, b, _ := pair(t)
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 64, []byte("slot0")) })
 	hdr := b.InboundRange(RegionData, 64, 5)
 	if string(hdr) != "slot0" || mem.IsZeroSource(hdr) {
-		t.Fatalf("ranged read of a landed slot holds %q", hdr)
+		t.Fatalf("ranged read of a landed range holds %q", hdr)
 	}
-	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 3*slot, pattern(slot, 1)) })
+	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 2048, pattern(2048, 1)) })
 	hdr[0] = 0 // the receiver's in-place edit is visible to the port
 	if got := b.InboundRange(RegionData, 64, 5); got[0] != 0 || string(got[1:]) != "lot0" {
 		t.Fatalf("a second ranged read holds %q: the store moved", got)
 	}
 }
 
-// slotRing is a port pair whose receiver b divides its data window into
-// eight slots, with a framed transfer landed in slots 0 and 5: a 64-byte
-// header and 1000 bytes by PIO, a header and 10 000 bytes by DMA.
-func slotRing(t *testing.T) (s *sim.Simulator, a, b *Port, slot int) {
-	t.Helper()
-	s, a, b, par := pair(t)
-	b.Partition(RegionData, 8)
-	slot = par.WindowSize / 8
-	run(t, s, func(p *sim.Proc) {
-		a.CPUWriteHdr(p, RegionData, 0, pattern(64, 1), pattern(1000, 2))
-		a.DMA().SubmitWait(p, Desc{Region: RegionData, Off: 5 * slot, Hdr: pattern(64, 3), Src: pattern(10000, 4), Bytes: 10000})
-	})
-	return s, a, b, slot
-}
-
-func TestPartitionedWindowMaterialisesOnlyLandedParts(t *testing.T) {
-	// Polling every header of an idle ring reads the zero source and
-	// materialises nothing.
-	_, _, idle, par := pair(t)
-	idle.Partition(RegionData, 8)
-	for i := 0; i < 8; i++ {
-		if h := idle.InboundRange(RegionData, i*par.WindowSize/8, 64); !mem.IsZeroSource(h) {
-			t.Fatalf("slot %d's header on an idle ring is not the zero source", i)
-		}
-	}
-	if n := idle.WindowResident(RegionData); n != 0 {
-		t.Fatalf("polling an idle ring materialised %d bytes", n)
-	}
-
-	// After transfers to slots 0 and 5, exactly those two parts hold
-	// storage, each demand-sized to its transfer, although the dirty
-	// extent spans slots 1 to 4 too.
-	_, _, b, slot := slotRing(t)
-	if got, want := b.WindowResident(RegionData), minWindow+1<<14; got != want {
-		t.Fatalf("%d window bytes materialised, want %d (a 4 KiB and a 16 KiB part)", got, want)
-	}
-	for i, s := range b.inbound[RegionData].parts {
-		if (i == 0 || i == 5) != (len(s) > 0) {
-			t.Fatalf("part %d holds %d bytes", i, len(s))
-		}
-	}
-	if !mem.IsZeroSource(b.InboundRange(RegionData, 3*slot, 64)) {
-		t.Fatal("an unlanded slot inside the dirty extent is not read as the zero source")
-	}
-	if !bytes.Equal(b.InboundRange(RegionData, 0, 64+1000), append(pattern(64, 1), pattern(1000, 2)...)) ||
-		!bytes.Equal(b.InboundRange(RegionData, 5*slot+64, 10000), pattern(10000, 4)) {
-		t.Fatal("a slot's bytes did not land")
-	}
-}
-
-func TestPartitionedSnapshotCopiesOnlyDirtySlots(t *testing.T) {
-	_, _, b, slot := slotRing(t)
-	snap := b.Snapshot()
-	// The image holds the two slots' stored bytes inside the extent, not
-	// the 640 KiB between them.
-	captured := 0
-	for _, r := range snap.win[RegionData] {
-		captured += len(r.bytes)
-	}
-	if len(snap.win[RegionData]) != 2 || captured != minWindow+64+10000 {
-		t.Fatalf("snapshot captured %d runs of %d bytes, want 2 of %d", len(snap.win[RegionData]), captured, minWindow+64+10000)
-	}
-
-	// Restored over a fresh ring and over one whose run dirtied other
-	// slots and rewrote slot 5, both equal the captured port byte for
-	// byte and hold storage only where a run restored some.
-	_, _, fresh, _ := pair(t)
-	fresh.Partition(RegionData, 8)
-	fresh.Restore(snap)
-	s1, a1, dirty, _ := slotRing(t)
-	run(t, s1, func(p *sim.Proc) {
-		a1.CPUWrite(p, RegionData, 2*slot, pattern(3000, 5))
-		a1.CPUWrite(p, RegionData, 5*slot, pattern(slot, 6))
-		a1.CPUWrite(p, RegionData, 7*slot+100, pattern(500, 7))
-	})
-	dirty.Restore(snap)
-	want := imageOf(b)
-	for name, got := range map[string]*Port{"fresh": fresh, "dirty": dirty} {
-		img := imageOf(got)
-		if img.portState != want.portState || !bytes.Equal(img.win[RegionData], want.win[RegionData]) {
-			t.Fatalf("restore over a %s ring differs from the captured port", name)
-		}
-	}
-	if n := fresh.WindowResident(RegionData); n != minWindow+1<<14 {
-		t.Fatalf("restore into a fresh ring materialised %d bytes, want the two slots' %d", n, minWindow+1<<14)
-	}
-}
-
-func TestTransferCrossingPartPanics(t *testing.T) {
-	s, a, b, par := pair(t)
-	b.Partition(RegionData, 3) // 349 525-byte parts and a 1-byte remainder
-	slot := par.WindowSize / 3
-	for name, op := range map[string]func(p *sim.Proc){
-		"PIO":    func(p *sim.Proc) { a.CPUWrite(p, RegionData, slot-10, make([]byte, 20)) },
-		"header": func(p *sim.Proc) { a.CPUWriteHdr(p, RegionData, slot-32, make([]byte, 64), nil) },
-		"DMA": func(p *sim.Proc) {
-			a.DMA().SubmitWait(p, Desc{Region: RegionData, Off: 2*slot - 64, Hdr: make([]byte, 64), Src: []byte{1}, Bytes: 1})
-		},
-		"remainder":   func(p *sim.Proc) { a.CPUWrite(p, RegionData, par.WindowSize-1, []byte{1}) },
-		"CPURead":     func(p *sim.Proc) { a.CPURead(p, RegionData, slot-1, make([]byte, 2)) },
-		"ranged read": func(*sim.Proc) { b.InboundRange(RegionData, 2*slot-1, 2) },
-	} {
-		run(t, s, func(p *sim.Proc) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s across a part boundary did not panic", name)
-				}
-			}()
-			op(p)
-		})
-	}
-	if n := b.WindowResident(RegionData); n != 0 {
-		t.Fatalf("refused transfers materialised %d bytes", n)
-	}
-}
-
 func TestZeroLandingMaterialisesAndDirtiesNothing(t *testing.T) {
 	// Zero transfers — the zero source by DMA and by PIO, at any offset
 	// into it and into the window — reach a clean window without giving
-	// it storage, and a receiver's prefix of it is the zero source. Time
-	// and trace bytes are a copy's.
+	// its target storage, and a receiver's prefix of it is the zero
+	// source. Time and trace bytes are a copy's.
 	s, a, b, _ := pair(t)
 	var traced int
 	a.SetTrace(func(ev TraceEvent) { traced += ev.Bytes })
@@ -385,8 +249,8 @@ func TestZeroLandingMaterialisesAndDirtiesNothing(t *testing.T) {
 		t.Fatalf("a zero DMA took %v, a copying one %v", took, copyTook)
 	}
 	for _, r := range []Region{RegionData, RegionBypass} {
-		if n := b.WindowResident(r); n != 0 || b.winDirty[r] != (extent{}) {
-			t.Fatalf("%v window: %d bytes materialised, dirty %+v", r, n, b.winDirty[r])
+		if n := target(b, r).Resident(); n != 0 {
+			t.Fatalf("%v window: %d bytes materialised", r, n)
 		}
 	}
 	if got := b.InboundRange(RegionData, 0, 50100); !mem.IsZeroSource(got) || len(got) != 50100 {
@@ -398,37 +262,30 @@ func TestZeroLandingClearsOnlyTheDirtyOverlap(t *testing.T) {
 	s, a, b, _ := pair(t)
 	data := bytes.Repeat([]byte{0xAB}, 3000)
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, data) })
-	// A zero chunk over the head trims the extent; its prefix is clean.
+	// A zero chunk inside what landed clears in place.
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, mem.Zeros(1000)) })
-	if d := b.winDirty[RegionData]; d != (extent{1000, 3000}) {
-		t.Fatalf("dirty extent %+v after a zero head landing, want [1000,3000)", d)
-	}
-	if !mem.IsZeroSource(b.InboundRange(RegionData, 0, 1000)) {
-		t.Fatal("the cleared head is not served as the zero source")
-	}
 	want := append(make([]byte, 1000), data[1000:]...)
 	if got := b.InboundRange(RegionData, 0, 3000); !bytes.Equal(got, want) {
 		t.Fatal("window bytes wrong after a zero head landing")
 	}
-	// A zero chunk inside the extent clears in place and keeps it.
 	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 1500, mem.Zeros(500)) })
 	clear(want[1500:2000])
-	if got := b.InboundRange(RegionData, 0, 3000); !bytes.Equal(got, want) || b.winDirty[RegionData] != (extent{1000, 3000}) {
-		t.Fatalf("inner zero landing: bytes right %v, dirty %+v", bytes.Equal(got, want), b.winDirty[RegionData])
-	}
-	// One covering the whole extent leaves the window clean, and a
-	// restore from a dirty image still rezeroes what it must.
-	snap := b.Snapshot()
-	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 0, mem.Zeros(4096)) })
-	if b.winDirty[RegionData] != (extent{}) || !bytes.Equal(b.InboundRange(RegionData, 0, 4096), make([]byte, 4096)) {
-		t.Fatal("a covering zero landing left dirty bytes")
-	}
-	b.Restore(snap)
 	if got := b.InboundRange(RegionData, 0, 3000); !bytes.Equal(got, want) {
-		t.Fatal("restore after a zero landing lost the captured bytes")
+		t.Fatal("window bytes wrong after an inner zero landing")
 	}
-	if !mem.ZeroSourceIntact() {
-		t.Fatal("the zero source was written")
+	// One covering the tail of what landed gives the tail up: the bytes
+	// from its offset on read as the zero source again.
+	run(t, s, func(p *sim.Proc) { a.CPUWrite(p, RegionData, 2000, mem.Zeros(4096)) })
+	clear(want[2000:])
+	if !mem.IsZeroSource(b.InboundRange(RegionData, 2000, 1000)) {
+		t.Fatal("a zero tail landing left the tail held")
+	}
+	if got := b.InboundRange(RegionData, 0, 3000); !bytes.Equal(got, want) {
+		t.Fatal("window bytes wrong after a zero tail landing")
+	}
+	returnTargets(b)
+	if !mem.LenderClean() || !mem.ZeroSourceIntact() {
+		t.Fatal("a zero landing left a dirty byte behind, or the zero source was written")
 	}
 }
 
@@ -462,15 +319,12 @@ func TestHeaderPrefixLandsByteExactAtOffset(t *testing.T) {
 			hdr, data := pattern(64, 7), pattern(10000, 90)
 			const off = 1000
 			run(t, s, func(p *sim.Proc) { m.send(p, a, RegionBypass, off, hdr, data) })
-			win := b.InboundRange(RegionBypass, 0, off+64+10000+1)
-			if !bytes.Equal(win[off:off+64], hdr) || !bytes.Equal(win[off+64:off+64+10000], data) {
+			view := b.InboundRange(RegionBypass, 0, off+64+10000+1)
+			if !bytes.Equal(view[off:off+64], hdr) || !bytes.Equal(view[off+64:off+64+10000], data) {
 				t.Fatal("header or payload did not land byte-exact behind one another")
 			}
-			if !bytes.Equal(win[:off], make([]byte, off)) || win[off+64+10000] != 0 {
+			if !bytes.Equal(view[:off], make([]byte, off)) || view[off+64+10000] != 0 {
 				t.Fatal("bytes outside the frame were written")
-			}
-			if d := b.winDirty[RegionBypass]; d != span(off, 64+10000) {
-				t.Fatalf("dirty extent %+v, want the frame", d)
 			}
 		})
 	}
@@ -482,23 +336,24 @@ func TestHeaderPrefixedZeroPayloadDirtiesOnlyTheHeader(t *testing.T) {
 			s, a, b, _ := pair(t)
 			hdr := pattern(64, 3)
 			run(t, s, func(p *sim.Proc) { m.send(p, a, RegionData, 0, hdr, mem.Zeros(60000)) })
-			if n := b.WindowResident(RegionData); n != minWindow {
-				t.Fatalf("%d window bytes materialised, want only the header's %d", n, minWindow)
-			}
-			if d := b.winDirty[RegionData]; d != (extent{0, 64}) {
-				t.Fatalf("dirty extent %+v, want the header alone", d)
+			if n := target(b, RegionData).Resident(); n != 4096 {
+				t.Fatalf("%d window bytes materialised, want only the header's 4096", n)
 			}
 			if got := b.InboundRange(RegionData, 0, 64); !bytes.Equal(got, hdr) {
 				t.Fatal("header did not land")
 			}
+			if !mem.IsZeroSource(b.InboundRange(RegionData, 64, 60000)) {
+				t.Fatal("the zero payload behind the header is held")
+			}
 			// Over a slot a data payload dirtied, the zero payload clears
-			// its bytes and trims the extent back to the header.
+			// its bytes and leaves only the header held.
 			run(t, s, func(p *sim.Proc) { m.send(p, a, RegionData, 0, hdr, pattern(5000, 1)) })
 			run(t, s, func(p *sim.Proc) { m.send(p, a, RegionData, 0, hdr, mem.Zeros(5000)) })
-			if d := b.winDirty[RegionData]; d != (extent{0, 64}) {
-				t.Fatalf("dirty extent %+v after a zero payload over data, want the header alone", d)
+			if got := b.InboundRange(RegionData, 64, 5000); !mem.IsZeroSource(got) {
+				t.Fatal("a zero payload over data is not read as the zero source")
 			}
-			if got := b.InboundRange(RegionData, 64, 5000); !bytes.Equal(got, make([]byte, 5000)) {
+			returnTargets(b)
+			if !mem.LenderClean() {
 				t.Fatal("a zero payload left stale data in its slot")
 			}
 			if !mem.ZeroSourceIntact() {

@@ -44,9 +44,6 @@ func (c *Cond) Broadcast() {
 	c.waiters = c.waiters[:0]
 }
 
-// Waiters reports how many processes are parked on the condition.
-func (c *Cond) Waiters() int { return len(c.waiters) }
-
 // Completion is a one-shot latch: processes that Wait before Complete is
 // called park until it fires; afterwards Wait returns immediately.
 // The zero value is an incomplete latch; Init names it (the name only
